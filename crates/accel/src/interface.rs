@@ -71,10 +71,9 @@ impl RegRead {
 /// the RPU's shared packet memory, modelled by the `pmem` slice passed to
 /// [`tick`](Accelerator::tick).
 ///
-/// Accelerators are `Send`: the simulation kernel may migrate a whole RPU
-/// (core, memories, and its accelerator) to a worker thread between cycle
-/// barriers. They are never shared — exactly one thread touches an RPU at a
-/// time — so `Sync` is not required.
+/// Accelerators are `Send` so a system hosting them can be handed to
+/// another thread whole. They are never shared — exactly one thread ticks a
+/// system — so `Sync` is not required.
 pub trait Accelerator: Send {
     /// A short name for debug output and resource tables.
     fn name(&self) -> &str;

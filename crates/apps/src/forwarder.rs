@@ -129,8 +129,8 @@ pub fn build_watchdog_forwarding_system(rpus: usize, interval: u32) -> Result<Ro
 ///
 /// `interval` is the park duration in cycles; it bounds added per-packet
 /// latency and sets the duty cycle. Larger intervals mean longer provably
-/// inert stretches, which the parallel kernel's quiescent-lane elision
-/// skips wholesale.
+/// inert stretches, which the simulator's core-tick elision skips
+/// wholesale.
 pub fn duty_cycle_forwarder_asm(interval: u32) -> String {
     format!(
         "
@@ -164,8 +164,8 @@ pub fn duty_cycle_forwarder_asm(interval: u32) -> String {
 /// [`duty_cycle_forwarder_asm`] on every core. The functional behaviour
 /// matches [`build_forwarding_system`] (every packet forwarded with its
 /// port flipped) with bounded extra latency; the simulation-speed benefit
-/// is that parked stretches are provably inert, which the parallel kernel
-/// elides.
+/// is that parked stretches are provably inert, which core-tick elision
+/// skips.
 ///
 /// # Errors
 ///

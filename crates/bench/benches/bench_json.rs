@@ -7,11 +7,11 @@
 //! Output path: `$ROSEBUD_BENCH_OUT`, else `<workspace root>/BENCH_rosebud.json`.
 
 use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
-use rosebud_bench::sim_speed::{compare, Scenario};
+use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
     FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig,
-    Harness, KernelMode, Supervisor, SupervisorConfig,
+    Harness, Supervisor, SupervisorConfig,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -128,7 +128,6 @@ fn fleet_point() -> FleetBench {
             boxes: BOXES,
             ..FleetConfig::default()
         },
-        KernelMode::Sequential,
         |_| build_watchdog_forwarding_system(4, 64).expect("valid config"),
     )
     .expect("valid fleet config");
@@ -176,15 +175,8 @@ fn fleet_point() -> FleetBench {
     }
 }
 
-/// One kernel sim-speed point at 16 RPUs, decode cache on.
-struct SimSpeed {
-    scenario: &'static str,
-    sequential_ns_per_cycle: f64,
-    parallel_ns_per_cycle: f64,
-    speedup: f64,
-}
-
-fn sim_speed_points() -> Vec<SimSpeed> {
+/// Sim-speed points at 16 RPUs, decode cache on: `(scenario, ns/cycle)`.
+fn sim_speed_points() -> Vec<(&'static str, f64)> {
     [
         Scenario::BusyPollLoaded,
         Scenario::DutyCycleLight,
@@ -192,13 +184,8 @@ fn sim_speed_points() -> Vec<SimSpeed> {
     ]
     .into_iter()
     .map(|scenario| {
-        let (seq, par) = compare(scenario, 16);
-        SimSpeed {
-            scenario: scenario.name(),
-            sequential_ns_per_cycle: seq,
-            parallel_ns_per_cycle: par,
-            speedup: seq / par,
-        }
+        let ns = ns_per_cycle(&mut build(scenario, 16), 10_000, 150_000, 5);
+        (scenario.name(), ns)
     })
     .collect()
 }
@@ -246,14 +233,11 @@ fn main() {
         fleet.flows_seen,
     ));
     json.push_str("  \"sim_speed\": [\n");
-    for (i, p) in sim_speed.iter().enumerate() {
+    for (i, (scenario, ns)) in sim_speed.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"sequential_ns_per_cycle\": {}, \
-             \"parallel_ns_per_cycle\": {}, \"speedup\": {}}}{}\n",
-            p.scenario,
-            json_f64(p.sequential_ns_per_cycle),
-            json_f64(p.parallel_ns_per_cycle),
-            json_f64(p.speedup),
+            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"ns_per_cycle\": {}}}{}\n",
+            scenario,
+            json_f64(*ns),
             if i + 1 < sim_speed.len() { "," } else { "" },
         ));
     }

@@ -1,55 +1,22 @@
-//! Sim-speed comparison: sequential reference kernel vs the parallel
-//! kernel (fused coordinator with quiescent-lane elision), swept over RPU
-//! counts and the three workload shapes of
-//! [`rosebud_bench::sim_speed::Scenario`]. Prints a table of wall-clock
-//! ns per simulated cycle and the parallel/sequential speedup.
+//! Sim speed: wall-clock ns per simulated cycle, swept over RPU counts and
+//! the three workload shapes of [`rosebud_bench::sim_speed::Scenario`].
 //!
 //! Run with: `cargo bench --bench sim_speed`
-//! Smoke mode (CI): `ROSEBUD_SIM_SPEED_SMOKE=1 cargo bench --bench sim_speed`
-//! exits non-zero if the parallel kernel is slower than sequential at
-//! 16 RPUs on the duty-cycled scenario.
 
 use rosebud_bench::heading;
-use rosebud_bench::sim_speed::{compare, Scenario};
+use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 
 fn main() {
-    let scenarios = [
+    heading("sim speed (ns per simulated cycle)");
+    println!("{:<18} {:>5} {:>12}", "scenario", "rpus", "ns/cyc");
+    for scenario in [
         Scenario::BusyPollLoaded,
         Scenario::DutyCycleLight,
         Scenario::ParkedIdle,
-    ];
-
-    if std::env::var_os("ROSEBUD_SIM_SPEED_SMOKE").is_some() {
-        // CI gate: the parallel kernel must not lose to sequential on the
-        // workload elision exists for.
-        let (seq, par) = compare(Scenario::DutyCycleLight, 16);
-        let ratio = seq / par;
-        println!(
-            "smoke duty-cycle-light n=16: seq {seq:.0} ns/cyc, par {par:.0} ns/cyc, {ratio:.2}x"
-        );
-        if ratio < 1.0 {
-            eprintln!("FAIL: parallel kernel slower than sequential at 16 RPUs");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    heading("sim speed: sequential vs parallel kernel (ns per simulated cycle)");
-    println!(
-        "{:<18} {:>5} {:>12} {:>12} {:>9}",
-        "scenario", "rpus", "seq ns/cyc", "par ns/cyc", "speedup"
-    );
-    for scenario in scenarios {
+    ] {
         for rpus in [1usize, 4, 8, 16] {
-            let (seq, par) = compare(scenario, rpus);
-            println!(
-                "{:<18} {:>5} {:>12.0} {:>12.0} {:>8.2}x",
-                scenario.name(),
-                rpus,
-                seq,
-                par,
-                seq / par
-            );
+            let ns = ns_per_cycle(&mut build(scenario, rpus), 10_000, 150_000, 5);
+            println!("{:<18} {:>5} {:>12.0}", scenario.name(), rpus, ns);
         }
     }
 }

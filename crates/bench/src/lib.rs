@@ -71,22 +71,22 @@ pub fn versus(measured: f64, paper: f64) -> String {
     format!("{measured:8.1} vs {paper:8.1}  ({dev:+5.1}%)")
 }
 
-/// Scenario builders and measurement loop for the kernel sim-speed
-/// comparison (`benches/sim_speed.rs`, the CI smoke job, and the
-/// `sim_speed` section of `BENCH_rosebud.json`).
+/// Scenario builders and measurement loop for the sim-speed table
+/// (`benches/sim_speed.rs` and the `sim_speed` section of
+/// `BENCH_rosebud.json`).
 pub mod sim_speed {
     use std::time::Instant;
 
     use rosebud_apps::forwarder::{duty_cycle_forwarder_asm, forwarder_image};
-    use rosebud_core::{Harness, KernelMode, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
+    use rosebud_core::{Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
     use rosebud_net::FixedSizeGen;
     use rosebud_riscv::assemble;
 
-    /// The three workload shapes the comparison reports. They span the
-    /// kernel's envelope: busy-poll firmware never sleeps (worst case for
-    /// quiescent-lane elision), duty-cycled firmware parks in `wfi`
-    /// between timer alarms (the representative middlebox idle pattern),
-    /// and a fully parked fleet is the elision ceiling.
+    /// The three workload shapes the table reports. They span the tick's
+    /// envelope: busy-poll firmware never sleeps (core-tick elision buys
+    /// nothing), duty-cycled firmware parks in `wfi` between timer alarms
+    /// (the representative middlebox idle pattern), and a fully parked
+    /// fleet is the elision ceiling.
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub enum Scenario {
         /// §6.1 busy-poll forwarder at saturating offered load.
@@ -116,17 +116,15 @@ pub mod sim_speed {
         }
     }
 
-    /// Builds the scenario's system under the given kernel. The decoded-
-    /// instruction cache is always on — it is a pure speed knob and part of
-    /// both kernels' default configuration.
-    pub fn build(scenario: Scenario, rpus: usize, kernel: KernelMode) -> Harness {
+    /// Builds the scenario's system. The decoded-instruction cache is on —
+    /// it is a pure speed knob and part of the default configuration.
+    pub fn build(scenario: Scenario, rpus: usize) -> Harness {
         let sys: Rosebud = match scenario {
             Scenario::BusyPollLoaded => {
                 let image = forwarder_image();
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .load_balancer(Box::new(RoundRobinLb::new()))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
@@ -136,7 +134,6 @@ pub mod sim_speed {
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .load_balancer(Box::new(RoundRobinLb::new()))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
@@ -144,7 +141,6 @@ pub mod sim_speed {
                 let image = assemble("csrw mie, zero\nwfi\nebreak").expect("parks");
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
@@ -168,25 +164,6 @@ pub mod sim_speed {
             best = best.min(t.elapsed().as_secs_f64());
         }
         best * 1e9 / cycles as f64
-    }
-
-    /// One comparison point: `(sequential ns/cycle, parallel ns/cycle)`.
-    /// The parallel side is the fused coordinator (`workers: 0`) — the
-    /// configuration that carries quiescent-lane elision.
-    pub fn compare(scenario: Scenario, rpus: usize) -> (f64, f64) {
-        let mut seq = build(scenario, rpus, KernelMode::Sequential);
-        let mut par = build(
-            scenario,
-            rpus,
-            KernelMode::Parallel {
-                workers: 0,
-                quantum: 1024,
-            },
-        );
-        (
-            ns_per_cycle(&mut seq, 10_000, 150_000, 5),
-            ns_per_cycle(&mut par, 10_000, 150_000, 5),
-        )
     }
 }
 

@@ -1,10 +1,11 @@
-//! Datapath fabric: MAC interfaces, byte-bounded FIFOs, the loopback
-//! module, and the broadcast arbiter (paper §4.3, §4.4).
+//! Datapath fabric: MAC interfaces, byte-bounded FIFOs, the per-RPU lanes,
+//! the loopback module, and the broadcast arbiter (paper §4.3, §4.4).
 
 use rosebud_kernel::{Counters, Cycle, DelayLine, Fifo, Serializer};
 use rosebud_net::Packet;
 
 use crate::config::RosebudConfig;
+use crate::rpu::Rpu;
 use crate::types::{BcastMsg, SlotMeta};
 
 /// A FIFO bounded by total bytes rather than item count — the MAC receive
@@ -123,6 +124,18 @@ pub(crate) struct EgressItem {
     pub desc: crate::types::Desc,
     pub bytes: Vec<u8>,
     pub meta: Option<SlotMeta>,
+}
+
+/// One RPU "lane": the RPU plus its private distribution links. Stages 4–6
+/// of [`crate::Rosebud::tick`] touch nothing outside one lane except the
+/// slot tracker, the ledger, the drop counter and the tracer.
+pub(crate) struct Lane {
+    /// The packet-processing unit itself.
+    pub rpu: Rpu,
+    /// The 32 Gbps ingress link feeding this RPU's DMA engine.
+    pub rin: Serializer<IngressItem>,
+    /// The 32 Gbps egress link draining committed sends.
+    pub rout: Serializer<EgressItem>,
 }
 
 /// The loopback module routing full packets between RPUs (§4.4). A single

@@ -11,15 +11,15 @@
 //! whole-box PR-reload → probation ladder — the box-scale analogue of the
 //! per-RPU [`Supervisor`](crate::Supervisor) rungs.
 //!
-//! Everything is cycle-deterministic: the same seed and kernel produce the
-//! same steering decisions, fault timeline, supervisor log, and conservation
-//! ledger, under both the sequential and parallel kernels.
+//! Everything is cycle-deterministic: the same seed produces the same
+//! steering decisions, fault timeline, supervisor log, and conservation
+//! ledger.
 //!
 //! # Examples
 //!
 //! ```
 //! use rosebud_core::{
-//!     Desc, Firmware, Fleet, FleetConfig, KernelMode, Rosebud, RosebudConfig, RpuIo, RpuProgram,
+//!     Desc, Firmware, Fleet, FleetConfig, Rosebud, RosebudConfig, RpuIo, RpuProgram,
 //! };
 //!
 //! struct Fwd;
@@ -34,7 +34,6 @@
 //!
 //! let mut fleet = Fleet::new(
 //!     FleetConfig { boxes: 2, ..FleetConfig::default() },
-//!     KernelMode::Sequential,
 //!     |_| {
 //!         Rosebud::builder(RosebudConfig::with_rpus(2))
 //!             .firmware(|_| RpuProgram::Native(Box::new(Fwd)))
@@ -48,7 +47,7 @@
 //! fleet.assert_conservation();
 //! ```
 
-use rosebud_kernel::{Cycle, IngressPort, KernelMode, LinkPort};
+use rosebud_kernel::{Cycle, IngressPort, LinkPort};
 use rosebud_net::{extend_hash, flow_hash, Packet, ShardedFlowTable};
 
 use crate::diag::{BoxHealth, FleetDiagnostics};
@@ -163,7 +162,6 @@ pub struct FailoverRecord {
 /// whole-box purges and reloads.
 pub struct Fleet {
     cfg: FleetConfig,
-    kernel: KernelMode,
     factory: Box<dyn Fn(usize) -> Rosebud>,
     boxes: Vec<FleetBox>,
     outputs: Vec<Vec<Packet>>,
@@ -191,12 +189,12 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds a fleet of `cfg.boxes` systems, each produced by `factory`
-    /// (called with the device index) and stepped under `kernel`.
+    /// (called with the device index).
     ///
     /// Every box should expose the same port count; the front LB steers the
     /// generator's port rotation unchanged, so a frame addressed to a port a
     /// box lacks is refused at injection.
-    pub fn new<F>(cfg: FleetConfig, kernel: KernelMode, factory: F) -> Result<Self, String>
+    pub fn new<F>(cfg: FleetConfig, factory: F) -> Result<Self, String>
     where
         F: Fn(usize) -> Rosebud + 'static,
     {
@@ -211,25 +209,21 @@ impl Fleet {
         }
         let factory: Box<dyn Fn(usize) -> Rosebud> = Box::new(factory);
         let boxes: Vec<FleetBox> = (0..cfg.boxes)
-            .map(|b| {
-                let mut sys = factory(b);
-                sys.set_kernel(kernel);
-                FleetBox {
-                    sys,
-                    front: LinkPort::new(
-                        cfg.link_bytes_per_cycle,
-                        cfg.link_capacity,
-                        cfg.link_latency,
-                    ),
-                    crashed: false,
-                    offline: false,
-                    flap_until: 0,
-                    brownout_until: 0,
-                    brownout_factor: 1,
-                    acc_delivered: 0,
-                    acc_dropped: 0,
-                    reloads: 0,
-                }
+            .map(|b| FleetBox {
+                sys: factory(b),
+                front: LinkPort::new(
+                    cfg.link_bytes_per_cycle,
+                    cfg.link_capacity,
+                    cfg.link_latency,
+                ),
+                crashed: false,
+                offline: false,
+                flap_until: 0,
+                brownout_until: 0,
+                brownout_factor: 1,
+                acc_delivered: 0,
+                acc_dropped: 0,
+                reloads: 0,
             })
             .collect();
         let ns_per_cycle = boxes[0].sys.config().ns_per_cycle();
@@ -250,7 +244,6 @@ impl Fleet {
             now: 0,
             ns_per_cycle,
             outputs: vec![Vec::new(); cfg.boxes],
-            kernel,
             factory,
             cfg,
             boxes,
@@ -590,7 +583,6 @@ impl Fleet {
             }
         }
         let mut sys = (self.factory)(device);
-        sys.set_kernel(self.kernel);
         if let Some(tc) = self.trace_cfg {
             sys.enable_tracing(tc);
         }
@@ -808,14 +800,13 @@ struct BoxWatch {
 ///
 /// ```
 /// use rosebud_core::{
-///     Fleet, FleetConfig, FleetSupervisor, KernelMode, Rosebud, RosebudConfig, RpuProgram,
+///     Fleet, FleetConfig, FleetSupervisor, Rosebud, RosebudConfig, RpuProgram,
 /// };
 /// use rosebud_riscv::assemble;
 ///
 /// let spin = assemble("spin: j spin").unwrap();
 /// let mut fleet = Fleet::new(
 ///     FleetConfig { boxes: 2, ..FleetConfig::default() },
-///     KernelMode::Sequential,
 ///     move |_| {
 ///         Rosebud::builder(RosebudConfig::with_rpus(2))
 ///             .firmware({
@@ -1189,7 +1180,6 @@ mod tests {
                 boxes,
                 ..FleetConfig::default()
             },
-            KernelMode::Sequential,
             |_| forwarder_box(),
         )
         .unwrap()
@@ -1218,7 +1208,6 @@ mod tests {
                 link_capacity: 2,
                 ..FleetConfig::default()
             },
-            KernelMode::Sequential,
             |_| forwarder_box(),
         )
         .unwrap();

@@ -53,9 +53,7 @@ mod fault;
 mod fleet;
 mod harness;
 mod host;
-mod lane;
 mod lb;
-mod par;
 pub mod ports;
 pub mod resources;
 mod rpu;
@@ -78,7 +76,6 @@ pub use harness::{Harness, Measurement};
 pub use host::{lb_regs, pr_reload_model, MemRegion, PrTimingModel};
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, EventLog, PortEvent, SharedEgress};
-pub use rosebud_kernel::KernelMode;
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
 pub use supervisor::{RecoveryEvent, Supervisor, SupervisorConfig};
 pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram, Rpus};

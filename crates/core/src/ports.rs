@@ -8,8 +8,8 @@
 //!
 //! * any feeder is "a small port impl", not a change to the core, and
 //! * every external arrival can be recorded as a cycle-stamped event
-//!   ([`EventLog`]) and replayed bit-exactly through the sequential kernel
-//!   oracle ([`replay`]) — a live run becomes a reproducible testcase.
+//!   ([`EventLog`]) and replayed bit-exactly on a fresh system
+//!   ([`replay`]) — a live run becomes a reproducible testcase.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -208,8 +208,7 @@ where
 /// diagnostics) reproduces bit-for-bit.
 ///
 /// `sys` must be built by the same factory as the recorded run (same
-/// config, firmware, LB — the kernel may differ, which is the point: live
-/// shell runs replay through the sequential oracle).
+/// config, firmware, LB).
 pub fn replay(log: &EventLog, sys: &mut Rosebud) -> Vec<Packet> {
     let mut source = log.replay_port();
     let mut delivered = Vec::new();

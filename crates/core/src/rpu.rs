@@ -353,11 +353,6 @@ impl RpuInner {
         self.dma_pending.take()
     }
 
-    /// `true` while a committed host-DMA request awaits the PCIe stage.
-    pub(crate) fn has_dma_req(&self) -> bool {
-        self.dma_pending.is_some()
-    }
-
     pub(crate) fn dma_complete(&mut self) {
         self.dma_busy = false;
     }
@@ -1102,10 +1097,11 @@ impl Rpu {
     /// The first cycle at which a [`Rpu::tick`] could change any state,
     /// assuming no external event (raised interrupt, ingress delivery, host
     /// access, fault injection) arrives first — or `0` when the RPU must
-    /// tick every cycle. The parallel kernel uses this to elide ticks of
-    /// provably inert lanes; every external event re-wakes the lane, so a
-    /// conservative `0` is always safe while a too-large horizon is a
-    /// determinism bug the differential suite exists to catch.
+    /// tick every cycle. [`crate::Rosebud::tick`] uses this to elide the
+    /// core ticks of provably inert lanes; every external event re-wakes
+    /// the lane, so a conservative `0` is always safe while a too-large
+    /// horizon is a determinism bug the elision differential exists to
+    /// catch.
     ///
     /// The armed watchdog caps every horizon: its expiry is the one
     /// self-generated event an otherwise-inert RPU can produce.
@@ -1125,9 +1121,10 @@ impl Rpu {
         if matches!(self.state, RpuState::Reconfiguring { .. }) || self.hung {
             return wd;
         }
-        // A stall tail mutates the cycle counters every tick, and a queued
-        // committed send keeps stage 6 busy.
-        if self.stall != 0 || !self.inner.tx_queue.is_empty() {
+        // A stall tail mutates the cycle counters every tick, a queued
+        // committed send keeps stage 6 busy, and a host-side `TIMER_CMP`
+        // write leaves an acknowledgement the next tick consumes.
+        if self.stall != 0 || !self.inner.tx_queue.is_empty() || self.inner.timer_ack {
             return 0;
         }
         match &self.engine {
@@ -1143,20 +1140,22 @@ impl Rpu {
         }
     }
 
-    /// Advances one clock cycle: core, then accelerator.
-    pub(crate) fn tick(&mut self, now: u64) {
+    /// Advances one clock cycle: core, then accelerator. Returns `true`
+    /// when the core did nothing this cycle (mid-reconfiguration, hung,
+    /// halted, parked in `wfi`, or no engine) — the cheap gate that tells
+    /// the caller [`Rpu::quiet_horizon`] is worth consulting; a busy core
+    /// never pays for the horizon computation.
+    pub(crate) fn tick(&mut self, now: u64) -> bool {
         self.inner.now = now;
         if self.inner.watchdog_fired() {
             self.watchdog_fires += 1;
             self.raise_irq(crate::types::irq::TIMER);
         }
-        if let RpuState::Reconfiguring { until } = self.state {
-            if now < until {
-                return;
-            }
-            // The host completes the boot via `System::finish_reconfigure`;
-            // until then the region stays inert.
-            return;
+        if matches!(self.state, RpuState::Reconfiguring { .. }) {
+            // Even past `until`: the host completes the boot via
+            // `Rosebud::finish_reconfigure`; until then the region stays
+            // inert.
+            return true;
         }
         if self.hung {
             // Wedged firmware: the core spins, the accelerator finishes what
@@ -1165,10 +1164,11 @@ impl Rpu {
             if let Some(accel) = &mut self.inner.accel {
                 accel.tick(&self.inner.pmem);
             }
-            return;
+            return true;
         }
 
         // Core.
+        let mut inert = false;
         if self.stall > 0 {
             self.stall -= 1;
             self.sw_cycles += 1;
@@ -1198,9 +1198,10 @@ impl Rpu {
                         StepResult::Ecall => {
                             self.sw_cycles += 1;
                         }
-                        StepResult::WaitingForInterrupt => {}
+                        StepResult::WaitingForInterrupt => inert = true,
                         StepResult::Break | StepResult::Fault(_) => {
                             self.state = RpuState::Stopped;
+                            inert = true;
                         }
                     }
                     // The step itself may have re-armed the watchdog; the
@@ -1232,7 +1233,7 @@ impl Rpu {
                     // later RV32 reload.
                     self.inner.timer_ack = false;
                 }
-                Engine::Empty => {}
+                Engine::Empty => inert = true,
             }
         }
 
@@ -1240,6 +1241,7 @@ impl Rpu {
         if let Some(accel) = &mut self.inner.accel {
             accel.tick(&self.inner.pmem);
         }
+        inert
     }
 }
 
@@ -1482,5 +1484,109 @@ mod tests {
         let cpu = rpu.cpu().unwrap();
         let a0 = cpu.reg(rosebud_riscv::Reg::parse("a0").unwrap());
         assert!((1000..1010).contains(&u64::from(a0)), "timer read {a0}");
+    }
+
+    mod horizon {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Everything a tick could change that anything outside the RPU can
+        /// observe: counters, the core (pc, registers, CSRs), lifecycle state,
+        /// the watchdog, and both descriptor queues.
+        fn observable(rpu: &Rpu) -> String {
+            format!(
+                "{:?} {:?} {:?} wd={} fires={} rx={:?} tx={:?}",
+                rpu.perf(),
+                rpu.cpu(),
+                rpu.state(),
+                rpu.inner().timer_deadline,
+                rpu.watchdog_fires(),
+                rpu.inner().rx_queue.iter().collect::<Vec<_>>(),
+                rpu.inner().tx_queue.iter().collect::<Vec<_>>(),
+            )
+        }
+
+        /// Firmware shapes that reach every sleep condition: never parked,
+        /// parked behind a timer alarm with a multi-cycle stall tail on the
+        /// way in, and halted on `ebreak`.
+        fn firmware(kind: usize) -> String {
+            match kind {
+                0 => forwarder_asm(),
+                1 => "
+                    .equ IO, 0x02000000
+                        li t0, IO
+                        li t1, 0x01000000
+                        li t6, 0x32          # timer, evict and poke lines
+                        csrw mie, t6
+                    park:
+                        li t5, 90
+                        sw t5, 0x40(t0)      # TIMER_CMP: arm the alarm
+                        lw a3, 0(t1)         # packet-memory load: stall tail
+                        wfi
+                        j park
+                    "
+                .to_string(),
+                _ => "li a0, 7\nmul a0, a0, a0\nebreak".to_string(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // Core-tick elision skips `tick(now)` while `now` is below the
+            // horizon, so a tick there must be a no-op and must say so —
+            // whatever interrupts, deliveries, watchdog arms, hangs and PR
+            // steps landed in between.
+            #[test]
+            fn a_tick_below_the_quiet_horizon_changes_nothing(
+                kind in 0usize..3,
+                events in proptest::collection::vec((1u64..60, 0u8..6, 1u32..200), 0..24),
+            ) {
+                let mut rpu = Rpu::new(0, &cfg());
+                rpu.load_riscv(&assemble(&firmware(kind)).unwrap());
+                let mut at = 0u64;
+                let mut schedule: Vec<(u64, u8, u32)> = events
+                    .into_iter()
+                    .map(|(gap, what, arg)| {
+                        at += gap;
+                        (at, what, arg)
+                    })
+                    .collect();
+                schedule.reverse();
+                let mut slept = 0u32;
+                for now in 0..at + 300 {
+                    while schedule.last().is_some_and(|e| e.0 == now) {
+                        let (_, what, arg) = schedule.pop().unwrap();
+                        match what {
+                            0 => rpu.raise_irq(crate::types::irq::POKE),
+                            1 => rpu.raise_irq(crate::types::irq::TIMER),
+                            2 => {
+                                let slot = (arg % 4) as u8;
+                                rpu.inner_mut().dma_deliver(slot, &[0u8; 64], meta(0));
+                            }
+                            3 => {
+                                // Host-side watchdog arm.
+                                let cmp = memmap::IO_BASE + io::TIMER_CMP;
+                                rpu.inner_mut().host_store(cmp, arg, AccessSize::Word).unwrap();
+                            }
+                            4 => rpu.force_hang(),
+                            _ => rpu.begin_reconfigure(now + u64::from(arg)),
+                        }
+                    }
+                    if rpu.quiet_horizon() > now {
+                        slept += 1;
+                        let before = observable(&rpu);
+                        let inert = rpu.tick(now);
+                        prop_assert!(inert, "tick below the horizon at {} not inert", now);
+                        prop_assert_eq!(observable(&rpu), before, "cycle {}", now);
+                    } else {
+                        rpu.tick(now);
+                    }
+                }
+                // Busy-poll firmware sleeps only once hung or mid-PR; the
+                // other two must reach their parked state.
+                prop_assert!(kind == 0 || slept > 0, "firmware {} never slept", kind);
+            }
+        }
     }
 }

@@ -3,17 +3,15 @@
 
 use rosebud_accel::Accelerator;
 use rosebud_kernel::{
-    Clock, Counters, Cycle, DelayLine, EgressPort, Fifo, KernelMode, LatencyStats, Serializer,
+    Clock, Counters, Cycle, DelayLine, EgressPort, Fifo, LatencyStats, Serializer,
 };
 use rosebud_net::Packet;
 use rosebud_riscv::Image;
 
 use crate::config::RosebudConfig;
-use crate::fabric::{BcastArbiter, EgressItem, IngressItem, Loopback, PortState};
+use crate::fabric::{BcastArbiter, EgressItem, IngressItem, Lane, Loopback, PortState};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultState, Ledger};
-use crate::lane::{lane_phase, Lane, LaneFx, RxFx, TxFx};
 use crate::lb::{LoadBalancer, SlotTracker};
-use crate::par::WorkerPool;
 use crate::rpu::{Firmware, Rpu};
 use crate::supervisor::RecoveryEvent;
 use crate::trace::{SupervisorStep, TraceConfig, TraceEvent, Tracer};
@@ -68,7 +66,6 @@ pub struct RosebudBuilder {
     lb: Option<Box<dyn LoadBalancer>>,
     firmware: Option<FirmwareFactory>,
     accel: Option<AccelFactory>,
-    kernel: Option<KernelMode>,
     load_policy: LoadPolicy,
 }
 
@@ -76,14 +73,6 @@ impl RosebudBuilder {
     /// Installs the load-balancing policy (defaults to round-robin).
     pub fn load_balancer(mut self, lb: Box<dyn LoadBalancer>) -> Self {
         self.lb = Some(lb);
-        self
-    }
-
-    /// Selects the simulation kernel explicitly. Defaults to
-    /// [`KernelMode::from_env`] (`ROSEBUD_KERNEL`), so test suites can be
-    /// matrixed over both kernels without code changes.
-    pub fn kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -124,15 +113,11 @@ impl RosebudBuilder {
         self.cfg.validate()?;
         let firmware = self.firmware.ok_or("no firmware installed")?;
         let cfg = self.cfg;
-        let mut lanes: Vec<Box<Lane>> = (0..cfg.num_rpus)
-            .map(|i| {
-                Box::new(Lane {
-                    quiet_until: 0,
-                    rpu: Rpu::new(i, &cfg),
-                    rin: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
-                    rout: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
-                    fx: LaneFx::default(),
-                })
+        let mut lanes: Vec<Lane> = (0..cfg.num_rpus)
+            .map(|i| Lane {
+                rpu: Rpu::new(i, &cfg),
+                rin: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
+                rout: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
             })
             .collect();
         let mut lint_log: Vec<LintRecord> = Vec::new();
@@ -142,35 +127,18 @@ impl RosebudBuilder {
             }
             match firmware(i) {
                 RpuProgram::Riscv(image) => {
-                    if self.load_policy != LoadPolicy::Off {
-                        let report = rosebud_riscv::Analyzer::new(machine_spec(&cfg)).check(&image);
-                        let denied = self.load_policy == LoadPolicy::Deny && report.has_errors();
-                        let errors = report.error_count();
-                        lint_log.push(LintRecord {
-                            rpu: i,
-                            cycle: 0,
-                            denied,
-                            report,
-                        });
-                        if denied {
-                            return Err(format!(
-                                "firmware for RPU {i} rejected by LoadPolicy::Deny: \
-                                 {errors} lint error(s)"
-                            ));
-                        }
+                    if !vet(&cfg, self.load_policy, i, 0, &image, &mut lint_log) {
+                        let errors = lint_log.last().map_or(0, |r| r.report.error_count());
+                        return Err(format!(
+                            "firmware for RPU {i} rejected by LoadPolicy::Deny: \
+                             {errors} lint error(s)"
+                        ));
                     }
                     lane.rpu.load_riscv(&image);
                 }
                 RpuProgram::Native(fw) => lane.rpu.load_native(fw),
             }
         }
-        let kernel = self.kernel.unwrap_or_else(KernelMode::from_env);
-        let pool = match kernel {
-            KernelMode::Parallel { workers, quantum } if workers > 0 => {
-                Some(WorkerPool::new(workers, cfg.num_rpus, quantum))
-            }
-            _ => None,
-        };
         let tracker = SlotTracker::new(cfg.num_rpus, cfg.slots_per_rpu);
         let enabled = if cfg.num_rpus >= 64 {
             u64::MAX
@@ -178,15 +146,10 @@ impl RosebudBuilder {
             (1u64 << cfg.num_rpus) - 1
         };
         let ports = (0..cfg.num_ports).map(|_| PortState::new(&cfg)).collect();
-        let lane_quiet = vec![0; cfg.num_rpus];
         Ok(Rosebud {
             clock: Clock::new(cfg.clock_hz),
             lanes,
-            kernel,
-            pool,
-            lane_quiet,
-            rout_mask: u64::MAX,
-            dma_mask: u64::MAX,
+            quiet: vec![0; cfg.num_rpus],
             lb: self
                 .lb
                 .unwrap_or_else(|| Box::new(crate::lb::RoundRobinLb::new())),
@@ -220,6 +183,31 @@ impl RosebudBuilder {
     }
 }
 
+/// Runs the analyzer over `image` per `policy`, appending the report to
+/// `lint_log`. Returns `false` when [`LoadPolicy::Deny`] must block the
+/// install. The one vetting routine behind boot, host loads and PR reloads.
+fn vet(
+    cfg: &RosebudConfig,
+    policy: LoadPolicy,
+    rpu: usize,
+    cycle: Cycle,
+    image: &Image,
+    lint_log: &mut Vec<LintRecord>,
+) -> bool {
+    if policy == LoadPolicy::Off {
+        return true;
+    }
+    let report = rosebud_riscv::Analyzer::new(machine_spec(cfg)).check(image);
+    let denied = policy == LoadPolicy::Deny && report.has_errors();
+    lint_log.push(LintRecord {
+        rpu,
+        cycle,
+        denied,
+        report,
+    });
+    !denied
+}
+
 pub(crate) struct PrJob {
     pub rpu: usize,
     pub phase: PrPhase,
@@ -240,30 +228,15 @@ pub(crate) enum PrPhase {
 pub struct Rosebud {
     pub(crate) cfg: RosebudConfig,
     pub(crate) clock: Clock,
-    /// One lane per RPU: the RPU plus its private ingress/egress links,
-    /// boxed so the parallel kernel can move lanes to workers cheaply.
-    // Boxed so the worker pool can move lanes across threads pointer-sized.
-    #[allow(clippy::vec_box)]
-    pub(crate) lanes: Vec<Box<Lane>>,
-    /// Which kernel advances the system.
-    kernel: KernelMode,
-    /// Worker pool, when the parallel kernel has threads.
-    pool: Option<WorkerPool>,
-    /// Coordinator-side mirror of each lane's `quiet_until`, kept dense so
-    /// the parallel kernel's skip checks never dereference a sleeping
-    /// lane's box. Updated at the barrier and by [`Rosebud::wake_lane`];
-    /// unused by the sequential kernel.
-    lane_quiet: Vec<Cycle>,
-    /// Persistent egress-link occupancy bitmap (parallel kernel): bit `r`
-    /// set while lane `r`'s `rout` may hold data. Survives sleeping lanes —
-    /// a lane can park with frames still serializing out — and self-clears
-    /// in stage 7. Lanes ≥ 64 are never masked off.
-    rout_mask: u64,
-    /// Persistent host-DMA-request bitmap (parallel kernel): bit `r` set
-    /// while lane `r`'s RPU may hold a committed DMA request. A parked core
-    /// legitimately sleeps while its request waits out a PCIe outage, so
-    /// this must survive elided cycles too.
-    dma_mask: u64,
+    /// One lane per RPU: the RPU plus its private ingress/egress links.
+    pub(crate) lanes: Vec<Lane>,
+    /// Core-tick elision: `quiet[r]` is the first cycle at which RPU `r`'s
+    /// tick could change any state. While `now` is below it the core is
+    /// provably inert — parked, halted, hung or mid-PR, no stall tail, no
+    /// queued send, no accelerator — and stage 5 skips it. Every event that
+    /// could change the answer resets it through [`Rosebud::wake_lane`];
+    /// the armed-watchdog deadline caps it.
+    quiet: Vec<Cycle>,
     pub(crate) lb: Box<dyn LoadBalancer>,
     pub(crate) tracker: SlotTracker,
     pub(crate) enabled: u64,
@@ -327,13 +300,11 @@ impl std::fmt::Debug for Rosebud {
             .field("rpus", &self.lanes.len())
             .field("cycle", &self.clock.cycle())
             .field("lb", &self.lb.name())
-            .field("kernel", &self.kernel)
             .finish()
     }
 }
 
-/// Read-only view of every RPU, indexable like the slice the sequential-era
-/// API returned.
+/// Read-only view of every RPU, indexable like a slice.
 ///
 /// # Examples
 ///
@@ -350,7 +321,7 @@ impl std::fmt::Debug for Rosebud {
 /// assert_eq!(sys.rpus().iter().count(), 4);
 /// ```
 #[derive(Clone, Copy)]
-pub struct Rpus<'a>(&'a [Box<Lane>]);
+pub struct Rpus<'a>(&'a [Lane]);
 
 impl<'a> Rpus<'a> {
     /// Number of RPUs.
@@ -381,7 +352,6 @@ impl Rosebud {
             lb: None,
             firmware: None,
             accel: None,
-            kernel: None,
             load_policy: LoadPolicy::default(),
         }
     }
@@ -400,38 +370,15 @@ impl Rosebud {
     /// report. Returns `false` when [`LoadPolicy::Deny`] must block the
     /// install.
     pub(crate) fn vet_firmware(&mut self, rpu: usize, image: &Image) -> bool {
-        if self.load_policy == LoadPolicy::Off {
-            return true;
-        }
-        let report = rosebud_riscv::Analyzer::new(machine_spec(&self.cfg)).check(image);
-        let denied = self.load_policy == LoadPolicy::Deny && report.has_errors();
         let cycle = self.clock.cycle();
-        self.lint_log.push(LintRecord {
+        vet(
+            &self.cfg,
+            self.load_policy,
             rpu,
             cycle,
-            denied,
-            report,
-        });
-        !denied
-    }
-
-    /// The kernel advancing this system.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// Replaces the simulation kernel. Safe at any cycle boundary: lane
-    /// sleep state is conservative (the sequential kernel ignores it, and a
-    /// freshly built system has every lane awake), so differential
-    /// harnesses can build one scenario and re-run it under each kernel.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
-        self.kernel = kernel;
-        self.pool = match kernel {
-            KernelMode::Parallel { workers, quantum } if workers > 0 => {
-                Some(WorkerPool::new(workers, self.lanes.len(), quantum))
-            }
-            _ => None,
-        };
+            image,
+            &mut self.lint_log,
+        )
     }
 
     /// The configuration.
@@ -460,17 +407,15 @@ impl Rosebud {
         &mut self.lanes[rpu].rpu
     }
 
-    /// Re-arms lane `r` for the parallel kernel's quiescent-lane elision:
-    /// every event that could change an elided lane's behavior — an ingress
-    /// push, a raised interrupt, a host access, fault injection, a PR step —
-    /// must route through here. Spurious wakes are harmless (an inert
-    /// lane's phase is a no-op and it re-sleeps at the next barrier); a
-    /// *missed* wake is a determinism bug the differential suite exists to
-    /// catch. No-op under the sequential kernel, which never sleeps lanes.
+    /// Ends lane `r`'s core-tick elision: every event that could change an
+    /// elided core's behavior — an ingress delivery, a raised interrupt, a
+    /// host access, fault injection, a PR step — must route through here.
+    /// Spurious wakes are harmless (an inert core's tick is a no-op and it
+    /// re-sleeps right after); a *missed* wake is a determinism bug the
+    /// elision differential (`tests/kernel_equivalence.rs`) exists to catch.
     #[inline]
     pub(crate) fn wake_lane(&mut self, r: usize) {
-        self.lanes[r].quiet_until = 0;
-        self.lane_quiet[r] = 0;
+        self.quiet[r] = 0;
     }
 
     /// Offers a packet to physical port `pkt.port`'s receive MAC. Returns
@@ -600,56 +545,21 @@ impl Rosebud {
         }
     }
 
-    /// Advances the whole system by one clock cycle.
-    ///
-    /// Both kernels advance the same architectural stages in the same
-    /// order. The sequential kernel is the stage-sliced reference: every
-    /// stage sweeps all RPUs before the next begins, shared effects applied
-    /// inline. The parallel kernel fuses the per-RPU stages 4–6 into one
-    /// lane pass (possibly fanned out across worker threads), defers the
-    /// shared-resource effects into each lane's [`LaneFx`], and replays
-    /// them at the cycle barrier in the sequential kernel's exact order —
-    /// see [`crate::lane`] for the equivalence argument.
+    /// Advances the whole system by one clock cycle: stages 0–3
+    /// ([`Self::tick_pre`]), the per-lane stages 4–6
+    /// ([`Self::lane_stages`]), then stages 7–12 and the periodic scans
+    /// ([`Self::tick_post`]). Every stage sweeps its lanes in index order
+    /// before the next begins and applies shared effects inline — one
+    /// thread, one order.
     pub fn tick(&mut self) {
         let now = self.clock.cycle();
         self.tick_pre(now);
-        let (rout_mask, dma_mask) = match self.kernel {
-            KernelMode::Sequential => {
-                self.sequential_lane_stages(now);
-                (u64::MAX, u64::MAX)
-            }
-            KernelMode::Parallel { .. } => {
-                let mut any_ran = true;
-                if let Some(mut pool) = self.pool.take() {
-                    pool.maybe_rebalance(&self.lanes, now);
-                    pool.run_cycle(&mut self.lanes, now);
-                    self.pool = Some(pool);
-                } else {
-                    // Quiescent-lane elision: the dense mirror lets the
-                    // fused loop skip sleeping lanes without touching them.
-                    any_ran = false;
-                    for r in 0..self.lanes.len() {
-                        if now < self.lane_quiet[r] {
-                            continue;
-                        }
-                        lane_phase(&mut self.lanes[r], now);
-                        any_ran = true;
-                    }
-                }
-                if any_ran {
-                    self.apply_lane_fx(now)
-                } else {
-                    // Every lane slept: no fresh effects to replay and no
-                    // mask bit can have changed.
-                    (self.rout_mask, self.dma_mask)
-                }
-            }
-        };
-        self.tick_post(now, rout_mask, dma_mask);
+        self.lane_stages(now);
+        self.tick_post(now);
     }
 
     /// Stages 0–3: faults, wire-side receive, the load balancer, and the
-    /// ingress pipeline. Runs before the per-lane phase under both kernels.
+    /// ingress pipeline.
     fn tick_pre(&mut self, now: Cycle) {
         // 0. Scheduled fault injection (chaos harness).
         self.apply_due_faults(now);
@@ -675,10 +585,10 @@ impl Rosebud {
         let nports = self.ports.len();
         let service_slots = nports.max(2);
         let p = (now as usize) % service_slots;
-        if p < nports && !self.lb_stage_port(p, now) {
+        if p < nports && !self.lb_admit(Some(p), now) {
             self.lb_stall_cycles += 1;
         }
-        self.lb_stage_host(now);
+        self.lb_admit(None, now);
 
         // 3. Fixed ingress pipeline → per-RPU 32 Gbps links.
         while let Some(item) = self.ingress_delay.peek_ready(now) {
@@ -692,18 +602,21 @@ impl Rosebud {
                 .rin
                 .push(item, len, now)
                 .expect("fullness checked above");
-            self.wake_lane(rpu);
         }
     }
 
-    /// Stages 4–6 as the sequential reference kernel runs them: each stage
-    /// sweeps all RPUs before the next begins, shared effects applied
-    /// inline. This is deliberately an independent implementation from
-    /// [`lane_phase`] — the differential suite proves them equivalent.
-    fn sequential_lane_stages(&mut self, now: Cycle) {
+    /// Stages 4–6, the per-RPU stages: each sweeps all lanes before the
+    /// next begins. Only stage 5 is elided for a sleeping lane; stages 4
+    /// and 6 are already no-ops on an empty link / empty send queue, and
+    /// skipping them too costs more bookkeeping on lanes that never sleep
+    /// than it saves on lanes that do (DESIGN.md, "The tick").
+    fn lane_stages(&mut self, now: Cycle) {
         // 4. Per-RPU link → DMA into packet memory + descriptor delivery.
         for r in 0..self.lanes.len() {
             if let Some(item) = self.lanes[r].rin.pop_ready(now) {
+                // The one ingress wake: a frame still on the link (pushed
+                // in stage 3 or by the loopback) is invisible to the core.
+                self.wake_lane(r);
                 if item.corrupted {
                     // Link FCS failure: quarantine before the DMA engine
                     // touches packet memory; the slot returns to the LB.
@@ -734,9 +647,16 @@ impl Rosebud {
             }
         }
 
-        // 5. RPUs: core + accelerator.
-        for lane in &mut self.lanes {
-            lane.rpu.tick(now);
+        // 5. RPUs: core + accelerator, skipping cores asleep past `now`.
+        //    The horizon is consulted only after an inert tick, so a
+        //    busy-polling core pays one compare per cycle for elision.
+        for (lane, quiet) in self.lanes.iter_mut().zip(&mut self.quiet) {
+            if now < *quiet {
+                continue;
+            }
+            if lane.rpu.tick(now) {
+                *quiet = lane.rpu.quiet_horizon();
+            }
         }
 
         // 6. Committed sends → per-RPU egress links.
@@ -793,124 +713,17 @@ impl Rosebud {
         }
     }
 
-    /// The parallel kernel's barrier: replays every lane's deferred
-    /// shared-resource effects in stage-major, lane-ascending order — the
-    /// exact order [`Self::sequential_lane_stages`] produces them — and
-    /// returns `(rout_mask, dma_mask)` bitmaps of lanes whose egress link
-    /// holds data / whose RPU holds a host-DMA request, so
-    /// [`Self::tick_post`] skips idle lanes.
-    fn apply_lane_fx(&mut self, now: Cycle) -> (u64, u64) {
-        // Stage-4 effects, ascending lane order. Lanes elided this cycle
-        // (mirror still holding a future horizon) produced no fresh effects
-        // and keep their persistent mask bits — a sleeping lane can still
-        // have frames draining from its egress link or a DMA request
-        // waiting out a PCIe outage.
-        for r in 0..self.lanes.len() {
-            if now < self.lane_quiet[r] {
-                continue;
-            }
-            let (rout_busy, dma_req, rx) = {
-                let fx = &mut self.lanes[r].fx;
-                (fx.rout_busy, fx.dma_req, fx.rx.take())
-            };
-            if r < 64 {
-                let bit = 1u64 << r;
-                if rout_busy {
-                    self.rout_mask |= bit;
-                } else {
-                    self.rout_mask &= !bit;
-                }
-                if dma_req {
-                    self.dma_mask |= bit;
-                } else {
-                    self.dma_mask &= !bit;
-                }
-            }
-            match rx {
-                None => {}
-                Some(RxFx::Corrupted { slot }) => {
-                    self.tracker.release(r, slot);
-                    self.ledger.corrupted += 1;
-                }
-                Some(RxFx::Failed { slot }) => {
-                    self.tracker.release(r, slot);
-                    self.routed_drops += 1;
-                    self.ledger.dropped += 1;
-                }
-                Some(RxFx::Delivered { slot, len }) => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescRx {
-                                rpu: r as u8,
-                                slot,
-                                len,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        // Stage-6 effects, ascending lane order; afterwards each active
-        // lane's freshly computed quiet horizon is published to the dense
-        // mirror (a lane that ran this cycle sleeps starting next cycle).
-        for r in 0..self.lanes.len() {
-            if now < self.lane_quiet[r] {
-                continue;
-            }
-            self.lane_quiet[r] = self.lanes[r].quiet_until;
-            match self.lanes[r].fx.tx.take() {
-                None => {}
-                Some(TxFx::Dropped { tag }) => {
-                    if tag != SELF_TAG {
-                        self.tracker.release(r, tag);
-                        self.ledger.dropped += 1;
-                    }
-                    self.routed_drops += 1;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(now, TraceEvent::DescDrop { rpu: r as u8, tag });
-                    }
-                }
-                Some(TxFx::Sent { tag, port, len }) => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescTx {
-                                rpu: r as u8,
-                                tag,
-                                port,
-                                len,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        (self.rout_mask, self.dma_mask)
-    }
-
     /// Stages 7–12 plus the periodic scans: everything after the per-lane
-    /// phase. `rout_mask`/`dma_mask` let the parallel kernel skip lanes
-    /// with nothing queued; the sequential kernel passes all-ones (lane 64
-    /// and above are never masked off).
-    fn tick_post(&mut self, now: Cycle, rout_mask: u64, dma_mask: u64) {
+    /// stages.
+    fn tick_post(&mut self, now: Cycle) {
         // 7. Egress links → routing; slot freed once fully serialized out
         //    ("the interconnect notifies the LB about slot being freed after
         //    it is sent out", §4.2).
         for r in 0..self.lanes.len() {
-            if r < 64 && rout_mask & (1 << r) == 0 {
-                continue;
-            }
             // Hold the egress link when the destination port's pipeline is
             // congested: self-originated traffic (no slot bound) must not
             // grow the egress queues without limit.
             let Some(head) = self.lanes[r].rout.front() else {
-                // The link drained; a sleeping lane cannot refill it, so
-                // the persistent bit self-clears (a stale set bit only
-                // costs this one look).
-                if r < 64 {
-                    self.rout_mask &= !(1 << r);
-                }
                 continue;
             };
             let dest = head.desc.port as usize;
@@ -918,9 +731,6 @@ impl Rosebud {
                 continue;
             }
             if let Some(item) = self.lanes[r].rout.pop_ready(now) {
-                if r < 64 && self.lanes[r].rout.is_empty() {
-                    self.rout_mask &= !(1 << r);
-                }
                 if item.desc.tag != SELF_TAG {
                     self.tracker.release(item.src_rpu, item.desc.tag);
                 } else {
@@ -987,19 +797,11 @@ impl Rosebud {
                 self.ledger.delivered += 1;
             }
             for r in 0..self.lanes.len() {
-                if r < 64 && dma_mask & (1 << r) == 0 {
-                    continue;
-                }
                 if let Some(req) = self.lanes[r].rpu.inner_mut().take_dma_req() {
                     if let Some(t) = self.tracer.as_mut() {
                         t.dma_started(now, r, req.to_host, req.len);
                     }
                     self.host_dma_delay.push((r, req), now);
-                }
-                // The request (if any) is now in the PCIe stage; only a
-                // fresh lane phase can commit another one.
-                if r < 64 {
-                    self.dma_mask &= !(1 << r);
                 }
             }
         }
@@ -1105,10 +907,15 @@ impl Rosebud {
         }
     }
 
-    /// Attempts one LB assignment from port `p`'s MAC FIFO. Returns `false`
-    /// when a head-of-line packet exists but could not be placed.
-    fn lb_stage_port(&mut self, p: usize, now: Cycle) -> bool {
-        let Some(front) = self.ports[p].rx_fifo.front() else {
+    /// Attempts one LB assignment from the head of port `from`'s MAC FIFO,
+    /// or of the host's virtual interface when `from` is `None`. Returns
+    /// `false` when a head-of-line packet exists but could not be placed.
+    fn lb_admit(&mut self, from: Option<usize>, now: Cycle) -> bool {
+        let front = match from {
+            Some(p) => self.ports[p].rx_fifo.front(),
+            None => self.host_tx.front(),
+        };
+        let Some(front) = front else {
             return true;
         };
         let Some(rpu) = self.lb.assign(front, &self.tracker, self.enabled) else {
@@ -1121,7 +928,11 @@ impl Rosebud {
             .tracker
             .alloc(rpu)
             .expect("LB only assigns RPUs with free slots");
-        let pkt = self.ports[p].rx_fifo.pop().expect("front checked");
+        let pkt = match from {
+            Some(p) => self.ports[p].rx_fifo.pop(),
+            None => self.host_tx.pop(),
+        }
+        .expect("front checked");
         let mut bytes = self.lb.prepend(&pkt).unwrap_or_default();
         bytes.extend_from_slice(pkt.bytes());
         let corrupted = self.corrupt_on_link(rpu, &mut bytes);
@@ -1136,7 +947,7 @@ impl Rosebud {
             t.record(
                 now,
                 TraceEvent::LbAssign {
-                    port: p as u8,
+                    port: from.map_or(port::HOST, |p| p as u8),
                     rpu: rpu as u8,
                     slot,
                     packet_id: meta.packet_id,
@@ -1173,52 +984,6 @@ impl Rosebud {
             bytes[i] ^= 1 + fault.rng.below(255) as u8;
         }
         true
-    }
-
-    fn lb_stage_host(&mut self, now: Cycle) {
-        let Some(front) = self.host_tx.front() else {
-            return;
-        };
-        let Some(rpu) = self.lb.assign(front, &self.tracker, self.enabled) else {
-            return;
-        };
-        if self.lanes[rpu].rin.is_full() {
-            return;
-        }
-        let slot = self.tracker.alloc(rpu).expect("assign implies a free slot");
-        let pkt = self.host_tx.pop().expect("front checked");
-        let mut bytes = self.lb.prepend(&pkt).unwrap_or_default();
-        bytes.extend_from_slice(pkt.bytes());
-        let corrupted = self.corrupt_on_link(rpu, &mut bytes);
-        let meta = SlotMeta {
-            packet_id: pkt.id,
-            ts_gen: pkt.ts_gen,
-            ingress_port: pkt.port,
-            orig_len: pkt.len() as u32,
-        };
-        self.lb_assigned += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(
-                now,
-                TraceEvent::LbAssign {
-                    port: port::HOST,
-                    rpu: rpu as u8,
-                    slot,
-                    packet_id: meta.packet_id,
-                    len: meta.orig_len,
-                },
-            );
-        }
-        self.ingress_delay.push(
-            IngressItem {
-                rpu,
-                slot,
-                bytes,
-                meta,
-                corrupted,
-            },
-            now,
-        );
     }
 
     fn route_egress(&mut self, item: EgressItem, now: Cycle) {
@@ -1294,7 +1059,6 @@ impl Rosebud {
                 now,
             )
             .expect("fullness checked above");
-        self.wake_lane(dst);
     }
 
     fn advance_pr_jobs(&mut self, now: Cycle) {
@@ -1575,5 +1339,160 @@ impl Rosebud {
             }
         }
         self.tracer = Some(t);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::Harness;
+    use rosebud_accel::FirewallMatcher;
+    use rosebud_net::FixedSizeGen;
+    use rosebud_riscv::assemble;
+
+    /// The §6.1 busy-poll forwarder: never parks, so it must never sleep.
+    const BUSY_POLL: &str = "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x01000000
+        poll:
+            lw a0, 0x00(t0)
+            beqz a0, poll
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            xor a1, a1, t2
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j poll
+        ";
+
+    /// The same forwarder parked in `wfi` behind a 700-cycle timer alarm
+    /// (`rosebud_apps::forwarder::duty_cycle_forwarder_asm`).
+    const DUTY_CYCLE: &str = "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x01000000
+            li t5, 700
+            li t6, 2
+            csrw mie, t6
+        park:
+            sw t5, 0x40(t0)
+            wfi
+        drain:
+            lw a0, 0x00(t0)
+            beqz a0, park
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            xor a1, a1, t2
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j drain
+        ";
+
+    fn builder(rpus: usize, asm: &str) -> RosebudBuilder {
+        let image = assemble(asm).unwrap();
+        let mut cfg = RosebudConfig::with_rpus(rpus);
+        cfg.pr_cycles = 500;
+        Rosebud::builder(cfg).firmware(move |_| RpuProgram::Riscv(image.clone()))
+    }
+
+    /// Runs `sys` at 5 Gbps for `cycles`, returning how many (lane, cycle)
+    /// pairs were asleep going into a tick.
+    fn asleep_lane_cycles(sys: Rosebud, cycles: u64) -> u64 {
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0);
+        let mut asleep = 0;
+        for _ in 0..cycles {
+            let now = h.sys.now();
+            asleep += h.sys.quiet.iter().filter(|&&q| q > now).count() as u64;
+            h.tick();
+        }
+        asleep
+    }
+
+    /// The elision differential is only worth something if lanes really
+    /// sleep where they should and never where they must not.
+    #[test]
+    fn parked_cores_sleep_and_busy_or_accelerated_lanes_never_do() {
+        let duty = builder(16, DUTY_CYCLE).build().unwrap();
+        let asleep = asleep_lane_cycles(duty, 20_000);
+        assert!(
+            asleep > 16 * 20_000 / 2,
+            "duty-cycled lanes slept only {asleep} lane-cycles"
+        );
+
+        let busy = builder(16, BUSY_POLL).build().unwrap();
+        assert_eq!(asleep_lane_cycles(busy, 20_000), 0);
+
+        let accelerated = builder(16, DUTY_CYCLE)
+            .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
+            .build()
+            .unwrap();
+        assert_eq!(asleep_lane_cycles(accelerated, 20_000), 0);
+    }
+
+    /// Every wake source must end a sleep. The cores here busy-poll, so a
+    /// lane put to sleep by hand stays asleep until something wakes it and
+    /// stays awake afterwards — which makes each wake observable from
+    /// outside the tick that performed it.
+    #[test]
+    fn every_wake_source_ends_a_sleep() {
+        const ASLEEP: Cycle = Cycle::MAX;
+        let mut sys = builder(4, BUSY_POLL).build().unwrap();
+        sys.run(50);
+
+        // Control: with no event, a sleeping lane is never ticked.
+        sys.quiet[1] = ASLEEP;
+        sys.run(50);
+        assert_eq!(sys.quiet[1], ASLEEP);
+
+        // Ingress delivery wakes exactly the lane the LB picked.
+        sys.quiet.fill(ASLEEP);
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        sys.run(400);
+        assert_eq!(sys.quiet.iter().filter(|&&q| q == 0).count(), 1);
+        assert_eq!(sys.take_output(1).len(), 1, "the woken lane forwarded it");
+
+        // Host poke, and `rpu_mut` — the access the un-elided oracle in
+        // `tests/kernel_equivalence.rs` is built from.
+        sys.quiet[2] = ASLEEP;
+        sys.poke(2);
+        assert_eq!(sys.quiet[2], 0);
+        sys.quiet[2] = ASLEEP;
+        sys.rpu_mut(2);
+        assert_eq!(sys.quiet[2], 0);
+
+        // Fault injection lands in stage 0, ahead of the core tick.
+        sys.quiet[3] = ASLEEP;
+        sys.inject_fault(FaultKind::FirmwareHang { rpu: 3 });
+        let now = sys.now();
+        sys.tick_pre(now);
+        assert_eq!(sys.quiet[3], 0);
+        sys.lane_stages(now);
+        sys.tick_post(now);
+
+        // PR begin wakes; the region then sleeps through the bitstream
+        // write on its own, and PR finish wakes it into the new firmware.
+        sys.quiet[1] = ASLEEP;
+        sys.force_reconfigure_rpu(1);
+        assert_eq!(sys.quiet[1], 0);
+        sys.run(100);
+        assert!(sys.quiet[1] > sys.now(), "mid-PR region must sleep");
+        sys.run(500);
+        assert_eq!(sys.quiet[1], 0);
+        assert_eq!(sys.rpus()[1].state(), crate::rpu::RpuState::Running);
+
+        // Broadcast interrupt (stage 11): lane 0 broadcasts one word at
+        // boot; every other lane, asleep or not, takes the interrupt.
+        let bcast = assemble("li t0, 0x04000000\nli a0, 1\nsw a0, 0(t0)\nspin: j spin").unwrap();
+        let spin = assemble("spin: j spin").unwrap();
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(4))
+            .firmware(move |r| RpuProgram::Riscv(if r == 0 { bcast.clone() } else { spin.clone() }))
+            .build()
+            .unwrap();
+        sys.quiet[2] = ASLEEP;
+        sys.run(100);
+        assert_eq!(sys.quiet[2], 0);
     }
 }

@@ -40,7 +40,6 @@
 
 mod clock;
 mod delay;
-mod exec;
 mod fifo;
 mod port;
 mod rng;
@@ -49,7 +48,6 @@ mod stats;
 
 pub use clock::{Clock, Cycle, DEFAULT_CLOCK_HZ};
 pub use delay::DelayLine;
-pub use exec::{partition, KernelMode, DEFAULT_QUANTUM};
 pub use fifo::Fifo;
 pub use port::{CollectEgress, EgressPort, IngressPort, LinkPort, PortClock, StampedIngress};
 pub use rng::SimRng;

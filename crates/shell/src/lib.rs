@@ -10,9 +10,9 @@
 //!   behind the `tun` feature — a pre-opened TUN/TAP device.
 //! * [`Shell`] — the event loop: drain the backend, stamp each accepted
 //!   frame with its injection cycle into an event log, tick the core, push
-//!   deliveries back out. The log replays bit-exactly through the
-//!   sequential kernel oracle (`rosebud_core::ports::replay`), so any live
-//!   run is also a reproducible testcase.
+//!   deliveries back out. The log replays bit-exactly on a fresh system
+//!   (`rosebud_core::ports::replay`), so any live run is also a
+//!   reproducible testcase.
 //! * [`ControlServer`] — a minimal HTTP-over-Unix-socket control plane:
 //!   stats, ledger, counters, event-log export, Perfetto trace export, RPU
 //!   enable/disable, gated partial reconfiguration, and hot firmware loads.

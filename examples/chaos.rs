@@ -18,7 +18,7 @@
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
     FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig,
-    Harness, KernelMode, Supervisor, SupervisorConfig,
+    Harness, Supervisor, SupervisorConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -29,7 +29,6 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
             boxes,
             ..FleetConfig::default()
         },
-        KernelMode::Sequential,
         |_| build_watchdog_forwarding_system(4, 64).unwrap(),
     )?;
     let load = 15.0 * boxes as f64;

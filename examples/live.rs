@@ -23,8 +23,8 @@
 //! * `cargo run --release --example live -- --smoke` — a self-contained CI
 //!   pass: drives the blacklist firewall with real frames over the
 //!   in-process ring, writes the event log (`live-events.log`) and the
-//!   Perfetto trace (`live-trace.json`), then replays the log through a
-//!   fresh sequential oracle and verifies the run reproduced bit-exactly.
+//!   Perfetto trace (`live-trace.json`), then replays the log on a fresh
+//!   system and verifies the run reproduced bit-exactly.
 
 use rosebud::apps::firewall::{
     build_firewall_system, expected_drops, firewall_trace, synthetic_blacklist,
@@ -90,8 +90,8 @@ fn smoke(blacklist: &[[u8; 4]]) -> Result<(), Box<dyn std::error::Error>> {
         tracer.perfetto_json(shell.sys().config().ns_per_cycle()),
     )?;
 
-    // Round-trip through the on-disk format, then replay through a fresh
-    // sequential oracle: trace, ledger, and diagnostics must reproduce.
+    // Round-trip through the on-disk format, then replay on a fresh
+    // system: trace, ledger, and diagnostics must reproduce.
     let log = EventLog::parse_text(&std::fs::read_to_string("live-events.log")?)
         .map_err(std::io::Error::other)?;
     let mut oracle = traced_firewall(blacklist)?;

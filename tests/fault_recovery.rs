@@ -14,8 +14,8 @@
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
     FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor,
-    FleetSupervisorConfig, Harness, KernelMode, Ledger, RecoveryEvent, RpuFaultKind, RpuState,
-    Supervisor, SupervisorConfig,
+    FleetSupervisorConfig, Harness, Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
+    SupervisorConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -210,13 +210,12 @@ const BOXES: usize = 4;
 const KILLED: usize = 2;
 const FLEET_LOAD_GBPS: f64 = 60.0;
 
-fn fleet_under_test(kernel: KernelMode) -> FleetHarness {
+fn fleet_under_test() -> FleetHarness {
     let fleet = Fleet::new(
         FleetConfig {
             boxes: BOXES,
             ..FleetConfig::default()
         },
-        kernel,
         |_| build_watchdog_forwarding_system(4, 64).unwrap(),
     )
     .unwrap();
@@ -257,8 +256,8 @@ struct FleetTrace {
     in_flight: u64,
 }
 
-fn run_fleet_scenario(kernel: KernelMode) -> FleetTrace {
-    let mut h = fleet_under_test(kernel);
+fn run_fleet_scenario() -> FleetTrace {
+    let mut h = fleet_under_test();
     let mut sup = fleet_supervisor(&h);
 
     // Healthy baseline.
@@ -316,7 +315,7 @@ fn run_fleet_scenario(kernel: KernelMode) -> FleetTrace {
 
 #[test]
 fn box_crash_walks_the_fleet_ladder_and_readmits() {
-    let t = run_fleet_scenario(KernelMode::Sequential);
+    let t = run_fleet_scenario();
 
     assert_eq!(t.failovers.len(), 1, "log:\n{}", t.log_text);
     let rec = t.failovers[0];
@@ -349,7 +348,7 @@ fn box_crash_walks_the_fleet_ladder_and_readmits() {
 
 #[test]
 fn fleet_throughput_survives_a_box_loss_and_returns() {
-    let t = run_fleet_scenario(KernelMode::Sequential);
+    let t = run_fleet_scenario();
 
     // The acceptance bar: with 1 of 4 boxes gone, the survivors must absorb
     // at least 3/4 of the baseline. (Re-steering is immediate once the ring
@@ -373,7 +372,7 @@ fn fleet_throughput_survives_a_box_loss_and_returns() {
 
 #[test]
 fn only_the_dead_boxs_flows_are_disturbed() {
-    let t = run_fleet_scenario(KernelMode::Sequential);
+    let t = run_fleet_scenario();
 
     // Consistent hashing's whole point: flows between two surviving boxes
     // never move. Every re-steer must involve the killed box as source
@@ -397,8 +396,8 @@ fn only_the_dead_boxs_flows_are_disturbed() {
 
 #[test]
 fn fleet_failover_is_deterministic() {
-    let a = run_fleet_scenario(KernelMode::Sequential);
-    let b = run_fleet_scenario(KernelMode::Sequential);
+    let a = run_fleet_scenario();
+    let b = run_fleet_scenario();
     assert_eq!(a.log_text, b.log_text, "ladder log must be cycle-exact");
     assert_eq!(a.failovers, b.failovers);
     assert_eq!(a.ledger, b.ledger);

@@ -17,8 +17,8 @@ use rosebud::apps::forwarder::{
 use rosebud::apps::host_dma::host_dma_forwarder_asm;
 use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
 use rosebud::core::{
-    machine_spec, Fleet, FleetConfig, Harness, KernelMode, LoadPolicy, Rosebud, RosebudConfig,
-    RoundRobinLb, RpuProgram, RpuState, RpuTestbench,
+    machine_spec, Fleet, FleetConfig, Harness, LoadPolicy, Rosebud, RosebudConfig, RoundRobinLb,
+    RpuProgram, RpuState, RpuTestbench,
 };
 use rosebud::net::PacketBuilder;
 use rosebud::riscv::{assemble, Analyzer, Check, LintReport, Severity};
@@ -545,7 +545,6 @@ fn fleet_pr_reload_denies_tainted_dma_firmware() {
             boxes: 2,
             ..FleetConfig::default()
         },
-        KernelMode::Sequential,
         |_| forwarder_system(LoadPolicy::Deny).expect("good boot firmware"),
     )
     .unwrap();

@@ -1,18 +1,23 @@
-//! Differential kernel-equivalence suite: every scenario here is run under
-//! the sequential reference kernel and the parallel kernel (fused
-//! single-thread and worker-threaded), and the *complete observable
-//! output* — the cycle-stamped compact trace, the conservation ledger, the
-//! diagnostics snapshot, and the benchmark measurement — must be
-//! byte-identical. The sequential kernel is the oracle; any divergence is
-//! a parallel-kernel bug (usually a missed wake in quiescent-lane elision
-//! or a mis-ordered barrier replay).
+//! Elision differential: every scenario here runs twice — as shipped, with
+//! core-tick elision skipping provably inert RPUs, and against an
+//! *un-elided oracle* that ticks every core every cycle — and the
+//! *complete observable output* — the cycle-stamped compact trace, the
+//! conservation ledger, the diagnostics snapshot, and the benchmark
+//! measurement — must be byte-identical. Any divergence is a missed wake
+//! (an event reached a sleeping core without going through
+//! `Rosebud::wake_lane`) or a too-large `Rpu::quiet_horizon`.
+//!
+//! The oracle is built here, from public API, not in `core`: every host
+//! access wakes its lane, so touching `rpu_mut(r)` for every lane before
+//! each tick is the naive reference tick ([`common::wake_all`]).
 //!
 //! The scenarios are chosen to stress exactly the mechanisms that could
-//! diverge: busy-poll forwarding (barrier replay ordering), duty-cycled
-//! `wfi` firmware (elision wake-on-ingress and the timer alarm), firewall
-//! injection (host virtual interface + accelerators), and chaos runs
-//! (faults, supervisor-driven eviction/PR/reload against lanes that may be
-//! asleep when the host reaches in).
+//! diverge: busy-poll forwarding (nothing may sleep), duty-cycled `wfi`
+//! firmware (wake-on-delivery and the timer alarm), cores that sleep on
+//! interrupts alone (DMA completion, poke, evict, broadcast, PR reload),
+//! firewall injection (host virtual interface + accelerators), and chaos
+//! runs (faults, supervisor-driven eviction/PR/reload against lanes that
+//! may be asleep when the host reaches in).
 
 use rosebud::apps::firewall::{
     build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen,
@@ -21,32 +26,28 @@ use rosebud::apps::forwarder::{
     build_duty_cycle_forwarding_system, build_forwarding_system, build_watchdog_forwarding_system,
 };
 use rosebud::core::{
-    FaultKind, FaultPlan, Harness, KernelMode, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
+    FaultKind, FaultPlan, Harness, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
 };
 use rosebud::net::{FixedSizeGen, ImixGen};
 
-/// The kernels under test. `workers: 0` exercises the fused coordinator
-/// loop (and quiescent-lane elision); `workers: 2` routes lane phases
-/// through the worker pool, exercising the quantum rebalancer and the
-/// split/reassemble path.
-fn kernels() -> Vec<(&'static str, KernelMode)> {
-    vec![
-        ("sequential", KernelMode::Sequential),
-        (
-            "parallel-fused",
-            KernelMode::Parallel {
-                workers: 0,
-                quantum: 1024,
-            },
-        ),
-        (
-            "parallel-threaded",
-            KernelMode::Parallel {
-                workers: 2,
-                quantum: 256,
-            },
-        ),
-    ]
+mod common;
+use common::wake_all;
+
+/// Which side of the differential a run is.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    /// Every core ticked every cycle: [`wake_all`] before each tick.
+    Oracle,
+    /// The system as shipped.
+    Elided,
+}
+
+/// One harness cycle on the given side.
+fn tick(h: &mut Harness, side: Side) {
+    if side == Side::Oracle {
+        wake_all(&mut h.sys);
+    }
+    h.tick();
 }
 
 /// Everything a scenario observably produces.
@@ -69,11 +70,18 @@ fn trace_cfg() -> TraceConfig {
     }
 }
 
-/// Runs `sys` under the harness for `cycles`, collecting the full
-/// observable output.
-fn observe(mut h: Harness, cycles: u64) -> Observed {
+/// Runs `h` for `cycles` on `side`, collecting the full observable
+/// output.
+fn observe(mut h: Harness, cycles: u64, side: Side) -> Observed {
     h.begin_window();
-    h.run(cycles);
+    for _ in 0..cycles {
+        tick(&mut h, side);
+    }
+    snapshot(h)
+}
+
+/// Everything observable about a finished harness run.
+fn snapshot(mut h: Harness) -> Observed {
     let m = h.measure();
     Observed {
         trace: h.sys.take_tracer().expect("tracing enabled").compact_text(),
@@ -86,107 +94,100 @@ fn observe(mut h: Harness, cycles: u64) -> Observed {
     }
 }
 
-/// Asserts that every kernel produced the oracle's exact output, pointing
+/// Runs `scenario` on both sides and demands identical output, pointing
 /// at the first diverging trace line when not.
-fn assert_equivalent(scenario: &str, runs: &[(&str, Observed)]) {
-    let (oracle_name, oracle) = &runs[0];
-    assert_eq!(*oracle_name, "sequential", "oracle must run first");
-    for (name, got) in &runs[1..] {
-        if got.trace != oracle.trace {
-            for (i, (want, have)) in oracle.trace.lines().zip(got.trace.lines()).enumerate() {
-                assert_eq!(
-                    want,
-                    have,
-                    "{scenario}: {name} trace diverges from sequential at line {}",
-                    i + 1
-                );
-            }
-            panic!(
-                "{scenario}: {name} trace length differs ({} vs {} lines)",
-                oracle.trace.lines().count(),
-                got.trace.lines().count()
+fn differential(scenario: &str, run: impl Fn(Side) -> Observed) {
+    let oracle = run(Side::Oracle);
+    let got = run(Side::Elided);
+    if got.trace != oracle.trace {
+        for (i, (want, have)) in oracle.trace.lines().zip(got.trace.lines()).enumerate() {
+            assert_eq!(
+                want,
+                have,
+                "{scenario}: elided trace diverges from the oracle at line {}",
+                i + 1
             );
         }
-        assert_eq!(got.ledger, oracle.ledger, "{scenario}: {name} ledger");
-        assert_eq!(
-            got.diagnostics, oracle.diagnostics,
-            "{scenario}: {name} diagnostics"
+        panic!(
+            "{scenario}: elided trace length differs ({} vs {} lines)",
+            oracle.trace.lines().count(),
+            got.trace.lines().count()
         );
-        assert_eq!(
-            got.measurement, oracle.measurement,
-            "{scenario}: {name} measurement"
-        );
-        assert_eq!(got.received, oracle.received, "{scenario}: {name} received");
-        assert_eq!(got.injected, oracle.injected, "{scenario}: {name} injected");
-        assert_eq!(got.drops, oracle.drops, "{scenario}: {name} drops");
     }
-}
-
-/// Runs `scenario` once per kernel and demands identical output.
-fn differential(scenario: &str, run: impl Fn(KernelMode) -> Observed) {
-    let runs: Vec<(&str, Observed)> = kernels()
-        .into_iter()
-        .map(|(name, k)| (name, run(k)))
-        .collect();
-    assert_equivalent(scenario, &runs);
-    // Non-vacuity: the scenario must actually have produced events.
+    assert_eq!(got.ledger, oracle.ledger, "{scenario}: ledger");
+    assert_eq!(
+        got.diagnostics, oracle.diagnostics,
+        "{scenario}: diagnostics"
+    );
+    assert_eq!(
+        got.measurement, oracle.measurement,
+        "{scenario}: measurement"
+    );
+    assert_eq!(got.received, oracle.received, "{scenario}: received");
+    assert_eq!(got.injected, oracle.injected, "{scenario}: injected");
+    assert_eq!(got.drops, oracle.drops, "{scenario}: drops");
+    // Non-vacuity: the scenario must actually have produced events. (That
+    // lanes actually sleep on the duty-cycle scenario, and never on the
+    // busy-poll one, is pinned in `core::system`'s unit tests.)
     assert!(
-        !runs[0].1.trace.is_empty(),
+        !oracle.trace.is_empty(),
         "{scenario}: empty trace proves nothing"
     );
 }
 
-fn with_kernel(mut sys: Rosebud, kernel: KernelMode) -> Rosebud {
-    sys.set_kernel(kernel);
+fn traced(mut sys: Rosebud) -> Rosebud {
     sys.enable_tracing(trace_cfg());
     sys
 }
 
 #[test]
-fn forwarder_is_kernel_invariant() {
-    differential("forwarder", |k| {
-        let sys = with_kernel(build_forwarding_system(8).unwrap(), k);
+fn forwarder_matches_unelided_oracle() {
+    differential("forwarder", |side| {
+        let sys = traced(build_forwarding_system(8).unwrap());
         observe(
             Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0),
             30_000,
+            side,
         )
     });
 }
 
 #[test]
-fn forwarder_imix_is_kernel_invariant_across_seeds() {
+fn forwarder_imix_matches_unelided_oracle_across_seeds() {
     for seed in [1u64, 7, 42] {
-        differential(&format!("forwarder-imix seed={seed}"), |k| {
-            let sys = with_kernel(build_forwarding_system(16).unwrap(), k);
+        differential(&format!("forwarder-imix seed={seed}"), |side| {
+            let sys = traced(build_forwarding_system(16).unwrap());
             observe(
                 Harness::new(sys, Box::new(ImixGen::new(2, seed)), 120.0),
                 25_000,
+                side,
             )
         });
     }
 }
 
 #[test]
-fn duty_cycle_forwarder_is_kernel_invariant() {
+fn duty_cycle_forwarder_matches_unelided_oracle() {
     // The prime elision differential: lanes park in `wfi` between timer
-    // alarms, so every ingress push against a sleeping lane must wake it on
-    // exactly the right cycle.
+    // alarms, so every delivery to a sleeping lane and every alarm must
+    // wake it on exactly the right cycle.
     for seed in [3u64, 19] {
-        differential(&format!("duty-cycle seed={seed}"), |k| {
-            let sys = with_kernel(build_duty_cycle_forwarding_system(16, 700).unwrap(), k);
+        differential(&format!("duty-cycle seed={seed}"), |side| {
+            let sys = traced(build_duty_cycle_forwarding_system(16, 700).unwrap());
             observe(
                 Harness::new(sys, Box::new(ImixGen::new(2, seed)), 8.0),
                 40_000,
+                side,
             )
         });
     }
 }
 
 #[test]
-fn firewall_is_kernel_invariant() {
-    differential("firewall", |k| {
+fn firewall_matches_unelided_oracle() {
+    differential("firewall", |side| {
         let blacklist = synthetic_blacklist(6, 7);
-        let sys = with_kernel(build_firewall_system(4, &blacklist).unwrap(), k);
+        let sys = traced(build_firewall_system(4, &blacklist).unwrap());
         let trace = firewall_trace(&blacklist, 16, 256);
         let mut h = Harness::new(sys, Box::new(NoopGen), 0.0);
         for pkt in &trace {
@@ -196,31 +197,30 @@ fn firewall_is_kernel_invariant() {
                     Ok(()) => break,
                     Err(back) => {
                         p = back;
-                        h.tick();
+                        tick(&mut h, side);
                     }
                 }
             }
-            h.tick();
+            tick(&mut h, side);
         }
-        observe(h, 6_000)
+        observe(h, 6_000, side)
     });
 }
 
 #[test]
-fn chaos_recovery_is_kernel_invariant_across_seeds() {
+fn chaos_recovery_matches_unelided_oracle_across_seeds() {
     // Faults, supervisor-driven drain/evict/PR/reload, and live IMIX
     // traffic — the host reaches into lanes that may be mid-sleep, so every
     // host-side mutator's wake is on trial here.
     for seed in [11u64, 23] {
-        differential(&format!("chaos seed={seed}"), |k| {
+        differential(&format!("chaos seed={seed}"), |side| {
             let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
             sys.install_fault_plan(
                 FaultPlan::new(seed)
                     .at(8_000, FaultKind::FirmwareHang { rpu: 3 })
                     .at(22_000, FaultKind::FirmwareCrash { rpu: 5 }),
             );
-            let sys = with_kernel(sys, k);
-            let mut h = Harness::new(sys, Box::new(ImixGen::new(2, seed)), 60.0);
+            let mut h = Harness::new(traced(sys), Box::new(ImixGen::new(2, seed)), 60.0);
             let mut sup = Supervisor::with_config(
                 &h.sys,
                 SupervisorConfig {
@@ -230,31 +230,22 @@ fn chaos_recovery_is_kernel_invariant_across_seeds() {
             );
             h.begin_window();
             for _ in 0..60_000 {
-                h.tick();
+                tick(&mut h, side);
                 sup.poll(&mut h.sys);
             }
-            let m = h.measure();
-            Observed {
-                trace: h.sys.take_tracer().unwrap().compact_text(),
-                ledger: format!("{:?}", h.sys.ledger()),
-                diagnostics: format!("{:?}", h.sys.diagnostics()),
-                measurement: format!("{m:?}"),
-                received: h.received(),
-                injected: h.injected(),
-                drops: h.sys.drop_count(),
-            }
+            snapshot(h)
         });
     }
 }
 
 #[test]
-fn host_pokes_against_sleeping_lanes_are_kernel_invariant() {
+fn host_pokes_against_sleeping_lanes_match_unelided_oracle() {
     // Direct missed-wake hunt: park a duty-cycled fleet under light load
     // and fire host-side state changes (pokes, broadcast wakes via the
     // debug register, firmware reload) at fixed cycles. Each one must take
-    // effect on the same cycle under every kernel.
-    differential("host-pokes", |k| {
-        let sys = with_kernel(build_duty_cycle_forwarding_system(8, 900).unwrap(), k);
+    // effect on the same cycle as it does with every core awake.
+    differential("host-pokes", |side| {
+        let sys = traced(build_duty_cycle_forwarding_system(8, 900).unwrap());
         let mut h = Harness::new(sys, Box::new(ImixGen::new(2, 5)), 4.0);
         h.begin_window();
         for cycle in 0..50_000u64 {
@@ -271,28 +262,91 @@ fn host_pokes_against_sleeping_lanes_are_kernel_invariant() {
                 33_000 => h.sys.poke(7),
                 _ => {}
             }
-            h.tick();
+            tick(&mut h, side);
         }
-        let m = h.measure();
-        Observed {
-            trace: h.sys.take_tracer().unwrap().compact_text(),
-            ledger: format!("{:?}", h.sys.ledger()),
-            diagnostics: format!("{:?}", h.sys.diagnostics()),
-            measurement: format!("{m:?}"),
-            received: h.received(),
-            injected: h.injected(),
-            drops: h.sys.drop_count(),
+        snapshot(h)
+    });
+}
+
+/// Firmware that sleeps on interrupts alone: it kicks one host-DMA read,
+/// parks in `wfi` with the broadcast, DMA, evict and poke lines enabled
+/// and no timer armed, and on every wake masks the lines that fired, bumps
+/// the wake count in STATUS, and — when poked — broadcasts it. Nothing but
+/// the wake under test can end each of its sleeps.
+const IRQ_SLEEPER: &str = "
+    .equ IO, 0x02000000
+        li t0, IO
+        li t3, 0x04000000        # broadcast region
+        li t1, 0x30
+        sw t1, 0x2c(t0)          # MASKS: let evict + poke through
+        li t1, 0x35              # bcast, dma, evict, poke
+        csrw mie, t1
+        li t1, 0x100
+        sw t1, 0x44(t0)          # DMA_HOST_ADDR
+        li t1, 0x01000000
+        sw t1, 0x48(t0)          # DMA_LOCAL_ADDR: packet memory
+        li t1, 64
+        sw t1, 0x4c(t0)          # DMA_LEN
+        li t1, 2
+        sw t1, 0x50(t0)          # DMA_CTRL: read from host DRAM
+        li s0, 0
+    park:
+        wfi
+        csrr a0, mip
+        csrc mie, a0             # each line wakes this core once
+        addi s0, s0, 1
+        sw s0, 0x18(t0)          # STATUS: wake count
+        andi a1, a0, 0x20
+        beqz a1, park
+        sw s0, 0(t3)             # poked: broadcast to everyone
+        j park
+    ";
+
+#[test]
+fn interrupt_wakes_of_parked_cores_match_unelided_oracle() {
+    // The duty-cycled scenarios wake on their own timer, which would paper
+    // over a missed wake one period later. These cores have no timer: the
+    // DMA-completion interrupt, a host poke, the broadcast it triggers and
+    // a host evict are each the only thing that can wake them, so dropping
+    // any of those `wake_lane` calls changes the counter samples in the
+    // trace and the wake counts in STATUS.
+    use rosebud::core::{RosebudConfig, RpuProgram};
+
+    differential("irq-sleepers", |side| {
+        let image = rosebud::riscv::assemble(IRQ_SLEEPER).unwrap();
+        let sys = Rosebud::builder(RosebudConfig::with_rpus(8))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        let mut h = Harness::new(traced(sys), Box::new(NoopGen), 0.0);
+        h.begin_window();
+        for cycle in 0..60_000u64 {
+            match cycle {
+                10_000 => h.sys.poke(2),
+                20_000 => h.sys.evict(5),
+                25_000 => h.sys.reconfigure_rpu(6, None, None),
+                _ => {}
+            }
+            tick(&mut h, side);
         }
+        let wakes: Vec<u32> = (0..8).map(|r| h.sys.rpu_status(r)).collect();
+        assert_eq!(
+            wakes,
+            [2, 2, 3, 2, 2, 3, 1, 2],
+            "DMA + broadcast everywhere, poke on 2, evict on 5; 6 was \
+             reloaded and has since seen only its own DMA complete"
+        );
+        snapshot(h)
     });
 }
 
 #[test]
-fn recorded_live_shell_session_replays_kernel_invariant() {
-    // Record once: a live ring-backed shell serving real frames on the
-    // sequential kernel. Then replay the event log under every kernel — the
-    // record/replay contract must hold not just against the sequential
-    // oracle but across the whole kernel family.
-    use rosebud::core::ports::replay;
+fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
+    // Record once: a live ring-backed shell serving real frames. Then
+    // replay the event log on both sides — the record/replay contract must
+    // hold with and without elision. The oracle spells `replay`'s loop
+    // itself so it can wake every lane before every tick.
+    use rosebud::core::ports::{pump, replay};
     use rosebud::shell::{RingBackend, Shell};
 
     let (backend, peer) = RingBackend::pair();
@@ -305,15 +359,31 @@ fn recorded_live_shell_session_replays_kernel_invariant() {
     let log = shell.log().clone();
     assert_eq!(log.events.len(), 32, "every live frame must be recorded");
 
-    differential("live-shell-replay", |k| {
-        let mut sys = with_kernel(build_forwarding_system(8).unwrap(), k);
-        let delivered = replay(&log, &mut sys);
+    differential("live-shell-replay", |side| {
+        let mut sys = traced(build_forwarding_system(8).unwrap());
+        let delivered = match side {
+            Side::Elided => replay(&log, &mut sys).len(),
+            Side::Oracle => {
+                let mut source = log.replay_port();
+                let mut delivered = 0;
+                while sys.now() < log.cycles {
+                    pump(&mut sys, &mut source);
+                    wake_all(&mut sys);
+                    sys.tick();
+                    for p in 0..sys.config().num_ports {
+                        delivered += sys.take_output(p).len();
+                    }
+                    delivered += sys.take_host_packets().len();
+                }
+                delivered
+            }
+        };
         Observed {
             trace: sys.take_tracer().unwrap().compact_text(),
             ledger: format!("{:?}", sys.ledger()),
             diagnostics: format!("{:?}", sys.diagnostics()),
-            measurement: format!("delivered={}", delivered.len()),
-            received: delivered.len() as u64,
+            measurement: format!("delivered={delivered}"),
+            received: delivered as u64,
             injected: log.events.len() as u64,
             drops: sys.drop_count(),
         }
@@ -321,23 +391,22 @@ fn recorded_live_shell_session_replays_kernel_invariant() {
 }
 
 #[test]
-fn fleet_failover_is_kernel_invariant() {
+fn fleet_failover_matches_unelided_oracle() {
     // The whole rack on trial: a box crash and a brownout drive the fleet
     // ladder (probe misses, ring removal, purge, whole-box reload,
     // probation) while the survivors carry re-steered flows. Every box's
     // compact trace — including the archived trace of the incarnation the
     // reload retired — plus the fleet ladder log, ledger, and measurement
-    // must be byte-identical under every kernel.
+    // must be byte-identical with and without elision.
     use rosebud::core::{Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig};
 
     for seed in [5u64, 31] {
-        differential(&format!("fleet-chaos seed={seed}"), |k| {
+        differential(&format!("fleet-chaos seed={seed}"), |side| {
             let mut fleet = Fleet::new(
                 FleetConfig {
                     boxes: 2,
                     ..FleetConfig::default()
                 },
-                k,
                 |_| build_watchdog_forwarding_system(4, 64).unwrap(),
             )
             .unwrap();
@@ -366,6 +435,11 @@ fn fleet_failover_is_kernel_invariant() {
             h.begin_window();
             for _ in 0..60_000 {
                 sup.poll(&mut h.fleet);
+                if side == Side::Oracle {
+                    for b in 0..h.fleet.num_boxes() {
+                        wake_all(h.fleet.sys_mut(b));
+                    }
+                }
                 h.tick();
             }
             let m = h.measure();

@@ -2,8 +2,7 @@
 //! endpoints (in-process ring, Unix-domain sockets) must forward and filter
 //! them correctly, keep the conservation ledger balanced, and — the
 //! record/replay contract — produce an event log that replays bit-exactly
-//! through a fresh sequential-kernel oracle: same compact trace, same
-//! ledger, same diagnostics.
+//! on a fresh system: same compact trace, same ledger, same diagnostics.
 
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixDatagram, UnixStream};

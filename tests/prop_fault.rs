@@ -75,7 +75,7 @@ proptest! {
     }
 }
 
-use rosebud::core::{Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig, KernelMode};
+use rosebud::core::{Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig};
 use rosebud::core::{FleetHarness, FleetStep};
 
 proptest! {
@@ -95,7 +95,6 @@ proptest! {
     ) {
         let fleet = Fleet::new(
             FleetConfig { boxes: 2, ..FleetConfig::default() },
-            KernelMode::Sequential,
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let gen = FlowTrafficGen::new(64, 256, 0.05, traffic_seed);
@@ -129,7 +128,6 @@ proptest! {
     ) {
         let fleet = Fleet::new(
             FleetConfig { boxes: 2, ..FleetConfig::default() },
-            KernelMode::Sequential,
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let mut h = FleetHarness::new(

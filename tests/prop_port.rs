@@ -1,14 +1,17 @@
 //! Property tests for the packet-port layer: arbitrary cycle-stamped
-//! arrival interleavings are kernel-invariant, and any random live ring
-//! session replays bit-exactly from its event log.
+//! arrival interleavings are elision-invariant (same output as the
+//! un-elided oracle of `tests/kernel_equivalence.rs`), and any random live
+//! ring session replays bit-exactly from its event log.
 
 use proptest::prelude::*;
-use rosebud::apps::forwarder::build_forwarding_system;
+use rosebud::apps::forwarder::{build_duty_cycle_forwarding_system, build_forwarding_system};
 use rosebud::core::ports::{pump, replay};
-use rosebud::core::{KernelMode, Rosebud, TraceConfig};
+use rosebud::core::{Rosebud, TraceConfig};
 use rosebud::kernel::StampedIngress;
 use rosebud::net::Packet;
 use rosebud::shell::{RingBackend, Shell};
+
+mod common;
 
 fn trace_cfg() -> TraceConfig {
     TraceConfig {
@@ -18,31 +21,17 @@ fn trace_cfg() -> TraceConfig {
     }
 }
 
-fn kernels() -> Vec<KernelMode> {
-    vec![
-        KernelMode::Sequential,
-        KernelMode::Parallel {
-            workers: 0,
-            quantum: 1024,
-        },
-        KernelMode::Parallel {
-            workers: 2,
-            quantum: 256,
-        },
-    ]
-}
-
-fn traced_forwarder(kernel: KernelMode) -> Rosebud {
-    let mut sys = build_forwarding_system(8).unwrap();
-    sys.set_kernel(kernel);
+fn traced(mut sys: Rosebud) -> Rosebud {
     sys.enable_tracing(trace_cfg());
     sys
 }
 
-/// Runs a fixed arrival schedule through one kernel and snapshots every
-/// observable output.
-fn observe_schedule(kernel: KernelMode, schedule: &[(u64, usize, u8)]) -> (String, String, usize) {
-    let mut sys = traced_forwarder(kernel);
+/// Runs a fixed arrival schedule through duty-cycled (`wfi` + 300-cycle
+/// alarm) forwarders, so arrivals land on sleeping lanes — elided as
+/// shipped, or with every lane woken before every tick (`oracle`) — and
+/// snapshots every observable output.
+fn observe_schedule(oracle: bool, schedule: &[(u64, usize, u8)]) -> (String, String, usize) {
+    let mut sys = traced(build_duty_cycle_forwarding_system(8, 300).unwrap());
     let mut source = StampedIngress::new();
     let mut cycle = 0u64;
     for (id, &(gap, size, port)) in schedule.iter().enumerate() {
@@ -54,6 +43,9 @@ fn observe_schedule(kernel: KernelMode, schedule: &[(u64, usize, u8)]) -> (Strin
     let mut delivered = 0;
     while sys.now() < horizon {
         pump(&mut sys, &mut source);
+        if oracle {
+            common::wake_all(&mut sys);
+        }
         sys.tick();
     }
     for p in 0..sys.config().num_ports {
@@ -71,29 +63,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Any port-order-preserving interleaving of cycle-stamped arrivals
-    // produces byte-identical traces, ledgers, and diagnostics under all
-    // three kernels: the port layer adds no kernel-visible nondeterminism.
+    // produces byte-identical traces, ledgers, and diagnostics with and
+    // without core-tick elision: no arrival pattern slips past a wake.
     #[test]
-    fn stamped_interleavings_are_kernel_invariant(
+    fn stamped_interleavings_are_elision_invariant(
         schedule in proptest::collection::vec(
             (0u64..60, 64usize..600, 0u8..2),
             1..24,
         ),
     ) {
-        let (oracle_trace, oracle_state, oracle_delivered) =
-            observe_schedule(KernelMode::Sequential, &schedule);
+        let (oracle_trace, oracle_state, oracle_delivered) = observe_schedule(true, &schedule);
         prop_assert!(oracle_delivered > 0, "schedule must deliver something");
-        for kernel in kernels().into_iter().skip(1) {
-            let (trace, state, delivered) = observe_schedule(kernel, &schedule);
-            prop_assert_eq!(&trace, &oracle_trace, "trace diverges under {:?}", kernel);
-            prop_assert_eq!(&state, &oracle_state, "state diverges under {:?}", kernel);
-            prop_assert_eq!(delivered, oracle_delivered);
-        }
+        let (trace, state, delivered) = observe_schedule(false, &schedule);
+        prop_assert_eq!(&trace, &oracle_trace, "trace diverges from the oracle");
+        prop_assert_eq!(&state, &oracle_state, "state diverges from the oracle");
+        prop_assert_eq!(delivered, oracle_delivered);
     }
 
     // Any random live ring session replays bit-exactly from its event log:
-    // record on a live shell, replay through a fresh sequential oracle, and
-    // demand the same trace, ledger, and diagnostics.
+    // record on a live shell, replay on a fresh system, and demand the
+    // same trace, ledger, and diagnostics.
     #[test]
     fn random_ring_sessions_replay_bit_exactly(
         session in proptest::collection::vec(
@@ -102,7 +91,7 @@ proptest! {
         ),
     ) {
         let (backend, peer) = RingBackend::pair();
-        let mut shell = Shell::new(traced_forwarder(KernelMode::Sequential), backend);
+        let mut shell = Shell::new(traced(build_forwarding_system(8).unwrap()), backend);
         for &(gap, size, port) in &session {
             peer.send(port, vec![0x5A; size]);
             shell.pump(gap);
@@ -116,7 +105,7 @@ proptest! {
         let live_ledger = shell.sys().ledger();
         let live_diag = format!("{:?}", shell.sys().diagnostics());
 
-        let mut oracle = traced_forwarder(KernelMode::Sequential);
+        let mut oracle = traced(build_forwarding_system(8).unwrap());
         let delivered = replay(&log, &mut oracle);
         prop_assert_eq!(delivered.len() as u64, shell.forwarded());
         prop_assert_eq!(

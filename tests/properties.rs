@@ -6,6 +6,8 @@ use rosebud::apps::forwarder::build_forwarding_system;
 use rosebud::core::Harness;
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
+mod common;
+
 proptest! {
     // System runs are comparatively slow; a couple dozen random cases is a
     // meaningful sweep without stretching the suite.
@@ -76,28 +78,30 @@ proptest! {
     }
 }
 
-/// Kernel-partitioning invariance: the parallel kernel's observable output
-/// must not depend on its tuning knobs. Whatever the barrier quantum
-/// (including the degenerate 1-cycle quantum) and however the lanes are
-/// partitioned across worker threads (including zero workers, the fused
-/// coordinator loop), the conservation ledger and the full compact trace
-/// must match the sequential oracle byte for byte.
-mod kernel_partitioning {
+/// Elision invariance: whatever the RPU count, traffic seed and timer
+/// period (how long the duty-cycled cores stay parked between alarms), the
+/// conservation ledger and the full compact trace must match the un-elided
+/// oracle — every core woken before every tick — byte for byte.
+mod elision {
     use proptest::prelude::*;
     use rosebud::apps::forwarder::build_duty_cycle_forwarding_system;
-    use rosebud::core::{Harness, KernelMode, TraceConfig};
+    use rosebud::core::{Harness, TraceConfig};
     use rosebud::net::ImixGen;
 
-    fn observe(kernel: KernelMode, rpus: usize, seed: u64) -> (String, String) {
-        let mut sys = build_duty_cycle_forwarding_system(rpus, 300).unwrap();
-        sys.set_kernel(kernel);
+    fn observe(oracle: bool, rpus: usize, seed: u64, period: u32) -> (String, String) {
+        let mut sys = build_duty_cycle_forwarding_system(rpus, period).unwrap();
         sys.enable_tracing(TraceConfig {
             counter_interval: 2048,
             pc_profile: false,
             max_events: 1 << 20,
         });
         let mut h = Harness::new(sys, Box::new(ImixGen::new(2, seed)), 20.0);
-        h.run(12_000);
+        for _ in 0..12_000 {
+            if oracle {
+                crate::common::wake_all(&mut h.sys);
+            }
+            h.tick();
+        }
         (
             format!("{:?}", h.sys.ledger()),
             h.sys.take_tracer().unwrap().compact_text(),
@@ -105,29 +109,25 @@ mod kernel_partitioning {
     }
 
     proptest! {
-        // Each case runs the scenario twice (oracle + candidate); keep the
+        // Each case runs the scenario twice (oracle + elided); keep the
         // case count modest.
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         #[test]
-        fn any_quantum_and_partitioning_matches_sequential(
-            quantum in 1u32..=64,
-            workers in 0usize..=5,
-            rpus in prop_oneof![Just(4usize), Just(8), Just(16)],
+        fn elided_tick_matches_unelided_oracle(
+            rpus in 1usize..=16,
             seed in any::<u64>(),
+            period in 100u32..=2000,
         ) {
-            let (seq_ledger, seq_trace) = observe(KernelMode::Sequential, rpus, seed);
-            let (par_ledger, par_trace) =
-                observe(KernelMode::Parallel { workers, quantum }, rpus, seed);
+            let (want_ledger, want_trace) = observe(true, rpus, seed, period);
+            let (ledger, trace) = observe(false, rpus, seed, period);
             prop_assert_eq!(
-                &par_ledger, &seq_ledger,
-                "ledger diverged (quantum={}, workers={}, rpus={})",
-                quantum, workers, rpus
+                &ledger, &want_ledger,
+                "ledger diverged (rpus={}, period={})", rpus, period
             );
             prop_assert_eq!(
-                par_trace, seq_trace,
-                "trace diverged (quantum={}, workers={}, rpus={})",
-                quantum, workers, rpus
+                trace, want_trace,
+                "trace diverged (rpus={}, period={})", rpus, period
             );
         }
     }

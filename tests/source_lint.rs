@@ -1,7 +1,8 @@
 //! Determinism source-lint: the simulation core must stay bit-reproducible,
 //! so its sources may not reach for nondeterminism — wall-clock time,
-//! unordered hash-map iteration, or OS-seeded randomness. The packet/cycle
-//! goldens and the lint golden all depend on this.
+//! unordered hash-map iteration, OS-seeded randomness, threads, or
+//! environment-selected behaviour. The packet/cycle goldens and the lint
+//! golden all depend on this.
 //!
 //! The scan is deliberately dumb (substring match per line, comments
 //! stripped) so a violation is obvious from the failure message; anything
@@ -31,6 +32,18 @@ const HAZARDS: &[(&str, &str)] = &[
     ),
     ("thread_rng", "OS-seeded randomness; use a seeded PRNG"),
     ("rand::random", "OS-seeded randomness; use a seeded PRNG"),
+    (
+        "std::thread",
+        "thread scheduling varies run to run; the tick is one thread, one order",
+    ),
+    (
+        "mpsc",
+        "cross-thread channels; the tick is one thread, one order",
+    ),
+    (
+        "std::env",
+        "behaviour selected by the environment is invisible in the code under test",
+    ),
 ];
 
 /// Known-intentional uses: (path suffix, pattern, reason). The reason is
