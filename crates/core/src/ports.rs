@@ -12,6 +12,7 @@
 //!   ([`replay`]) — a live run becomes a reproducible testcase.
 
 use std::collections::VecDeque;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 pub use rosebud_kernel::{CollectEgress, EgressPort, IngressPort, LinkPort, PortClock};
@@ -116,21 +117,42 @@ impl EventLog {
         self.events.push(PortEvent { cycle, pkt });
     }
 
-    /// Serializes to the versioned text format.
+    /// Serializes to the versioned text format, into one exactly-sized
+    /// buffer.
     pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 160);
-        out.push_str(&format!("rosebud-events v1 cycles={}\n", self.cycles));
+        const HEADER: &str = "rosebud-events v1 cycles=";
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let size = HEADER.len()
+            + digits(self.cycles)
+            + 1
+            + self
+                .events
+                .iter()
+                .map(|ev| {
+                    let p = &ev.pkt;
+                    // Four numbers, four spaces, two hex digits a byte, '\n'.
+                    digits(ev.cycle)
+                        + digits(p.id)
+                        + digits(u64::from(p.port))
+                        + digits(p.ts_gen)
+                        + 5
+                        + 2 * p.data.len()
+                })
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(size);
+        let written = "writing to a Vec cannot fail";
+        writeln!(out, "{HEADER}{}", self.cycles).expect(written);
         for ev in &self.events {
-            out.push_str(&format!(
-                "{} {} {} {} ",
-                ev.cycle, ev.pkt.id, ev.pkt.port, ev.pkt.ts_gen
-            ));
-            for b in ev.pkt.bytes() {
-                out.push_str(&format!("{b:02x}"));
+            let p = &ev.pkt;
+            write!(out, "{} {} {} {} ", ev.cycle, p.id, p.port, p.ts_gen).expect(written);
+            for &b in p.bytes() {
+                out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
             }
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        debug_assert_eq!(out.len(), size);
+        String::from_utf8(out).expect("decimal digits, spaces and hex digits are ASCII")
     }
 
     /// Parses the text format back.
@@ -236,7 +258,9 @@ pub fn replay(log: &EventLog, sys: &mut Rosebud) -> Vec<Packet> {
 /// let mut clone = sink.clone();
 /// # let pkt = rosebud_net::Packet::new(0, vec![0u8; 64], 0, 0);
 /// clone.offer(pkt, 64, 0).unwrap();
-/// assert_eq!(sink.drain().len(), 1);
+/// let mut delivered = Vec::new();
+/// sink.drain_into(&mut delivered);
+/// assert_eq!(delivered.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedEgress {
@@ -249,13 +273,11 @@ impl SharedEgress {
         Self::default()
     }
 
-    /// Takes every frame delivered since the last drain, in delivery order.
-    pub fn drain(&self) -> Vec<Packet> {
-        self.queue
-            .lock()
-            .expect("egress queue poisoned")
-            .drain(..)
-            .collect()
+    /// Moves every frame delivered since the last drain onto the end of
+    /// `out`, in delivery order — a caller that drains every cycle keeps one
+    /// `Vec` for it.
+    pub fn drain_into(&self, out: &mut Vec<Packet>) {
+        out.extend(self.queue.lock().expect("egress queue poisoned").drain(..));
     }
 
     /// Frames currently queued.
@@ -336,7 +358,8 @@ mod tests {
         a.offer(gen.generate(0, 0), 64, 0).unwrap();
         b.offer(gen.generate(1, 0), 64, 0).unwrap();
         assert_eq!(sink.len(), 2);
-        let drained = sink.drain();
+        let mut drained = Vec::new();
+        sink.drain_into(&mut drained);
         assert_eq!(drained[0].id, 0);
         assert_eq!(drained[1].id, 1);
         assert!(sink.is_empty());

@@ -126,6 +126,19 @@ pub struct PerfCounters {
     pub drops: u64,
 }
 
+/// What the interconnect keeps per packet-memory slot.
+#[derive(Clone, Default)]
+struct Slot {
+    /// Metadata of the packet bound to the slot, until it is sent.
+    meta: Option<SlotMeta>,
+    /// The host-side `Vec` the slot's frame arrived in, parked by
+    /// [`RpuInner::dma_deliver`] so [`RpuInner::take_tx`] can refill it from
+    /// packet memory instead of allocating (zero capacity = nothing parked).
+    /// One per slot, so an RPU never parks more than `slots_per_rpu`; no
+    /// architectural effect.
+    parked: Vec<u8>,
+}
+
 /// Memory, queues, and interconnect registers of one RPU — everything both
 /// firmware kinds talk to.
 pub struct RpuInner {
@@ -140,7 +153,7 @@ pub struct RpuInner {
     accel: Option<Box<dyn Accelerator>>,
     rx_queue: Fifo<Desc>,
     tx_queue: Fifo<Desc>,
-    slot_meta: Vec<Option<SlotMeta>>,
+    slot_state: Vec<Slot>,
     status: u32,
     debug_out: Option<u64>,
     debug_out_staged: u32,
@@ -198,7 +211,7 @@ impl RpuInner {
             accel: None,
             rx_queue: Fifo::new(cfg.slots_per_rpu.max(1)),
             tx_queue: Fifo::new(cfg.slots_per_rpu.max(4)),
-            slot_meta: vec![None; cfg.slots_per_rpu],
+            slot_state: vec![Slot::default(); cfg.slots_per_rpu],
             status: 0,
             debug_out: None,
             debug_out_staged: 0,
@@ -357,11 +370,12 @@ impl RpuInner {
         self.dma_busy = false;
     }
 
-    /// Copies out of packet memory by absolute address (DMA engine path).
-    pub(crate) fn pmem_copy_out(&self, addr: u32, len: u32) -> Vec<u8> {
-        let at = addr.saturating_sub(memmap::PMEM_BASE) as usize;
+    /// The packet-memory bytes a host DMA of `len` bytes at absolute address
+    /// `addr` reads, clipped to the memory's end (DMA engine path).
+    pub(crate) fn pmem_dma_src(&self, addr: u32, len: u32) -> &[u8] {
+        let at = (addr.saturating_sub(memmap::PMEM_BASE) as usize).min(self.pmem.len());
         let end = (at + len as usize).min(self.pmem.len());
-        self.pmem[at.min(self.pmem.len())..end].to_vec()
+        &self.pmem[at..end]
     }
 
     /// Copies into packet memory by absolute address (DMA engine path).
@@ -384,8 +398,9 @@ impl RpuInner {
     }
 
     /// DMA an arriving packet into `slot`: payload into packet memory, the
-    /// first 128 bytes into the data-memory header slot (§4.1).
-    pub(crate) fn dma_deliver(&mut self, slot: u8, bytes: &[u8], meta: SlotMeta) -> bool {
+    /// first 128 bytes into the data-memory header slot (§4.1). The consumed
+    /// `bytes` buffer stays parked with the slot for [`Self::take_tx`].
+    pub(crate) fn dma_deliver(&mut self, slot: u8, bytes: Vec<u8>, meta: SlotMeta) -> bool {
         let addr = (self.slot_addr(slot) - memmap::PMEM_BASE) as usize;
         let len = bytes.len().min(self.slot_bytes as usize);
         if self.rx_queue.is_full() {
@@ -396,7 +411,10 @@ impl RpuInner {
         let header_at = (self.header_slot_addr(slot) - memmap::DMEM_BASE) as usize;
         let header_len = len.min(self.header_slot_bytes as usize);
         self.dmem[header_at..header_at + header_len].copy_from_slice(&bytes[..header_len]);
-        self.slot_meta[slot as usize] = Some(meta);
+        self.slot_state[slot as usize] = Slot {
+            meta: Some(meta),
+            parked: bytes,
+        };
         self.counters.count_rx_frame(len as u64);
         let desc = Desc {
             tag: slot,
@@ -411,36 +429,44 @@ impl RpuInner {
     }
 
     /// Pops a committed send: the descriptor, the frame bytes read back from
-    /// packet memory, and the slot's metadata.
+    /// packet memory, and the slot's metadata. The bytes land in the slot's
+    /// parked ingress buffer when there is one; a self-originated send (or a
+    /// slot sent twice) starts from an empty `Vec` and allocates.
     pub(crate) fn take_tx(&mut self) -> Option<(Desc, Vec<u8>, Option<SlotMeta>)> {
         let desc = self.tx_queue.pop()?;
-        let meta = if desc.tag == crate::types::SELF_TAG {
-            None
-        } else {
-            self.slot_meta.get(desc.tag as usize).copied().flatten()
+        let Slot {
+            meta,
+            parked: mut bytes,
+        } = match desc.tag {
+            crate::types::SELF_TAG => Slot::default(),
+            tag => self
+                .slot_state
+                .get_mut(tag as usize)
+                .map(std::mem::take)
+                .unwrap_or_default(),
         };
-        if desc.tag != crate::types::SELF_TAG {
-            if let Some(slot) = self.slot_meta.get_mut(desc.tag as usize) {
-                *slot = None;
+        bytes.clear();
+        if let Some(at) = desc.data.checked_sub(memmap::PMEM_BASE) {
+            let at = at as usize;
+            if at + desc.len as usize <= self.pmem.len() {
+                bytes.extend_from_slice(&self.pmem[at..at + desc.len as usize]);
             }
         }
-        let bytes = if desc.len == 0 {
-            Vec::new()
-        } else {
-            let at = desc.data.checked_sub(memmap::PMEM_BASE).map(|a| a as usize);
-            match at {
-                Some(at) if at + desc.len as usize <= self.pmem.len() => {
-                    self.pmem[at..at + desc.len as usize].to_vec()
-                }
-                _ => Vec::new(),
-            }
-        };
         if !bytes.is_empty() {
             self.counters.count_tx_frame(bytes.len() as u64);
         } else {
             self.counters.count_drop();
         }
         Some((desc, bytes, meta))
+    }
+
+    /// How many slots currently hold a parked ingress buffer (never more
+    /// than `slots_per_rpu`; zero after a purge or a reconfiguration).
+    pub fn parked_buffers(&self) -> usize {
+        self.slot_state
+            .iter()
+            .filter(|s| s.parked.capacity() != 0)
+            .count()
     }
 
     /// Host/interconnect counters for this RPU (§4.3).
@@ -978,6 +1004,9 @@ impl Rpu {
         self.hung = false;
         self.crashed = false;
         self.watchdog_fires = 0;
+        for slot in &mut self.inner.slot_state {
+            slot.parked = Vec::new();
+        }
         // The next firmware load re-predecodes; drop stale entries now so a
         // host that pokes instruction memory mid-reconfigure cannot race a
         // live cache.
@@ -1079,9 +1108,7 @@ impl Rpu {
     pub(crate) fn purge(&mut self) -> usize {
         let mut n = self.inner.rx_queue.flush();
         n += self.inner.tx_queue.flush();
-        for slot in &mut self.inner.slot_meta {
-            *slot = None;
-        }
+        self.inner.slot_state.fill_with(Slot::default);
         n
     }
 
@@ -1268,7 +1295,7 @@ mod tests {
     fn dma_places_packet_and_header() {
         let mut rpu = Rpu::new(0, &cfg());
         let frame: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-        assert!(rpu.inner_mut().dma_deliver(2, &frame, meta(7)));
+        assert!(rpu.inner_mut().dma_deliver(2, frame.clone(), meta(7)));
         let addr = (rpu.inner().slot_addr(2) - memmap::PMEM_BASE) as usize;
         assert_eq!(&rpu.inner().pmem()[addr..addr + 200], &frame[..]);
         // Header copy: first 128 bytes land in dmem.
@@ -1303,7 +1330,10 @@ mod tests {
         let image = assemble(&forwarder_asm()).unwrap();
         rpu.load_riscv(&image);
         let frame = vec![0xabu8; 64];
-        rpu.inner_mut().dma_deliver(0, &frame, meta(1));
+        let arrived = frame.clone();
+        let allocation = arrived.as_ptr();
+        rpu.inner_mut().dma_deliver(0, arrived, meta(1));
+        assert_eq!(rpu.inner().parked_buffers(), 1);
         for now in 0..100 {
             rpu.tick(now);
         }
@@ -1311,6 +1341,12 @@ mod tests {
         assert_eq!(desc.port, 1, "port flipped 0 -> 1");
         assert_eq!(bytes, frame);
         assert_eq!(m.unwrap().packet_id, 1);
+        assert_eq!(
+            bytes.as_ptr(),
+            allocation,
+            "the ingress buffer leaves again"
+        );
+        assert_eq!(rpu.inner().parked_buffers(), 0);
     }
 
     #[test]
@@ -1331,9 +1367,9 @@ mod tests {
             // Top up the rx queue.
             for slot in 0..8 {
                 if rpu.inner().rx_queue.iter().all(|d| d.tag != slot)
-                    && rpu.inner().slot_meta[slot as usize].is_none()
+                    && rpu.inner().slot_state[slot as usize].meta.is_none()
                 {
-                    rpu.inner_mut().dma_deliver(slot, &frame, meta(0));
+                    rpu.inner_mut().dma_deliver(slot, frame.clone(), meta(0));
                 }
             }
             rpu.tick(now);
@@ -1371,8 +1407,8 @@ mod tests {
         let mut sent = 0;
         for now in 0..320 {
             for slot in 0..4 {
-                if rpu.inner().slot_meta[slot as usize].is_none() {
-                    rpu.inner_mut().dma_deliver(slot, &frame, meta(0));
+                if rpu.inner().slot_state[slot as usize].meta.is_none() {
+                    rpu.inner_mut().dma_deliver(slot, frame.clone(), meta(0));
                 }
             }
             rpu.tick(now);
@@ -1395,7 +1431,7 @@ mod tests {
                 }
             }
         }
-        rpu.inner_mut().dma_deliver(0, &[1u8; 64], meta(9));
+        rpu.inner_mut().dma_deliver(0, vec![1u8; 64], meta(9));
         for now in 0..10 {
             rpu.tick(now);
         }
@@ -1447,7 +1483,7 @@ mod tests {
             }
         }
         rpu.load_native(Box::new(Echo));
-        rpu.inner_mut().dma_deliver(0, &[0u8; 64], meta(1));
+        rpu.inner_mut().dma_deliver(0, vec![0u8; 64], meta(1));
         rpu.start_drain();
         assert!(!rpu.is_drained());
         for now in 0..10 {
@@ -1562,7 +1598,7 @@ mod tests {
                             1 => rpu.raise_irq(crate::types::irq::TIMER),
                             2 => {
                                 let slot = (arg % 4) as u8;
-                                rpu.inner_mut().dma_deliver(slot, &[0u8; 64], meta(0));
+                                rpu.inner_mut().dma_deliver(slot, vec![0u8; 64], meta(0));
                             }
                             3 => {
                                 // Host-side watchdog arm.

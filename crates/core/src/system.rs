@@ -624,11 +624,11 @@ impl Rosebud {
                     self.ledger.corrupted += 1;
                     continue;
                 }
-                let delivered =
-                    self.lanes[r]
-                        .rpu
-                        .inner_mut()
-                        .dma_deliver(item.slot, &item.bytes, item.meta);
+                let len = item.bytes.len() as u32;
+                let delivered = self.lanes[r]
+                    .rpu
+                    .inner_mut()
+                    .dma_deliver(item.slot, item.bytes, item.meta);
                 if !delivered {
                     // Should not happen: slots bound in-flight packets.
                     self.tracker.release(r, item.slot);
@@ -640,7 +640,7 @@ impl Rosebud {
                         TraceEvent::DescRx {
                             rpu: r as u8,
                             slot: item.slot,
-                            len: item.bytes.len() as u32,
+                            len,
                         },
                     );
                 }
@@ -808,16 +808,14 @@ impl Rosebud {
         if host_up {
             while let Some((r, req)) = self.host_dma_delay.pop_ready(now) {
                 let inner = self.lanes[r].rpu.inner_mut();
+                let at = (req.host_addr as usize).min(self.host_dram.len());
                 if req.to_host {
-                    let bytes = inner.pmem_copy_out(req.local_addr, req.len);
-                    let at = (req.host_addr as usize).min(self.host_dram.len());
+                    let bytes = inner.pmem_dma_src(req.local_addr, req.len);
                     let end = (at + bytes.len()).min(self.host_dram.len());
                     self.host_dram[at..end].copy_from_slice(&bytes[..end - at]);
                 } else {
-                    let at = (req.host_addr as usize).min(self.host_dram.len());
                     let end = (at + req.len as usize).min(self.host_dram.len());
-                    let bytes = self.host_dram[at..end].to_vec();
-                    inner.pmem_copy_in(req.local_addr, &bytes);
+                    inner.pmem_copy_in(req.local_addr, &self.host_dram[at..end]);
                 }
                 self.lanes[r].rpu.inner_mut().dma_complete();
                 self.lanes[r].rpu.raise_irq(irq::DMA);
@@ -933,15 +931,19 @@ impl Rosebud {
             None => self.host_tx.pop(),
         }
         .expect("front checked");
-        let mut bytes = self.lb.prepend(&pkt).unwrap_or_default();
-        bytes.extend_from_slice(pkt.bytes());
-        let corrupted = self.corrupt_on_link(rpu, &mut bytes);
         let meta = SlotMeta {
             packet_id: pkt.id,
             ts_gen: pkt.ts_gen,
             ingress_port: pkt.port,
             orig_len: pkt.len() as u32,
         };
+        // The frame's own allocation travels on; only a policy that
+        // prepends (the hash LB) pays for one re-framed copy.
+        let mut bytes = match self.lb.prepend(&pkt) {
+            None => pkt.data,
+            Some(head) => [head.as_slice(), pkt.bytes()].concat(),
+        };
+        let corrupted = self.corrupt_on_link(rpu, &mut bytes);
         self.lb_assigned += 1;
         if let Some(t) = self.tracer.as_mut() {
             t.record(

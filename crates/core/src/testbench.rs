@@ -138,7 +138,7 @@ impl RpuTestbench {
         };
         self.rpu
             .inner_mut()
-            .dma_deliver(slot, pkt.bytes(), meta)
+            .dma_deliver(slot, pkt.bytes().to_vec(), meta)
             .then_some(slot)
     }
 

@@ -176,39 +176,33 @@ impl PacketBuilder {
     }
 
     /// Assembles the frame with an explicit packet id and generation
-    /// timestamp (what the traffic generators use).
-    pub fn build_with(mut self, id: u64, ts_gen: u64) -> Packet {
+    /// timestamp (what the traffic generators use). The frame is one
+    /// exactly-sized allocation, written in place.
+    pub fn build_with(self, id: u64, ts_gen: u64) -> Packet {
+        let ipv4 = self.eth.ethertype == EtherType::IPV4;
         let l4_len = match self.l4 {
             L4::None => 0,
             L4::Tcp { .. } => TCP_HEADER_LEN,
             L4::Udp { .. } => UDP_HEADER_LEN,
         };
-        // Grow the payload to honour pad_to before length fields are fixed.
-        if let Some(target) = self.pad_to {
-            let base = ETH_HEADER_LEN
-                + if self.eth.ethertype == EtherType::IPV4 {
-                    IPV4_HEADER_LEN + l4_len
-                } else {
-                    0
-                };
-            if base + self.payload.len() < target {
-                self.payload.resize(target - base, 0);
-            }
-        }
+        let l4_at = ETH_HEADER_LEN + IPV4_HEADER_LEN;
+        let payload_at = if ipv4 { l4_at + l4_len } else { ETH_HEADER_LEN };
+        // pad_to extends the payload with zeros, so the length fields below
+        // cover the padding.
+        let natural = payload_at + self.payload.len();
+        let total = self.pad_to.map_or(natural, |target| target.max(natural));
 
-        let mut data = vec![0u8; ETH_HEADER_LEN];
+        let mut data = vec![0u8; total];
         self.eth.write(&mut data);
-
-        if self.eth.ethertype == EtherType::IPV4 {
+        if ipv4 {
             let protocol = match self.l4 {
                 L4::None => IpProtocol(0xfd), // "use for experimentation"
                 L4::Tcp { .. } => IpProtocol::TCP,
                 L4::Udp { .. } => IpProtocol::UDP,
             };
-            let total_len = (IPV4_HEADER_LEN + l4_len + self.payload.len()) as u16;
             let ip = Ipv4Header {
                 dscp: 0,
-                total_len,
+                total_len: (total - ETH_HEADER_LEN) as u16,
                 ident: (id & 0xffff) as u16,
                 ttl: self.ttl,
                 protocol,
@@ -216,10 +210,7 @@ impl PacketBuilder {
                 src: self.src_ip,
                 dst: self.dst_ip,
             };
-            let at = data.len();
-            data.resize(at + IPV4_HEADER_LEN, 0);
-            ip.write(&mut data[at..]);
-
+            ip.write(&mut data[ETH_HEADER_LEN..]);
             match self.l4 {
                 L4::None => {}
                 L4::Tcp {
@@ -236,29 +227,19 @@ impl PacketBuilder {
                         flags,
                         window: 65535,
                     };
-                    let at = data.len();
-                    data.resize(at + TCP_HEADER_LEN, 0);
-                    tcp.write(&mut data[at..]);
+                    tcp.write(&mut data[l4_at..]);
                 }
                 L4::Udp { src, dst } => {
                     let udp = UdpHeader {
                         src_port: src,
                         dst_port: dst,
-                        len: (UDP_HEADER_LEN + self.payload.len()) as u16,
+                        len: (total - l4_at) as u16,
                     };
-                    let at = data.len();
-                    data.resize(at + UDP_HEADER_LEN, 0);
-                    udp.write(&mut data[at..]);
+                    udp.write(&mut data[l4_at..]);
                 }
             }
         }
-
-        data.extend_from_slice(&self.payload);
-        if let Some(target) = self.pad_to {
-            if data.len() < target {
-                data.resize(target, 0);
-            }
-        }
+        data[payload_at..natural].copy_from_slice(&self.payload);
         Packet::new(id, data, self.port, ts_gen)
     }
 }

@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
@@ -42,6 +41,43 @@ fn drain(q: &FrameQueue) -> Vec<(u8, Vec<u8>)> {
 
 fn push(q: &FrameQueue, port: u8, frame: Vec<u8>) {
     q.lock().expect("ring poisoned").push_back((port, frame));
+}
+
+/// The receive side every datagram-style backend shares: one buffer for the
+/// backend's lifetime and the one loop that drains a non-blocking source.
+pub(crate) struct Receiver {
+    /// `MAX_FRAME + 1` bytes, so a datagram the kernel had to truncate is
+    /// told apart from one that fits exactly.
+    buf: Box<[u8]>,
+    pub(crate) oversized: u64,
+}
+
+impl Receiver {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; MAX_FRAME + 1].into_boxed_slice(),
+            oversized: 0,
+        }
+    }
+
+    /// Calls `recv` (one non-blocking datagram read into the buffer) until
+    /// it fails — `WouldBlock` is the empty queue, any other error is the
+    /// far side's problem — appending each datagram to `out` as a frame on
+    /// `port`. One longer than [`MAX_FRAME`] is counted and dropped.
+    pub(crate) fn drain(
+        &mut self,
+        port: u8,
+        out: &mut Vec<(u8, Vec<u8>)>,
+        mut recv: impl FnMut(&mut [u8]) -> io::Result<usize>,
+    ) {
+        while let Ok(n) = recv(&mut self.buf) {
+            if n > MAX_FRAME {
+                self.oversized += 1;
+            } else {
+                out.push((port, self.buf[..n].to_vec()));
+            }
+        }
+    }
 }
 
 /// An in-process ring-buffer transport — the CI backend. [`RingBackend::pair`]
@@ -130,6 +166,7 @@ pub struct UdsBackend {
     socks: Vec<UnixDatagram>,
     /// Last-seen peer per port (datagram sends need an explicit address).
     peers: Vec<Option<PathBuf>>,
+    rx: Receiver,
 }
 
 impl UdsBackend {
@@ -150,32 +187,39 @@ impl UdsBackend {
             socks.push(s);
         }
         let peers = vec![None; socks.len()];
-        Ok(Self { socks, peers })
+        Ok(Self {
+            socks,
+            peers,
+            rx: Receiver::new(),
+        })
     }
 
     /// Number of ports (sockets) bound.
     pub fn ports(&self) -> usize {
         self.socks.len()
     }
+
+    /// Datagrams dropped for exceeding [`MAX_FRAME`].
+    pub fn oversized(&self) -> u64 {
+        self.rx.oversized
+    }
 }
 
 impl ShellBackend for UdsBackend {
     fn recv_frames(&mut self) -> Vec<(u8, Vec<u8>)> {
         let mut out = Vec::new();
-        let mut buf = vec![0u8; MAX_FRAME];
-        for (port, sock) in self.socks.iter().enumerate() {
-            loop {
-                match sock.recv_from(&mut buf) {
-                    Ok((n, addr)) => {
-                        if let Some(path) = addr.as_pathname() {
-                            self.peers[port] = Some(path.to_path_buf());
-                        }
-                        out.push((port as u8, buf[..n].to_vec()));
+        for (port, (sock, peer)) in self.socks.iter().zip(&mut self.peers).enumerate() {
+            self.rx.drain(port as u8, &mut out, |buf| {
+                let (n, from) = sock.recv_from(buf)?;
+                // Re-stored only when the sender changes: no `PathBuf` per
+                // datagram from a steady peer.
+                if let Some(path) = from.as_pathname() {
+                    if peer.as_deref() != Some(path) {
+                        *peer = Some(path.to_path_buf());
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break,
                 }
-            }
+                Ok(n)
+            });
         }
         out
     }
@@ -199,6 +243,7 @@ impl ShellBackend for UdsBackend {
 pub struct UdpBackend {
     socks: Vec<UdpSocket>,
     peers: Vec<Option<SocketAddr>>,
+    rx: Receiver,
 }
 
 impl UdpBackend {
@@ -216,7 +261,16 @@ impl UdpBackend {
             socks.push(s);
         }
         let peers = vec![None; socks.len()];
-        Ok(Self { socks, peers })
+        Ok(Self {
+            socks,
+            peers,
+            rx: Receiver::new(),
+        })
+    }
+
+    /// Datagrams dropped for exceeding [`MAX_FRAME`].
+    pub fn oversized(&self) -> u64 {
+        self.rx.oversized
     }
 
     /// The local address of port `p`'s socket (useful after binding port 0).
@@ -232,18 +286,12 @@ impl UdpBackend {
 impl ShellBackend for UdpBackend {
     fn recv_frames(&mut self) -> Vec<(u8, Vec<u8>)> {
         let mut out = Vec::new();
-        let mut buf = vec![0u8; MAX_FRAME];
-        for (port, sock) in self.socks.iter().enumerate() {
-            loop {
-                match sock.recv_from(&mut buf) {
-                    Ok((n, addr)) => {
-                        self.peers[port] = Some(addr);
-                        out.push((port as u8, buf[..n].to_vec()));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
+        for (port, (sock, peer)) in self.socks.iter().zip(&mut self.peers).enumerate() {
+            self.rx.drain(port as u8, &mut out, |buf| {
+                let (n, from) = sock.recv_from(buf)?;
+                *peer = Some(from);
+                Ok(n)
+            });
         }
         out
     }
@@ -300,6 +348,13 @@ mod tests {
         let mut buf = [0u8; 128];
         let (n, _) = client.recv_from(&mut buf).unwrap();
         assert_eq!(&buf[..n], &[8; 64][..]);
+
+        // A 17 KiB datagram is dropped and counted, not injected as a
+        // truncated frame; one of exactly MAX_FRAME still fits.
+        client.send_to(&[9; 17 * 1024], &p0).unwrap();
+        client.send_to(&[6; MAX_FRAME], &p0).unwrap();
+        assert_eq!(be.recv_frames(), vec![(0, vec![6; MAX_FRAME])]);
+        assert_eq!(be.oversized(), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -60,6 +60,9 @@ pub struct Shell<B: ShellBackend> {
     /// Frames received from the backend but not yet accepted by a MAC.
     pending: VecDeque<Packet>,
     egress: SharedEgress,
+    /// This cycle's deliveries on their way to the backend (kept for its
+    /// capacity; empty between steps).
+    delivered: Vec<Packet>,
     host_rx: Vec<Packet>,
     next_id: u64,
     forwarded: u64,
@@ -80,6 +83,7 @@ impl<B: ShellBackend> Shell<B> {
             log: EventLog::new(),
             pending: VecDeque::new(),
             egress,
+            delivered: Vec::new(),
             host_rx: Vec::new(),
             next_id: 0,
             forwarded: 0,
@@ -127,7 +131,8 @@ impl<B: ShellBackend> Shell<B> {
         self.sys.tick();
         self.log.cycles = self.sys.now();
 
-        for pkt in self.egress.drain() {
+        self.egress.drain_into(&mut self.delivered);
+        for pkt in self.delivered.drain(..) {
             self.backend.send_frame(pkt.port, pkt.bytes());
             self.forwarded += 1;
         }

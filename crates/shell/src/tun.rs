@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::io::FromRawFd;
 
-use crate::backend::{ShellBackend, MAX_FRAME};
+use crate::backend::{Receiver, ShellBackend};
 
 /// Environment variable carrying the pre-opened TUN/TAP fd.
 pub const TUN_FD_ENV: &str = "ROSEBUD_TUN_FD";
@@ -21,6 +21,7 @@ pub const TUN_FD_ENV: &str = "ROSEBUD_TUN_FD";
 /// frames arrive on (and are sent as) port 0.
 pub struct TunBackend {
     dev: File,
+    rx: Receiver,
 }
 
 impl TunBackend {
@@ -42,22 +43,21 @@ impl TunBackend {
         // non-blocking TUN/TAP descriptor passed down for exactly this
         // adoption; nothing else in the process holds it.
         let dev = unsafe { File::from_raw_fd(raw) };
-        Ok(Self { dev })
+        Ok(Self {
+            dev,
+            rx: Receiver::new(),
+        })
     }
 }
 
 impl ShellBackend for TunBackend {
     fn recv_frames(&mut self) -> Vec<(u8, Vec<u8>)> {
         let mut out = Vec::new();
-        let mut buf = vec![0u8; MAX_FRAME];
-        loop {
-            match self.dev.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => out.push((0, buf[..n].to_vec())),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
+        // A zero-length read is the device's end of input, not a frame.
+        self.rx.drain(0, &mut out, |buf| match self.dev.read(buf)? {
+            0 => Err(ErrorKind::WouldBlock.into()),
+            n => Ok(n),
+        });
         out
     }
 
