@@ -177,17 +177,13 @@ fn fleet_point() -> FleetBench {
 
 /// Sim-speed points at 16 RPUs, decode cache on: `(scenario, ns/cycle)`.
 fn sim_speed_points() -> Vec<(&'static str, f64)> {
-    [
-        Scenario::BusyPollLoaded,
-        Scenario::DutyCycleLight,
-        Scenario::ParkedIdle,
-    ]
-    .into_iter()
-    .map(|scenario| {
-        let ns = ns_per_cycle(&mut build(scenario, 16), 10_000, 150_000, 5);
-        (scenario.name(), ns)
-    })
-    .collect()
+    Scenario::ALL
+        .into_iter()
+        .map(|scenario| {
+            let ns = ns_per_cycle(&mut build(scenario, 16), 10_000, 150_000, 5);
+            (scenario.name(), ns)
+        })
+        .collect()
 }
 
 fn main() {

@@ -82,15 +82,18 @@ pub mod sim_speed {
     use rosebud_net::FixedSizeGen;
     use rosebud_riscv::assemble;
 
-    /// The three workload shapes the table reports. They span the tick's
+    /// The four workload shapes the table reports. They span the tick's
     /// envelope: busy-poll firmware never sleeps (core-tick elision buys
-    /// nothing), duty-cycled firmware parks in `wfi` between timer alarms
-    /// (the representative middlebox idle pattern), and a fully parked
-    /// fleet is the elision ceiling.
+    /// nothing) and without traffic isolates the fixed cost of a lane whose
+    /// core ticks but whose queues are empty, duty-cycled firmware parks in
+    /// `wfi` between timer alarms (the representative middlebox idle
+    /// pattern), and a fully parked fleet is the elision ceiling.
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub enum Scenario {
         /// §6.1 busy-poll forwarder at saturating offered load.
         BusyPollLoaded,
+        /// The same busy-poll forwarder with no traffic at all.
+        BusyPollIdle,
         /// Duty-cycled (`wfi` + timer alarm) forwarder at light load.
         DutyCycleLight,
         /// Every core halted in `wfi` with interrupts masked; no traffic.
@@ -98,10 +101,19 @@ pub mod sim_speed {
     }
 
     impl Scenario {
+        /// Every scenario, in table order.
+        pub const ALL: [Scenario; 4] = [
+            Scenario::BusyPollLoaded,
+            Scenario::BusyPollIdle,
+            Scenario::DutyCycleLight,
+            Scenario::ParkedIdle,
+        ];
+
         /// Stable identifier for tables and JSON.
         pub fn name(self) -> &'static str {
             match self {
                 Scenario::BusyPollLoaded => "busy-poll-loaded",
+                Scenario::BusyPollIdle => "busy-poll-idle",
                 Scenario::DutyCycleLight => "duty-cycle-light",
                 Scenario::ParkedIdle => "parked-idle",
             }
@@ -111,7 +123,7 @@ pub mod sim_speed {
             match self {
                 Scenario::BusyPollLoaded => 205.0,
                 Scenario::DutyCycleLight => 5.0,
-                Scenario::ParkedIdle => 0.0,
+                Scenario::BusyPollIdle | Scenario::ParkedIdle => 0.0,
             }
         }
     }
@@ -120,7 +132,7 @@ pub mod sim_speed {
     /// it is a pure speed knob and part of the default configuration.
     pub fn build(scenario: Scenario, rpus: usize) -> Harness {
         let sys: Rosebud = match scenario {
-            Scenario::BusyPollLoaded => {
+            Scenario::BusyPollLoaded | Scenario::BusyPollIdle => {
                 let image = forwarder_image();
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .load_balancer(Box::new(RoundRobinLb::new()))

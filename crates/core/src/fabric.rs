@@ -138,6 +138,50 @@ pub(crate) struct Lane {
     pub rout: Serializer<EgressItem>,
 }
 
+/// A set of lane indices in one word (`num_rpus <= 64`), iterated in
+/// ascending order. [`crate::Rosebud::tick`] keeps one per queue it polls,
+/// so a sweep costs what is occupied rather than what is built. Iteration
+/// runs over a copy: the sweep's body may insert into or remove from the
+/// set it is walking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LaneSet(u64);
+
+impl LaneSet {
+    /// Lanes `0..n`.
+    pub fn all(n: usize) -> Self {
+        Self(if n >= 64 { u64::MAX } else { (1 << n) - 1 })
+    }
+
+    #[inline]
+    pub fn insert(&mut self, r: usize) {
+        self.0 |= 1 << r;
+    }
+
+    #[inline]
+    pub fn remove(&mut self, r: usize) {
+        self.0 &= !(1 << r);
+    }
+
+    #[inline]
+    pub fn contains(self, r: usize) -> bool {
+        self.0 & (1 << r) != 0
+    }
+}
+
+impl Iterator for LaneSet {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let r = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(r)
+    }
+}
+
 /// The loopback module routing full packets between RPUs (§4.4). A single
 /// 100 Gbps port with a per-packet destination-header attach cost that caps
 /// small-packet throughput at ~60 % of line rate (§6.3).
@@ -219,6 +263,24 @@ mod tests {
         assert!(fifo.push(pkt(1)).is_ok());
         assert_eq!(fifo.bytes(), 101);
         assert_eq!(fifo.len(), 2);
+    }
+
+    #[test]
+    fn lane_set_walks_ascending_over_a_copy() {
+        let mut set = LaneSet::default();
+        for r in [63, 0, 17, 5] {
+            set.insert(r);
+        }
+        assert_eq!(set.collect::<Vec<_>>(), vec![0, 5, 17, 63]);
+        // The walk is over a copy: the body may edit the set it walks.
+        for r in set {
+            set.remove(r);
+            set.insert((r + 1) % 64);
+        }
+        assert_eq!(set.collect::<Vec<_>>(), vec![0, 1, 6, 18]);
+        assert_eq!(LaneSet::all(3).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(LaneSet::all(64).count(), 64);
+        assert!(!LaneSet::all(16).contains(16));
     }
 
     #[test]

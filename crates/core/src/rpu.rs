@@ -362,6 +362,13 @@ impl RpuInner {
         self.bcast_out.pop()
     }
 
+    /// What the core has left for the fabric to collect: `(a committed send
+    /// is queued, a host-DMA request is posted)` — stages 6 and 10.
+    #[inline]
+    pub(crate) fn posted(&self) -> (bool, bool) {
+        (!self.tx_queue.is_empty(), self.dma_pending.is_some())
+    }
+
     pub(crate) fn take_dma_req(&mut self) -> Option<crate::types::HostDmaReq> {
         self.dma_pending.take()
     }

@@ -9,7 +9,7 @@ use rosebud_net::Packet;
 use rosebud_riscv::Image;
 
 use crate::config::RosebudConfig;
-use crate::fabric::{BcastArbiter, EgressItem, IngressItem, Lane, Loopback, PortState};
+use crate::fabric::{BcastArbiter, EgressItem, IngressItem, Lane, LaneSet, Loopback, PortState};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultState, Ledger};
 use crate::lb::{LoadBalancer, SlotTracker};
 use crate::rpu::{Firmware, Rpu};
@@ -145,11 +145,20 @@ impl RosebudBuilder {
         } else {
             (1u64 << cfg.num_rpus) - 1
         };
+        // Every lane starts in every occupancy word (a native boot hook may
+        // already have queued a send); the first tick clears what is empty.
+        let all = LaneSet::all(cfg.num_rpus);
         let ports = (0..cfg.num_ports).map(|_| PortState::new(&cfg)).collect();
         Ok(Rosebud {
             clock: Clock::new(cfg.clock_hz),
             lanes,
+            rin_busy: all,
+            awake: all,
+            tx_ready: all,
+            rout_busy: all,
+            dma_posted: all,
             quiet: vec![0; cfg.num_rpus],
+            next_wake: Cycle::MAX,
             lb: self
                 .lb
                 .unwrap_or_else(|| Box::new(crate::lb::RoundRobinLb::new())),
@@ -230,13 +239,34 @@ pub struct Rosebud {
     pub(crate) clock: Clock,
     /// One lane per RPU: the RPU plus its private ingress/egress links.
     pub(crate) lanes: Vec<Lane>,
-    /// Core-tick elision: `quiet[r]` is the first cycle at which RPU `r`'s
-    /// tick could change any state. While `now` is below it the core is
-    /// provably inert — parked, halted, hung or mid-PR, no stall tail, no
-    /// queued send, no accelerator — and stage 5 skips it. Every event that
-    /// could change the answer resets it through [`Rosebud::wake_lane`];
-    /// the armed-watchdog deadline caps it.
+    /// Occupancy words: one set of lanes per queue the tick polls, so each
+    /// per-lane sweep visits what is in flight rather than what is built.
+    /// The invariant is one-sided — *word ⊇ truth*: a set bit on an empty
+    /// lane is one wasted visit (the sweep that finds the queue empty clears
+    /// it), a clear bit on an occupied lane is a bug. A bit is set where the
+    /// queue is filled, and [`Rosebud::wake_lane`] sets a lane in all five.
+    ///
+    /// Stage 4: a frame is on the lane's ingress link (`rin`).
+    rin_busy: LaneSet,
+    /// Stage 5, core-tick elision: the lanes whose core must tick. A lane
+    /// leaves when its tick was inert and its quiet horizon lies ahead —
+    /// parked, halted, hung or mid-PR, no stall tail, no queued send, no
+    /// accelerator — and returns through [`Rosebud::wake_lane`] or when
+    /// `now` reaches `quiet[r]`.
+    awake: LaneSet,
+    /// Stage 6: a committed send is queued in the RPU.
+    tx_ready: LaneSet,
+    /// Stage 7: a frame is on the lane's egress link (`rout`).
+    rout_busy: LaneSet,
+    /// Stage 10: the RPU has posted a host-DMA request.
+    dma_posted: LaneSet,
+    /// For a lane not in `awake`: the first cycle at which its tick could
+    /// change any state (the armed-watchdog deadline, or never). Stale for
+    /// a lane that is awake.
     quiet: Vec<Cycle>,
+    /// A lower bound on `quiet[r]` over the sleeping lanes: stage 5 reads
+    /// `quiet` only once `now` reaches it.
+    next_wake: Cycle,
     pub(crate) lb: Box<dyn LoadBalancer>,
     pub(crate) tracker: SlotTracker,
     pub(crate) enabled: u64,
@@ -407,15 +437,21 @@ impl Rosebud {
         &mut self.lanes[rpu].rpu
     }
 
-    /// Ends lane `r`'s core-tick elision: every event that could change an
-    /// elided core's behavior — an ingress delivery, a raised interrupt, a
-    /// host access, fault injection, a PR step — must route through here.
-    /// Spurious wakes are harmless (an inert core's tick is a no-op and it
-    /// re-sleeps right after); a *missed* wake is a determinism bug the
-    /// elision differential (`tests/kernel_equivalence.rs`) exists to catch.
+    /// Marks lane `r` in every occupancy word, so the next tick visits it
+    /// in all five sweeps: every event from outside the tick's own data path
+    /// that could change an elided core's behavior or fill one of the lane's
+    /// queues — a raised interrupt, a host access, fault injection, a PR
+    /// step — must route through here. Spurious marks are harmless (each
+    /// sweep clears what it finds empty, an inert core re-sleeps right
+    /// after); a *missed* one is a determinism bug the elision differential
+    /// (`tests/kernel_equivalence.rs`) exists to catch.
     #[inline]
     pub(crate) fn wake_lane(&mut self, r: usize) {
-        self.quiet[r] = 0;
+        self.rin_busy.insert(r);
+        self.awake.insert(r);
+        self.tx_ready.insert(r);
+        self.rout_busy.insert(r);
+        self.dma_posted.insert(r);
     }
 
     /// Offers a packet to physical port `pkt.port`'s receive MAC. Returns
@@ -548,9 +584,9 @@ impl Rosebud {
     /// Advances the whole system by one clock cycle: stages 0–3
     /// ([`Self::tick_pre`]), the per-lane stages 4–6
     /// ([`Self::lane_stages`]), then stages 7–12 and the periodic scans
-    /// ([`Self::tick_post`]). Every stage sweeps its lanes in index order
-    /// before the next begins and applies shared effects inline — one
-    /// thread, one order.
+    /// ([`Self::tick_post`]). Every per-lane stage sweeps its occupancy
+    /// word in ascending lane order before the next begins and applies
+    /// shared effects inline — one thread, one order.
     pub fn tick(&mut self) {
         let now = self.clock.cycle();
         self.tick_pre(now);
@@ -602,113 +638,151 @@ impl Rosebud {
                 .rin
                 .push(item, len, now)
                 .expect("fullness checked above");
+            self.rin_busy.insert(rpu);
         }
     }
 
-    /// Stages 4–6, the per-RPU stages: each sweeps all lanes before the
-    /// next begins. Only stage 5 is elided for a sleeping lane; stages 4
-    /// and 6 are already no-ops on an empty link / empty send queue, and
-    /// skipping them too costs more bookkeeping on lanes that never sleep
-    /// than it saves on lanes that do (DESIGN.md, "The tick").
+    /// Stages 4–6, the per-RPU stages: each sweeps its occupancy word in
+    /// ascending lane order before the next begins, which is the order the
+    /// full `0..lanes` sweeps visited the same lanes in (DESIGN.md, "The
+    /// tick").
     fn lane_stages(&mut self, now: Cycle) {
         // 4. Per-RPU link → DMA into packet memory + descriptor delivery.
-        for r in 0..self.lanes.len() {
-            if let Some(item) = self.lanes[r].rin.pop_ready(now) {
-                // The one ingress wake: a frame still on the link (pushed
-                // in stage 3 or by the loopback) is invisible to the core.
-                self.wake_lane(r);
-                if item.corrupted {
-                    // Link FCS failure: quarantine before the DMA engine
-                    // touches packet memory; the slot returns to the LB.
-                    self.tracker.release(r, item.slot);
-                    self.ledger.corrupted += 1;
-                    continue;
+        for r in self.rin_busy {
+            let Some(item) = self.lanes[r].rin.pop_ready(now) else {
+                if self.lanes[r].rin.is_empty() {
+                    self.rin_busy.remove(r);
                 }
-                let len = item.bytes.len() as u32;
-                let delivered = self.lanes[r]
-                    .rpu
-                    .inner_mut()
-                    .dma_deliver(item.slot, item.bytes, item.meta);
-                if !delivered {
-                    // Should not happen: slots bound in-flight packets.
-                    self.tracker.release(r, item.slot);
-                    self.routed_drops += 1;
-                    self.ledger.dropped += 1;
-                } else if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        now,
-                        TraceEvent::DescRx {
-                            rpu: r as u8,
-                            slot: item.slot,
-                            len,
-                        },
-                    );
-                }
+                continue;
+            };
+            // The one ingress wake: a frame still on the link (pushed in
+            // stage 3 or by the loopback) is invisible to the core, and a
+            // delivery fills none of the lane's other queues.
+            self.awake.insert(r);
+            if item.corrupted {
+                // Link FCS failure: quarantine before the DMA engine
+                // touches packet memory; the slot returns to the LB.
+                self.tracker.release(r, item.slot);
+                self.ledger.corrupted += 1;
+                continue;
+            }
+            let len = item.bytes.len() as u32;
+            let delivered = self.lanes[r]
+                .rpu
+                .inner_mut()
+                .dma_deliver(item.slot, item.bytes, item.meta);
+            if !delivered {
+                // Should not happen: slots bound in-flight packets.
+                self.tracker.release(r, item.slot);
+                self.routed_drops += 1;
+                self.ledger.dropped += 1;
+            } else if let Some(t) = self.tracer.as_mut() {
+                t.record(
+                    now,
+                    TraceEvent::DescRx {
+                        rpu: r as u8,
+                        slot: item.slot,
+                        len,
+                    },
+                );
             }
         }
 
-        // 5. RPUs: core + accelerator, skipping cores asleep past `now`.
-        //    The horizon is consulted only after an inert tick, so a
-        //    busy-polling core pays one compare per cycle for elision.
-        for (lane, quiet) in self.lanes.iter_mut().zip(&mut self.quiet) {
-            if now < *quiet {
-                continue;
+        // 5. RPUs: core + accelerator, for the lanes that are awake. What
+        //    the tick left for stages 6 and 10 is looked at once, here; the
+        //    horizon is consulted only after an inert tick.
+        if now >= self.next_wake {
+            self.wake_due(now);
+        }
+        for r in self.awake {
+            let rpu = &mut self.lanes[r].rpu;
+            let inert = rpu.tick(now);
+            let (send, dma) = rpu.inner().posted();
+            if send {
+                self.tx_ready.insert(r);
             }
-            if lane.rpu.tick(now) {
-                *quiet = lane.rpu.quiet_horizon();
+            if dma {
+                self.dma_posted.insert(r);
+            }
+            if inert {
+                let horizon = rpu.quiet_horizon();
+                if horizon > now {
+                    self.awake.remove(r);
+                    self.quiet[r] = horizon;
+                    self.next_wake = self.next_wake.min(horizon);
+                }
             }
         }
 
         // 6. Committed sends → per-RPU egress links.
-        for r in 0..self.lanes.len() {
+        for r in self.tx_ready {
             if self.lanes[r].rout.is_full() {
                 continue;
             }
-            if let Some((desc, bytes, meta)) = self.lanes[r].rpu.inner_mut().take_tx() {
-                if desc.len == 0 || bytes.is_empty() {
-                    if desc.tag != SELF_TAG {
-                        self.tracker.release(r, desc.tag);
-                        // Self-originated zero-length sends never entered
-                        // the conservation universe; slot-bound ones did.
-                        self.ledger.dropped += 1;
-                    }
-                    self.routed_drops += 1;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescDrop {
-                                rpu: r as u8,
-                                tag: desc.tag,
-                            },
-                        );
-                    }
-                    continue;
+            let Some((desc, bytes, meta)) = self.lanes[r].rpu.inner_mut().take_tx() else {
+                self.tx_ready.remove(r);
+                continue;
+            };
+            if desc.len == 0 || bytes.is_empty() {
+                if desc.tag != SELF_TAG {
+                    self.tracker.release(r, desc.tag);
+                    // Self-originated zero-length sends never entered
+                    // the conservation universe; slot-bound ones did.
+                    self.ledger.dropped += 1;
                 }
+                self.routed_drops += 1;
                 if let Some(t) = self.tracer.as_mut() {
                     t.record(
                         now,
-                        TraceEvent::DescTx {
+                        TraceEvent::DescDrop {
                             rpu: r as u8,
                             tag: desc.tag,
-                            port: desc.port,
-                            len: bytes.len() as u32,
                         },
                     );
                 }
-                let len = bytes.len() as u64;
-                self.lanes[r]
-                    .rout
-                    .push(
-                        EgressItem {
-                            src_rpu: r,
-                            desc,
-                            bytes,
-                            meta,
-                        },
-                        len,
-                        now,
-                    )
-                    .expect("fullness checked above");
+                continue;
+            }
+            if let Some(t) = self.tracer.as_mut() {
+                t.record(
+                    now,
+                    TraceEvent::DescTx {
+                        rpu: r as u8,
+                        tag: desc.tag,
+                        port: desc.port,
+                        len: bytes.len() as u32,
+                    },
+                );
+            }
+            let len = bytes.len() as u64;
+            self.lanes[r]
+                .rout
+                .push(
+                    EgressItem {
+                        src_rpu: r,
+                        desc,
+                        bytes,
+                        meta,
+                    },
+                    len,
+                    now,
+                )
+                .expect("fullness checked above");
+            self.rout_busy.insert(r);
+        }
+    }
+
+    /// Returns every sleeping lane whose horizon `now` has reached to
+    /// `awake`, and re-derives `next_wake` from the ones still asleep.
+    fn wake_due(&mut self, now: Cycle) {
+        self.next_wake = Cycle::MAX;
+        for (r, &quiet) in self.quiet.iter().enumerate() {
+            if self.awake.contains(r) {
+                continue;
+            }
+            if quiet <= now {
+                self.awake.insert(r);
+            } else {
+                self.next_wake = self.next_wake.min(quiet);
             }
         }
     }
@@ -719,11 +793,12 @@ impl Rosebud {
         // 7. Egress links → routing; slot freed once fully serialized out
         //    ("the interconnect notifies the LB about slot being freed after
         //    it is sent out", §4.2).
-        for r in 0..self.lanes.len() {
+        for r in self.rout_busy {
             // Hold the egress link when the destination port's pipeline is
             // congested: self-originated traffic (no slot bound) must not
             // grow the egress queues without limit.
             let Some(head) = self.lanes[r].rout.front() else {
+                self.rout_busy.remove(r);
                 continue;
             };
             let dest = head.desc.port as usize;
@@ -796,7 +871,8 @@ impl Rosebud {
                 self.host_rx.push(pkt);
                 self.ledger.delivered += 1;
             }
-            for r in 0..self.lanes.len() {
+            // The register holds one request, so a visit always empties it.
+            for r in std::mem::take(&mut self.dma_posted) {
                 if let Some(req) = self.lanes[r].rpu.inner_mut().take_dma_req() {
                     if let Some(t) = self.tracer.as_mut() {
                         t.dma_started(now, r, req.to_host, req.len);
@@ -861,7 +937,43 @@ impl Rosebud {
             self.assert_conservation();
         }
 
+        if cfg!(debug_assertions) {
+            self.assert_occupancy(now);
+        }
+
         self.clock.tick();
+    }
+
+    /// The occupancy invariant, *word ⊇ truth*, for every lane: a queue
+    /// that holds something is in its word, and a lane that is not awake
+    /// has a horizon ahead of `now` that `next_wake` does not overshoot.
+    /// Checked at the end of every tick of a debug build.
+    fn assert_occupancy(&self, now: Cycle) {
+        for (r, lane) in self.lanes.iter().enumerate() {
+            let (send, dma) = lane.rpu.inner().posted();
+            assert!(
+                lane.rin.is_empty() || self.rin_busy.contains(r),
+                "cycle {now}: lane {r} has a frame on rin but is not in rin_busy"
+            );
+            assert!(
+                !send || self.tx_ready.contains(r),
+                "cycle {now}: lane {r} has a send queued but is not in tx_ready"
+            );
+            assert!(
+                lane.rout.is_empty() || self.rout_busy.contains(r),
+                "cycle {now}: lane {r} has a frame on rout but is not in rout_busy"
+            );
+            assert!(
+                !dma || self.dma_posted.contains(r),
+                "cycle {now}: lane {r} posted a DMA request but is not in dma_posted"
+            );
+            assert!(
+                self.awake.contains(r) || (self.quiet[r] > now && self.quiet[r] >= self.next_wake),
+                "cycle {now}: lane {r} asleep with quiet {} (next_wake {})",
+                self.quiet[r],
+                self.next_wake
+            );
+        }
     }
 
     /// Applies every fault event scheduled at or before `now`.
@@ -1061,6 +1173,7 @@ impl Rosebud {
                 now,
             )
             .expect("fullness checked above");
+        self.rin_busy.insert(dst);
     }
 
     fn advance_pr_jobs(&mut self, now: Cycle) {
@@ -1400,14 +1513,56 @@ mod tests {
         Rosebud::builder(cfg).firmware(move |_| RpuProgram::Riscv(image.clone()))
     }
 
+    /// Firmware that parks for good: `wfi` with every interrupt masked.
+    const PARKED: &str = "csrw mie, zero\nwfi\nebreak";
+
+    /// The busy-poll forwarder with the egress port fixed to `port`.
+    fn send_to(port: u8) -> String {
+        format!(
+            "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x00ffffff
+            li t3, {port}
+            slli t3, t3, 24
+        poll:
+            lw a0, 0x00(t0)
+            beqz a0, poll
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            and a1, a1, t2
+            or a1, a1, t3
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j poll
+        "
+        )
+    }
+
+    /// Puts lane `r` to sleep by hand, as stage 5 would.
+    fn force_sleep(sys: &mut Rosebud, r: usize) {
+        sys.awake.remove(r);
+        sys.quiet[r] = Cycle::MAX;
+    }
+
+    fn occupancy(sys: &Rosebud) -> [LaneSet; 5] {
+        [
+            sys.rin_busy,
+            sys.awake,
+            sys.tx_ready,
+            sys.rout_busy,
+            sys.dma_posted,
+        ]
+    }
+
     /// Runs `sys` at 5 Gbps for `cycles`, returning how many (lane, cycle)
     /// pairs were asleep going into a tick.
     fn asleep_lane_cycles(sys: Rosebud, cycles: u64) -> u64 {
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0);
         let mut asleep = 0;
         for _ in 0..cycles {
-            let now = h.sys.now();
-            asleep += h.sys.quiet.iter().filter(|&&q| q > now).count() as u64;
+            asleep += (h.sys.lanes.len() - h.sys.awake.count()) as u64;
             h.tick();
         }
         asleep
@@ -1440,50 +1595,63 @@ mod tests {
     /// outside the tick that performed it.
     #[test]
     fn every_wake_source_ends_a_sleep() {
-        const ASLEEP: Cycle = Cycle::MAX;
         let mut sys = builder(4, BUSY_POLL).build().unwrap();
         sys.run(50);
 
         // Control: with no event, a sleeping lane is never ticked.
-        sys.quiet[1] = ASLEEP;
+        force_sleep(&mut sys, 1);
         sys.run(50);
-        assert_eq!(sys.quiet[1], ASLEEP);
+        assert!(!sys.awake.contains(1));
 
         // Ingress delivery wakes exactly the lane the LB picked.
-        sys.quiet.fill(ASLEEP);
+        for r in 0..4 {
+            force_sleep(&mut sys, r);
+        }
         sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
         sys.run(400);
-        assert_eq!(sys.quiet.iter().filter(|&&q| q == 0).count(), 1);
+        assert_eq!(sys.awake.count(), 1);
         assert_eq!(sys.take_output(1).len(), 1, "the woken lane forwarded it");
 
         // Host poke, and `rpu_mut` — the access the un-elided oracle in
         // `tests/kernel_equivalence.rs` is built from.
-        sys.quiet[2] = ASLEEP;
+        force_sleep(&mut sys, 2);
         sys.poke(2);
-        assert_eq!(sys.quiet[2], 0);
-        sys.quiet[2] = ASLEEP;
+        assert!(sys.awake.contains(2));
+        force_sleep(&mut sys, 2);
         sys.rpu_mut(2);
-        assert_eq!(sys.quiet[2], 0);
+        assert!(sys.awake.contains(2));
+        force_sleep(&mut sys, 2);
+        sys.evict(2);
+        assert!(sys.awake.contains(2));
+        force_sleep(&mut sys, 2);
+        sys.write_debug(2, 7);
+        assert!(sys.awake.contains(2));
 
         // Fault injection lands in stage 0, ahead of the core tick.
-        sys.quiet[3] = ASLEEP;
+        force_sleep(&mut sys, 3);
+        force_sleep(&mut sys, 0);
         sys.inject_fault(FaultKind::FirmwareHang { rpu: 3 });
+        sys.inject_fault(FaultKind::FirmwareCrash { rpu: 0 });
         let now = sys.now();
         sys.tick_pre(now);
-        assert_eq!(sys.quiet[3], 0);
+        assert!(sys.awake.contains(3) && sys.awake.contains(0));
         sys.lane_stages(now);
         sys.tick_post(now);
 
         // PR begin wakes; the region then sleeps through the bitstream
         // write on its own, and PR finish wakes it into the new firmware.
-        sys.quiet[1] = ASLEEP;
+        force_sleep(&mut sys, 1);
         sys.force_reconfigure_rpu(1);
-        assert_eq!(sys.quiet[1], 0);
+        assert!(sys.awake.contains(1));
         sys.run(100);
-        assert!(sys.quiet[1] > sys.now(), "mid-PR region must sleep");
+        assert!(!sys.awake.contains(1), "mid-PR region must sleep");
         sys.run(500);
-        assert_eq!(sys.quiet[1], 0);
+        assert!(sys.awake.contains(1));
         assert_eq!(sys.rpus()[1].state(), crate::rpu::RpuState::Running);
+        // The graceful eviction's entry points wake too (they raise EVICT).
+        force_sleep(&mut sys, 2);
+        sys.reconfigure_rpu_gated(2);
+        assert!(sys.awake.contains(2));
 
         // Broadcast interrupt (stage 11): lane 0 broadcasts one word at
         // boot; every other lane, asleep or not, takes the interrupt.
@@ -1493,8 +1661,182 @@ mod tests {
             .firmware(move |r| RpuProgram::Riscv(if r == 0 { bcast.clone() } else { spin.clone() }))
             .build()
             .unwrap();
-        sys.quiet[2] = ASLEEP;
+        force_sleep(&mut sys, 2);
         sys.run(100);
-        assert_eq!(sys.quiet[2], 0);
+        assert!(sys.awake.contains(2));
+    }
+
+    /// A tick costs what is in flight: with nothing in flight every
+    /// occupancy word drains to empty and stays there.
+    #[test]
+    fn a_parked_box_has_every_occupancy_word_empty() {
+        let mut sys = builder(16, PARKED).build().unwrap();
+        assert_eq!(occupancy(&sys), [LaneSet::all(16); 5]);
+        sys.run(100);
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+        sys.run(2_000);
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+    }
+
+    /// `wake_lane` marks the lane in every word, so the integration tests'
+    /// `wake_all` oracle (`rpu_mut(r)` for every lane before each tick) is
+    /// the full-sweep reference tick for all five stages, not only stage 5.
+    #[test]
+    fn waking_every_lane_forces_the_full_sweep_of_every_stage() {
+        let mut sys = builder(16, PARKED).build().unwrap();
+        sys.run(100);
+        for r in 0..16 {
+            sys.rpu_mut(r);
+        }
+        assert_eq!(occupancy(&sys), [LaneSet::all(16); 5]);
+    }
+
+    /// A forced eviction empties `rin` and `rout` behind the sweeps' backs:
+    /// no word may be left wrongly clear, and the stale set bits cost one
+    /// visit each.
+    #[test]
+    fn forced_eviction_leaves_no_stale_occupancy_behind() {
+        let sys = builder(4, BUSY_POLL).build().unwrap();
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(1500, 2)), 205.0);
+        let loaded = |sys: &Rosebud| {
+            (0..4).find(|&r| !sys.lanes[r].rin.is_empty() && !sys.lanes[r].rout.is_empty())
+        };
+        let mut victim = None;
+        for _ in 0..5_000 {
+            h.tick();
+            victim = loaded(&h.sys);
+            if victim.is_some() {
+                break;
+            }
+        }
+        let r = victim.expect("a lane with frames on both links");
+        assert!(h.sys.force_reconfigure_rpu(r) > 0);
+        assert!(occupancy(&h.sys).iter().all(|word| word.contains(r)));
+        h.sys.tick();
+        assert!(
+            occupancy(&h.sys).iter().all(|word| !word.contains(r)),
+            "a flushed, mid-PR lane occupies nothing after one tick"
+        );
+        h.run(2_000);
+        h.sys.assert_conservation();
+    }
+
+    /// The loopback module fills a lane's ingress link from stage 9, outside
+    /// stage 3: it must mark the destination or the frame is never delivered.
+    #[test]
+    fn loopback_push_marks_the_destination_lane() {
+        let (first, second) = (
+            assemble(&send_to(Rosebud::loopback_port_of(1))).unwrap(),
+            assemble(&send_to(1)).unwrap(),
+        );
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+            .firmware(move |r| {
+                RpuProgram::Riscv(if r == 0 {
+                    first.clone()
+                } else {
+                    second.clone()
+                })
+            })
+            .build()
+            .unwrap();
+        sys.disable_rpu(1); // lane 1 is fed by the loopback only
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        let mut marked = false;
+        for _ in 0..400 {
+            sys.tick();
+            if !sys.lanes[1].rin.is_empty() {
+                assert!(sys.rin_busy.contains(1));
+                marked = true;
+            }
+        }
+        assert!(marked, "the frame never reached lane 1's ingress link");
+        assert_eq!(sys.take_output(1).len(), 1, "lane 1 forwarded it");
+    }
+
+    /// A host store into the I/O window commits a send on a core that is
+    /// parked and stays parked: only `write_rpu_mem`'s `wake_lane` tells
+    /// stage 6 to look. (Byte stores cannot form a packet-memory address,
+    /// so the forged send is a zero-length one: the frame the lane was
+    /// holding is dropped and its slot returns to the LB.)
+    #[test]
+    fn host_store_to_the_send_register_on_a_parked_lane_is_sent() {
+        use crate::host::MemRegion;
+        use crate::types::memmap::{io, IO_BASE, PMEM_BASE};
+
+        let mut sys = builder(2, PARKED).build().unwrap();
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        sys.run(400);
+        let r = (0..2)
+            .find(|&r| !sys.tracker.all_free(r))
+            .expect("the frame is parked in a slot");
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+
+        let window = (IO_BASE - PMEM_BASE) as usize;
+        sys.write_rpu_mem(
+            r,
+            MemRegion::Pmem,
+            window + io::SEND_DESC_LO as usize,
+            &[64],
+        );
+        sys.write_rpu_mem(
+            r,
+            MemRegion::Pmem,
+            window + io::SEND_DESC_DATA as usize,
+            &[0],
+        );
+        assert!(sys.tx_ready.contains(r));
+        sys.run(2);
+        assert_eq!(sys.drop_count(), 1, "stage 6 collected the send");
+        assert!(sys.tracker.all_free(r));
+        assert!(!sys.awake.contains(r), "and the core never left its park");
+        sys.assert_conservation();
+    }
+
+    /// A posted host-DMA request waits out a PCIe outage in the RPU's
+    /// register. The core parks right after posting it, so nothing re-marks
+    /// the lane: the bit itself has to survive until link-up.
+    #[test]
+    fn a_posted_dma_request_survives_a_host_outage() {
+        let image = assemble(
+            "
+            .equ IO, 0x02000000
+                li t0, IO
+                li t1, 0x01000000
+                li a0, 0x600df00d
+                sw a0, 0(t1)
+                li a1, 0x3000
+                sw a1, 0x44(t0)      # DMA_HOST_ADDR
+                sw t1, 0x48(t0)      # DMA_LOCAL_ADDR
+                li a1, 4
+                sw a1, 0x4c(t0)      # DMA_LEN
+                li a1, 1
+                csrw mie, zero
+                sw a1, 0x50(t0)      # DMA_CTRL: write to host
+                wfi
+                ebreak
+            ",
+        )
+        .unwrap();
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        // The link drops after the words `build()` filled have drained and
+        // before the firmware reaches its `DMA_CTRL` store.
+        sys.run(3);
+        assert_eq!(sys.dma_posted, LaneSet::default());
+        sys.inject_fault(FaultKind::HostDmaOutage { cycles: 1_000 });
+        sys.run(500);
+        assert!(!sys.host_link_up());
+        assert_eq!(sys.dma_posted, LaneSet::all(2));
+        assert_eq!(sys.awake, LaneSet::default());
+        assert_eq!(&sys.host_dram()[0x3000..0x3004], &[0; 4]);
+
+        sys.run(500 + sys.config().pcie_rtt_cycles);
+        assert_eq!(sys.dma_posted, LaneSet::default());
+        assert_eq!(
+            &sys.host_dram()[0x3000..0x3004],
+            &0x600d_f00d_u32.to_le_bytes()
+        );
     }
 }

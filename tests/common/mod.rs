@@ -4,9 +4,13 @@
 use rosebud::core::Rosebud;
 
 /// Ends every lane's sleep — every host access wakes its lane, and
-/// `rpu_mut` is the cheapest one. Called before each tick it turns
+/// `rpu_mut` is the cheapest one. Waking a lane marks it in all five of the
+/// tick's occupancy words, so called before each tick this turns
 /// `Rosebud::tick` into the naive reference tick: every core ticked every
-/// cycle. (`core::system`'s unit tests pin that `rpu_mut` really wakes.)
+/// cycle, and stages 4, 6, 7 and 10 sweeping every lane's link, send queue
+/// and DMA register whether or not anything is there. (`core::system`'s unit
+/// tests pin both: `rpu_mut` really wakes, and waking every lane fills
+/// every word.)
 pub fn wake_all(sys: &mut Rosebud) {
     for r in 0..sys.config().num_rpus {
         sys.rpu_mut(r);
