@@ -11,7 +11,7 @@
 //! * [`CpuMatcher`] — a *real* multi-pattern matcher (our Aho–Corasick) run
 //!   on the host CPU, optionally across threads, to ground the shape: CPU
 //!   matching is packet-rate-bound, not byte-rate-bound, for middlebox-size
-//!   packets. The Criterion micro-bench in `rosebud-bench` measures it.
+//!   packets. `cargo bench --bench micro` in `rosebud-bench` measures it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -10,8 +10,8 @@ use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding
 use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
-    FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig,
-    Harness, Supervisor, SupervisorConfig,
+    FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig, Harness,
+    Supervisor, SupervisorConfig,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -131,37 +131,37 @@ fn fleet_point() -> FleetBench {
         |_| build_watchdog_forwarding_system(4, 64).expect("valid config"),
     )
     .expect("valid fleet config");
-    let mut h = FleetHarness::new(
+    let mut h = Harness::fleet(
         fleet,
         Box::new(FlowTrafficGen::new(512, 256, 0.0, 11)),
         60.0,
     );
     let mut sup = FleetSupervisor::with_config(
-        &h.fleet,
+        &h.sys,
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
             ..FleetSupervisorConfig::default()
         },
     );
-    let run = |h: &mut FleetHarness, sup: &mut FleetSupervisor, cycles: u64| {
+    let run = |h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64| {
         for _ in 0..cycles {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
     };
     run(&mut h, &mut sup, 20_000);
-    h.fleet
+    h.sys
         .inject_fault(FaultKind::BoxCrash { device: BOXES / 2 });
     let mut budget = 80_000u64;
-    while h.fleet.failovers().is_empty() && budget > 0 {
+    while h.sys.failovers().is_empty() && budget > 0 {
         run(&mut h, &mut sup, 1_000);
         budget -= 1_000;
     }
     h.begin_window();
     run(&mut h, &mut sup, 30_000);
     let m = h.measure();
-    let rec = h.fleet.failovers().first().copied().expect("one failover");
+    let rec = h.sys.failovers().first().copied().expect("one failover");
     FleetBench {
         boxes: BOXES,
         aggregate_gbps: m.gbps,
@@ -171,7 +171,7 @@ fn fleet_point() -> FleetBench {
         failover_downtime_cycles: rec.downtime,
         packets_purged: rec.packets_purged,
         flows_disturbed: rec.flows_resteered,
-        flows_seen: h.fleet.flows_seen(),
+        flows_seen: h.sys.flows_seen(),
     }
 }
 

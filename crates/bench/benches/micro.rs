@@ -1,151 +1,62 @@
-//! Criterion micro-benchmarks for the substrates: multi-pattern matching
-//! throughput (the honest CPU-vs-hardware comparison grounding §7.1.3),
-//! RV32 instruction-set-simulator speed, and whole-system tick rate.
+//! The two host-speed measurements the repo benchmark (`benchmark/`) does
+//! not take: the Snort CPU baseline's data path — the per-packet
+//! multi-pattern scan behind the "packet-rate-bound" software IDS of
+//! §7.1.3, serial and on 4 threads — and what an installed `Tracer` costs a
+//! tick. (MPSE scan, ISS step and system tick are per-layer metrics there.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rosebud_accel::{AhoCorasick, Pattern};
+use std::hint::black_box;
+use std::time::Instant;
+
 use rosebud_apps::forwarder::build_forwarding_system;
 use rosebud_apps::rules::{attack_trace, compile, synthetic_rules};
 use rosebud_apps::snort::CpuMatcher;
+use rosebud_bench::heading;
 use rosebud_core::{Harness, TraceConfig};
-use rosebud_net::{FixedSizeGen, TrafficGen};
-use rosebud_riscv::{assemble, Cpu, RamBus, StepResult};
+use rosebud_net::FixedSizeGen;
 
-fn bench_aho_corasick(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aho_corasick_scan");
-    for &patterns in &[16usize, 128, 1024] {
-        let pats: Vec<Pattern> = synthetic_rules(patterns, 3)
-            .into_iter()
-            .map(|r| Pattern::new(r.id, &r.pattern))
-            .collect();
-        let ac = AhoCorasick::build(&pats);
-        let haystack = {
-            let mut gen = FixedSizeGen::new(1500, 1);
-            let mut bytes = Vec::new();
-            for i in 0..64 {
-                bytes.extend_from_slice(gen.generate(i, 0).bytes());
-            }
-            bytes
-        };
-        group.throughput(Throughput::Bytes(haystack.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(patterns),
-            &haystack,
-            |b, haystack| {
-                b.iter(|| {
-                    let mut hits = 0u64;
-                    ac.scan(haystack, |_| hits += 1);
-                    hits
-                })
-            },
-        );
+/// Calls per second of `f`, after one warm-up call.
+fn rate<T>(rounds: u32, mut f: impl FnMut() -> T) -> f64 {
+    black_box(f());
+    let start = Instant::now();
+    for _ in 0..rounds {
+        black_box(f());
     }
-    group.finish();
+    f64::from(rounds) / start.elapsed().as_secs_f64()
 }
 
-fn bench_cpu_matcher_trace(c: &mut Criterion) {
-    // The real software-IDS data path: per-packet multi-pattern scan. This
-    // grounds the Snort baseline's "packet-rate-bound" behaviour.
+/// Host nanoseconds per simulated cycle of a saturated 16-RPU forwarder.
+fn tick_ns(trace: Option<TraceConfig>) -> f64 {
+    let mut sys = build_forwarding_system(16).expect("valid config");
+    if let Some(cfg) = trace {
+        sys.enable_tracing(cfg);
+    }
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 200.0);
+    h.run(20_000); // steady state
+    1e9 / (rate(200, || h.run(1_000)) * 1_000.0)
+}
+
+fn main() {
+    heading("CPU IDS baseline: 256 rules, 800-packet attack trace");
     let rules = synthetic_rules(256, 5);
     let matcher = CpuMatcher::new(compile(rules.clone()));
     let trace = attack_trace(&rules, 800);
-    let mut group = c.benchmark_group("cpu_ids_scan_trace");
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("serial", |b| b.iter(|| matcher.scan_trace(&trace)));
-    group.bench_function("4_threads", |b| {
-        b.iter(|| matcher.scan_trace_parallel(&trace, 4))
-    });
-    group.finish();
-}
+    let mpps = |scans_per_sec: f64| scans_per_sec * trace.len() as f64 / 1e6;
+    let serial = mpps(rate(200, || matcher.scan_trace(&trace)));
+    let parallel = mpps(rate(200, || matcher.scan_trace_parallel(&trace, 4)));
+    println!("{:>10} | {serial:>8.3} Mpps", "serial");
+    println!("{:>10} | {parallel:>8.3} Mpps", "4 threads");
 
-fn bench_riscv_iss(c: &mut Criterion) {
-    let image = assemble(
-        "
-            li a0, 0
-            li a1, 1000000
-        loop:
-            addi a0, a0, 3
-            xor a2, a0, a1
-            srli a3, a2, 2
-            add a0, a0, a3
-            addi a1, a1, -1
-            bnez a1, loop
-            ebreak
-        ",
-    )
-    .unwrap();
-    let mut group = c.benchmark_group("riscv_iss");
-    group.throughput(Throughput::Elements(600));
-    group.bench_function("steps_per_sec", |b| {
-        b.iter(|| {
-            let mut bus = RamBus::new(4096);
-            bus.load_image(0, image.words());
-            let mut cpu = Cpu::new(0);
-            // 100 loop iterations ≈ 600 instructions.
-            for _ in 0..600 {
-                if matches!(cpu.step(&mut bus), StepResult::Break) {
-                    break;
-                }
-            }
-            cpu.instret()
-        })
-    });
-    group.finish();
+    heading("Tracing overhead: 16-RPU forwarder, 256 B at 200 Gbps");
+    let off = tick_ns(None);
+    // Bounded event memory; overflow drops are counted, not silent.
+    let on = tick_ns(Some(TraceConfig {
+        max_events: 1 << 16,
+        ..TraceConfig::default()
+    }));
+    println!("{:>10} | {off:>8.1} ns/cycle", "disabled");
+    println!(
+        "{:>10} | {on:>8.1} ns/cycle ({:+.1}%)",
+        "enabled",
+        (on / off - 1.0) * 100.0
+    );
 }
-
-fn bench_system_tick(c: &mut Criterion) {
-    let mut group = c.benchmark_group("system_tick");
-    group.throughput(Throughput::Elements(1000));
-    group.bench_function("16rpu_forwarding_1000_cycles", |b| {
-        let sys = build_forwarding_system(16).unwrap();
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 200.0);
-        h.run(20_000); // steady state
-        b.iter(|| {
-            h.run(1000);
-            h.received()
-        })
-    });
-    group.finish();
-}
-
-fn bench_tracing_overhead(c: &mut Criterion) {
-    // The tentpole claim: tracing disabled is free (an `Option` that is
-    // `None` on every hook), and even enabled the tick rate stays usable.
-    let mut group = c.benchmark_group("tracing_overhead");
-    group.throughput(Throughput::Elements(1000));
-    group.bench_function("disabled", |b| {
-        let sys = build_forwarding_system(16).unwrap();
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 200.0);
-        h.run(20_000);
-        b.iter(|| {
-            h.run(1000);
-            h.received()
-        })
-    });
-    group.bench_function("enabled", |b| {
-        let mut sys = build_forwarding_system(16).unwrap();
-        sys.enable_tracing(TraceConfig {
-            // Bound memory for a long criterion run; drops are counted, not
-            // silently lost.
-            max_events: 1 << 16,
-            ..TraceConfig::default()
-        });
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 200.0);
-        h.run(20_000);
-        b.iter(|| {
-            h.run(1000);
-            h.received()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_aho_corasick,
-    bench_cpu_matcher_trace,
-    bench_riscv_iss,
-    bench_system_tick,
-    bench_tracing_overhead
-);
-criterion_main!(benches);

@@ -63,11 +63,6 @@ pub struct RosebudConfig {
     /// Simulated PCIe round-trip latency to host DRAM, in cycles (the paper
     /// cites "order of microseconds"; 1 µs = 250 cycles).
     pub pcie_rtt_cycles: u64,
-    /// Predecode each RPU's instruction memory into the ISS's internal IR
-    /// (a host-side simulation speedup with no architectural effect; traces
-    /// are byte-identical either way). On by default; the sim-speed bench
-    /// turns it off to measure its contribution.
-    pub decode_cache: bool,
 }
 
 impl RosebudConfig {
@@ -97,7 +92,6 @@ impl RosebudConfig {
             loopback_header_cycles: 3,
             pr_cycles: 25_000,
             pcie_rtt_cycles: 250,
-            decode_cache: true,
         }
     }
 

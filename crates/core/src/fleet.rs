@@ -53,6 +53,7 @@ use rosebud_net::{extend_hash, flow_hash, Packet, ShardedFlowTable};
 use crate::diag::{BoxHealth, FleetDiagnostics};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
 use crate::lb::ConsistentHashRing;
+use crate::ports::Device;
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use crate::system::Rosebud;
 use crate::trace::{FleetStep, TraceConfig};
@@ -153,7 +154,7 @@ pub struct FailoverRecord {
 /// 5-tuple, extends it to 64 bits, and walks the ring to a live box; the
 /// frame then crosses that box's front link (serialization + propagation)
 /// before reaching the box's MACs. Delivered frames are collected per box
-/// with [`take_output`](Self::take_output).
+/// and handed over by [`Device::drain`], lane = box.
 ///
 /// A fleet-wide conservation ledger spans every frame ever steered:
 /// injected + originated == delivered + dropped + corrupted + purged +
@@ -267,10 +268,6 @@ impl Fleet {
 
     /// The front LB's ring, for inspection.
     pub fn ring(&self) -> &ConsistentHashRing {
-        self.ring_ref()
-    }
-
-    fn ring_ref(&self) -> &ConsistentHashRing {
         &self.ring
     }
 
@@ -457,6 +454,8 @@ impl Fleet {
         let deliver =
             !bx.crashed && !bx.offline && !flapped && (!browned || now.is_multiple_of(gate));
         if deliver {
+            // Not `pump`: that polls at the box's own `now()`, which restarts
+            // at 0 on reload, while the front link runs on fleet time.
             while let Some(pkt) = bx.front.poll(now) {
                 match bx.sys.inject(pkt) {
                     Ok(()) => {}
@@ -474,12 +473,10 @@ impl Fleet {
         }
         if !bx.crashed && !bx.offline {
             bx.sys.tick();
-            let ports = bx.sys.config().num_ports;
+            // Delivered frames wait here, not in the box, so a reload that
+            // replaces `bx.sys` cannot lose them.
             let out = &mut self.outputs[device];
-            for p in 0..ports {
-                out.extend(bx.sys.take_output(p));
-            }
-            out.extend(bx.sys.take_host_packets());
+            bx.sys.drain(&mut |_, pkt| out.push(pkt));
         }
     }
 
@@ -488,12 +485,6 @@ impl Fleet {
         for _ in 0..cycles {
             self.tick();
         }
-    }
-
-    /// Drains the frames box `device` delivered since the last call
-    /// (physical ports and host alike).
-    pub fn take_output(&mut self, device: usize) -> Vec<Packet> {
-        std::mem::take(&mut self.outputs[device])
     }
 
     /// Whether box `device` and its front link hold no frames — the drain
@@ -1019,136 +1010,40 @@ impl FleetSupervisor {
     }
 }
 
-/// Paces a [`TrafficGen`](rosebud_net::TrafficGen) into a [`Fleet`] at a
-/// target aggregate load and aggregates delivery metrics, exactly like the
-/// single-box [`Harness`](crate::Harness) but with one shared byte budget
-/// across the rack (a [`GenPort`](rosebud_net::GenPort) in aggregate mode)
-/// and per-box latency histograms.
-pub struct FleetHarness {
-    /// The rack under test.
-    pub fleet: Fleet,
-    source: rosebud_net::GenPort,
-    injected: u64,
-    received: u64,
-    window_start_cycle: Cycle,
-    window_injected: u64,
-    window_received: u64,
-    window_received_bytes: u64,
-    box_latency: Vec<rosebud_kernel::LatencyStats>,
-}
-
-impl FleetHarness {
-    /// A harness offering `target_gbps` of aggregate load from `gen` to the
-    /// whole rack. The generator's port rotation must stay within each box's
-    /// port count.
-    pub fn new(fleet: Fleet, gen: Box<dyn rosebud_net::TrafficGen>, target_gbps: f64) -> Self {
-        let boxes = fleet.num_boxes();
-        let source = rosebud_net::GenPort::aggregate(gen, target_gbps, fleet.ns_per_cycle());
-        Self {
-            fleet,
-            source,
-            injected: 0,
-            received: 0,
-            window_start_cycle: 0,
-            window_injected: 0,
-            window_received: 0,
-            window_received_bytes: 0,
-            box_latency: (0..boxes)
-                .map(|_| rosebud_kernel::LatencyStats::new())
-                .collect(),
-        }
+/// Lane `b` is box `b`: everything it delivered, physical ports and host
+/// alike.
+impl Device for Fleet {
+    fn now(&self) -> Cycle {
+        Fleet::now(self)
     }
 
-    /// Advances the rack one cycle, injecting paced traffic first through
-    /// the aggregate-mode port (one shared byte budget, a refused frame
-    /// retried next cycle).
-    pub fn tick(&mut self) {
-        let now = self.fleet.now();
-        while let Some(pkt) = self.source.poll(now) {
-            match self.fleet.inject(pkt) {
-                Ok(()) => {
-                    self.injected += 1;
-                    self.window_injected += 1;
-                }
-                Err(pkt) => {
-                    self.source.give_back(pkt);
-                    break;
-                }
+    fn ns_per_cycle(&self) -> f64 {
+        Fleet::ns_per_cycle(self)
+    }
+
+    fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+        Fleet::inject(self, pkt)
+    }
+
+    fn tick(&mut self) {
+        Fleet::tick(self);
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+        for (b, out) in self.outputs.iter_mut().enumerate() {
+            for pkt in out.drain(..) {
+                sink(b, pkt);
             }
         }
-
-        self.fleet.tick();
-
-        let now = self.fleet.now();
-        let ns_per_cycle = self.fleet.ns_per_cycle();
-        for b in 0..self.fleet.num_boxes() {
-            for pkt in self.fleet.take_output(b) {
-                self.received += 1;
-                self.window_received += 1;
-                self.window_received_bytes += pkt.len();
-                self.box_latency[b].record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
-            }
-        }
-    }
-
-    /// Runs `cycles` cycles.
-    pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
-        }
-    }
-
-    /// Starts a measurement window (call after warm-up).
-    pub fn begin_window(&mut self) {
-        self.window_start_cycle = self.fleet.now();
-        self.window_injected = 0;
-        self.window_received = 0;
-        self.window_received_bytes = 0;
-        for l in &mut self.box_latency {
-            *l = rosebud_kernel::LatencyStats::new();
-        }
-    }
-
-    /// Results since [`begin_window`](Self::begin_window), aggregated across
-    /// the rack.
-    pub fn measure(&self) -> crate::harness::Measurement {
-        let cycles = self
-            .fleet
-            .now()
-            .saturating_sub(self.window_start_cycle)
-            .max(1);
-        let secs = cycles as f64 * self.fleet.ns_per_cycle() / 1e9;
-        crate::harness::Measurement {
-            gbps: self.window_received_bytes as f64 * 8.0 / secs / 1e9,
-            mpps: self.window_received as f64 / secs / 1e6,
-            packets: self.window_received,
-            injected: self.window_injected,
-            cycles,
-        }
-    }
-
-    /// Round-trip latency samples for frames box `device` delivered since
-    /// the window began, in nanoseconds.
-    pub fn box_latency(&mut self, device: usize) -> &mut rosebud_kernel::LatencyStats {
-        &mut self.box_latency[device]
-    }
-
-    /// All-time injected frame count.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// All-time received frame count.
-    pub fn received(&self) -> u64 {
-        self.received
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rosebud_net::FixedSizeGen;
+    use rosebud_net::{FixedSizeGen, TrafficGen};
 
+    use crate::harness::Harness;
     use crate::rpu::RpuIo;
     use crate::system::RpuProgram;
     use crate::types::Desc;
@@ -1185,14 +1080,54 @@ mod tests {
         .unwrap()
     }
 
+    /// What [`Device`] promises a tester, whatever is behind it: offers
+    /// `frames` in one cycle (more than the ingress can hold), then runs the
+    /// device dry.
+    fn device_contract<D: Device>(mut dev: D, ledger: impl Fn(&D) -> Ledger, frames: Vec<Packet>) {
+        let start = ledger(&dev);
+        let mut accepted = Vec::new();
+        let mut refused = 0;
+        for pkt in frames {
+            let (offered, before, now) = (pkt.clone(), ledger(&dev), dev.now());
+            match dev.inject(pkt) {
+                Ok(()) => accepted.push(offered.id),
+                Err(back) => {
+                    assert_eq!(back, offered, "a refusal hands the same frame back");
+                    assert_eq!((ledger(&dev), dev.now()), (before, now));
+                    refused += 1;
+                }
+            }
+        }
+        assert!(!accepted.is_empty() && refused > 0, "offer past capacity");
+
+        let mut drained = Vec::new();
+        for _ in 0..5_000 {
+            dev.tick();
+            dev.drain(&mut |_, pkt| drained.push(pkt.id));
+            dev.drain(&mut |_, pkt| panic!("frame {} drained twice", pkt.id));
+        }
+        drained.sort_unstable();
+        assert_eq!(drained, accepted, "each delivered frame exactly once");
+        let delivered = ledger(&dev).delivered - start.delivered;
+        assert_eq!(drained.len() as u64, delivered);
+    }
+
+    #[test]
+    fn device_contract_holds_for_a_box_and_a_rack() {
+        let mut gen = FixedSizeGen::new(256, 2);
+        let frames = |gen: &mut FixedSizeGen| (0..256).map(|id| gen.generate(id, 0)).collect();
+        device_contract(forwarder_box(), Rosebud::ledger, frames(&mut gen));
+        device_contract(forwarder_fleet(2), Fleet::ledger, frames(&mut gen));
+    }
+
     #[test]
     fn fleet_forwards_and_conserves() {
         let fleet = forwarder_fleet(2);
-        let mut h = FleetHarness::new(fleet, Box::new(FixedSizeGen::new(256, 2)), 40.0);
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 40.0);
         h.run(20_000);
         assert!(h.received() > 1_000, "received {}", h.received());
-        h.fleet.assert_conservation();
-        assert!(h.fleet.flows_seen() > 0);
+        h.sys.assert_conservation();
+        assert!(h.sys.flows_seen() > 0);
     }
 
     #[test]
@@ -1211,70 +1146,70 @@ mod tests {
             |_| forwarder_box(),
         )
         .unwrap();
-        let mut h = FleetHarness::new(fleet, Box::new(FixedSizeGen::new(256, 2)), 100.0);
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 100.0);
         h.run(10_000);
-        let refused: u64 = (0..2).map(|b| h.fleet.front_refused(b)).sum();
+        let refused: u64 = (0..2).map(|b| h.sys.front_refused(b)).sum();
         assert!(refused > 0, "saturated links must report refusals");
         // Refused frames were handed back, not lost: conservation holds
         // over everything actually accepted.
-        h.fleet.assert_conservation();
+        h.sys.assert_conservation();
         assert!(h.received() > 0);
     }
 
     #[test]
     fn crash_purge_reload_keeps_ledger_balanced() {
         let fleet = forwarder_fleet(2);
-        let mut h = FleetHarness::new(fleet, Box::new(FixedSizeGen::new(256, 2)), 40.0);
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 40.0);
         let mut sup = FleetSupervisor::with_config(
-            &h.fleet,
+            &h.sys,
             FleetSupervisorConfig {
                 reload_cycles: 2_000,
                 ..FleetSupervisorConfig::default()
             },
         );
         h.run(5_000);
-        h.fleet.inject_fault(FaultKind::BoxCrash { device: 1 });
+        h.sys.inject_fault(FaultKind::BoxCrash { device: 1 });
         for _ in 0..60_000 {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
-        assert_eq!(h.fleet.failovers().len(), 1, "log:\n{}", h.fleet.log_text());
-        let rec = h.fleet.failovers()[0];
+        assert_eq!(h.sys.failovers().len(), 1, "log:\n{}", h.sys.log_text());
+        let rec = h.sys.failovers()[0];
         assert_eq!(rec.device, 1);
         assert!(!rec.graceful, "a crash can never drain cleanly");
         assert!(rec.packets_purged > 0);
-        assert!(h.fleet.box_reloads(1) >= 1);
+        assert!(h.sys.box_reloads(1) >= 1);
         assert!(!sup.recovering());
-        h.fleet.assert_conservation();
+        h.sys.assert_conservation();
     }
 
     #[test]
     fn flap_and_brownout_recover_without_losing_frames() {
         let fleet = forwarder_fleet(2);
-        let mut h = FleetHarness::new(fleet, Box::new(FixedSizeGen::new(256, 2)), 30.0);
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 30.0);
         let mut sup = FleetSupervisor::with_config(
-            &h.fleet,
+            &h.sys,
             FleetSupervisorConfig {
                 reload_cycles: 2_000,
                 ..FleetSupervisorConfig::default()
             },
         );
         h.run(2_000);
-        h.fleet.inject_fault(FaultKind::FrontLinkFlap {
+        h.sys.inject_fault(FaultKind::FrontLinkFlap {
             device: 0,
             cycles: 6_000,
         });
-        h.fleet.inject_fault(FaultKind::BoxBrownout {
+        h.sys.inject_fault(FaultKind::BoxBrownout {
             device: 1,
             cycles: 6_000,
             factor: 4,
         });
         for _ in 0..80_000 {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
-        assert!(!sup.recovering(), "log:\n{}", h.fleet.log_text());
-        h.fleet.assert_conservation();
+        assert!(!sup.recovering(), "log:\n{}", h.sys.log_text());
+        h.sys.assert_conservation();
         assert!(h.received() > 1_000);
     }
 

@@ -3,13 +3,15 @@
 //! The paper's experiments use a second VCU1525 as traffic source/sink,
 //! cross-connected with two 100 G cables (§6, Appendix D). [`Harness`] plays
 //! that role: it paces a [`TrafficGen`] at a target load, injects into the
-//! DUT's MACs, collects delivered frames, and aggregates throughput and
-//! round-trip latency exactly as the paper's host scripts do.
+//! DUT — one box or a rack of them — collects delivered frames, and
+//! aggregates throughput and round-trip latency exactly as the paper's host
+//! scripts do.
 
 use rosebud_kernel::LatencyStats;
 use rosebud_net::{GenPort, Packet, TrafficGen};
 
-use crate::ports::pump;
+use crate::fleet::Fleet;
+use crate::ports::{pump, Device};
 use crate::system::Rosebud;
 
 /// Measured results over a window.
@@ -28,22 +30,26 @@ pub struct Measurement {
     pub cycles: u64,
 }
 
-/// Drives a [`Rosebud`] with generated traffic at a target offered load.
+/// Drives a [`Device`] with generated traffic at a target offered load.
 ///
 /// The generator is wrapped in a [`GenPort`] — the paced ingress-port
 /// implementation — and pumped through the same
 /// [`ports::pump`](crate::ports::pump) loop every other traffic source
-/// uses, so the harness is just "a port plus metrics".
-pub struct Harness {
+/// uses, so the harness is just "a port plus metrics". How the device is
+/// paced follows from its type: [`Harness::new`] paces each physical port
+/// of a [`Rosebud`], [`Harness::fleet`] gives a [`Fleet`] one shared budget.
+pub struct Harness<D: Device = Rosebud> {
     /// The device under test.
-    pub sys: Rosebud,
+    pub sys: D,
     source: GenPort,
+    /// The lane host-delivered frames arrive on, for a device that has one.
+    host_lane: Option<usize>,
     injected: u64,
     received: u64,
-    received_bytes: u64,
     host_received: u64,
-    host_received_bytes: u64,
-    latency: LatencyStats,
+    /// Round-trip samples: one set for a [`Rosebud`] (the tester reads all
+    /// its interfaces as one), one per box for a [`Fleet`].
+    latency: Vec<LatencyStats>,
     window_start_cycle: u64,
     window_injected: u64,
     window_received: u64,
@@ -56,18 +62,50 @@ impl Harness {
     /// Creates a harness offering `target_gbps` of aggregate load from
     /// `gen`. Offered load above the MAC line rate is clipped by wire-side
     /// serialization, exactly like a saturating tester.
+    ///
+    /// Each physical port is paced independently at `target_gbps / ports`,
+    /// like the tester FPGA's per-port generator RPUs — one congested port
+    /// must not starve the other.
     pub fn new(sys: Rosebud, gen: Box<dyn TrafficGen>, target_gbps: f64) -> Self {
         let ports = sys.config().num_ports;
         let source = GenPort::per_port(gen, target_gbps, sys.config().ns_per_cycle(), ports);
+        Self::with_source(sys, source, Some(ports), 1)
+    }
+
+    /// Round-trip latency samples in nanoseconds since the window began.
+    pub fn latency(&mut self) -> &mut LatencyStats {
+        &mut self.latency[0]
+    }
+}
+
+impl Harness<Fleet> {
+    /// Creates a harness offering `target_gbps` of aggregate load from `gen`
+    /// to the whole rack: one shared byte budget, a refused frame retried
+    /// next cycle. The generator's port rotation must stay within each
+    /// box's port count.
+    pub fn fleet(fleet: Fleet, gen: Box<dyn TrafficGen>, target_gbps: f64) -> Self {
+        let source = GenPort::aggregate(gen, target_gbps, fleet.ns_per_cycle());
+        let boxes = fleet.num_boxes();
+        Self::with_source(fleet, source, None, boxes)
+    }
+
+    /// Round-trip latency samples for frames box `device` delivered since
+    /// the window began, in nanoseconds.
+    pub fn box_latency(&mut self, device: usize) -> &mut LatencyStats {
+        &mut self.latency[device]
+    }
+}
+
+impl<D: Device> Harness<D> {
+    fn with_source(sys: D, source: GenPort, host_lane: Option<usize>, latency_sets: usize) -> Self {
         Self {
             sys,
             source,
+            host_lane,
             injected: 0,
             received: 0,
-            received_bytes: 0,
             host_received: 0,
-            host_received_bytes: 0,
-            latency: LatencyStats::new(),
+            latency: vec![LatencyStats::new(); latency_sets],
             window_start_cycle: 0,
             window_injected: 0,
             window_received: 0,
@@ -84,12 +122,8 @@ impl Harness {
         self
     }
 
-    /// Advances the system one cycle, injecting paced traffic first.
-    ///
-    /// Each physical port is paced independently at `target_gbps / ports`,
-    /// like the tester FPGA's per-port generator RPUs — one congested port
-    /// must not starve the other. That pacing lives in the [`GenPort`]; the
-    /// harness just pumps it.
+    /// Advances the device one cycle: pump the paced source in, tick, drain
+    /// what was delivered into the metrics.
     pub fn tick(&mut self) {
         let accepted = pump(&mut self.sys, &mut self.source);
         self.injected += accepted;
@@ -98,34 +132,25 @@ impl Harness {
         self.sys.tick();
 
         let now = self.sys.now();
-        let ns_per_cycle = self.sys.config().ns_per_cycle();
-        for p in 0..self.sys.config().num_ports {
-            for pkt in self.sys.take_output(p) {
-                self.received += 1;
-                self.window_received += 1;
-                self.received_bytes += pkt.len();
-                self.window_received_bytes += pkt.len();
-                self.latency
-                    .record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
-                if self.collect_output {
-                    self.collected.push(pkt);
-                }
-            }
-        }
-        for pkt in self.sys.take_host_packets() {
-            self.host_received += 1;
-            self.host_received_bytes += pkt.len();
+        let ns_per_cycle = self.sys.ns_per_cycle();
+        self.sys.drain(&mut |lane, pkt| {
             // Host-delivered frames count toward absorbed throughput: the
             // paper reads "RX bytes" over physical and virtual interfaces
             // alike (Appendix D).
+            if self.host_lane == Some(lane) {
+                self.host_received += 1;
+            } else {
+                self.received += 1;
+            }
             self.window_received += 1;
             self.window_received_bytes += pkt.len();
-            self.latency
-                .record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
+            // A single set takes every lane.
+            let set = lane.min(self.latency.len() - 1);
+            self.latency[set].record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
             if self.collect_output {
                 self.collected.push(pkt);
             }
-        }
+        });
     }
 
     /// Runs `cycles` cycles.
@@ -141,17 +166,18 @@ impl Harness {
         self.window_injected = 0;
         self.window_received = 0;
         self.window_received_bytes = 0;
-        self.latency = LatencyStats::new();
+        self.latency.fill(LatencyStats::new());
     }
 
-    /// Results since [`begin_window`](Self::begin_window).
+    /// Results since [`begin_window`](Self::begin_window), aggregated over
+    /// every lane.
     pub fn measure(&self) -> Measurement {
         let cycles = self
             .sys
             .now()
             .saturating_sub(self.window_start_cycle)
             .max(1);
-        let secs = cycles as f64 * self.sys.config().ns_per_cycle() / 1e9;
+        let secs = cycles as f64 * self.sys.ns_per_cycle() / 1e9;
         Measurement {
             gbps: self.window_received_bytes as f64 * 8.0 / secs / 1e9,
             mpps: self.window_received as f64 / secs / 1e6,
@@ -161,17 +187,12 @@ impl Harness {
         }
     }
 
-    /// Round-trip latency samples in nanoseconds since the window began.
-    pub fn latency(&mut self) -> &mut LatencyStats {
-        &mut self.latency
-    }
-
     /// All-time injected packet count.
     pub fn injected(&self) -> u64 {
         self.injected
     }
 
-    /// All-time received packet count (physical ports).
+    /// All-time received packet count (host deliveries excluded).
     pub fn received(&self) -> u64 {
         self.received
     }

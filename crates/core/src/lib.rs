@@ -69,13 +69,12 @@ pub use diag::{Bottleneck, BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKin
 pub use fabric::ByteFifo;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
 pub use fleet::{
-    FailoverRecord, Fleet, FleetConfig, FleetHarness, FleetLogEntry, FleetSupervisor,
-    FleetSupervisorConfig,
+    FailoverRecord, Fleet, FleetConfig, FleetLogEntry, FleetSupervisor, FleetSupervisorConfig,
 };
 pub use harness::{Harness, Measurement};
 pub use host::{lb_regs, pr_reload_model, MemRegion, PrTimingModel};
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
-pub use ports::{pump, EventLog, PortEvent, SharedEgress};
+pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
 pub use supervisor::{RecoveryEvent, Supervisor, SupervisorConfig};
 pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram, Rpus};

@@ -4,25 +4,84 @@
 //! injected traffic; everything on the far side of a MAC — a paced
 //! generator, a pcap replay, a fleet front link, a live socket — implements
 //! the [`IngressPort`]/[`EgressPort`] contract from `rosebud_kernel` and is
-//! driven through [`pump`]. The split buys two things:
+//! driven through [`pump`]. The thing in the middle is a [`Device`] — a
+//! [`Rosebud`], or a [`Fleet`](crate::Fleet) whose lanes are boxes — and the
+//! three loops over it ([`pump`], [`replay`],
+//! [`Harness::tick`](crate::Harness::tick)) are written once. The split buys
+//! two things:
 //!
 //! * any feeder is "a small port impl", not a change to the core, and
 //! * every external arrival can be recorded as a cycle-stamped event
 //!   ([`EventLog`]) and replayed bit-exactly on a fresh system
 //!   ([`replay`]) — a live run becomes a reproducible testcase.
 
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
-pub use rosebud_kernel::{CollectEgress, EgressPort, IngressPort, LinkPort, PortClock};
 use rosebud_kernel::{Cycle, StampedIngress};
+pub use rosebud_kernel::{EgressPort, IngressPort, LinkPort, PortClock};
 use rosebud_net::Packet;
 
 use crate::system::Rosebud;
 
-/// Drains `source` into `sys`'s receive MACs for the current cycle,
-/// returning how many frames were accepted.
+/// What a tester drives: frames in through [`inject`](Self::inject), one
+/// clock edge per [`tick`](Self::tick), frames out through
+/// [`drain`](Self::drain). Everything that crosses the device boundary
+/// crosses here.
+pub trait Device {
+    /// Current cycle.
+    fn now(&self) -> Cycle;
+
+    /// Nanoseconds per cycle.
+    fn ns_per_cycle(&self) -> f64;
+
+    /// Offers a frame to the device's ingress; a refusal hands the same
+    /// frame back and changes nothing.
+    fn inject(&mut self, pkt: Packet) -> Result<(), Packet>;
+
+    /// Advances the device one cycle.
+    fn tick(&mut self);
+
+    /// Hands every frame delivered since the last drain to `sink`, each
+    /// exactly once, as `(lane, frame)`. The buffers are emptied in place
+    /// and keep their capacity, so a caller that drains every cycle costs
+    /// the device no allocation.
+    fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet));
+}
+
+/// Lane `p < num_ports` is physical port `p` (frames a bound
+/// [`EgressPort`] took never show up here); lane `num_ports` is the host.
+impl Device for Rosebud {
+    fn now(&self) -> Cycle {
+        Rosebud::now(self)
+    }
+
+    fn ns_per_cycle(&self) -> f64 {
+        self.config().ns_per_cycle()
+    }
+
+    fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+        Rosebud::inject(self, pkt)
+    }
+
+    fn tick(&mut self) {
+        Rosebud::tick(self);
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+        for (p, port) in self.ports.iter_mut().enumerate() {
+            for pkt in port.output.drain(..) {
+                sink(p, pkt);
+            }
+        }
+        let host = self.ports.len();
+        for pkt in self.host_rx.drain(..) {
+            sink(host, pkt);
+        }
+    }
+}
+
+/// Drains `source` into `dev`'s ingress for the current cycle, returning
+/// how many frames were accepted.
 ///
 /// The loop follows the port contract: poll until the source runs dry, hand
 /// refused frames back through [`IngressPort::give_back`]. A source that
@@ -48,13 +107,13 @@ use crate::system::Rosebud;
 /// source.push_at(0, gen.generate(0, 0));
 /// assert_eq!(pump(&mut sys, &mut source), 1);
 /// ```
-pub fn pump(sys: &mut Rosebud, source: &mut dyn IngressPort<Packet>) -> u64 {
-    let now = sys.now();
+pub fn pump<D: Device + ?Sized>(dev: &mut D, source: &mut dyn IngressPort<Packet>) -> u64 {
+    let now = dev.now();
     let mut accepted = 0;
     let mut last_refused: Option<u64> = None;
     while let Some(pkt) = source.poll(now) {
         let id = pkt.id;
-        match sys.inject(pkt) {
+        match dev.inject(pkt) {
             Ok(()) => accepted += 1,
             Err(pkt) => {
                 let stuck = last_refused == Some(id);
@@ -186,15 +245,19 @@ impl EventLog {
             let id: u64 = parse_num(field("id")?, n)?;
             let port: u8 = parse_num(field("port")?, n)?;
             let ts_gen: Cycle = parse_num(field("ts_gen")?, n)?;
-            let hex = field("frame bytes")?;
+            let hex = field("frame bytes")?.as_bytes();
             if hex.len() % 2 != 0 {
                 return Err(format!("line {}: odd hex length", n + 2));
             }
             let mut data = Vec::with_capacity(hex.len() / 2);
-            for i in (0..hex.len()).step_by(2) {
-                let byte = u8::from_str_radix(&hex[i..i + 2], 16)
-                    .map_err(|e| format!("line {}: bad hex: {e}", n + 2))?;
-                data.push(byte);
+            // Byte-wise, so a non-ASCII field is a parse error rather than a
+            // `str` slice off a char boundary.
+            let nibble = |digit: u8| char::from(digit).to_digit(16);
+            for pair in hex.chunks_exact(2) {
+                match (nibble(pair[0]), nibble(pair[1])) {
+                    (Some(hi), Some(lo)) => data.push((hi << 4 | lo) as u8),
+                    _ => return Err(format!("line {}: bad hex", n + 2)),
+                }
             }
             log.push(cycle, Packet::new(id, data, port, ts_gen));
         }
@@ -222,95 +285,24 @@ where
         .map_err(|e| format!("line {}: bad number {s:?}: {e}", line + 2))
 }
 
-/// Replays a recorded run on a fresh system: injects every logged arrival
+/// Replays a recorded run on a fresh device: injects every logged arrival
 /// at its recorded cycle, ticks exactly the recorded cycle count, and
 /// returns everything the device delivered. Determinism makes this exact —
 /// the log holds only *accepted* injections, so each one succeeds at the
 /// same cycle it did live, and every downstream effect (trace, ledger,
 /// diagnostics) reproduces bit-for-bit.
 ///
-/// `sys` must be built by the same factory as the recorded run (same
+/// `dev` must be built by the same factory as the recorded run (same
 /// config, firmware, LB).
-pub fn replay(log: &EventLog, sys: &mut Rosebud) -> Vec<Packet> {
+pub fn replay<D: Device + ?Sized>(log: &EventLog, dev: &mut D) -> Vec<Packet> {
     let mut source = log.replay_port();
     let mut delivered = Vec::new();
-    while sys.now() < log.cycles {
-        pump(sys, &mut source);
-        sys.tick();
-        for p in 0..sys.config().num_ports {
-            delivered.extend(sys.take_output(p));
-        }
-        delivered.extend(sys.take_host_packets());
+    while dev.now() < log.cycles {
+        pump(dev, &mut source);
+        dev.tick();
+        dev.drain(&mut |_, pkt| delivered.push(pkt));
     }
     delivered
-}
-
-/// A cloneable egress sink over a shared queue: bind one clone to each of a
-/// device's ports and drain the union from outside the simulation — the
-/// shape a live I/O shell needs to turn deliveries into socket writes.
-///
-/// # Examples
-///
-/// ```
-/// use rosebud_core::ports::{EgressPort, SharedEgress};
-///
-/// let sink = SharedEgress::new();
-/// let mut clone = sink.clone();
-/// # let pkt = rosebud_net::Packet::new(0, vec![0u8; 64], 0, 0);
-/// clone.offer(pkt, 64, 0).unwrap();
-/// let mut delivered = Vec::new();
-/// sink.drain_into(&mut delivered);
-/// assert_eq!(delivered.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedEgress {
-    queue: Arc<Mutex<VecDeque<Packet>>>,
-}
-
-impl SharedEgress {
-    /// An empty shared sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Moves every frame delivered since the last drain onto the end of
-    /// `out`, in delivery order — a caller that drains every cycle keeps one
-    /// `Vec` for it.
-    pub fn drain_into(&self, out: &mut Vec<Packet>) {
-        out.extend(self.queue.lock().expect("egress queue poisoned").drain(..));
-    }
-
-    /// Frames currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.lock().expect("egress queue poisoned").len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EgressPort<Packet> for SharedEgress {
-    fn can_accept(&self, _len_bytes: u64) -> bool {
-        true
-    }
-
-    fn offer(&mut self, pkt: Packet, _len_bytes: u64, _now: Cycle) -> Result<(), Packet> {
-        self.queue
-            .lock()
-            .expect("egress queue poisoned")
-            .push_back(pkt);
-        Ok(())
-    }
-
-    fn backlog(&self) -> usize {
-        self.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "shared"
-    }
 }
 
 #[cfg(test)]
@@ -338,6 +330,8 @@ mod tests {
         assert!(EventLog::parse_text("rosebud-events v1 cycles=10\n5 0 0\n").is_err());
         assert!(EventLog::parse_text("rosebud-events v1 cycles=10\n5 0 0 0 abc\n").is_err());
         assert!(EventLog::parse_text("rosebud-events v1 cycles=10\n5 0 0 0 zz\n").is_err());
+        // Even byte length, but not ASCII: an error, not a slicing panic.
+        assert!(EventLog::parse_text("rosebud-events v1 cycles=10\n5 0 0 0 a\u{e9}b\n").is_err());
     }
 
     #[test]
@@ -347,21 +341,5 @@ mod tests {
         let mut log = EventLog::new();
         log.push(10, gen.generate(0, 10));
         log.push(9, gen.generate(1, 9));
-    }
-
-    #[test]
-    fn shared_egress_clones_feed_one_queue() {
-        let sink = SharedEgress::new();
-        let mut a = sink.clone();
-        let mut b = sink.clone();
-        let mut gen = FixedSizeGen::new(64, 2);
-        a.offer(gen.generate(0, 0), 64, 0).unwrap();
-        b.offer(gen.generate(1, 0), 64, 0).unwrap();
-        assert_eq!(sink.len(), 2);
-        let mut drained = Vec::new();
-        sink.drain_into(&mut drained);
-        assert_eq!(drained[0].id, 0);
-        assert_eq!(drained[1].id, 1);
-        assert!(sink.is_empty());
     }
 }

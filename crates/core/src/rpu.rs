@@ -145,8 +145,8 @@ pub struct RpuInner {
     id: usize,
     imem: Vec<u8>,
     /// Predecoded mirror of `imem` (host-side fetch shortcut; no
-    /// architectural effect). `None` when `cfg.decode_cache` is off.
-    icache: Option<DecodeCache>,
+    /// architectural effect).
+    icache: DecodeCache,
     dmem: Vec<u8>,
     pmem: Vec<u8>,
     bcast_mirror: Vec<u8>,
@@ -202,9 +202,7 @@ impl RpuInner {
         Self {
             id,
             imem: vec![0; cfg.imem_bytes as usize],
-            icache: cfg
-                .decode_cache
-                .then(|| DecodeCache::new(cfg.imem_bytes as usize)),
+            icache: DecodeCache::new(cfg.imem_bytes as usize),
             dmem: vec![0; cfg.dmem_bytes as usize],
             pmem: vec![0; cfg.pmem_bytes as usize],
             bcast_mirror: vec![0; memmap::BCAST_BYTES as usize],
@@ -522,9 +520,9 @@ impl RpuInner {
         &self.bcast_mirror
     }
 
-    /// Decoded-instruction-cache counters, when the cache is enabled.
-    pub fn decode_cache_stats(&self) -> Option<DecodeCacheStats> {
-        self.icache.as_ref().map(DecodeCache::stats)
+    /// Decoded-instruction-cache counters.
+    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
+        self.icache.stats()
     }
 
     fn load(&mut self, addr: u32, size: AccessSize) -> Result<BusValue, BusFault> {
@@ -618,9 +616,7 @@ impl RpuInner {
                     });
                 }
                 self.imem[off..off + n].copy_from_slice(&bytes[..n]);
-                if let Some(ic) = &mut self.icache {
-                    ic.invalidate_bytes(a, n);
-                }
+                self.icache.invalidate_bytes(a, n);
                 Ok(0)
             }
         }
@@ -643,25 +639,23 @@ impl Bus for InnerBus<'_> {
         // full address decode and, on a cache hit, the instruction decode.
         // Everything else (misaligned PCs, runaway PCs in other regions)
         // takes the exact uncached path, including its fault values.
-        if let Some(ic) = &mut self.0.icache {
-            if ic.covers(pc) {
-                let at = pc as usize;
-                if at + 4 <= self.0.imem.len() {
-                    if let Some(instr) = ic.get(pc) {
-                        return Ok(Fetched::Decoded(instr));
-                    }
-                    let word =
-                        u32::from_le_bytes(self.0.imem[at..at + 4].try_into().expect("4 bytes"));
-                    return match decode(word) {
-                        Ok(instr) => {
-                            ic.fill(pc, instr);
-                            Ok(Fetched::Decoded(instr))
-                        }
-                        // Never cache illegal words: the core must fault
-                        // with the raw word, exactly like the slow path.
-                        Err(_) => Ok(Fetched::Word(word)),
-                    };
+        let ic = &mut self.0.icache;
+        if ic.covers(pc) {
+            let at = pc as usize;
+            if at + 4 <= self.0.imem.len() {
+                if let Some(instr) = ic.get(pc) {
+                    return Ok(Fetched::Decoded(instr));
                 }
+                let word = u32::from_le_bytes(self.0.imem[at..at + 4].try_into().expect("4 bytes"));
+                return match decode(word) {
+                    Ok(instr) => {
+                        ic.fill(pc, instr);
+                        Ok(Fetched::Decoded(instr))
+                    }
+                    // Never cache illegal words: the core must fault
+                    // with the raw word, exactly like the slow path.
+                    Err(_) => Ok(Fetched::Word(word)),
+                };
             }
         }
         self.0
@@ -938,10 +932,8 @@ impl Rpu {
         let bytes = image.bytes();
         let base = image.base() as usize;
         self.inner.imem[base..base + bytes.len()].copy_from_slice(&bytes);
-        if let Some(ic) = &mut self.inner.icache {
-            ic.clear();
-            ic.predecode(image.base(), image.words());
-        }
+        self.inner.icache.clear();
+        self.inner.icache.predecode(image.base(), image.words());
         self.boot_image = Some(image.clone());
         let mut cpu = Box::new(Cpu::new(image.base()));
         cpu.raise_irq(31); // reserved line kept clear; ensures mip plumbed
@@ -1017,9 +1009,7 @@ impl Rpu {
         // The next firmware load re-predecodes; drop stale entries now so a
         // host that pokes instruction memory mid-reconfigure cannot race a
         // live cache.
-        if let Some(ic) = &mut self.inner.icache {
-            ic.clear();
-        }
+        self.inner.icache.clear();
         if let Some(accel) = &mut self.inner.accel {
             accel.reset();
         }

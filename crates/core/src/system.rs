@@ -503,9 +503,10 @@ impl Rosebud {
     }
 
     /// Binds an egress port to physical port `p`: delivered frames are
-    /// offered to it instead of accumulating in the [`take_output`]
-    /// (Self::take_output) vec, and its capacity backpressures the TX MAC.
-    /// Replaces (and returns) any previous binding.
+    /// offered to it instead of accumulating in the
+    /// [`take_output`](Self::take_output) vec, and its capacity
+    /// backpressures the TX MAC. Replaces (and returns) any previous
+    /// binding.
     ///
     /// # Panics
     ///
@@ -516,12 +517,6 @@ impl Rosebud {
         port: Box<dyn EgressPort<Packet> + Send>,
     ) -> Option<Box<dyn EgressPort<Packet> + Send>> {
         self.egress[p].replace(port)
-    }
-
-    /// Removes and returns port `p`'s egress binding; deliveries fall back
-    /// to the `take_output` vec.
-    pub fn unbind_egress(&mut self, p: usize) -> Option<Box<dyn EgressPort<Packet> + Send>> {
-        self.egress[p].take()
     }
 
     /// Drains frames delivered to the host over PCIe.
@@ -582,9 +577,8 @@ impl Rosebud {
     }
 
     /// Advances the whole system by one clock cycle: stages 0–3
-    /// ([`Self::tick_pre`]), the per-lane stages 4–6
-    /// ([`Self::lane_stages`]), then stages 7–12 and the periodic scans
-    /// ([`Self::tick_post`]). Every per-lane stage sweeps its occupancy
+    /// (`tick_pre`), the per-lane stages 4–6 (`lane_stages`), then stages
+    /// 7–12 and the periodic scans (`tick_post`). Every per-lane stage sweeps its occupancy
     /// word in ascending lane order before the next begins and applies
     /// shared effects inline — one thread, one order.
     pub fn tick(&mut self) {
@@ -1342,7 +1336,7 @@ impl Rosebud {
 
     /// Panics unless `injected + originated == delivered + dropped +
     /// corrupted + purged + in_flight`. Called automatically every
-    /// [`LEDGER_CHECK_INTERVAL`] cycles.
+    /// `LEDGER_CHECK_INTERVAL` (1024) cycles.
     pub fn assert_conservation(&self) {
         let in_flight = self.ledger_in_flight();
         assert!(

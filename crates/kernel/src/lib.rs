@@ -19,8 +19,8 @@
 //! * [`IngressPort`]/[`EgressPort`] and [`PortClock`] — the packet-port
 //!   contract every traffic producer/consumer at a device edge implements
 //!   (cycle-stamped delivery, bounded capacity, explicit backpressure),
-//!   with [`StampedIngress`], [`LinkPort`], and [`CollectEgress`] as the
-//!   reusable implementations.
+//!   with [`StampedIngress`] and [`LinkPort`] as the reusable
+//!   implementations.
 //!
 //! # Examples
 //!
@@ -49,7 +49,7 @@ mod stats;
 pub use clock::{Clock, Cycle, DEFAULT_CLOCK_HZ};
 pub use delay::DelayLine;
 pub use fifo::Fifo;
-pub use port::{CollectEgress, EgressPort, IngressPort, LinkPort, PortClock, StampedIngress};
+pub use port::{EgressPort, IngressPort, LinkPort, PortClock, StampedIngress};
 pub use rng::SimRng;
 pub use serializer::Serializer;
 pub use stats::{Counters, Histogram, LatencyStats, RateSample, RateWindow};

@@ -344,55 +344,6 @@ impl<T> IngressPort<T> for LinkPort<T> {
     }
 }
 
-/// An unbounded collecting sink — the default egress when nothing real is
-/// attached, and the capture side of tests.
-#[derive(Debug, Clone)]
-pub struct CollectEgress<T> {
-    items: Vec<T>,
-}
-
-impl<T> Default for CollectEgress<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> CollectEgress<T> {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self { items: Vec::new() }
-    }
-
-    /// Takes everything delivered so far.
-    pub fn drain(&mut self) -> Vec<T> {
-        std::mem::take(&mut self.items)
-    }
-
-    /// Delivered items, in order.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-}
-
-impl<T> EgressPort<T> for CollectEgress<T> {
-    fn can_accept(&self, _len_bytes: u64) -> bool {
-        true
-    }
-
-    fn offer(&mut self, item: T, _len_bytes: u64, _now: Cycle) -> Result<(), T> {
-        self.items.push(item);
-        Ok(())
-    }
-
-    fn backlog(&self) -> usize {
-        self.items.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "collect"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,16 +444,5 @@ mod tests {
         link.give_back(held);
         assert_eq!(link.flush(), 3);
         assert!(link.is_empty());
-    }
-
-    #[test]
-    fn collect_egress_takes_everything() {
-        let mut sink: CollectEgress<u8> = CollectEgress::new();
-        assert!(sink.can_accept(u64::MAX));
-        sink.offer(1, 10, 0).unwrap();
-        sink.offer(2, 10, 1).unwrap();
-        assert_eq!(sink.backlog(), 2);
-        assert_eq!(sink.drain(), vec![1, 2]);
-        assert!(sink.items().is_empty());
     }
 }

@@ -315,7 +315,7 @@ pub mod strategy {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Acceptable size arguments for [`vec`]: a fixed length or a range.
+    /// Acceptable size arguments for [`vec()`]: a fixed length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,

@@ -96,7 +96,7 @@ pub trait Bus {
     /// Returns [`BusFault`] for unmapped addresses.
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) -> Result<u32, BusFault>;
 
-    /// Fetches the instruction at `pc`. The default forwards to [`load`];
+    /// Fetches the instruction at `pc`. The default forwards to [`load`](Self::load);
     /// buses with a [`DecodeCache`](crate::DecodeCache) override this to
     /// return predecoded instructions. Either way the architectural outcome
     /// must be identical to a plain word load plus decode.

@@ -9,8 +9,8 @@
 
 use std::collections::VecDeque;
 
-use rosebud_core::ports::EventLog;
-use rosebud_core::{Rosebud, SharedEgress};
+use rosebud_core::ports::{Device, EventLog};
+use rosebud_core::Rosebud;
 use rosebud_net::Packet;
 
 use crate::backend::ShellBackend;
@@ -59,10 +59,6 @@ pub struct Shell<B: ShellBackend> {
     log: EventLog,
     /// Frames received from the backend but not yet accepted by a MAC.
     pending: VecDeque<Packet>,
-    egress: SharedEgress,
-    /// This cycle's deliveries on their way to the backend (kept for its
-    /// capacity; empty between steps).
-    delivered: Vec<Packet>,
     host_rx: Vec<Packet>,
     next_id: u64,
     forwarded: u64,
@@ -70,20 +66,13 @@ pub struct Shell<B: ShellBackend> {
 }
 
 impl<B: ShellBackend> Shell<B> {
-    /// Wraps `sys` in a live shell over `backend`, binding a shared egress
-    /// sink to every physical port so deliveries become backend sends.
-    pub fn new(mut sys: Rosebud, backend: B) -> Self {
-        let egress = SharedEgress::new();
-        for p in 0..sys.config().num_ports {
-            sys.bind_egress(p, Box::new(egress.clone()));
-        }
+    /// Wraps `sys` in a live shell over `backend`.
+    pub fn new(sys: Rosebud, backend: B) -> Self {
         Self {
             sys,
             backend,
             log: EventLog::new(),
             pending: VecDeque::new(),
-            egress,
-            delivered: Vec::new(),
             host_rx: Vec::new(),
             next_id: 0,
             forwarded: 0,
@@ -108,6 +97,8 @@ impl<B: ShellBackend> Shell<B> {
             self.pending.push_back(pkt);
         }
 
+        // Not `ports::pump`: each accepted frame is also cloned into the
+        // event log, which a pacing loop has no business knowing about.
         let mut accepted = 0;
         while let Some(pkt) = self.pending.pop_front() {
             let copy = pkt.clone();
@@ -131,12 +122,15 @@ impl<B: ShellBackend> Shell<B> {
         self.sys.tick();
         self.log.cycles = self.sys.now();
 
-        self.egress.drain_into(&mut self.delivered);
-        for pkt in self.delivered.drain(..) {
-            self.backend.send_frame(pkt.port, pkt.bytes());
-            self.forwarded += 1;
-        }
-        self.host_rx.extend(self.sys.take_host_packets());
+        let ports = self.sys.config().num_ports;
+        self.sys.drain(&mut |lane, pkt| {
+            if lane < ports {
+                self.backend.send_frame(pkt.port, pkt.bytes());
+                self.forwarded += 1;
+            } else {
+                self.host_rx.push(pkt);
+            }
+        });
 
         accepted
     }

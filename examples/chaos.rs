@@ -17,8 +17,8 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig,
-    Harness, Supervisor, SupervisorConfig,
+    FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig, Harness,
+    Supervisor, SupervisorConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -32,13 +32,13 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         |_| build_watchdog_forwarding_system(4, 64).unwrap(),
     )?;
     let load = 15.0 * boxes as f64;
-    let mut h = FleetHarness::new(
+    let mut h = Harness::fleet(
         fleet,
         Box::new(FlowTrafficGen::new(512, 256, 0.0, 11)),
         load,
     );
     let mut sup = FleetSupervisor::with_config(
-        &h.fleet,
+        &h.sys,
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
@@ -49,9 +49,9 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "warming up {boxes} boxes (4 watchdog forwarders each) at {load:.0} Gbps aggregate ..."
     );
-    let run = |h: &mut FleetHarness, sup: &mut FleetSupervisor, cycles: u64| {
+    let run = |h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64| {
         for _ in 0..cycles {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
     };
@@ -65,17 +65,17 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("killing box {killed} cold ...");
-    h.fleet.inject_fault(FaultKind::BoxCrash { device: killed });
+    h.sys.inject_fault(FaultKind::BoxCrash { device: killed });
     let mut reported = 0;
     let mut windows = Vec::new();
-    while h.fleet.failovers().is_empty() {
+    while h.sys.failovers().is_empty() {
         h.begin_window();
         run(&mut h, &mut sup, 2_000);
         windows.push(h.measure().gbps);
-        for e in &h.fleet.log()[reported..] {
+        for e in &h.sys.log()[reported..] {
             println!("  [{:>7}] box {}: {}", e.at, e.device, e.step);
         }
-        reported = h.fleet.log().len();
+        reported = h.sys.log().len();
     }
 
     println!("\ndegraded-throughput timeline (2 000-cycle windows after the kill):");
@@ -88,7 +88,7 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let rec = h.fleet.failovers()[0];
+    let rec = h.sys.failovers()[0];
     println!(
         "\nfailover complete: detected @{}, drained @{} ({}), {} purged, \
          re-admitted @{} — downtime {} cycles, {} of {} flows re-steered",
@@ -99,7 +99,7 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         rec.readmitted_at,
         rec.downtime,
         rec.flows_resteered,
-        h.fleet.flows_seen(),
+        h.sys.flows_seen(),
     );
 
     h.begin_window();
@@ -111,8 +111,8 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         100.0 * recovered.gbps / baseline.gbps
     );
 
-    print!("{}", h.fleet.diagnostics().render());
-    h.fleet.assert_conservation();
+    print!("{}", h.sys.diagnostics().render());
+    h.sys.assert_conservation();
     println!("fleet ledger balances — no packet left unaccounted.");
     Ok(())
 }

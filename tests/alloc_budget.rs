@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rosebud::apps::forwarder::{build_duty_cycle_forwarding_system, build_forwarding_system};
-use rosebud::core::ports::pump;
+use rosebud::core::ports::{pump, Device};
 use rosebud::core::Rosebud;
 use rosebud::kernel::{Cycle, EgressPort};
 use rosebud::net::{FixedSizeGen, GenPort, Packet, TrafficGen};
@@ -146,6 +146,34 @@ fn tick_allocates_nothing_once_warm() {
 }
 
 #[test]
+fn draining_unbound_ports_every_cycle_allocates_nothing() {
+    // The `Harness` / `replay` / live-shell loop over ports nothing is bound
+    // to: `drain` empties the delivery buffers in place, so once they have
+    // grown the only allocation left in a cycle is the generated frame.
+    let mut sys = build_forwarding_system(16).unwrap();
+    let (ns_per_cycle, ports) = (sys.config().ns_per_cycle(), sys.config().num_ports);
+    let gen = Box::new(FixedSizeGen::new(64, ports as u8));
+    let mut source = GenPort::per_port(gen, 205.0, ns_per_cycle, ports);
+    let mut delivered = 0u64;
+    let mut run = |cycles: u64, source: &mut GenPort, delivered: &mut u64| {
+        for _ in 0..cycles {
+            pump(&mut sys, source);
+            sys.tick();
+            sys.drain(&mut |_, _| *delivered += 1);
+        }
+    };
+    run(WARM_UP, &mut source, &mut delivered);
+    let (generated, before) = (source.generated(), delivered);
+    let (allocs, ()) = allocs_in(|| run(MEASURED, &mut source, &mut delivered));
+    assert!(
+        delivered - before >= 40_000,
+        "only {} frames",
+        delivered - before
+    );
+    assert_eq!(allocs, source.generated() - generated);
+}
+
+#[test]
 fn parked_buffers_are_bounded_and_purged() {
     let mut sys = build_forwarding_system(4).unwrap();
     let mut source = GenPort::per_port(Box::new(FixedSizeGen::new(64, 2)), 205.0, 4.0, 2);
@@ -154,8 +182,7 @@ fn parked_buffers_are_bounded_and_purged() {
     for _ in 0..5_000 {
         pump(&mut sys, &mut source);
         sys.tick();
-        sys.take_output(0);
-        sys.take_output(1);
+        sys.drain(&mut |_, _| {});
         for rpu in sys.rpus().iter() {
             most = most.max(rpu.inner().parked_buffers());
         }

@@ -13,7 +13,7 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor,
+    FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
     FleetSupervisorConfig, Harness, Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
     SupervisorConfig,
 };
@@ -210,7 +210,7 @@ const BOXES: usize = 4;
 const KILLED: usize = 2;
 const FLEET_LOAD_GBPS: f64 = 60.0;
 
-fn fleet_under_test() -> FleetHarness {
+fn fleet_under_test() -> Harness<Fleet> {
     let fleet = Fleet::new(
         FleetConfig {
             boxes: BOXES,
@@ -219,16 +219,16 @@ fn fleet_under_test() -> FleetHarness {
         |_| build_watchdog_forwarding_system(4, 64).unwrap(),
     )
     .unwrap();
-    FleetHarness::new(
+    Harness::fleet(
         fleet,
         Box::new(FlowTrafficGen::new(512, 256, 0.0, 11)),
         FLEET_LOAD_GBPS,
     )
 }
 
-fn fleet_supervisor(h: &FleetHarness) -> FleetSupervisor {
+fn fleet_supervisor(h: &Harness<Fleet>) -> FleetSupervisor {
     FleetSupervisor::with_config(
-        &h.fleet,
+        &h.sys,
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
@@ -237,9 +237,9 @@ fn fleet_supervisor(h: &FleetHarness) -> FleetSupervisor {
     )
 }
 
-fn run_fleet(h: &mut FleetHarness, sup: &mut FleetSupervisor, cycles: u64) {
+fn run_fleet(h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64) {
     for _ in 0..cycles {
-        sup.poll(&mut h.fleet);
+        sup.poll(&mut h.sys);
         h.tick();
     }
 }
@@ -268,7 +268,7 @@ fn run_fleet_scenario() -> FleetTrace {
 
     // Kill a whole box. Detection needs three probe misses (~2k cycles),
     // then drain runs to its 4k deadline (a crashed shell never quiesces).
-    h.fleet.inject_fault(FaultKind::BoxCrash { device: KILLED });
+    h.sys.inject_fault(FaultKind::BoxCrash { device: KILLED });
     run_fleet(&mut h, &mut sup, 4_000);
     h.begin_window();
     run_fleet(&mut h, &mut sup, 10_000);
@@ -276,14 +276,14 @@ fn run_fleet_scenario() -> FleetTrace {
 
     // Let the reload and probation complete.
     let mut budget = 40_000u64;
-    while h.fleet.failovers().is_empty() && budget > 0 {
+    while h.sys.failovers().is_empty() && budget > 0 {
         run_fleet(&mut h, &mut sup, 1_000);
         budget -= 1_000;
     }
     assert!(
-        !h.fleet.failovers().is_empty(),
+        !h.sys.failovers().is_empty(),
         "failover never completed; ladder log:\n{}",
-        h.fleet.log_text()
+        h.sys.log_text()
     );
 
     // Re-admitted: the fleet must carry full load again.
@@ -291,12 +291,12 @@ fn run_fleet_scenario() -> FleetTrace {
     run_fleet(&mut h, &mut sup, 20_000);
     let recovered_gbps = h.measure().gbps;
 
-    h.fleet.assert_conservation();
+    h.sys.assert_conservation();
     let mut cross_survivor_resteers = 0;
     for prev in 0..BOXES {
         for new in 0..BOXES {
             if prev != KILLED && new != KILLED {
-                cross_survivor_resteers += h.fleet.resteered_between(prev, new);
+                cross_survivor_resteers += h.sys.resteered_between(prev, new);
             }
         }
     }
@@ -304,12 +304,12 @@ fn run_fleet_scenario() -> FleetTrace {
         baseline_gbps,
         degraded_gbps,
         recovered_gbps,
-        failovers: h.fleet.failovers().to_vec(),
-        log_text: h.fleet.log_text(),
-        flows_seen: h.fleet.flows_seen(),
+        failovers: h.sys.failovers().to_vec(),
+        log_text: h.sys.log_text(),
+        flows_seen: h.sys.flows_seen(),
         cross_survivor_resteers,
-        ledger: h.fleet.ledger(),
-        in_flight: h.fleet.ledger_in_flight(),
+        ledger: h.sys.ledger(),
+        in_flight: h.sys.ledger_in_flight(),
     }
 }
 

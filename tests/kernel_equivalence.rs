@@ -346,7 +346,7 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
     // replay the event log on both sides — the record/replay contract must
     // hold with and without elision. The oracle spells `replay`'s loop
     // itself so it can wake every lane before every tick.
-    use rosebud::core::ports::{pump, replay};
+    use rosebud::core::ports::{pump, replay, Device};
     use rosebud::shell::{RingBackend, Shell};
 
     let (backend, peer) = RingBackend::pair();
@@ -370,10 +370,7 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
                     pump(&mut sys, &mut source);
                     wake_all(&mut sys);
                     sys.tick();
-                    for p in 0..sys.config().num_ports {
-                        delivered += sys.take_output(p).len();
-                    }
-                    delivered += sys.take_host_packets().len();
+                    sys.drain(&mut |_, _| delivered += 1);
                 }
                 delivered
             }
@@ -398,7 +395,7 @@ fn fleet_failover_matches_unelided_oracle() {
     // compact trace — including the archived trace of the incarnation the
     // reload retired — plus the fleet ladder log, ledger, and measurement
     // must be byte-identical with and without elision.
-    use rosebud::core::{Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig};
+    use rosebud::core::{Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig};
 
     for seed in [5u64, 31] {
         differential(&format!("fleet-chaos seed={seed}"), |side| {
@@ -423,9 +420,9 @@ fn fleet_failover_matches_unelided_oracle() {
                     factor: 4,
                 },
             });
-            let mut h = FleetHarness::new(fleet, Box::new(ImixGen::new(2, seed)), 40.0);
+            let mut h = Harness::fleet(fleet, Box::new(ImixGen::new(2, seed)), 40.0);
             let mut sup = FleetSupervisor::with_config(
-                &h.fleet,
+                &h.sys,
                 FleetSupervisorConfig {
                     drain_timeout: 3_000,
                     reload_cycles: 5_000,
@@ -434,24 +431,24 @@ fn fleet_failover_matches_unelided_oracle() {
             );
             h.begin_window();
             for _ in 0..60_000 {
-                sup.poll(&mut h.fleet);
+                sup.poll(&mut h.sys);
                 if side == Side::Oracle {
-                    for b in 0..h.fleet.num_boxes() {
-                        wake_all(h.fleet.sys_mut(b));
+                    for b in 0..h.sys.num_boxes() {
+                        wake_all(h.sys.sys_mut(b));
                     }
                 }
                 h.tick();
             }
             let m = h.measure();
             let mut trace = String::new();
-            for archived in h.fleet.archived_traces() {
+            for archived in h.sys.archived_traces() {
                 trace.push_str(archived);
                 trace.push('\n');
             }
-            for b in 0..h.fleet.num_boxes() {
+            for b in 0..h.sys.num_boxes() {
                 trace.push_str(&format!("=== box {b} (live) ===\n"));
                 trace.push_str(
-                    &h.fleet
+                    &h.sys
                         .sys_mut(b)
                         .take_tracer()
                         .expect("tracing enabled")
@@ -459,14 +456,14 @@ fn fleet_failover_matches_unelided_oracle() {
                 );
             }
             trace.push_str("=== fleet ladder ===\n");
-            trace.push_str(&h.fleet.log_text());
-            let drops = (0..h.fleet.num_boxes())
-                .map(|b| h.fleet.sys(b).drop_count())
+            trace.push_str(&h.sys.log_text());
+            let drops = (0..h.sys.num_boxes())
+                .map(|b| h.sys.sys(b).drop_count())
                 .sum();
             Observed {
                 trace,
-                ledger: format!("{:?}", h.fleet.ledger()),
-                diagnostics: h.fleet.diagnostics().render(),
+                ledger: format!("{:?}", h.sys.ledger()),
+                diagnostics: h.sys.diagnostics().render(),
                 measurement: format!("{m:?}"),
                 received: h.received(),
                 injected: h.injected(),

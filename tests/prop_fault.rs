@@ -75,8 +75,7 @@ proptest! {
     }
 }
 
-use rosebud::core::{Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig};
-use rosebud::core::{FleetHarness, FleetStep};
+use rosebud::core::{Fleet, FleetConfig, FleetStep, FleetSupervisor, FleetSupervisorConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -98,12 +97,12 @@ proptest! {
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let gen = FlowTrafficGen::new(64, 256, 0.05, traffic_seed);
-        let mut h = FleetHarness::new(fleet, Box::new(gen), gbps);
-        h.fleet.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
+        let mut h = Harness::fleet(fleet, Box::new(gen), gbps);
+        h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
             plan_seed, 30_000, 2, events,
         ));
         let mut sup = FleetSupervisor::with_config(
-            &h.fleet,
+            &h.sys,
             FleetSupervisorConfig {
                 drain_timeout: 3_000,
                 reload_cycles: 5_000,
@@ -112,10 +111,10 @@ proptest! {
         );
         // Fleet::tick() re-asserts the ledger every 1024 cycles on its own.
         for _ in 0..70_000 {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
-        h.fleet.assert_conservation();
+        h.sys.assert_conservation();
     }
 
     // The ladder never skips rungs: a box is only ever re-admitted to the
@@ -130,16 +129,16 @@ proptest! {
             FleetConfig { boxes: 2, ..FleetConfig::default() },
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
-        let mut h = FleetHarness::new(
+        let mut h = Harness::fleet(
             fleet,
             Box::new(FixedSizeGen::new(128, 2)),
             30.0,
         );
-        h.fleet.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
+        h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
             plan_seed, 25_000, 2, events,
         ));
         let mut sup = FleetSupervisor::with_config(
-            &h.fleet,
+            &h.sys,
             FleetSupervisorConfig {
                 drain_timeout: 3_000,
                 reload_cycles: 5_000,
@@ -147,14 +146,14 @@ proptest! {
             },
         );
         for _ in 0..80_000 {
-            sup.poll(&mut h.fleet);
+            sup.poll(&mut h.sys);
             h.tick();
         }
-        for device in 0..h.fleet.num_boxes() {
+        for device in 0..h.sys.num_boxes() {
             let mut draining = false;
             let mut reloaded = false;
             let mut probation = false;
-            for e in h.fleet.log().iter().filter(|e| e.device == device) {
+            for e in h.sys.log().iter().filter(|e| e.device == device) {
                 match e.step {
                     FleetStep::DrainStarted => draining = true,
                     FleetStep::DrainedClean => {

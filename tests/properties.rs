@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rosebud::apps::forwarder::build_forwarding_system;
-use rosebud::core::Harness;
+use rosebud::core::{Device, Harness};
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
 mod common;
@@ -23,9 +23,7 @@ proptest! {
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(size, 2)), gbps);
         h.run(30_000);
         h.sys.run(30_000); // drain with no new traffic
-        for p in 0..2 {
-            let _ = h.sys.take_output(p);
-        }
+        h.sys.drain(&mut |_, _| {});
         prop_assert_eq!(h.sys.in_flight(), 0, "failed to drain");
         prop_assert_eq!(h.sys.drop_count(), 0, "forwarder dropped");
         // Every slot returned to the tracker.
@@ -51,9 +49,7 @@ proptest! {
         let injected = h.injected();
         h.sys.run(25_000);
         let mut stragglers = 0u64;
-        for p in 0..2 {
-            stragglers += h.sys.take_output(p).len() as u64;
-        }
+        h.sys.drain(&mut |_, _| stragglers += 1);
         prop_assert_eq!(h.sys.in_flight(), 0);
         prop_assert_eq!(h.received() + stragglers + h.host_received(), injected);
     }

@@ -48,7 +48,7 @@ const HAZARDS: &[(&str, &str)] = &[
 
 /// Known-intentional uses: (path suffix, pattern, reason). The reason is
 /// printed when an allowlist entry goes stale so it can be pruned. The
-/// async/bench shell (`crates/bench`, the criterion stand-in) is outside
+/// async/bench shell (`crates/bench`) is outside
 /// [`SCANNED`] entirely — wall-clock timing is its whole job — so entries
 /// here should stay rare: currently none.
 const ALLOWLIST: &[(&str, &str, &str)] = &[];
