@@ -1,12 +1,18 @@
-//! Datapath fabric: MAC interfaces, byte-bounded FIFOs, the per-RPU lanes,
-//! the loopback module, and the broadcast arbiter (paper §4.3, §4.4).
+//! Datapath fabric: the byte-bounded MAC FIFO, the frames in transit to and
+//! from an RPU, the egress switch, the loopback module, and the broadcast
+//! arbiter (paper §4.3, §4.4).
 
-use rosebud_kernel::{Counters, Cycle, DelayLine, Fifo, Serializer};
+use rosebud_kernel::{Cycle, DelayLine, Fifo, LatencyStats, Serializer};
 use rosebud_net::Packet;
 
 use crate::config::RosebudConfig;
-use crate::rpu::Rpu;
-use crate::types::{BcastMsg, SlotMeta};
+use crate::host::HostBridge;
+use crate::lanes::Lanes;
+use crate::lb::SlotTracker;
+use crate::mac::Mac;
+use crate::rpu::RpuState;
+use crate::system::{Fx, Rosebud};
+use crate::types::{port, BcastMsg, SlotMeta};
 
 /// A FIFO bounded by total bytes rather than item count — the MAC receive
 /// FIFOs whose fill level produces the 32.8 µs added latency of a saturated
@@ -75,36 +81,6 @@ impl ByteFifo {
     }
 }
 
-/// One physical 100 Gbps Ethernet interface: receive serializer + FIFO on
-/// the way in, fixed switch-egress delay + transmit serializer on the way
-/// out.
-pub(crate) struct PortState {
-    /// Wire-side receive serialization at line rate.
-    pub rx_mac: Serializer<Packet>,
-    /// MAC receive FIFO (byte-bounded).
-    pub rx_fifo: ByteFifo,
-    /// Egress switch pipeline (fixed latency).
-    pub tx_delay: DelayLine<Packet>,
-    /// Wire-side transmit serialization at line rate.
-    pub tx_mac: Serializer<Packet>,
-    /// Delivered output frames, drained by the harness.
-    pub output: Vec<Packet>,
-    pub counters: Counters,
-}
-
-impl PortState {
-    pub fn new(cfg: &RosebudConfig) -> Self {
-        Self {
-            rx_mac: Serializer::new(cfg.mac_bytes_per_cycle, 64),
-            rx_fifo: ByteFifo::new(cfg.mac_rx_fifo_bytes),
-            tx_delay: DelayLine::new(cfg.egress_fixed_cycles),
-            tx_mac: Serializer::new(cfg.mac_bytes_per_cycle, 64),
-            output: Vec::new(),
-            counters: Counters::default(),
-        }
-    }
-}
-
 /// A packet travelling from the LB to an RPU.
 #[derive(Debug, Clone)]
 pub(crate) struct IngressItem {
@@ -126,71 +102,15 @@ pub(crate) struct EgressItem {
     pub meta: Option<SlotMeta>,
 }
 
-/// One RPU "lane": the RPU plus its private distribution links. Stages 4–6
-/// of [`crate::Rosebud::tick`] touch nothing outside one lane except the
-/// slot tracker, the ledger, the drop counter and the tracer.
-pub(crate) struct Lane {
-    /// The packet-processing unit itself.
-    pub rpu: Rpu,
-    /// The 32 Gbps ingress link feeding this RPU's DMA engine.
-    pub rin: Serializer<IngressItem>,
-    /// The 32 Gbps egress link draining committed sends.
-    pub rout: Serializer<EgressItem>,
-}
-
-/// A set of lane indices in one word (`num_rpus <= 64`), iterated in
-/// ascending order. [`crate::Rosebud::tick`] keeps one per queue it polls,
-/// so a sweep costs what is occupied rather than what is built. Iteration
-/// runs over a copy: the sweep's body may insert into or remove from the
-/// set it is walking.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LaneSet(u64);
-
-impl LaneSet {
-    /// Lanes `0..n`.
-    pub fn all(n: usize) -> Self {
-        Self(if n >= 64 { u64::MAX } else { (1 << n) - 1 })
-    }
-
-    #[inline]
-    pub fn insert(&mut self, r: usize) {
-        self.0 |= 1 << r;
-    }
-
-    #[inline]
-    pub fn remove(&mut self, r: usize) {
-        self.0 &= !(1 << r);
-    }
-
-    #[inline]
-    pub fn contains(self, r: usize) -> bool {
-        self.0 & (1 << r) != 0
-    }
-}
-
-impl Iterator for LaneSet {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let r = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(r)
-    }
-}
-
 /// The loopback module routing full packets between RPUs (§4.4). A single
 /// 100 Gbps port with a per-packet destination-header attach cost that caps
 /// small-packet throughput at ~60 % of line rate (§6.3).
 pub(crate) struct Loopback {
-    pub queue: Fifo<EgressItem>,
-    pub wire: Serializer<EgressItem>,
+    queue: Fifo<EgressItem>,
+    wire: Serializer<EgressItem>,
     header_cycles: u64,
     next_grant: Cycle,
-    pub counters: Counters,
+    num_rpus: usize,
 }
 
 impl Loopback {
@@ -200,24 +120,111 @@ impl Loopback {
             wire: Serializer::new(cfg.mac_bytes_per_cycle, 8),
             header_cycles: cfg.loopback_header_cycles,
             next_grant: 0,
-            counters: Counters::default(),
+            num_rpus: cfg.num_rpus,
         }
+    }
+
+    /// The RPU that egress port `dest` loops back to, if it names one.
+    fn target(&self, dest: u8) -> Option<usize> {
+        let dst = usize::from(dest.checked_sub(port::LOOPBACK_BASE)?);
+        (dst < self.num_rpus).then_some(dst)
+    }
+
+    /// Stage 9: one grant, then one delivery.
+    #[inline]
+    pub fn tick(&mut self, now: Cycle, slots: &mut SlotTracker, lanes: &mut Lanes) {
+        self.grant(now);
+        self.deliver(now, slots, lanes);
     }
 
     /// Moves at most one queued packet onto the loopback wire per grant
     /// period (the destination-header attach).
-    pub fn grant(&mut self, now: Cycle) {
+    fn grant(&mut self, now: Cycle) {
         if now < self.next_grant || self.wire.is_full() {
             return;
         }
         if let Some(item) = self.queue.pop() {
             let wire_len = item.bytes.len() as u64 + rosebud_net::WIRE_OVERHEAD_BYTES;
-            self.counters.count_tx_frame(item.bytes.len() as u64);
             self.wire
                 .push(item, wire_len, now)
                 .expect("wire fullness checked above");
             self.next_grant = now + self.header_cycles;
         }
+    }
+
+    /// Hands the frame at the head of the wire to its destination lane's
+    /// ingress link, binding a slot there.
+    fn deliver(&mut self, now: Cycle, slots: &mut SlotTracker, lanes: &mut Lanes) {
+        let Some(item) = self.wire.front() else {
+            return;
+        };
+        if !self.wire.head_ready(now) {
+            return;
+        }
+        let dst = (item.desc.port - port::LOOPBACK_BASE) as usize;
+        // The LB enable mask only gates ingress assignment (a two-step
+        // pipeline legitimately loopback-feeds LB-disabled partners); what
+        // must hold the wire is the destination *region* being down —
+        // draining, mid-reload, or crashed — because a slot allocated into
+        // such a region would be wiped by the PR flush.
+        if lanes.rpus()[dst].state() != RpuState::Running {
+            return;
+        }
+        if slots.free_count(dst) == 0 || lanes.rin_full(dst) {
+            return; // destination backpressure stalls the loopback wire
+        }
+        let item = self.wire.pop_ready(now).expect("head ready");
+        let slot = slots.alloc(dst).expect("free count checked");
+        let meta = item.meta.unwrap_or(SlotMeta {
+            packet_id: 0,
+            ts_gen: now,
+            ingress_port: item.desc.port,
+            orig_len: item.bytes.len() as u32,
+        });
+        let item = IngressItem {
+            rpu: dst,
+            slot,
+            bytes: item.bytes,
+            meta: SlotMeta {
+                ingress_port: port::LOOPBACK_BASE + item.src_rpu as u8,
+                ..meta
+            },
+            corrupted: false,
+        };
+        lanes.push_rin(item, now);
+    }
+
+    /// Frames queued for, or on, the loopback wire.
+    pub fn in_flight(&self) -> usize {
+        self.queue.len() + self.wire.len()
+    }
+}
+
+/// Stage 7's second half, the egress switch: sends a frame that left its
+/// RPU's link to a physical port, the host, or the loopback module, and
+/// accounts the ones that name no destination.
+#[inline]
+pub(crate) fn route_egress(
+    item: EgressItem,
+    now: Cycle,
+    mac: &mut Mac,
+    host: &mut HostBridge,
+    loopback: &mut Loopback,
+    fx: &mut Fx,
+) {
+    let dest = item.desc.port;
+    let to_port = (dest as usize) < mac.num_ports();
+    if to_port || dest == port::HOST {
+        let (id, ts_gen) = item.meta.map_or((0, now), |m| (m.packet_id, m.ts_gen));
+        let pkt = Packet::new(id, item.bytes, dest, ts_gen);
+        if to_port {
+            mac.send(pkt, now);
+        } else {
+            host.send(pkt, now);
+        }
+    } else if loopback.target(dest).is_none() || loopback.queue.push(item).is_err() {
+        fx.routed_drops += 1;
+        fx.ledger.dropped += 1;
     }
 }
 
@@ -226,8 +233,10 @@ impl Loopback {
 /// every 16 cycles due to round-robin arbitration among cores").
 pub(crate) struct BcastArbiter {
     next_rpu: usize,
-    pub pipeline: DelayLine<BcastMsg>,
-    pub delivered: u64,
+    pipeline: DelayLine<BcastMsg>,
+    /// Grant-to-delivery latency samples, in nanoseconds (§6.3).
+    latency: LatencyStats,
+    ns_per_cycle: f64,
 }
 
 impl BcastArbiter {
@@ -235,15 +244,38 @@ impl BcastArbiter {
         Self {
             next_rpu: 0,
             pipeline: DelayLine::new(cfg.bcast_pipeline_cycles),
-            delivered: 0,
+            latency: LatencyStats::new(),
+            ns_per_cycle: cfg.ns_per_cycle(),
         }
     }
 
     /// The RPU whose outbox gets this cycle's grant.
-    pub fn granted_rpu(&mut self, num_rpus: usize) -> usize {
+    fn granted_rpu(&mut self, num_rpus: usize) -> usize {
         let rpu = self.next_rpu;
         self.next_rpu = (self.next_rpu + 1) % num_rpus;
         rpu
+    }
+
+    /// Stage 11: one outbox visited per cycle; delivery is simultaneous at
+    /// every RPU (§4.4).
+    #[inline]
+    pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes) {
+        let granted = self.granted_rpu(lanes.rpus().len());
+        if let Some(msg) = lanes.pop_bcast(granted) {
+            self.pipeline.push(msg, now);
+        }
+        while let Some(msg) = self.pipeline.pop_ready(now) {
+            self.latency
+                .record((now - msg.sent_at) as f64 * self.ns_per_cycle);
+            lanes.deliver_bcast(&msg);
+        }
+    }
+}
+
+impl Rosebud {
+    /// Broadcast-message delivery latency samples, in nanoseconds (§6.3).
+    pub fn bcast_latency(&mut self) -> &mut LatencyStats {
+        &mut self.bcast.latency
     }
 }
 
@@ -263,24 +295,6 @@ mod tests {
         assert!(fifo.push(pkt(1)).is_ok());
         assert_eq!(fifo.bytes(), 101);
         assert_eq!(fifo.len(), 2);
-    }
-
-    #[test]
-    fn lane_set_walks_ascending_over_a_copy() {
-        let mut set = LaneSet::default();
-        for r in [63, 0, 17, 5] {
-            set.insert(r);
-        }
-        assert_eq!(set.collect::<Vec<_>>(), vec![0, 5, 17, 63]);
-        // The walk is over a copy: the body may edit the set it walks.
-        for r in set {
-            set.remove(r);
-            set.insert((r + 1) % 64);
-        }
-        assert_eq!(set.collect::<Vec<_>>(), vec![0, 1, 6, 18]);
-        assert_eq!(LaneSet::all(3).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(LaneSet::all(64).count(), 64);
-        assert!(!LaneSet::all(16).contains(16));
     }
 
     #[test]

@@ -310,14 +310,6 @@ impl FaultState {
         let idx = self.pending.partition_point(|e| e.at <= ev.at);
         self.pending.insert(idx, ev);
     }
-
-    /// `true` once every event has triggered and every window has closed.
-    pub fn quiescent(&self, now: Cycle) -> bool {
-        self.pending.is_empty()
-            && self.corrupt_pending.iter().all(|&c| c == 0)
-            && self.rx_drop_until.iter().all(|&u| u <= now)
-            && self.host_down_until <= now
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +336,7 @@ mod tests {
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].kind, FaultKind::FirmwareCrash { rpu: 0 });
         assert_eq!(state.due(100).len(), 1);
-        assert!(state.quiescent(100));
+        assert!(state.pending.is_empty());
     }
 
     #[test]

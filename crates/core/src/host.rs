@@ -3,14 +3,17 @@
 //!
 //! Everything here operates on a [`Rosebud`] the way the real host reaches
 //! the FPGA over PCIe: load memories, read counters, poke/evict RPUs, drive
-//! the LB's 30-bit register channel, dump memory, and kick off partial
-//! reconfigurations.
+//! the LB's 30-bit register channel, dump memory. The PCIe bridge those
+//! calls cross is `HostBridge`; partial reconfiguration is in `pr.rs`.
 
-use rosebud_kernel::Cycle;
-use rosebud_riscv::Image;
+use rosebud_kernel::{Cycle, DelayLine, Fifo};
+use rosebud_net::Packet;
+use rosebud_riscv::AccessSize;
 
-use crate::system::{PrJob, PrPhase, Rosebud, RpuProgram};
-use crate::types::{irq, memmap};
+use crate::config::RosebudConfig;
+use crate::lanes::Lanes;
+use crate::system::{Fx, Rosebud};
+use crate::types::{irq, memmap, HostDmaReq};
 
 /// Memory regions addressable from the host within one RPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,43 +50,118 @@ pub mod lb_regs {
     pub const SLOTS_BASE: u32 = 0x100;
 }
 
+/// The host/PCIe bridge (Fig. 2): the virtual Ethernet interface in both
+/// directions, and the host-DRAM access manager that serves RPU DMA requests
+/// (§4.2).
+pub(crate) struct HostBridge {
+    /// RPU → host frames crossing PCIe.
+    rx_delay: DelayLine<Packet>,
+    /// Frames delivered to the host, until it takes them.
+    rx: Vec<Packet>,
+    /// Host → LB frames from the virtual Ethernet interface.
+    tx: Fifo<Packet>,
+    /// Host DRAM reachable from the RPUs through the DMA manager.
+    dram: Vec<u8>,
+    /// RPU DMA requests crossing PCIe.
+    dma_delay: DelayLine<(usize, HostDmaReq)>,
+}
+
+impl HostBridge {
+    pub fn new(cfg: &RosebudConfig) -> Self {
+        Self {
+            rx_delay: DelayLine::new(cfg.pcie_rtt_cycles / 2),
+            rx: Vec::new(),
+            tx: Fifo::new(256),
+            dram: vec![0; 4 * 1024 * 1024],
+            dma_delay: DelayLine::new(cfg.pcie_rtt_cycles / 2),
+        }
+    }
+
+    /// Stage 10: host PCIe delivery, and the host-DRAM access manager: RPU
+    /// DMA requests traverse PCIe, touch host DRAM, and complete with the
+    /// DMA interrupt (§4.2). An injected PCIe outage stalls the whole stage:
+    /// nothing is lost, everything waits for link-up.
+    #[inline]
+    pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes, fx: &mut Fx) {
+        if !fx.host_link_up(now) {
+            return;
+        }
+        while let Some(pkt) = self.rx_delay.pop_ready(now) {
+            self.rx.push(pkt);
+            fx.ledger.delivered += 1;
+        }
+        lanes.pick_up_dma(now, &mut self.dma_delay, fx);
+        while let Some((r, req)) = self.dma_delay.pop_ready(now) {
+            let rpu = lanes.rpu_mut(r);
+            let inner = rpu.inner_mut();
+            let at = (req.host_addr as usize).min(self.dram.len());
+            if req.to_host {
+                let bytes = inner.pmem_dma_src(req.local_addr, req.len);
+                let end = (at + bytes.len()).min(self.dram.len());
+                self.dram[at..end].copy_from_slice(&bytes[..end - at]);
+            } else {
+                let end = (at + req.len as usize).min(self.dram.len());
+                inner.pmem_copy_in(req.local_addr, &self.dram[at..end]);
+            }
+            inner.dma_complete();
+            rpu.raise_irq(irq::DMA);
+            if let Some(t) = fx.tracer.as_mut() {
+                t.dma_completed(now, r);
+            }
+        }
+    }
+
+    /// The head of the virtual interface's transmit queue, as the LB sees
+    /// it.
+    pub fn tx_head(&self) -> Option<&Packet> {
+        self.tx.front()
+    }
+
+    /// Takes the head of the transmit queue.
+    pub fn tx_pop(&mut self) -> Option<Packet> {
+        self.tx.pop()
+    }
+
+    /// Starts a frame an RPU addressed to the host across PCIe.
+    pub fn send(&mut self, pkt: Packet, now: Cycle) {
+        self.rx_delay.push(pkt, now);
+    }
+
+    /// Hands every delivered frame to `sink` as `(lane, frame)`, emptying
+    /// the buffer in place.
+    pub fn drain(&mut self, lane: usize, sink: &mut dyn FnMut(usize, Packet)) {
+        for pkt in self.rx.drain(..) {
+            sink(lane, pkt);
+        }
+    }
+
+    /// Frames the virtual interface holds, both directions.
+    pub fn in_flight(&self) -> usize {
+        self.tx.len() + self.rx_delay.len()
+    }
+}
+
 impl Rosebud {
-    /// Reads a word from the LB's host register channel.
-    pub fn lb_host_read(&mut self, addr: u32) -> u32 {
-        match addr {
-            lb_regs::ENABLE_LO => self.enabled as u32,
-            lb_regs::ENABLE_HI => (self.enabled >> 32) as u32,
-            a if a >= lb_regs::SLOTS_BASE
-                && ((a - lb_regs::SLOTS_BASE) as usize) < self.lanes.len() =>
-            {
-                self.tracker.free_count((a - lb_regs::SLOTS_BASE) as usize) as u32
-            }
-            other => self.lb.host_read(other),
-        }
+    /// Drains frames delivered to the host over PCIe.
+    pub fn take_host_packets(&mut self) -> Vec<Packet> {
+        std::mem::take(&mut self.host.rx)
     }
 
-    /// Writes a word to the LB's host register channel.
-    pub fn lb_host_write(&mut self, addr: u32, value: u32) {
-        match addr {
-            lb_regs::ENABLE_LO => {
-                self.enabled = (self.enabled & !0xffff_ffff) | u64::from(value);
-            }
-            lb_regs::ENABLE_HI => {
-                self.enabled = (self.enabled & 0xffff_ffff) | (u64::from(value) << 32);
-            }
-            lb_regs::FLUSH_RPU => {
-                let r = value as usize;
-                if r < self.lanes.len() {
-                    self.tracker.flush(r);
-                }
-            }
-            other => self.lb.host_write(other, value),
-        }
+    /// Queues a frame from the host's virtual Ethernet interface.
+    pub fn inject_from_host(&mut self, pkt: Packet) -> Result<(), Packet> {
+        self.host.tx.push(pkt)?;
+        self.fx.ledger.injected += 1;
+        Ok(())
     }
 
-    /// The current RPU enable mask.
-    pub fn enabled_mask(&self) -> u64 {
-        self.enabled
+    /// Host DRAM as the RPUs' DMA manager sees it (§4.2).
+    pub fn host_dram(&self) -> &[u8] {
+        &self.host.dram
+    }
+
+    /// Mutable host DRAM (host-side table preparation before DMA reads).
+    pub fn host_dram_mut(&mut self) -> &mut [u8] {
+        &mut self.host.dram
     }
 
     /// Reads `len` bytes from an RPU memory region — the host debug path
@@ -95,7 +173,7 @@ impl Rosebud {
         offset: usize,
         len: usize,
     ) -> Vec<u8> {
-        let inner = self.lanes[rpu].rpu.inner();
+        let inner = self.rpus()[rpu].inner();
         let mem: &[u8] = match region {
             MemRegion::Imem => return self.read_imem(rpu, offset, len),
             MemRegion::Dmem => inner.dmem(),
@@ -109,7 +187,7 @@ impl Rosebud {
         // imem is private to the inner; expose through the boot image plus
         // live reads would require a second port — the host reads back what
         // it loaded (A.6 loads "directly from the ELF output file").
-        match &self.lanes[rpu].rpu.boot_image {
+        match &self.rpus()[rpu].boot_image {
             Some(image) => {
                 let bytes = image.bytes();
                 bytes[offset.min(bytes.len())..(offset + len).min(bytes.len())].to_vec()
@@ -121,178 +199,56 @@ impl Rosebud {
     /// Writes bytes into an RPU memory region before boot (loading lookup
     /// tables, Appendix A.6) or during debugging.
     pub fn write_rpu_mem(&mut self, rpu: usize, region: MemRegion, offset: usize, bytes: &[u8]) {
-        self.wake_lane(rpu);
-        let inner = self.lanes[rpu].rpu.inner_mut();
-        match region {
-            MemRegion::Imem => {
-                // Firmware loads go through `load_riscv`; raw imem pokes are
-                // modelled as a partial image overwrite via the bus.
-                for (i, b) in bytes.iter().enumerate() {
-                    let _ = inner_store_u8(inner, memmap::IMEM_BASE + (offset + i) as u32, *b);
-                }
-            }
-            MemRegion::Dmem => {
-                for (i, b) in bytes.iter().enumerate() {
-                    let _ = inner_store_u8(inner, memmap::DMEM_BASE + (offset + i) as u32, *b);
-                }
-            }
-            MemRegion::Pmem => {
-                for (i, b) in bytes.iter().enumerate() {
-                    let _ = inner_store_u8(inner, memmap::PMEM_BASE + (offset + i) as u32, *b);
-                }
-            }
+        let rpu = self.rpu_mut(rpu);
+        // Firmware loads go through `load_riscv`; raw imem pokes are
+        // modelled as a partial image overwrite via the bus.
+        let base = match region {
+            MemRegion::Imem => memmap::IMEM_BASE,
+            MemRegion::Dmem => memmap::DMEM_BASE,
+            MemRegion::Pmem => memmap::PMEM_BASE,
             MemRegion::AccelMem => {
-                if let Some(accel) = self.lanes[rpu].rpu.accelerator_mut() {
+                if let Some(accel) = rpu.accelerator_mut() {
                     accel.load_table(offset as u32, bytes);
                 }
+                return;
             }
+        };
+        for (i, b) in bytes.iter().enumerate() {
+            // A byte that decodes to nothing is dropped by the bus.
+            let _ = rpu.inner_mut().host_store(
+                base + (offset + i) as u32,
+                u32::from(*b),
+                AccessSize::Byte,
+            );
         }
     }
 
     /// Sends a poke interrupt "to tell it to stop processing packets" so the
     /// host can inspect state (§3.4).
     pub fn poke(&mut self, rpu: usize) {
-        self.lanes[rpu].rpu.raise_irq(irq::POKE);
-        self.wake_lane(rpu);
+        self.rpu_mut(rpu).raise_irq(irq::POKE);
     }
 
     /// Sends the eviction interrupt ahead of a reconfiguration (A.8).
     pub fn evict(&mut self, rpu: usize) {
-        self.lanes[rpu].rpu.raise_irq(irq::EVICT);
-        self.wake_lane(rpu);
+        self.rpu_mut(rpu).raise_irq(irq::EVICT);
     }
 
     /// Reads RPU `rpu`'s host-visible status register.
     pub fn rpu_status(&self, rpu: usize) -> u32 {
-        self.lanes[rpu].rpu.inner().status()
+        self.rpus()[rpu].inner().status()
     }
 
     /// Takes the most recent 64-bit debug-channel value from `rpu`, if the
     /// firmware wrote one since the last read (A.7).
     pub fn take_debug(&mut self, rpu: usize) -> Option<u64> {
-        self.lanes[rpu].rpu.inner_mut().take_debug_out()
+        self.rpu_mut(rpu).inner_mut().take_debug_out()
     }
 
     /// Writes the host→RPU half of the 64-bit debug channel.
     pub fn write_debug(&mut self, rpu: usize, value: u64) {
-        self.lanes[rpu].rpu.inner_mut().set_debug_in(value);
-        self.wake_lane(rpu);
+        self.rpu_mut(rpu).inner_mut().set_debug_in(value);
     }
-
-    /// Begins a runtime reconfiguration of `rpu` (§4.1, A.8): the LB stops
-    /// sending to it, in-flight packets drain, the PR bitstream writes for
-    /// `pr_cycles`, then the new program (or the original factory's) boots
-    /// and the LB resumes. Traffic to other RPUs continues throughout.
-    pub fn reconfigure_rpu(
-        &mut self,
-        rpu: usize,
-        program: Option<RpuProgram>,
-        accel: Option<Box<dyn rosebud_accel::Accelerator>>,
-    ) {
-        assert!(rpu < self.lanes.len(), "no such RPU");
-        self.enabled &= !(1 << rpu);
-        self.lanes[rpu].rpu.start_drain();
-        self.wake_lane(rpu);
-        self.pr_jobs.push(PrJob {
-            rpu,
-            phase: PrPhase::Draining,
-            program,
-            accel,
-            reenable: true,
-        });
-    }
-
-    /// Like [`Rosebud::reconfigure_rpu`] with the factory program, but the
-    /// LB enable bit does **not** come back automatically when the region
-    /// boots: the caller re-enables with [`Rosebud::enable_rpu`] after
-    /// verifying the reboot. This is the supervisor's graceful-eviction
-    /// rung — it must never hand traffic to a region it has not confirmed
-    /// alive.
-    pub fn reconfigure_rpu_gated(&mut self, rpu: usize) {
-        assert!(rpu < self.lanes.len(), "no such RPU");
-        self.enabled &= !(1 << rpu);
-        self.lanes[rpu].rpu.start_drain();
-        self.wake_lane(rpu);
-        self.pr_jobs.push(PrJob {
-            rpu,
-            phase: PrPhase::Draining,
-            program: None,
-            accel: None,
-            reenable: false,
-        });
-    }
-
-    /// Forced eviction (A.8 failure path): a wedged region holds packets
-    /// that will never drain, so the host destroys them — every bound slot,
-    /// every queued descriptor, everything on the ingress pipeline headed
-    /// there — accounts them as purged in the conservation ledger, and
-    /// starts the PR bitstream write immediately. Returns the number of
-    /// slot-bound packets destroyed. The enable bit stays clear until the
-    /// caller re-enables.
-    pub fn force_reconfigure_rpu(&mut self, rpu: usize) -> u64 {
-        assert!(rpu < self.lanes.len(), "no such RPU");
-        self.enabled &= !(1 << rpu);
-        // Supersede any graceful job that was waiting on a drain that will
-        // never finish.
-        self.pr_jobs.retain(|j| j.rpu != rpu);
-        let purged = (self.cfg.slots_per_rpu - self.tracker.free_count(rpu)) as u64;
-        self.ledger.purged += purged;
-        self.ingress_delay.retain(|item| item.rpu != rpu);
-        self.lanes[rpu].rin.flush();
-        self.lanes[rpu].rout.flush();
-        self.lanes[rpu].rpu.purge();
-        self.tracker.flush(rpu);
-        let until = self.clock.cycle() + self.cfg.pr_cycles;
-        self.lanes[rpu].rpu.begin_reconfigure(until);
-        self.wake_lane(rpu);
-        self.pr_jobs.push(PrJob {
-            rpu,
-            phase: PrPhase::Writing { until },
-            program: None,
-            accel: None,
-            reenable: false,
-        });
-        purged
-    }
-
-    /// Sets `rpu`'s LB enable bit (host register write).
-    pub fn enable_rpu(&mut self, rpu: usize) {
-        self.enabled |= 1 << rpu;
-    }
-
-    /// Clears `rpu`'s LB enable bit: new traffic immediately reroutes to
-    /// the remaining RPUs (graceful degradation).
-    pub fn disable_rpu(&mut self, rpu: usize) {
-        self.enabled &= !(1 << rpu);
-    }
-
-    /// `true` while a reconfiguration of `rpu` is in progress.
-    pub fn reconfigure_pending(&self, rpu: usize) -> bool {
-        self.pr_jobs.iter().any(|j| j.rpu == rpu)
-    }
-
-    /// Loads a new assembled firmware into a *stopped* RPU and boots it —
-    /// the plain (non-PR) load path of A.6. Under [`crate::LoadPolicy::Deny`]
-    /// an image whose lint report contains errors is refused and the RPU is
-    /// left untouched.
-    pub fn load_rpu_firmware(&mut self, rpu: usize, image: &Image) -> Result<(), String> {
-        if !self.vet_firmware(rpu, image) {
-            return Err(format!(
-                "firmware for RPU {rpu} rejected by LoadPolicy::Deny"
-            ));
-        }
-        self.lanes[rpu].rpu.load_riscv(image);
-        self.wake_lane(rpu);
-        Ok(())
-    }
-}
-
-fn inner_store_u8(inner: &mut crate::rpu::RpuInner, addr: u32, value: u8) -> Result<(), ()> {
-    use rosebud_riscv::AccessSize;
-    inner
-        .host_store(addr, u32::from(value), AccessSize::Byte)
-        .map(|_| ())
-        .map_err(|_| ())
 }
 
 /// The analytic partial-reconfiguration timing model (§4.1): "We measured

@@ -1,0 +1,900 @@
+//! The RPUs and their private distribution links (Fig. 2), with the
+//! occupancy words that say which of them a tick has to visit.
+//!
+//! This file is the only place that can fill one of a lane's queues, and
+//! every method that does so marks the lane in the matching word. Everything
+//! else in the crate reaches a lane read-only through [`Lanes::rpus`], or
+//! through a method here that either cannot fill a queue or goes through
+//! [`Lanes::wake`].
+
+use rosebud_kernel::{Cycle, DelayLine, Serializer};
+
+use crate::config::RosebudConfig;
+use crate::fabric::{route_egress, EgressItem, IngressItem, Loopback};
+use crate::host::HostBridge;
+use crate::lb::SlotTracker;
+use crate::mac::Mac;
+use crate::rpu::Rpu;
+use crate::system::Fx;
+use crate::trace::TraceEvent;
+use crate::types::{irq, BcastMsg, HostDmaReq, SELF_TAG};
+
+/// A set of lane indices in one word (`num_rpus <= 64`), iterated in
+/// ascending order. [`Lanes`] keeps one per queue the tick polls, so a sweep
+/// costs what is occupied rather than what is built. Iteration runs over a
+/// copy: the sweep's body may insert into or remove from the set it is
+/// walking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LaneSet(u64);
+
+impl LaneSet {
+    /// Lanes `0..n`.
+    fn all(n: usize) -> Self {
+        Self(if n >= 64 { u64::MAX } else { (1 << n) - 1 })
+    }
+
+    #[inline]
+    fn insert(&mut self, r: usize) {
+        self.0 |= 1 << r;
+    }
+
+    #[inline]
+    fn remove(&mut self, r: usize) {
+        self.0 &= !(1 << r);
+    }
+
+    #[inline]
+    fn contains(self, r: usize) -> bool {
+        self.0 & (1 << r) != 0
+    }
+}
+
+impl Iterator for LaneSet {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let r = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(r)
+    }
+}
+
+/// One lane per RPU — the packet-processing unit, the 32 Gbps ingress link
+/// feeding its DMA engine and the 32 Gbps egress link draining its committed
+/// sends — stored column-wise, plus one occupancy word per queue.
+///
+/// The invariant is one-sided — *word ⊇ truth*: a set bit on an empty lane
+/// is one wasted visit (the sweep that finds the queue empty clears it), a
+/// clear bit on an occupied lane is a bug. A bit is set by the method that
+/// fills the queue, and [`Lanes::wake`] sets a lane in all five.
+pub(crate) struct Lanes {
+    rpus: Vec<Rpu>,
+    rin: Vec<Serializer<IngressItem>>,
+    rout: Vec<Serializer<EgressItem>>,
+    /// Stage 4: a frame is on the lane's ingress link (`rin`).
+    rin_busy: LaneSet,
+    /// Stage 5, core-tick elision: the lanes whose core must tick. A lane
+    /// leaves when its tick was inert and its quiet horizon lies ahead —
+    /// parked, halted, hung or mid-PR, no stall tail, no queued send, no
+    /// accelerator — and returns through [`Lanes::wake`] or when `now`
+    /// reaches `quiet[r]`.
+    awake: LaneSet,
+    /// Stage 6: a committed send is queued in the RPU.
+    tx_ready: LaneSet,
+    /// Stage 7: a frame is on the lane's egress link (`rout`).
+    rout_busy: LaneSet,
+    /// Stage 10: the RPU has posted a host-DMA request.
+    dma_posted: LaneSet,
+    /// For a lane not in `awake`: the first cycle at which its tick could
+    /// change any state (the armed-watchdog deadline, or never). Stale for
+    /// a lane that is awake.
+    quiet: Vec<Cycle>,
+    /// A lower bound on `quiet[r]` over the sleeping lanes: stage 5 reads
+    /// `quiet` only once `now` reaches it.
+    next_wake: Cycle,
+}
+
+impl Lanes {
+    /// Every lane starts in every occupancy word (a native boot hook may
+    /// already have queued a send); the first tick clears what is empty.
+    pub fn new(cfg: &RosebudConfig) -> Self {
+        let (rate, depth) = (cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2);
+        let n = cfg.num_rpus;
+        let all = LaneSet::all(n);
+        Self {
+            rpus: (0..n).map(|i| Rpu::new(i, cfg)).collect(),
+            rin: (0..n).map(|_| Serializer::new(rate, depth)).collect(),
+            rout: (0..n).map(|_| Serializer::new(rate, depth)).collect(),
+            rin_busy: all,
+            awake: all,
+            tx_ready: all,
+            rout_busy: all,
+            dma_posted: all,
+            quiet: vec![0; n],
+            next_wake: Cycle::MAX,
+        }
+    }
+
+    /// The RPUs, read-only.
+    pub fn rpus(&self) -> &[Rpu] {
+        &self.rpus
+    }
+
+    /// Marks lane `r` in every occupancy word, so the next tick visits it
+    /// in all five sweeps: every event from outside the tick's own data path
+    /// that could change an elided core's behavior or fill one of the lane's
+    /// queues — a raised interrupt, a host access, fault injection, a PR
+    /// step — routes through here. Spurious marks are harmless (each sweep
+    /// clears what it finds empty, an inert core re-sleeps right after); a
+    /// *missed* one is a determinism bug the elision differential
+    /// (`tests/kernel_equivalence.rs`) exists to catch.
+    #[inline]
+    pub fn wake(&mut self, r: usize) {
+        self.rin_busy.insert(r);
+        self.awake.insert(r);
+        self.tx_ready.insert(r);
+        self.rout_busy.insert(r);
+        self.dma_posted.insert(r);
+    }
+
+    /// Mutable access to RPU `r`, which wakes the lane: whatever the caller
+    /// does to the RPU, the next tick looks at all of it.
+    pub fn rpu_mut(&mut self, r: usize) -> &mut Rpu {
+        self.wake(r);
+        &mut self.rpus[r]
+    }
+
+    /// `true` when lane `r`'s ingress link can take no more frames.
+    pub fn rin_full(&self, r: usize) -> bool {
+        self.rin[r].is_full()
+    }
+
+    /// Puts a frame on its lane's ingress link (stage 3, and the loopback in
+    /// stage 9). The frame is invisible to the core until stage 4 delivers
+    /// it, so this marks `rin_busy` and does not wake.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link is full; callers check [`Lanes::rin_full`] first.
+    pub fn push_rin(&mut self, item: IngressItem, now: Cycle) {
+        let (r, len) = (item.rpu, item.bytes.len() as u64);
+        self.rin[r]
+            .push(item, len, now)
+            .expect("fullness checked by the caller");
+        self.rin_busy.insert(r);
+    }
+
+    /// `true` when neither of lane `r`'s links holds a frame (PR drain).
+    pub fn links_empty(&self, r: usize) -> bool {
+        self.rin[r].is_empty() && self.rout[r].is_empty()
+    }
+
+    /// Forced eviction: drops whatever is on lane `r`'s two links. The
+    /// words keep their (now stale) set bits, which cost one visit each.
+    pub fn flush_links(&mut self, r: usize) {
+        self.rin[r].flush();
+        self.rout[r].flush();
+    }
+
+    /// Stage 4: per-RPU link → DMA into packet memory + descriptor delivery.
+    #[inline]
+    pub fn deliver(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
+        for r in self.rin_busy {
+            let Some(item) = self.rin[r].pop_ready(now) else {
+                if self.rin[r].is_empty() {
+                    self.rin_busy.remove(r);
+                }
+                continue;
+            };
+            // The one ingress wake: a frame still on the link is invisible
+            // to the core, and a delivery fills none of the lane's other
+            // queues.
+            self.awake.insert(r);
+            if item.corrupted {
+                // Link FCS failure: quarantine before the DMA engine
+                // touches packet memory; the slot returns to the LB.
+                slots.release(r, item.slot);
+                fx.ledger.corrupted += 1;
+                continue;
+            }
+            let len = item.bytes.len() as u32;
+            let delivered = self.rpus[r]
+                .inner_mut()
+                .dma_deliver(item.slot, item.bytes, item.meta);
+            if delivered {
+                let (rpu, slot) = (r as u8, item.slot);
+                fx.trace(now, TraceEvent::DescRx { rpu, slot, len });
+            } else {
+                // Should not happen: slots bound in-flight packets.
+                slots.release(r, item.slot);
+                fx.routed_drops += 1;
+                fx.ledger.dropped += 1;
+            }
+        }
+    }
+
+    /// Stage 5: core + accelerator, for the lanes that are awake. What the
+    /// tick left for stages 6 and 10 is looked at once, here; the horizon is
+    /// consulted only after an inert tick.
+    #[inline]
+    pub fn run_cores(&mut self, now: Cycle) {
+        if now >= self.next_wake {
+            self.wake_due(now);
+        }
+        for r in self.awake {
+            let rpu = &mut self.rpus[r];
+            let inert = rpu.tick(now);
+            let (send, dma) = rpu.inner().posted();
+            if send {
+                self.tx_ready.insert(r);
+            }
+            if dma {
+                self.dma_posted.insert(r);
+            }
+            if inert {
+                let horizon = rpu.quiet_horizon();
+                if horizon > now {
+                    self.awake.remove(r);
+                    self.quiet[r] = horizon;
+                    self.next_wake = self.next_wake.min(horizon);
+                }
+            }
+        }
+    }
+
+    /// Returns every sleeping lane whose horizon `now` has reached to
+    /// `awake`, and re-derives `next_wake` from the ones still asleep.
+    fn wake_due(&mut self, now: Cycle) {
+        self.next_wake = Cycle::MAX;
+        for (r, &quiet) in self.quiet.iter().enumerate() {
+            if self.awake.contains(r) {
+                continue;
+            }
+            if quiet <= now {
+                self.awake.insert(r);
+            } else {
+                self.next_wake = self.next_wake.min(quiet);
+            }
+        }
+    }
+
+    /// Stage 6: committed sends → per-RPU egress links.
+    #[inline]
+    pub fn collect_sends(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
+        for r in self.tx_ready {
+            if self.rout[r].is_full() {
+                continue;
+            }
+            let Some((desc, bytes, meta)) = self.rpus[r].inner_mut().take_tx() else {
+                self.tx_ready.remove(r);
+                continue;
+            };
+            let (rpu, tag) = (r as u8, desc.tag);
+            if desc.len == 0 || bytes.is_empty() {
+                if tag != SELF_TAG {
+                    slots.release(r, tag);
+                    // Self-originated zero-length sends never entered
+                    // the conservation universe; slot-bound ones did.
+                    fx.ledger.dropped += 1;
+                }
+                fx.routed_drops += 1;
+                fx.trace(now, TraceEvent::DescDrop { rpu, tag });
+                continue;
+            }
+            let len = bytes.len();
+            let port = desc.port;
+            fx.trace(
+                now,
+                TraceEvent::DescTx {
+                    rpu,
+                    tag,
+                    port,
+                    len: len as u32,
+                },
+            );
+            let item = EgressItem {
+                src_rpu: r,
+                desc,
+                bytes,
+                meta,
+            };
+            self.rout[r]
+                .push(item, len as u64, now)
+                .expect("fullness checked above");
+            self.rout_busy.insert(r);
+        }
+    }
+
+    /// Stage 7: egress links → routing; slot freed once fully serialized out
+    /// ("the interconnect notifies the LB about slot being freed after it is
+    /// sent out", §4.2).
+    #[inline]
+    pub fn route(
+        &mut self,
+        now: Cycle,
+        slots: &mut SlotTracker,
+        mac: &mut Mac,
+        host: &mut HostBridge,
+        loopback: &mut Loopback,
+        fx: &mut Fx,
+    ) {
+        for r in self.rout_busy {
+            let Some(head) = self.rout[r].front() else {
+                self.rout_busy.remove(r);
+                continue;
+            };
+            // Hold the egress link when the destination port's pipeline is
+            // congested: self-originated traffic (no slot bound) must not
+            // grow the egress queues without limit.
+            if mac.tx_congested(head.desc.port) {
+                continue;
+            }
+            if let Some(item) = self.rout[r].pop_ready(now) {
+                if item.desc.tag != SELF_TAG {
+                    slots.release(item.src_rpu, item.desc.tag);
+                } else {
+                    // A firmware-originated frame enters the conservation
+                    // universe as it leaves the region.
+                    fx.ledger.originated += 1;
+                }
+                route_egress(item, now, mac, host, loopback, fx);
+            }
+        }
+    }
+
+    /// The lane half of stage 10: moves every posted host-DMA request onto
+    /// the PCIe delay line. The register holds one request, so a visit
+    /// always empties it.
+    #[inline]
+    pub fn pick_up_dma(
+        &mut self,
+        now: Cycle,
+        pcie: &mut DelayLine<(usize, HostDmaReq)>,
+        fx: &mut Fx,
+    ) {
+        for r in std::mem::take(&mut self.dma_posted) {
+            if let Some(req) = self.rpus[r].inner_mut().take_dma_req() {
+                if let Some(t) = fx.tracer.as_mut() {
+                    t.dma_started(now, r, req.to_host, req.len);
+                }
+                pcie.push((r, req), now);
+            }
+        }
+    }
+
+    /// The lane half of stage 11, outbound: takes the next broadcast message
+    /// out of RPU `r`'s outbox. Fills no queue, so it does not wake.
+    #[inline]
+    pub fn pop_bcast(&mut self, r: usize) -> Option<BcastMsg> {
+        self.rpus[r].inner_mut().pop_bcast()
+    }
+
+    /// The lane half of stage 11, inbound: writes `msg` into every RPU's
+    /// mirror at once (§4.4), interrupting — and so waking — the ones that
+    /// unmasked the word.
+    pub fn deliver_bcast(&mut self, msg: &BcastMsg) {
+        for r in 0..self.rpus.len() {
+            if self.rpus[r].inner_mut().deliver_bcast(msg) {
+                self.rpu_mut(r).raise_irq(irq::BCAST);
+            }
+        }
+    }
+
+    /// The occupancy invariant, *word ⊇ truth*, for every lane: a queue
+    /// that holds something is in its word, and a lane that is not awake
+    /// has a horizon ahead of `now` that `next_wake` does not overshoot.
+    /// Checked at the end of every tick of a debug build.
+    pub fn assert_occupancy(&self, now: Cycle) {
+        for (r, rpu) in self.rpus.iter().enumerate() {
+            let (send, dma) = rpu.inner().posted();
+            assert!(
+                self.rin[r].is_empty() || self.rin_busy.contains(r),
+                "cycle {now}: lane {r} has a frame on rin but is not in rin_busy"
+            );
+            assert!(
+                !send || self.tx_ready.contains(r),
+                "cycle {now}: lane {r} has a send queued but is not in tx_ready"
+            );
+            assert!(
+                self.rout[r].is_empty() || self.rout_busy.contains(r),
+                "cycle {now}: lane {r} has a frame on rout but is not in rout_busy"
+            );
+            assert!(
+                !dma || self.dma_posted.contains(r),
+                "cycle {now}: lane {r} posted a DMA request but is not in dma_posted"
+            );
+            assert!(
+                self.awake.contains(r) || (self.quiet[r] > now && self.quiet[r] >= self.next_wake),
+                "cycle {now}: lane {r} asleep with quiet {} (next_wake {})",
+                self.quiet[r],
+                self.next_wake
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultKind, Ledger};
+    use crate::harness::Harness;
+    use crate::system::{apply_due_faults, Rosebud, RosebudBuilder, RpuProgram};
+    use crate::types::{port, SlotMeta};
+    use rosebud_accel::FirewallMatcher;
+    use rosebud_net::{FixedSizeGen, Packet};
+    use rosebud_riscv::assemble;
+
+    #[test]
+    fn lane_set_walks_ascending_over_a_copy() {
+        let mut set = LaneSet::default();
+        for r in [63, 0, 17, 5] {
+            set.insert(r);
+        }
+        assert_eq!(set.collect::<Vec<_>>(), vec![0, 5, 17, 63]);
+        // The walk is over a copy: the body may edit the set it walks.
+        for r in set {
+            set.remove(r);
+            set.insert((r + 1) % 64);
+        }
+        assert_eq!(set.collect::<Vec<_>>(), vec![0, 1, 6, 18]);
+        assert_eq!(LaneSet::all(3).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(LaneSet::all(64).count(), 64);
+        assert!(!LaneSet::all(16).contains(16));
+    }
+
+    /// Every queue a sweep polls has one method that fills it, and that
+    /// method marks the lane in the queue's word — and in no other.
+    #[test]
+    fn each_queue_is_filled_by_one_method_that_marks_its_word() {
+        let cfg = RosebudConfig::with_rpus(4);
+        let mut lanes = Lanes::new(&cfg);
+        let mut slots = SlotTracker::new(cfg.num_rpus, cfg.slots_per_rpu);
+        let mut fx = Fx {
+            ledger: Ledger::default(),
+            tracer: None,
+            routed_drops: 0,
+            fault: None,
+        };
+        let only = |r: usize| {
+            let mut set = LaneSet::default();
+            set.insert(r);
+            set
+        };
+        let words = |l: &Lanes| [l.rin_busy, l.awake, l.tx_ready, l.rout_busy, l.dma_posted];
+        let none = LaneSet::default();
+        lanes
+            .rpu_mut(1)
+            .load_riscv(&assemble(DMA_THEN_PARK).unwrap());
+        lanes.rpu_mut(2).load_riscv(&assemble(BUSY_POLL).unwrap());
+        // Empty every word by hand — nothing is queued anywhere yet — and
+        // put every core to sleep with no horizon.
+        (lanes.rin_busy, lanes.awake, lanes.tx_ready) = (none, none, none);
+        (lanes.rout_busy, lanes.dma_posted) = (none, none);
+        lanes.quiet.fill(Cycle::MAX);
+
+        // Stage 3's (and the loopback's) door onto the ingress link.
+        let slot = slots.alloc(2).unwrap();
+        let meta = SlotMeta {
+            packet_id: 7,
+            ts_gen: 0,
+            ingress_port: 0,
+            orig_len: 64,
+        };
+        let item = IngressItem {
+            rpu: 2,
+            slot,
+            bytes: vec![0; 64],
+            meta,
+            corrupted: false,
+        };
+        lanes.push_rin(item, 0);
+        assert_eq!(words(&lanes), [only(2), none, none, none, none]);
+
+        // Stage 4: the delivery is what wakes the core.
+        let mut now = 0;
+        while lanes.awake == none {
+            lanes.deliver(now, &mut slots, &mut fx);
+            now += 1;
+        }
+        assert_eq!(words(&lanes), [only(2), only(2), none, none, none]);
+
+        // Stage 5: the tick that commits the send marks it.
+        while !lanes.rpus[2].inner().posted().0 {
+            assert_eq!(lanes.tx_ready, none);
+            lanes.run_cores(now);
+            now += 1;
+        }
+        assert_eq!(lanes.tx_ready, only(2));
+
+        // Stage 6: the send goes onto the egress link.
+        lanes.collect_sends(now, &mut slots, &mut fx);
+        assert!(!lanes.rout[2].is_empty());
+        assert_eq!(lanes.rout_busy, only(2));
+
+        // Stage 5 again: the tick that posts a host-DMA request marks it.
+        lanes.awake.insert(1);
+        while !lanes.rpus[1].inner().posted().1 {
+            assert_eq!(lanes.dma_posted, none);
+            lanes.run_cores(now);
+            now += 1;
+        }
+        assert_eq!(lanes.dma_posted, only(1));
+        lanes.assert_occupancy(now);
+    }
+
+    /// The §6.1 busy-poll forwarder: never parks, so it must never sleep.
+    const BUSY_POLL: &str = "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x01000000
+        poll:
+            lw a0, 0x00(t0)
+            beqz a0, poll
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            xor a1, a1, t2
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j poll
+        ";
+
+    /// The same forwarder parked in `wfi` behind a 700-cycle timer alarm
+    /// (`rosebud_apps::forwarder::duty_cycle_forwarder_asm`).
+    const DUTY_CYCLE: &str = "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x01000000
+            li t5, 700
+            li t6, 2
+            csrw mie, t6
+        park:
+            sw t5, 0x40(t0)
+            wfi
+        drain:
+            lw a0, 0x00(t0)
+            beqz a0, park
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            xor a1, a1, t2
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j drain
+        ";
+
+    fn builder(rpus: usize, asm: &str) -> RosebudBuilder {
+        let image = assemble(asm).unwrap();
+        let mut cfg = RosebudConfig::with_rpus(rpus);
+        cfg.pr_cycles = 500;
+        Rosebud::builder(cfg).firmware(move |_| RpuProgram::Riscv(image.clone()))
+    }
+
+    /// Posts one 4-byte DMA write to host address 0x3000, then parks for
+    /// good.
+    const DMA_THEN_PARK: &str = "
+            .equ IO, 0x02000000
+                li t0, IO
+                li t1, 0x01000000
+                li a0, 0x600df00d
+                sw a0, 0(t1)
+                li a1, 0x3000
+                sw a1, 0x44(t0)      # DMA_HOST_ADDR
+                sw t1, 0x48(t0)      # DMA_LOCAL_ADDR
+                li a1, 4
+                sw a1, 0x4c(t0)      # DMA_LEN
+                li a1, 1
+                csrw mie, zero
+                sw a1, 0x50(t0)      # DMA_CTRL: write to host
+                wfi
+                ebreak
+            ";
+
+    /// Firmware that parks for good: `wfi` with every interrupt masked.
+    const PARKED: &str = "csrw mie, zero\nwfi\nebreak";
+
+    /// The busy-poll forwarder with the egress port fixed to `port`.
+    fn send_to(port: u8) -> String {
+        format!(
+            "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x00ffffff
+            li t3, {port}
+            slli t3, t3, 24
+        poll:
+            lw a0, 0x00(t0)
+            beqz a0, poll
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            and a1, a1, t2
+            or a1, a1, t3
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j poll
+        "
+        )
+    }
+
+    /// Puts lane `r` to sleep by hand, as stage 5 would.
+    fn force_sleep(sys: &mut Rosebud, r: usize) {
+        sys.lanes.awake.remove(r);
+        sys.lanes.quiet[r] = Cycle::MAX;
+    }
+
+    fn occupancy(sys: &Rosebud) -> [LaneSet; 5] {
+        let l = &sys.lanes;
+        [l.rin_busy, l.awake, l.tx_ready, l.rout_busy, l.dma_posted]
+    }
+
+    /// Runs `sys` at 5 Gbps for `cycles`, returning how many (lane, cycle)
+    /// pairs were asleep going into a tick.
+    fn asleep_lane_cycles(sys: Rosebud, cycles: u64) -> u64 {
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0);
+        let mut asleep = 0;
+        for _ in 0..cycles {
+            asleep += (h.sys.rpus().len() - h.sys.lanes.awake.count()) as u64;
+            h.tick();
+        }
+        asleep
+    }
+
+    /// The elision differential is only worth something if lanes really
+    /// sleep where they should and never where they must not.
+    #[test]
+    fn parked_cores_sleep_and_busy_or_accelerated_lanes_never_do() {
+        let duty = builder(16, DUTY_CYCLE).build().unwrap();
+        let asleep = asleep_lane_cycles(duty, 20_000);
+        assert!(
+            asleep > 16 * 20_000 / 2,
+            "duty-cycled lanes slept only {asleep} lane-cycles"
+        );
+
+        let busy = builder(16, BUSY_POLL).build().unwrap();
+        assert_eq!(asleep_lane_cycles(busy, 20_000), 0);
+
+        let accelerated = builder(16, DUTY_CYCLE)
+            .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
+            .build()
+            .unwrap();
+        assert_eq!(asleep_lane_cycles(accelerated, 20_000), 0);
+    }
+
+    /// Every wake source must end a sleep. The cores here busy-poll, so a
+    /// lane put to sleep by hand stays asleep until something wakes it and
+    /// stays awake afterwards — which makes each wake observable from
+    /// outside the tick that performed it.
+    #[test]
+    fn every_wake_source_ends_a_sleep() {
+        let mut sys = builder(4, BUSY_POLL).build().unwrap();
+        sys.run(50);
+
+        // Control: with no event, a sleeping lane is never ticked.
+        force_sleep(&mut sys, 1);
+        sys.run(50);
+        assert!(!sys.lanes.awake.contains(1));
+
+        // Ingress delivery wakes exactly the lane the LB picked.
+        for r in 0..4 {
+            force_sleep(&mut sys, r);
+        }
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        sys.run(400);
+        assert_eq!(sys.lanes.awake.count(), 1);
+        assert_eq!(sys.take_output(1).len(), 1, "the woken lane forwarded it");
+
+        // Host poke, and `rpu_mut` — the access the un-elided oracle in
+        // `tests/kernel_equivalence.rs` is built from.
+        force_sleep(&mut sys, 2);
+        sys.poke(2);
+        assert!(sys.lanes.awake.contains(2));
+        force_sleep(&mut sys, 2);
+        sys.rpu_mut(2);
+        assert!(sys.lanes.awake.contains(2));
+        force_sleep(&mut sys, 2);
+        sys.evict(2);
+        assert!(sys.lanes.awake.contains(2));
+        force_sleep(&mut sys, 2);
+        sys.write_debug(2, 7);
+        assert!(sys.lanes.awake.contains(2));
+
+        // Fault injection lands in stage 0, ahead of the core tick.
+        force_sleep(&mut sys, 3);
+        force_sleep(&mut sys, 0);
+        sys.inject_fault(FaultKind::FirmwareHang { rpu: 3 });
+        sys.inject_fault(FaultKind::FirmwareCrash { rpu: 0 });
+        apply_due_faults(sys.now(), &mut sys.fx, &mut sys.lanes);
+        assert!(sys.lanes.awake.contains(3) && sys.lanes.awake.contains(0));
+        sys.tick();
+
+        // PR begin wakes; the region then sleeps through the bitstream
+        // write on its own, and PR finish wakes it into the new firmware.
+        force_sleep(&mut sys, 1);
+        sys.force_reconfigure_rpu(1);
+        assert!(sys.lanes.awake.contains(1));
+        sys.run(100);
+        assert!(!sys.lanes.awake.contains(1), "mid-PR region must sleep");
+        sys.run(500);
+        assert!(sys.lanes.awake.contains(1));
+        assert_eq!(sys.rpus()[1].state(), crate::rpu::RpuState::Running);
+        // The graceful eviction's entry points wake too (they raise EVICT).
+        force_sleep(&mut sys, 2);
+        sys.reconfigure_rpu_gated(2);
+        assert!(sys.lanes.awake.contains(2));
+
+        // Broadcast interrupt (stage 11): lane 0 broadcasts one word at
+        // boot; every other lane, asleep or not, takes the interrupt.
+        let bcast = assemble("li t0, 0x04000000\nli a0, 1\nsw a0, 0(t0)\nspin: j spin").unwrap();
+        let spin = assemble("spin: j spin").unwrap();
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(4))
+            .firmware(move |r| RpuProgram::Riscv(if r == 0 { bcast.clone() } else { spin.clone() }))
+            .build()
+            .unwrap();
+        force_sleep(&mut sys, 2);
+        sys.run(100);
+        assert!(sys.lanes.awake.contains(2));
+    }
+
+    /// A tick costs what is in flight: with nothing in flight every
+    /// occupancy word drains to empty and stays there.
+    #[test]
+    fn a_parked_box_has_every_occupancy_word_empty() {
+        let mut sys = builder(16, PARKED).build().unwrap();
+        assert_eq!(occupancy(&sys), [LaneSet::all(16); 5]);
+        sys.run(100);
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+        sys.run(2_000);
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+    }
+
+    /// `wake` marks the lane in every word, so the integration tests'
+    /// `wake_all` oracle (`rpu_mut(r)` for every lane before each tick) is
+    /// the full-sweep reference tick for all five stages, not only stage 5.
+    #[test]
+    fn waking_every_lane_forces_the_full_sweep_of_every_stage() {
+        let mut sys = builder(16, PARKED).build().unwrap();
+        sys.run(100);
+        for r in 0..16 {
+            sys.rpu_mut(r);
+        }
+        assert_eq!(occupancy(&sys), [LaneSet::all(16); 5]);
+    }
+
+    /// A forced eviction empties `rin` and `rout` behind the sweeps' backs:
+    /// no word may be left wrongly clear, and the stale set bits cost one
+    /// visit each.
+    #[test]
+    fn forced_eviction_leaves_no_stale_occupancy_behind() {
+        let sys = builder(4, BUSY_POLL).build().unwrap();
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(1500, 2)), 205.0);
+        let loaded = |sys: &Rosebud| {
+            (0..4).find(|&r| !sys.lanes.rin[r].is_empty() && !sys.lanes.rout[r].is_empty())
+        };
+        let mut victim = None;
+        for _ in 0..5_000 {
+            h.tick();
+            victim = loaded(&h.sys);
+            if victim.is_some() {
+                break;
+            }
+        }
+        let r = victim.expect("a lane with frames on both links");
+        assert!(h.sys.force_reconfigure_rpu(r) > 0);
+        assert!(occupancy(&h.sys).iter().all(|word| word.contains(r)));
+        h.sys.tick();
+        assert!(
+            occupancy(&h.sys).iter().all(|word| !word.contains(r)),
+            "a flushed, mid-PR lane occupies nothing after one tick"
+        );
+        h.run(2_000);
+        h.sys.assert_conservation();
+    }
+
+    /// The loopback module fills a lane's ingress link from stage 9, outside
+    /// stage 3: it must mark the destination or the frame is never delivered.
+    #[test]
+    fn loopback_push_marks_the_destination_lane() {
+        let (first, second) = (
+            assemble(&send_to(port::LOOPBACK_BASE + 1)).unwrap(),
+            assemble(&send_to(1)).unwrap(),
+        );
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+            .firmware(move |r| {
+                RpuProgram::Riscv(if r == 0 {
+                    first.clone()
+                } else {
+                    second.clone()
+                })
+            })
+            .build()
+            .unwrap();
+        sys.disable_rpu(1); // lane 1 is fed by the loopback only
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        let mut marked = false;
+        for _ in 0..400 {
+            sys.tick();
+            if !sys.lanes.rin[1].is_empty() {
+                assert!(sys.lanes.rin_busy.contains(1));
+                marked = true;
+            }
+        }
+        assert!(marked, "the frame never reached lane 1's ingress link");
+        assert_eq!(sys.take_output(1).len(), 1, "lane 1 forwarded it");
+    }
+
+    /// A host store into the I/O window commits a send on a core that is
+    /// parked and stays parked: only `write_rpu_mem`'s wake tells
+    /// stage 6 to look. (Byte stores cannot form a packet-memory address,
+    /// so the forged send is a zero-length one: the frame the lane was
+    /// holding is dropped and its slot returns to the LB.)
+    #[test]
+    fn host_store_to_the_send_register_on_a_parked_lane_is_sent() {
+        use crate::host::MemRegion;
+        use crate::types::memmap::{io, IO_BASE, PMEM_BASE};
+
+        let mut sys = builder(2, PARKED).build().unwrap();
+        sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
+        sys.run(400);
+        let r = (0..2)
+            .find(|&r| !sys.tracker().all_free(r))
+            .expect("the frame is parked in a slot");
+        assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
+
+        let window = (IO_BASE - PMEM_BASE) as usize;
+        sys.write_rpu_mem(
+            r,
+            MemRegion::Pmem,
+            window + io::SEND_DESC_LO as usize,
+            &[64],
+        );
+        sys.write_rpu_mem(
+            r,
+            MemRegion::Pmem,
+            window + io::SEND_DESC_DATA as usize,
+            &[0],
+        );
+        assert!(sys.lanes.tx_ready.contains(r));
+        sys.run(2);
+        assert_eq!(sys.drop_count(), 1, "stage 6 collected the send");
+        assert!(sys.tracker().all_free(r));
+        assert!(
+            !sys.lanes.awake.contains(r),
+            "and the core never left its park"
+        );
+        sys.assert_conservation();
+    }
+
+    /// A posted host-DMA request waits out a PCIe outage in the RPU's
+    /// register. The core parks right after posting it, so nothing re-marks
+    /// the lane: the bit itself has to survive until link-up.
+    #[test]
+    fn a_posted_dma_request_survives_a_host_outage() {
+        let image = assemble(DMA_THEN_PARK).unwrap();
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        // The link drops after the words `build()` filled have drained and
+        // before the firmware reaches its `DMA_CTRL` store.
+        sys.run(3);
+        assert_eq!(sys.lanes.dma_posted, LaneSet::default());
+        sys.inject_fault(FaultKind::HostDmaOutage { cycles: 1_000 });
+        sys.run(500);
+        assert!(!sys.host_link_up());
+        assert_eq!(sys.lanes.dma_posted, LaneSet::all(2));
+        assert_eq!(sys.lanes.awake, LaneSet::default());
+        assert_eq!(&sys.host_dram()[0x3000..0x3004], &[0; 4]);
+
+        sys.run(500 + sys.config().pcie_rtt_cycles);
+        assert_eq!(sys.lanes.dma_posted, LaneSet::default());
+        assert_eq!(
+            &sys.host_dram()[0x3000..0x3004],
+            &0x600d_f00d_u32.to_le_bytes()
+        );
+    }
+}

@@ -42,6 +42,11 @@ impl SlotTracker {
         self.free[rpu].len()
     }
 
+    /// Slots of `rpu` currently bound to a frame.
+    pub(crate) fn bound_count(&self, rpu: usize) -> usize {
+        self.capacity - self.free[rpu].len()
+    }
+
     /// Takes a free slot on `rpu`, if any.
     pub fn alloc(&mut self, rpu: usize) -> Option<u8> {
         self.free[rpu].pop()

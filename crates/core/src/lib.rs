@@ -48,13 +48,17 @@
 
 mod config;
 mod diag;
+mod dist;
 mod fabric;
 mod fault;
 mod fleet;
 mod harness;
 mod host;
+mod lanes;
 mod lb;
+mod mac;
 pub mod ports;
+mod pr;
 pub mod resources;
 mod rpu;
 mod supervisor;
@@ -77,7 +81,7 @@ pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobin
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
 pub use supervisor::{RecoveryEvent, Supervisor, SupervisorConfig};
-pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram, Rpus};
+pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram};
 pub use testbench::{PacketReport, RpuTestbench, TxRecord};
 pub use trace::{FleetStep, SupervisorStep, TraceConfig, TraceEvent, Tracer};
 pub use types::{irq, memmap, port, BcastMsg, Desc, HostDmaReq, SlotMeta, SELF_TAG};

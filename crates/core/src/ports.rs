@@ -68,15 +68,8 @@ impl Device for Rosebud {
     }
 
     fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
-        for (p, port) in self.ports.iter_mut().enumerate() {
-            for pkt in port.output.drain(..) {
-                sink(p, pkt);
-            }
-        }
-        let host = self.ports.len();
-        for pkt in self.host_rx.drain(..) {
-            sink(host, pkt);
-        }
+        self.mac.drain(sink);
+        self.host.drain(self.mac.num_ports(), sink);
     }
 }
 

@@ -1,0 +1,284 @@
+//! The partial-reconfiguration controller (§4.1, A.8): what the box boots
+//! with, the jobs that swap an RPU's region at run time, and the static lint
+//! every RISC-V image passes on its way in.
+
+use rosebud_accel::Accelerator;
+use rosebud_kernel::Cycle;
+use rosebud_riscv::Image;
+
+use crate::config::RosebudConfig;
+use crate::dist::Distributor;
+use crate::lanes::Lanes;
+use crate::rpu::Rpu;
+use crate::system::{AccelFactory, FirmwareFactory, Rosebud, RpuProgram};
+use crate::verify::{machine_spec, LintRecord, LoadPolicy};
+
+struct PrJob {
+    rpu: usize,
+    phase: PrPhase,
+    program: Option<RpuProgram>,
+    accel: Option<Box<dyn Accelerator>>,
+    /// Whether the LB enable bit comes back automatically when the new
+    /// program boots. Supervised recoveries pass `false`: the supervisor
+    /// re-enables only after verifying the region actually rebooted.
+    reenable: bool,
+}
+
+enum PrPhase {
+    Draining,
+    Writing { until: Cycle },
+}
+
+pub(crate) struct Reconfig {
+    jobs: Vec<PrJob>,
+    firmware_factory: FirmwareFactory,
+    accel_factory: Option<AccelFactory>,
+    /// Static-lint policy applied to every RISC-V firmware load.
+    load_policy: LoadPolicy,
+    /// Every lint report produced by the load path, oldest first.
+    lint_log: Vec<LintRecord>,
+}
+
+impl Reconfig {
+    pub fn new(
+        firmware_factory: FirmwareFactory,
+        accel_factory: Option<AccelFactory>,
+        load_policy: LoadPolicy,
+    ) -> Self {
+        Self {
+            jobs: Vec::new(),
+            firmware_factory,
+            accel_factory,
+            load_policy,
+            lint_log: Vec::new(),
+        }
+    }
+
+    /// Loads the factories' accelerator and firmware into every RPU and
+    /// boots them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when [`LoadPolicy::Deny`] rejects an image.
+    pub fn boot(&mut self, cfg: &RosebudConfig, lanes: &mut Lanes) -> Result<(), String> {
+        for i in 0..cfg.num_rpus {
+            let rpu = lanes.rpu_mut(i);
+            if let Some(accel) = &self.accel_factory {
+                rpu.set_accelerator(accel(i));
+            }
+            let program = (self.firmware_factory)(i);
+            if !self.install(cfg, rpu, 0, program) {
+                let errors = self.lint_log.last().map_or(0, |r| r.report.error_count());
+                return Err(format!(
+                    "firmware for RPU {i} rejected by LoadPolicy::Deny: \
+                     {errors} lint error(s)"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the analyzer over `image` per the load policy, appending the
+    /// report to the lint log. Returns `false` when [`LoadPolicy::Deny`]
+    /// must block the install. The one vetting routine behind boot, host
+    /// loads and PR reloads.
+    fn vet(&mut self, cfg: &RosebudConfig, rpu: usize, cycle: Cycle, image: &Image) -> bool {
+        if self.load_policy == LoadPolicy::Off {
+            return true;
+        }
+        let report = rosebud_riscv::Analyzer::new(machine_spec(cfg)).check(image);
+        let denied = self.load_policy == LoadPolicy::Deny && report.has_errors();
+        self.lint_log.push(LintRecord {
+            rpu,
+            cycle,
+            denied,
+            report,
+        });
+        !denied
+    }
+
+    /// Vets `program` and boots `rpu` on it; `false` when the lint denied
+    /// the image and the RPU was left as it was.
+    fn install(
+        &mut self,
+        cfg: &RosebudConfig,
+        rpu: &mut Rpu,
+        cycle: Cycle,
+        program: RpuProgram,
+    ) -> bool {
+        match program {
+            RpuProgram::Riscv(image) => {
+                if !self.vet(cfg, rpu.id(), cycle, &image) {
+                    return false;
+                }
+                rpu.load_riscv(&image);
+            }
+            RpuProgram::Native(fw) => rpu.load_native(fw),
+        }
+        true
+    }
+
+    /// Stage 12: moves every partial-reconfiguration job along.
+    #[inline]
+    pub fn tick(
+        &mut self,
+        now: Cycle,
+        cfg: &RosebudConfig,
+        lanes: &mut Lanes,
+        dist: &mut Distributor,
+    ) {
+        let mut i = 0;
+        while i < self.jobs.len() {
+            match self.jobs[i].phase {
+                PrPhase::Draining => {
+                    let r = self.jobs[i].rpu;
+                    let in_flight = !lanes.links_empty(r) || !dist.slots().all_free(r);
+                    if lanes.rpus()[r].is_drained() && !in_flight {
+                        let until = now + cfg.pr_cycles;
+                        lanes.rpu_mut(r).begin_reconfigure(until);
+                        self.jobs[i].phase = PrPhase::Writing { until };
+                    }
+                    i += 1;
+                }
+                PrPhase::Writing { until } if now >= until => {
+                    let job = self.jobs.swap_remove(i);
+                    self.finish(job, now, cfg, lanes, dist);
+                }
+                PrPhase::Writing { .. } => {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// The bitstream write is over: installs the job's accelerator and
+    /// program (or the factories') and hands the region back.
+    fn finish(
+        &mut self,
+        job: PrJob,
+        now: Cycle,
+        cfg: &RosebudConfig,
+        lanes: &mut Lanes,
+        dist: &mut Distributor,
+    ) {
+        let r = job.rpu;
+        let rpu = lanes.rpu_mut(r);
+        if let Some(accel) = job.accel {
+            rpu.set_accelerator(accel);
+        } else if let Some(factory) = &self.accel_factory {
+            rpu.set_accelerator(factory(r));
+        }
+        let program = job.program.unwrap_or_else(|| (self.firmware_factory)(r));
+        let booted = self.install(cfg, rpu, now, program);
+        dist.slots_mut().flush(r);
+        // Denied: the bitstream write completed, but the host never
+        // finishes the boot. The region stays inert in `Reconfiguring` and
+        // its LB enable bit stays clear, so the supervisor sees a region
+        // that never came back instead of reinstalling a known-bad image.
+        if booted && job.reenable {
+            dist.enable_rpu(r);
+        }
+    }
+}
+
+impl Rosebud {
+    /// The static-lint policy applied to firmware loads.
+    pub fn load_policy(&self) -> LoadPolicy {
+        self.pr.load_policy
+    }
+
+    /// Every lint report the load path has produced, oldest first.
+    pub fn lint_log(&self) -> &[LintRecord] {
+        &self.pr.lint_log
+    }
+
+    /// Takes `rpu` out of the LB's rotation, puts its region into `phase` —
+    /// draining, or straight into the bitstream write — and queues the job.
+    fn queue_pr(
+        &mut self,
+        rpu: usize,
+        phase: PrPhase,
+        program: Option<RpuProgram>,
+        accel: Option<Box<dyn Accelerator>>,
+        reenable: bool,
+    ) {
+        self.dist.disable_rpu(rpu);
+        let region = self.lanes.rpu_mut(rpu);
+        match phase {
+            PrPhase::Draining => region.start_drain(),
+            PrPhase::Writing { until } => region.begin_reconfigure(until),
+        }
+        self.pr.jobs.push(PrJob {
+            rpu,
+            phase,
+            program,
+            accel,
+            reenable,
+        });
+    }
+
+    /// Begins a runtime reconfiguration of `rpu` (§4.1, A.8): the LB stops
+    /// sending to it, in-flight packets drain, the PR bitstream writes for
+    /// `pr_cycles`, then the new program (or the original factory's) boots
+    /// and the LB resumes. Traffic to other RPUs continues throughout.
+    pub fn reconfigure_rpu(
+        &mut self,
+        rpu: usize,
+        program: Option<RpuProgram>,
+        accel: Option<Box<dyn Accelerator>>,
+    ) {
+        assert!(rpu < self.cfg.num_rpus, "no such RPU");
+        self.queue_pr(rpu, PrPhase::Draining, program, accel, true);
+    }
+
+    /// Like [`Rosebud::reconfigure_rpu`] with the factory program, but the
+    /// LB enable bit does **not** come back automatically when the region
+    /// boots: the caller re-enables with [`Rosebud::enable_rpu`] after
+    /// verifying the reboot. This is the supervisor's graceful-eviction
+    /// rung — it must never hand traffic to a region it has not confirmed
+    /// alive.
+    pub fn reconfigure_rpu_gated(&mut self, rpu: usize) {
+        assert!(rpu < self.cfg.num_rpus, "no such RPU");
+        self.queue_pr(rpu, PrPhase::Draining, None, None, false);
+    }
+
+    /// Forced eviction (A.8 failure path): a wedged region holds packets
+    /// that will never drain, so the host destroys them — every bound slot,
+    /// every queued descriptor, everything on the ingress pipeline headed
+    /// there — accounts them as purged in the conservation ledger, and
+    /// starts the PR bitstream write immediately. Returns the number of
+    /// slot-bound packets destroyed. The enable bit stays clear until the
+    /// caller re-enables.
+    pub fn force_reconfigure_rpu(&mut self, rpu: usize) -> u64 {
+        assert!(rpu < self.cfg.num_rpus, "no such RPU");
+        // Supersede any graceful job that was waiting on a drain that will
+        // never finish.
+        self.pr.jobs.retain(|j| j.rpu != rpu);
+        let purged = self.dist.purge_for(rpu);
+        self.fx.ledger.purged += purged;
+        self.lanes.flush_links(rpu);
+        self.lanes.rpu_mut(rpu).purge();
+        let until = self.now() + self.cfg.pr_cycles;
+        self.queue_pr(rpu, PrPhase::Writing { until }, None, None, false);
+        purged
+    }
+
+    /// `true` while a reconfiguration of `rpu` is in progress.
+    pub fn reconfigure_pending(&self, rpu: usize) -> bool {
+        self.pr.jobs.iter().any(|j| j.rpu == rpu)
+    }
+
+    /// Loads a new assembled firmware into a *stopped* RPU and boots it —
+    /// the plain (non-PR) load path of A.6. Under [`crate::LoadPolicy::Deny`]
+    /// an image whose lint report contains errors is refused and the RPU is
+    /// left untouched.
+    pub fn load_rpu_firmware(&mut self, rpu: usize, image: &Image) -> Result<(), String> {
+        if !self.pr.vet(&self.cfg, rpu, self.clock.cycle(), image) {
+            return Err(format!(
+                "firmware for RPU {rpu} rejected by LoadPolicy::Deny"
+            ));
+        }
+        self.lanes.rpu_mut(rpu).load_riscv(image);
+        Ok(())
+    }
+}

@@ -20,7 +20,7 @@
 use std::io::{self, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rosebud_riscv::assemble;
 
@@ -29,6 +29,11 @@ use crate::shell::Shell;
 
 /// Longest request (headers + body) the service will read.
 const MAX_REQUEST: usize = 1 << 20;
+
+/// Wall-clock budget for one connection, from `accept` to the last response
+/// byte. The service runs inside the data-path loop, so this bounds how long
+/// one slow client can hold up forwarding.
+const REQUEST_BUDGET: Duration = Duration::from_millis(500);
 
 /// A control endpoint bound to a Unix socket, polled between shell steps.
 pub struct ControlServer {
@@ -72,18 +77,46 @@ impl ControlServer {
     }
 
     fn serve_one<B: ShellBackend>(mut stream: UnixStream, shell: &mut Shell<B>) -> io::Result<()> {
+        let deadline = Instant::now() + REQUEST_BUDGET;
         stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-        let request = read_request(&mut stream)?;
+        let request = read_request(&mut stream, deadline)?;
         let (status, content_type, body) = dispatch(&request, shell);
         let response = format!(
             "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             body.len()
         );
-        stream.write_all(response.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()
+        write_by(&mut stream, response.as_bytes(), deadline)?;
+        write_by(&mut stream, body.as_bytes(), deadline)
     }
+}
+
+/// The socket timeout that expires at `deadline`, or `TimedOut` once it has
+/// passed (a zero timeout would mean "block for ever").
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or_else(|| io::Error::new(ErrorKind::TimedOut, "control request over budget"))
+}
+
+/// One `read` that gives up at `deadline`, however the client paces its
+/// bytes.
+fn read_by(stream: &mut UnixStream, chunk: &mut [u8], deadline: Instant) -> io::Result<usize> {
+    stream.set_read_timeout(Some(time_left(deadline)?))?;
+    stream.read(chunk)
+}
+
+/// `write_all` that gives up at `deadline`: a client that stops reading (or
+/// reads a byte at a time) cannot hold the writer past it.
+fn write_by(stream: &mut UnixStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        match stream.write(bytes)? {
+            0 => return Err(ErrorKind::WriteZero.into()),
+            n => bytes = &bytes[n..],
+        }
+    }
+    Ok(())
 }
 
 /// A parsed request: method, path, body.
@@ -94,8 +127,8 @@ struct Request {
 }
 
 /// Reads one HTTP request: headers to the blank line, then exactly
-/// `Content-Length` body bytes.
-fn read_request(stream: &mut UnixStream) -> io::Result<Request> {
+/// `Content-Length` body bytes — all of it before `deadline`.
+fn read_request(stream: &mut UnixStream, deadline: Instant) -> io::Result<Request> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let header_end = loop {
@@ -105,7 +138,7 @@ fn read_request(stream: &mut UnixStream) -> io::Result<Request> {
         if buf.len() > MAX_REQUEST {
             return Err(io::Error::new(ErrorKind::InvalidData, "request too large"));
         }
-        let n = stream.read(&mut chunk)?;
+        let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(io::Error::new(
                 ErrorKind::UnexpectedEof,
@@ -138,7 +171,7 @@ fn read_request(stream: &mut UnixStream) -> io::Result<Request> {
 
     let mut body: Vec<u8> = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
+        let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
             break;
         }
@@ -395,6 +428,39 @@ mod tests {
         client.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
         assert!(response.contains("cycle=0"));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The service runs inside the data-path loop: a client that paces its
+    /// request so that no single `read` ever times out must still be cut off.
+    #[test]
+    fn a_trickling_client_cannot_stall_the_poll() {
+        let dir = std::env::temp_dir().join(format!("rbctl-slow-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("control.sock");
+        let mut server = ControlServer::bind(&sock).unwrap();
+        let mut sh = shell();
+
+        // Connected before the poll, so `accept` finds it; the bytes then
+        // arrive 100 ms apart for 2 s and never finish the header.
+        let mut client = UnixStream::connect(&sock).unwrap();
+        let trickle = std::thread::spawn(move || {
+            for byte in b"GET /stats HTTP/1.0\r" {
+                // The server hangs up part-way through: ignore the error.
+                let _ = client.write_all(&[*byte]);
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let started = Instant::now();
+        let handled = server.poll(&mut sh);
+        let elapsed = started.elapsed();
+        trickle.join().unwrap();
+        assert_eq!(handled, 0);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "poll held the data path for {elapsed:?}"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -18,7 +18,7 @@ fn every_injected_packet_is_delivered_or_accounted() {
     h.sys.run(30_000);
     // Drained stragglers count as delivered.
     h.sys.drain(&mut |_, _| {});
-    assert_eq!(h.sys.in_flight(), 0, "system failed to drain");
+    assert_eq!(h.sys.ledger_in_flight(), 0, "system failed to drain");
     let delivered = h.received() + h.host_received();
     let drops = h.sys.drop_count();
     assert!(

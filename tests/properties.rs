@@ -24,7 +24,7 @@ proptest! {
         h.run(30_000);
         h.sys.run(30_000); // drain with no new traffic
         h.sys.drain(&mut |_, _| {});
-        prop_assert_eq!(h.sys.in_flight(), 0, "failed to drain");
+        prop_assert_eq!(h.sys.ledger_in_flight(), 0, "failed to drain");
         prop_assert_eq!(h.sys.drop_count(), 0, "forwarder dropped");
         // Every slot returned to the tracker.
         for r in 0..rpus {
@@ -50,7 +50,7 @@ proptest! {
         h.sys.run(25_000);
         let mut stragglers = 0u64;
         h.sys.drain(&mut |_, _| stragglers += 1);
-        prop_assert_eq!(h.sys.in_flight(), 0);
+        prop_assert_eq!(h.sys.ledger_in_flight(), 0);
         prop_assert_eq!(h.received() + stragglers + h.host_received(), injected);
     }
 

@@ -115,3 +115,46 @@ fn simulation_core_sources_are_deterministic() {
         );
     }
 }
+
+/// The occupancy words of `core::lanes` (DESIGN.md, "The tick"): the
+/// invariant *word ⊇ truth* holds because every statement that fills a lane
+/// queue sits next to the one that marks its word.
+const OCCUPANCY_WORDS: &[&str] = &[
+    "rin_busy",
+    "awake",
+    "tx_ready",
+    "rout_busy",
+    "dma_posted",
+    "next_wake",
+];
+
+/// No other file of the core may so much as name an occupancy word —
+/// comments included, so the check is `rg -l` and nothing cleverer.
+#[test]
+fn occupancy_words_are_named_only_in_lanes_rs() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    let mut violations = String::new();
+    for file in files {
+        let rel = file.strip_prefix(&root).unwrap().display().to_string();
+        let text = std::fs::read_to_string(&file).unwrap();
+        if rel.ends_with("/lanes.rs") {
+            // A renamed word must be renamed here too, or the rule is void.
+            for word in OCCUPANCY_WORDS {
+                assert!(text.contains(word), "{rel} no longer names `{word}`");
+            }
+            continue;
+        }
+        for (lineno, line) in text.lines().enumerate() {
+            for word in OCCUPANCY_WORDS.iter().filter(|w| line.contains(**w)) {
+                writeln!(violations, "{rel}:{}: `{word}`", lineno + 1).unwrap();
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "occupancy words named outside crates/core/src/lanes.rs:\n{violations}\
+         (reach a lane through `Lanes::wake`, `Lanes::rpu_mut` or `Lanes::rpus`)"
+    );
+}
