@@ -154,11 +154,6 @@ impl AhoCorasick {
         }
     }
 
-    /// Number of automaton states.
-    pub fn state_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of patterns compiled in.
     pub fn pattern_count(&self) -> usize {
         self.pattern_count

@@ -216,16 +216,6 @@ impl BackToBack {
     }
 }
 
-/// A packet with the generator's template shape (for assertions).
-pub fn template_packet(rpu: u8, size: usize) -> Packet {
-    PacketBuilder::new()
-        .src_ip([10, 100, rpu, 1])
-        .dst_ip([10, 200, 0, 1])
-        .udp(30_000 + u16::from(rpu), 9)
-        .pad_to(size)
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

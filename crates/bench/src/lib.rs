@@ -128,8 +128,7 @@ pub mod sim_speed {
         }
     }
 
-    /// Builds the scenario's system. The decoded-instruction cache is on —
-    /// it is a pure speed knob and part of the default configuration.
+    /// Builds the scenario's system.
     pub fn build(scenario: Scenario, rpus: usize) -> Harness {
         let sys: Rosebud = match scenario {
             Scenario::BusyPollLoaded | Scenario::BusyPollIdle => {

@@ -289,11 +289,6 @@ impl Fleet {
         !b.crashed && !b.offline
     }
 
-    /// Whether the box's shell is frozen by an injected crash.
-    pub fn box_crashed(&self, device: usize) -> bool {
-        self.boxes[device].crashed
-    }
-
     /// Completed whole-box reloads of `device`.
     pub fn box_reloads(&self, device: usize) -> u64 {
         self.boxes[device].reloads
@@ -855,11 +850,6 @@ impl FleetSupervisor {
     /// Whether any box is on a ladder rung other than healthy.
     pub fn recovering(&self) -> bool {
         self.watch.iter().any(|w| w.rung != BoxRung::Healthy)
-    }
-
-    /// The per-RPU supervisor the fleet ladder runs inside box `device`.
-    pub fn rpu_supervisor(&self, device: usize) -> &Supervisor {
-        &self.rpu_sups[device]
     }
 
     fn backoff(&self, misses: u32) -> Cycle {

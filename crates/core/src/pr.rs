@@ -59,7 +59,8 @@ impl Reconfig {
     ///
     /// # Errors
     ///
-    /// Returns a description when [`LoadPolicy::Deny`] rejects an image.
+    /// Returns a description when an image does not fit instruction memory
+    /// or [`LoadPolicy::Deny`] rejects it.
     pub fn boot(&mut self, cfg: &RosebudConfig, lanes: &mut Lanes) -> Result<(), String> {
         for i in 0..cfg.num_rpus {
             let rpu = lanes.rpu_mut(i);
@@ -67,55 +68,71 @@ impl Reconfig {
                 rpu.set_accelerator(accel(i));
             }
             let program = (self.firmware_factory)(i);
-            if !self.install(cfg, rpu, 0, program) {
-                let errors = self.lint_log.last().map_or(0, |r| r.report.error_count());
-                return Err(format!(
-                    "firmware for RPU {i} rejected by LoadPolicy::Deny: \
-                     {errors} lint error(s)"
-                ));
-            }
+            self.install(cfg, rpu, 0, program)?;
         }
         Ok(())
     }
 
-    /// Runs the analyzer over `image` per the load policy, appending the
-    /// report to the lint log. Returns `false` when [`LoadPolicy::Deny`]
-    /// must block the install. The one vetting routine behind boot, host
-    /// loads and PR reloads.
-    fn vet(&mut self, cfg: &RosebudConfig, rpu: usize, cycle: Cycle, image: &Image) -> bool {
+    /// Decides whether `image` may be loaded into RPU `rpu`: the box must
+    /// have that RPU, the image must fit instruction memory, and — per the
+    /// load policy — it must pass the analyzer, whose report is appended to
+    /// the lint log. The one vetting routine behind boot, host loads and PR
+    /// reloads; an `Err` says why and nothing has been touched.
+    fn vet(
+        &mut self,
+        cfg: &RosebudConfig,
+        rpu: usize,
+        cycle: Cycle,
+        image: &Image,
+    ) -> Result<(), String> {
+        if rpu >= cfg.num_rpus {
+            return Err(format!("no RPU {rpu}: the box has {}", cfg.num_rpus));
+        }
+        let end = u64::from(image.base()) + u64::from(image.size_bytes());
+        if end > u64::from(cfg.imem_bytes) {
+            return Err(format!(
+                "firmware for RPU {rpu} does not fit: image ends at byte {end}, \
+                 instruction memory holds {}",
+                cfg.imem_bytes
+            ));
+        }
         if self.load_policy == LoadPolicy::Off {
-            return true;
+            return Ok(());
         }
         let report = rosebud_riscv::Analyzer::new(machine_spec(cfg)).check(image);
-        let denied = self.load_policy == LoadPolicy::Deny && report.has_errors();
+        let errors = report.error_count();
+        let denied = self.load_policy == LoadPolicy::Deny && errors > 0;
         self.lint_log.push(LintRecord {
             rpu,
             cycle,
             denied,
             report,
         });
-        !denied
+        if denied {
+            return Err(format!(
+                "firmware for RPU {rpu} rejected by LoadPolicy::Deny: {errors} lint error(s)"
+            ));
+        }
+        Ok(())
     }
 
-    /// Vets `program` and boots `rpu` on it; `false` when the lint denied
-    /// the image and the RPU was left as it was.
+    /// Vets `program` and boots `rpu` on it; on `Err` the image was refused
+    /// and the RPU is left as it was.
     fn install(
         &mut self,
         cfg: &RosebudConfig,
         rpu: &mut Rpu,
         cycle: Cycle,
         program: RpuProgram,
-    ) -> bool {
+    ) -> Result<(), String> {
         match program {
             RpuProgram::Riscv(image) => {
-                if !self.vet(cfg, rpu.id(), cycle, &image) {
-                    return false;
-                }
+                self.vet(cfg, rpu.id(), cycle, &image)?;
                 rpu.load_riscv(&image);
             }
             RpuProgram::Native(fw) => rpu.load_native(fw),
         }
-        true
+        Ok(())
     }
 
     /// Stage 12: moves every partial-reconfiguration job along.
@@ -169,7 +186,7 @@ impl Reconfig {
             rpu.set_accelerator(factory(r));
         }
         let program = job.program.unwrap_or_else(|| (self.firmware_factory)(r));
-        let booted = self.install(cfg, rpu, now, program);
+        let booted = self.install(cfg, rpu, now, program).is_ok();
         dist.slots_mut().flush(r);
         // Denied: the bitstream write completed, but the host never
         // finishes the boot. The region stays inert in `Reconfiguring` and
@@ -269,15 +286,15 @@ impl Rosebud {
     }
 
     /// Loads a new assembled firmware into a *stopped* RPU and boots it —
-    /// the plain (non-PR) load path of A.6. Under [`crate::LoadPolicy::Deny`]
-    /// an image whose lint report contains errors is refused and the RPU is
-    /// left untouched.
+    /// the plain (non-PR) load path of A.6.
+    ///
+    /// # Errors
+    ///
+    /// Refuses — leaving every RPU untouched — when there is no RPU `rpu`,
+    /// when the image does not fit instruction memory, and under
+    /// [`crate::LoadPolicy::Deny`] when its lint report contains errors.
     pub fn load_rpu_firmware(&mut self, rpu: usize, image: &Image) -> Result<(), String> {
-        if !self.pr.vet(&self.cfg, rpu, self.clock.cycle(), image) {
-            return Err(format!(
-                "firmware for RPU {rpu} rejected by LoadPolicy::Deny"
-            ));
-        }
+        self.pr.vet(&self.cfg, rpu, self.clock.cycle(), image)?;
         self.lanes.rpu_mut(rpu).load_riscv(image);
         Ok(())
     }

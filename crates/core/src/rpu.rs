@@ -30,8 +30,10 @@ use crate::types::{BcastMsg, Desc, SlotMeta};
 
 /// Wait-states the core pays for each shared-packet-memory access: URAMs are
 /// "larger, higher-latency memories" (§4.1) compared to the single-cycle
-/// BRAM next to the core.
-const PMEM_WAIT_CYCLES: u32 = 1;
+/// BRAM next to the core. The bus charges it and `verify::machine_spec` hands
+/// the same constant to the analyzer, whose WCET bound is sound only while
+/// the two agree.
+pub(crate) const PMEM_WAIT_CYCLES: u32 = 1;
 
 /// Native firmware: packet-processing logic with explicit cycle accounting.
 ///

@@ -192,11 +192,6 @@ impl RpuTestbench {
         &self.outputs
     }
 
-    /// Drains the recorded sends.
-    pub fn take_outputs(&mut self) -> Vec<TxRecord> {
-        std::mem::take(&mut self.outputs)
-    }
-
     /// Delivers one packet and runs until the firmware finishes with it (or
     /// `max_cycles` pass), reporting the cycle count and outputs — the
     /// per-packet simulation measurement of §7.1.4.

@@ -11,6 +11,7 @@
 use rosebud_riscv::{CostModel, LintReport, MachineSpec, MmioReg, ProtocolSpec, Region};
 
 use crate::config::RosebudConfig;
+use crate::rpu::PMEM_WAIT_CYCLES;
 use crate::types::memmap::{self, io};
 
 /// Bytes reserved for the firmware stack at the top of data memory. Purely
@@ -21,9 +22,6 @@ pub const STACK_BYTES: u32 = 4096;
 /// Worst-case wait-states a blocking accelerator register read can charge
 /// (the firewall matcher's early result read costs up to this much).
 pub const ACCEL_READ_WAIT_CYCLES: u32 = 2;
-
-/// Extra wait-states on packet-memory accesses (mirrors the RPU bus).
-pub const PMEM_WAIT_CYCLES: u32 = 1;
 
 /// What a [`crate::Rosebud`] does with lint findings at firmware-load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -171,11 +171,6 @@ impl<T> StampedIngress<T> {
     pub fn is_exhausted(&self) -> bool {
         self.finished && self.queue.is_empty() && self.held.is_none()
     }
-
-    /// The stamp of the next deliverable item, if any.
-    pub fn next_due(&self) -> Option<Cycle> {
-        self.queue.front().map(|&(at, _)| at)
-    }
 }
 
 impl<T> IngressPort<T> for StampedIngress<T> {

@@ -132,11 +132,6 @@ impl<T> Serializer<T> {
         self.head_ready_at().is_some_and(|at| at <= now)
     }
 
-    /// Total payload bytes scheduled onto the wire.
-    pub fn transferred_bytes(&self) -> u64 {
-        self.busy_bytes
-    }
-
     /// Total items delivered downstream.
     pub fn transferred_items(&self) -> u64 {
         self.transferred_items

@@ -168,13 +168,6 @@ impl FlowTrafficGen {
         }
     }
 
-    /// Sets how many physical ports to spread packets over (default 2).
-    pub fn with_ports(mut self, ports: u8) -> Self {
-        assert!(ports > 0, "need at least one port");
-        self.ports = ports;
-        self
-    }
-
     fn emit(&mut self, flow_idx: usize, seq: u32, id: PacketId, ts: Cycle) -> Packet {
         let port = (self.counter % u64::from(self.ports)) as u8;
         self.counter += 1;

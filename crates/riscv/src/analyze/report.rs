@@ -1,0 +1,319 @@
+//! What the analyzer says: diagnostics, WCET summaries, and the two stable
+//! renderings (text for the golden snapshots, JSON for machine consumers).
+
+use std::fmt;
+use std::fmt::Write as _;
+
+/// How bad a diagnostic is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Suspicious but possibly intentional; never blocks a load.
+    Warning,
+    /// A definite bug; blocks the load under `LoadPolicy::Deny`.
+    Error,
+}
+
+/// Which static check produced a diagnostic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// MMIO validity (unknown register / wrong direction / out of window).
+    Mmio,
+    /// A memory access outside every mapped region.
+    Region,
+    /// Watchdog liveness (a loop that neither pets nor sleeps).
+    Watchdog,
+    /// Use of a register no path has initialized.
+    Uninit,
+    /// `sp`-relative access outside the configured stack region.
+    Stack,
+    /// Reachable code that does not decode or falls off the image.
+    Illegal,
+    /// Decodable but unreachable code.
+    Dead,
+    /// Control flow the analysis cannot follow (indirect jumps, `mret`).
+    Flow,
+    /// Descriptor/DMA lifecycle violation (typestate automata over the
+    /// [`crate::ProtocolSpec`] registers).
+    Protocol,
+    /// Unsanitized packet bytes reaching a trusted sink (DMA registers,
+    /// indirect jump targets, loop bounds).
+    Taint,
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            Check::Mmio => "mmio",
+            Check::Region => "region",
+            Check::Watchdog => "watchdog",
+            Check::Uninit => "uninit",
+            Check::Stack => "stack",
+            Check::Illegal => "illegal",
+            Check::Dead => "dead-code",
+            Check::Flow => "flow",
+            Check::Protocol => "protocol",
+            Check::Taint => "taint",
+        };
+        f.write_str(s)
+    }
+}
+
+/// One structured finding: severity, check class, the PC at fault, and a
+/// CFG path witness from the entry point to the offending block.
+#[derive(Debug, Clone)]
+pub struct Diagnostic {
+    /// Error or warning.
+    pub severity: Severity,
+    /// Which check fired.
+    pub check: Check,
+    /// The program counter at fault.
+    pub pc: u32,
+    /// Human-readable description.
+    pub message: String,
+    /// Block-start PCs of one path from an entry point to the fault
+    /// (empty for findings with no meaningful path, e.g. dead code).
+    pub path: Vec<u32>,
+}
+
+/// Worst-case bound for one loop (identified by its header block).
+#[derive(Debug, Clone)]
+pub struct LoopBound {
+    /// Loop-header block start PC.
+    pub header: u32,
+    /// Nearest label at the header, if the image has one.
+    pub label: Option<String>,
+    /// Worst-case cycles for one iteration (header back to header).
+    pub cycles_per_iter: u64,
+}
+
+/// WCET summary for one entry point.
+#[derive(Debug, Clone)]
+pub struct EntryWcet {
+    /// Entry PC.
+    pub entry: u32,
+    /// Label at the entry, if any.
+    pub label: Option<String>,
+    /// Longest acyclic path from the entry, in cycles (loop back edges
+    /// excluded; multiply by iteration bounds for loop-carried budgets).
+    pub acyclic_cycles: u64,
+    /// Per-loop iteration bounds, in header-PC order.
+    pub loops: Vec<LoopBound>,
+}
+
+/// The analyzer's full output: diagnostics plus WCET bounds.
+#[derive(Debug, Clone, Default)]
+pub struct LintReport {
+    /// All findings, sorted by (pc, check) for stable output.
+    pub diagnostics: Vec<Diagnostic>,
+    /// One WCET summary per entry point.
+    pub wcet: Vec<EntryWcet>,
+}
+
+impl LintReport {
+    /// Whether any diagnostic is an [`Severity::Error`].
+    pub fn has_errors(&self) -> bool {
+        self.diagnostics
+            .iter()
+            .any(|d| d.severity == Severity::Error)
+    }
+
+    /// Count of error-severity diagnostics.
+    pub fn error_count(&self) -> usize {
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .count()
+    }
+
+    /// Count of warning-severity diagnostics.
+    pub fn warning_count(&self) -> usize {
+        self.diagnostics.len() - self.error_count()
+    }
+
+    /// Renders the report as stable, diffable text (used for golden lint
+    /// snapshots and the `lint` example).
+    pub fn render(&self, name: &str) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "lint report: {name}");
+        for w in &self.wcet {
+            let label = w
+                .label
+                .as_deref()
+                .map(|l| format!(" <{l}>"))
+                .unwrap_or_default();
+            let _ = writeln!(
+                out,
+                "entry 0x{:08x}{label}: longest acyclic path {} cycles",
+                w.entry, w.acyclic_cycles
+            );
+            for l in &w.loops {
+                let label = l
+                    .label
+                    .as_deref()
+                    .map(|l| format!(" <{l}>"))
+                    .unwrap_or_default();
+                let _ = writeln!(
+                    out,
+                    "  loop 0x{:08x}{label}: <= {} cycles/iteration",
+                    l.header, l.cycles_per_iter
+                );
+            }
+        }
+        for d in &self.diagnostics {
+            let sev = match d.severity {
+                Severity::Warning => "warning",
+                Severity::Error => "error",
+            };
+            let _ = writeln!(out, "{sev}[{}]: pc 0x{:08x}: {}", d.check, d.pc, d.message);
+            if !d.path.is_empty() {
+                let path = d
+                    .path
+                    .iter()
+                    .map(|p| format!("0x{p:08x}"))
+                    .collect::<Vec<_>>()
+                    .join(" -> ");
+                let _ = writeln!(out, "  path: {path}");
+            }
+        }
+        let _ = writeln!(
+            out,
+            "{} error(s), {} warning(s)",
+            self.error_count(),
+            self.warning_count()
+        );
+        out
+    }
+
+    /// Renders the report as a single JSON object (no trailing newline) for
+    /// machine consumers: one object per diagnostic with check id, severity,
+    /// PC, and the CFG-path witness, plus the WCET summaries. The field
+    /// order and diagnostic order are stable, so the output is diffable.
+    pub fn render_json(&self, name: &str) -> String {
+        let mut out = String::new();
+        out.push_str("{\"name\":");
+        out.push_str(&json_string(name));
+        let _ = write!(
+            out,
+            ",\"errors\":{},\"warnings\":{},\"wcet\":[",
+            self.error_count(),
+            self.warning_count()
+        );
+        for (i, w) in self.wcet.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"entry\":{},\"label\":{},\"acyclic_cycles\":{},\"loops\":[",
+                w.entry,
+                json_opt_string(w.label.as_deref()),
+                w.acyclic_cycles
+            );
+            for (j, l) in w.loops.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "{{\"header\":{},\"label\":{},\"cycles_per_iter\":{}}}",
+                    l.header,
+                    json_opt_string(l.label.as_deref()),
+                    l.cycles_per_iter
+                );
+            }
+            out.push_str("]}");
+        }
+        out.push_str("],\"diagnostics\":[");
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let sev = match d.severity {
+                Severity::Warning => "warning",
+                Severity::Error => "error",
+            };
+            let _ = write!(
+                out,
+                "{{\"check\":{},\"severity\":\"{sev}\",\"pc\":{},\"message\":{},\"path\":[",
+                json_string(&d.check.to_string()),
+                d.pc,
+                json_string(&d.message)
+            );
+            for (j, p) in d.path.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{p}");
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
+/// Escapes `s` as a JSON string literal (with the surrounding quotes).
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+fn json_opt_string(s: Option<&str>) -> String {
+    s.map(json_string).unwrap_or_else(|| "null".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::analyze::fixtures::*;
+
+    #[test]
+    fn report_renders_stably() {
+        let r = check(
+            devices(),
+            "
+                li t0, 0x02000000
+            poll:
+                lw a0, 0x00(t0)
+                beqz a0, poll
+                ebreak
+            ",
+        );
+        let text = r.render("spin");
+        assert!(text.starts_with("lint report: spin\n"), "{text}");
+        assert!(text.contains("loop 0x00000008 <poll>"), "{text}");
+        assert!(text.contains("warning[watchdog]"), "{text}");
+        assert!(text.trim_end().ends_with("warning(s)"), "{text}");
+    }
+
+    #[test]
+    fn json_report_is_machine_readable() {
+        let r = check(
+            devices(),
+            "
+                li t0, 0x02000000
+                sw zero, 0x64(t0)
+                ebreak
+            ",
+        );
+        let json = r.render_json("bad");
+        assert!(json.contains("\"name\":\"bad\""), "{json}");
+        assert!(json.contains("\"check\":\"mmio\""), "{json}");
+        assert!(json.contains("\"severity\":\"error\""), "{json}");
+        assert!(json.contains("\"path\":["), "{json}");
+    }
+}

@@ -275,23 +275,9 @@ impl Cpu {
         }
     }
 
-    /// Replaces the pipeline cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Current program counter.
     pub fn pc(&self) -> u32 {
         self.pc
-    }
-
-    /// Forces the program counter (host debugger / boot loader use).
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-        if self.halted != Halt::Fault {
-            self.halted = Halt::Running;
-        }
     }
 
     /// Reads a register.
@@ -342,13 +328,6 @@ impl Cpu {
             Halt::Break | Halt::Fault => true,
             Halt::Wfi => self.mip & self.mie == 0,
             Halt::Running => false,
-        }
-    }
-
-    /// Resumes a core halted by `ebreak` (host "continue").
-    pub fn resume(&mut self) {
-        if self.halted == Halt::Break {
-            self.halted = Halt::Running;
         }
     }
 

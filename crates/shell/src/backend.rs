@@ -45,15 +45,15 @@ fn push(q: &FrameQueue, port: u8, frame: Vec<u8>) {
 
 /// The receive side every datagram-style backend shares: one buffer for the
 /// backend's lifetime and the one loop that drains a non-blocking source.
-pub(crate) struct Receiver {
+struct Receiver {
     /// `MAX_FRAME + 1` bytes, so a datagram the kernel had to truncate is
     /// told apart from one that fits exactly.
     buf: Box<[u8]>,
-    pub(crate) oversized: u64,
+    oversized: u64,
 }
 
 impl Receiver {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             buf: vec![0; MAX_FRAME + 1].into_boxed_slice(),
             oversized: 0,
@@ -64,7 +64,7 @@ impl Receiver {
     /// it fails — `WouldBlock` is the empty queue, any other error is the
     /// far side's problem — appending each datagram to `out` as a frame on
     /// `port`. One longer than [`MAX_FRAME`] is counted and dropped.
-    pub(crate) fn drain(
+    fn drain(
         &mut self,
         port: u8,
         out: &mut Vec<(u8, Vec<u8>)>,

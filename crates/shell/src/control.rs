@@ -292,7 +292,10 @@ fn rpu_action<B: ShellBackend>(
 }
 
 /// Handles `POST /firmware/{r}`: the body is RV32 assembly, assembled and
-/// hot-loaded through the gated reload path.
+/// handed to `Rosebud::load_rpu_firmware` — the plain A.6 load: no drain and
+/// no PR write, the RPU reboots on the new image at once. A refusal (no
+/// such RPU, an image larger than instruction memory, a `LoadPolicy::Deny`
+/// lint error) leaves the RPU as it was and answers `400`.
 fn load_firmware<B: ShellBackend>(
     rpu: &str,
     body: &[u8],
@@ -421,13 +424,66 @@ mod tests {
         let mut sh = shell();
         assert_eq!(server.poll(&mut sh), 0);
 
-        let mut client = UnixStream::connect(&sock).unwrap();
-        client.write_all(b"GET /stats HTTP/1.0\r\n\r\n").unwrap();
-        assert_eq!(server.poll(&mut sh), 1);
-        let mut response = String::new();
-        client.read_to_string(&mut response).unwrap();
+        let response = exchange(&mut server, &sock, &mut sh, b"GET /stats HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
         assert!(response.contains("cycle=0"));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One request over the real socket; returns the raw response.
+    fn exchange(
+        server: &mut ControlServer,
+        sock: &Path,
+        sh: &mut Shell<RingBackend>,
+        request: &[u8],
+    ) -> String {
+        let mut client = UnixStream::connect(sock).unwrap();
+        client.write_all(request).unwrap();
+        assert_eq!(server.poll(sh), 1);
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    fn post(path: &str, body: &str) -> Vec<u8> {
+        format!(
+            "POST {path} HTTP/1.0\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    /// Firmware the box cannot load is refused with a `400`, not a panic in
+    /// the live process: an RPU index past the end, and an image larger
+    /// than instruction memory (the service accepts bodies up to 1 MiB).
+    #[test]
+    fn unloadable_firmware_is_refused_and_the_shell_lives_on() {
+        let dir = std::env::temp_dir().join(format!("rbctl-fw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("control.sock");
+        let mut server = ControlServer::bind(&sock).unwrap();
+        let mut sh = shell();
+
+        let r = exchange(
+            &mut server,
+            &sock,
+            &mut sh,
+            &post("/firmware/99", "spin: j spin"),
+        );
+        assert!(r.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{r}");
+        assert!(r.contains("no RPU 99"), "{r}");
+
+        let big = "nop\n".repeat(10_000); // 40 000 bytes of code, 32 KiB of imem
+        let r = exchange(&mut server, &sock, &mut sh, &post("/firmware/0", &big));
+        assert!(r.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{r}");
+        assert!(r.contains("does not fit"), "{r}");
+
+        // Both RPUs still run what they booted with, and the service answers.
+        let r = exchange(&mut server, &sock, &mut sh, b"GET /stats HTTP/1.0\r\n\r\n");
+        assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
+        sh.pump(100);
+        assert_eq!(sh.sys().now(), 100);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

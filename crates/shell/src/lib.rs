@@ -6,8 +6,7 @@
 //!
 //! * [`ShellBackend`] — transports carrying raw frames to and from real
 //!   endpoints: an in-process ring ([`RingBackend`], the CI workhorse),
-//!   Unix-domain datagrams ([`UdsBackend`]), UDP ([`UdpBackend`]), and —
-//!   behind the `tun` feature — a pre-opened TUN/TAP device.
+//!   Unix-domain datagrams ([`UdsBackend`]) and UDP ([`UdpBackend`]).
 //! * [`Shell`] — the event loop: drain the backend, stamp each accepted
 //!   frame with its injection cycle into an event log, tick the core, push
 //!   deliveries back out. The log replays bit-exactly on a fresh system
@@ -18,8 +17,8 @@
 //!   enable/disable, gated partial reconfiguration, and hot firmware loads.
 //!
 //! This crate is deliberately *outside* the determinism lint wall that
-//! covers the core crates: sockets, wall-clock timeouts, and (under `tun`)
-//! fd adoption live here so they can never leak into the simulation.
+//! covers the core crates: sockets and wall-clock timeouts live here so they
+//! can never leak into the simulation.
 //!
 //! # Examples
 //!
@@ -56,16 +55,13 @@
 //! assert_eq!(peer.recv().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;
 mod control;
 mod shell;
-#[cfg(feature = "tun")]
-mod tun;
 
 pub use backend::{RingBackend, RingPeer, ShellBackend, UdpBackend, UdsBackend, MAX_FRAME};
 pub use control::ControlServer;
 pub use shell::Shell;
-#[cfg(feature = "tun")]
-pub use tun::{TunBackend, TUN_FD_ENV};

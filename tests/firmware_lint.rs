@@ -528,6 +528,28 @@ fn deny_policy_blocks_a_bad_host_load() {
     assert_eq!(h.sys.rpus()[3].state(), RpuState::Running);
 }
 
+/// An image the box cannot hold, or an RPU it does not have, is a refusal
+/// like any other — at boot and on a host load, whatever the lint policy —
+/// not a panic.
+#[test]
+fn unloadable_images_are_refused_whatever_the_policy() {
+    let big = assemble(&"nop\n".repeat(10_000)).unwrap(); // 40 000 B > 32 KiB imem
+    let boot = big.clone();
+    let err = Rosebud::builder(RosebudConfig::with_rpus(2))
+        .firmware(move |_| RpuProgram::Riscv(boot.clone()))
+        .build()
+        .expect_err("an image larger than imem cannot boot");
+    assert!(err.contains("does not fit"), "{err}");
+
+    let mut sys = forwarder_system(LoadPolicy::Off).unwrap();
+    let good = assemble(FORWARDER_ASM).unwrap();
+    let err = sys.load_rpu_firmware(99, &good).expect_err("no RPU 99");
+    assert!(err.contains("no RPU 99"), "{err}");
+    let err = sys.load_rpu_firmware(0, &big).expect_err("does not fit");
+    assert!(err.contains("does not fit"), "{err}");
+    assert_eq!(sys.rpus()[0].state(), RpuState::Running);
+}
+
 #[test]
 fn off_policy_records_nothing() {
     let sys = forwarder_system(LoadPolicy::Off).unwrap();

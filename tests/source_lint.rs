@@ -128,33 +128,92 @@ const OCCUPANCY_WORDS: &[&str] = &[
     "next_wake",
 ];
 
-/// No other file of the core may so much as name an occupancy word —
-/// comments included, so the check is `rg -l` and nothing cleverer.
-#[test]
-fn occupancy_words_are_named_only_in_lanes_rs() {
+/// Fails unless every one of `words` is named by `home` and by no other
+/// source file under `dir` — comments included, so the check is `rg -l` and
+/// nothing cleverer. A renamed word must be renamed in the list too, or the
+/// rule is void: `home` no longer naming one fails as well.
+fn assert_named_only_in(dir: &str, home: &str, words: &[&str], instead: &str) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    rust_files(&root.join("crates/core/src"), &mut files);
+    rust_files(&root.join(dir), &mut files);
     let mut violations = String::new();
+    let mut home_seen = false;
     for file in files {
         let rel = file.strip_prefix(&root).unwrap().display().to_string();
         let text = std::fs::read_to_string(&file).unwrap();
-        if rel.ends_with("/lanes.rs") {
-            // A renamed word must be renamed here too, or the rule is void.
-            for word in OCCUPANCY_WORDS {
+        if rel == home {
+            home_seen = true;
+            for word in words {
                 assert!(text.contains(word), "{rel} no longer names `{word}`");
             }
             continue;
         }
         for (lineno, line) in text.lines().enumerate() {
-            for word in OCCUPANCY_WORDS.iter().filter(|w| line.contains(**w)) {
+            for word in words.iter().filter(|w| line.contains(**w)) {
                 writeln!(violations, "{rel}:{}: `{word}`", lineno + 1).unwrap();
             }
         }
     }
+    assert!(home_seen, "{home} is gone");
     assert!(
         violations.is_empty(),
-        "occupancy words named outside crates/core/src/lanes.rs:\n{violations}\
-         (reach a lane through `Lanes::wake`, `Lanes::rpu_mut` or `Lanes::rpus`)"
+        "named outside {home}:\n{violations}({instead})"
+    );
+}
+
+/// No other file of the core may so much as name an occupancy word.
+#[test]
+fn occupancy_words_are_named_only_in_lanes_rs() {
+    assert_named_only_in(
+        "crates/core/src",
+        "crates/core/src/lanes.rs",
+        OCCUPANCY_WORDS,
+        "reach a lane through `Lanes::wake`, `Lanes::rpu_mut` or `Lanes::rpus`",
+    );
+}
+
+/// The protocol automata's state bits (DESIGN.md, "Static firmware
+/// analysis"): only `analyze/protocol.rs` knows how a typestate is
+/// represented, so only it may name a bit.
+const TYPESTATE_BITS: &[&str] = &[
+    "RX_UNPOLLED",
+    "RX_POLLED",
+    "RX_HELD",
+    "TX_EMPTY",
+    "TX_STAGED",
+    "DMA_IDLE",
+    "DMA_BUSY",
+];
+
+#[test]
+fn typestate_bits_are_named_only_in_protocol_rs() {
+    assert_named_only_in(
+        "crates/riscv/src",
+        "crates/riscv/src/analyze/protocol.rs",
+        TYPESTATE_BITS,
+        "ask `Typestate` instead: `load`, `store`, `halt`, `join_from`",
+    );
+}
+
+/// The bus charges `PMEM_WAIT_CYCLES` and the analyzer's WCET bound assumes
+/// it; a second definition is a second number that can drift.
+#[test]
+fn pmem_wait_cycles_is_defined_once() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    let homes: Vec<String> = files
+        .iter()
+        .filter(|f| {
+            std::fs::read_to_string(f)
+                .unwrap()
+                .contains("const PMEM_WAIT_CYCLES")
+        })
+        .map(|f| f.strip_prefix(&root).unwrap().display().to_string())
+        .collect();
+    assert_eq!(
+        homes,
+        ["crates/core/src/rpu.rs"],
+        "`const PMEM_WAIT_CYCLES` must be defined in rpu.rs and nowhere else"
     );
 }
