@@ -2,7 +2,7 @@
 //! the two-step loopback forwarder used to measure inter-RPU messaging
 //! throughput (§6.3).
 
-use rosebud_core::{Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
+use rosebud_core::{HostOp, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
 use rosebud_riscv::{assemble, Image};
 
 /// Assembly source of the forwarder: poll for a descriptor, copy it into a
@@ -306,8 +306,12 @@ pub fn build_two_step_system(rpus: usize) -> Result<Rosebud, String> {
     // "we assigned half of the RPUs to be recipients of the incoming
     // traffic" — disable the partner half at the LB.
     let mask = (1u64 << half) - 1;
-    sys.lb_host_write(rosebud_core::lb_regs::ENABLE_LO, mask as u32);
-    sys.lb_host_write(rosebud_core::lb_regs::ENABLE_HI, (mask >> 32) as u32);
+    for (addr, value) in [
+        (rosebud_core::lb_regs::ENABLE_LO, mask as u32),
+        (rosebud_core::lb_regs::ENABLE_HI, (mask >> 32) as u32),
+    ] {
+        sys.apply(HostOp::LbWrite { addr, value })?;
+    }
     Ok(sys)
 }
 

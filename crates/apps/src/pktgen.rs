@@ -11,8 +11,8 @@
 //! two 100 G cables, exactly like the paper's testbed.
 
 use rosebud_core::{
-    memmap, Desc, Device, Firmware, Measurement, Rosebud, RosebudConfig, RoundRobinLb, RpuIo,
-    RpuProgram, SELF_TAG,
+    memmap, Desc, Device, Firmware, HostOp, Measurement, Rosebud, RosebudConfig, RoundRobinLb,
+    RpuIo, RpuProgram, SELF_TAG,
 };
 use rosebud_net::{Packet, PacketBuilder};
 
@@ -94,7 +94,11 @@ pub fn build_pktgen_system(rpus: usize, size: usize) -> Result<Rosebud, String> 
         .load_balancer(Box::new(RoundRobinLb::new()))
         .firmware(move |_| RpuProgram::Native(Box::new(PktGenFirmware::new(size, 16))))
         .build()?;
-    sys.lb_host_write(rosebud_core::lb_regs::ENABLE_LO, 0); // RECV=0x0000
+    // RECV=0x0000
+    sys.apply(HostOp::LbWrite {
+        addr: rosebud_core::lb_regs::ENABLE_LO,
+        value: 0,
+    })?;
     Ok(sys)
 }
 
@@ -284,7 +288,12 @@ mod tests {
     fn generated_frames_parse_as_the_template() {
         let mut sys = build_pktgen_system(4, 128).unwrap();
         sys.run(5_000);
-        let out = sys.take_output(0);
+        let mut out = Vec::new();
+        sys.drain(&mut |lane, pkt| {
+            if lane == 0 {
+                out.push(pkt);
+            }
+        });
         assert!(!out.is_empty());
         for pkt in out.iter().take(10) {
             let ip = pkt.ipv4().expect("generated frames are IPv4");

@@ -10,8 +10,8 @@ use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding
 use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
-    FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig, Harness,
-    Supervisor, SupervisorConfig,
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig,
+    Harness, Supervisor, SupervisorConfig,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -94,7 +94,6 @@ fn recovery_point() -> Recovery {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
     for _ in 0..120_000 {
@@ -141,7 +140,6 @@ fn fleet_point() -> FleetBench {
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
-            ..FleetSupervisorConfig::default()
         },
     );
     let run = |h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64| {
@@ -151,8 +149,10 @@ fn fleet_point() -> FleetBench {
         }
     };
     run(&mut h, &mut sup, 20_000);
-    h.sys
-        .inject_fault(FaultKind::BoxCrash { device: BOXES / 2 });
+    h.sys.schedule_fault(FaultEvent {
+        at: h.sys.now(),
+        kind: FaultKind::BoxCrash { device: BOXES / 2 },
+    });
     let mut budget = 80_000u64;
     while h.sys.failovers().is_empty() && budget > 0 {
         run(&mut h, &mut sup, 1_000);

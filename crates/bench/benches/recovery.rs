@@ -31,7 +31,6 @@ fn recovery_latency_and_degradation() {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
 

@@ -6,7 +6,7 @@
 
 use rosebud_apps::forwarder::build_forwarding_system;
 use rosebud_bench::{heading, versus};
-use rosebud_core::{Harness, PrTimingModel};
+use rosebud_core::{Harness, HostOp, PrTimingModel};
 use rosebud_net::FixedSizeGen;
 
 fn reload_time_model() {
@@ -29,7 +29,12 @@ fn live_reconfiguration_under_traffic() {
     // Reconfigure RPU 5 while traffic flows (uses the shortened simulated
     // PR duration so the run completes; the wall-clock time is the model
     // above).
-    h.sys.reconfigure_rpu(5, None, None);
+    h.sys
+        .apply(HostOp::Reload {
+            rpu: 5,
+            gated: false,
+        })
+        .expect("RPU 5 exists");
     let mut done_at = None;
     for cycle in 0..200_000u64 {
         h.tick();

@@ -443,7 +443,9 @@ mod tests {
         // Simulate a crash: halt RPU 2 via a firmware fault stand-in — load
         // an image that faults immediately.
         let bad = rosebud_riscv::assemble(".word 0xffffffff").unwrap();
-        h.sys.load_rpu_firmware(2, &bad).unwrap();
+        h.sys
+            .apply(crate::HostOp::LoadFirmware { rpu: 2, image: bad })
+            .unwrap();
         h.run(5_000);
         let diag = h.sys.diagnostics();
         assert_eq!(

@@ -143,12 +143,31 @@ impl Distributor {
         self.enabled
     }
 
-    pub fn enable_rpu(&mut self, rpu: usize) {
+    pub(crate) fn enable_rpu(&mut self, rpu: usize) {
         self.enabled |= 1 << rpu;
     }
 
-    pub fn disable_rpu(&mut self, rpu: usize) {
+    pub(crate) fn disable_rpu(&mut self, rpu: usize) {
         self.enabled &= !(1 << rpu);
+    }
+
+    /// A word written to the LB's host register channel.
+    pub fn host_write(&mut self, addr: u32, value: u32) {
+        match addr {
+            lb_regs::ENABLE_LO => {
+                self.enabled = (self.enabled & !0xffff_ffff) | u64::from(value);
+            }
+            lb_regs::ENABLE_HI => {
+                self.enabled = (self.enabled & 0xffff_ffff) | (u64::from(value) << 32);
+            }
+            lb_regs::FLUSH_RPU => {
+                let r = value as usize;
+                if r < self.tracker.num_rpus() {
+                    self.tracker.flush(r);
+                }
+            }
+            other => self.lb.host_write(other, value),
+        }
     }
 
     /// The slot tracker.
@@ -197,39 +216,9 @@ impl Rosebud {
         }
     }
 
-    /// Writes a word to the LB's host register channel.
-    pub fn lb_host_write(&mut self, addr: u32, value: u32) {
-        match addr {
-            lb_regs::ENABLE_LO => {
-                self.dist.enabled = (self.dist.enabled & !0xffff_ffff) | u64::from(value);
-            }
-            lb_regs::ENABLE_HI => {
-                self.dist.enabled = (self.dist.enabled & 0xffff_ffff) | (u64::from(value) << 32);
-            }
-            lb_regs::FLUSH_RPU => {
-                let r = value as usize;
-                if r < self.dist.tracker.num_rpus() {
-                    self.dist.tracker.flush(r);
-                }
-            }
-            other => self.dist.lb.host_write(other, value),
-        }
-    }
-
     /// The current RPU enable mask.
     pub fn enabled_mask(&self) -> u64 {
         self.dist.enabled
-    }
-
-    /// Sets `rpu`'s LB enable bit (host register write).
-    pub fn enable_rpu(&mut self, rpu: usize) {
-        self.dist.enable_rpu(rpu);
-    }
-
-    /// Clears `rpu`'s LB enable bit: new traffic immediately reroutes to
-    /// the remaining RPUs (graceful degradation).
-    pub fn disable_rpu(&mut self, rpu: usize) {
-        self.dist.disable_rpu(rpu);
     }
 
     /// Packets the LB has assigned so far.

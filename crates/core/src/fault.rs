@@ -304,8 +304,8 @@ impl FaultState {
 
     /// Inserts an event into the pending queue, keeping it sorted by cycle
     /// with ties behind already-queued events (matching the stable sort of
-    /// plan installation). Used by [`crate::Rosebud::inject_fault`] to land
-    /// faults mid-run without replacing the installed plan.
+    /// plan installation). How [`HostOp::Fault`](crate::HostOp::Fault) lands a
+    /// fault mid-run without replacing the installed plan.
     pub fn schedule(&mut self, ev: FaultEvent) {
         let idx = self.pending.partition_point(|e| e.at <= ev.at);
         self.pending.insert(idx, ev);

@@ -52,9 +52,10 @@ use rosebud_net::{extend_hash, flow_hash, Packet, ShardedFlowTable};
 
 use crate::diag::{BoxHealth, FleetDiagnostics};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
+use crate::host::HostOp;
 use crate::lb::ConsistentHashRing;
 use crate::ports::Device;
-use crate::supervisor::{Supervisor, SupervisorConfig};
+use crate::supervisor::Supervisor;
 use crate::system::Rosebud;
 use crate::trace::{FleetStep, TraceConfig};
 
@@ -66,26 +67,25 @@ pub struct FleetConfig {
     /// Front-link serialization rate per box, bytes per cycle (50 B/cycle at
     /// 4 ns/cycle is a 100 G cable, matching the testbed's cross-connects).
     pub link_bytes_per_cycle: u64,
-    /// Front-link propagation delay in cycles (switch + cable).
-    pub link_latency: Cycle,
     /// Frames the front link buffers before back-pressuring the tester.
     pub link_capacity: usize,
     /// Virtual nodes per box on the consistent-hash ring; more points mean
     /// smoother spread and smaller disturbance per failover.
     pub vnodes: usize,
-    /// Shards in the front LB's flow table.
-    pub flow_shards: usize,
 }
+
+/// Front-link propagation delay in cycles (switch + cable).
+const LINK_LATENCY: Cycle = 64;
+/// Shards in the front LB's flow table.
+const FLOW_SHARDS: usize = 16;
 
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             boxes: 4,
             link_bytes_per_cycle: 50,
-            link_latency: 64,
             link_capacity: 64,
             vnodes: 64,
-            flow_shards: 16,
         }
     }
 }
@@ -212,11 +212,7 @@ impl Fleet {
         let boxes: Vec<FleetBox> = (0..cfg.boxes)
             .map(|b| FleetBox {
                 sys: factory(b),
-                front: LinkPort::new(
-                    cfg.link_bytes_per_cycle,
-                    cfg.link_capacity,
-                    cfg.link_latency,
-                ),
+                front: LinkPort::new(cfg.link_bytes_per_cycle, cfg.link_capacity, LINK_LATENCY),
                 crashed: false,
                 offline: false,
                 flap_until: 0,
@@ -230,7 +226,7 @@ impl Fleet {
         let ns_per_cycle = boxes[0].sys.config().ns_per_cycle();
         Ok(Self {
             ring: ConsistentHashRing::new(cfg.boxes, cfg.vnodes),
-            flows: ShardedFlowTable::new(cfg.flow_shards),
+            flows: ShardedFlowTable::new(FLOW_SHARDS),
             resteer_matrix: vec![0; cfg.boxes * cfg.boxes],
             flows_seen: 0,
             flows_resteered: 0,
@@ -311,8 +307,8 @@ impl Fleet {
 
     /// Schedules device-scale fault events. Events whose
     /// [`FaultKind::is_device_scale`] is false are ignored — RPU-scale
-    /// faults have no box address at fleet scope; inject them through
-    /// [`sys_mut`](Self::sys_mut) instead.
+    /// faults have no box address at fleet scope; apply them to the box
+    /// itself ([`sys_mut`](Self::sys_mut), [`HostOp::Fault`]) instead.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         for ev in plan.events() {
             if ev.kind.is_device_scale() {
@@ -321,15 +317,11 @@ impl Fleet {
         }
     }
 
-    /// Schedules one device-scale fault event, keeping the queue sorted.
+    /// Schedules one device-scale fault event, keeping the queue sorted; one
+    /// stamped [`now`](Self::now) lands this cycle.
     pub fn schedule_fault(&mut self, ev: FaultEvent) {
         let idx = self.pending_faults.partition_point(|e| e.at <= ev.at);
         self.pending_faults.insert(idx, ev);
-    }
-
-    /// Injects a device-scale fault effective this cycle.
-    pub fn inject_fault(&mut self, kind: FaultKind) {
-        self.schedule_fault(FaultEvent { at: self.now, kind });
     }
 
     fn apply_due_faults(&mut self) {
@@ -352,7 +344,9 @@ impl Fleet {
             FaultKind::BoxHostOutage { device, cycles } => {
                 if let Some(b) = self.boxes.get_mut(device) {
                     if !b.crashed && !b.offline {
-                        b.sys.inject_fault(FaultKind::HostDmaOutage { cycles });
+                        b.sys
+                            .apply(HostOp::Fault(FaultKind::HostDmaOutage { cycles }))
+                            .expect("a fault with no RPU to name is never refused");
                     }
                 }
             }
@@ -514,7 +508,7 @@ impl Fleet {
         if b.crashed || b.offline || b.flap_until > self.now {
             return None;
         }
-        let mut rtt = 2 * self.cfg.link_latency + 16;
+        let mut rtt = 2 * LINK_LATENCY + 16;
         if b.brownout_until > self.now {
             rtt *= Cycle::from(b.brownout_factor.max(1));
         }
@@ -709,43 +703,37 @@ impl Fleet {
     }
 }
 
-/// Tuning knobs for the [`FleetSupervisor`] ladder.
+/// Cycles between health probes of a healthy box.
+const PROBE_INTERVAL: Cycle = 1_024;
+/// A probe RTT above this is a miss.
+const PROBE_TIMEOUT: Cycle = 256;
+/// Consecutive probe misses before a box is marked unhealthy.
+const UNHEALTHY_PROBES: u32 = 3;
+/// Consecutive healthy probes a reloaded box must pass in probation before
+/// re-admission to the ring.
+const PROBATION_PROBES: u32 = 3;
+/// Base re-probe backoff after a miss; doubles per consecutive miss.
+const PROBE_BACKOFF: Cycle = 256;
+/// Ceiling on the probe backoff.
+const PROBE_BACKOFF_CAP: Cycle = 8_192;
+
+/// What a caller varies about the [`FleetSupervisor`] ladder. The per-box
+/// RPU supervisors it drives run on
+/// [`SupervisorConfig::default`](crate::SupervisorConfig).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetSupervisorConfig {
-    /// Cycles between health probes of a healthy box.
-    pub probe_interval: Cycle,
-    /// A probe RTT above this is a miss.
-    pub probe_timeout: Cycle,
-    /// Consecutive probe misses before a box is marked unhealthy.
-    pub unhealthy_probes: u32,
-    /// Consecutive healthy probes a reloaded box must pass in probation
-    /// before re-admission to the ring.
-    pub probation_probes: u32,
-    /// Base re-probe backoff after a miss; doubles per consecutive miss.
-    pub probe_backoff: Cycle,
-    /// Ceiling on the probe backoff.
-    pub probe_backoff_cap: Cycle,
     /// How long a drain may run before the deadline purge.
     pub drain_timeout: Cycle,
     /// Cycles a whole-box PR reload keeps the box dark (the full-bitstream
     /// cost; per-RPU PR inside a box is two orders cheaper, §5.4).
     pub reload_cycles: Cycle,
-    /// Config for the per-box RPU supervisors the fleet ladder drives.
-    pub rpu: SupervisorConfig,
 }
 
 impl Default for FleetSupervisorConfig {
     fn default() -> Self {
         Self {
-            probe_interval: 1_024,
-            probe_timeout: 256,
-            unhealthy_probes: 3,
-            probation_probes: 3,
-            probe_backoff: 256,
-            probe_backoff_cap: 8_192,
             drain_timeout: 8_192,
             reload_cycles: 25_000,
-            rpu: SupervisorConfig::default(),
         }
     }
 }
@@ -832,7 +820,7 @@ impl FleetSupervisor {
                     rung: BoxRung::Healthy,
                     misses: 0,
                     streak: 0,
-                    next_probe: cfg.probe_interval,
+                    next_probe: PROBE_INTERVAL,
                     detected_at: 0,
                     drained_at: 0,
                     graceful: true,
@@ -840,9 +828,7 @@ impl FleetSupervisor {
                     resteered_at_detect: 0,
                 })
                 .collect(),
-            rpu_sups: (0..n)
-                .map(|b| Supervisor::with_config(fleet.sys(b), cfg.rpu))
-                .collect(),
+            rpu_sups: (0..n).map(|b| Supervisor::new(fleet.sys(b))).collect(),
             cfg,
         }
     }
@@ -852,12 +838,11 @@ impl FleetSupervisor {
         self.watch.iter().any(|w| w.rung != BoxRung::Healthy)
     }
 
-    fn backoff(&self, misses: u32) -> Cycle {
-        self.cfg
-            .probe_backoff
+    fn backoff(misses: u32) -> Cycle {
+        PROBE_BACKOFF
             .checked_shl(misses.saturating_sub(1))
             .unwrap_or(Cycle::MAX)
-            .min(self.cfg.probe_backoff_cap)
+            .min(PROBE_BACKOFF_CAP)
     }
 
     /// One supervisory step: drives the per-RPU supervisors on manageable
@@ -882,15 +867,15 @@ impl FleetSupervisor {
                 if now < self.watch[b].next_probe {
                     return;
                 }
-                if fleet.probe_ok(b, self.cfg.probe_timeout) {
+                if fleet.probe_ok(b, PROBE_TIMEOUT) {
                     let w = &mut self.watch[b];
                     w.misses = 0;
-                    w.next_probe = now + self.cfg.probe_interval;
+                    w.next_probe = now + PROBE_INTERVAL;
                 } else {
                     self.watch[b].misses += 1;
                     let misses = self.watch[b].misses;
                     fleet.log_step(b, FleetStep::ProbeMissed { streak: misses });
-                    if misses >= self.cfg.unhealthy_probes {
+                    if misses >= UNHEALTHY_PROBES {
                         fleet.log_step(b, FleetStep::MarkedUnhealthy);
                         fleet.ring_remove(b);
                         fleet.log_step(b, FleetStep::DrainStarted);
@@ -902,7 +887,7 @@ impl FleetSupervisor {
                             deadline: now + self.cfg.drain_timeout,
                         };
                     } else {
-                        self.watch[b].next_probe = now + self.backoff(misses);
+                        self.watch[b].next_probe = now + Self::backoff(misses);
                     }
                 }
             }
@@ -922,7 +907,7 @@ impl FleetSupervisor {
                 fleet.log_step(b, FleetStep::Reloading);
                 // The rebuilt box gets a fresh per-RPU supervisor: the old
                 // one's watch state describes hardware that no longer exists.
-                self.rpu_sups[b] = Supervisor::with_config(fleet.sys(b), self.cfg.rpu);
+                self.rpu_sups[b] = Supervisor::new(fleet.sys(b));
                 let w = &mut self.watch[b];
                 w.purged = purged;
                 w.drained_at = now;
@@ -940,15 +925,15 @@ impl FleetSupervisor {
                 w.rung = BoxRung::Probation;
                 w.streak = 0;
                 w.misses = 0;
-                w.next_probe = now + self.cfg.probe_interval;
+                w.next_probe = now + PROBE_INTERVAL;
             }
             BoxRung::Probation => {
                 if now < self.watch[b].next_probe {
                     return;
                 }
-                if fleet.probe_ok(b, self.cfg.probe_timeout) {
+                if fleet.probe_ok(b, PROBE_TIMEOUT) {
                     self.watch[b].streak += 1;
-                    if self.watch[b].streak >= self.cfg.probation_probes {
+                    if self.watch[b].streak >= PROBATION_PROBES {
                         fleet.ring_restore(b);
                         fleet.log_step(b, FleetStep::Readmitted);
                         let w = &mut self.watch[b];
@@ -966,17 +951,17 @@ impl FleetSupervisor {
                         };
                         w.rung = BoxRung::Healthy;
                         w.misses = 0;
-                        w.next_probe = now + self.cfg.probe_interval;
+                        w.next_probe = now + PROBE_INTERVAL;
                         fleet.log_failover(rec);
                     } else {
-                        self.watch[b].next_probe = now + self.cfg.probe_interval;
+                        self.watch[b].next_probe = now + PROBE_INTERVAL;
                     }
                 } else {
                     self.watch[b].streak = 0;
                     self.watch[b].misses += 1;
                     let misses = self.watch[b].misses;
                     fleet.log_step(b, FleetStep::ProbeMissed { streak: misses });
-                    if misses >= self.cfg.unhealthy_probes {
+                    if misses >= UNHEALTHY_PROBES {
                         // A fresh fault landed on the rebuilt box before it
                         // ever re-entered rotation: recycle it.
                         let purged = fleet.begin_reload(b);
@@ -984,7 +969,7 @@ impl FleetSupervisor {
                             fleet.log_step(b, FleetStep::Purged { packets: purged });
                         }
                         fleet.log_step(b, FleetStep::Reloading);
-                        self.rpu_sups[b] = Supervisor::with_config(fleet.sys(b), self.cfg.rpu);
+                        self.rpu_sups[b] = Supervisor::new(fleet.sys(b));
                         let w = &mut self.watch[b];
                         w.purged += purged;
                         w.misses = 0;
@@ -992,7 +977,7 @@ impl FleetSupervisor {
                             done_at: now + self.cfg.reload_cycles,
                         };
                     } else {
-                        self.watch[b].next_probe = now + self.backoff(misses);
+                        self.watch[b].next_probe = now + Self::backoff(misses);
                     }
                 }
             }
@@ -1050,6 +1035,12 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// Lands a device-scale fault this cycle.
+    fn fault_now(fleet: &mut Fleet, kind: FaultKind) {
+        let at = fleet.now();
+        fleet.schedule_fault(FaultEvent { at, kind });
     }
 
     fn forwarder_box() -> Rosebud {
@@ -1158,7 +1149,7 @@ mod tests {
             },
         );
         h.run(5_000);
-        h.sys.inject_fault(FaultKind::BoxCrash { device: 1 });
+        fault_now(&mut h.sys, FaultKind::BoxCrash { device: 1 });
         for _ in 0..60_000 {
             sup.poll(&mut h.sys);
             h.tick();
@@ -1185,15 +1176,21 @@ mod tests {
             },
         );
         h.run(2_000);
-        h.sys.inject_fault(FaultKind::FrontLinkFlap {
-            device: 0,
-            cycles: 6_000,
-        });
-        h.sys.inject_fault(FaultKind::BoxBrownout {
-            device: 1,
-            cycles: 6_000,
-            factor: 4,
-        });
+        fault_now(
+            &mut h.sys,
+            FaultKind::FrontLinkFlap {
+                device: 0,
+                cycles: 6_000,
+            },
+        );
+        fault_now(
+            &mut h.sys,
+            FaultKind::BoxBrownout {
+                device: 1,
+                cycles: 6_000,
+                factor: 4,
+            },
+        );
         for _ in 0..80_000 {
             sup.poll(&mut h.sys);
             h.tick();
@@ -1207,15 +1204,18 @@ mod tests {
     fn probe_model_reflects_box_state() {
         let mut fleet = forwarder_fleet(2);
         assert!(fleet.probe_ok(0, 256));
-        fleet.inject_fault(FaultKind::BoxCrash { device: 0 });
+        fault_now(&mut fleet, FaultKind::BoxCrash { device: 0 });
         fleet.tick();
         assert!(fleet.probe_rtt(0).is_none());
         assert!(fleet.probe_ok(1, 256));
-        fleet.inject_fault(FaultKind::BoxBrownout {
-            device: 1,
-            cycles: 100,
-            factor: 4,
-        });
+        fault_now(
+            &mut fleet,
+            FaultKind::BoxBrownout {
+                device: 1,
+                cycles: 100,
+                factor: 4,
+            },
+        );
         fleet.tick();
         // 4 × (2·64 + 16) = 576 > 256: slow, not dead.
         assert_eq!(fleet.probe_rtt(1), Some(576));

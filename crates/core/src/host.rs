@@ -1,16 +1,37 @@
 //! Host-side control of a running Rosebud system: the Rust rendering of the
 //! paper's host C library + Corundum driver (§3.2, §3.4, Appendix A.6–A.8).
 //!
-//! Everything here operates on a [`Rosebud`] the way the real host reaches
-//! the FPGA over PCIe: load memories, read counters, poke/evict RPUs, drive
-//! the LB's 30-bit register channel, dump memory. The PCIe bridge those
-//! calls cross is `HostBridge`; partial reconfiguration is in `pr.rs`.
+//! Everything the host can *do* to a built box is a [`HostOp`] value, and
+//! [`Rosebud::apply`] is the one door it goes through — so a live session
+//! can record every op beside every frame and replay both
+//! ([`EventLog`](crate::EventLog)). The paper's calls map to arms as follows:
+//!
+//! | Paper (host library / driver)                       | Arm                                   |
+//! |-----------------------------------------------------|---------------------------------------|
+//! | A.6 load instruction memory from the ELF, boot      | [`LoadFirmware`](HostOp::LoadFirmware) |
+//! | A.6 load data / packet / accelerator memory, tables | [`WriteMem`](HostOp::WriteMem)        |
+//! | A.6 prepare host DRAM for RPU-initiated DMA (§4.2)  | [`WriteHostDram`](HostOp::WriteHostDram) |
+//! | A.6 receive mask: which cores get incoming traffic  | [`Enable`](HostOp::Enable) / [`Disable`](HostOp::Disable) |
+//! | §4.2 the LB's 30-bit host register channel          | [`LbWrite`](HostOp::LbWrite)          |
+//! | A.7 write the 64-bit debug channel                  | [`WriteDebug`](HostOp::WriteDebug)    |
+//! | §3.4 poke interrupt ("stop processing packets")     | [`Poke`](HostOp::Poke)                |
+//! | A.8 evict interrupt ahead of a reconfiguration      | [`Evict`](HostOp::Evict)              |
+//! | A.8 drain, trigger PR, reboot                       | [`Reload`](HostOp::Reload)            |
+//! | A.8 failure path: destroy the region's work, PR     | [`ForceReload`](HostOp::ForceReload)  |
+//! | §3.2 the Corundum virtual Ethernet interface, TX    | [`HostFrame`](HostOp::HostFrame)      |
+//! | (simulation only) land a fault now                  | [`Fault`](HostOp::Fault)              |
+//!
+//! What the host *reads* — `lb_host_read`, `read_rpu_mem`, `rpu_status`,
+//! `take_debug`, `take_host_packets`, `diagnostics` — stays a method: a read
+//! changes nothing a replay has to reproduce. The PCIe bridge all of it
+//! crosses is `HostBridge`; partial reconfiguration is in `pr.rs`.
 
 use rosebud_kernel::{Cycle, DelayLine, Fifo};
 use rosebud_net::Packet;
-use rosebud_riscv::AccessSize;
+use rosebud_riscv::{AccessSize, Image};
 
 use crate::config::RosebudConfig;
+use crate::fault::FaultKind;
 use crate::lanes::Lanes;
 use crate::system::{Fx, Rosebud};
 use crate::types::{irq, memmap, HostDmaReq};
@@ -141,27 +162,495 @@ impl HostBridge {
     }
 }
 
+/// One thing the host can do to a running box: plain data, so a live
+/// session can log it beside the frames and a replay can apply it again at
+/// the same cycle. [`Rosebud::apply`] is the only way in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HostOp {
+    /// Writes a word to the LB's host register channel (§4.2; see
+    /// [`lb_regs`]).
+    LbWrite {
+        /// Address in the 30-bit channel.
+        addr: u32,
+        /// The word written.
+        value: u32,
+    },
+    /// Sets `rpu`'s LB enable bit.
+    Enable {
+        /// The RPU that gets traffic again.
+        rpu: usize,
+    },
+    /// Clears `rpu`'s LB enable bit: new traffic immediately reroutes to
+    /// the remaining RPUs (graceful degradation).
+    Disable {
+        /// The RPU taken out of rotation.
+        rpu: usize,
+    },
+    /// Sends a poke interrupt "to tell it to stop processing packets" so
+    /// the host can inspect state (§3.4).
+    Poke {
+        /// The RPU interrupted.
+        rpu: usize,
+    },
+    /// Sends the eviction interrupt ahead of a reconfiguration (A.8).
+    Evict {
+        /// The RPU interrupted.
+        rpu: usize,
+    },
+    /// Writes the host→RPU half of the 64-bit debug channel (A.7).
+    WriteDebug {
+        /// The RPU whose channel is written.
+        rpu: usize,
+        /// The value its firmware reads.
+        value: u64,
+    },
+    /// Writes bytes into an RPU memory region before boot (loading lookup
+    /// tables, Appendix A.6) or during debugging. A byte whose address
+    /// decodes to nothing is dropped by the bus.
+    WriteMem {
+        /// The RPU whose memory is written.
+        rpu: usize,
+        /// Which of its memories.
+        region: MemRegion,
+        /// Byte offset into the region.
+        offset: usize,
+        /// What is written there.
+        bytes: Vec<u8>,
+    },
+    /// Writes host DRAM as the RPUs' DMA manager sees it (§4.2): host-side
+    /// table preparation before DMA reads.
+    WriteHostDram {
+        /// Byte offset into host DRAM.
+        offset: usize,
+        /// What is written there.
+        bytes: Vec<u8>,
+    },
+    /// Queues a frame on the host's virtual Ethernet interface; refused
+    /// while its transmit queue is full.
+    HostFrame(Packet),
+    /// Begins a runtime reconfiguration of `rpu` with the factory program
+    /// (§4.1, A.8): the LB stops sending to it, in-flight packets drain, the
+    /// PR bitstream writes for `pr_cycles`, the program boots. Traffic to
+    /// other RPUs continues throughout.
+    Reload {
+        /// The RPU reconfigured.
+        rpu: usize,
+        /// `false`: the LB resumes when the region boots. `true`: the
+        /// enable bit stays clear until an [`Enable`](HostOp::Enable) — the
+        /// supervisor's graceful-eviction rung, which must never hand
+        /// traffic to a region it has not confirmed alive.
+        gated: bool,
+    },
+    /// Forced eviction (A.8 failure path): a wedged region holds packets
+    /// that will never drain, so the host destroys them — every bound slot,
+    /// every queued descriptor, everything on the ingress pipeline headed
+    /// there — accounts them as purged in the conservation ledger, and
+    /// starts the PR bitstream write immediately. Answers
+    /// [`HostReply::Purged`]; the enable bit stays clear until an
+    /// [`Enable`](HostOp::Enable).
+    ForceReload {
+        /// The RPU whose region is destroyed and rewritten.
+        rpu: usize,
+    },
+    /// Loads assembled firmware into `rpu` and boots it — the plain
+    /// (non-PR) load path of A.6. Refused — every RPU untouched — when the
+    /// image does not fit instruction memory, and under
+    /// [`LoadPolicy::Deny`](crate::LoadPolicy::Deny) when its lint report
+    /// contains errors.
+    LoadFirmware {
+        /// The RPU rebooted.
+        rpu: usize,
+        /// The assembled image: base, words, and the symbol table lint
+        /// labels come from — never the source text.
+        image: Image,
+    },
+    /// Lands a single fault on the next tick without replacing any
+    /// installed plan — the path by which fleet-scope faults (a box-scoped
+    /// host outage, say) reach into an individual box mid-run. A single box
+    /// ignores the device-scale kinds.
+    Fault(FaultKind),
+}
+
+/// What [`Rosebud::apply`] answers on success.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostReply {
+    /// The op took effect; there is nothing to report.
+    Done,
+    /// A forced eviction destroyed this many slot-bound packets.
+    Purged(u64),
+}
+
+impl HostOp {
+    /// The RPU this op addresses, when it addresses one.
+    fn rpu(&self) -> Option<usize> {
+        use FaultKind::{CorruptIngress, FirmwareCrash, FirmwareHang};
+        match *self {
+            HostOp::Enable { rpu }
+            | HostOp::Disable { rpu }
+            | HostOp::Poke { rpu }
+            | HostOp::Evict { rpu }
+            | HostOp::WriteDebug { rpu, .. }
+            | HostOp::WriteMem { rpu, .. }
+            | HostOp::Reload { rpu, .. }
+            | HostOp::ForceReload { rpu }
+            | HostOp::LoadFirmware { rpu, .. }
+            | HostOp::Fault(
+                FirmwareHang { rpu } | FirmwareCrash { rpu } | CorruptIngress { rpu, .. },
+            ) => Some(rpu),
+            HostOp::LbWrite { .. }
+            | HostOp::WriteHostDram { .. }
+            | HostOp::HostFrame(_)
+            | HostOp::Fault(_) => None,
+        }
+    }
+}
+
+/// One direction of the op codec. `ports.rs` has both — a writer that
+/// appends fields to a log line, a reader that takes them off one — and
+/// [`HostOp::fields`] walks an op's fields through either in wire order, so
+/// each op's layout is written down once.
+pub(crate) trait Fields {
+    /// The next integer field.
+    fn int(&mut self, v: &mut u64) -> Result<(), String>;
+    /// The byte payload: at most one per op, after its integers.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), String>;
+}
+
+/// An integer field of any width: widened on the way out, range-checked on
+/// the way in.
+fn num<T>(c: &mut dyn Fields, v: &mut T) -> Result<(), String>
+where
+    T: Copy + TryFrom<u64>,
+    u64: TryFrom<T>,
+{
+    let mut wide = u64::try_from(*v).map_err(|_| "field wider than 64 bits")?;
+    c.int(&mut wide)?;
+    *v = T::try_from(wide).map_err(|_| format!("{wide} is out of range"))?;
+    Ok(())
+}
+
+/// A field with a few named values, carried as its index in `values`.
+fn one_of<T: Copy + PartialEq>(c: &mut dyn Fields, v: &mut T, values: &[T]) -> Result<(), String> {
+    let mut index = values.iter().position(|x| x == v).unwrap_or(values.len());
+    num(c, &mut index)?;
+    *v = *values
+        .get(index)
+        .ok_or_else(|| format!("{index} names none of {} values", values.len()))?;
+    Ok(())
+}
+
+const REGIONS: [MemRegion; 4] = [
+    MemRegion::Imem,
+    MemRegion::Dmem,
+    MemRegion::Pmem,
+    MemRegion::AccelMem,
+];
+
+/// An image's words, then each symbol as (value, name length, name) — all
+/// little-endian.
+fn image_blob(image: &Image) -> Vec<u8> {
+    let mut blob = image.bytes();
+    for (name, value) in image.symbols() {
+        blob.extend_from_slice(&value.to_le_bytes());
+        blob.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        blob.extend_from_slice(name.as_bytes());
+    }
+    blob
+}
+
+fn image_from_blob(base: u32, nwords: usize, blob: &[u8]) -> Result<Image, String> {
+    let bad = || "malformed image payload".to_string();
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    // Checked against the payload before anything is allocated for it.
+    let code = nwords.checked_mul(4).filter(|len| *len <= blob.len());
+    let (code, mut rest) = blob.split_at(code.ok_or_else(bad)?);
+    let words = code.chunks_exact(4).map(word).collect();
+    let mut symbols = Vec::new();
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_at_checked(8).ok_or_else(bad)?;
+        let (name, tail) = tail
+            .split_at_checked(word(&head[4..]) as usize)
+            .ok_or_else(bad)?;
+        let name = std::str::from_utf8(name).map_err(|_| bad())?;
+        symbols.push((name.to_string(), word(head)));
+        rest = tail;
+    }
+    Ok(Image::from_parts(base, words, symbols))
+}
+
+/// Makes an op of one shape, every field zero, for a reader to fill in.
+type Blank = fn() -> HostOp;
+
+/// Every op's wire name beside its blank. A fault is one row per kind.
+const OPS: &[(&str, Blank)] = &[
+    ("lb_write", || HostOp::LbWrite { addr: 0, value: 0 }),
+    ("enable", || HostOp::Enable { rpu: 0 }),
+    ("disable", || HostOp::Disable { rpu: 0 }),
+    ("poke", || HostOp::Poke { rpu: 0 }),
+    ("evict", || HostOp::Evict { rpu: 0 }),
+    ("write_debug", || HostOp::WriteDebug { rpu: 0, value: 0 }),
+    ("write_mem", || HostOp::WriteMem {
+        rpu: 0,
+        region: MemRegion::Imem,
+        offset: 0,
+        bytes: Vec::new(),
+    }),
+    ("write_host_dram", || HostOp::WriteHostDram {
+        offset: 0,
+        bytes: Vec::new(),
+    }),
+    ("host_frame", || {
+        HostOp::HostFrame(Packet::new(0, Vec::new(), 0, 0))
+    }),
+    ("reload", || HostOp::Reload {
+        rpu: 0,
+        gated: false,
+    }),
+    ("force_reload", || HostOp::ForceReload { rpu: 0 }),
+    ("load_firmware", || HostOp::LoadFirmware {
+        rpu: 0,
+        image: Image::from_parts(0, Vec::new(), []),
+    }),
+    ("fault.firmware_hang", || {
+        HostOp::Fault(FaultKind::FirmwareHang { rpu: 0 })
+    }),
+    ("fault.firmware_crash", || {
+        HostOp::Fault(FaultKind::FirmwareCrash { rpu: 0 })
+    }),
+    ("fault.corrupt_ingress", || {
+        HostOp::Fault(FaultKind::CorruptIngress { rpu: 0, count: 0 })
+    }),
+    ("fault.rx_fifo_overflow", || {
+        HostOp::Fault(FaultKind::RxFifoOverflow { port: 0, cycles: 0 })
+    }),
+    ("fault.host_dma_outage", || {
+        HostOp::Fault(FaultKind::HostDmaOutage { cycles: 0 })
+    }),
+    ("fault.box_crash", || {
+        HostOp::Fault(FaultKind::BoxCrash { device: 0 })
+    }),
+    ("fault.box_host_outage", || {
+        HostOp::Fault(FaultKind::BoxHostOutage {
+            device: 0,
+            cycles: 0,
+        })
+    }),
+    ("fault.front_link_flap", || {
+        HostOp::Fault(FaultKind::FrontLinkFlap {
+            device: 0,
+            cycles: 0,
+        })
+    }),
+    ("fault.box_brownout", || {
+        HostOp::Fault(FaultKind::BoxBrownout {
+            device: 0,
+            cycles: 0,
+            factor: 0,
+        })
+    }),
+];
+
+impl HostOp {
+    /// The op's name in the event log.
+    pub(crate) fn name(&self) -> &'static str {
+        use std::mem::discriminant;
+        let same_arm = |blank: HostOp| match (&blank, self) {
+            (HostOp::Fault(a), HostOp::Fault(b)) => discriminant(a) == discriminant(b),
+            _ => discriminant(&blank) == discriminant(self),
+        };
+        let row = OPS.iter().find(|(_, blank)| same_arm(blank()));
+        row.expect("every arm has a row in OPS").0
+    }
+
+    /// An op of the shape `name` names, every field zero.
+    pub(crate) fn blank(name: &str) -> Option<HostOp> {
+        let row = OPS.iter().find(|(n, _)| *n == name)?;
+        Some(row.1())
+    }
+
+    /// Passes every field through `c` in wire order: integers, then the
+    /// payload if the op has one. A writer reads them; a reader overwrites
+    /// a [`blank`](Self::blank)'s.
+    pub(crate) fn fields(&mut self, c: &mut dyn Fields) -> Result<(), String> {
+        use FaultKind as F;
+        match self {
+            HostOp::LbWrite { addr, value } => {
+                num(c, addr)?;
+                num(c, value)
+            }
+            HostOp::Enable { rpu }
+            | HostOp::Disable { rpu }
+            | HostOp::Poke { rpu }
+            | HostOp::Evict { rpu }
+            | HostOp::ForceReload { rpu }
+            | HostOp::Fault(F::FirmwareHang { rpu } | F::FirmwareCrash { rpu }) => num(c, rpu),
+            HostOp::WriteDebug { rpu, value } => {
+                num(c, rpu)?;
+                num(c, value)
+            }
+            HostOp::WriteMem {
+                rpu,
+                region,
+                offset,
+                bytes,
+            } => {
+                num(c, rpu)?;
+                one_of(c, region, &REGIONS)?;
+                num(c, offset)?;
+                c.bytes(bytes)
+            }
+            HostOp::WriteHostDram { offset, bytes } => {
+                num(c, offset)?;
+                c.bytes(bytes)
+            }
+            HostOp::HostFrame(pkt) => {
+                num(c, &mut pkt.id)?;
+                num(c, &mut pkt.port)?;
+                num(c, &mut pkt.ts_gen)?;
+                c.bytes(&mut pkt.data)
+            }
+            HostOp::Reload { rpu, gated } => {
+                num(c, rpu)?;
+                one_of(c, gated, &[false, true])
+            }
+            HostOp::LoadFirmware { rpu, image } => {
+                // The image has no fields to lend out, so it crosses as
+                // parts and is rebuilt from them — in a writer, into what it
+                // already was.
+                let (mut base, mut nwords) = (image.base(), image.words().len());
+                let mut blob = image_blob(image);
+                num(c, rpu)?;
+                num(c, &mut base)?;
+                num(c, &mut nwords)?;
+                c.bytes(&mut blob)?;
+                *image = image_from_blob(base, nwords, &blob)?;
+                Ok(())
+            }
+            HostOp::Fault(F::CorruptIngress { rpu, count }) => {
+                num(c, rpu)?;
+                num(c, count)
+            }
+            HostOp::Fault(F::RxFifoOverflow { port, cycles }) => {
+                num(c, port)?;
+                num(c, cycles)
+            }
+            HostOp::Fault(F::HostDmaOutage { cycles }) => num(c, cycles),
+            HostOp::Fault(F::BoxCrash { device }) => num(c, device),
+            HostOp::Fault(
+                F::BoxHostOutage { device, cycles } | F::FrontLinkFlap { device, cycles },
+            ) => {
+                num(c, device)?;
+                num(c, cycles)
+            }
+            HostOp::Fault(F::BoxBrownout {
+                device,
+                cycles,
+                factor,
+            }) => {
+                num(c, device)?;
+                num(c, cycles)?;
+                num(c, factor)
+            }
+        }
+    }
+}
+
 impl Rosebud {
+    /// Does `op` to the box — the one way the host changes a built system,
+    /// so whoever holds the box behind a recorder
+    /// (`rosebud_shell::Shell::apply`) sees every change.
+    ///
+    /// # Errors
+    ///
+    /// Says why the op was refused: it names an RPU the box does not have,
+    /// a write reaches past the memory it targets, the virtual interface's
+    /// queue is full, or the load path rejected the image. A refused op has
+    /// changed nothing.
+    pub fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+        if let Some(rpu) = op.rpu().filter(|&rpu| rpu >= self.cfg.num_rpus) {
+            return Err(format!("no RPU {rpu}: the box has {}", self.cfg.num_rpus));
+        }
+        match op {
+            HostOp::LbWrite { addr, value } => self.dist.host_write(addr, value),
+            HostOp::Enable { rpu } => self.dist.enable_rpu(rpu),
+            HostOp::Disable { rpu } => self.dist.disable_rpu(rpu),
+            HostOp::Poke { rpu } => self.rpu_mut(rpu).raise_irq(irq::POKE),
+            HostOp::Evict { rpu } => self.rpu_mut(rpu).raise_irq(irq::EVICT),
+            HostOp::WriteDebug { rpu, value } => self.rpu_mut(rpu).inner_mut().set_debug_in(value),
+            HostOp::WriteMem {
+                rpu,
+                region,
+                offset,
+                bytes,
+            } => self.write_rpu_mem(rpu, region, offset, &bytes)?,
+            HostOp::WriteHostDram { offset, bytes } => offset
+                .checked_add(bytes.len())
+                .and_then(|end| self.host.dram.get_mut(offset..end))
+                .ok_or_else(|| format!("{} bytes at {offset} reach past host DRAM", bytes.len()))?
+                .copy_from_slice(&bytes),
+            HostOp::HostFrame(pkt) => {
+                let refused = |_| "the virtual interface's transmit queue is full".to_string();
+                self.host.tx.push(pkt).map_err(refused)?;
+                self.fx.ledger.injected += 1;
+            }
+            HostOp::Reload { rpu, gated } => self.reload_rpu(rpu, gated),
+            HostOp::ForceReload { rpu } => {
+                return Ok(HostReply::Purged(self.force_reload_rpu(rpu)))
+            }
+            HostOp::LoadFirmware { rpu, image } => self.load_firmware(rpu, &image)?,
+            HostOp::Fault(kind) => self.schedule_fault(kind),
+        }
+        Ok(HostReply::Done)
+    }
+
+    fn write_rpu_mem(
+        &mut self,
+        rpu: usize,
+        region: MemRegion,
+        offset: usize,
+        bytes: &[u8],
+    ) -> Result<(), String> {
+        // Firmware loads go through `load_riscv`; raw imem pokes are
+        // modelled as a partial image overwrite via the bus.
+        let base = match region {
+            MemRegion::Imem => memmap::IMEM_BASE,
+            MemRegion::Dmem => memmap::DMEM_BASE,
+            MemRegion::Pmem => memmap::PMEM_BASE,
+            MemRegion::AccelMem => 0,
+        };
+        // Offsets travel as bus addresses: the whole write has to fit them.
+        let start = u64::from(base).saturating_add(offset as u64);
+        if start.saturating_add(bytes.len() as u64) > 1 << 32 {
+            return Err(format!(
+                "{} bytes at {offset} leave the 32-bit bus",
+                bytes.len()
+            ));
+        }
+        let start = start as u32;
+        let rpu = self.rpu_mut(rpu);
+        if region == MemRegion::AccelMem {
+            if let Some(accel) = rpu.accelerator_mut() {
+                accel.load_table(start, bytes);
+            }
+            return Ok(());
+        }
+        for (addr, b) in (start..).zip(bytes) {
+            // A byte that decodes to nothing is dropped by the bus.
+            let _ = rpu
+                .inner_mut()
+                .host_store(addr, u32::from(*b), AccessSize::Byte);
+        }
+        Ok(())
+    }
+
     /// Drains frames delivered to the host over PCIe.
     pub fn take_host_packets(&mut self) -> Vec<Packet> {
         std::mem::take(&mut self.host.rx)
     }
 
-    /// Queues a frame from the host's virtual Ethernet interface.
-    pub fn inject_from_host(&mut self, pkt: Packet) -> Result<(), Packet> {
-        self.host.tx.push(pkt)?;
-        self.fx.ledger.injected += 1;
-        Ok(())
-    }
-
     /// Host DRAM as the RPUs' DMA manager sees it (§4.2).
     pub fn host_dram(&self) -> &[u8] {
         &self.host.dram
-    }
-
-    /// Mutable host DRAM (host-side table preparation before DMA reads).
-    pub fn host_dram_mut(&mut self) -> &mut [u8] {
-        &mut self.host.dram
     }
 
     /// Reads `len` bytes from an RPU memory region — the host debug path
@@ -196,44 +685,6 @@ impl Rosebud {
         }
     }
 
-    /// Writes bytes into an RPU memory region before boot (loading lookup
-    /// tables, Appendix A.6) or during debugging.
-    pub fn write_rpu_mem(&mut self, rpu: usize, region: MemRegion, offset: usize, bytes: &[u8]) {
-        let rpu = self.rpu_mut(rpu);
-        // Firmware loads go through `load_riscv`; raw imem pokes are
-        // modelled as a partial image overwrite via the bus.
-        let base = match region {
-            MemRegion::Imem => memmap::IMEM_BASE,
-            MemRegion::Dmem => memmap::DMEM_BASE,
-            MemRegion::Pmem => memmap::PMEM_BASE,
-            MemRegion::AccelMem => {
-                if let Some(accel) = rpu.accelerator_mut() {
-                    accel.load_table(offset as u32, bytes);
-                }
-                return;
-            }
-        };
-        for (i, b) in bytes.iter().enumerate() {
-            // A byte that decodes to nothing is dropped by the bus.
-            let _ = rpu.inner_mut().host_store(
-                base + (offset + i) as u32,
-                u32::from(*b),
-                AccessSize::Byte,
-            );
-        }
-    }
-
-    /// Sends a poke interrupt "to tell it to stop processing packets" so the
-    /// host can inspect state (§3.4).
-    pub fn poke(&mut self, rpu: usize) {
-        self.rpu_mut(rpu).raise_irq(irq::POKE);
-    }
-
-    /// Sends the eviction interrupt ahead of a reconfiguration (A.8).
-    pub fn evict(&mut self, rpu: usize) {
-        self.rpu_mut(rpu).raise_irq(irq::EVICT);
-    }
-
     /// Reads RPU `rpu`'s host-visible status register.
     pub fn rpu_status(&self, rpu: usize) -> u32 {
         self.rpus()[rpu].inner().status()
@@ -243,11 +694,6 @@ impl Rosebud {
     /// firmware wrote one since the last read (A.7).
     pub fn take_debug(&mut self, rpu: usize) -> Option<u64> {
         self.rpu_mut(rpu).inner_mut().take_debug_out()
-    }
-
-    /// Writes the host→RPU half of the 64-bit debug channel.
-    pub fn write_debug(&mut self, rpu: usize, value: u64) {
-        self.rpu_mut(rpu).inner_mut().set_debug_in(value);
     }
 }
 
@@ -307,6 +753,17 @@ pub fn pr_reload_model(model: &PrTimingModel, clock_hz: u64, sample: u64) -> Cyc
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A row whose blank is another row's arm would be written under that
+    /// row's name and read back as the wrong op.
+    #[test]
+    fn every_op_row_names_the_arm_it_blanks() {
+        for (name, blank) in OPS {
+            assert_eq!(blank().name(), *name);
+            assert_eq!(HostOp::blank(name), Some(blank()));
+        }
+        assert_eq!(HostOp::blank("frob"), None);
+    }
 
     #[test]
     fn pr_model_means_756ms_over_320_loads() {

@@ -422,6 +422,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, Ledger};
     use crate::harness::Harness;
+    use crate::host::{HostOp, HostReply};
+    use crate::ports::Device;
     use crate::system::{apply_due_faults, Rosebud, RosebudBuilder, RpuProgram};
     use crate::types::{port, SlotMeta};
     use rosebud_accel::FirewallMatcher;
@@ -627,6 +629,13 @@ mod tests {
         sys.lanes.quiet[r] = Cycle::MAX;
     }
 
+    /// Drains `sys`, counting the frames delivered on physical port `port`.
+    fn delivered_on(sys: &mut Rosebud, port: usize) -> usize {
+        let mut n = 0;
+        sys.drain(&mut |lane, _| n += usize::from(lane == port));
+        n
+    }
+
     fn occupancy(sys: &Rosebud) -> [LaneSet; 5] {
         let l = &sys.lanes;
         [l.rin_busy, l.awake, l.tx_ready, l.rout_busy, l.dma_posted]
@@ -686,28 +695,30 @@ mod tests {
         sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
         sys.run(400);
         assert_eq!(sys.lanes.awake.count(), 1);
-        assert_eq!(sys.take_output(1).len(), 1, "the woken lane forwarded it");
+        assert_eq!(delivered_on(&mut sys, 1), 1, "the woken lane forwarded it");
 
         // Host poke, and `rpu_mut` — the access the un-elided oracle in
         // `tests/kernel_equivalence.rs` is built from.
         force_sleep(&mut sys, 2);
-        sys.poke(2);
+        sys.apply(HostOp::Poke { rpu: 2 }).unwrap();
         assert!(sys.lanes.awake.contains(2));
         force_sleep(&mut sys, 2);
         sys.rpu_mut(2);
         assert!(sys.lanes.awake.contains(2));
         force_sleep(&mut sys, 2);
-        sys.evict(2);
+        sys.apply(HostOp::Evict { rpu: 2 }).unwrap();
         assert!(sys.lanes.awake.contains(2));
         force_sleep(&mut sys, 2);
-        sys.write_debug(2, 7);
+        sys.apply(HostOp::WriteDebug { rpu: 2, value: 7 }).unwrap();
         assert!(sys.lanes.awake.contains(2));
 
         // Fault injection lands in stage 0, ahead of the core tick.
         force_sleep(&mut sys, 3);
         force_sleep(&mut sys, 0);
-        sys.inject_fault(FaultKind::FirmwareHang { rpu: 3 });
-        sys.inject_fault(FaultKind::FirmwareCrash { rpu: 0 });
+        sys.apply(HostOp::Fault(FaultKind::FirmwareHang { rpu: 3 }))
+            .unwrap();
+        sys.apply(HostOp::Fault(FaultKind::FirmwareCrash { rpu: 0 }))
+            .unwrap();
         apply_due_faults(sys.now(), &mut sys.fx, &mut sys.lanes);
         assert!(sys.lanes.awake.contains(3) && sys.lanes.awake.contains(0));
         sys.tick();
@@ -715,7 +726,7 @@ mod tests {
         // PR begin wakes; the region then sleeps through the bitstream
         // write on its own, and PR finish wakes it into the new firmware.
         force_sleep(&mut sys, 1);
-        sys.force_reconfigure_rpu(1);
+        sys.apply(HostOp::ForceReload { rpu: 1 }).unwrap();
         assert!(sys.lanes.awake.contains(1));
         sys.run(100);
         assert!(!sys.lanes.awake.contains(1), "mid-PR region must sleep");
@@ -724,7 +735,11 @@ mod tests {
         assert_eq!(sys.rpus()[1].state(), crate::rpu::RpuState::Running);
         // The graceful eviction's entry points wake too (they raise EVICT).
         force_sleep(&mut sys, 2);
-        sys.reconfigure_rpu_gated(2);
+        sys.apply(HostOp::Reload {
+            rpu: 2,
+            gated: true,
+        })
+        .unwrap();
         assert!(sys.lanes.awake.contains(2));
 
         // Broadcast interrupt (stage 11): lane 0 broadcasts one word at
@@ -784,7 +799,8 @@ mod tests {
             }
         }
         let r = victim.expect("a lane with frames on both links");
-        assert!(h.sys.force_reconfigure_rpu(r) > 0);
+        let purged = h.sys.apply(HostOp::ForceReload { rpu: r }).unwrap();
+        assert!(matches!(purged, HostReply::Purged(n) if n > 0));
         assert!(occupancy(&h.sys).iter().all(|word| word.contains(r)));
         h.sys.tick();
         assert!(
@@ -813,7 +829,8 @@ mod tests {
             })
             .build()
             .unwrap();
-        sys.disable_rpu(1); // lane 1 is fed by the loopback only
+        // Lane 1 is fed by the loopback only.
+        sys.apply(HostOp::Disable { rpu: 1 }).unwrap();
         sys.inject(Packet::new(1, vec![0u8; 64], 0, 0)).unwrap();
         let mut marked = false;
         for _ in 0..400 {
@@ -824,11 +841,11 @@ mod tests {
             }
         }
         assert!(marked, "the frame never reached lane 1's ingress link");
-        assert_eq!(sys.take_output(1).len(), 1, "lane 1 forwarded it");
+        assert_eq!(delivered_on(&mut sys, 1), 1, "lane 1 forwarded it");
     }
 
     /// A host store into the I/O window commits a send on a core that is
-    /// parked and stays parked: only `write_rpu_mem`'s wake tells
+    /// parked and stays parked: only `HostOp::WriteMem`'s wake tells
     /// stage 6 to look. (Byte stores cannot form a packet-memory address,
     /// so the forged send is a zero-length one: the frame the lane was
     /// holding is dropped and its slot returns to the LB.)
@@ -846,18 +863,15 @@ mod tests {
         assert_eq!(occupancy(&sys), [LaneSet::default(); 5]);
 
         let window = (IO_BASE - PMEM_BASE) as usize;
-        sys.write_rpu_mem(
-            r,
-            MemRegion::Pmem,
-            window + io::SEND_DESC_LO as usize,
-            &[64],
-        );
-        sys.write_rpu_mem(
-            r,
-            MemRegion::Pmem,
-            window + io::SEND_DESC_DATA as usize,
-            &[0],
-        );
+        for (reg, byte) in [(io::SEND_DESC_LO, 64), (io::SEND_DESC_DATA, 0)] {
+            sys.apply(HostOp::WriteMem {
+                rpu: r,
+                region: MemRegion::Pmem,
+                offset: window + reg as usize,
+                bytes: vec![byte],
+            })
+            .unwrap();
+        }
         assert!(sys.lanes.tx_ready.contains(r));
         sys.run(2);
         assert_eq!(sys.drop_count(), 1, "stage 6 collected the send");
@@ -883,7 +897,8 @@ mod tests {
         // before the firmware reaches its `DMA_CTRL` store.
         sys.run(3);
         assert_eq!(sys.lanes.dma_posted, LaneSet::default());
-        sys.inject_fault(FaultKind::HostDmaOutage { cycles: 1_000 });
+        sys.apply(HostOp::Fault(FaultKind::HostDmaOutage { cycles: 1_000 }))
+            .unwrap();
         sys.run(500);
         assert!(!sys.host_link_up());
         assert_eq!(sys.lanes.dma_posted, LaneSet::all(2));

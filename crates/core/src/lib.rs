@@ -76,7 +76,7 @@ pub use fleet::{
     FailoverRecord, Fleet, FleetConfig, FleetLogEntry, FleetSupervisor, FleetSupervisorConfig,
 };
 pub use harness::{Harness, Measurement};
-pub use host::{lb_regs, pr_reload_model, MemRegion, PrTimingModel};
+pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingModel};
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};

@@ -198,14 +198,9 @@ impl Rosebud {
         Ok(())
     }
 
-    /// Drains frames delivered on physical port `p`.
-    pub fn take_output(&mut self, p: usize) -> Vec<Packet> {
-        std::mem::take(&mut self.mac.ports[p].output)
-    }
-
     /// Binds an egress port to physical port `p`: delivered frames are
-    /// offered to it instead of accumulating in the
-    /// [`take_output`](Self::take_output) vec, and its capacity
+    /// offered to it instead of waiting for
+    /// [`Device::drain`](crate::Device::drain), and its capacity
     /// backpressures the TX MAC. Replaces (and returns) any previous
     /// binding.
     ///

@@ -234,10 +234,18 @@ impl Rosebud {
         });
     }
 
-    /// Begins a runtime reconfiguration of `rpu` (§4.1, A.8): the LB stops
-    /// sending to it, in-flight packets drain, the PR bitstream writes for
-    /// `pr_cycles`, then the new program (or the original factory's) boots
-    /// and the LB resumes. Traffic to other RPUs continues throughout.
+    /// Begins a runtime reconfiguration of `rpu` onto a *new bitstream* —
+    /// a program and/or accelerator the factories do not produce (§4.1,
+    /// A.8): the LB stops sending to it, in-flight packets drain, the PR
+    /// bitstream writes for `pr_cycles`, then `program` (or the factory's)
+    /// boots and the LB resumes. Simulation-only, and not a
+    /// [`HostOp`](crate::HostOp): a boxed program is not a value a log can
+    /// hold. A reload of what the factories produce is
+    /// [`HostOp::Reload`](crate::HostOp::Reload).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the box has no RPU `rpu`.
     pub fn reconfigure_rpu(
         &mut self,
         rpu: usize,
@@ -248,26 +256,17 @@ impl Rosebud {
         self.queue_pr(rpu, PrPhase::Draining, program, accel, true);
     }
 
-    /// Like [`Rosebud::reconfigure_rpu`] with the factory program, but the
-    /// LB enable bit does **not** come back automatically when the region
-    /// boots: the caller re-enables with [`Rosebud::enable_rpu`] after
-    /// verifying the reboot. This is the supervisor's graceful-eviction
-    /// rung — it must never hand traffic to a region it has not confirmed
-    /// alive.
-    pub fn reconfigure_rpu_gated(&mut self, rpu: usize) {
-        assert!(rpu < self.cfg.num_rpus, "no such RPU");
-        self.queue_pr(rpu, PrPhase::Draining, None, None, false);
+    /// [`HostOp::Reload`](crate::HostOp::Reload): drain, then rewrite the
+    /// region with what the factories produce; `gated` leaves the enable
+    /// bit clear afterwards.
+    pub(crate) fn reload_rpu(&mut self, rpu: usize, gated: bool) {
+        self.queue_pr(rpu, PrPhase::Draining, None, None, !gated);
     }
 
-    /// Forced eviction (A.8 failure path): a wedged region holds packets
-    /// that will never drain, so the host destroys them — every bound slot,
-    /// every queued descriptor, everything on the ingress pipeline headed
-    /// there — accounts them as purged in the conservation ledger, and
-    /// starts the PR bitstream write immediately. Returns the number of
-    /// slot-bound packets destroyed. The enable bit stays clear until the
-    /// caller re-enables.
-    pub fn force_reconfigure_rpu(&mut self, rpu: usize) -> u64 {
-        assert!(rpu < self.cfg.num_rpus, "no such RPU");
+    /// [`HostOp::ForceReload`](crate::HostOp::ForceReload): destroys
+    /// everything bound for `rpu`, starts the bitstream write at once, and
+    /// returns the number of slot-bound packets destroyed.
+    pub(crate) fn force_reload_rpu(&mut self, rpu: usize) -> u64 {
         // Supersede any graceful job that was waiting on a drain that will
         // never finish.
         self.pr.jobs.retain(|j| j.rpu != rpu);
@@ -285,15 +284,9 @@ impl Rosebud {
         self.pr.jobs.iter().any(|j| j.rpu == rpu)
     }
 
-    /// Loads a new assembled firmware into a *stopped* RPU and boots it —
-    /// the plain (non-PR) load path of A.6.
-    ///
-    /// # Errors
-    ///
-    /// Refuses — leaving every RPU untouched — when there is no RPU `rpu`,
-    /// when the image does not fit instruction memory, and under
-    /// [`crate::LoadPolicy::Deny`] when its lint report contains errors.
-    pub fn load_rpu_firmware(&mut self, rpu: usize, image: &Image) -> Result<(), String> {
+    /// [`HostOp::LoadFirmware`](crate::HostOp::LoadFirmware): vets `image`
+    /// and boots `rpu` on it; on `Err` nothing has been touched.
+    pub(crate) fn load_firmware(&mut self, rpu: usize, image: &Image) -> Result<(), String> {
         self.pr.vet(&self.cfg, rpu, self.clock.cycle(), image)?;
         self.lanes.rpu_mut(rpu).load_riscv(image);
         Ok(())

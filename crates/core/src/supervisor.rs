@@ -33,44 +33,39 @@
 use rosebud_kernel::Cycle;
 
 use crate::diag::RpuFaultKind;
+use crate::host::{HostOp, HostReply};
 use crate::rpu::RpuState;
 use crate::system::Rosebud;
 use crate::trace::SupervisorStep;
 
-/// Tuning knobs for the supervisor's detection and recovery ladder.
+/// Cycles between polls of the host-visible state.
+const POLL_INTERVAL: Cycle = 512;
+/// Consecutive polls with zero forward progress and work outstanding before
+/// an RPU is declared hung (watchdog expiry declares it immediately).
+const STALL_POLLS: u32 = 3;
+/// Grace period after a poke before the ladder escalates to eviction; a
+/// transiently stuck core that shows life inside the grace is a false
+/// alarm. One poll interval.
+const POKE_GRACE: Cycle = 512;
+/// Drop-rate trigger: an RPU whose drops exceed this share of its received
+/// frames (with a small absolute floor) is recycled.
+const DROP_FRACTION: f64 = 0.5;
+/// Base backoff after a failed host-link access; doubles per retry.
+const BACKOFF: Cycle = 512;
+/// Ceiling on the exponential host-link backoff.
+const BACKOFF_CAP: Cycle = 32_768;
+
+/// The one thing about the recovery ladder a caller varies.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Cycles between polls of the host-visible state.
-    pub poll_interval: Cycle,
-    /// Consecutive polls with zero forward progress and work outstanding
-    /// before an RPU is declared hung (watchdog expiry declares it
-    /// immediately).
-    pub stall_polls: u32,
-    /// Grace period after a poke before the ladder escalates to eviction; a
-    /// transiently stuck core that shows life inside the grace is a false
-    /// alarm. Defaults to one poll interval.
-    pub poke_grace: Cycle,
     /// How long a graceful drain may take before forced eviction.
     pub drain_timeout: Cycle,
-    /// Drop-rate trigger: an RPU whose drops exceed this share of its
-    /// received frames (with a small absolute floor) is recycled.
-    pub drop_fraction: f64,
-    /// Base backoff after a failed host-link access; doubles per retry.
-    pub backoff: Cycle,
-    /// Ceiling on the exponential host-link backoff.
-    pub backoff_cap: Cycle,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            poll_interval: 512,
-            stall_polls: 3,
-            poke_grace: 512,
             drain_timeout: 20_000,
-            drop_fraction: 0.5,
-            backoff: 512,
-            backoff_cap: 32_768,
         }
     }
 }
@@ -98,6 +93,21 @@ pub struct RecoveryEvent {
     pub forced: bool,
     /// Host-link retries spent during this recovery.
     pub retries: u32,
+}
+
+/// Does `op` to `sys`: what the ladder asks of an RPU it watches is never
+/// refused.
+fn host(sys: &mut Rosebud, op: HostOp) -> HostReply {
+    sys.apply(op)
+        .expect("the supervisor addresses RPUs the box has")
+}
+
+/// Rung 3: forced eviction; returns the slot-bound packets destroyed.
+fn force_reload(sys: &mut Rosebud, rpu: usize) -> u64 {
+    let HostReply::Purged(purged) = host(sys, HostOp::ForceReload { rpu }) else {
+        unreachable!("a forced reload answers with its purge count");
+    };
+    purged
 }
 
 /// Where one RPU sits on the recovery ladder.
@@ -209,21 +219,17 @@ impl Supervisor {
             // Transient PCIe outage: no register op can be trusted. Retry
             // with exponential backoff instead of acting on stale state.
             self.link_retries += 1;
-            let mut backoff = self.cfg.backoff;
             for w in &mut self.watch {
                 if w.rung != Rung::Healthy {
                     w.retries += 1;
                 }
             }
             let attempts = self.watch.iter().map(|w| w.retries).max().unwrap_or(0);
-            backoff = backoff
-                .checked_shl(attempts)
-                .unwrap_or(Cycle::MAX)
-                .min(self.cfg.backoff_cap);
-            self.next_poll = now + backoff;
+            let backoff = BACKOFF.checked_shl(attempts).unwrap_or(Cycle::MAX);
+            self.next_poll = now + backoff.min(BACKOFF_CAP);
             return;
         }
-        self.next_poll = now + self.cfg.poll_interval;
+        self.next_poll = now + POLL_INTERVAL;
         for r in 0..self.watch.len() {
             self.poll_rpu(sys, r, now);
         }
@@ -242,13 +248,19 @@ impl Supervisor {
                     && rpu.watchdog_fires() == self.watch[r].last_watchdog_fires;
                 if alive && self.watch[r].kind != RpuFaultKind::Dropping {
                     sys.trace_supervisor(r, SupervisorStep::FalseAlarm);
-                    sys.enable_rpu(r);
+                    host(sys, HostOp::Enable { rpu: r });
                     self.finish(sys, r, now, /* rebooted */ false);
                 } else if now >= until {
                     // Rung 2: the grace expired — graceful eviction with a
                     // bounded drain.
                     sys.trace_supervisor(r, SupervisorStep::DrainStarted);
-                    sys.reconfigure_rpu_gated(r);
+                    host(
+                        sys,
+                        HostOp::Reload {
+                            rpu: r,
+                            gated: true,
+                        },
+                    );
                     self.watch[r].rung = Rung::Draining {
                         deadline: now + self.cfg.drain_timeout,
                     };
@@ -262,7 +274,7 @@ impl Supervisor {
                 } else if now >= deadline {
                     // Rung 3: the region will never drain — destroy its
                     // in-flight work and force the reload.
-                    self.watch[r].purged = sys.force_reconfigure_rpu(r);
+                    self.watch[r].purged = force_reload(sys, r);
                     self.watch[r].forced = true;
                     self.watch[r].rung = Rung::Reloading;
                     sys.trace_supervisor(
@@ -292,11 +304,11 @@ impl Supervisor {
                     // Rung 5: the region demonstrably rebooted — only now
                     // does it get traffic again.
                     sys.trace_supervisor(r, SupervisorStep::Reenabled);
-                    sys.enable_rpu(r);
+                    host(sys, HostOp::Enable { rpu: r });
                     self.finish(sys, r, now, /* rebooted */ true);
                 } else if rpu.is_halted() {
                     // The fresh firmware died on boot: reload again.
-                    let purged = sys.force_reconfigure_rpu(r);
+                    let purged = force_reload(sys, r);
                     self.watch[r].purged += purged;
                     self.watch[r].forced = true;
                     self.watch[r].rung = Rung::Reloading;
@@ -320,8 +332,8 @@ impl Supervisor {
         let stalled = sw == self.watch[r].last_sw_cycles && busy_slots;
         let rx_delta = counters.rx_frames - self.watch[r].last_rx_frames;
         let drop_delta = counters.drops - self.watch[r].last_drops;
-        let dropping = drop_delta > 8
-            && (drop_delta as f64) > self.cfg.drop_fraction * (rx_delta.max(1) as f64);
+        let dropping =
+            drop_delta > 8 && (drop_delta as f64) > DROP_FRACTION * (rx_delta.max(1) as f64);
 
         let w = &mut self.watch[r];
         w.last_sw_cycles = sw;
@@ -335,7 +347,7 @@ impl Supervisor {
             Some(RpuFaultKind::Hung)
         } else if stalled {
             w.stalled_polls += 1;
-            if w.stalled_polls >= self.cfg.stall_polls {
+            if w.stalled_polls >= STALL_POLLS {
                 Some(RpuFaultKind::Hung)
             } else {
                 None
@@ -358,10 +370,10 @@ impl Supervisor {
             // Rung 1: stop routing traffic to it *now* (graceful
             // degradation across the remaining RPUs) and poke it.
             sys.trace_supervisor(r, SupervisorStep::Detected(kind));
-            sys.disable_rpu(r);
-            sys.poke(r);
+            host(sys, HostOp::Disable { rpu: r });
+            host(sys, HostOp::Poke { rpu: r });
             w.rung = Rung::Poked {
-                until: now + self.cfg.poke_grace,
+                until: now + POKE_GRACE,
             };
         }
     }

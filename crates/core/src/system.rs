@@ -369,12 +369,10 @@ impl Rosebud {
         ));
     }
 
-    /// Lands a single fault on the next tick without replacing any
-    /// installed plan — the path by which fleet-scope faults (a box-scoped
-    /// host outage, say) reach into an individual box mid-run. Creates an
-    /// empty fault state (fixed effect seed) when no plan was installed, so
-    /// determinism is unaffected by whether a plan exists.
-    pub fn inject_fault(&mut self, kind: FaultKind) {
+    /// [`HostOp::Fault`](crate::HostOp::Fault): lands `kind` on the next
+    /// tick. Creates an empty fault state (fixed effect seed) when no plan
+    /// was installed, so determinism is unaffected by whether a plan exists.
+    pub(crate) fn schedule_fault(&mut self, kind: FaultKind) {
         let (num_rpus, num_ports) = (self.cfg.num_rpus, self.mac.num_ports());
         let fault = self
             .fx

@@ -3,7 +3,7 @@
 //! assembled and native firmware.
 
 use rosebud_core::{
-    irq, memmap, Desc, Firmware, Rosebud, RosebudConfig, RpuIo, RpuProgram, RpuTestbench,
+    irq, memmap, Desc, Firmware, HostOp, Rosebud, RosebudConfig, RpuIo, RpuProgram, RpuTestbench,
 };
 use rosebud_riscv::assemble;
 
@@ -123,7 +123,7 @@ fn evict_handler_saves_state_to_host_dram() {
         sys.inject(pkt).unwrap();
         sys.run(300);
     }
-    sys.evict(0);
+    sys.apply(HostOp::Evict { rpu: 0 }).unwrap();
     sys.run(1_000);
     let saved = u32::from_le_bytes(sys.host_dram()[0x1000..0x1004].try_into().unwrap());
     assert!(
@@ -168,7 +168,11 @@ fn firmware_dma_reads_host_tables() {
         })
         .build()
         .unwrap();
-    sys.host_dram_mut()[0x2000..0x2008].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    sys.apply(HostOp::WriteHostDram {
+        offset: 0x2000,
+        bytes: vec![1, 2, 3, 4, 5, 6, 7, 8],
+    })
+    .unwrap();
     sys.run(2_000);
     assert_eq!(sys.rpu_status(0), 1, "table did not round-trip through DMA");
 }
@@ -283,7 +287,13 @@ fn host_loads_accelerator_local_memory() {
     impl Firmware for Idle {
         fn tick(&mut self, _io: &mut RpuIo<'_>) {}
     }
-    sys.write_rpu_mem(1, MemRegion::AccelMem, 0x40, &[7u8; 512]);
+    sys.apply(HostOp::WriteMem {
+        rpu: 1,
+        region: MemRegion::AccelMem,
+        offset: 0x40,
+        bytes: vec![7u8; 512],
+    })
+    .unwrap();
     let rpus = sys.rpus();
     let accel = rpus[1].accelerator().unwrap();
     assert_eq!(accel.name(), "pigasus-mpse");

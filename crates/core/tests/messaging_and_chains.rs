@@ -3,7 +3,7 @@
 //! loopback module, and the host-DRAM (virtual Ethernet) data path.
 
 use rosebud_core::{
-    port, Desc, Firmware, Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuIo, RpuProgram,
+    port, Desc, Firmware, Harness, HostOp, Rosebud, RosebudConfig, RoundRobinLb, RpuIo, RpuProgram,
 };
 use rosebud_net::{FixedSizeGen, PacketBuilder};
 use rosebud_riscv::assemble;
@@ -164,7 +164,11 @@ fn heterogeneous_rpu_chain_over_loopback() {
         .build()
         .unwrap();
     // Only stage 0 receives wire traffic.
-    sys.lb_host_write(rosebud_core::lb_regs::ENABLE_LO, 0b0001);
+    sys.apply(HostOp::LbWrite {
+        addr: rosebud_core::lb_regs::ENABLE_LO,
+        value: 0b0001,
+    })
+    .unwrap();
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0).keep_output(true);
     h.run(60_000);
     assert!(h.received() > 20, "chain delivered {}", h.received());
@@ -199,7 +203,7 @@ fn host_virtual_ethernet_round_trip() {
         .unwrap();
     for i in 0..20u64 {
         let pkt = PacketBuilder::new().tcp(1, 2).pad_to(200).build_with(i, 0);
-        sys.inject_from_host(pkt).unwrap();
+        sys.apply(HostOp::HostFrame(pkt)).unwrap();
     }
     sys.run(5_000);
     let back = sys.take_host_packets();
@@ -241,7 +245,11 @@ fn loopback_ring_makes_progress() {
         .firmware(|_| RpuProgram::Native(Box::new(Ring { hops_left_key: 60 })))
         .build()
         .unwrap();
-    sys.lb_host_write(rosebud_core::lb_regs::ENABLE_LO, 0b0001);
+    sys.apply(HostOp::LbWrite {
+        addr: rosebud_core::lb_regs::ENABLE_LO,
+        value: 0b0001,
+    })
+    .unwrap();
     // A packet with 6 hops in its belly.
     let mut pkt = PacketBuilder::new().tcp(9, 9).pad_to(128).build_with(0, 0);
     pkt.bytes_mut()[60] = 6;

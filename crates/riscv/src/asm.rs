@@ -19,7 +19,7 @@ use std::fmt;
 use crate::isa::{encode, AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp, Reg, StoreOp};
 
 /// An assembled program image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     base: u32,
     words: Vec<u32>,
@@ -27,6 +27,21 @@ pub struct Image {
 }
 
 impl Image {
+    /// An image from what [`assemble`] would have produced: the load
+    /// address, the words in memory order, and the symbol table — how a
+    /// recorded firmware load is rebuilt without its source.
+    pub fn from_parts(
+        base: u32,
+        words: Vec<u32>,
+        symbols: impl IntoIterator<Item = (String, u32)>,
+    ) -> Self {
+        Self {
+            base,
+            words,
+            symbols: symbols.into_iter().collect(),
+        }
+    }
+
     /// The load address of the first word.
     pub fn base(&self) -> u32 {
         self.base

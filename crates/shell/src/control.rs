@@ -2,26 +2,33 @@
 //! Unix-domain socket, speakable with `curl --unix-socket`.
 //!
 //! The service is polled from the shell's own event loop — no threads touch
-//! the simulation, so control actions land at a well-defined cycle and the
-//! run stays replayable.
+//! the simulation, so control actions land at a well-defined cycle. A `GET`
+//! reads and changes nothing; a `POST` is parsed into one
+//! [`HostOp`](rosebud_core::HostOp) and goes through [`Shell::apply`], which
+//! records it — so the run stays replayable whatever was posted.
 //!
 //! | Request                     | Effect                                             |
 //! |-----------------------------|----------------------------------------------------|
 //! | `GET /stats`                | cycle, injected/forwarded/rejected, backlog        |
 //! | `GET /ledger`               | the packet-conservation ledger                     |
 //! | `GET /counters`             | full diagnostics render                            |
-//! | `GET /events`               | the event log in its versioned text format         |
-//! | `GET /perfetto`             | Perfetto JSON trace (one-shot: drains the tracer)  |
-//! | `POST /rpu/{r}/enable`      | re-enable RPU `r`                                  |
-//! | `POST /rpu/{r}/disable`     | drain and disable RPU `r`                          |
-//! | `POST /rpu/{r}/reload`      | gated partial reconfiguration of RPU `r`           |
-//! | `POST /firmware/{r}`        | assemble the body and hot-load it into RPU `r`     |
+//! | `GET /events`               | the event log (frames and ops), versioned text     |
+//! | `GET /perfetto`             | Perfetto JSON of the trace so far; tracing goes on |
+//! | `POST /rpu/{r}/enable`      | `Enable`: RPU `r` gets traffic again               |
+//! | `POST /rpu/{r}/disable`     | `Disable`: the LB stops sending to RPU `r`         |
+//! | `POST /rpu/{r}/reload`      | `Reload`, gated: drain, PR, stay disabled          |
+//! | `POST /firmware/{r}`        | `LoadFirmware`: assemble the body, boot `r` on it  |
+//!
+//! A refused op answers `400` with the reason and is not recorded. A request
+//! whose body stops short of its `Content-Length` is dropped unanswered, and
+//! nothing is applied.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use rosebud_core::HostOp;
 use rosebud_riscv::assemble;
 
 use crate::backend::ShellBackend;
@@ -79,8 +86,14 @@ impl ControlServer {
     fn serve_one<B: ShellBackend>(mut stream: UnixStream, shell: &mut Shell<B>) -> io::Result<()> {
         let deadline = Instant::now() + REQUEST_BUDGET;
         stream.set_nonblocking(false)?;
-        let request = read_request(&mut stream, deadline)?;
-        let (status, content_type, body) = dispatch(&request, shell);
+        let (status, content_type, body) = match read_request(&mut stream, deadline) {
+            Ok(request) => dispatch(&request, shell),
+            // Framed well enough to answer, not to act on.
+            Err(e) if e.kind() == ErrorKind::InvalidInput => {
+                ("400 Bad Request", "text/plain", format!("{e}\n"))
+            }
+            Err(e) => return Err(e),
+        };
         let response = format!(
             "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             body.len()
@@ -127,7 +140,9 @@ struct Request {
 }
 
 /// Reads one HTTP request: headers to the blank line, then exactly
-/// `Content-Length` body bytes — all of it before `deadline`.
+/// `Content-Length` body bytes — all of it before `deadline`. A body that
+/// ends early is `UnexpectedEof`; a `Content-Length` that is not a number is
+/// `InvalidInput`.
 fn read_request(stream: &mut UnixStream, deadline: Instant) -> io::Result<Request> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -161,7 +176,12 @@ fn read_request(stream: &mut UnixStream, deadline: Instant) -> io::Result<Reques
     for line in lines {
         if let Some((k, v)) = line.split_once(':') {
             if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().unwrap_or(0);
+                content_length = v.trim().parse().map_err(|_| {
+                    io::Error::new(
+                        ErrorKind::InvalidInput,
+                        format!("bad Content-Length: {}", v.trim()),
+                    )
+                })?;
             }
         }
     }
@@ -173,7 +193,7 @@ fn read_request(stream: &mut UnixStream, deadline: Instant) -> io::Result<Reques
     while body.len() < content_length {
         let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
-            break;
+            return Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated body"));
         }
         body.extend_from_slice(&chunk[..n]);
     }
@@ -221,118 +241,52 @@ fn dispatch<B: ShellBackend>(
         }
         ("GET", "/counters") => ("200 OK", TEXT, shell.sys().diagnostics().render()),
         ("GET", "/events") => ("200 OK", TEXT, shell.log().to_text()),
-        ("GET", "/perfetto") => {
-            // `take_tracer` consumes the tracer: this endpoint drains the
-            // trace accumulated so far, exactly once per enable_tracing.
-            let ns = shell.sys().config().ns_per_cycle();
-            match shell.sys_mut().take_tracer() {
-                Some(tracer) => ("200 OK", JSON, tracer.perfetto_json(ns)),
-                None => ("404 Not Found", TEXT, "tracing not enabled\n".to_string()),
+        ("GET", "/perfetto") => match shell.sys().tracer() {
+            Some(tracer) => {
+                let ns = shell.sys().config().ns_per_cycle();
+                ("200 OK", JSON, tracer.perfetto_json(ns))
             }
-        }
+            None => ("404 Not Found", TEXT, "tracing not enabled\n".to_string()),
+        },
         ("POST", path) => {
-            if let Some(rest) = path.strip_prefix("/rpu/") {
-                return rpu_action(rest, shell);
+            let cycle = shell.sys().now();
+            match parse_op(req).and_then(|op| shell.apply(op)) {
+                Ok(_) => (
+                    "200 OK",
+                    TEXT,
+                    format!("POST {path} applied at cycle {cycle}\n"),
+                ),
+                Err(e) => ("400 Bad Request", TEXT, format!("{e}\n")),
             }
-            if let Some(r) = path.strip_prefix("/firmware/") {
-                return load_firmware(r, &req.body, shell);
-            }
-            ("404 Not Found", TEXT, format!("no such endpoint: {path}\n"))
         }
         (_, path) => ("404 Not Found", TEXT, format!("no such endpoint: {path}\n")),
     }
 }
 
-/// Handles `POST /rpu/{r}/{enable|disable|reload}`.
-fn rpu_action<B: ShellBackend>(
-    rest: &str,
-    shell: &mut Shell<B>,
-) -> (&'static str, &'static str, String) {
-    let Some((rpu, action)) = rest.split_once('/') else {
-        return (
-            "400 Bad Request",
-            "text/plain",
-            "want /rpu/{r}/{action}\n".to_string(),
-        );
+/// The operation a `POST` asks for. `/firmware/{r}` carries RV32 assembly:
+/// the plain A.6 load — no drain and no PR write, the RPU reboots on the
+/// assembled image at once.
+fn parse_op(req: &Request) -> Result<HostOp, String> {
+    let index = |r: &str| {
+        r.parse::<usize>()
+            .map_err(|_| format!("bad rpu index: {r}"))
     };
-    let Ok(rpu) = rpu.parse::<usize>() else {
-        return (
-            "400 Bad Request",
-            "text/plain",
-            format!("bad rpu index: {rpu}\n"),
-        );
-    };
-    if rpu >= shell.sys().config().num_rpus {
-        return (
-            "400 Bad Request",
-            "text/plain",
-            format!("rpu {rpu} out of range\n"),
-        );
-    }
-    let sys = shell.sys_mut();
-    match action {
-        "enable" => {
-            sys.enable_rpu(rpu);
-            ("200 OK", "text/plain", format!("rpu {rpu} enabled\n"))
+    let path: Vec<&str> = req.path.split('/').collect();
+    Ok(match path[..] {
+        ["", "rpu", r, "enable"] => HostOp::Enable { rpu: index(r)? },
+        ["", "rpu", r, "disable"] => HostOp::Disable { rpu: index(r)? },
+        ["", "rpu", r, "reload"] => HostOp::Reload {
+            rpu: index(r)?,
+            gated: true,
+        },
+        ["", "firmware", r] => {
+            let rpu = index(r)?;
+            let source = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8")?;
+            let image = assemble(source).map_err(|e| format!("assembly error: {e}"))?;
+            HostOp::LoadFirmware { rpu, image }
         }
-        "disable" => {
-            sys.disable_rpu(rpu);
-            ("200 OK", "text/plain", format!("rpu {rpu} disabled\n"))
-        }
-        "reload" => {
-            sys.reconfigure_rpu_gated(rpu);
-            ("200 OK", "text/plain", format!("rpu {rpu} reconfiguring\n"))
-        }
-        other => (
-            "400 Bad Request",
-            "text/plain",
-            format!("unknown action: {other}\n"),
-        ),
-    }
-}
-
-/// Handles `POST /firmware/{r}`: the body is RV32 assembly, assembled and
-/// handed to `Rosebud::load_rpu_firmware` — the plain A.6 load: no drain and
-/// no PR write, the RPU reboots on the new image at once. A refusal (no
-/// such RPU, an image larger than instruction memory, a `LoadPolicy::Deny`
-/// lint error) leaves the RPU as it was and answers `400`.
-fn load_firmware<B: ShellBackend>(
-    rpu: &str,
-    body: &[u8],
-    shell: &mut Shell<B>,
-) -> (&'static str, &'static str, String) {
-    let Ok(rpu) = rpu.parse::<usize>() else {
-        return (
-            "400 Bad Request",
-            "text/plain",
-            format!("bad rpu index: {rpu}\n"),
-        );
-    };
-    let Ok(source) = std::str::from_utf8(body) else {
-        return (
-            "400 Bad Request",
-            "text/plain",
-            "body is not UTF-8\n".to_string(),
-        );
-    };
-    let image = match assemble(source) {
-        Ok(image) => image,
-        Err(e) => {
-            return (
-                "400 Bad Request",
-                "text/plain",
-                format!("assembly error: {e}\n"),
-            )
-        }
-    };
-    match shell.sys_mut().load_rpu_firmware(rpu, &image) {
-        Ok(()) => (
-            "200 OK",
-            "text/plain",
-            format!("rpu {rpu} firmware loaded\n"),
-        ),
-        Err(e) => ("400 Bad Request", "text/plain", format!("{e}\n")),
-    }
+        _ => return Err(format!("no such operation: POST {}", req.path)),
+    })
 }
 
 #[cfg(test)]
@@ -341,14 +295,17 @@ mod tests {
     use crate::backend::RingBackend;
     use rosebud_core::{Rosebud, RosebudConfig, RpuProgram};
 
-    fn shell() -> Shell<RingBackend> {
+    fn spinning_box() -> Rosebud {
         let image = assemble("spin: j spin").unwrap();
-        let sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+        Rosebud::builder(RosebudConfig::with_rpus(2))
             .firmware(move |_| RpuProgram::Riscv(image.clone()))
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    fn shell() -> Shell<RingBackend> {
         let (backend, _peer) = RingBackend::pair();
-        Shell::new(sys, backend)
+        Shell::new(spinning_box(), backend)
     }
 
     fn request(method: &str, path: &str, body: &[u8]) -> Request {
@@ -404,15 +361,19 @@ mod tests {
     }
 
     #[test]
-    fn perfetto_is_a_one_shot_drain() {
-        let mut sh = shell();
-        sh.sys_mut()
-            .enable_tracing(rosebud_core::TraceConfig::default());
-        let (s, ct, _) = dispatch(&request("GET", "/perfetto", b""), &mut sh);
+    fn two_perfetto_reads_return_the_same_trace() {
+        let mut sys = spinning_box();
+        sys.enable_tracing(rosebud_core::TraceConfig::default());
+        let (backend, _peer) = RingBackend::pair();
+        let mut sh = Shell::new(sys, backend);
+        sh.pump(50);
+        let (s, ct, first) = dispatch(&request("GET", "/perfetto", b""), &mut sh);
         assert_eq!(s, "200 OK");
         assert_eq!(ct, "application/json");
-        let (s, _, _) = dispatch(&request("GET", "/perfetto", b""), &mut sh);
-        assert_eq!(s, "404 Not Found");
+        let (s, _, second) = dispatch(&request("GET", "/perfetto", b""), &mut sh);
+        assert_eq!(s, "200 OK");
+        assert_eq!(first, second, "a read leaves the tracer as it found it");
+        assert!(sh.sys().tracer().is_some(), "and tracing stays on");
     }
 
     #[test]
@@ -480,6 +441,57 @@ mod tests {
         assert!(r.contains("does not fit"), "{r}");
 
         // Both RPUs still run what they booted with, and the service answers.
+        let r = exchange(&mut server, &sock, &mut sh, b"GET /stats HTTP/1.0\r\n\r\n");
+        assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
+        sh.pump(100);
+        assert_eq!(sh.sys().now(), 100);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The service acts only on requests it received whole. At the parent of
+    /// this test a 13-byte prefix of a 400-byte firmware post was assembled
+    /// and booted, and an unparsable `Content-Length` booted an empty image —
+    /// both answered `200`.
+    #[test]
+    fn a_truncated_or_misframed_post_applies_nothing() {
+        let dir = std::env::temp_dir().join(format!("rbctl-frame-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("control.sock");
+        let mut server = ControlServer::bind(&sock).unwrap();
+        let mut sh = shell();
+        let booted = sh
+            .sys()
+            .read_rpu_mem(0, rosebud_core::MemRegion::Imem, 0, 64);
+
+        // Announces 400 bytes, sends 13, hangs up: dropped unanswered.
+        let mut client = UnixStream::connect(&sock).unwrap();
+        client
+            .write_all(b"POST /firmware/0 HTTP/1.0\r\nContent-Length: 400\r\n\r\nspin: j spin\n")
+            .unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(server.poll(&mut sh), 0);
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert_eq!(response, "", "a truncated request gets no answer");
+
+        let r = exchange(
+            &mut server,
+            &sock,
+            &mut sh,
+            b"POST /firmware/0 HTTP/1.0\r\nContent-Length: lots\r\n\r\nspin: j spin\n",
+        );
+        assert!(r.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{r}");
+        assert!(r.contains("bad Content-Length: lots"), "{r}");
+
+        // Nothing was applied, RPU 0 runs what it booted with, and the
+        // service still answers.
+        assert!(sh.log().ops.is_empty());
+        assert_eq!(
+            sh.sys()
+                .read_rpu_mem(0, rosebud_core::MemRegion::Imem, 0, 64),
+            booted
+        );
         let r = exchange(&mut server, &sock, &mut sh, b"GET /stats HTTP/1.0\r\n\r\n");
         assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
         sh.pump(100);

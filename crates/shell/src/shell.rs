@@ -2,15 +2,17 @@
 //!
 //! Real frames arrive whenever the backend produces them; the shell stamps
 //! each one with the cycle at which its injection is *accepted* and records
-//! it in an [`EventLog`]. Because the core is a pure function of its
-//! accepted injections, that log plus the firmware factory reproduces the
-//! entire live run bit-exactly through [`rosebud_core::ports::replay`] —
-//! including the trace, the conservation ledger, and the diagnostics.
+//! it in an [`EventLog`], and does the same with every host operation it
+//! applies — [`Shell::apply`] is the only way to change the core under it.
+//! Because the core is a pure function of its accepted injections and its
+//! applied host operations, that log plus the firmware factory reproduces
+//! the entire live run bit-exactly through [`rosebud_core::ports::replay`]
+//! — including the trace, the conservation ledger, and the diagnostics.
 
 use std::collections::VecDeque;
 
 use rosebud_core::ports::{Device, EventLog};
-use rosebud_core::Rosebud;
+use rosebud_core::{HostOp, HostReply, Rosebud};
 use rosebud_net::Packet;
 
 use crate::backend::ShellBackend;
@@ -147,10 +149,19 @@ impl<B: ShellBackend> Shell<B> {
         &self.sys
     }
 
-    /// Mutable core access — the control service drives RPU enable/disable,
-    /// partial reconfiguration, and firmware loads through this.
-    pub fn sys_mut(&mut self) -> &mut Rosebud {
-        &mut self.sys
+    /// Does `op` to the core and, once it has taken effect, records it at
+    /// the current cycle — ahead of this cycle's arrivals, which is the
+    /// order [`replay`](rosebud_core::ports::replay) acts in. The only way
+    /// to change a live core, so the log misses nothing.
+    ///
+    /// # Errors
+    ///
+    /// Passes on the core's refusal; a refused op changed nothing and is
+    /// not recorded.
+    pub fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+        let reply = self.sys.apply(op.clone())?;
+        self.log.ops.push((self.sys.now(), op));
+        Ok(reply)
     }
 
     /// The backend.
@@ -158,7 +169,8 @@ impl<B: ShellBackend> Shell<B> {
         &self.backend
     }
 
-    /// The cycle-stamped record of every accepted arrival so far.
+    /// The cycle-stamped record of every accepted arrival and every applied
+    /// host operation so far.
     pub fn log(&self) -> &EventLog {
         &self.log
     }

@@ -17,8 +17,8 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig, Harness,
-    Supervisor, SupervisorConfig,
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig,
+    Harness, Supervisor, SupervisorConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -42,7 +42,6 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
-            ..FleetSupervisorConfig::default()
         },
     );
 
@@ -65,7 +64,10 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("killing box {killed} cold ...");
-    h.sys.inject_fault(FaultKind::BoxCrash { device: killed });
+    h.sys.schedule_fault(FaultEvent {
+        at: h.sys.now(),
+        kind: FaultKind::BoxCrash { device: killed },
+    });
     let mut reported = 0;
     let mut windows = Vec::new();
     while h.sys.failovers().is_empty() {
@@ -152,7 +154,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
 

@@ -8,8 +8,8 @@
 
 use rosebud::apps::forwarder::watchdog_forwarder_asm;
 use rosebud::core::{
-    Desc, FaultKind, FaultPlan, Firmware, Harness, MemRegion, Rosebud, RosebudConfig, RoundRobinLb,
-    RpuIo, RpuProgram, Supervisor, SupervisorConfig, TraceConfig, TraceEvent,
+    Desc, FaultKind, FaultPlan, Firmware, Harness, HostOp, MemRegion, Rosebud, RosebudConfig,
+    RoundRobinLb, RpuIo, RpuProgram, Supervisor, SupervisorConfig, TraceConfig, TraceEvent,
 };
 use rosebud::net::FixedSizeGen;
 use rosebud::riscv::{assemble, disassemble_image, Reg};
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Poke RPU 2: its interrupt handler hits `ebreak` and the core halts
     //    — the paper's breakpoint behaviour.
-    h.sys.poke(2);
+    h.sys.apply(HostOp::Poke { rpu: 2 }).expect("RPU 2 exists");
     h.run(100);
     let rpu2 = &h.sys.rpus()[2];
     println!("\nafter poke: RPU 2 halted = {}", rpu2.is_halted());
@@ -159,7 +159,6 @@ fn observability_trace() -> Result<(), Box<dyn std::error::Error>> {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
     for _ in 0..70_000 {

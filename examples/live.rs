@@ -1,6 +1,6 @@
 //! A live Rosebud middlebox: the deterministic sim core serving real
-//! frames through the async I/O shell, with every arrival recorded for
-//! bit-exact replay.
+//! frames through the async I/O shell, with every arrival — and every host
+//! operation posted to the control socket — recorded for bit-exact replay.
 //!
 //! Two modes:
 //!
@@ -15,9 +15,13 @@
 //!   curl --unix-socket /tmp/rosebud-live/control.sock http://x/stats
 //!   curl --unix-socket /tmp/rosebud-live/control.sock http://x/ledger
 //!   curl --unix-socket /tmp/rosebud-live/control.sock http://x/events
-//!   # hot-swap firmware on RPU 2
+//!   # hot-swap firmware on RPU 2; take RPU 1 out of rotation and back
 //!   curl --unix-socket /tmp/rosebud-live/control.sock \
 //!        --data-binary @firmware.s http://x/firmware/2
+//!   curl --unix-socket /tmp/rosebud-live/control.sock -X POST http://x/rpu/1/disable
+//!   curl --unix-socket /tmp/rosebud-live/control.sock -X POST http://x/rpu/1/enable
+//!   # the log now holds those three ops beside the frames: save it, replay it
+//!   curl --unix-socket /tmp/rosebud-live/control.sock http://x/events > session.log
 //!   ```
 //!
 //! * `cargo run --release --example live -- --smoke` — a self-contained CI
@@ -84,7 +88,7 @@ fn smoke(blacklist: &[[u8; 4]]) -> Result<(), Box<dyn std::error::Error>> {
     // The two artifacts a live run leaves behind: the replayable event log
     // and the Perfetto trace of the run that produced it.
     std::fs::write("live-events.log", shell.log().to_text())?;
-    let tracer = shell.sys_mut().take_tracer().expect("tracing enabled");
+    let tracer = shell.sys().tracer().expect("tracing enabled");
     std::fs::write(
         "live-trace.json",
         tracer.perfetto_json(shell.sys().config().ns_per_cycle()),
@@ -137,9 +141,9 @@ fn serve(blacklist: &[[u8; 4]]) -> Result<(), Box<dyn std::error::Error>> {
 
     loop {
         // ~4 µs of simulated time per iteration, then let the host breathe:
-        // the core stays deterministic, only the arrival cycles of real
-        // frames vary run to run — and those are exactly what the event
-        // log records.
+        // the core stays deterministic, only the cycles at which real
+        // frames and control requests arrive vary run to run — and those
+        // are exactly what the event log records.
         shell.pump(1_000);
         control.poll(&mut shell);
         std::thread::sleep(std::time::Duration::from_millis(1));

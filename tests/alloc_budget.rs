@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rosebud::apps::forwarder::{build_duty_cycle_forwarding_system, build_forwarding_system};
 use rosebud::core::ports::{pump, Device};
-use rosebud::core::Rosebud;
+use rosebud::core::{HostOp, Rosebud};
 use rosebud::kernel::{Cycle, EgressPort};
 use rosebud::net::{FixedSizeGen, GenPort, Packet, TrafficGen};
 use rosebud::shell::{RingBackend, Shell, ShellBackend, UdsBackend};
@@ -191,7 +191,7 @@ fn parked_buffers_are_bounded_and_purged() {
     assert!(most <= slots, "{most} parked buffers for {slots} slots");
 
     assert!(sys.rpus()[1].inner().parked_buffers() > 0);
-    sys.force_reconfigure_rpu(1);
+    sys.apply(HostOp::ForceReload { rpu: 1 }).unwrap();
     assert_eq!(sys.rpus()[1].inner().parked_buffers(), 0);
     assert!(
         sys.rpus()[0].inner().parked_buffers() > 0,

@@ -13,7 +13,7 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
+    FailoverRecord, FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
     FleetSupervisorConfig, Harness, Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
     SupervisorConfig,
 };
@@ -49,7 +49,6 @@ fn run_scenario() -> Trace {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
 
@@ -163,7 +162,6 @@ fn recovered_region_is_verified_running() {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
     run_supervised(&mut h, &mut sup, 95_000);
@@ -232,7 +230,6 @@ fn fleet_supervisor(h: &Harness<Fleet>) -> FleetSupervisor {
         FleetSupervisorConfig {
             drain_timeout: 4_000,
             reload_cycles: 8_000,
-            ..FleetSupervisorConfig::default()
         },
     )
 }
@@ -268,7 +265,10 @@ fn run_fleet_scenario() -> FleetTrace {
 
     // Kill a whole box. Detection needs three probe misses (~2k cycles),
     // then drain runs to its 4k deadline (a crashed shell never quiesces).
-    h.sys.inject_fault(FaultKind::BoxCrash { device: KILLED });
+    h.sys.schedule_fault(FaultEvent {
+        at: h.sys.now(),
+        kind: FaultKind::BoxCrash { device: KILLED },
+    });
     run_fleet(&mut h, &mut sup, 4_000);
     h.begin_window();
     run_fleet(&mut h, &mut sup, 10_000);

@@ -17,8 +17,8 @@ use rosebud::apps::forwarder::{
 use rosebud::apps::host_dma::host_dma_forwarder_asm;
 use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
 use rosebud::core::{
-    machine_spec, Fleet, FleetConfig, Harness, LoadPolicy, Rosebud, RosebudConfig, RoundRobinLb,
-    RpuProgram, RpuState, RpuTestbench,
+    machine_spec, Fleet, FleetConfig, Harness, HostOp, LoadPolicy, Rosebud, RosebudConfig,
+    RoundRobinLb, RpuProgram, RpuState, RpuTestbench,
 };
 use rosebud::net::PacketBuilder;
 use rosebud::riscv::{assemble, Analyzer, Check, LintReport, Severity};
@@ -522,7 +522,7 @@ fn deny_policy_blocks_a_bad_host_load() {
     );
     let bad = assemble(BAD_FIRMWARE).unwrap();
     h.sys
-        .load_rpu_firmware(3, &bad)
+        .apply(HostOp::LoadFirmware { rpu: 3, image: bad })
         .expect_err("host load of bad firmware must be refused");
     // The lane still runs its original (good) firmware.
     assert_eq!(h.sys.rpus()[3].state(), RpuState::Running);
@@ -543,9 +543,10 @@ fn unloadable_images_are_refused_whatever_the_policy() {
 
     let mut sys = forwarder_system(LoadPolicy::Off).unwrap();
     let good = assemble(FORWARDER_ASM).unwrap();
-    let err = sys.load_rpu_firmware(99, &good).expect_err("no RPU 99");
+    let load = |rpu, image| HostOp::LoadFirmware { rpu, image };
+    let err = sys.apply(load(99, good)).expect_err("no RPU 99");
     assert!(err.contains("no RPU 99"), "{err}");
-    let err = sys.load_rpu_firmware(0, &big).expect_err("does not fit");
+    let err = sys.apply(load(0, big)).expect_err("does not fit");
     assert!(err.contains("does not fit"), "{err}");
     assert_eq!(sys.rpus()[0].state(), RpuState::Running);
 }

@@ -3,7 +3,7 @@
 //! access, and partial reconfiguration.
 
 use rosebud::apps::forwarder::build_forwarding_system;
-use rosebud::core::{lb_regs, Harness, MemRegion, RpuProgram, RpuState};
+use rosebud::core::{lb_regs, FaultKind, Harness, HostOp, MemRegion, RpuProgram, RpuState};
 use rosebud::net::FixedSizeGen;
 use rosebud::riscv::assemble;
 
@@ -18,7 +18,11 @@ fn lb_channel_reads_enable_mask_and_slot_counts() {
         );
     }
     // Disable RPUs 0–3 and check traffic avoids them.
-    sys.lb_host_write(lb_regs::ENABLE_LO, 0xf0);
+    sys.apply(HostOp::LbWrite {
+        addr: lb_regs::ENABLE_LO,
+        value: 0xf0,
+    })
+    .unwrap();
     assert_eq!(sys.enabled_mask(), 0xf0);
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0);
     h.run(30_000);
@@ -40,9 +44,10 @@ fn flush_register_restores_slots() {
     // Simulate a stuck RPU by disabling it mid-traffic and flushing.
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0);
     h.run(10_000);
-    h.sys.lb_host_write(lb_regs::ENABLE_LO, 0b1110);
+    let lb_write = |addr, value| HostOp::LbWrite { addr, value };
+    h.sys.apply(lb_write(lb_regs::ENABLE_LO, 0b1110)).unwrap();
     h.run(5_000);
-    h.sys.lb_host_write(lb_regs::FLUSH_RPU, 0);
+    h.sys.apply(lb_write(lb_regs::FLUSH_RPU, 0)).unwrap();
     assert_eq!(
         h.sys.lb_host_read(lb_regs::SLOTS_BASE),
         h.sys.config().slots_per_rpu as u32
@@ -85,7 +90,7 @@ fn debug_channel_round_trip() {
         .firmware(move |_| RpuProgram::Riscv(image.clone()))
         .build()
         .unwrap();
-    sys.write_debug(0, 41);
+    sys.apply(HostOp::WriteDebug { rpu: 0, value: 41 }).unwrap();
     sys.run(200);
     assert_eq!(sys.take_debug(0), Some(42));
     assert_eq!(sys.take_debug(0), None, "debug values are take-once");
@@ -111,7 +116,7 @@ fn poke_interrupt_is_maskable() {
         .build()
         .unwrap();
     sys.run(100);
-    sys.poke(0);
+    sys.apply(HostOp::Poke { rpu: 0 }).unwrap();
     sys.run(100);
     assert!(!sys.rpus()[0].is_halted(), "masked poke must be ignored");
     assert_eq!(sys.rpu_status(0), 123);
@@ -122,10 +127,17 @@ fn memory_write_and_read_back() {
     let mut sys = build_forwarding_system(2).unwrap();
     let table = [0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04];
     // Load a lookup table into packet memory before traffic (A.6).
-    sys.write_rpu_mem(1, MemRegion::Pmem, 0x100, &table);
+    let write = |region, offset, bytes: &[u8]| HostOp::WriteMem {
+        rpu: 1,
+        region,
+        offset,
+        bytes: bytes.to_vec(),
+    };
+    sys.apply(write(MemRegion::Pmem, 0x100, &table)).unwrap();
     assert_eq!(sys.read_rpu_mem(1, MemRegion::Pmem, 0x100, 8), table);
     // And into dmem.
-    sys.write_rpu_mem(1, MemRegion::Dmem, 0x40, &table[..4]);
+    sys.apply(write(MemRegion::Dmem, 0x40, &table[..4]))
+        .unwrap();
     assert_eq!(sys.read_rpu_mem(1, MemRegion::Dmem, 0x40, 4), table[..4]);
 }
 
@@ -134,7 +146,12 @@ fn reconfiguration_lifecycle_states() {
     let sys = build_forwarding_system(4).unwrap();
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0);
     h.run(20_000);
-    h.sys.reconfigure_rpu(2, None, None);
+    h.sys
+        .apply(HostOp::Reload {
+            rpu: 2,
+            gated: false,
+        })
+        .unwrap();
     assert!(h.sys.reconfigure_pending(2));
     assert_eq!(h.sys.enabled_mask() & (1 << 2), 0, "LB stops feeding RPU 2");
     // Drain → write → boot.
@@ -164,8 +181,75 @@ fn no_packets_lost_during_live_reconfiguration() {
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(512, 2)), 100.0);
     h.run(40_000);
     let drops_before = h.sys.drop_count();
-    h.sys.reconfigure_rpu(7, None, None);
+    h.sys
+        .apply(HostOp::Reload {
+            rpu: 7,
+            gated: false,
+        })
+        .unwrap();
     h.run(80_000);
     assert!(!h.sys.reconfigure_pending(7));
     assert_eq!(h.sys.drop_count(), drops_before, "PR dropped packets");
+}
+
+/// The one range check every RPU-addressed arm shares: an op naming an RPU
+/// the box lacks is refused, and the box runs on exactly as its untouched
+/// twin does. (Before there was one door, four of these indexed past the
+/// lanes and two asserted.)
+#[test]
+fn an_op_naming_a_missing_rpu_is_refused_and_changes_nothing() {
+    let rpu = 4;
+    let image = assemble("spin: j spin").unwrap();
+    let ops = [
+        HostOp::Enable { rpu },
+        HostOp::Disable { rpu },
+        HostOp::Poke { rpu },
+        HostOp::Evict { rpu },
+        HostOp::WriteDebug { rpu, value: 7 },
+        HostOp::WriteMem {
+            rpu,
+            region: MemRegion::Dmem,
+            offset: 0,
+            bytes: vec![1, 2, 3],
+        },
+        HostOp::Reload { rpu, gated: true },
+        HostOp::Reload { rpu, gated: false },
+        HostOp::ForceReload { rpu },
+        HostOp::LoadFirmware { rpu, image },
+        HostOp::Fault(FaultKind::FirmwareHang { rpu }),
+        HostOp::Fault(FaultKind::FirmwareCrash { rpu }),
+        HostOp::Fault(FaultKind::CorruptIngress { rpu, count: 3 }),
+    ];
+    let observe = |refused: &[HostOp]| {
+        let mut sys = build_forwarding_system(4).unwrap();
+        sys.enable_tracing(rosebud::core::TraceConfig::default());
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0);
+        h.run(5_000);
+        for op in refused {
+            let err = h.sys.apply(op.clone()).expect_err("no RPU 4");
+            assert!(err.contains("no RPU 4"), "{op:?}: {err}");
+        }
+        h.run(5_000);
+        assert!(h.sys.lint_log().is_empty());
+        (
+            h.sys.tracer().unwrap().compact_text(),
+            format!("{:?} {:?}", h.sys.ledger(), h.sys.diagnostics()),
+        )
+    };
+    assert_eq!(observe(&ops), observe(&[]));
+
+    // Writes that reach past what they target are refused the same way.
+    let mut sys = build_forwarding_system(4).unwrap();
+    let past_dram = HostOp::WriteHostDram {
+        offset: sys.host_dram().len() - 1,
+        bytes: vec![0; 2],
+    };
+    assert!(sys.apply(past_dram).is_err());
+    let off_the_bus = HostOp::WriteMem {
+        rpu: 0,
+        region: MemRegion::Pmem,
+        offset: usize::MAX - 1,
+        bytes: vec![0; 4],
+    };
+    assert!(sys.apply(off_the_bus).is_err());
 }

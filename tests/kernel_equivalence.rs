@@ -26,7 +26,7 @@ use rosebud::apps::forwarder::{
     build_duty_cycle_forwarding_system, build_forwarding_system, build_watchdog_forwarding_system,
 };
 use rosebud::core::{
-    FaultKind, FaultPlan, Harness, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
+    FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
 };
 use rosebud::net::{FixedSizeGen, ImixGen};
 
@@ -225,7 +225,6 @@ fn chaos_recovery_matches_unelided_oracle_across_seeds() {
                 &h.sys,
                 SupervisorConfig {
                     drain_timeout: 4_000,
-                    ..SupervisorConfig::default()
                 },
             );
             h.begin_window();
@@ -249,18 +248,24 @@ fn host_pokes_against_sleeping_lanes_match_unelided_oracle() {
         let mut h = Harness::new(sys, Box::new(ImixGen::new(2, 5)), 4.0);
         h.begin_window();
         for cycle in 0..50_000u64 {
-            match cycle {
-                10_000 => h.sys.poke(2),
-                17_500 => h.sys.write_debug(6, 0xdead_beef),
-                25_000 => {
-                    let image = rosebud::riscv::assemble(
+            let op = match cycle {
+                10_000 => Some(HostOp::Poke { rpu: 2 }),
+                17_500 => Some(HostOp::WriteDebug {
+                    rpu: 6,
+                    value: 0xdead_beef,
+                }),
+                25_000 => Some(HostOp::LoadFirmware {
+                    rpu: 4,
+                    image: rosebud::riscv::assemble(
                         &rosebud::apps::forwarder::duty_cycle_forwarder_asm(300),
                     )
-                    .unwrap();
-                    h.sys.load_rpu_firmware(4, &image).unwrap();
-                }
-                33_000 => h.sys.poke(7),
-                _ => {}
+                    .unwrap(),
+                }),
+                33_000 => Some(HostOp::Poke { rpu: 7 }),
+                _ => None,
+            };
+            if let Some(op) = op {
+                h.sys.apply(op).unwrap();
             }
             tick(&mut h, side);
         }
@@ -321,11 +326,17 @@ fn interrupt_wakes_of_parked_cores_match_unelided_oracle() {
         let mut h = Harness::new(traced(sys), Box::new(NoopGen), 0.0);
         h.begin_window();
         for cycle in 0..60_000u64 {
-            match cycle {
-                10_000 => h.sys.poke(2),
-                20_000 => h.sys.evict(5),
-                25_000 => h.sys.reconfigure_rpu(6, None, None),
-                _ => {}
+            let op = match cycle {
+                10_000 => Some(HostOp::Poke { rpu: 2 }),
+                20_000 => Some(HostOp::Evict { rpu: 5 }),
+                25_000 => Some(HostOp::Reload {
+                    rpu: 6,
+                    gated: false,
+                }),
+                _ => None,
+            };
+            if let Some(op) = op {
+                h.sys.apply(op).unwrap();
             }
             tick(&mut h, side);
         }
@@ -342,31 +353,104 @@ fn interrupt_wakes_of_parked_cores_match_unelided_oracle() {
 
 #[test]
 fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
-    // Record once: a live ring-backed shell serving real frames. Then
-    // replay the event log on both sides — the record/replay contract must
-    // hold with and without elision. The oracle spells `replay`'s loop
-    // itself so it can wake every lane before every tick.
+    // Record once: a live ring-backed shell serving real frames to
+    // duty-cycled forwarders, operated on mid-run through `Shell::apply` —
+    // every kind of op lands on lanes that are asleep more often than not,
+    // so an arm of `Rosebud::apply` that forgot to wake its lane would take
+    // effect a timer period late on the elided side only. Then replay the
+    // event log on both sides — the record/replay contract must hold with
+    // and without elision. The oracle spells `replay`'s loop itself so it
+    // can wake every lane before every tick.
     use rosebud::core::ports::{pump, replay, Device};
+    use rosebud::core::MemRegion;
+    use rosebud::net::Packet;
     use rosebud::shell::{RingBackend, Shell};
 
+    let factory = || build_duty_cycle_forwarding_system(8, 900).unwrap();
+    let image =
+        rosebud::riscv::assemble(&rosebud::apps::forwarder::duty_cycle_forwarder_asm(300)).unwrap();
+    let mut ops = [
+        (3, HostOp::Poke { rpu: 2 }),
+        (5, HostOp::Disable { rpu: 1 }),
+        (7, HostOp::WriteDebug { rpu: 6, value: 9 }),
+        (9, HostOp::LoadFirmware { rpu: 4, image }),
+        (11, HostOp::Evict { rpu: 5 }),
+        (
+            13,
+            HostOp::WriteMem {
+                rpu: 7,
+                region: MemRegion::Dmem,
+                offset: 0x40,
+                bytes: vec![1, 2, 3, 4],
+            },
+        ),
+        (
+            14,
+            HostOp::WriteHostDram {
+                offset: 0x100,
+                bytes: vec![0xAB; 64],
+            },
+        ),
+        (
+            15,
+            HostOp::Reload {
+                rpu: 3,
+                gated: true,
+            },
+        ),
+        (17, HostOp::Enable { rpu: 1 }),
+        (
+            19,
+            HostOp::HostFrame(Packet::new(1 << 40, vec![0x77; 96], 0, 0)),
+        ),
+        (21, HostOp::ForceReload { rpu: 6 }),
+        (23, HostOp::Fault(FaultKind::FirmwareHang { rpu: 0 })),
+        (
+            25,
+            HostOp::LbWrite {
+                addr: rosebud::core::lb_regs::ENABLE_LO,
+                value: 0xb6,
+            },
+        ),
+        (
+            27,
+            HostOp::Reload {
+                rpu: 7,
+                gated: false,
+            },
+        ),
+    ]
+    .into_iter()
+    .peekable();
+    let applied = ops.len();
+
     let (backend, peer) = RingBackend::pair();
-    let mut shell = Shell::new(build_forwarding_system(8).unwrap(), backend);
+    let mut shell = Shell::new(factory(), backend);
     for i in 0..32u64 {
+        if let Some((_, op)) = ops.next_if(|(at, _)| *at == i) {
+            shell.apply(op).unwrap();
+        }
         peer.send((i % 2) as u8, vec![i as u8; 64 + (i as usize * 13) % 400]);
         shell.pump(29);
     }
     shell.pump(4_000);
     let log = shell.log().clone();
     assert_eq!(log.events.len(), 32, "every live frame must be recorded");
+    assert_eq!(log.ops.len(), applied, "and every applied op");
 
     differential("live-shell-replay", |side| {
-        let mut sys = traced(build_forwarding_system(8).unwrap());
+        let mut sys = traced(factory());
         let delivered = match side {
             Side::Elided => replay(&log, &mut sys).len(),
             Side::Oracle => {
                 let mut source = log.replay_port();
+                let mut ops = log.ops.iter().peekable();
                 let mut delivered = 0;
                 while sys.now() < log.cycles {
+                    let now = sys.now();
+                    while let Some((_, op)) = ops.next_if(|(at, _)| *at <= now) {
+                        sys.apply(op.clone()).unwrap();
+                    }
                     pump(&mut sys, &mut source);
                     wake_all(&mut sys);
                     sys.tick();
@@ -426,7 +510,6 @@ fn fleet_failover_matches_unelided_oracle() {
                 FleetSupervisorConfig {
                     drain_timeout: 3_000,
                     reload_cycles: 5_000,
-                    ..FleetSupervisorConfig::default()
                 },
             );
             h.begin_window();

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use rosebud::apps::firewall::{
     build_firewall_system, expected_drops, firewall_trace, synthetic_blacklist,
 };
+use rosebud::apps::forwarder::FORWARDER_ASM;
 use rosebud::core::ports::{replay, EventLog};
 use rosebud::core::{Rosebud, TraceConfig};
 use rosebud::shell::{ControlServer, RingBackend, Shell, UdsBackend};
@@ -88,7 +89,7 @@ fn ring_live_firewall_forwards_filters_and_replays() {
 
     let run = LiveRun {
         log: shell.log().clone(),
-        trace: shell.sys_mut().take_tracer().unwrap().compact_text(),
+        trace: shell.sys().tracer().unwrap().compact_text(),
         ledger: format!("{:?}", shell.sys().ledger()),
         diagnostics: format!("{:?}", shell.sys().diagnostics()),
     };
@@ -167,7 +168,7 @@ fn uds_live_firewall_forwards_filters_and_replays() {
 
     let run = LiveRun {
         log: shell.log().clone(),
-        trace: shell.sys_mut().take_tracer().unwrap().compact_text(),
+        trace: shell.sys().tracer().unwrap().compact_text(),
         ledger: format!("{:?}", shell.sys().ledger()),
         diagnostics: format!("{:?}", shell.sys().diagnostics()),
     };
@@ -179,7 +180,7 @@ fn uds_live_firewall_forwards_filters_and_replays() {
 #[test]
 fn control_service_exports_a_replayable_event_log() {
     let blacklist = synthetic_blacklist(4, 3);
-    let trace = firewall_trace(&blacklist, 8, 128);
+    let trace = firewall_trace(&blacklist, 24, 128);
     let allowed = trace.len() - expected_drops(&trace, &blacklist);
 
     let dir = std::env::temp_dir().join(format!("rosebud-ctl-{}", std::process::id()));
@@ -187,39 +188,78 @@ fn control_service_exports_a_replayable_event_log() {
     let sock = dir.join("control.sock");
     let mut server = ControlServer::bind(&sock).unwrap();
 
+    // One request over the real control socket; answers with the body of a
+    // `200`.
+    let exchange = |server: &mut ControlServer, shell: &mut Shell<RingBackend>, request: String| {
+        let mut client = UnixStream::connect(&sock).unwrap();
+        client.write_all(request.as_bytes()).unwrap();
+        assert_eq!(server.poll(shell), 1);
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert!(
+            head.starts_with("HTTP/1.0 200 OK"),
+            "{request}: {head} {body}"
+        );
+        body.to_string()
+    };
+    let get = |path: &str| format!("GET {path} HTTP/1.0\r\n\r\n");
+    let post = |path: &str, body: &str| {
+        let length = body.len();
+        format!("POST {path} HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{body}")
+    };
+
+    // The session is operated on while it runs: RPU 1 leaves the rotation
+    // and comes back, RPU 2 is hot-loaded with a plain forwarder — which,
+    // unlike the factory image, lets blacklisted sources through — and RPU 3
+    // goes through a gated partial reconfiguration.
+    let mut posts = [
+        (5, post("/rpu/1/disable", "")),
+        (9, post("/firmware/2", FORWARDER_ASM)),
+        (14, post("/rpu/1/enable", "")),
+        (18, post("/rpu/3/reload", "")),
+    ]
+    .into_iter()
+    .peekable();
+    let posted = posts.len();
+
     let (backend, peer) = RingBackend::pair();
     let mut shell = Shell::new(traced_firewall(&blacklist), backend);
-    for pkt in trace.iter() {
+    // Clean sources first: the blacklisted frames then arrive after the
+    // forwarder is in place, and one of them is handed to RPU 2.
+    for (i, pkt) in trace.iter().rev().enumerate() {
+        if let Some((_, request)) = posts.next_if(|(at, _)| *at == i) {
+            exchange(&mut server, &mut shell, request);
+        }
         peer.send(pkt.port, pkt.bytes().to_vec());
         shell.pump(23);
         server.poll(&mut shell); // control plane interleaves with the run
     }
     shell.pump(6_000);
+    assert_eq!(shell.log().ops.len(), posted, "every post is in the log");
 
-    let fetch = |server: &mut ControlServer, shell: &mut Shell<RingBackend>, path: &str| {
-        let mut client = UnixStream::connect(&sock).unwrap();
-        client
-            .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-            .unwrap();
-        assert_eq!(server.poll(shell), 1);
-        let mut response = String::new();
-        client.read_to_string(&mut response).unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
-        body.to_string()
+    let stats = exchange(&mut server, &mut shell, get("/stats"));
+    let forwarded = shell.forwarded() as usize;
+    assert!(stats.contains(&format!("forwarded={forwarded}")), "{stats}");
+    assert!(
+        forwarded > allowed,
+        "the forwarder on RPU 2 let {} blacklisted frames through",
+        forwarded - allowed
+    );
+
+    // The exported log is a complete, replayable record of the live run,
+    // operations included: it survives its text form, and a fresh box built
+    // by the same factory reproduces trace, ledger and diagnostics from it.
+    let events = exchange(&mut server, &mut shell, get("/events"));
+    assert!(events.starts_with("rosebud-events v2 "), "{events}");
+    let run = LiveRun {
+        log: EventLog::parse_text(&events).unwrap(),
+        trace: shell.sys().tracer().unwrap().compact_text(),
+        ledger: format!("{:?}", shell.sys().ledger()),
+        diagnostics: format!("{:?}", shell.sys().diagnostics()),
     };
-
-    let stats = fetch(&mut server, &mut shell, "/stats");
-    assert!(stats.contains(&format!("forwarded={allowed}")), "{stats}");
-
-    // The exported log is a complete, replayable record of the live run.
-    let events = fetch(&mut server, &mut shell, "/events");
-    let log = EventLog::parse_text(&events).unwrap();
-    assert_eq!(&log, shell.log());
-    let mut oracle = build_firewall_system(4, &blacklist).unwrap();
-    let delivered = replay(&log, &mut oracle);
-    assert_eq!(delivered.len(), allowed);
-    assert_eq!(oracle.ledger(), shell.sys().ledger());
+    assert_eq!(&run.log, shell.log());
+    assert_replays_bit_exactly(&run, &blacklist, forwarded);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,7 +29,7 @@ proptest! {
         let mut h = Harness::new(sys, Box::new(gen), gbps);
         let mut sup = Supervisor::with_config(
             &h.sys,
-            SupervisorConfig { drain_timeout: 3_000, ..SupervisorConfig::default() },
+            SupervisorConfig { drain_timeout: 3_000 },
         );
         // tick() re-asserts the ledger every 1024 cycles on its own; any
         // imbalance panics the case with the full breakdown.
@@ -105,9 +105,7 @@ proptest! {
             &h.sys,
             FleetSupervisorConfig {
                 drain_timeout: 3_000,
-                reload_cycles: 5_000,
-                ..FleetSupervisorConfig::default()
-            },
+                reload_cycles: 5_000 },
         );
         // Fleet::tick() re-asserts the ledger every 1024 cycles on its own.
         for _ in 0..70_000 {
@@ -141,9 +139,7 @@ proptest! {
             &h.sys,
             FleetSupervisorConfig {
                 drain_timeout: 3_000,
-                reload_cycles: 5_000,
-                ..FleetSupervisorConfig::default()
-            },
+                reload_cycles: 5_000 },
         );
         for _ in 0..80_000 {
             sup.poll(&mut h.sys);

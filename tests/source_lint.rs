@@ -217,3 +217,67 @@ fn pmem_wait_cycles_is_defined_once() {
         "`const PMEM_WAIT_CYCLES` must be defined in rpu.rs and nowhere else"
     );
 }
+
+/// The host mutators that became arms of `HostOp` (DESIGN.md, "Sim core vs.
+/// I/O shell"). A live session replays because nothing changes the core
+/// behind the recorder's back; a `pub fn` by one of these names is a second
+/// door.
+const FOLDED_MUTATORS: &[&str] = &[
+    "lb_host_write",
+    "enable_rpu",
+    "disable_rpu",
+    "poke",
+    "evict",
+    "write_debug",
+    "write_rpu_mem",
+    "host_dram_mut",
+    "inject_from_host",
+    "reconfigure_rpu_gated",
+    "force_reconfigure_rpu",
+    "load_rpu_firmware",
+    "inject_fault",
+];
+
+/// `Rosebud::apply` and `Shell::apply` exist, the core declares no public
+/// mutator beside the first, and the shell lends out no `&mut Rosebud`
+/// beside the second.
+#[test]
+fn a_live_core_has_one_door() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let sources = |dir: &str| {
+        let mut files = Vec::new();
+        rust_files(&root.join(dir), &mut files);
+        files.into_iter().map(|file| {
+            let rel = file.strip_prefix(&root).unwrap().display().to_string();
+            (rel, std::fs::read_to_string(&file).unwrap())
+        })
+    };
+    let door = "pub fn apply(&mut self, op: HostOp) -> Result<HostReply, String>";
+    for home in ["crates/core/src/host.rs", "crates/shell/src/shell.rs"] {
+        let text = std::fs::read_to_string(root.join(home)).unwrap();
+        assert!(text.contains(door), "{home} no longer has `{door}`");
+    }
+
+    let mut violations = String::new();
+    for (rel, text) in sources("crates/core/src") {
+        for (lineno, line) in text.lines().enumerate() {
+            for name in FOLDED_MUTATORS {
+                if line.contains(&format!("pub fn {name}(")) {
+                    writeln!(violations, "{rel}:{}: `pub fn {name}`", lineno + 1).unwrap();
+                }
+            }
+        }
+    }
+    for (rel, text) in sources("crates/shell/src") {
+        for (lineno, line) in text.lines().enumerate() {
+            if line.contains("sys_mut") {
+                writeln!(violations, "{rel}:{}: `sys_mut`", lineno + 1).unwrap();
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "a second door into a live core:\n{violations}\
+         (make it an arm of `HostOp`, or name it in DESIGN.md's table of what is not one)"
+    );
+}

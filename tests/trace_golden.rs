@@ -166,7 +166,6 @@ fn chaos_trace_text(traffic_seed: u64) -> String {
         &h.sys,
         SupervisorConfig {
             drain_timeout: 4_000,
-            ..SupervisorConfig::default()
         },
     );
     for _ in 0..70_000 {
