@@ -10,8 +10,7 @@ use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding
 use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
-    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig,
-    Harness, Supervisor, SupervisorConfig,
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, Supervisor,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -90,12 +89,7 @@ fn recovery_point() -> Recovery {
     let mut sys = build_watchdog_forwarding_system(8, 64).expect("valid config");
     sys.install_fault_plan(FaultPlan::new(1).at(50_000, FaultKind::FirmwareHang { rpu: 3 }));
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
     for _ in 0..120_000 {
         h.tick();
         sup.poll(&mut h.sys);
@@ -135,13 +129,7 @@ fn fleet_point() -> FleetBench {
         Box::new(FlowTrafficGen::new(512, 256, 0.0, 11)),
         60.0,
     );
-    let mut sup = FleetSupervisor::with_config(
-        &h.sys,
-        FleetSupervisorConfig {
-            drain_timeout: 4_000,
-            reload_cycles: 8_000,
-        },
-    );
+    let mut sup = FleetSupervisor::new(&h.sys);
     let run = |h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64| {
         for _ in 0..cycles {
             sup.poll(&mut h.sys);

@@ -9,7 +9,7 @@
 
 use rosebud_apps::forwarder::build_watchdog_forwarding_system;
 use rosebud_bench::{heading, versus};
-use rosebud_core::{FaultKind, FaultPlan, Harness, PrTimingModel, Supervisor, SupervisorConfig};
+use rosebud_core::{FaultKind, FaultPlan, Harness, PrTimingModel, Supervisor};
 use rosebud_net::FixedSizeGen;
 
 const RPUS: usize = 8;
@@ -27,12 +27,7 @@ fn recovery_latency_and_degradation() {
     let mut sys = build_watchdog_forwarding_system(RPUS, 64).expect("valid config");
     sys.install_fault_plan(FaultPlan::new(1).at(HANG_AT, FaultKind::FirmwareHang { rpu: 3 }));
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
 
     run_supervised(&mut h, &mut sup, 20_000);
     h.begin_window();

@@ -72,15 +72,13 @@ pub use config::RosebudConfig;
 pub use diag::{Bottleneck, BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKind};
 pub use fabric::ByteFifo;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
-pub use fleet::{
-    FailoverRecord, Fleet, FleetConfig, FleetLogEntry, FleetSupervisor, FleetSupervisorConfig,
-};
+pub use fleet::{FailoverRecord, Fleet, FleetConfig, FleetLogEntry};
 pub use harness::{Harness, Measurement};
 pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingModel};
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
-pub use supervisor::{RecoveryEvent, Supervisor, SupervisorConfig};
+pub use supervisor::{FleetSupervisor, RecoveryEvent, Supervisor};
 pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram};
 pub use testbench::{PacketReport, RpuTestbench, TxRecord};
 pub use trace::{FleetStep, SupervisorStep, TraceConfig, TraceEvent, Tracer};

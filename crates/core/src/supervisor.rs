@@ -1,52 +1,38 @@
-//! The self-healing host supervisor (§3.4, Appendix A.8).
+//! The self-healing host supervisor (§3.4, Appendix A.8), at both scales.
 //!
 //! The paper's operational argument is that a Rosebud deployment survives
 //! firmware failure without operator intervention: the host "can see if any
 //! of the cores are hung" from the counter block, evicts the offender, and
 //! partial reconfiguration "loads a new bit file" while the load balancer
-//! carries traffic on the remaining regions. [`Supervisor`] is that agent.
+//! carries traffic on the remaining regions. A rack survives a dead box the
+//! same way one level up. Both are one recovery ladder ([`Rung`]), written
+//! once ([`Ladder`]) over what each [`Scale`] senses and does — DESIGN.md
+//! tabulates the two. [`Supervisor`] walks a box's RPUs; [`FleetSupervisor`]
+//! walks a rack's boxes and one [`Supervisor`] per box underneath.
 //!
-//! It polls [`crate::Rosebud::diagnostics`]-grade state over the host
-//! interface and walks a recovery ladder per RPU:
-//!
-//! 1. **poke** — a poke interrupt plus immediate LB disable; a transiently
-//!    stuck core gets one poll interval to prove it is alive.
-//! 2. **evict + bounded drain** — graceful reconfiguration; a region that
-//!    does not drain within the timeout will never drain.
-//! 3. **forced eviction + PR reload** — destroy the wedged region's
-//!    in-flight work (accounted as purged) and write the bitstream.
-//! 4. **firmware reboot** — the factory program boots into the fresh
-//!    region.
-//! 5. **LB re-enable** — only after the supervisor has *verified* the
-//!    reboot: the region reports `Running`, is not halted, and has retired
-//!    cycles. A supervisor must never hand traffic to a region it has not
-//!    confirmed alive.
-//!
-//! Host-link outages (transient PCIe/DMA failure) make every rung retry
-//! with exponential backoff rather than act on stale state.
-//!
-//! Detection is deliberately limited to what a real host can see: the halt
-//! flag, the watchdog-expiry counter, free-slot levels, and per-RPU
-//! counters. The injected-fault oracle ([`crate::Rpu::is_hung`]) is never
-//! consulted.
+//! A supervisor never hands traffic to a unit it has not seen come back.
+//! Detection is limited to what a real host can see: the halt flag, the
+//! watchdog-expiry counter, free-slot levels, per-RPU counters, and probe
+//! round trips. The injected-fault oracle ([`crate::Rpu::is_hung`]) is
+//! never consulted.
 
 use rosebud_kernel::Cycle;
 
 use crate::diag::RpuFaultKind;
+use crate::fleet::{FailoverRecord, Fleet};
 use crate::host::{HostOp, HostReply};
-use crate::rpu::RpuState;
+use crate::rpu::{Rpu, RpuState};
 use crate::system::Rosebud;
-use crate::trace::SupervisorStep;
+use crate::trace::{FleetStep, SupervisorStep};
 
-/// Cycles between polls of the host-visible state.
+/// Misses in a row that declare a unit faulty (stalled polls of a busy RPU,
+/// timed-out probes of a box) or fail a box on probation.
+const STRIKES: u32 = 3;
+/// How long a drain may run before the deadline action, at both scales.
+const DRAIN_TIMEOUT: Cycle = 4_000;
+
+/// Cycles between polls of a box's host-visible state.
 const POLL_INTERVAL: Cycle = 512;
-/// Consecutive polls with zero forward progress and work outstanding before
-/// an RPU is declared hung (watchdog expiry declares it immediately).
-const STALL_POLLS: u32 = 3;
-/// Grace period after a poke before the ladder escalates to eviction; a
-/// transiently stuck core that shows life inside the grace is a false
-/// alarm. One poll interval.
-const POKE_GRACE: Cycle = 512;
 /// Drop-rate trigger: an RPU whose drops exceed this share of its received
 /// frames (with a small absolute floor) is recycled.
 const DROP_FRACTION: f64 = 0.5;
@@ -55,18 +41,223 @@ const BACKOFF: Cycle = 512;
 /// Ceiling on the exponential host-link backoff.
 const BACKOFF_CAP: Cycle = 32_768;
 
-/// The one thing about the recovery ladder a caller varies.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// How long a graceful drain may take before forced eviction.
-    pub drain_timeout: Cycle,
+/// Cycles between health probes of a healthy box.
+const PROBE_INTERVAL: Cycle = 1_024;
+/// A probe RTT above this is a miss.
+const PROBE_TIMEOUT: Cycle = 256;
+/// Base re-probe backoff after a miss; doubles per miss in a row.
+const PROBE_BACKOFF: Cycle = 256;
+/// Ceiling on the probe backoff.
+const PROBE_BACKOFF_CAP: Cycle = 8_192;
+/// Cycles a whole-box PR reload keeps the box dark (the full-bitstream
+/// cost; per-RPU PR inside a box is two orders cheaper, §5.4).
+const BOX_RELOAD_CYCLES: Cycle = 8_000;
+
+/// `base` doubled `doublings` times, capped at `cap`.
+fn backoff(base: Cycle, cap: Cycle, doublings: u32) -> Cycle {
+    base.checked_shl(doublings).unwrap_or(Cycle::MAX).min(cap)
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
+/// Where one unit sits on the ladder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Rung {
+    /// No fault suspected.
+    #[default]
+    Healthy,
+    /// Out of rotation; drains at `until` unless it shows life first.
+    Isolated { until: Cycle },
+    /// Draining; the deadline action fires at `deadline`.
+    Draining { deadline: Cycle },
+    /// Bitstream written and booting since `since`.
+    Reloading { since: Cycle },
+    /// Booted; readmitted after enough clean reads.
+    Verifying,
+}
+
+/// What the ladder asks a unit's sensor, by rung.
+enum Ask {
+    /// Healthy: is anything wrong?
+    Health,
+    /// Isolated: did it show life?
+    Grace,
+    /// Verifying: did it come back?
+    Boot,
+}
+
+/// One read of a unit's sensor.
+enum Reading<K> {
+    /// Looks fine.
+    Ok,
+    /// Looks wrong; the third in a row means `K`.
+    Miss(K),
+    /// Is broken: means `K` at once.
+    Fault(K),
+    /// Says nothing yet.
+    Quiet,
+}
+
+/// One unit's position on the ladder, and the recovery in progress.
+#[derive(Debug, Clone, Copy, Default)]
+struct Watch {
+    rung: Rung,
+    /// Misses in a row.
+    strikes: u32,
+    /// Clean reads in a row while verifying.
+    streak: u32,
+    detected_at: Cycle,
+    drained_at: Cycle,
+    /// What the reloads destroyed.
+    purged: u64,
+    /// Whether the drain ran into its deadline.
+    forced: bool,
+    /// Reloads so far: none means a false alarm, two a failed boot.
+    reloads: u32,
+    /// Host-link retries this recovery waited out (RPU scale: PCIe down).
+    retries: u32,
+}
+
+/// What one scale of the ladder senses and does, each action writing its
+/// own lines to the scale's log; [`Ladder`] decides when.
+trait Scale {
+    /// What the units live in.
+    type Sys;
+    /// What detection concludes.
+    type Kind;
+    /// Grace an isolated unit gets to show life before the drain.
+    const GRACE: Option<Cycle>;
+    /// Clean reads a verifying unit needs for readmission.
+    const PROBATION: u32;
+
+    fn read(&mut self, sys: &Self::Sys, u: usize, ask: Ask) -> Reading<Self::Kind>;
+    /// The `strikes`-th miss in a row.
+    fn missed(&mut self, _sys: &mut Self::Sys, _u: usize, _strikes: u32) {}
+    /// Declares the unit faulty and takes it out of rotation.
+    fn isolate(&mut self, sys: &mut Self::Sys, u: usize, kind: Self::Kind);
+    fn drain(&mut self, sys: &mut Self::Sys, u: usize);
+    fn drained(&self, sys: &Self::Sys, u: usize) -> bool;
+    /// Purges what is left (all of it when `forced`) and starts the reload;
+    /// returns what it purged.
+    fn reload(&mut self, sys: &mut Self::Sys, u: usize, forced: bool) -> u64;
+    /// Whether the unit reloading `since` has booted.
+    fn booted(&mut self, sys: &mut Self::Sys, u: usize, since: Cycle, now: Cycle) -> bool;
+    /// Returns the unit to rotation and writes the recovery's record.
+    fn readmit(&mut self, sys: &mut Self::Sys, u: usize, w: &Watch, now: Cycle);
+}
+
+/// The rung machine over the units of one scale.
+#[derive(Debug)]
+struct Ladder<S> {
+    scale: S,
+    watch: Vec<Watch>,
+}
+
+impl<S: Scale> Ladder<S> {
+    fn new(scale: S, units: usize) -> Self {
         Self {
-            drain_timeout: 20_000,
+            scale,
+            watch: vec![Watch::default(); units],
         }
+    }
+
+    fn recovering(&self) -> bool {
+        self.watch.iter().any(|w| w.rung != Rung::Healthy)
+    }
+
+    /// Moves unit `u` up at most one rung.
+    fn step(&mut self, sys: &mut S::Sys, u: usize, now: Cycle) {
+        match self.watch[u].rung {
+            Rung::Healthy => match self.scale.read(sys, u, Ask::Health) {
+                Reading::Ok => self.watch[u].strikes = 0,
+                Reading::Miss(kind) => {
+                    if self.strike(sys, u) {
+                        self.declare(sys, u, kind, now);
+                    }
+                }
+                Reading::Fault(kind) => self.declare(sys, u, kind, now),
+                Reading::Quiet => {}
+            },
+            Rung::Isolated { until } => {
+                if matches!(self.scale.read(sys, u, Ask::Grace), Reading::Ok) {
+                    self.readmit(sys, u, now);
+                } else if now >= until {
+                    self.drain(sys, u, now);
+                }
+            }
+            Rung::Draining { deadline } => {
+                let clean = self.scale.drained(sys, u);
+                if clean || now >= deadline {
+                    self.watch[u].drained_at = now;
+                    self.watch[u].forced = !clean;
+                    self.reload(sys, u, now, !clean);
+                }
+            }
+            Rung::Reloading { since } => {
+                if self.scale.booted(sys, u, since, now) {
+                    self.watch[u].rung = Rung::Verifying;
+                    self.watch[u].streak = 0;
+                }
+            }
+            Rung::Verifying => match self.scale.read(sys, u, Ask::Boot) {
+                Reading::Ok => {
+                    self.watch[u].streak += 1;
+                    if self.watch[u].streak >= S::PROBATION {
+                        self.readmit(sys, u, now);
+                    }
+                }
+                Reading::Miss(_) => {
+                    self.watch[u].streak = 0;
+                    if self.strike(sys, u) {
+                        self.reload(sys, u, now, true);
+                    }
+                }
+                Reading::Fault(_) => self.reload(sys, u, now, true),
+                Reading::Quiet => {}
+            },
+        }
+    }
+
+    /// Counts a miss: `true` on the third in a row.
+    fn strike(&mut self, sys: &mut S::Sys, u: usize) -> bool {
+        self.watch[u].strikes += 1;
+        let strikes = self.watch[u].strikes;
+        self.scale.missed(sys, u, strikes);
+        strikes >= STRIKES
+    }
+
+    fn declare(&mut self, sys: &mut S::Sys, u: usize, kind: S::Kind, now: Cycle) {
+        self.watch[u] = Watch {
+            detected_at: now,
+            ..Watch::default()
+        };
+        self.scale.isolate(sys, u, kind);
+        match S::GRACE {
+            Some(grace) => self.watch[u].rung = Rung::Isolated { until: now + grace },
+            None => self.drain(sys, u, now),
+        }
+    }
+
+    fn drain(&mut self, sys: &mut S::Sys, u: usize, now: Cycle) {
+        self.scale.drain(sys, u);
+        self.watch[u].rung = Rung::Draining {
+            deadline: now + DRAIN_TIMEOUT,
+        };
+    }
+
+    fn reload(&mut self, sys: &mut S::Sys, u: usize, now: Cycle, forced: bool) {
+        let purged = self.scale.reload(sys, u, forced);
+        let w = &mut self.watch[u];
+        w.purged += purged;
+        w.reloads += 1;
+        w.strikes = 0;
+        w.rung = Rung::Reloading { since: now };
+    }
+
+    /// The one place a recovery ends.
+    fn readmit(&mut self, sys: &mut S::Sys, u: usize, now: Cycle) {
+        let done = self.watch[u];
+        self.scale.readmit(sys, u, &done, now);
+        self.watch[u].rung = Rung::Healthy;
+        self.watch[u].strikes = 0;
     }
 }
 
@@ -102,97 +293,193 @@ fn host(sys: &mut Rosebud, op: HostOp) -> HostReply {
         .expect("the supervisor addresses RPUs the box has")
 }
 
-/// Rung 3: forced eviction; returns the slot-bound packets destroyed.
-fn force_reload(sys: &mut Rosebud, rpu: usize) -> u64 {
-    let HostReply::Purged(purged) = host(sys, HostOp::ForceReload { rpu }) else {
-        unreachable!("a forced reload answers with its purge count");
-    };
-    purged
-}
-
-/// Where one RPU sits on the recovery ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rung {
-    /// No fault suspected.
-    Healthy,
-    /// Poked and disabled; escalates to eviction at `until` unless the
-    /// region shows signs of life first.
-    Poked {
-        /// Cycle at which the grace period expires.
-        until: Cycle,
-    },
-    /// Graceful eviction in progress; escalates at `deadline`.
-    Draining {
-        /// Cycle at which the drain is declared stuck.
-        deadline: Cycle,
-    },
-    /// PR bitstream writing / firmware booting.
-    Reloading,
-    /// Booted; verifying forward progress before re-enable.
-    Rebooting {
-        /// `sw_cycles` reading right after boot.
-        sw0: u64,
-    },
-}
-
-/// Per-RPU detector baselines and ladder state.
+/// One RPU's detector baselines, and what its record needs beyond the
+/// [`Watch`].
 #[derive(Debug, Clone, Copy)]
-struct Watch {
-    rung: Rung,
-    last_sw_cycles: u64,
-    last_rx_frames: u64,
-    last_drops: u64,
-    last_watchdog_fires: u64,
-    stalled_polls: u32,
-    // Bookkeeping for the in-progress recovery.
+struct Baseline {
+    sw_cycles: u64,
+    rx_frames: u64,
+    drops: u64,
+    watchdog_fires: u64,
     kind: RpuFaultKind,
-    detected_at: Cycle,
     fault_at: Option<Cycle>,
-    purged: u64,
-    forced: bool,
-    retries: u32,
 }
 
-impl Watch {
-    fn new() -> Self {
-        Self {
-            rung: Rung::Healthy,
-            last_sw_cycles: 0,
-            last_rx_frames: 0,
-            last_drops: 0,
-            last_watchdog_fires: 0,
-            stalled_polls: 0,
-            kind: RpuFaultKind::Hung,
-            detected_at: 0,
-            fault_at: None,
-            purged: 0,
-            forced: false,
-            retries: 0,
-        }
+impl Baseline {
+    fn rebase(&mut self, rpu: &Rpu) {
+        let counters = rpu.inner().counters();
+        self.sw_cycles = rpu.sw_cycles();
+        self.watchdog_fires = rpu.watchdog_fires();
+        self.rx_frames = counters.rx_frames;
+        self.drops = counters.drops;
     }
 }
 
-/// The polling host agent. Drive it with [`Supervisor::poll`] every cycle
-/// (it rate-limits itself to its configured interval).
+/// A box's RPUs, as the host sees them over PCIe.
+#[derive(Debug)]
+struct Rpus(Vec<Baseline>);
+
+impl Scale for Rpus {
+    type Sys = Rosebud;
+    type Kind = RpuFaultKind;
+    /// A poked core that shows life within one poll interval was a false
+    /// alarm.
+    const GRACE: Option<Cycle> = Some(POLL_INTERVAL);
+    const PROBATION: u32 = 1;
+
+    fn read(&mut self, sys: &Rosebud, r: usize, ask: Ask) -> Reading<RpuFaultKind> {
+        let rpu = &sys.rpus()[r];
+        let b = &mut self.0[r];
+        let running = rpu.state() == RpuState::Running && !rpu.is_halted();
+        match ask {
+            Ask::Health => {
+                let counters = rpu.inner().counters();
+                let busy_slots = sys.tracker().free_count(r) < sys.config().slots_per_rpu;
+                let halted = rpu.is_halted() || rpu.state() == RpuState::Stopped;
+                let watchdog_fired = rpu.watchdog_fires() > b.watchdog_fires;
+                let stalled = rpu.sw_cycles() == b.sw_cycles && busy_slots;
+                let rx_delta = counters.rx_frames - b.rx_frames;
+                let drop_delta = counters.drops - b.drops;
+                let dropping = drop_delta > 8
+                    && (drop_delta as f64) > DROP_FRACTION * (rx_delta.max(1) as f64);
+                b.rebase(rpu);
+                if halted {
+                    Reading::Fault(RpuFaultKind::Halted)
+                } else if watchdog_fired {
+                    Reading::Fault(RpuFaultKind::Hung)
+                } else if stalled {
+                    Reading::Miss(RpuFaultKind::Hung)
+                } else if dropping {
+                    Reading::Fault(RpuFaultKind::Dropping)
+                } else {
+                    Reading::Ok
+                }
+            }
+            Ask::Grace => {
+                // Did the poke shake it loose? Progress plus a live state
+                // means a false alarm (or a transient).
+                let alive = running
+                    && rpu.sw_cycles() > b.sw_cycles
+                    && rpu.watchdog_fires() == b.watchdog_fires;
+                if alive && b.kind != RpuFaultKind::Dropping {
+                    Reading::Ok
+                } else {
+                    Reading::Quiet
+                }
+            }
+            Ask::Boot => {
+                if running && rpu.sw_cycles() > b.sw_cycles {
+                    Reading::Ok
+                } else if rpu.is_halted() {
+                    // The fresh firmware died on boot.
+                    Reading::Fault(RpuFaultKind::Halted)
+                } else {
+                    Reading::Quiet
+                }
+            }
+        }
+    }
+
+    fn isolate(&mut self, sys: &mut Rosebud, r: usize, kind: RpuFaultKind) {
+        let b = &mut self.0[r];
+        b.kind = kind;
+        b.fault_at = sys.last_fault_at(r);
+        // Stop routing traffic to it now (graceful degradation across the
+        // remaining RPUs) and poke it.
+        sys.trace_supervisor(r, SupervisorStep::Detected(kind));
+        host(sys, HostOp::Disable { rpu: r });
+        host(sys, HostOp::Poke { rpu: r });
+    }
+
+    fn drain(&mut self, sys: &mut Rosebud, r: usize) {
+        sys.trace_supervisor(r, SupervisorStep::DrainStarted);
+        let op = HostOp::Reload {
+            rpu: r,
+            gated: true,
+        };
+        host(sys, op);
+    }
+
+    fn drained(&self, sys: &Rosebud, r: usize) -> bool {
+        // The gated reload starts the PR write once the region is empty.
+        matches!(sys.rpus()[r].state(), RpuState::Reconfiguring { .. })
+    }
+
+    fn reload(&mut self, sys: &mut Rosebud, r: usize, forced: bool) -> u64 {
+        let mut purged = 0;
+        if forced {
+            // The region will never drain, or its fresh firmware died:
+            // destroy its in-flight work and force the reload.
+            let HostReply::Purged(n) = host(sys, HostOp::ForceReload { rpu: r }) else {
+                unreachable!("a forced reload answers with its purge count");
+            };
+            purged = n;
+            sys.trace_supervisor(r, SupervisorStep::ForcedEvict { purged });
+        }
+        sys.trace_supervisor(r, SupervisorStep::Reloading);
+        purged
+    }
+
+    fn booted(&mut self, sys: &mut Rosebud, r: usize, _since: Cycle, _now: Cycle) -> bool {
+        // The factory firmware boots inside `finish_reconfigure`.
+        if sys.reconfigure_pending(r) {
+            return false;
+        }
+        sys.trace_supervisor(r, SupervisorStep::Verifying);
+        // Verification asks for progress past this baseline.
+        self.0[r].sw_cycles = sys.rpus()[r].sw_cycles();
+        true
+    }
+
+    fn readmit(&mut self, sys: &mut Rosebud, r: usize, w: &Watch, now: Cycle) {
+        let step = match w.reloads {
+            0 => SupervisorStep::FalseAlarm,
+            _ => SupervisorStep::Reenabled,
+        };
+        sys.trace_supervisor(r, step);
+        host(sys, HostOp::Enable { rpu: r });
+        let b = &mut self.0[r];
+        b.rebase(&sys.rpus()[r]);
+        let event = RecoveryEvent {
+            rpu: r,
+            kind: b.kind,
+            detected_at: w.detected_at,
+            fault_at: b.fault_at,
+            detection_latency: b.fault_at.map(|f| w.detected_at.saturating_sub(f)),
+            reenabled_at: now,
+            downtime: now.saturating_sub(w.detected_at),
+            packets_purged: w.purged,
+            // The reload after a failed boot is forced too.
+            forced: w.forced || w.reloads > 1,
+            retries: w.retries,
+        };
+        sys.log_recovery(event);
+    }
+}
+
+/// The polling host agent for one box's RPUs. Drive it with
+/// [`Supervisor::poll`] after every tick; it paces itself.
 #[derive(Debug)]
 pub struct Supervisor {
-    cfg: SupervisorConfig,
-    watch: Vec<Watch>,
+    ladder: Ladder<Rpus>,
     next_poll: Cycle,
     link_retries: u64,
 }
 
 impl Supervisor {
-    /// A supervisor for `sys`, with default tuning.
+    /// A supervisor for `sys`.
     pub fn new(sys: &Rosebud) -> Self {
-        Self::with_config(sys, SupervisorConfig::default())
-    }
-
-    /// A supervisor with explicit tuning.
-    pub fn with_config(sys: &Rosebud, cfg: SupervisorConfig) -> Self {
+        let fresh = Baseline {
+            sw_cycles: 0,
+            rx_frames: 0,
+            drops: 0,
+            watchdog_fires: 0,
+            kind: RpuFaultKind::Hung,
+            fault_at: None,
+        };
+        let n = sys.rpus().len();
         Self {
-            cfg,
-            watch: vec![Watch::new(); sys.rpus().len()],
+            ladder: Ladder::new(Rpus(vec![fresh; n]), n),
             next_poll: 0,
             link_retries: 0,
         }
@@ -206,7 +493,7 @@ impl Supervisor {
 
     /// `true` while any RPU is mid-recovery.
     pub fn recovering(&self) -> bool {
-        self.watch.iter().any(|w| w.rung != Rung::Healthy)
+        self.ladder.recovering()
     }
 
     /// One supervisor step. Cheap when it is not yet time to poll.
@@ -219,191 +506,156 @@ impl Supervisor {
             // Transient PCIe outage: no register op can be trusted. Retry
             // with exponential backoff instead of acting on stale state.
             self.link_retries += 1;
-            for w in &mut self.watch {
+            for w in &mut self.ladder.watch {
                 if w.rung != Rung::Healthy {
                     w.retries += 1;
                 }
             }
-            let attempts = self.watch.iter().map(|w| w.retries).max().unwrap_or(0);
-            let backoff = BACKOFF.checked_shl(attempts).unwrap_or(Cycle::MAX);
-            self.next_poll = now + backoff.min(BACKOFF_CAP);
+            let attempts = self.ladder.watch.iter().map(|w| w.retries).max();
+            self.next_poll = now + backoff(BACKOFF, BACKOFF_CAP, attempts.unwrap_or(0));
             return;
         }
         self.next_poll = now + POLL_INTERVAL;
-        for r in 0..self.watch.len() {
-            self.poll_rpu(sys, r, now);
+        for r in 0..self.ladder.watch.len() {
+            self.ladder.step(sys, r, now);
         }
     }
+}
 
-    fn poll_rpu(&mut self, sys: &mut Rosebud, r: usize, now: Cycle) {
-        match self.watch[r].rung {
-            Rung::Healthy => self.detect(sys, r, now),
-            Rung::Poked { until } => {
-                // Did the poke shake it loose? Progress plus a live state
-                // means a false alarm (or a transient): put it back.
-                let rpu = &sys.rpus()[r];
-                let alive = rpu.state() == RpuState::Running
-                    && !rpu.is_halted()
-                    && rpu.sw_cycles() > self.watch[r].last_sw_cycles
-                    && rpu.watchdog_fires() == self.watch[r].last_watchdog_fires;
-                if alive && self.watch[r].kind != RpuFaultKind::Dropping {
-                    sys.trace_supervisor(r, SupervisorStep::FalseAlarm);
-                    host(sys, HostOp::Enable { rpu: r });
-                    self.finish(sys, r, now, /* rebooted */ false);
-                } else if now >= until {
-                    // Rung 2: the grace expired — graceful eviction with a
-                    // bounded drain.
-                    sys.trace_supervisor(r, SupervisorStep::DrainStarted);
-                    host(
-                        sys,
-                        HostOp::Reload {
-                            rpu: r,
-                            gated: true,
-                        },
-                    );
-                    self.watch[r].rung = Rung::Draining {
-                        deadline: now + self.cfg.drain_timeout,
-                    };
-                }
-            }
-            Rung::Draining { deadline } => {
-                if matches!(sys.rpus()[r].state(), RpuState::Reconfiguring { .. }) {
-                    // Drain completed; the PR write is underway.
-                    sys.trace_supervisor(r, SupervisorStep::Reloading);
-                    self.watch[r].rung = Rung::Reloading;
-                } else if now >= deadline {
-                    // Rung 3: the region will never drain — destroy its
-                    // in-flight work and force the reload.
-                    self.watch[r].purged = force_reload(sys, r);
-                    self.watch[r].forced = true;
-                    self.watch[r].rung = Rung::Reloading;
-                    sys.trace_supervisor(
-                        r,
-                        SupervisorStep::ForcedEvict {
-                            purged: self.watch[r].purged,
-                        },
-                    );
-                    sys.trace_supervisor(r, SupervisorStep::Reloading);
-                }
-            }
-            Rung::Reloading => {
-                if !sys.reconfigure_pending(r) {
-                    // Rung 4 happened inside `finish_reconfigure`: the
-                    // factory firmware booted. Verify before re-enabling.
-                    sys.trace_supervisor(r, SupervisorStep::Verifying);
-                    self.watch[r].rung = Rung::Rebooting {
-                        sw0: sys.rpus()[r].sw_cycles(),
-                    };
-                }
-            }
-            Rung::Rebooting { sw0 } => {
-                let rpu = &sys.rpus()[r];
-                let verified =
-                    rpu.state() == RpuState::Running && !rpu.is_halted() && rpu.sw_cycles() > sw0;
-                if verified {
-                    // Rung 5: the region demonstrably rebooted — only now
-                    // does it get traffic again.
-                    sys.trace_supervisor(r, SupervisorStep::Reenabled);
-                    host(sys, HostOp::Enable { rpu: r });
-                    self.finish(sys, r, now, /* rebooted */ true);
-                } else if rpu.is_halted() {
-                    // The fresh firmware died on boot: reload again.
-                    let purged = force_reload(sys, r);
-                    self.watch[r].purged += purged;
-                    self.watch[r].forced = true;
-                    self.watch[r].rung = Rung::Reloading;
-                    sys.trace_supervisor(r, SupervisorStep::ForcedEvict { purged });
-                    sys.trace_supervisor(r, SupervisorStep::Reloading);
-                }
-            }
+/// A rack's boxes, as the front LB's health probes see them.
+struct Boxes {
+    /// Each box's RPU ladder, polled while the box is manageable.
+    rpus: Vec<Supervisor>,
+    /// Each box is not probed before this cycle.
+    next_probe: Vec<Cycle>,
+    /// [`Fleet::flows_resteered`] when each box was pulled.
+    resteered_at: Vec<u64>,
+}
+
+impl Scale for Boxes {
+    type Sys = Fleet;
+    type Kind = ();
+    const GRACE: Option<Cycle> = None;
+    /// Healthy probes in a row a reloaded box passes before re-admission.
+    const PROBATION: u32 = 3;
+
+    fn read(&mut self, fleet: &Fleet, b: usize, _ask: Ask) -> Reading<()> {
+        if fleet.now() < self.next_probe[b] {
+            return Reading::Quiet;
         }
-    }
-
-    /// Fault detection from host-visible signals only.
-    fn detect(&mut self, sys: &mut Rosebud, r: usize, now: Cycle) {
-        let rpu = &sys.rpus()[r];
-        let counters = rpu.inner().counters();
-        let sw = rpu.sw_cycles();
-        let wd = rpu.watchdog_fires();
-        let busy_slots = sys.tracker().free_count(r) < sys.config().slots_per_rpu;
-
-        let halted = rpu.is_halted() || rpu.state() == RpuState::Stopped;
-        let watchdog_fired = wd > self.watch[r].last_watchdog_fires;
-        let stalled = sw == self.watch[r].last_sw_cycles && busy_slots;
-        let rx_delta = counters.rx_frames - self.watch[r].last_rx_frames;
-        let drop_delta = counters.drops - self.watch[r].last_drops;
-        let dropping =
-            drop_delta > 8 && (drop_delta as f64) > DROP_FRACTION * (rx_delta.max(1) as f64);
-
-        let w = &mut self.watch[r];
-        w.last_sw_cycles = sw;
-        w.last_rx_frames = counters.rx_frames;
-        w.last_drops = counters.drops;
-        w.last_watchdog_fires = wd;
-
-        let kind = if halted {
-            Some(RpuFaultKind::Halted)
-        } else if watchdog_fired {
-            Some(RpuFaultKind::Hung)
-        } else if stalled {
-            w.stalled_polls += 1;
-            if w.stalled_polls >= STALL_POLLS {
-                Some(RpuFaultKind::Hung)
-            } else {
-                None
-            }
-        } else if dropping {
-            Some(RpuFaultKind::Dropping)
+        if fleet.probe_rtt(b).is_some_and(|rtt| rtt <= PROBE_TIMEOUT) {
+            self.next_probe[b] = fleet.now() + PROBE_INTERVAL;
+            Reading::Ok
         } else {
-            w.stalled_polls = 0;
-            None
-        };
-
-        if let Some(kind) = kind {
-            w.kind = kind;
-            w.detected_at = now;
-            w.fault_at = sys.last_fault_at(r);
-            w.purged = 0;
-            w.forced = false;
-            w.retries = 0;
-            w.stalled_polls = 0;
-            // Rung 1: stop routing traffic to it *now* (graceful
-            // degradation across the remaining RPUs) and poke it.
-            sys.trace_supervisor(r, SupervisorStep::Detected(kind));
-            host(sys, HostOp::Disable { rpu: r });
-            host(sys, HostOp::Poke { rpu: r });
-            w.rung = Rung::Poked {
-                until: now + POKE_GRACE,
-            };
+            Reading::Miss(())
         }
     }
 
-    /// Closes out a recovery: writes the record to the host log and resets
-    /// the detector baselines against the (possibly brand-new) region.
-    fn finish(&mut self, sys: &mut Rosebud, r: usize, now: Cycle, rebooted: bool) {
-        let w = &mut self.watch[r];
-        let event = RecoveryEvent {
-            rpu: r,
-            kind: w.kind,
+    fn missed(&mut self, fleet: &mut Fleet, b: usize, strikes: u32) {
+        fleet.log_step(b, FleetStep::ProbeMissed { streak: strikes });
+        let wait = backoff(PROBE_BACKOFF, PROBE_BACKOFF_CAP, strikes - 1);
+        self.next_probe[b] = fleet.now() + wait;
+    }
+
+    fn isolate(&mut self, fleet: &mut Fleet, b: usize, _kind: ()) {
+        fleet.log_step(b, FleetStep::MarkedUnhealthy);
+        self.resteered_at[b] = fleet.flows_resteered();
+        fleet.ring_remove(b);
+    }
+
+    fn drain(&mut self, fleet: &mut Fleet, b: usize) {
+        fleet.log_step(b, FleetStep::DrainStarted);
+    }
+
+    fn drained(&self, fleet: &Fleet, b: usize) -> bool {
+        fleet.box_quiesced(b)
+    }
+
+    fn reload(&mut self, fleet: &mut Fleet, b: usize, forced: bool) -> u64 {
+        if !forced {
+            fleet.log_step(b, FleetStep::DrainedClean);
+        }
+        let purged = fleet.begin_reload(b);
+        if purged > 0 {
+            fleet.log_step(b, FleetStep::Purged { packets: purged });
+        }
+        fleet.log_step(b, FleetStep::Reloading);
+        // The rebuilt box gets a fresh RPU ladder: the old one's watch state
+        // describes hardware that no longer exists.
+        self.rpus[b] = Supervisor::new(fleet.sys(b));
+        purged
+    }
+
+    fn booted(&mut self, fleet: &mut Fleet, b: usize, since: Cycle, now: Cycle) -> bool {
+        if now < since + BOX_RELOAD_CYCLES {
+            return false;
+        }
+        fleet.finish_reload(b);
+        fleet.log_step(b, FleetStep::Probation);
+        self.next_probe[b] = now + PROBE_INTERVAL;
+        true
+    }
+
+    fn readmit(&mut self, fleet: &mut Fleet, b: usize, w: &Watch, now: Cycle) {
+        fleet.ring_restore(b);
+        fleet.log_step(b, FleetStep::Readmitted);
+        let rec = FailoverRecord {
+            device: b,
             detected_at: w.detected_at,
-            fault_at: w.fault_at,
-            detection_latency: w.fault_at.map(|f| w.detected_at.saturating_sub(f)),
-            reenabled_at: now,
-            downtime: now.saturating_sub(w.detected_at),
+            drained_at: w.drained_at,
+            graceful: !w.forced,
             packets_purged: w.purged,
-            forced: w.forced,
-            retries: w.retries,
+            readmitted_at: now,
+            downtime: now.saturating_sub(w.detected_at),
+            flows_resteered: fleet.flows_resteered().saturating_sub(self.resteered_at[b]),
         };
-        let _ = rebooted;
-        w.rung = Rung::Healthy;
-        w.stalled_polls = 0;
-        let rpu = &sys.rpus()[r];
-        w.last_sw_cycles = rpu.sw_cycles();
-        w.last_watchdog_fires = rpu.watchdog_fires();
-        let counters = rpu.inner().counters();
-        w.last_rx_frames = counters.rx_frames;
-        w.last_drops = counters.drops;
-        sys.log_recovery(event);
+        fleet.log_failover(rec);
+    }
+}
+
+/// The rack-scale ladder: health probes with deterministic timeout and
+/// backoff → mark-unhealthy → drain (ring removal re-steers only the failed
+/// box's flows; in-flight frames complete against the ledger) → whole-box
+/// PR reload → probation → re-admission.
+///
+/// It also drives one [`Supervisor`] per manageable box, so the intra-box
+/// ladder keeps running underneath.
+pub struct FleetSupervisor {
+    ladder: Ladder<Boxes>,
+}
+
+impl FleetSupervisor {
+    /// A supervisor over `fleet`.
+    pub fn new(fleet: &Fleet) -> Self {
+        let n = fleet.num_boxes();
+        let boxes = Boxes {
+            rpus: (0..n).map(|b| Supervisor::new(fleet.sys(b))).collect(),
+            next_probe: vec![PROBE_INTERVAL; n],
+            resteered_at: vec![0; n],
+        };
+        Self {
+            ladder: Ladder::new(boxes, n),
+        }
+    }
+
+    /// Whether any box is on a ladder rung other than healthy.
+    pub fn recovering(&self) -> bool {
+        self.ladder.recovering()
+    }
+
+    /// One supervisory step: polls the RPU ladders of manageable boxes, then
+    /// advances each box's rung. Call once per cycle, before
+    /// [`Fleet::tick`].
+    pub fn poll(&mut self, fleet: &mut Fleet) {
+        let now = fleet.now();
+        for (b, rpus) in self.ladder.scale.rpus.iter_mut().enumerate() {
+            if fleet.box_manageable(b) {
+                rpus.poll(fleet.sys_mut(b));
+            }
+        }
+        for b in 0..fleet.num_boxes() {
+            self.ladder.step(fleet, b, now);
+        }
     }
 }
 

@@ -393,7 +393,7 @@ impl Rosebud {
 
     /// When the most recent injected firmware fault hit `rpu` (detection-
     /// latency accounting for recovery records).
-    pub fn last_fault_at(&self, rpu: usize) -> Option<Cycle> {
+    pub(crate) fn last_fault_at(&self, rpu: usize) -> Option<Cycle> {
         self.fx.fault.as_ref().and_then(|f| f.last_fault_at[rpu])
     }
 
@@ -434,7 +434,7 @@ impl Rosebud {
     }
 
     /// Appends a completed recovery record (the supervisor's host-side log).
-    pub fn log_recovery(&mut self, event: RecoveryEvent) {
+    pub(crate) fn log_recovery(&mut self, event: RecoveryEvent) {
         self.recovery_log.push(event);
     }
 
@@ -469,7 +469,7 @@ impl Rosebud {
     /// Records a supervisor recovery-ladder step against `rpu`. Called by
     /// [`crate::Supervisor`] at every rung transition; a no-op when tracing
     /// is off.
-    pub fn trace_supervisor(&mut self, rpu: usize, step: SupervisorStep) {
+    pub(crate) fn trace_supervisor(&mut self, rpu: usize, step: SupervisorStep) {
         let rpu = rpu as u8;
         self.fx
             .trace(self.clock.cycle(), TraceEvent::Supervisor { rpu, step });

@@ -18,6 +18,12 @@ use std::fmt;
 
 use crate::isa::{encode, AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp, Reg, StoreOp};
 
+/// The widest span an image may lay out, in bytes. The paper's memory map
+/// (Appendix B) gives code the window below `DMEM_BASE` = 0x80_0000, so no
+/// loadable program is wider; a layout past it is refused before a word is
+/// allocated, whatever `.space` or `.org` asked for.
+const MAX_IMAGE_BYTES: u32 = 0x80_0000;
+
 /// An assembled program image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
@@ -155,7 +161,9 @@ pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
                 }
             }
             Body::Org(expr) => {
-                let target = eval(expr, &symbols, stmt.pos)? as u32;
+                let value = eval(expr, &symbols, stmt.pos)?;
+                let target = u32::try_from(value)
+                    .map_err(|_| err(stmt.pos, format!(".org {value} is not an address")))?;
                 if target < pc {
                     return Err(err(stmt.pos, format!(".org 0x{target:x} moves backwards")));
                 }
@@ -164,7 +172,13 @@ pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
             Body::None => {}
             body => {
                 placed.push((pc, stmt));
-                pc += body_size(body, stmt.pos)?;
+                pc = pc
+                    .checked_add(body_size(body, stmt.pos)?)
+                    .filter(|end| end - base <= MAX_IMAGE_BYTES)
+                    .ok_or_else(|| {
+                        let mib = MAX_IMAGE_BYTES >> 20;
+                        err(stmt.pos, format!("layout passes the {mib} MiB code window"))
+                    })?;
             }
         }
     }
@@ -422,10 +436,12 @@ fn parse_directive(rest: &str, pos: Pos) -> Result<Body, AsmError> {
             Ok(Body::Ascii(bytes))
         }
         "space" => {
-            let n: u32 = args
-                .parse()
-                .map_err(|_| err(pos, format!("bad .space size `{args}`")))?;
-            Ok(Body::Space(n.div_ceil(4) * 4))
+            let n = args
+                .parse::<u32>()
+                .ok()
+                .and_then(|n| n.checked_next_multiple_of(4))
+                .ok_or_else(|| err(pos, format!("bad .space size `{args}`")))?;
+            Ok(Body::Space(n))
         }
         "align" => {
             let n: u32 = args
@@ -509,10 +525,14 @@ fn parse_int(s: &str) -> Option<i64> {
 fn eval(expr: &Expr, symbols: &BTreeMap<String, u32>, pos: Pos) -> Result<i64, AsmError> {
     match expr {
         Expr::Lit(v) => Ok(*v),
-        Expr::Sym(name, offset) => symbols
-            .get(name)
-            .map(|v| i64::from(*v) + offset)
-            .ok_or_else(|| err(pos, format!("undefined symbol `{name}`"))),
+        Expr::Sym(name, offset) => {
+            let value = symbols
+                .get(name)
+                .ok_or_else(|| err(pos, format!("undefined symbol `{name}`")))?;
+            i64::from(*value)
+                .checked_add(*offset)
+                .ok_or_else(|| err(pos, format!("`{name}{offset:+}` overflows")))
+        }
     }
 }
 
@@ -579,9 +599,10 @@ fn mem_op(
     let open = text
         .find('(')
         .ok_or_else(|| err(pos, format!("expected `imm(reg)`, got `{text}`")))?;
-    let close = text
-        .rfind(')')
-        .ok_or_else(|| err(pos, format!("unclosed `(` in `{text}`")))?;
+    let close = open
+        + text[open..]
+            .rfind(')')
+            .ok_or_else(|| err(pos, format!("unclosed `(` in `{text}`")))?;
     let imm_text = text[..open].trim();
     let imm = if imm_text.is_empty() {
         0
@@ -597,7 +618,7 @@ fn mem_op(
 }
 
 fn branch_imm(target: i64, pc: u32, pos: Pos) -> Result<i32, AsmError> {
-    let delta = target - i64::from(pc);
+    let delta = target.saturating_sub(i64::from(pc));
     if !(-4096..4096).contains(&delta) || delta % 2 != 0 {
         return Err(err(pos, format!("branch target out of range ({delta})")));
     }
@@ -605,7 +626,7 @@ fn branch_imm(target: i64, pc: u32, pos: Pos) -> Result<i32, AsmError> {
 }
 
 fn jump_imm(target: i64, pc: u32, pos: Pos) -> Result<i32, AsmError> {
-    let delta = target - i64::from(pc);
+    let delta = target.saturating_sub(i64::from(pc));
     if !(-(1 << 20)..(1 << 20)).contains(&delta) || delta % 2 != 0 {
         return Err(err(pos, format!("jump target out of range ({delta})")));
     }
@@ -631,6 +652,15 @@ fn csr_number(name: &str, pos: Pos) -> Result<u16, AsmError> {
         "minstret" => 0xb02,
         other => return Err(err(pos, format!("unknown CSR `{other}`"))),
     })
+}
+
+/// A `lui`/`auipc` immediate: the upper 20 bits, written unsigned
+/// (`0xfffff`) or signed (`-1`).
+fn u_imm(v: i64, pos: Pos) -> Result<i32, AsmError> {
+    if !(0..(1 << 20)).contains(&v) && !(-(1 << 19)..0).contains(&v) {
+        return Err(err(pos, format!("upper immediate {v} out of range")));
+    }
+    Ok(((v as i32) << 12) >> 12)
 }
 
 fn check_i_imm(imm: i64, pos: Pos) -> Result<i32, AsmError> {
@@ -777,17 +807,11 @@ fn lower(
         // --- U/J/I-type primaries ---
         "lui" => Ok(vec![Lui {
             rd: reg_op(ops, 0, pos)?,
-            imm: {
-                let v = imm_op(ops, 1, symbols, pos)?;
-                if !(0..(1 << 20)).contains(&v) && !(-(1 << 19)..0).contains(&v) {
-                    return Err(err(pos, format!("lui immediate {v} out of range")));
-                }
-                v as i32
-            },
+            imm: u_imm(imm_op(ops, 1, symbols, pos)?, pos)?,
         }]),
         "auipc" => Ok(vec![Auipc {
             rd: reg_op(ops, 0, pos)?,
-            imm: imm_op(ops, 1, symbols, pos)? as i32,
+            imm: u_imm(imm_op(ops, 1, symbols, pos)?, pos)?,
         }]),
         "jal" => {
             // `jal label` or `jal rd, label`.
@@ -1128,6 +1152,34 @@ mod tests {
         let mut syms: Vec<(&str, u32)> = image.symbols().collect();
         syms.sort();
         assert_eq!(syms, vec![("IO", 0x0200_0000), ("start", 0)]);
+    }
+
+    /// Hostile layouts and operands are errors on their line, before a word
+    /// is allocated: at the parent the first asked for 4 GiB, `.org
+    /// 0xffffffff` overflowed `pc`, and the rest panicked in debug builds.
+    #[test]
+    fn hostile_input_is_an_error_not_a_panic_or_an_allocation() {
+        for (source, line) in [
+            (".space 4294967292", 1),
+            (".space 4294967295", 1),
+            (".org 0xffffffff\nnop", 2),
+            (".org 0x7ffffff0\nnop", 2),
+            (".org -4\nnop", 1),
+            ("nop\n.space 8388608", 2),
+            ("nop\nx: nop\nli a0, x+9223372036854775807", 3),
+            ("nop\nj -9223372036854775807", 2),
+            ("lw a0, )(t0", 1),
+            ("auipc a0, 0x100000", 1),
+        ] {
+            let e = assemble(source).unwrap_err();
+            assert_eq!(e.line, line, "{source:?}: {e}");
+        }
+        // The window itself is loadable, and a 20-bit upper immediate may be
+        // written unsigned.
+        let fill = assemble(".space 8388604\nnop").unwrap();
+        assert_eq!(fill.size_bytes(), MAX_IMAGE_BYTES);
+        let (unsigned, signed) = ("lui a0, 0x80000", "lui a0, -524288");
+        assert_eq!(assemble(unsigned).unwrap(), assemble(signed).unwrap());
     }
 
     #[test]

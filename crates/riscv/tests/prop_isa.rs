@@ -153,3 +153,123 @@ proptest! {
         }
     }
 }
+
+/// Lines the mutator splices into shipped firmware: every directive and
+/// operand form the assembler lays out or range-checks, with `{}` for a
+/// literal from [`EDGES`].
+const HOSTILE: &[&str] = &[
+    ".space {}",
+    ".org {}",
+    ".word {}",
+    ".half {}",
+    ".byte {}",
+    ".align {}",
+    ".equ HOSTILE_EQU, {}",
+    "li a0, {}",
+    "lui a0, {}",
+    "auipc a0, {}",
+    "j {}",
+    "beq a0, a1, {}",
+    "lw a0, {}(t0)",
+    "sw a0, {}(t0)",
+    "addi a0, a0, {}",
+    "slli a0, a0, {}",
+    "csrwi mie, {}",
+    "jalr ra, {}(a0)",
+    "hostile_label: li a0, hostile_label+{}",
+];
+
+/// Huge, negative and boundary literals, and a few that do not parse.
+const EDGES: &[&str] = &[
+    "4294967292",
+    "4294967295",
+    "0xffffffff",
+    "0x7ffffff0",
+    "0x800000",
+    "8388608",
+    "-1",
+    "-4",
+    "-9223372036854775807",
+    "9223372036854775807",
+    "99999999999999999999",
+    "0x80000",
+    "1048576",
+    "-2049",
+    "0x",
+    "-",
+];
+
+/// Characters that carry syntax.
+const SYNTAX: &[char] = &[
+    '(', ')', ':', ',', '+', '-', '.', '#', '"', 'x', '0', '9', ' ', '\\',
+];
+
+/// Applies one mutation per `(kind, at, pick)`: splice in a hostile line,
+/// delete a line, truncate the program mid-line, or replace a character.
+fn mutate(source: &str, edits: &[(u64, u64, u64)]) -> String {
+    let mut lines: Vec<Vec<char>> = source.lines().map(|l| l.chars().collect()).collect();
+    for &(kind, at, pick) in edits {
+        let row = at as usize % (lines.len() + 1);
+        let pick = pick as usize;
+        match kind % 4 {
+            0 => {
+                let line =
+                    HOSTILE[pick % HOSTILE.len()].replace("{}", EDGES[(pick >> 8) % EDGES.len()]);
+                lines.insert(row, line.chars().collect());
+            }
+            1 if row < lines.len() => {
+                lines.remove(row);
+            }
+            2 if row < lines.len() => {
+                let cut = pick % (lines[row].len() + 1);
+                lines[row].truncate(cut);
+                lines.truncate(row + 1);
+            }
+            3 if row < lines.len() && !lines[row].is_empty() => {
+                let col = pick % lines[row].len();
+                lines[row][col] = SYNTAX[(pick >> 8) % SYNTAX.len()];
+            }
+            _ => {}
+        }
+    }
+    lines
+        .iter()
+        .map(|l| l.iter().collect::<String>())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The assembler is the first thing a live `POST /firmware` body
+    /// reaches: whatever the text, it answers `Ok` or `Err` — never a
+    /// panic (debug builds check every overflow) and never an allocation
+    /// past the code window.
+    #[test]
+    fn mutated_shipped_firmware_assembles_or_errs(
+        program in 0usize..7,
+        edits in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..8),
+    ) {
+        use rosebud_apps::firewall::FIREWALL_ASM;
+        use rosebud_apps::forwarder::{
+            duty_cycle_forwarder_asm, watchdog_forwarder_asm, FORWARDER_ASM,
+            FORWARDER_SINGLE_PORT_ASM,
+        };
+        use rosebud_apps::host_dma::host_dma_forwarder_asm;
+        use rosebud_apps::pigasus_asm::PIGASUS_HW_ASM;
+
+        let source = match program {
+            0 => FORWARDER_ASM.to_string(),
+            1 => FORWARDER_SINGLE_PORT_ASM.to_string(),
+            2 => watchdog_forwarder_asm(4096),
+            3 => duty_cycle_forwarder_asm(2048),
+            4 => host_dma_forwarder_asm(65536),
+            5 => FIREWALL_ASM.to_string(),
+            _ => PIGASUS_HW_ASM.to_string(),
+        };
+        if let Ok(image) = assemble(&mutate(&source, &edits)) {
+            prop_assert!(image.size_bytes() <= 0x80_0000);
+        }
+    }
+}

@@ -449,6 +449,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A firmware post is assembled before anything vets it, so the
+    /// assembler reads untrusted input. At the parent of this test the
+    /// 17-byte `.space 4294967292` asked for a 4 GiB image and `.org
+    /// 0xffffffff` overflowed the layout — an abort of the live process
+    /// either way, under a memory limit or in a debug build.
+    #[test]
+    fn a_hostile_firmware_layout_is_refused_and_the_shell_lives_on() {
+        let dir = std::env::temp_dir().join(format!("rbctl-asm-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("control.sock");
+        let mut server = ControlServer::bind(&sock).unwrap();
+        let mut sh = shell();
+
+        for body in [".space 4294967292", ".org 0xffffffff\nnop"] {
+            let r = exchange(&mut server, &sock, &mut sh, &post("/firmware/0", body));
+            assert!(r.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{r}");
+            assert!(r.contains("code window"), "{r}");
+        }
+
+        assert!(sh.log().ops.is_empty());
+        let r = exchange(&mut server, &sock, &mut sh, b"GET /stats HTTP/1.0\r\n\r\n");
+        assert!(r.starts_with("HTTP/1.0 200 OK\r\n"), "{r}");
+        sh.pump(100);
+        assert_eq!(sh.sys().now(), 100);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The service acts only on requests it received whole. At the parent of
     /// this test a 13-byte prefix of a 400-byte firmware post was assembled
     /// and booted, and an unparsable `Content-Length` booted an empty image —

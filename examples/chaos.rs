@@ -17,8 +17,7 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig,
-    Harness, Supervisor, SupervisorConfig,
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, Supervisor,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -37,13 +36,7 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         Box::new(FlowTrafficGen::new(512, 256, 0.0, 11)),
         load,
     );
-    let mut sup = FleetSupervisor::with_config(
-        &h.sys,
-        FleetSupervisorConfig {
-            drain_timeout: 4_000,
-            reload_cycles: 8_000,
-        },
-    );
+    let mut sup = FleetSupervisor::new(&h.sys);
 
     println!(
         "warming up {boxes} boxes (4 watchdog forwarders each) at {load:.0} Gbps aggregate ..."
@@ -150,12 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sys.install_fault_plan(plan);
 
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
 
     println!("warming up 8 watchdog-petting forwarders at 64 B saturation ...");
     for _ in 0..20_000 {

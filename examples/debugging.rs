@@ -9,7 +9,7 @@
 use rosebud::apps::forwarder::watchdog_forwarder_asm;
 use rosebud::core::{
     Desc, FaultKind, FaultPlan, Firmware, Harness, HostOp, MemRegion, Rosebud, RosebudConfig,
-    RoundRobinLb, RpuIo, RpuProgram, Supervisor, SupervisorConfig, TraceConfig, TraceEvent,
+    RoundRobinLb, RpuIo, RpuProgram, Supervisor, TraceConfig, TraceEvent,
 };
 use rosebud::net::FixedSizeGen;
 use rosebud::riscv::{assemble, disassemble_image, Reg};
@@ -155,12 +155,7 @@ fn observability_trace() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
     for _ in 0..70_000 {
         h.tick();
         sup.poll(&mut h.sys);

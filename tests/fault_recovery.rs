@@ -13,9 +13,8 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FailoverRecord, FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
-    FleetSupervisorConfig, Harness, Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
-    SupervisorConfig,
+    FailoverRecord, FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness,
+    Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -45,12 +44,7 @@ fn run_scenario() -> Trace {
     let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
     sys.install_fault_plan(FaultPlan::new(7).at(HANG_AT, FaultKind::FirmwareHang { rpu: WEDGED }));
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
 
     // Healthy baseline at saturation.
     run_supervised(&mut h, &mut sup, 20_000);
@@ -158,12 +152,7 @@ fn recovered_region_is_verified_running() {
     let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
     sys.install_fault_plan(FaultPlan::new(7).at(HANG_AT, FaultKind::FirmwareHang { rpu: WEDGED }));
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
     run_supervised(&mut h, &mut sup, 95_000);
     assert_eq!(
         h.sys.enabled_mask(),
@@ -225,13 +214,7 @@ fn fleet_under_test() -> Harness<Fleet> {
 }
 
 fn fleet_supervisor(h: &Harness<Fleet>) -> FleetSupervisor {
-    FleetSupervisor::with_config(
-        &h.sys,
-        FleetSupervisorConfig {
-            drain_timeout: 4_000,
-            reload_cycles: 8_000,
-        },
-    )
+    FleetSupervisor::new(&h.sys)
 }
 
 fn run_fleet(h: &mut Harness<Fleet>, sup: &mut FleetSupervisor, cycles: u64) {

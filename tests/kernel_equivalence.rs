@@ -25,9 +25,7 @@ use rosebud::apps::firewall::{
 use rosebud::apps::forwarder::{
     build_duty_cycle_forwarding_system, build_forwarding_system, build_watchdog_forwarding_system,
 };
-use rosebud::core::{
-    FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
-};
+use rosebud::core::{FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, TraceConfig};
 use rosebud::net::{FixedSizeGen, ImixGen};
 
 mod common;
@@ -221,12 +219,7 @@ fn chaos_recovery_matches_unelided_oracle_across_seeds() {
                     .at(22_000, FaultKind::FirmwareCrash { rpu: 5 }),
             );
             let mut h = Harness::new(traced(sys), Box::new(ImixGen::new(2, seed)), 60.0);
-            let mut sup = Supervisor::with_config(
-                &h.sys,
-                SupervisorConfig {
-                    drain_timeout: 4_000,
-                },
-            );
+            let mut sup = Supervisor::new(&h.sys);
             h.begin_window();
             for _ in 0..60_000 {
                 tick(&mut h, side);
@@ -479,7 +472,7 @@ fn fleet_failover_matches_unelided_oracle() {
     // compact trace — including the archived trace of the incarnation the
     // reload retired — plus the fleet ladder log, ledger, and measurement
     // must be byte-identical with and without elision.
-    use rosebud::core::{Fleet, FleetConfig, FleetSupervisor, FleetSupervisorConfig};
+    use rosebud::core::{Fleet, FleetConfig, FleetSupervisor};
 
     for seed in [5u64, 31] {
         differential(&format!("fleet-chaos seed={seed}"), |side| {
@@ -505,13 +498,7 @@ fn fleet_failover_matches_unelided_oracle() {
                 },
             });
             let mut h = Harness::fleet(fleet, Box::new(ImixGen::new(2, seed)), 40.0);
-            let mut sup = FleetSupervisor::with_config(
-                &h.sys,
-                FleetSupervisorConfig {
-                    drain_timeout: 3_000,
-                    reload_cycles: 5_000,
-                },
-            );
+            let mut sup = FleetSupervisor::new(&h.sys);
             h.begin_window();
             for _ in 0..60_000 {
                 sup.poll(&mut h.sys);

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
-use rosebud::core::{FaultPlan, Harness, RpuState, Supervisor, SupervisorConfig};
+use rosebud::core::{
+    FaultPlan, Harness, RpuState, Supervisor, SupervisorStep, TraceConfig, TraceEvent,
+};
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
 const RPUS: usize = 4;
@@ -27,10 +29,7 @@ proptest! {
         sys.install_fault_plan(FaultPlan::random(plan_seed, 40_000, RPUS, 2, events));
         let gen = FlowTrafficGen::new(32, size, 0.05, traffic_seed);
         let mut h = Harness::new(sys, Box::new(gen), gbps);
-        let mut sup = Supervisor::with_config(
-            &h.sys,
-            SupervisorConfig { drain_timeout: 3_000 },
-        );
+        let mut sup = Supervisor::new(&h.sys);
         // tick() re-asserts the ledger every 1024 cycles on its own; any
         // imbalance panics the case with the full breakdown.
         for _ in 0..60_000 {
@@ -75,7 +74,7 @@ proptest! {
     }
 }
 
-use rosebud::core::{Fleet, FleetConfig, FleetStep, FleetSupervisor, FleetSupervisorConfig};
+use rosebud::core::{Fleet, FleetConfig, FleetStep, FleetSupervisor};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -101,12 +100,7 @@ proptest! {
         h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
             plan_seed, 30_000, 2, events,
         ));
-        let mut sup = FleetSupervisor::with_config(
-            &h.sys,
-            FleetSupervisorConfig {
-                drain_timeout: 3_000,
-                reload_cycles: 5_000 },
-        );
+        let mut sup = FleetSupervisor::new(&h.sys);
         // Fleet::tick() re-asserts the ledger every 1024 cycles on its own.
         for _ in 0..70_000 {
             sup.poll(&mut h.sys);
@@ -115,14 +109,42 @@ proptest! {
         h.sys.assert_conservation();
     }
 
-    // The ladder never skips rungs: a box is only ever re-admitted to the
-    // ring after a reload and a full probation, and every purge is preceded
-    // by a drain.
+    // The ladder never skips a rung, at either scale. An RPU is re-enabled
+    // only after verification, verified only after a reload, reloaded only
+    // after a drain or a forced eviction, and force-evicted only after a
+    // drain or a failed verification. A box is re-admitted only after a
+    // reload and a full probation, and every purge follows a drain.
     #[test]
-    fn fleet_ladder_rungs_stay_ordered(
+    fn ladder_rungs_stay_ordered_at_both_scales(
         plan_seed in any::<u64>(),
         events in 1usize..6,
     ) {
+        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
+        sys.install_fault_plan(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
+        sys.enable_tracing(TraceConfig { counter_interval: 0, pc_profile: false, max_events: 1 << 20 });
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0);
+        let mut sup = Supervisor::new(&h.sys);
+        for _ in 0..80_000 {
+            h.tick();
+            sup.poll(&mut h.sys);
+        }
+        let tracer = h.sys.tracer().unwrap();
+        prop_assert_eq!(tracer.dropped_events(), 0);
+        let mut prev = [None; RPUS];
+        for (at, ev) in tracer.events() {
+            let TraceEvent::Supervisor { rpu, step } = *ev else { continue };
+            let before = prev[rpu as usize].replace(step);
+            use SupervisorStep::*;
+            let ordered = match step {
+                Reenabled => matches!(before, Some(Verifying)),
+                Verifying => matches!(before, Some(Reloading)),
+                Reloading => matches!(before, Some(DrainStarted | ForcedEvict { .. })),
+                ForcedEvict { .. } => matches!(before, Some(DrainStarted | Verifying)),
+                _ => true,
+            };
+            prop_assert!(ordered, "rpu {rpu} @{at}: {step:?} after {before:?}");
+        }
+
         let fleet = Fleet::new(
             FleetConfig { boxes: 2, ..FleetConfig::default() },
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
@@ -135,12 +157,7 @@ proptest! {
         h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
             plan_seed, 25_000, 2, events,
         ));
-        let mut sup = FleetSupervisor::with_config(
-            &h.sys,
-            FleetSupervisorConfig {
-                drain_timeout: 3_000,
-                reload_cycles: 5_000 },
-        );
+        let mut sup = FleetSupervisor::new(&h.sys);
         for _ in 0..80_000 {
             sup.poll(&mut h.sys);
             h.tick();

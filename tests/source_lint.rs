@@ -218,6 +218,20 @@ fn pmem_wait_cycles_is_defined_once() {
     );
 }
 
+/// Every source file under `dir`, as (path relative to the repo, text).
+fn sources(dir: &str) -> Vec<(String, String)> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join(dir), &mut files);
+    files
+        .into_iter()
+        .map(|file| {
+            let rel = file.strip_prefix(&root).unwrap().display().to_string();
+            (rel, std::fs::read_to_string(&file).unwrap())
+        })
+        .collect()
+}
+
 /// The host mutators that became arms of `HostOp` (DESIGN.md, "Sim core vs.
 /// I/O shell"). A live session replays because nothing changes the core
 /// behind the recorder's back; a `pub fn` by one of these names is a second
@@ -244,14 +258,6 @@ const FOLDED_MUTATORS: &[&str] = &[
 #[test]
 fn a_live_core_has_one_door() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let sources = |dir: &str| {
-        let mut files = Vec::new();
-        rust_files(&root.join(dir), &mut files);
-        files.into_iter().map(|file| {
-            let rel = file.strip_prefix(&root).unwrap().display().to_string();
-            (rel, std::fs::read_to_string(&file).unwrap())
-        })
-    };
     let door = "pub fn apply(&mut self, op: HostOp) -> Result<HostReply, String>";
     for home in ["crates/core/src/host.rs", "crates/shell/src/shell.rs"] {
         let text = std::fs::read_to_string(root.join(home)).unwrap();
@@ -279,5 +285,75 @@ fn a_live_core_has_one_door() {
         violations.is_empty(),
         "a second door into a live core:\n{violations}\
          (make it an arm of `HostOp`, or name it in DESIGN.md's table of what is not one)"
+    );
+}
+
+/// What the recovery ladder senses and does through, at the rack scale
+/// (`Fleet`) and the box scale (`Rosebud`): crate-private doors, so the one
+/// ladder in `supervisor.rs` is the only thing that walks through them.
+const LADDER_DOORS: &[&str] = &[
+    "box_manageable",
+    "box_quiesced",
+    "box_reloads",
+    "probe_rtt",
+    "probe_ok",
+    "ring_remove",
+    "ring_restore",
+    "begin_reload",
+    "finish_reload",
+    "log_step",
+    "log_failover",
+    "log_recovery",
+    "trace_supervisor",
+    "last_fault_at",
+];
+
+/// The recovery ladder (DESIGN.md, "The recovery ladder") is written once:
+/// its rung enum, its watch struct and the `poll` that matches on rungs
+/// live in `supervisor.rs` and nowhere else in the core or the shell, and
+/// none of [`LADDER_DOORS`] is public.
+#[test]
+fn one_recovery_ladder() {
+    let home = "crates/core/src/supervisor.rs";
+    let mut violations = String::new();
+    let mut home_seen = false;
+    for (rel, text) in sources("crates/core/src")
+        .into_iter()
+        .chain(sources("crates/shell/src"))
+    {
+        if rel == home {
+            home_seen = true;
+            for decl in ["enum Rung {", "struct Watch {", "trait Scale {"] {
+                assert!(text.contains(decl), "{home} no longer declares `{decl}`");
+            }
+        }
+        for (lineno, line) in text.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            let mut hit = |what: &str| {
+                writeln!(violations, "{rel}:{}: {what}", lineno + 1).unwrap();
+            };
+            if rel != home {
+                if code.contains("enum ") && code.contains("Rung") {
+                    hit("a rung enum");
+                }
+                if code.contains("struct ") && code.contains("Watch") {
+                    hit("a watch struct");
+                }
+                if code.contains("Rung::") {
+                    hit("a match on rungs");
+                }
+            }
+            for name in LADDER_DOORS {
+                if code.contains(&format!("pub fn {name}(")) {
+                    hit(&format!("`pub fn {name}`"));
+                }
+            }
+        }
+    }
+    assert!(home_seen, "{home} is gone");
+    assert!(
+        violations.is_empty(),
+        "a second recovery ladder, or a public door into the first:\n{violations}\
+         (give `Scale` what it needs in supervisor.rs, and keep the door `pub(crate)`)"
     );
 }

@@ -3,7 +3,8 @@
 //! snapshotted under `tests/golden/` and diffed on every run. Any change to
 //! LB arbitration, descriptor lifecycle, FIFO behaviour, or counter
 //! semantics shows up as a trace diff here before it shows up as a silently
-//! different benchmark number.
+//! different benchmark number. `ladders.log` does the same for every
+//! decision the two recovery ladders take in three fixed drills.
 //!
 //! Refresh the snapshots after an *intentional* behaviour change with:
 //! `UPDATE_GOLDEN=1 cargo test --test trace_golden`
@@ -14,8 +15,11 @@ use rosebud::apps::firewall::{
     build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen,
 };
 use rosebud::apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
-use rosebud::core::{FaultKind, FaultPlan, Harness, Supervisor, SupervisorConfig, TraceConfig};
-use rosebud::net::{FixedSizeGen, ImixGen};
+use rosebud::core::{
+    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp,
+    Supervisor, TraceConfig,
+};
+use rosebud::net::{FixedSizeGen, FlowTrafficGen, ImixGen};
 
 /// Every snapshot this suite owns. `assert_golden` refuses names outside
 /// this registry, and `golden_dir_has_no_orphans` refuses files under
@@ -24,6 +28,7 @@ use rosebud::net::{FixedSizeGen, ImixGen};
 const GOLDEN_SNAPSHOTS: &[&str] = &[
     "forwarder.trace",
     "firewall.trace",
+    "ladders.log",
     // Owned by tests/firmware_lint.rs (shipped-firmware lint reports).
     "firmware.lint",
 ];
@@ -162,12 +167,7 @@ fn chaos_trace_text(traffic_seed: u64) -> String {
         max_events: 1 << 21,
     });
     let mut h = Harness::new(sys, Box::new(ImixGen::new(2, traffic_seed)), 60.0);
-    let mut sup = Supervisor::with_config(
-        &h.sys,
-        SupervisorConfig {
-            drain_timeout: 4_000,
-        },
-    );
+    let mut sup = Supervisor::new(&h.sys);
     for _ in 0..70_000 {
         h.tick();
         sup.poll(&mut h.sys);
@@ -208,4 +208,136 @@ fn chaos_trace_differs_across_seeds() {
         chaos_trace_text(12),
         "different traffic seeds must not collapse to the same trace"
     );
+}
+
+/// The RPU ladder under `examples/chaos`'s plan, traced: a forced recovery
+/// (the hang), a graceful one (the crash) and the host-link backoff (the
+/// PCIe outage) — every `sup` line, every recovery record, the retry count.
+fn rpu_ladder_text(out: &mut String) {
+    use std::fmt::Write as _;
+    let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
+    sys.install_fault_plan(
+        FaultPlan::new(0xC0FFEE)
+            .at(40_000, FaultKind::CorruptIngress { rpu: 1, count: 20 })
+            .at(50_000, FaultKind::FirmwareHang { rpu: 3 })
+            .at(
+                55_000,
+                FaultKind::RxFifoOverflow {
+                    port: 0,
+                    cycles: 2_000,
+                },
+            )
+            .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
+            .at(140_000, FaultKind::FirmwareCrash { rpu: 6 }),
+    );
+    sys.enable_tracing(TraceConfig {
+        counter_interval: 0,
+        pc_profile: false,
+        max_events: 1 << 22,
+    });
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let mut sup = Supervisor::new(&h.sys);
+    for _ in 0..190_000 {
+        h.tick();
+        sup.poll(&mut h.sys);
+    }
+    let tracer = h.sys.take_tracer().unwrap();
+    assert_eq!(tracer.dropped_events(), 0, "raise max_events");
+    writeln!(out, "# rpu ladder: examples/chaos plan 0xC0FFEE, 8 RPUs").unwrap();
+    for line in tracer
+        .compact_text()
+        .lines()
+        .filter(|l| l.contains(" sup "))
+    {
+        writeln!(out, "{line}").unwrap();
+    }
+    for ev in h.sys.recovery_log() {
+        writeln!(out, "{ev:?}").unwrap();
+    }
+    writeln!(out, "link_retries={}", sup.link_retries()).unwrap();
+}
+
+/// Four watchdog-forwarder boxes behind the front LB at 60 Gbps, polled
+/// then ticked, with `faults` landing at cycle 20 000.
+fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: impl Fn(&mut Fleet)) -> Fleet {
+    use std::fmt::Write as _;
+    let fleet = Fleet::new(
+        FleetConfig {
+            boxes: 4,
+            ..FleetConfig::default()
+        },
+        |_| build_watchdog_forwarding_system(4, 64).unwrap(),
+    )
+    .unwrap();
+    let gen = FlowTrafficGen::new(512, 256, 0.0, 11);
+    let mut h = Harness::fleet(fleet, Box::new(gen), 60.0);
+    let mut sup = FleetSupervisor::new(&h.sys);
+    for _ in 0..cycles {
+        if h.sys.now() == 20_000 {
+            faults(&mut h.sys);
+        }
+        sup.poll(&mut h.sys);
+        h.tick();
+    }
+    writeln!(out, "# box ladder: {title}").unwrap();
+    out.push_str(&h.sys.log_text());
+    for rec in h.sys.failovers() {
+        writeln!(out, "{rec:?}").unwrap();
+    }
+    h.sys
+}
+
+/// Every decision both recovery ladders take in three fixed drills, one
+/// line each: which rung, on which cycle, with what record.
+fn ladders_text() -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    rpu_ladder_text(&mut out);
+    let crash = |fleet: &mut Fleet| {
+        fleet.schedule_fault(FaultEvent {
+            at: fleet.now(),
+            kind: FaultKind::BoxCrash { device: 2 },
+        })
+    };
+    fleet_drill(&mut out, "4-box crash drill, box 2", 70_000, crash);
+    // A flap and a brownout, and under a host-link outage an RPU crash in
+    // box 3, so the RPU ladders the rack drives are pinned too. (A crash
+    // drains; a hang would wait out the drain deadline.)
+    let havoc = |fleet: &mut Fleet| {
+        let at = fleet.now();
+        for kind in [
+            FaultKind::FrontLinkFlap {
+                device: 0,
+                cycles: 6_000,
+            },
+            FaultKind::BoxBrownout {
+                device: 1,
+                cycles: 6_000,
+                factor: 4,
+            },
+            FaultKind::BoxHostOutage {
+                device: 3,
+                cycles: 3_000,
+            },
+        ] {
+            fleet.schedule_fault(FaultEvent { at, kind });
+        }
+        fleet
+            .sys_mut(3)
+            .apply(HostOp::Fault(FaultKind::FirmwareCrash { rpu: 1 }))
+            .unwrap();
+    };
+    let fleet = fleet_drill(&mut out, "flap + brownout drill", 90_000, havoc);
+    for device in 0..fleet.num_boxes() {
+        for ev in fleet.sys(device).recovery_log() {
+            writeln!(out, "box {device}: {ev:?}").unwrap();
+        }
+    }
+    out
+}
+
+/// Nothing about either ladder's decisions moves unless this file moves.
+#[test]
+fn recovery_ladders_match_golden() {
+    assert_golden("ladders.log", &ladders_text());
 }
