@@ -10,7 +10,7 @@ use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding
 use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
-    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, Supervisor,
+    Device, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -86,9 +86,9 @@ struct Recovery {
 fn recovery_point() -> Recovery {
     // The §3.4 scenario the recovery bench uses: hang RPU 3 under live
     // traffic and let the supervisor walk its ladder.
-    let mut sys = build_watchdog_forwarding_system(8, 64).expect("valid config");
-    sys.install_fault_plan(FaultPlan::new(1).at(50_000, FaultKind::FirmwareHang { rpu: 3 }));
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let sys = build_watchdog_forwarding_system(8, 64).expect("valid config");
+    let hang = FaultPlan::new().at(50_000, FaultKind::FirmwareHang { rpu: 3 });
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(hang);
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..120_000 {
         h.tick();
@@ -137,10 +137,10 @@ fn fleet_point() -> FleetBench {
         }
     };
     run(&mut h, &mut sup, 20_000);
-    h.sys.schedule_fault(FaultEvent {
-        at: h.sys.now(),
-        kind: FaultKind::BoxCrash { device: BOXES / 2 },
-    });
+    let crash = FaultKind::BoxCrash { device: BOXES / 2 };
+    h.sys
+        .apply(HostOp::Fault(crash))
+        .expect("a box the rack has");
     let mut budget = 80_000u64;
     while h.sys.failovers().is_empty() && budget > 0 {
         run(&mut h, &mut sup, 1_000);

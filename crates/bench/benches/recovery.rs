@@ -24,9 +24,9 @@ fn run_supervised(h: &mut Harness, sup: &mut Supervisor, cycles: u64) {
 
 fn recovery_latency_and_degradation() {
     heading("§3.4: hang detection latency + graceful degradation (8 RPUs, 64 B)");
-    let mut sys = build_watchdog_forwarding_system(RPUS, 64).expect("valid config");
-    sys.install_fault_plan(FaultPlan::new(1).at(HANG_AT, FaultKind::FirmwareHang { rpu: 3 }));
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let sys = build_watchdog_forwarding_system(RPUS, 64).expect("valid config");
+    let hang = FaultPlan::new().at(HANG_AT, FaultKind::FirmwareHang { rpu: 3 });
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(hang);
     let mut sup = Supervisor::new(&h.sys);
 
     run_supervised(&mut h, &mut sup, 20_000);

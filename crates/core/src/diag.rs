@@ -462,12 +462,10 @@ mod tests {
     #[test]
     fn hung_rpu_reported_as_hung_not_halted() {
         let sys = system(4, 10, Box::new(crate::RoundRobinLb::new()));
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 10.0);
-        h.run(5_000);
-        h.sys.install_fault_plan(
-            crate::FaultPlan::new(1).at(h.sys.now() + 1, crate::FaultKind::FirmwareHang { rpu: 1 }),
-        );
-        h.run(5_000);
+        let hang = crate::FaultKind::FirmwareHang { rpu: 1 };
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 10.0)
+            .faults(crate::FaultPlan::new().at(5_001, hang));
+        h.run(10_000);
         let diag = h.sys.diagnostics();
         assert_eq!(
             diag.bottleneck,

@@ -100,11 +100,11 @@ impl Distributor {
         };
         // The frame's own allocation travels on; only a policy that
         // prepends (the hash LB) pays for one re-framed copy.
-        let mut bytes = match self.lb.prepend(&pkt) {
+        let bytes = match self.lb.prepend(&pkt) {
             None => pkt.data,
             Some(head) => [head.as_slice(), pkt.bytes()].concat(),
         };
-        let corrupted = fx.corrupt_on_link(rpu, &mut bytes);
+        let corrupted = !bytes.is_empty() && fx.corrupts(rpu);
         self.assigned += 1;
         fx.trace(
             now,

@@ -1,14 +1,26 @@
 //! Deterministic fault injection (§3.4 hang detection, Appendix A.8).
 //!
 //! Nothing in the paper's operational story can be trusted until the
-//! failures it defends against can be *caused on demand*: a [`FaultPlan`] is
-//! a schedule of seeded fault events — firmware hangs, firmware crashes,
-//! ingress-link packet corruption, MAC RX FIFO overflow bursts, transient
-//! host-DMA/PCIe outages — that the system applies at exact cycles during
-//! [`crate::Rosebud::tick`]. The same plan and seed reproduce the same
-//! cycle-exact failure (and, with the supervisor, recovery) trace.
+//! failures it defends against can be *caused on demand*. A fault is a host
+//! operation, [`HostOp::Fault`], and goes through the one door every host
+//! operation does — [`Device::apply`](crate::Device::apply) — so a chaos run
+//! is an [`EventLog`](crate::EventLog) like any live session, recorded and
+//! replayed the same way. A [`FaultPlan`] is nothing but those ops stamped with
+//! cycles — firmware hangs and crashes, ingress-link corruption, MAC RX FIFO
+//! overflow bursts, host-DMA/PCIe outages, and the device-scale kinds a
+//! [`Fleet`](crate::Fleet) takes — and [`Harness::faults`](crate::Harness::faults)
+//! applies each at its cycle.
+//!
+//! An applied fault lands where it always has: in a box, in stage 0 of the
+//! next [`Rosebud::tick`](crate::Rosebud::tick); in a fleet, at the top of
+//! the next [`Fleet::tick`](crate::Fleet::tick). Each scale keeps only a
+//! this-cycle inbox, drained whole. Nothing about a fault is random: a
+//! corrupted frame is quarantined whole, so the same plan reproduces the
+//! same cycle-exact failure (and, with the supervisor, recovery) trace.
 
 use rosebud_kernel::{Cycle, SimRng};
+
+use crate::host::HostOp;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,8 +38,9 @@ pub enum FaultKind {
         /// The RPU whose firmware dies.
         rpu: usize,
     },
-    /// The next `count` packets crossing an RPU's ingress link arrive with
-    /// flipped bytes; the link-level FCS check quarantines them before DMA.
+    /// The next `count` non-empty frames crossing an RPU's ingress link
+    /// arrive corrupted; the link-level FCS check quarantines them before
+    /// DMA.
     CorruptIngress {
         /// The RPU whose ingress link glitches.
         rpu: usize,
@@ -51,14 +64,15 @@ pub enum FaultKind {
     },
     /// An entire box loses power or wedges at the shell level: every core,
     /// MAC, and host path of the device freezes at once. Device-scale —
-    /// applied by [`crate::Fleet`]; a single-box system ignores it.
+    /// applied by [`crate::Fleet`]; a single box refuses it, as it does the
+    /// three below.
     BoxCrash {
         /// The fleet device that dies.
         device: usize,
     },
     /// A device-scoped host-link outage: the box keeps forwarding but its
     /// PCIe/DMA management path is down, so the per-box supervisor backs
-    /// off. Device-scale; ignored by single-box systems.
+    /// off. Device-scale.
     BoxHostOutage {
         /// The affected fleet device.
         device: usize,
@@ -67,7 +81,7 @@ pub enum FaultKind {
     },
     /// The front load-balancer link to one box flaps: nothing crosses the
     /// link for the window, nothing is lost (frames wait in the link
-    /// queues). Device-scale; ignored by single-box systems.
+    /// queues). Device-scale.
     FrontLinkFlap {
         /// The affected fleet device.
         device: usize,
@@ -76,7 +90,7 @@ pub enum FaultKind {
     },
     /// A slow-box brownout: the front link delivers into the box only every
     /// `factor`-th cycle and health-probe round trips inflate by the same
-    /// factor. Device-scale; ignored by single-box systems.
+    /// factor. Device-scale.
     BoxBrownout {
         /// The affected fleet device.
         device: usize,
@@ -88,60 +102,54 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// `true` for the device-scale faults a [`crate::Fleet`] applies itself
-    /// (a single box has no notion of the device they target).
-    pub fn is_device_scale(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::BoxCrash { .. }
-                | FaultKind::BoxHostOutage { .. }
-                | FaultKind::FrontLinkFlap { .. }
-                | FaultKind::BoxBrownout { .. }
-        )
+    /// The fleet device a device-scale fault names; `None` for the kinds a
+    /// box takes itself.
+    pub fn device(&self) -> Option<usize> {
+        match *self {
+            FaultKind::BoxCrash { device }
+            | FaultKind::BoxHostOutage { device, .. }
+            | FaultKind::FrontLinkFlap { device, .. }
+            | FaultKind::BoxBrownout { device, .. } => Some(device),
+            _ => None,
+        }
     }
 }
 
-/// A fault scheduled at an absolute cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Cycle at which the fault triggers.
-    pub at: Cycle,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A deterministic schedule of fault events plus the seed used for any
-/// randomness inside their effects (corruption byte flips).
+/// A deterministic fault schedule: host operations, each stamped with the
+/// cycle it is applied at, in cycle order with ties in insertion order — an
+/// [`EventLog`](crate::EventLog)'s ops without its frames. A
+/// [`Harness`](crate::Harness) built with
+/// [`faults`](crate::Harness::faults) applies each through
+/// [`Device::apply`](crate::Device::apply) at its cycle, so the same plan
+/// reproduces the same cycle-exact failure (and recovery) trace.
 ///
 /// # Examples
 ///
 /// ```
-/// use rosebud_core::{FaultKind, FaultPlan};
-/// let plan = FaultPlan::new(42)
-///     .at(10_000, FaultKind::FirmwareHang { rpu: 3 })
-///     .at(25_000, FaultKind::HostDmaOutage { cycles: 2_000 });
-/// assert_eq!(plan.events().len(), 2);
+/// use rosebud_core::{FaultKind, FaultPlan, HostOp};
+/// let plan = FaultPlan::new()
+///     .at(25_000, FaultKind::HostDmaOutage { cycles: 2_000 })
+///     .at(10_000, FaultKind::FirmwareHang { rpu: 3 });
+/// assert_eq!(plan.ops()[0], (10_000, HostOp::Fault(FaultKind::FirmwareHang { rpu: 3 })));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-    seed: u64,
+    ops: Vec<(Cycle, HostOp)>,
 }
 
 impl FaultPlan {
-    /// An empty plan with an effect seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            events: Vec::new(),
-            seed,
-        }
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Adds an event (builder style). Events may be added in any order;
-    /// the plan sorts by cycle on installation.
+    /// Adds an op — a [`FaultKind`], or any [`HostOp`] such as one box's
+    /// fault in a fleet ([`HostOp::Box`]) — behind every op already stamped
+    /// at or before `cycle` (builder style).
     #[must_use]
-    pub fn at(mut self, cycle: Cycle, kind: FaultKind) -> Self {
-        self.events.push(FaultEvent { at: cycle, kind });
+    pub fn at(mut self, cycle: Cycle, op: impl Into<HostOp>) -> Self {
+        let i = self.ops.partition_point(|(at, _)| *at <= cycle);
+        self.ops.insert(i, (cycle, op.into()));
         self
     }
 
@@ -156,7 +164,7 @@ impl FaultPlan {
         events: usize,
     ) -> Self {
         let mut rng = SimRng::seed_from(seed ^ 0xFA17_7E57);
-        let mut plan = Self::new(seed);
+        let mut plan = Self::new();
         for _ in 0..events {
             let at = rng.below(horizon.max(1));
             let rpu = rng.below(num_rpus.max(1) as u64) as usize;
@@ -186,7 +194,7 @@ impl FaultPlan {
     /// brownouts. Fully determined by `seed`.
     pub fn random_fleet(seed: u64, horizon: Cycle, num_boxes: usize, events: usize) -> Self {
         let mut rng = SimRng::seed_from(seed ^ 0xB0F7_FA17);
-        let mut plan = Self::new(seed);
+        let mut plan = Self::new();
         for _ in 0..events {
             let at = rng.below(horizon.max(1));
             let device = rng.below(num_boxes.max(1) as u64) as usize;
@@ -211,14 +219,9 @@ impl FaultPlan {
         plan
     }
 
-    /// The scheduled events (unsorted, as built).
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// The effect seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// The ops with their cycles, in the order they are applied.
+    pub fn ops(&self) -> &[(Cycle, HostOp)] {
+        &self.ops
     }
 }
 
@@ -262,15 +265,14 @@ impl Ledger {
     }
 }
 
-/// Live injection state the system carries once a plan is installed.
+/// What a box's injected faults have armed, created by the first
+/// [`HostOp::Fault`] it takes — until then `Fx::fault` is `None`, and
+/// `inject` and stage 0 cost one check.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    /// Remaining events, sorted by cycle (ascending), consumed from the
-    /// front.
-    pending: Vec<FaultEvent>,
-    /// RNG for corruption byte flips.
-    pub rng: SimRng,
-    /// Packets still to corrupt on each RPU's ingress link.
+    /// Faults applied since the last tick; stage 0 lands them all.
+    pub inbox: Vec<FaultKind>,
+    /// Frames still to quarantine on each RPU's ingress link.
     pub corrupt_pending: Vec<u32>,
     /// Per-port cycle until which the RX FIFO sheds arriving frames.
     pub rx_drop_until: Vec<Cycle>,
@@ -282,33 +284,14 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(plan: FaultPlan, num_rpus: usize, num_ports: usize) -> Self {
-        let mut pending = plan.events;
-        // Stable order: by cycle, ties in insertion order (sort is stable).
-        pending.sort_by_key(|e| e.at);
+    pub fn new(num_rpus: usize, num_ports: usize) -> Self {
         Self {
-            pending,
-            rng: SimRng::seed_from(plan.seed ^ 0xC0DE_FA17),
+            inbox: Vec::new(),
             corrupt_pending: vec![0; num_rpus],
             rx_drop_until: vec![0; num_ports],
             host_down_until: 0,
             last_fault_at: vec![None; num_rpus],
         }
-    }
-
-    /// Pops every event due at or before `now`.
-    pub fn due(&mut self, now: Cycle) -> Vec<FaultEvent> {
-        let split = self.pending.partition_point(|e| e.at <= now);
-        self.pending.drain(..split).collect()
-    }
-
-    /// Inserts an event into the pending queue, keeping it sorted by cycle
-    /// with ties behind already-queued events (matching the stable sort of
-    /// plan installation). How [`HostOp::Fault`](crate::HostOp::Fault) lands a
-    /// fault mid-run without replacing the installed plan.
-    pub fn schedule(&mut self, ev: FaultEvent) {
-        let idx = self.pending.partition_point(|e| e.at <= ev.at);
-        self.pending.insert(idx, ev);
     }
 }
 
@@ -320,44 +303,39 @@ mod tests {
     fn random_plans_are_reproducible() {
         let a = FaultPlan::random(7, 100_000, 8, 2, 12);
         let b = FaultPlan::random(7, 100_000, 8, 2, 12);
-        assert_eq!(a.events(), b.events());
+        assert_eq!(a, b);
         let c = FaultPlan::random(8, 100_000, 8, 2, 12);
-        assert_ne!(a.events(), c.events());
+        assert_ne!(a, c);
     }
 
+    /// `ops()` is the order a harness applies them in: by cycle, and a tie
+    /// in the order the ops were added.
     #[test]
-    fn due_consumes_in_cycle_order() {
-        let plan = FaultPlan::new(0)
+    fn ops_are_in_cycle_order_ties_in_insertion_order() {
+        let plan = FaultPlan::new()
             .at(50, FaultKind::FirmwareHang { rpu: 1 })
-            .at(10, FaultKind::FirmwareCrash { rpu: 0 });
-        let mut state = FaultState::new(plan, 4, 2);
-        assert!(state.due(9).is_empty());
-        let first = state.due(10);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].kind, FaultKind::FirmwareCrash { rpu: 0 });
-        assert_eq!(state.due(100).len(), 1);
-        assert!(state.pending.is_empty());
+            .at(10, FaultKind::FirmwareCrash { rpu: 0 })
+            .at(50, FaultKind::BoxCrash { device: 0 })
+            .at(10, FaultKind::HostDmaOutage { cycles: 5 });
+        let order: Vec<(Cycle, HostOp)> = [
+            (10, FaultKind::FirmwareCrash { rpu: 0 }),
+            (10, FaultKind::HostDmaOutage { cycles: 5 }),
+            (50, FaultKind::FirmwareHang { rpu: 1 }),
+            (50, FaultKind::BoxCrash { device: 0 }),
+        ]
+        .into_iter()
+        .map(|(at, kind)| (at, HostOp::Fault(kind)))
+        .collect();
+        assert_eq!(plan.ops(), order);
     }
 
     #[test]
     fn random_fleet_plans_are_reproducible_and_device_scale() {
         let a = FaultPlan::random_fleet(11, 50_000, 4, 9);
         let b = FaultPlan::random_fleet(11, 50_000, 4, 9);
-        assert_eq!(a.events(), b.events());
-        assert!(a.events().iter().all(|e| e.kind.is_device_scale()));
-        assert!(!FaultKind::FirmwareHang { rpu: 0 }.is_device_scale());
-    }
-
-    #[test]
-    fn schedule_keeps_cycle_order() {
-        let plan = FaultPlan::new(0).at(50, FaultKind::FirmwareHang { rpu: 1 });
-        let mut state = FaultState::new(plan, 4, 2);
-        state.schedule(FaultEvent {
-            at: 10,
-            kind: FaultKind::BoxCrash { device: 0 },
-        });
-        let first = state.due(20);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].kind, FaultKind::BoxCrash { device: 0 });
+        assert_eq!(a, b);
+        let device_scale = |op: &HostOp| matches!(op, HostOp::Fault(k) if k.device().is_some());
+        assert!(a.ops().iter().all(|(_, op)| device_scale(op)));
+        assert_eq!(FaultKind::FirmwareHang { rpu: 0 }.device(), None);
     }
 }

@@ -11,9 +11,14 @@
 //! same recovery ladder [`Supervisor`](crate::Supervisor) walks each RPU
 //! through, with probes, ring removal and whole-box reloads for rungs.
 //!
-//! Everything is cycle-deterministic: the same seed produces the same
-//! steering decisions, fault timeline, supervisor log, and conservation
-//! ledger.
+//! A fleet is a [`Device`] with a host door like a box's:
+//! [`Device::apply`] takes the device-scale faults, which land at the top
+//! of the next [`Fleet::tick`], and [`HostOp::Box`], which is that box's
+//! [`Rosebud::apply`]. No `&mut Rosebud` leaves the fleet, so what a
+//! [`Harness`](crate::Harness) does to a rack — a chaos plan included — is an
+//! [`EventLog`](crate::EventLog) that [`replay`](crate::ports::replay)
+//! reproduces on a fresh one: the same steering decisions, fault timeline,
+//! supervisor log, and conservation ledger.
 //!
 //! # Examples
 //!
@@ -57,8 +62,8 @@ use rosebud_kernel::{Cycle, IngressPort, LinkPort};
 use rosebud_net::{extend_hash, flow_hash, Packet, ShardedFlowTable};
 
 use crate::diag::{BoxHealth, FleetDiagnostics};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
-use crate::host::HostOp;
+use crate::fault::{FaultKind, Ledger};
+use crate::host::{HostOp, HostReply};
 use crate::lb::ConsistentHashRing;
 use crate::ports::Device;
 use crate::system::Rosebud;
@@ -180,7 +185,8 @@ pub struct Fleet {
     flows_resteered: u64,
     /// Round-robin cursor for frames without a 5-tuple.
     rr: u64,
-    pending_faults: Vec<FaultEvent>,
+    /// Device-scale faults applied since the last tick.
+    faults: Vec<FaultKind>,
     /// Frames the front LB accepted (fleet-scope `Ledger::injected`).
     injected: u64,
     /// Ledger rows folded in from box incarnations retired by reloads.
@@ -236,7 +242,7 @@ impl Fleet {
             flows_seen: 0,
             flows_resteered: 0,
             rr: 0,
-            pending_faults: Vec::new(),
+            faults: Vec::new(),
             injected: 0,
             ledger_acc: Ledger::default(),
             log: Vec::new(),
@@ -277,17 +283,20 @@ impl Fleet {
         &self.boxes[device].sys
     }
 
-    /// Mutable access to one box's system.
-    pub fn sys_mut(&mut self, device: usize) -> &mut Rosebud {
-        &mut self.boxes[device].sys
+    /// Box `device`'s system, if it can be managed right now (not crashed,
+    /// not dark in a PR reload) — the fleet supervisor drives per-RPU
+    /// supervisors on manageable boxes only.
+    pub(crate) fn manageable_box(&mut self, device: usize) -> Option<&mut Rosebud> {
+        let b = &mut self.boxes[device];
+        (!b.crashed && !b.offline).then_some(&mut b.sys)
     }
 
-    /// Whether the box can be managed right now (not crashed, not dark in a
-    /// PR reload) — the fleet supervisor only drives per-RPU supervisors on
-    /// manageable boxes.
-    pub(crate) fn box_manageable(&self, device: usize) -> bool {
-        let b = &self.boxes[device];
-        !b.crashed && !b.offline
+    /// [`Rosebud::wake_all`] on every box: the un-elided oracle, one level
+    /// up.
+    pub fn wake_all(&mut self) {
+        for b in &mut self.boxes {
+            b.sys.wake_all();
+        }
     }
 
     /// Enables event tracing on every box (and on boxes rebuilt later).
@@ -305,68 +314,27 @@ impl Fleet {
         &self.archived_traces
     }
 
-    /// Schedules device-scale fault events. Events whose
-    /// [`FaultKind::is_device_scale`] is false are ignored — RPU-scale
-    /// faults have no box address at fleet scope; apply them to the box
-    /// itself ([`sys_mut`](Self::sys_mut), [`HostOp::Fault`]) instead.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        for ev in plan.events() {
-            if ev.kind.is_device_scale() {
-                self.schedule_fault(*ev);
-            }
-        }
-    }
-
-    /// Schedules one device-scale fault event, keeping the queue sorted; one
-    /// stamped [`now`](Self::now) lands this cycle.
-    pub fn schedule_fault(&mut self, ev: FaultEvent) {
-        let idx = self.pending_faults.partition_point(|e| e.at <= ev.at);
-        self.pending_faults.insert(idx, ev);
-    }
-
-    fn apply_due_faults(&mut self) {
-        while let Some(ev) = self.pending_faults.first() {
-            if ev.at > self.now {
-                break;
-            }
-            let ev = self.pending_faults.remove(0);
-            self.apply_fault(ev.kind);
-        }
-    }
-
-    fn apply_fault(&mut self, kind: FaultKind) {
+    /// Lands one device-scale fault; `apply` refused every other kind and
+    /// every box the rack lacks.
+    fn land(&mut self, kind: FaultKind) {
+        let now = self.now;
+        let b = &mut self.boxes[kind.device().expect("a fleet refuses a box's fault")];
         match kind {
-            FaultKind::BoxCrash { device } => {
-                if let Some(b) = self.boxes.get_mut(device) {
-                    b.crashed = true;
-                }
+            FaultKind::BoxCrash { .. } => b.crashed = true,
+            // A dark box's host link is down already.
+            FaultKind::BoxHostOutage { cycles, .. } if !b.crashed && !b.offline => {
+                b.sys
+                    .apply(HostOp::Fault(FaultKind::HostDmaOutage { cycles }))
+                    .expect("a fault with no RPU to name is never refused");
             }
-            FaultKind::BoxHostOutage { device, cycles } => {
-                if let Some(b) = self.boxes.get_mut(device) {
-                    if !b.crashed && !b.offline {
-                        b.sys
-                            .apply(HostOp::Fault(FaultKind::HostDmaOutage { cycles }))
-                            .expect("a fault with no RPU to name is never refused");
-                    }
-                }
+            FaultKind::FrontLinkFlap { cycles, .. } => {
+                b.flap_until = b.flap_until.max(now + cycles);
             }
-            FaultKind::FrontLinkFlap { device, cycles } => {
-                if let Some(b) = self.boxes.get_mut(device) {
-                    b.flap_until = b.flap_until.max(self.now + cycles);
-                }
+            FaultKind::BoxBrownout { cycles, factor, .. } => {
+                b.brownout_until = b.brownout_until.max(now + cycles);
+                // Last writer wins on the slowdown factor.
+                b.brownout_factor = factor.max(1);
             }
-            FaultKind::BoxBrownout {
-                device,
-                cycles,
-                factor,
-            } => {
-                if let Some(b) = self.boxes.get_mut(device) {
-                    b.brownout_until = b.brownout_until.max(self.now + cycles);
-                    // Last writer wins on the slowdown factor.
-                    b.brownout_factor = factor.max(1);
-                }
-            }
-            // RPU-scale kinds are not addressable at fleet scope.
             _ => {}
         }
     }
@@ -419,10 +387,13 @@ impl Fleet {
         }
     }
 
-    /// Advances the whole rack one cycle: due faults fire, every front link
-    /// moves, every live box ticks, and the fleet ledger is spot-checked.
+    /// Advances the whole rack one cycle: the faults applied since the last
+    /// tick land, every front link moves, every live box ticks, and the
+    /// fleet ledger is spot-checked.
     pub fn tick(&mut self) {
-        self.apply_due_faults();
+        for kind in std::mem::take(&mut self.faults) {
+            self.land(kind);
+        }
         let now = self.now;
         for b in 0..self.boxes.len() {
             self.tick_box(b, now);
@@ -531,7 +502,7 @@ impl Fleet {
 
     /// Purges box `device`'s front link and in-flight frames into the fleet
     /// ledger, archives its trace, and rebuilds it from the factory. The box
-    /// comes back dark ([`box_manageable`](Self::box_manageable) is false)
+    /// comes back dark ([`manageable_box`](Self::manageable_box) is `None`)
     /// until [`finish_reload`](Self::finish_reload). Returns the number of
     /// frames purged.
     pub(crate) fn begin_reload(&mut self, device: usize) -> u64 {
@@ -713,6 +684,35 @@ impl Device for Fleet {
         Fleet::inject(self, pkt)
     }
 
+    /// A device-scale fault lands at the top of the next [`Fleet::tick`];
+    /// [`HostOp::Box`] is that box's [`Rosebud::apply`]. Refused: a box the
+    /// rack lacks, and every other op — a box's own go inside `Box`.
+    fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+        let boxes = self.boxes.len();
+        let in_rack = |device: usize| {
+            if device < boxes {
+                Ok(device)
+            } else {
+                Err(format!("no box {device}: the fleet has {boxes}"))
+            }
+        };
+        match op {
+            HostOp::Box { device, op } => self.boxes[in_rack(device)?].sys.apply(*op),
+            HostOp::Fault(kind) => {
+                let device = kind.device().ok_or_else(|| {
+                    format!("{kind:?} is a box's fault: address it with `HostOp::Box`")
+                })?;
+                in_rack(device)?;
+                self.faults.push(kind);
+                Ok(HostReply::Done)
+            }
+            op => Err(format!(
+                "a fleet takes device-scale faults and `box.` ops, not `{}`",
+                op.name()
+            )),
+        }
+    }
+
     fn tick(&mut self) {
         Fleet::tick(self);
     }
@@ -751,10 +751,9 @@ mod tests {
         }
     }
 
-    /// Lands a device-scale fault this cycle.
+    /// Lands a device-scale fault on the next tick.
     fn fault_now(fleet: &mut Fleet, kind: FaultKind) {
-        let at = fleet.now();
-        fleet.schedule_fault(FaultEvent { at, kind });
+        fleet.apply(HostOp::Fault(kind)).unwrap();
     }
 
     fn forwarder_box() -> Rosebud {

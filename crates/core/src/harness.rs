@@ -10,8 +10,9 @@
 use rosebud_kernel::LatencyStats;
 use rosebud_net::{GenPort, Packet, TrafficGen};
 
+use crate::fault::FaultPlan;
 use crate::fleet::Fleet;
-use crate::ports::{pump, Device};
+use crate::ports::{step, Device};
 use crate::system::Rosebud;
 
 /// Measured results over a window.
@@ -33,15 +34,18 @@ pub struct Measurement {
 /// Drives a [`Device`] with generated traffic at a target offered load.
 ///
 /// The generator is wrapped in a [`GenPort`] — the paced ingress-port
-/// implementation — and pumped through the same
-/// [`ports::pump`](crate::ports::pump) loop every other traffic source
-/// uses, so the harness is just "a port plus metrics". How the device is
+/// implementation — and each cycle is the step [`replay`](crate::ports::replay)
+/// runs too: a [`FaultPlan`]'s due ops, the frames, the tick, the drain. So
+/// the harness is just "a port, a plan, and metrics". How the device is
 /// paced follows from its type: [`Harness::new`] paces each physical port
 /// of a [`Rosebud`], [`Harness::fleet`] gives a [`Fleet`] one shared budget.
 pub struct Harness<D: Device = Rosebud> {
     /// The device under test.
     pub sys: D,
     source: GenPort,
+    plan: FaultPlan,
+    /// How many of the plan's ops have been applied.
+    applied: usize,
     /// The lane host-delivered frames arrive on, for a device that has one.
     host_lane: Option<usize>,
     injected: u64,
@@ -101,6 +105,8 @@ impl<D: Device> Harness<D> {
         Self {
             sys,
             source,
+            plan: FaultPlan::new(),
+            applied: 0,
             host_lane,
             injected: 0,
             received: 0,
@@ -122,35 +128,59 @@ impl<D: Device> Harness<D> {
         self
     }
 
-    /// Advances the device one cycle: pump the paced source in, tick, drain
-    /// what was delivered into the metrics.
+    /// Applies `plan`'s ops through [`Device::apply`], each at its cycle
+    /// ahead of that cycle's frames — where a live host's op lands. Replaces
+    /// any earlier plan; ops stamped before [`now`](Device::now) apply on
+    /// the next tick.
+    ///
+    /// # Panics
+    ///
+    /// [`tick`](Self::tick) panics if the device refuses an op.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.plan = plan;
+        self.applied = 0;
+        self
+    }
+
+    /// Advances the device one cycle: apply the plan's due ops, pump the
+    /// paced source in, tick, drain what was delivered into the metrics.
     pub fn tick(&mut self) {
-        let accepted = pump(&mut self.sys, &mut self.source);
-        self.injected += accepted;
-        self.window_injected += accepted;
-
-        self.sys.tick();
-
-        let now = self.sys.now();
         let ns_per_cycle = self.sys.ns_per_cycle();
-        self.sys.drain(&mut |lane, pkt| {
+        let Self {
+            sys,
+            source,
+            plan,
+            applied,
+            host_lane,
+            received,
+            host_received,
+            latency,
+            window_received,
+            window_received_bytes,
+            collect_output,
+            collected,
+            ..
+        } = self;
+        let accepted = step(sys, plan.ops(), applied, source, |now, lane, pkt| {
             // Host-delivered frames count toward absorbed throughput: the
             // paper reads "RX bytes" over physical and virtual interfaces
             // alike (Appendix D).
-            if self.host_lane == Some(lane) {
-                self.host_received += 1;
+            if *host_lane == Some(lane) {
+                *host_received += 1;
             } else {
-                self.received += 1;
+                *received += 1;
             }
-            self.window_received += 1;
-            self.window_received_bytes += pkt.len();
+            *window_received += 1;
+            *window_received_bytes += pkt.len();
             // A single set takes every lane.
-            let set = lane.min(self.latency.len() - 1);
-            self.latency[set].record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
-            if self.collect_output {
-                self.collected.push(pkt);
+            let set = lane.min(latency.len() - 1);
+            latency[set].record((now.saturating_sub(pkt.ts_gen)) as f64 * ns_per_cycle);
+            if *collect_output {
+                collected.push(pkt);
             }
         });
+        self.injected += accepted;
+        self.window_injected += accepted;
     }
 
     /// Runs `cycles` cycles.

@@ -2,9 +2,11 @@
 //! paper's host C library + Corundum driver (§3.2, §3.4, Appendix A.6–A.8).
 //!
 //! Everything the host can *do* to a built box is a [`HostOp`] value, and
-//! [`Rosebud::apply`] is the one door it goes through — so a live session
-//! can record every op beside every frame and replay both
-//! ([`EventLog`](crate::EventLog)). The paper's calls map to arms as follows:
+//! [`Rosebud::apply`] is the one door it goes through — a
+//! [`Fleet`](crate::Fleet)'s `Device::apply` hands it each box's ops — so a
+//! live session or a chaos run can record every op beside every frame and
+//! replay both ([`EventLog`](crate::EventLog)). The paper's calls map to
+//! arms as follows:
 //!
 //! | Paper (host library / driver)                       | Arm                                   |
 //! |-----------------------------------------------------|---------------------------------------|
@@ -20,6 +22,7 @@
 //! | A.8 failure path: destroy the region's work, PR     | [`ForceReload`](HostOp::ForceReload)  |
 //! | §3.2 the Corundum virtual Ethernet interface, TX    | [`HostFrame`](HostOp::HostFrame)      |
 //! | (simulation only) land a fault now                  | [`Fault`](HostOp::Fault)              |
+//! | (a rack) one box's op, through the front switch     | [`Box`](HostOp::Box), a fleet's only  |
 //!
 //! What the host *reads* — `lb_host_read`, `read_rpu_mem`, `rpu_status`,
 //! `take_debug`, `take_host_packets`, `diagnostics` — stays a method: a read
@@ -31,7 +34,7 @@ use rosebud_net::Packet;
 use rosebud_riscv::{AccessSize, Image};
 
 use crate::config::RosebudConfig;
-use crate::fault::FaultKind;
+use crate::fault::{FaultKind, FaultState};
 use crate::lanes::Lanes;
 use crate::system::{Fx, Rosebud};
 use crate::types::{irq, memmap, HostDmaReq};
@@ -264,11 +267,28 @@ pub enum HostOp {
         /// labels come from — never the source text.
         image: Image,
     },
-    /// Lands a single fault on the next tick without replacing any
-    /// installed plan — the path by which fleet-scope faults (a box-scoped
-    /// host outage, say) reach into an individual box mid-run. A single box
-    /// ignores the device-scale kinds.
+    /// Lands a fault on the next tick (simulation only; a [`FaultPlan`] is
+    /// these ops stamped with cycles). A box refuses the device-scale kinds
+    /// and a [`Fleet`] the others, unless they come wrapped in
+    /// [`Box`](HostOp::Box).
+    ///
+    /// [`FaultPlan`]: crate::FaultPlan
+    /// [`Fleet`]: crate::Fleet
     Fault(FaultKind),
+    /// One box's op, addressed to a [`Fleet`](crate::Fleet): forwarded to
+    /// box `device`'s [`Rosebud::apply`]. A box refuses it.
+    Box {
+        /// The fleet device the op is for.
+        device: usize,
+        /// What is done to it; never another `Box`.
+        op: Box<HostOp>,
+    },
+}
+
+impl From<FaultKind> for HostOp {
+    fn from(kind: FaultKind) -> Self {
+        HostOp::Fault(kind)
+    }
 }
 
 /// What [`Rosebud::apply`] answers on success.
@@ -300,7 +320,8 @@ impl HostOp {
             HostOp::LbWrite { .. }
             | HostOp::WriteHostDram { .. }
             | HostOp::HostFrame(_)
-            | HostOp::Fault(_) => None,
+            | HostOp::Fault(_)
+            | HostOp::Box { .. } => None,
         }
     }
 }
@@ -450,22 +471,40 @@ const OPS: &[(&str, Blank)] = &[
     }),
 ];
 
+/// What a [`HostOp::Box`]'s name is its op's behind. It has no row: one
+/// level of it is read, never a second.
+const BOX: &str = "box.";
+
 impl HostOp {
     /// The op's name in the event log.
-    pub(crate) fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> String {
         use std::mem::discriminant;
+        if let HostOp::Box { op, .. } = self {
+            return format!("{BOX}{}", op.name());
+        }
         let same_arm = |blank: HostOp| match (&blank, self) {
             (HostOp::Fault(a), HostOp::Fault(b)) => discriminant(a) == discriminant(b),
             _ => discriminant(&blank) == discriminant(self),
         };
         let row = OPS.iter().find(|(_, blank)| same_arm(blank()));
-        row.expect("every arm has a row in OPS").0
+        row.expect("every arm has a row in OPS").0.to_string()
     }
 
     /// An op of the shape `name` names, every field zero.
     pub(crate) fn blank(name: &str) -> Option<HostOp> {
-        let row = OPS.iter().find(|(n, _)| *n == name)?;
-        Some(row.1())
+        let (row, boxed) = match name.strip_prefix(BOX) {
+            Some(inner) => (inner, true),
+            None => (name, false),
+        };
+        let op = OPS.iter().find(|(n, _)| *n == row)?.1();
+        Some(if boxed {
+            HostOp::Box {
+                device: 0,
+                op: Box::new(op),
+            }
+        } else {
+            op
+        })
     }
 
     /// Passes every field through `c` in wire order: integers, then the
@@ -551,6 +590,10 @@ impl HostOp {
                 num(c, cycles)?;
                 num(c, factor)
             }
+            HostOp::Box { device, op } => {
+                num(c, device)?;
+                op.fields(c)
+            }
         }
     }
 }
@@ -562,7 +605,8 @@ impl Rosebud {
     ///
     /// # Errors
     ///
-    /// Says why the op was refused: it names an RPU the box does not have,
+    /// Says why the op was refused: it names an RPU or a port the box does
+    /// not have, it is a fleet's (a device-scale fault, a [`HostOp::Box`]),
     /// a write reaches past the memory it targets, the virtual interface's
     /// queue is full, or the load path rejected the image. A refused op has
     /// changed nothing.
@@ -570,13 +614,16 @@ impl Rosebud {
         if let Some(rpu) = op.rpu().filter(|&rpu| rpu >= self.cfg.num_rpus) {
             return Err(format!("no RPU {rpu}: the box has {}", self.cfg.num_rpus));
         }
+        let ports = self.mac.num_ports();
         match op {
             HostOp::LbWrite { addr, value } => self.dist.host_write(addr, value),
             HostOp::Enable { rpu } => self.dist.enable_rpu(rpu),
             HostOp::Disable { rpu } => self.dist.disable_rpu(rpu),
-            HostOp::Poke { rpu } => self.rpu_mut(rpu).raise_irq(irq::POKE),
-            HostOp::Evict { rpu } => self.rpu_mut(rpu).raise_irq(irq::EVICT),
-            HostOp::WriteDebug { rpu, value } => self.rpu_mut(rpu).inner_mut().set_debug_in(value),
+            HostOp::Poke { rpu } => self.lanes.rpu_mut(rpu).raise_irq(irq::POKE),
+            HostOp::Evict { rpu } => self.lanes.rpu_mut(rpu).raise_irq(irq::EVICT),
+            HostOp::WriteDebug { rpu, value } => {
+                self.lanes.rpu_mut(rpu).inner_mut().set_debug_in(value)
+            }
             HostOp::WriteMem {
                 rpu,
                 region,
@@ -598,7 +645,25 @@ impl Rosebud {
                 return Ok(HostReply::Purged(self.force_reload_rpu(rpu)))
             }
             HostOp::LoadFirmware { rpu, image } => self.load_firmware(rpu, &image)?,
-            HostOp::Fault(kind) => self.schedule_fault(kind),
+            HostOp::Fault(FaultKind::RxFifoOverflow { port, .. }) if port >= ports => {
+                return Err(format!("no port {port}: the box has {ports}"));
+            }
+            HostOp::Fault(kind) if kind.device().is_some() => {
+                return Err(format!(
+                    "{kind:?} is a fleet's fault: a box names no device"
+                ));
+            }
+            HostOp::Fault(kind) => {
+                let rpus = self.cfg.num_rpus;
+                let fault = self
+                    .fx
+                    .fault
+                    .get_or_insert_with(|| Box::new(FaultState::new(rpus, ports)));
+                fault.inbox.push(kind);
+            }
+            HostOp::Box { .. } => {
+                return Err("a box is not a fleet: `box.` ops are a fleet's".into())
+            }
         }
         Ok(HostReply::Done)
     }
@@ -627,7 +692,7 @@ impl Rosebud {
             ));
         }
         let start = start as u32;
-        let rpu = self.rpu_mut(rpu);
+        let rpu = self.lanes.rpu_mut(rpu);
         if region == MemRegion::AccelMem {
             if let Some(accel) = rpu.accelerator_mut() {
                 accel.load_table(start, bytes);
@@ -693,7 +758,7 @@ impl Rosebud {
     /// Takes the most recent 64-bit debug-channel value from `rpu`, if the
     /// firmware wrote one since the last read (A.7).
     pub fn take_debug(&mut self, rpu: usize) -> Option<u64> {
-        self.rpu_mut(rpu).inner_mut().take_debug_out()
+        self.lanes.rpu_mut(rpu).inner_mut().take_debug_out()
     }
 }
 
@@ -761,8 +826,15 @@ mod tests {
         for (name, blank) in OPS {
             assert_eq!(blank().name(), *name);
             assert_eq!(HostOp::blank(name), Some(blank()));
+            let boxed = HostOp::Box {
+                device: 0,
+                op: Box::new(blank()),
+            };
+            assert_eq!(boxed.name(), format!("box.{name}"));
+            assert_eq!(HostOp::blank(&boxed.name()), Some(boxed));
         }
         assert_eq!(HostOp::blank("frob"), None);
+        assert_eq!(HostOp::blank("box.box.poke"), None, "one level of `box.`");
     }
 
     #[test]

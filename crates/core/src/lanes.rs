@@ -143,7 +143,7 @@ impl Lanes {
 
     /// Mutable access to RPU `r`, which wakes the lane: whatever the caller
     /// does to the RPU, the next tick looks at all of it.
-    pub fn rpu_mut(&mut self, r: usize) -> &mut Rpu {
+    pub(crate) fn rpu_mut(&mut self, r: usize) -> &mut Rpu {
         self.wake(r);
         &mut self.rpus[r]
     }
@@ -424,7 +424,7 @@ mod tests {
     use crate::harness::Harness;
     use crate::host::{HostOp, HostReply};
     use crate::ports::Device;
-    use crate::system::{apply_due_faults, Rosebud, RosebudBuilder, RpuProgram};
+    use crate::system::{land_faults, Rosebud, RosebudBuilder, RpuProgram};
     use crate::types::{port, SlotMeta};
     use rosebud_accel::FirewallMatcher;
     use rosebud_net::{FixedSizeGen, Packet};
@@ -697,13 +697,13 @@ mod tests {
         assert_eq!(sys.lanes.awake.count(), 1);
         assert_eq!(delivered_on(&mut sys, 1), 1, "the woken lane forwarded it");
 
-        // Host poke, and `rpu_mut` — the access the un-elided oracle in
-        // `tests/kernel_equivalence.rs` is built from.
+        // Host poke, and `wake_all` — the un-elided oracle of
+        // `tests/kernel_equivalence.rs`.
         force_sleep(&mut sys, 2);
         sys.apply(HostOp::Poke { rpu: 2 }).unwrap();
         assert!(sys.lanes.awake.contains(2));
         force_sleep(&mut sys, 2);
-        sys.rpu_mut(2);
+        sys.wake_all();
         assert!(sys.lanes.awake.contains(2));
         force_sleep(&mut sys, 2);
         sys.apply(HostOp::Evict { rpu: 2 }).unwrap();
@@ -719,7 +719,7 @@ mod tests {
             .unwrap();
         sys.apply(HostOp::Fault(FaultKind::FirmwareCrash { rpu: 0 }))
             .unwrap();
-        apply_due_faults(sys.now(), &mut sys.fx, &mut sys.lanes);
+        land_faults(sys.now(), &mut sys.fx, &mut sys.lanes);
         assert!(sys.lanes.awake.contains(3) && sys.lanes.awake.contains(0));
         sys.tick();
 
@@ -768,15 +768,13 @@ mod tests {
     }
 
     /// `wake` marks the lane in every word, so the integration tests'
-    /// `wake_all` oracle (`rpu_mut(r)` for every lane before each tick) is
-    /// the full-sweep reference tick for all five stages, not only stage 5.
+    /// `wake_all` oracle (before each tick) is the full-sweep reference
+    /// tick for all five stages, not only stage 5.
     #[test]
     fn waking_every_lane_forces_the_full_sweep_of_every_stage() {
         let mut sys = builder(16, PARKED).build().unwrap();
         sys.run(100);
-        for r in 0..16 {
-            sys.rpu_mut(r);
-        }
+        sys.wake_all();
         assert_eq!(occupancy(&sys), [LaneSet::all(16); 5]);
     }
 

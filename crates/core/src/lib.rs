@@ -71,7 +71,7 @@ mod verify;
 pub use config::RosebudConfig;
 pub use diag::{Bottleneck, BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKind};
 pub use fabric::ByteFifo;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, Ledger};
+pub use fault::{FaultKind, FaultPlan, Ledger};
 pub use fleet::{FailoverRecord, Fleet, FleetConfig, FleetLogEntry};
 pub use harness::{Harness, Measurement};
 pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingModel};

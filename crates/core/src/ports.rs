@@ -6,9 +6,9 @@
 //! the [`IngressPort`]/[`EgressPort`] contract from `rosebud_kernel` and is
 //! driven through [`pump`]. The thing in the middle is a [`Device`] — a
 //! [`Rosebud`], or a [`Fleet`](crate::Fleet) whose lanes are boxes — and the
-//! three loops over it ([`pump`], [`replay`],
-//! [`Harness::tick`](crate::Harness::tick)) are written once. The split buys
-//! two things:
+//! loops over it are written once: [`pump`] moves frames in, and one
+//! per-cycle step (ops, frames, tick, drain) is both [`replay`] and
+//! [`Harness::tick`](crate::Harness::tick). The split buys two things:
 //!
 //! * any feeder is "a small port impl", not a change to the core, and
 //! * every external arrival, and every host operation applied through
@@ -41,7 +41,8 @@ pub trait Device {
     fn inject(&mut self, pkt: Packet) -> Result<(), Packet>;
 
     /// Does a host operation to the device; a refusal says why and changes
-    /// nothing. Only a device with a host interface takes any.
+    /// nothing. A [`Rosebud`] takes a box's ops, a [`Fleet`](crate::Fleet)
+    /// device-scale faults and [`HostOp::Box`]; the default takes none.
     fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
         Err(format!("this device takes no host operations: {op:?}"))
     }
@@ -171,7 +172,12 @@ pub struct PortEvent {
 /// `<name>` is the arm (`disable`, `load_firmware`, `fault.host_dma_outage`,
 /// …); its fields follow in declaration order, an enum as its index, a
 /// frame as `id port ts_gen` + bytes, an image as `base words` + the words
-/// and symbol table; an empty payload is `-`.
+/// and symbol table; an empty payload is `-`. One box's op in a fleet's log
+/// is that op's line behind `box.` and the device:
+///
+/// ```text
+/// <cycle> op box.<name> <device> <integer>... [<payload-hex> | -]
+/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     /// Accepted arrivals in cycle order.
@@ -420,6 +426,39 @@ where
         .map_err(|e| format!("line {}: bad number {s:?}: {e}", line + 2))
 }
 
+/// One cycle as a tester drives it, in the order a live shell acts: the ops
+/// from `ops[*next..]` stamped at or before now, each through
+/// [`Device::apply`]; the frames `source` has for this cycle; the clock
+/// edge; then everything delivered, to `sink` as `(cycle, lane, frame)`.
+/// Returns how many frames were accepted. [`replay`] and
+/// [`Harness::tick`](crate::Harness::tick) are this loop, run.
+///
+/// # Panics
+///
+/// Panics if `dev` refuses an op: a log or a plan names what the device
+/// cannot take.
+#[inline]
+pub(crate) fn step<D: Device + ?Sized>(
+    dev: &mut D,
+    ops: &[(Cycle, HostOp)],
+    next: &mut usize,
+    source: &mut dyn IngressPort<Packet>,
+    mut sink: impl FnMut(Cycle, usize, Packet),
+) -> u64 {
+    let now = dev.now();
+    while let Some((at, op)) = ops.get(*next).filter(|(at, _)| *at <= now) {
+        if let Err(e) = dev.apply(op.clone()) {
+            panic!("{op:?}, stamped {at}, was refused at cycle {now}: {e}");
+        }
+        *next += 1;
+    }
+    let accepted = pump(dev, source);
+    dev.tick();
+    let now = dev.now();
+    dev.drain(&mut |lane, pkt| sink(now, lane, pkt));
+    accepted
+}
+
 /// Replays a recorded run on a fresh device: at each cycle applies the
 /// operations logged at it, injects the arrivals logged at it, and ticks —
 /// the order a live shell acts in — for exactly the recorded cycle count,
@@ -437,18 +476,12 @@ where
 /// was recorded on.
 pub fn replay<D: Device + ?Sized>(log: &EventLog, dev: &mut D) -> Vec<Packet> {
     let mut source = log.replay_port();
-    let mut ops = log.ops.iter().peekable();
+    let mut next = 0;
     let mut delivered = Vec::new();
     while dev.now() < log.cycles {
-        let now = dev.now();
-        while let Some((at, op)) = ops.next_if(|(at, _)| *at <= now) {
-            if let Err(e) = dev.apply(op.clone()) {
-                panic!("replay: {op:?}, applied at cycle {at} when recorded, was refused: {e}");
-            }
-        }
-        pump(dev, &mut source);
-        dev.tick();
-        dev.drain(&mut |_, pkt| delivered.push(pkt));
+        step(dev, &log.ops, &mut next, &mut source, |_, _, pkt| {
+            delivered.push(pkt);
+        });
     }
     delivered
 }
@@ -469,8 +502,8 @@ mod tests {
         log
     }
 
-    /// [`frames_only`] plus one op of every arm and every fault kind, two a
-    /// cycle.
+    /// [`frames_only`] plus one op of every arm and every fault kind, and two
+    /// of them addressed to one box of a fleet — two a cycle.
     fn frames_and_ops() -> EventLog {
         use crate::{FaultKind as F, MemRegion};
         let image = rosebud_riscv::assemble(".equ IO, 0x02000000\nspin: j spin").unwrap();
@@ -512,6 +545,14 @@ mod tests {
                 cycles,
                 factor: 4,
             }),
+            HostOp::Box {
+                device,
+                op: Box::new(HostOp::Fault(F::CorruptIngress { rpu, count: 3 })),
+            },
+            HostOp::Box {
+                device,
+                op: Box::new(HostOp::HostFrame(Packet::new(8, vec![0xa5; 60], 0, 4))),
+            },
         ];
         let mut log = frames_only();
         log.ops = (0..).map(|i| i / 2).zip(ops).collect();
@@ -541,6 +582,9 @@ mod tests {
         assert!(lines.contains(&"3 op write_mem 1 3 64 dead"));
         assert!(lines.contains(&"3 op write_host_dram 4096 -"));
         assert!(lines.contains(&"10 op fault.box_brownout 2 500 4"));
+        assert!(lines.contains(&"10 op box.fault.corrupt_ingress 2 1 3"));
+        let frame = format!("11 op box.host_frame 2 8 0 4 {}", "a5".repeat(60));
+        assert!(lines.contains(&frame.as_str()));
 
         // The same frames with the ops taken away are a `v1` text again,
         // and either header reads them.
@@ -635,6 +679,9 @@ mod tests {
         assert!(v2("5 op poke 1 2\n").is_err());
         assert!(v2("5 op reload 1 2\n").is_err());
         assert!(v2("5 op host_frame 1 256 0 00\n").is_err());
+        assert!(v2("5 op box.poke 2 1\n").is_ok());
+        assert!(v2("5 op box.poke 2\n").is_err());
+        assert!(v2("5 op box.box.poke 2 2 1\n").is_err());
         assert!(v2("5 op load_firmware 0 0 4611686018427387904 00\n").is_err());
         assert!(v2("5 op poke 1\n4 op poke 1\n").is_err());
         assert!(v2("5 0 0 0 00\n4 0 0 0 00\n").is_err());

@@ -649,8 +649,8 @@ impl FleetSupervisor {
     pub fn poll(&mut self, fleet: &mut Fleet) {
         let now = fleet.now();
         for (b, rpus) in self.ladder.scale.rpus.iter_mut().enumerate() {
-            if fleet.box_manageable(b) {
-                rpus.poll(fleet.sys_mut(b));
+            if let Some(sys) = fleet.manageable_box(b) {
+                rpus.poll(sys);
             }
         }
         for b in 0..fleet.num_boxes() {
@@ -689,9 +689,8 @@ mod tests {
 
     #[test]
     fn crash_is_detected_and_region_recycled() {
-        let mut h = harness(4);
-        h.sys
-            .install_fault_plan(FaultPlan::new(3).at(10_000, FaultKind::FirmwareCrash { rpu: 2 }));
+        let mut h =
+            harness(4).faults(FaultPlan::new().at(10_000, FaultKind::FirmwareCrash { rpu: 2 }));
         let mut sup = Supervisor::new(&h.sys);
         for _ in 0..200_000 {
             h.tick();
@@ -727,9 +726,8 @@ mod tests {
 
     #[test]
     fn host_outage_delays_but_does_not_prevent_recovery() {
-        let mut h = harness(4);
-        h.sys.install_fault_plan(
-            FaultPlan::new(5)
+        let mut h = harness(4).faults(
+            FaultPlan::new()
                 .at(9_000, FaultKind::HostDmaOutage { cycles: 30_000 })
                 .at(10_000, FaultKind::FirmwareCrash { rpu: 1 }),
         );

@@ -10,7 +10,7 @@ use rosebud_riscv::Image;
 use crate::config::RosebudConfig;
 use crate::dist::Distributor;
 use crate::fabric::{BcastArbiter, Loopback};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultState, Ledger};
+use crate::fault::{FaultKind, FaultState, Ledger};
 use crate::host::HostBridge;
 use crate::lanes::Lanes;
 use crate::lb::LoadBalancer;
@@ -155,8 +155,10 @@ pub(crate) struct Fx {
     pub tracer: Option<Tracer>,
     /// Packets dropped by firmware (zero-length sends) plus routing errors.
     pub routed_drops: u64,
-    /// Installed fault-injection schedule, if any.
-    pub fault: Option<FaultState>,
+    /// What injected faults have armed, from the first one on. Boxed: it is
+    /// cold, and inline it grew `Rosebud` enough to cost `duty256_light`
+    /// ~4 % in simulated cycles per second.
+    pub fault: Option<Box<FaultState>>,
 }
 
 impl Fx {
@@ -173,21 +175,19 @@ impl Fx {
         self.fault.as_ref().is_none_or(|f| f.host_down_until <= now)
     }
 
-    /// Applies pending injected link corruption for `rpu`, if any: flips a
-    /// few bytes deterministically from the plan's effect RNG.
-    pub fn corrupt_on_link(&mut self, rpu: usize, bytes: &mut [u8]) -> bool {
+    /// Whether the next non-empty frame on `rpu`'s ingress link arrives
+    /// corrupted: one of the `count` an injected `CorruptIngress` owes it.
+    /// Stage 4 quarantines it before DMA, so which bytes went bad is never
+    /// read and not modelled.
+    pub fn corrupts(&mut self, rpu: usize) -> bool {
         let Some(fault) = &mut self.fault else {
             return false;
         };
-        if fault.corrupt_pending[rpu] == 0 || bytes.is_empty() {
+        let pending = &mut fault.corrupt_pending[rpu];
+        if *pending == 0 {
             return false;
         }
-        fault.corrupt_pending[rpu] -= 1;
-        let flips = 1 + fault.rng.below(4);
-        for _ in 0..flips {
-            let i = fault.rng.below(bytes.len() as u64) as usize;
-            bytes[i] ^= 1 + fault.rng.below(255) as u8;
-        }
+        *pending -= 1;
         true
     }
 }
@@ -265,10 +265,16 @@ impl Rosebud {
         self.lanes.rpus()
     }
 
-    /// Mutable access to one RPU (host-side debugging, table loads). Wakes
-    /// the lane: the next tick visits it in every per-lane stage.
-    pub fn rpu_mut(&mut self, rpu: usize) -> &mut Rpu {
-        self.lanes.rpu_mut(rpu)
+    /// Wakes every lane, so the next tick ticks every core and sweeps every
+    /// lane's link, send queue and DMA register whether or not anything is
+    /// there. Semantically invisible — elision skips only what provably has
+    /// nothing to do — so calling it before every tick is the un-elided
+    /// oracle the elision differentials (`tests/kernel_equivalence.rs`)
+    /// compare the shipped tick against.
+    pub fn wake_all(&mut self) {
+        for r in 0..self.cfg.num_rpus {
+            self.lanes.wake(r);
+        }
     }
 
     /// Counters of RPU `r` (§4.3).
@@ -312,8 +318,8 @@ impl Rosebud {
             ..
         } = self;
 
-        // 0. Scheduled fault injection (chaos harness).
-        apply_due_faults(now, fx, lanes);
+        // 0. Faults applied since the last tick land.
+        land_faults(now, fx, lanes);
         // 1. Wire-side receive: MAC serializer → MAC FIFO.
         mac.receive(now);
         // 2. LB: one admission per port slot, then the host interface.
@@ -357,31 +363,6 @@ impl Rosebud {
         }
 
         self.clock.tick();
-    }
-
-    /// Installs a fault-injection schedule. Events already in the past
-    /// (relative to the current cycle) trigger on the next tick.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.fx.fault = Some(FaultState::new(
-            plan,
-            self.cfg.num_rpus,
-            self.mac.num_ports(),
-        ));
-    }
-
-    /// [`HostOp::Fault`](crate::HostOp::Fault): lands `kind` on the next
-    /// tick. Creates an empty fault state (fixed effect seed) when no plan
-    /// was installed, so determinism is unaffected by whether a plan exists.
-    pub(crate) fn schedule_fault(&mut self, kind: FaultKind) {
-        let (num_rpus, num_ports) = (self.cfg.num_rpus, self.mac.num_ports());
-        let fault = self
-            .fx
-            .fault
-            .get_or_insert_with(|| FaultState::new(FaultPlan::new(0xF1E7), num_rpus, num_ports));
-        fault.schedule(FaultEvent {
-            at: self.clock.cycle(),
-            kind,
-        });
     }
 
     /// `true` while the host-DMA/PCIe path is up. The supervisor checks
@@ -476,38 +457,43 @@ impl Rosebud {
     }
 }
 
-/// Stage 0: applies every fault event scheduled at or before `now`.
+/// Stage 0: lands every fault applied since the last tick, in the order
+/// they were applied. `Rosebud::apply` refused the ones that cannot land.
 #[inline]
-pub(crate) fn apply_due_faults(now: Cycle, fx: &mut Fx, lanes: &mut Lanes) {
-    let Some(fault) = &mut fx.fault else {
-        return;
-    };
-    let num_rpus = lanes.rpus().len();
-    for ev in fault.due(now) {
-        match ev.kind {
-            FaultKind::FirmwareHang { rpu } if rpu < num_rpus => {
+pub(crate) fn land_faults(now: Cycle, fx: &mut Fx, lanes: &mut Lanes) {
+    if let Some(fault) = &mut fx.fault {
+        land(now, fault, lanes);
+    }
+}
+
+/// Stage 0's body, out of line: a run without faults never gets here, and
+/// its tick should not carry the code.
+#[inline(never)]
+fn land(now: Cycle, fault: &mut FaultState, lanes: &mut Lanes) {
+    for kind in fault.inbox.drain(..) {
+        match kind {
+            FaultKind::FirmwareHang { rpu } => {
                 fault.last_fault_at[rpu] = Some(now);
                 lanes.rpu_mut(rpu).force_hang();
             }
-            FaultKind::FirmwareCrash { rpu } if rpu < num_rpus => {
+            FaultKind::FirmwareCrash { rpu } => {
                 fault.last_fault_at[rpu] = Some(now);
                 lanes.rpu_mut(rpu).force_crash();
             }
-            FaultKind::CorruptIngress { rpu, count } if rpu < num_rpus => {
+            FaultKind::CorruptIngress { rpu, count } => {
                 fault.corrupt_pending[rpu] += count;
             }
-            FaultKind::RxFifoOverflow { port, cycles } if port < fault.rx_drop_until.len() => {
-                let until = now + cycles;
-                let cur = &mut fault.rx_drop_until[port];
-                *cur = (*cur).max(until);
+            FaultKind::RxFifoOverflow { port, cycles } => {
+                let until = &mut fault.rx_drop_until[port];
+                *until = (*until).max(now + cycles);
             }
             FaultKind::HostDmaOutage { cycles } => {
                 fault.host_down_until = fault.host_down_until.max(now + cycles);
             }
-            // Device-scale faults (box crash/outage/flap/brownout) are
-            // applied at fleet scope by `crate::Fleet`; a single box
-            // ignores them, as it does out-of-range targets.
-            _ => {}
+            FaultKind::BoxCrash { .. }
+            | FaultKind::BoxHostOutage { .. }
+            | FaultKind::FrontLinkFlap { .. }
+            | FaultKind::BoxBrownout { .. } => unreachable!("a box refuses a fleet's fault"),
         }
     }
 }

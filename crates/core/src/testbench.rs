@@ -114,9 +114,9 @@ impl RpuTestbench {
         &self.rpu
     }
 
-    /// Mutable access (e.g. for host-style memory pokes).
-    pub fn rpu_mut(&mut self) -> &mut Rpu {
-        &mut self.rpu
+    /// Turns on per-PC cycle attribution ([`Rpu::pc_profile`]).
+    pub fn enable_profiling(&mut self) {
+        self.rpu.enable_profiling();
     }
 
     /// Current cycle.

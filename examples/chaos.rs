@@ -17,7 +17,7 @@
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::{
-    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, Supervisor,
+    Device, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
@@ -57,10 +57,8 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("killing box {killed} cold ...");
-    h.sys.schedule_fault(FaultEvent {
-        at: h.sys.now(),
-        kind: FaultKind::BoxCrash { device: killed },
-    });
+    h.sys
+        .apply(HostOp::Fault(FaultKind::BoxCrash { device: killed }))?;
     let mut reported = 0;
     let mut windows = Vec::new();
     while h.sys.failovers().is_empty() {
@@ -125,10 +123,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         return fleet_main(boxes);
     }
-    let mut sys = build_watchdog_forwarding_system(8, 64)?;
+    let sys = build_watchdog_forwarding_system(8, 64)?;
 
     // The schedule: every fault class the injector knows, overlapping.
-    let plan = FaultPlan::new(0xC0FFEE)
+    let plan = FaultPlan::new()
         .at(40_000, FaultKind::CorruptIngress { rpu: 1, count: 20 })
         .at(50_000, FaultKind::FirmwareHang { rpu: 3 })
         .at(
@@ -140,9 +138,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
         .at(140_000, FaultKind::FirmwareCrash { rpu: 6 });
-    sys.install_fault_plan(plan);
 
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(plan);
     let mut sup = Supervisor::new(&h.sys);
 
     println!("warming up 8 watchdog-petting forwarders at 64 B saturation ...");

@@ -147,14 +147,14 @@ fn observability_trace() -> Result<(), Box<dyn std::error::Error>> {
             }
         })
         .build()?;
-    sys.install_fault_plan(FaultPlan::new(7).at(20_000, FaultKind::FirmwareHang { rpu: 3 }));
     sys.enable_tracing(TraceConfig {
         counter_interval: 4096,
         pc_profile: true,
         max_events: 1 << 21,
     });
 
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0);
+    let hang = FaultPlan::new().at(20_000, FaultKind::FirmwareHang { rpu: 3 });
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0).faults(hang);
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..70_000 {
         h.tick();

@@ -10,17 +10,31 @@
 //! Throughput while the region is out is the load balancer's graceful
 //! degradation: ~7/8 of the healthy baseline. Packet conservation holds
 //! throughout, and the whole trace is cycle-exact deterministic.
+//!
+//! The same drill one level up kills a whole box of a four-box rack, and a
+//! planned chaos run at either scale replays bit-exactly from its event log.
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
+use rosebud::core::ports::{pump, replay};
 use rosebud::core::{
-    FailoverRecord, FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness,
-    Ledger, RecoveryEvent, RpuFaultKind, RpuState, Supervisor,
+    Device, EventLog, FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
+    Harness, HostOp, HostReply, Ledger, RecoveryEvent, Rosebud, RpuFaultKind, RpuState, Supervisor,
+    TraceConfig,
 };
-use rosebud::net::{FixedSizeGen, FlowTrafficGen};
+use rosebud::net::{FixedSizeGen, FlowTrafficGen, GenPort, Packet};
 
 const RPUS: usize = 8;
 const WEDGED: usize = 3;
 const HANG_AT: u64 = 50_000;
+
+/// Eight watchdog forwarders at 64-byte saturation, RPU 3 wedged at
+/// `HANG_AT`.
+fn wedged_at_hang_at() -> Harness {
+    let sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
+    let hang = FaultKind::FirmwareHang { rpu: WEDGED };
+    Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0)
+        .faults(FaultPlan::new().at(HANG_AT, hang))
+}
 
 /// Ticks the system and the supervising host agent in lockstep.
 fn run_supervised(h: &mut Harness, sup: &mut Supervisor, cycles: u64) {
@@ -41,9 +55,7 @@ struct Trace {
 }
 
 fn run_scenario() -> Trace {
-    let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-    sys.install_fault_plan(FaultPlan::new(7).at(HANG_AT, FaultKind::FirmwareHang { rpu: WEDGED }));
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let mut h = wedged_at_hang_at();
     let mut sup = Supervisor::new(&h.sys);
 
     // Healthy baseline at saturation.
@@ -149,9 +161,7 @@ fn throughput_degrades_to_seven_eighths_and_returns() {
 
 #[test]
 fn recovered_region_is_verified_running() {
-    let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-    sys.install_fault_plan(FaultPlan::new(7).at(HANG_AT, FaultKind::FirmwareHang { rpu: WEDGED }));
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let mut h = wedged_at_hang_at();
     let mut sup = Supervisor::new(&h.sys);
     run_supervised(&mut h, &mut sup, 95_000);
     assert_eq!(
@@ -248,10 +258,8 @@ fn run_fleet_scenario() -> FleetTrace {
 
     // Kill a whole box. Detection needs three probe misses (~2k cycles),
     // then drain runs to its 4k deadline (a crashed shell never quiesces).
-    h.sys.schedule_fault(FaultEvent {
-        at: h.sys.now(),
-        kind: FaultKind::BoxCrash { device: KILLED },
-    });
+    let crash = FaultKind::BoxCrash { device: KILLED };
+    h.sys.apply(HostOp::Fault(crash)).unwrap();
     run_fleet(&mut h, &mut sup, 4_000);
     h.begin_window();
     run_fleet(&mut h, &mut sup, 10_000);
@@ -388,4 +396,171 @@ fn fleet_failover_is_deterministic() {
     assert!((a.baseline_gbps - b.baseline_gbps).abs() < f64::EPSILON);
     assert!((a.degraded_gbps - b.degraded_gbps).abs() < f64::EPSILON);
     assert!((a.recovered_gbps - b.recovered_gbps).abs() < f64::EPSILON);
+}
+
+// ---------------------------------------------------------------------------
+// A chaos run is an event log. Everything a plan does to a box or a rack
+// goes through `Device::apply`, so the ops it applied and the frames the
+// device accepted are the whole run: written as text, read back and replayed
+// on a fresh device — no plan, no supervisor — they reproduce every box's
+// trace, the ledger and the diagnostics bit for bit.
+
+/// A device that writes down what crosses its boundary: each accepted frame
+/// and each applied op, at the cycle it crossed.
+struct Recorder<D> {
+    dev: D,
+    log: EventLog,
+}
+
+impl<D: Device> Device for Recorder<D> {
+    fn now(&self) -> u64 {
+        self.dev.now()
+    }
+
+    fn ns_per_cycle(&self) -> f64 {
+        self.dev.ns_per_cycle()
+    }
+
+    fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+        let (now, copy) = (self.dev.now(), pkt.clone());
+        self.dev.inject(pkt)?;
+        self.log.push(now, copy);
+        Ok(())
+    }
+
+    fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+        let now = self.dev.now();
+        let reply = self.dev.apply(op.clone())?;
+        self.log.ops.push((now, op));
+        Ok(reply)
+    }
+
+    fn tick(&mut self) {
+        self.dev.tick();
+        self.log.cycles = self.dev.now();
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+        self.dev.drain(sink);
+    }
+}
+
+/// Runs `plan` against `dev` under `source`'s paced traffic for `cycles`,
+/// in the order a `Harness` does — the plan's due ops, the frames, the
+/// tick — and returns the device with the log of the run, round-tripped
+/// through its text form.
+fn record<D: Device>(dev: D, mut source: GenPort, plan: &FaultPlan, cycles: u64) -> (D, EventLog) {
+    let mut rec = Recorder {
+        dev,
+        log: EventLog::new(),
+    };
+    let mut ops = plan.ops().iter().peekable();
+    while rec.now() < cycles {
+        let now = rec.now();
+        while let Some((_, op)) = ops.next_if(|(at, _)| *at <= now) {
+            rec.apply(op.clone())
+                .expect("the plan names what the device has");
+        }
+        pump(&mut rec, &mut source);
+        rec.tick();
+        rec.drain(&mut |_, _| {});
+    }
+    let text = rec.log.to_text();
+    assert!(
+        text.starts_with("rosebud-events v2 "),
+        "the faults are in it"
+    );
+    (rec.dev, EventLog::parse_text(&text).unwrap())
+}
+
+fn trace_cfg() -> TraceConfig {
+    TraceConfig {
+        counter_interval: 2048,
+        pc_profile: false,
+        max_events: 1 << 21,
+    }
+}
+
+#[test]
+fn a_planned_chaos_run_on_a_box_replays_from_its_log() {
+    let factory = || {
+        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
+        sys.enable_tracing(trace_cfg());
+        sys
+    };
+    let plan = FaultPlan::random(0xC0FFEE, 20_000, RPUS, 2, 10)
+        .at(5_000, FaultKind::CorruptIngress { rpu: 1, count: 20 });
+    let sys = factory();
+    let source = GenPort::per_port(Box::new(FixedSizeGen::new(64, 2)), 100.0, 4.0, 2);
+    let (live, log) = record(sys, source, &plan, 30_000);
+    assert_eq!(log.ops, plan.ops(), "every op stamped inside the run");
+    let observe = |sys: &Rosebud| {
+        let trace = sys.tracer().unwrap().compact_text();
+        (trace, sys.ledger(), sys.diagnostics().render())
+    };
+    assert!(live.ledger().corrupted > 0, "the corruption landed");
+
+    let mut fresh = factory();
+    replay(&log, &mut fresh);
+    assert_eq!(observe(&fresh), observe(&live));
+}
+
+#[test]
+fn a_four_box_chaos_drill_replays_from_its_log() {
+    let factory = || {
+        let cfg = FleetConfig {
+            boxes: BOXES,
+            ..FleetConfig::default()
+        };
+        let fleet = Fleet::new(cfg, |_| build_watchdog_forwarding_system(4, 64).unwrap());
+        let mut fleet = fleet.unwrap();
+        fleet.enable_tracing(trace_cfg());
+        fleet
+    };
+    let one_box = |device, kind: FaultKind| HostOp::Box {
+        device,
+        op: Box::new(kind.into()),
+    };
+    let plan = FaultPlan::random_fleet(7, 20_000, BOXES, 6)
+        .at(4_000, one_box(0, FaultKind::FirmwareHang { rpu: 2 }))
+        .at(
+            6_000,
+            one_box(1, FaultKind::CorruptIngress { rpu: 0, count: 30 }),
+        )
+        .at(
+            14_000,
+            one_box(
+                1,
+                FaultKind::RxFifoOverflow {
+                    port: 0,
+                    cycles: 3_000,
+                },
+            ),
+        );
+    let fleet = factory();
+    let gen = Box::new(FlowTrafficGen::new(512, 256, 0.0, 11));
+    let source = GenPort::aggregate(gen, FLEET_LOAD_GBPS, fleet.ns_per_cycle());
+    let (live, log) = record(fleet, source, &plan, 25_000);
+    let text = log.to_text();
+    assert!(
+        text.contains(" op box.fault.firmware_hang 0 2\n"),
+        "{text:.300}"
+    );
+    assert!(text.contains(" op fault.box_"));
+    let observe = |fleet: &Fleet| {
+        let traces: Vec<String> = (0..BOXES)
+            .map(|b| fleet.sys(b).tracer().unwrap().compact_text())
+            .chain(fleet.archived_traces().iter().cloned())
+            .collect();
+        (traces, fleet.ledger(), fleet.diagnostics().render())
+    };
+    let l = live.ledger();
+    assert!(
+        l.corrupted > 0 && l.dropped > 0,
+        "the box faults landed: {l:?}"
+    );
+
+    let mut fresh = factory();
+    replay(&log, &mut fresh);
+    assert_eq!(observe(&fresh), observe(&live));
 }

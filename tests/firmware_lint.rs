@@ -563,19 +563,24 @@ fn off_policy_records_nothing() {
 /// its LB enable bit clear, and the denial (a taint error) is on record.
 #[test]
 fn fleet_pr_reload_denies_tainted_dma_firmware() {
+    // The reload is queued as the box is built: pre-run configuration, like
+    // the factory's own firmware.
+    let bad = assemble(TAINTED_DMA_FIRMWARE).unwrap();
     let mut fleet = Fleet::new(
         FleetConfig {
             boxes: 2,
             ..FleetConfig::default()
         },
-        |_| forwarder_system(LoadPolicy::Deny).expect("good boot firmware"),
+        move |device| {
+            let mut sys = forwarder_system(LoadPolicy::Deny).expect("good boot firmware");
+            if device == 0 {
+                sys.reconfigure_rpu(1, Some(RpuProgram::Riscv(bad.clone())), None);
+            }
+            sys
+        },
     )
     .unwrap();
 
-    let bad = assemble(TAINTED_DMA_FIRMWARE).unwrap();
-    fleet
-        .sys_mut(0)
-        .reconfigure_rpu(1, Some(RpuProgram::Riscv(bad)), None);
     let pr = fleet.sys(0).config().pr_cycles;
     fleet.run(pr + 10_000);
 
@@ -648,7 +653,7 @@ fn forwarder_wcet_bound_dominates_measured_cycles() {
     cfg.slots_per_rpu = 64;
     let mut tb = RpuTestbench::new(cfg);
     tb.load_riscv(&forwarder_image());
-    tb.rpu_mut().enable_profiling();
+    tb.enable_profiling();
     tb.step(100);
     let pkt = PacketBuilder::new().tcp(4000, 80).pad_to(256).build();
     for _ in 0..32 {
@@ -689,7 +694,7 @@ fn firewall_wcet_bound_dominates_measured_cycles() {
         &blacklist,
     )));
     tb.load_riscv(&firewall_image());
-    tb.rpu_mut().enable_profiling();
+    tb.enable_profiling();
     tb.step(100);
     // Mix safe and blacklisted sources so both loop paths execute.
     let safe = PacketBuilder::new()

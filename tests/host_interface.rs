@@ -195,11 +195,44 @@ fn no_packets_lost_during_live_reconfiguration() {
 /// The one range check every RPU-addressed arm shares: an op naming an RPU
 /// the box lacks is refused, and the box runs on exactly as its untouched
 /// twin does. (Before there was one door, four of these indexed past the
-/// lanes and two asserted.)
+/// lanes and two asserted.) So are the other ops that cannot land: an RX
+/// overflow on a port the box lacks, a fleet's faults and a fleet's
+/// `box.` op — which the parent took, logged and silently ignored.
 #[test]
 fn an_op_naming_a_missing_rpu_is_refused_and_changes_nothing() {
     let rpu = 4;
     let image = assemble("spin: j spin").unwrap();
+    let (device, cycles) = (0, 500);
+    let not_here = [
+        (
+            HostOp::Fault(FaultKind::RxFifoOverflow { port: 2, cycles }),
+            "no port 2",
+        ),
+        (HostOp::Fault(FaultKind::BoxCrash { device }), "fleet's"),
+        (
+            HostOp::Fault(FaultKind::BoxHostOutage { device, cycles }),
+            "fleet's",
+        ),
+        (
+            HostOp::Fault(FaultKind::FrontLinkFlap { device, cycles }),
+            "fleet's",
+        ),
+        (
+            HostOp::Fault(FaultKind::BoxBrownout {
+                device,
+                cycles,
+                factor: 4,
+            }),
+            "fleet's",
+        ),
+        (
+            HostOp::Box {
+                device,
+                op: Box::new(HostOp::Poke { rpu: 0 }),
+            },
+            "not a fleet",
+        ),
+    ];
     let ops = [
         HostOp::Enable { rpu },
         HostOp::Disable { rpu },
@@ -220,14 +253,19 @@ fn an_op_naming_a_missing_rpu_is_refused_and_changes_nothing() {
         HostOp::Fault(FaultKind::FirmwareCrash { rpu }),
         HostOp::Fault(FaultKind::CorruptIngress { rpu, count: 3 }),
     ];
-    let observe = |refused: &[HostOp]| {
+    let refused: Vec<(HostOp, &str)> = ops
+        .into_iter()
+        .map(|op| (op, "no RPU 4"))
+        .chain(not_here)
+        .collect();
+    let observe = |refused: &[(HostOp, &str)]| {
         let mut sys = build_forwarding_system(4).unwrap();
         sys.enable_tracing(rosebud::core::TraceConfig::default());
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0);
         h.run(5_000);
-        for op in refused {
-            let err = h.sys.apply(op.clone()).expect_err("no RPU 4");
-            assert!(err.contains("no RPU 4"), "{op:?}: {err}");
+        for (op, why) in refused {
+            let err = h.sys.apply(op.clone()).expect_err(why);
+            assert!(err.contains(why), "{op:?}: {err}");
         }
         h.run(5_000);
         assert!(h.sys.lint_log().is_empty());
@@ -236,7 +274,7 @@ fn an_op_naming_a_missing_rpu_is_refused_and_changes_nothing() {
             format!("{:?} {:?}", h.sys.ledger(), h.sys.diagnostics()),
         )
     };
-    assert_eq!(observe(&ops), observe(&[]));
+    assert_eq!(observe(&refused), observe(&[]));
 
     // Writes that reach past what they target are refused the same way.
     let mut sys = build_forwarding_system(4).unwrap();
@@ -252,4 +290,64 @@ fn an_op_naming_a_missing_rpu_is_refused_and_changes_nothing() {
         bytes: vec![0; 4],
     };
     assert!(sys.apply(off_the_bus).is_err());
+}
+
+/// The fleet's twin: an op a rack cannot land is refused and the rack runs
+/// on exactly as its untouched twin does — a box it lacks, a box's own op
+/// or fault not addressed with `HostOp::Box`, and a `box.` op its box
+/// refuses (a second `Box`, an RPU the box lacks, a fleet's fault).
+#[test]
+fn an_op_a_fleet_cannot_land_is_refused_and_changes_nothing() {
+    use rosebud::core::{Device, Fleet, FleetConfig};
+
+    let boxed = |device, op| HostOp::Box {
+        device,
+        op: Box::new(op),
+    };
+    let poke = HostOp::Poke { rpu: 0 };
+    let refused = [
+        (HostOp::Fault(FaultKind::BoxCrash { device: 2 }), "no box 2"),
+        (boxed(2, poke.clone()), "no box 2"),
+        (poke.clone(), "not `poke`"),
+        (
+            HostOp::Fault(FaultKind::FirmwareHang { rpu: 0 }),
+            "a box's fault",
+        ),
+        (boxed(0, boxed(1, poke.clone())), "not a fleet"),
+        (boxed(0, HostOp::Poke { rpu: 4 }), "no RPU 4"),
+        (
+            boxed(1, HostOp::Fault(FaultKind::BoxCrash { device: 1 })),
+            "fleet's",
+        ),
+    ];
+    let fleet = || {
+        let cfg = FleetConfig {
+            boxes: 2,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(cfg, |_| build_forwarding_system(4).unwrap()).unwrap();
+        fleet.enable_tracing(rosebud::core::TraceConfig::default());
+        Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 20.0)
+    };
+    let observe = |refused: &[(HostOp, &str)]| {
+        let mut h = fleet();
+        h.run(5_000);
+        for (op, why) in refused {
+            let err = h.sys.apply(op.clone()).expect_err(why);
+            assert!(err.contains(why), "{op:?}: {err}");
+        }
+        h.run(5_000);
+        let trace = |b: usize| h.sys.sys(b).tracer().unwrap().compact_text();
+        (trace(0), trace(1), h.sys.diagnostics().render())
+    };
+    assert_eq!(observe(&refused), observe(&[]));
+
+    // What it can take, it takes.
+    let mut h = fleet();
+    h.sys.apply(boxed(1, poke)).unwrap();
+    h.sys
+        .apply(HostOp::Fault(FaultKind::BoxCrash { device: 1 }))
+        .unwrap();
+    h.run(2);
+    assert!(h.sys.diagnostics().boxes[1].crashed);
 }

@@ -7,9 +7,9 @@
 //! (an event reached a sleeping core without going through
 //! `Rosebud::wake_lane`) or a too-large `Rpu::quiet_horizon`.
 //!
-//! The oracle is built here, from public API, not in `core`: every host
-//! access wakes its lane, so touching `rpu_mut(r)` for every lane before
-//! each tick is the naive reference tick ([`common::wake_all`]).
+//! The oracle is one public call, `Rosebud::wake_all` (or `Fleet::wake_all`)
+//! before each tick: every lane marked in every occupancy word is the naive
+//! reference tick.
 //!
 //! The scenarios are chosen to stress exactly the mechanisms that could
 //! diverge: busy-poll forwarding (nothing may sleep), duty-cycled `wfi`
@@ -28,13 +28,10 @@ use rosebud::apps::forwarder::{
 use rosebud::core::{FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, TraceConfig};
 use rosebud::net::{FixedSizeGen, ImixGen};
 
-mod common;
-use common::wake_all;
-
 /// Which side of the differential a run is.
 #[derive(Clone, Copy, PartialEq)]
 enum Side {
-    /// Every core ticked every cycle: [`wake_all`] before each tick.
+    /// Every core ticked every cycle: `wake_all` before each tick.
     Oracle,
     /// The system as shipped.
     Elided,
@@ -43,7 +40,7 @@ enum Side {
 /// One harness cycle on the given side.
 fn tick(h: &mut Harness, side: Side) {
     if side == Side::Oracle {
-        wake_all(&mut h.sys);
+        h.sys.wake_all();
     }
     h.tick();
 }
@@ -212,13 +209,12 @@ fn chaos_recovery_matches_unelided_oracle_across_seeds() {
     // host-side mutator's wake is on trial here.
     for seed in [11u64, 23] {
         differential(&format!("chaos seed={seed}"), |side| {
-            let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
-            sys.install_fault_plan(
-                FaultPlan::new(seed)
-                    .at(8_000, FaultKind::FirmwareHang { rpu: 3 })
-                    .at(22_000, FaultKind::FirmwareCrash { rpu: 5 }),
-            );
-            let mut h = Harness::new(traced(sys), Box::new(ImixGen::new(2, seed)), 60.0);
+            let sys = build_watchdog_forwarding_system(8, 64).unwrap();
+            let plan = FaultPlan::new()
+                .at(8_000, FaultKind::FirmwareHang { rpu: 3 })
+                .at(22_000, FaultKind::FirmwareCrash { rpu: 5 });
+            let gen = ImixGen::new(2, seed);
+            let mut h = Harness::new(traced(sys), Box::new(gen), 60.0).faults(plan);
             let mut sup = Supervisor::new(&h.sys);
             h.begin_window();
             for _ in 0..60_000 {
@@ -352,12 +348,36 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
     // so an arm of `Rosebud::apply` that forgot to wake its lane would take
     // effect a timer period late on the elided side only. Then replay the
     // event log on both sides — the record/replay contract must hold with
-    // and without elision. The oracle spells `replay`'s loop itself so it
-    // can wake every lane before every tick.
-    use rosebud::core::ports::{pump, replay, Device};
-    use rosebud::core::MemRegion;
+    // and without elision. The oracle replays through a device that wakes
+    // every lane before every tick.
+    use rosebud::core::ports::{replay, Device};
+    use rosebud::core::{HostReply, MemRegion};
     use rosebud::net::Packet;
     use rosebud::shell::{RingBackend, Shell};
+
+    struct Unelided(Rosebud);
+
+    impl Device for Unelided {
+        fn now(&self) -> u64 {
+            self.0.now()
+        }
+        fn ns_per_cycle(&self) -> f64 {
+            self.0.ns_per_cycle()
+        }
+        fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+            self.0.inject(pkt)
+        }
+        fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+            self.0.apply(op)
+        }
+        fn tick(&mut self) {
+            self.0.wake_all();
+            self.0.tick();
+        }
+        fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+            self.0.drain(sink);
+        }
+    }
 
     let factory = || build_duty_cycle_forwarding_system(8, 900).unwrap();
     let image =
@@ -436,19 +456,9 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
         let delivered = match side {
             Side::Elided => replay(&log, &mut sys).len(),
             Side::Oracle => {
-                let mut source = log.replay_port();
-                let mut ops = log.ops.iter().peekable();
-                let mut delivered = 0;
-                while sys.now() < log.cycles {
-                    let now = sys.now();
-                    while let Some((_, op)) = ops.next_if(|(at, _)| *at <= now) {
-                        sys.apply(op.clone()).unwrap();
-                    }
-                    pump(&mut sys, &mut source);
-                    wake_all(&mut sys);
-                    sys.tick();
-                    sys.drain(&mut |_, _| delivered += 1);
-                }
+                let mut oracle = Unelided(sys);
+                let delivered = replay(&log, &mut oracle).len();
+                sys = oracle.0;
                 delivered
             }
         };
@@ -485,27 +495,22 @@ fn fleet_failover_matches_unelided_oracle() {
             )
             .unwrap();
             fleet.enable_tracing(trace_cfg());
-            fleet.schedule_fault(rosebud::core::FaultEvent {
-                at: 8_000,
-                kind: FaultKind::BoxCrash { device: 1 },
-            });
-            fleet.schedule_fault(rosebud::core::FaultEvent {
-                at: 30_000,
-                kind: FaultKind::BoxBrownout {
-                    device: 0,
-                    cycles: 4_000,
-                    factor: 4,
-                },
-            });
-            let mut h = Harness::fleet(fleet, Box::new(ImixGen::new(2, seed)), 40.0);
+            let brownout = FaultKind::BoxBrownout {
+                device: 0,
+                cycles: 4_000,
+                factor: 4,
+            };
+            let plan = FaultPlan::new()
+                .at(8_000, FaultKind::BoxCrash { device: 1 })
+                .at(30_000, brownout);
+            let gen = ImixGen::new(2, seed);
+            let mut h = Harness::fleet(fleet, Box::new(gen), 40.0).faults(plan);
             let mut sup = FleetSupervisor::new(&h.sys);
             h.begin_window();
             for _ in 0..60_000 {
                 sup.poll(&mut h.sys);
                 if side == Side::Oracle {
-                    for b in 0..h.sys.num_boxes() {
-                        wake_all(h.sys.sys_mut(b));
-                    }
+                    h.sys.wake_all();
                 }
                 h.tick();
             }
@@ -517,13 +522,8 @@ fn fleet_failover_matches_unelided_oracle() {
             }
             for b in 0..h.sys.num_boxes() {
                 trace.push_str(&format!("=== box {b} (live) ===\n"));
-                trace.push_str(
-                    &h.sys
-                        .sys_mut(b)
-                        .take_tracer()
-                        .expect("tracing enabled")
-                        .compact_text(),
-                );
+                let tracer = h.sys.sys(b).tracer().expect("tracing enabled");
+                trace.push_str(&tracer.compact_text());
             }
             trace.push_str("=== fleet ladder ===\n");
             trace.push_str(&h.sys.log_text());

@@ -25,10 +25,10 @@ proptest! {
         size in 64usize..1200,
         gbps in 5.0f64..200.0,
     ) {
-        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-        sys.install_fault_plan(FaultPlan::random(plan_seed, 40_000, RPUS, 2, events));
+        let sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
         let gen = FlowTrafficGen::new(32, size, 0.05, traffic_seed);
-        let mut h = Harness::new(sys, Box::new(gen), gbps);
+        let mut h = Harness::new(sys, Box::new(gen), gbps)
+            .faults(FaultPlan::random(plan_seed, 40_000, RPUS, 2, events));
         let mut sup = Supervisor::new(&h.sys);
         // tick() re-asserts the ledger every 1024 cycles on its own; any
         // imbalance panics the case with the full breakdown.
@@ -44,9 +44,9 @@ proptest! {
         plan_seed in any::<u64>(),
         events in 1usize..10,
     ) {
-        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-        sys.install_fault_plan(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0);
+        let sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0)
+            .faults(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
         let mut sup = Supervisor::new(&h.sys);
         let mut prev = h.sys.enabled_mask();
         for _ in 0..80_000 {
@@ -96,10 +96,8 @@ proptest! {
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let gen = FlowTrafficGen::new(64, 256, 0.05, traffic_seed);
-        let mut h = Harness::fleet(fleet, Box::new(gen), gbps);
-        h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
-            plan_seed, 30_000, 2, events,
-        ));
+        let mut h = Harness::fleet(fleet, Box::new(gen), gbps)
+            .faults(FaultPlan::random_fleet(plan_seed, 30_000, 2, events));
         let mut sup = FleetSupervisor::new(&h.sys);
         // Fleet::tick() re-asserts the ledger every 1024 cycles on its own.
         for _ in 0..70_000 {
@@ -120,9 +118,9 @@ proptest! {
         events in 1usize..6,
     ) {
         let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-        sys.install_fault_plan(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
         sys.enable_tracing(TraceConfig { counter_interval: 0, pc_profile: false, max_events: 1 << 20 });
-        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0);
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0)
+            .faults(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
         let mut sup = Supervisor::new(&h.sys);
         for _ in 0..80_000 {
             h.tick();
@@ -149,14 +147,8 @@ proptest! {
             FleetConfig { boxes: 2, ..FleetConfig::default() },
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
-        let mut h = Harness::fleet(
-            fleet,
-            Box::new(FixedSizeGen::new(128, 2)),
-            30.0,
-        );
-        h.sys.install_fault_plan(rosebud::core::FaultPlan::random_fleet(
-            plan_seed, 25_000, 2, events,
-        ));
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(128, 2)), 30.0)
+            .faults(FaultPlan::random_fleet(plan_seed, 25_000, 2, events));
         let mut sup = FleetSupervisor::new(&h.sys);
         for _ in 0..80_000 {
             sup.poll(&mut h.sys);

@@ -14,8 +14,6 @@ use rosebud::kernel::StampedIngress;
 use rosebud::net::Packet;
 use rosebud::shell::{RingBackend, Shell};
 
-mod common;
-
 fn trace_cfg() -> TraceConfig {
     TraceConfig {
         counter_interval: 4096,
@@ -47,7 +45,7 @@ fn observe_schedule(oracle: bool, schedule: &[(u64, usize, u8)]) -> (String, Str
     while sys.now() < horizon {
         pump(&mut sys, &mut source);
         if oracle {
-            common::wake_all(&mut sys);
+            sys.wake_all();
         }
         sys.tick();
     }

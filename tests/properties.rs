@@ -6,8 +6,6 @@ use rosebud::apps::forwarder::build_forwarding_system;
 use rosebud::core::{Device, Harness};
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
-mod common;
-
 proptest! {
     // System runs are comparatively slow; a couple dozen random cases is a
     // meaningful sweep without stretching the suite.
@@ -94,7 +92,7 @@ mod elision {
         let mut h = Harness::new(sys, Box::new(ImixGen::new(2, seed)), 20.0);
         for _ in 0..12_000 {
             if oracle {
-                crate::common::wake_all(&mut h.sys);
+                h.sys.wake_all();
             }
             h.tick();
         }

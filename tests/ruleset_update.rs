@@ -12,7 +12,7 @@ use rosebud::accel::{FirewallMatcher, PigasusMatcher, RuleSet};
 use rosebud::apps::firewall::{build_firewall_system, synthetic_blacklist};
 use rosebud::apps::pigasus::{build_pigasus_system_with, PigasusFirmware, ReorderMode};
 use rosebud::apps::rules::synthetic_rules;
-use rosebud::core::{Harness, RpuProgram};
+use rosebud::core::{Harness, HostOp, MemRegion, RpuProgram};
 use rosebud::net::{AttackMixGen, FixedSizeGen, FlowTrafficGen};
 
 #[test]
@@ -107,13 +107,17 @@ fn firewall_blacklist_update_switches_verdicts() {
 #[test]
 fn pigasus_tables_can_be_poked_through_host_memory_access() {
     // §7.1.2's other half: the framework can reach accelerator-local tables
-    // at runtime through the host paths (here: the accelerator handle).
+    // at runtime through the host paths: a write into accelerator memory
+    // reaches the table-load port (the URAM write-port hook).
     let rules = synthetic_rules(8, 5);
     let mut sys = build_pigasus_system_with(ReorderMode::Hardware, rules, 4, 16).unwrap();
-    let accel = sys
-        .rpu_mut(0)
-        .accelerator_mut()
-        .expect("accelerator installed");
-    accel.load_table(0, &[0u8; 64]); // exercises the URAM write-port hook
+    sys.apply(HostOp::WriteMem {
+        rpu: 0,
+        region: MemRegion::AccelMem,
+        offset: 0,
+        bytes: vec![0; 64],
+    })
+    .unwrap();
+    let accel = sys.rpus()[0].accelerator().expect("accelerator installed");
     assert_eq!(accel.name(), "pigasus-mpse");
 }

@@ -16,8 +16,8 @@ use rosebud::apps::firewall::{
 };
 use rosebud::apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
 use rosebud::core::{
-    FaultEvent, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp,
-    Supervisor, TraceConfig,
+    FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
+    TraceConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen, ImixGen};
 
@@ -160,13 +160,14 @@ fn firewall_trace_matches_golden() {
 /// under live IMIX traffic, walked through the full supervisor ladder.
 fn chaos_trace_text(traffic_seed: u64) -> String {
     let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
-    sys.install_fault_plan(FaultPlan::new(7).at(20_000, FaultKind::FirmwareHang { rpu: 3 }));
     sys.enable_tracing(TraceConfig {
         counter_interval: 8192,
         pc_profile: false,
         max_events: 1 << 21,
     });
-    let mut h = Harness::new(sys, Box::new(ImixGen::new(2, traffic_seed)), 60.0);
+    let hang = FaultPlan::new().at(20_000, FaultKind::FirmwareHang { rpu: 3 });
+    let gen = ImixGen::new(2, traffic_seed);
+    let mut h = Harness::new(sys, Box::new(gen), 60.0).faults(hang);
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..70_000 {
         h.tick();
@@ -215,27 +216,25 @@ fn chaos_trace_differs_across_seeds() {
 /// PCIe outage) — every `sup` line, every recovery record, the retry count.
 fn rpu_ladder_text(out: &mut String) {
     use std::fmt::Write as _;
+    let plan = FaultPlan::new()
+        .at(40_000, FaultKind::CorruptIngress { rpu: 1, count: 20 })
+        .at(50_000, FaultKind::FirmwareHang { rpu: 3 })
+        .at(
+            55_000,
+            FaultKind::RxFifoOverflow {
+                port: 0,
+                cycles: 2_000,
+            },
+        )
+        .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
+        .at(140_000, FaultKind::FirmwareCrash { rpu: 6 });
     let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
-    sys.install_fault_plan(
-        FaultPlan::new(0xC0FFEE)
-            .at(40_000, FaultKind::CorruptIngress { rpu: 1, count: 20 })
-            .at(50_000, FaultKind::FirmwareHang { rpu: 3 })
-            .at(
-                55_000,
-                FaultKind::RxFifoOverflow {
-                    port: 0,
-                    cycles: 2_000,
-                },
-            )
-            .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
-            .at(140_000, FaultKind::FirmwareCrash { rpu: 6 }),
-    );
     sys.enable_tracing(TraceConfig {
         counter_interval: 0,
         pc_profile: false,
         max_events: 1 << 22,
     });
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0);
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(plan);
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..190_000 {
         h.tick();
@@ -258,8 +257,8 @@ fn rpu_ladder_text(out: &mut String) {
 }
 
 /// Four watchdog-forwarder boxes behind the front LB at 60 Gbps, polled
-/// then ticked, with `faults` landing at cycle 20 000.
-fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: impl Fn(&mut Fleet)) -> Fleet {
+/// then ticked, with every op of `faults` applied at cycle 20 000.
+fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: Vec<HostOp>) -> Fleet {
     use std::fmt::Write as _;
     let fleet = Fleet::new(
         FleetConfig {
@@ -269,13 +268,13 @@ fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: impl Fn(&mut 
         |_| build_watchdog_forwarding_system(4, 64).unwrap(),
     )
     .unwrap();
+    let plan = faults
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, op| plan.at(20_000, op));
     let gen = FlowTrafficGen::new(512, 256, 0.0, 11);
-    let mut h = Harness::fleet(fleet, Box::new(gen), 60.0);
+    let mut h = Harness::fleet(fleet, Box::new(gen), 60.0).faults(plan);
     let mut sup = FleetSupervisor::new(&h.sys);
     for _ in 0..cycles {
-        if h.sys.now() == 20_000 {
-            faults(&mut h.sys);
-        }
         sup.poll(&mut h.sys);
         h.tick();
     }
@@ -293,40 +292,33 @@ fn ladders_text() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     rpu_ladder_text(&mut out);
-    let crash = |fleet: &mut Fleet| {
-        fleet.schedule_fault(FaultEvent {
-            at: fleet.now(),
-            kind: FaultKind::BoxCrash { device: 2 },
-        })
-    };
+    let crash = vec![FaultKind::BoxCrash { device: 2 }.into()];
     fleet_drill(&mut out, "4-box crash drill, box 2", 70_000, crash);
     // A flap and a brownout, and under a host-link outage an RPU crash in
     // box 3, so the RPU ladders the rack drives are pinned too. (A crash
     // drains; a hang would wait out the drain deadline.)
-    let havoc = |fleet: &mut Fleet| {
-        let at = fleet.now();
-        for kind in [
-            FaultKind::FrontLinkFlap {
-                device: 0,
-                cycles: 6_000,
-            },
-            FaultKind::BoxBrownout {
-                device: 1,
-                cycles: 6_000,
-                factor: 4,
-            },
-            FaultKind::BoxHostOutage {
-                device: 3,
-                cycles: 3_000,
-            },
-        ] {
-            fleet.schedule_fault(FaultEvent { at, kind });
+    let havoc = vec![
+        FaultKind::FrontLinkFlap {
+            device: 0,
+            cycles: 6_000,
         }
-        fleet
-            .sys_mut(3)
-            .apply(HostOp::Fault(FaultKind::FirmwareCrash { rpu: 1 }))
-            .unwrap();
-    };
+        .into(),
+        FaultKind::BoxBrownout {
+            device: 1,
+            cycles: 6_000,
+            factor: 4,
+        }
+        .into(),
+        FaultKind::BoxHostOutage {
+            device: 3,
+            cycles: 3_000,
+        }
+        .into(),
+        HostOp::Box {
+            device: 3,
+            op: Box::new(FaultKind::FirmwareCrash { rpu: 1 }.into()),
+        },
+    ];
     let fleet = fleet_drill(&mut out, "flap + brownout drill", 90_000, havoc);
     for device in 0..fleet.num_boxes() {
         for ev in fleet.sys(device).recovery_log() {
