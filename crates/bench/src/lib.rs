@@ -83,11 +83,12 @@ pub mod sim_speed {
     use rosebud_riscv::assemble;
 
     /// The four workload shapes the table reports. They span the tick's
-    /// envelope: busy-poll firmware never sleeps (core-tick elision buys
-    /// nothing) and without traffic isolates the fixed cost of a lane whose
-    /// core ticks but whose queues are empty, duty-cycled firmware parks in
-    /// `wfi` between timer alarms (the representative middlebox idle
-    /// pattern), and a fully parked fleet is the elision ceiling.
+    /// envelope: busy-poll firmware at saturation steps every core through
+    /// every frame and parks it in its poll loop in between, and without
+    /// traffic spins parked from the first empty poll on; duty-cycled
+    /// firmware parks in `wfi` between timer alarms (the representative
+    /// middlebox idle pattern); and a fully parked fleet is the elision
+    /// ceiling.
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub enum Scenario {
         /// §6.1 busy-poll forwarder at saturating offered load.

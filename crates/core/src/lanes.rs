@@ -7,6 +7,8 @@
 //! through a method here that either cannot fill a queue or goes through
 //! [`Lanes::wake`].
 
+use std::sync::atomic::Ordering;
+
 use rosebud_kernel::{Cycle, DelayLine, Serializer};
 
 use crate::config::RosebudConfig;
@@ -14,7 +16,7 @@ use crate::fabric::{route_egress, EgressItem, IngressItem, Loopback};
 use crate::host::HostBridge;
 use crate::lb::SlotTracker;
 use crate::mac::Mac;
-use crate::rpu::Rpu;
+use crate::rpu::{CoreClock, Rpu};
 use crate::system::Fx;
 use crate::trace::TraceEvent;
 use crate::types::{irq, BcastMsg, HostDmaReq, SELF_TAG};
@@ -79,9 +81,10 @@ pub(crate) struct Lanes {
     rin_busy: LaneSet,
     /// Stage 5, core-tick elision: the lanes whose core must tick. A lane
     /// leaves when its tick was inert and its quiet horizon lies ahead —
-    /// parked, halted, hung or mid-PR, no stall tail, no queued send, no
-    /// accelerator — and returns through [`Lanes::wake`] or when `now`
-    /// reaches `quiet[r]`.
+    /// parked in `wfi` or in a proven poll loop, halted, hung or mid-PR, no
+    /// stall tail, no queued send, no accelerator — and returns, settled,
+    /// through stage 4's delivery, [`Lanes::wake`] or when `now` reaches
+    /// `quiet[r]`.
     awake: LaneSet,
     /// Stage 6: a committed send is queued in the RPU.
     tx_ready: LaneSet,
@@ -96,6 +99,9 @@ pub(crate) struct Lanes {
     /// A lower bound on `quiet[r]` over the sleeping lanes: stage 5 reads
     /// `quiet` only once `now` reaches it.
     next_wake: Cycle,
+    /// The last cycle stage 5 ran, which every RPU reads: a core parked in
+    /// a poll loop works out its pc and counters from it.
+    clock: CoreClock,
 }
 
 impl Lanes {
@@ -105,8 +111,11 @@ impl Lanes {
         let (rate, depth) = (cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2);
         let n = cfg.num_rpus;
         let all = LaneSet::all(n);
+        let clock = CoreClock::default();
         Self {
-            rpus: (0..n).map(|i| Rpu::new(i, cfg)).collect(),
+            rpus: (0..n)
+                .map(|i| Rpu::new(i, cfg).on_clock(clock.clone()))
+                .collect(),
             rin: (0..n).map(|_| Serializer::new(rate, depth)).collect(),
             rout: (0..n).map(|_| Serializer::new(rate, depth)).collect(),
             rin_busy: all,
@@ -116,6 +125,7 @@ impl Lanes {
             dma_posted: all,
             quiet: vec![0; n],
             next_wake: Cycle::MAX,
+            clock,
         }
     }
 
@@ -124,16 +134,17 @@ impl Lanes {
         &self.rpus
     }
 
-    /// Marks lane `r` in every occupancy word, so the next tick visits it
-    /// in all five sweeps: every event from outside the tick's own data path
-    /// that could change an elided core's behavior or fill one of the lane's
-    /// queues — a raised interrupt, a host access, fault injection, a PR
-    /// step — routes through here. Spurious marks are harmless (each sweep
+    /// Settles lane `r`'s core and marks the lane in every occupancy word,
+    /// so the next tick visits it in all five sweeps: every event from
+    /// outside the tick's own data path that could change an elided core's
+    /// behavior or fill one of the lane's queues — a raised interrupt, a host
+    /// access, fault injection, a PR step — routes through here. Spurious marks are harmless (each sweep
     /// clears what it finds empty, an inert core re-sleeps right after); a
     /// *missed* one is a determinism bug the elision differential
     /// (`tests/kernel_equivalence.rs`) exists to catch.
     #[inline]
     pub fn wake(&mut self, r: usize) {
+        self.rpus[r].settle();
         self.rin_busy.insert(r);
         self.awake.insert(r);
         self.tx_ready.insert(r);
@@ -192,7 +203,9 @@ impl Lanes {
             };
             // The one ingress wake: a frame still on the link is invisible
             // to the core, and a delivery fills none of the lane's other
-            // queues.
+            // queues. A core parked in a poll loop settles while the queue
+            // it polls is still empty.
+            self.rpus[r].settle();
             self.awake.insert(r);
             if item.corrupted {
                 // Link FCS failure: quarantine before the DMA engine
@@ -225,6 +238,7 @@ impl Lanes {
         if now >= self.next_wake {
             self.wake_due(now);
         }
+        self.clock.store(now, Ordering::Relaxed);
         for r in self.awake {
             let rpu = &mut self.rpus[r];
             let inert = rpu.tick(now);
@@ -247,7 +261,8 @@ impl Lanes {
     }
 
     /// Returns every sleeping lane whose horizon `now` has reached to
-    /// `awake`, and re-derives `next_wake` from the ones still asleep.
+    /// `awake`, settled through the cycle before, and re-derives
+    /// `next_wake` from the ones still asleep.
     fn wake_due(&mut self, now: Cycle) {
         self.next_wake = Cycle::MAX;
         for (r, &quiet) in self.quiet.iter().enumerate() {
@@ -255,6 +270,7 @@ impl Lanes {
                 continue;
             }
             if quiet <= now {
+                self.rpus[r].settle();
                 self.awake.insert(r);
             } else {
                 self.next_wake = self.next_wake.min(quiet);
@@ -528,12 +544,33 @@ mod tests {
         lanes.assert_occupancy(now);
     }
 
-    /// The §6.1 busy-poll forwarder: never parks, so it must never sleep.
+    /// The §6.1 busy-poll forwarder: between frames it spins on an empty
+    /// `RECV_READY`, a loop the spin probe proves and parks.
     const BUSY_POLL: &str = "
         .equ IO, 0x02000000
             li t0, IO
             li t2, 0x01000000
         poll:
+            lw a0, 0x00(t0)
+            beqz a0, poll
+            lw a1, 0x04(t0)
+            lw a2, 0x08(t0)
+            sw zero, 0x0c(t0)
+            xor a1, a1, t2
+            sw a1, 0x10(t0)
+            sw a2, 0x14(t0)
+            j poll
+        ";
+
+    /// The same forwarder petting its watchdog on every poll: the store
+    /// makes the loop impure, so it never parks.
+    const PETTING_POLL: &str = "
+        .equ IO, 0x02000000
+            li t0, IO
+            li t2, 0x01000000
+            li t5, 64
+        poll:
+            sw t5, 0x40(t0)
             lw a0, 0x00(t0)
             beqz a0, poll
             lw a1, 0x04(t0)
@@ -642,45 +679,120 @@ mod tests {
     }
 
     /// Runs `sys` at 5 Gbps for `cycles`, returning how many (lane, cycle)
-    /// pairs were asleep going into a tick.
-    fn asleep_lane_cycles(sys: Rosebud, cycles: u64) -> u64 {
+    /// pairs were asleep coming out of a tick. `oracle` wakes every lane
+    /// before every tick.
+    fn asleep_lane_cycles(sys: Rosebud, cycles: u64, oracle: bool) -> u64 {
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0);
         let mut asleep = 0;
         for _ in 0..cycles {
-            asleep += (h.sys.rpus().len() - h.sys.lanes.awake.count()) as u64;
+            if oracle {
+                h.sys.wake_all();
+            }
             h.tick();
+            asleep += (h.sys.rpus().len() - h.sys.lanes.awake.count()) as u64;
         }
         asleep
     }
 
     /// The elision differential is only worth something if lanes really
-    /// sleep where they should and never where they must not.
+    /// sleep where they should and never where they must not: parked in
+    /// `wfi`, or spinning on an empty queue, they sleep; with an accelerator
+    /// attached, petting the watchdog in the loop, or woken before every
+    /// tick, never.
     #[test]
-    fn parked_cores_sleep_and_busy_or_accelerated_lanes_never_do() {
+    fn parked_and_polling_cores_sleep_and_accelerated_petting_or_oracle_lanes_never_do() {
+        let lane_cycles = 16 * 20_000;
         let duty = builder(16, DUTY_CYCLE).build().unwrap();
-        let asleep = asleep_lane_cycles(duty, 20_000);
+        let asleep = asleep_lane_cycles(duty, 20_000, false);
         assert!(
-            asleep > 16 * 20_000 / 2,
+            asleep > lane_cycles / 2,
             "duty-cycled lanes slept only {asleep} lane-cycles"
         );
 
         let busy = builder(16, BUSY_POLL).build().unwrap();
-        assert_eq!(asleep_lane_cycles(busy, 20_000), 0);
+        let asleep = asleep_lane_cycles(busy, 20_000, false);
+        assert!(
+            asleep > lane_cycles * 8 / 10,
+            "busy-poll lanes slept only {asleep} of {lane_cycles} lane-cycles"
+        );
 
-        let accelerated = builder(16, DUTY_CYCLE)
-            .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
-            .build()
-            .unwrap();
-        assert_eq!(asleep_lane_cycles(accelerated, 20_000), 0);
+        let oracle = builder(16, BUSY_POLL).build().unwrap();
+        assert_eq!(asleep_lane_cycles(oracle, 20_000, true), 0);
+
+        let petting = builder(16, PETTING_POLL).build().unwrap();
+        assert_eq!(asleep_lane_cycles(petting, 20_000, false), 0);
+
+        for asm in [DUTY_CYCLE, BUSY_POLL] {
+            let accelerated = builder(16, asm)
+                .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
+                .build()
+                .unwrap();
+            assert_eq!(asleep_lane_cycles(accelerated, 20_000, false), 0);
+        }
     }
 
-    /// Every wake source must end a sleep. The cores here busy-poll, so a
-    /// lane put to sleep by hand stays asleep until something wakes it and
-    /// stays awake afterwards — which makes each wake observable from
-    /// outside the tick that performed it.
+    /// The purity table, one row at a time: a poll loop that makes one
+    /// access the fabric can answer differently without settling the lane
+    /// — or that has a side effect — never sleeps, while the same loop
+    /// reading a wake-guarded register does. Each access loads into `zero`
+    /// (or stores it), so no register changes and purity alone refuses it.
+    #[test]
+    fn one_impure_access_keeps_a_poll_loop_awake() {
+        let poll_with = |access: &str| {
+            format!(
+                "
+            .equ IO, 0x02000000
+                li t0, IO
+                li t1, 0x00800000
+                li t3, 0x04000000
+                li t4, 0x03000000
+            poll:
+                {access}
+                lw a0, 0x00(t0)
+                beqz a0, poll
+                ebreak
+            "
+            )
+        };
+        let asleep = |access: &str| {
+            let mut sys = builder(2, &poll_with(access)).build().unwrap();
+            let mut asleep = 0;
+            for _ in 0..2_000 {
+                sys.tick();
+                asleep += 2 - sys.lanes.awake.count();
+            }
+            asleep
+        };
+        for pure in [
+            "lw zero, 0x18(t0)   # STATUS",
+            "lw zero, 0x30(t0)   # HOST_IN_L",
+            "lw zero, 0x54(t0)   # DMA_STATUS",
+            "lw zero, 0x40(t1)   # data memory",
+        ] {
+            assert!(asleep(pure) > 2 * 1_900, "`{pure}` never slept");
+        }
+        for impure in [
+            "lw zero, 0x24(t0)   # TIMER_L",
+            "lw zero, 0x28(t0)   # TIMER_H",
+            "lw zero, 0x38(t0)   # BCAST_NOTIFY",
+            "lw zero, 0x3c(t0)   # BCAST_FREE",
+            "lw zero, 0x5c(t0)   # unassigned",
+            "lw zero, 0(t3)      # broadcast mirror",
+            "lw zero, 0(t4)      # IO_EXT",
+            "sw zero, 0x40(t1)   # data-memory store",
+        ] {
+            assert_eq!(asleep(impure), 0, "`{impure}` slept");
+        }
+    }
+
+    /// Every wake source must end a sleep. The cores here poll and pet
+    /// their watchdog, which never parks, so a lane put to sleep by hand
+    /// stays asleep until something wakes it and stays awake afterwards —
+    /// which makes each wake observable from outside the tick that
+    /// performed it.
     #[test]
     fn every_wake_source_ends_a_sleep() {
-        let mut sys = builder(4, BUSY_POLL).build().unwrap();
+        let mut sys = builder(4, PETTING_POLL).build().unwrap();
         sys.run(50);
 
         // Control: with no event, a sleeping lane is never ticked.

@@ -349,6 +349,29 @@ impl Cpu {
         self.mip
     }
 
+    /// `true` when `self` and `other` are the same architectural state up to
+    /// the free-running counters (`mcycle`, `minstret`, memory waits): pc,
+    /// registers, CSRs, pending lines and run state. A core that comes back
+    /// to a state it was in, having read only what has not changed since,
+    /// will repeat itself — the fixed point a spin-loop elision rests on.
+    pub fn same_state(&self, other: &Cpu) -> bool {
+        self.pc == other.pc
+            && self.regs == other.regs
+            && (self.mstatus, self.mie, self.mip, self.mtvec)
+                == (other.mstatus, other.mie, other.mip, other.mtvec)
+            && (self.mepc, self.mcause, self.mscratch) == (other.mepc, other.mcause, other.mscratch)
+            && self.halted == other.halted
+    }
+
+    /// Advances the free-running counters by what `cycles` cycles,
+    /// `instret` retired instructions and `mem_waits` wait-states would have
+    /// added — the closed form of stepping a proven fixed point.
+    pub fn credit(&mut self, cycles: u64, instret: u64, mem_waits: u64) {
+        self.cycles += cycles;
+        self.instret += instret;
+        self.mem_waits += mem_waits;
+    }
+
     /// Resets the core: PC to `reset_pc`, registers and CSRs cleared. Used
     /// when an RPU is rebooted after partial reconfiguration (Appendix A.8).
     pub fn reset(&mut self, reset_pc: u32) {

@@ -195,6 +195,47 @@ fn recovery_trace_is_deterministic() {
     assert!((a.degraded_mpps - b.degraded_mpps).abs() < f64::EPSILON);
 }
 
+#[test]
+fn a_supervised_spinning_forwarder_raises_no_false_alarm() {
+    // The plain forwarder at 1 Gbps spins on an empty queue almost all the
+    // time, and a spinning core is parked rather than ticked. The ladder's
+    // stall sensor asks whether `sw_cycles` moved since the last poll while
+    // a slot is bound to the lane; a parked core must answer with the
+    // cycles it has been spinning, or a lane whose next frame is still
+    // serializing on its link reads as stalled. The run must record no
+    // recovery and equal its oracle, counter samples included. (The
+    // watchdog forwarder never parks — petting is a store — so it cannot
+    // stand in here.)
+    let run = |oracle: bool| {
+        let mut sys = rosebud::apps::forwarder::build_forwarding_system(RPUS).unwrap();
+        sys.enable_tracing(TraceConfig {
+            counter_interval: 4096,
+            pc_profile: false,
+            max_events: 1 << 20,
+        });
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(1500, 2)), 1.0);
+        let mut sup = Supervisor::new(&h.sys);
+        for _ in 0..200_000 {
+            if oracle {
+                h.sys.wake_all();
+            }
+            h.tick();
+            sup.poll(&mut h.sys);
+        }
+        let tracer = h.sys.take_tracer().expect("tracing enabled");
+        (
+            h.sys.recovery_log().to_vec(),
+            tracer.compact_text(),
+            h.sys.diagnostics().render(),
+        )
+    };
+    let shipped = run(false);
+    assert_eq!(shipped.0, [], "a healthy forwarder was recovered");
+    let oracle = run(true);
+    assert!(shipped.1 == oracle.1, "trace differs from the oracle's");
+    assert_eq!(shipped.2, oracle.2, "diagnostics");
+}
+
 // ---------------------------------------------------------------------------
 // Fleet-level failover: the same drill one level up. Four boxes sit behind a
 // consistent-hashing front LB; a whole box crashes mid-run. The fleet

@@ -12,8 +12,10 @@
 //! reference tick.
 //!
 //! The scenarios are chosen to stress exactly the mechanisms that could
-//! diverge: busy-poll forwarding (nothing may sleep), duty-cycled `wfi`
-//! firmware (wake-on-delivery and the timer alarm), cores that sleep on
+//! diverge: busy-poll forwarding (a core spinning on an empty queue parks
+//! until a delivery or a host op settles it — with a counter sample every
+//! cycle and host ops landing at each cycle of the poll period), duty-cycled
+//! `wfi` firmware (wake-on-delivery and the timer alarm), cores that sleep on
 //! interrupts alone (DMA completion, poke, evict, broadcast, PR reload),
 //! firewall injection (host virtual interface + accelerators), and chaos
 //! runs (faults, supervisor-driven eviction/PR/reload against lanes that
@@ -122,8 +124,9 @@ fn differential(scenario: &str, run: impl Fn(Side) -> Observed) {
     assert_eq!(got.injected, oracle.injected, "{scenario}: injected");
     assert_eq!(got.drops, oracle.drops, "{scenario}: drops");
     // Non-vacuity: the scenario must actually have produced events. (That
-    // lanes actually sleep on the duty-cycle scenario, and never on the
-    // busy-poll one, is pinned in `core::system`'s unit tests.)
+    // lanes actually sleep in `wfi` and in a poll loop, and never with an
+    // accelerator or a watchdog pet, is pinned in `core::lanes`' unit
+    // tests.)
     assert!(
         !oracle.trace.is_empty(),
         "{scenario}: empty trace proves nothing"
@@ -135,10 +138,20 @@ fn traced(mut sys: Rosebud) -> Rosebud {
     sys
 }
 
+/// Traced without the per-PC profile, which keeps a core from parking in
+/// its poll loop: the busy-poll scenarios trace this way.
+fn traced_parking(mut sys: Rosebud) -> Rosebud {
+    sys.enable_tracing(TraceConfig {
+        pc_profile: false,
+        ..trace_cfg()
+    });
+    sys
+}
+
 #[test]
 fn forwarder_matches_unelided_oracle() {
     differential("forwarder", |side| {
-        let sys = traced(build_forwarding_system(8).unwrap());
+        let sys = traced_parking(build_forwarding_system(8).unwrap());
         observe(
             Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0),
             30_000,
@@ -151,7 +164,7 @@ fn forwarder_matches_unelided_oracle() {
 fn forwarder_imix_matches_unelided_oracle_across_seeds() {
     for seed in [1u64, 7, 42] {
         differential(&format!("forwarder-imix seed={seed}"), |side| {
-            let sys = traced(build_forwarding_system(16).unwrap());
+            let sys = traced_parking(build_forwarding_system(16).unwrap());
             observe(
                 Harness::new(sys, Box::new(ImixGen::new(2, seed)), 120.0),
                 25_000,
@@ -262,6 +275,35 @@ fn host_pokes_against_sleeping_lanes_match_unelided_oracle() {
     });
 }
 
+#[test]
+fn a_host_watchdog_arm_on_a_sleeping_lane_matches_unelided_oracle() {
+    // `TIMER_CMP` arms the watchdog `value` cycles from the RPU's clock. A
+    // host store there reaches a lane that sleeps in `wfi` between alarms;
+    // the lane must arm from the cycle the box is at, not from the one it
+    // fell asleep in.
+    use rosebud::core::memmap::{io, IO_BASE, PMEM_BASE};
+    use rosebud::core::MemRegion;
+
+    differential("host-watchdog-arm", |side| {
+        let sys = traced(build_duty_cycle_forwarding_system(4, 900).unwrap());
+        let mut h = Harness::new(sys, Box::new(ImixGen::new(2, 9)), 2.0);
+        h.begin_window();
+        for cycle in 0..20_000u64 {
+            if cycle % 2_500 == 1_250 {
+                let op = HostOp::WriteMem {
+                    rpu: (cycle / 2_500) as usize % 4,
+                    region: MemRegion::Pmem,
+                    offset: (IO_BASE - PMEM_BASE + io::TIMER_CMP) as usize,
+                    bytes: vec![200],
+                };
+                h.sys.apply(op).unwrap();
+            }
+            tick(&mut h, side);
+        }
+        snapshot(h)
+    });
+}
+
 /// Firmware that sleeps on interrupts alone: it kicks one host-DMA read,
 /// parks in `wfi` with the broadcast, DMA, evict and poke lines enabled
 /// and no timer armed, and on every wake masks the lines that fired, bumps
@@ -336,6 +378,143 @@ fn interrupt_wakes_of_parked_cores_match_unelided_oracle() {
             "DMA + broadcast everywhere, poke on 2, evict on 5; 6 was \
              reloaded and has since seen only its own DMA complete"
         );
+        snapshot(h)
+    });
+}
+
+/// Which of the five cycles of the forwarder's poll period (`lw` 2 + taken
+/// `beqz` 3) a lane starts next, from the pc it started each of the last
+/// five with — `None` outside the loop. Phase 0 issues the `lw`.
+fn poll_phase(pcs: &[u32]) -> Option<usize> {
+    let lw = *pcs.iter().min()?;
+    if pcs.len() != 5 || pcs.iter().any(|&pc| pc != lw && pc != lw + 4) {
+        return None;
+    }
+    // pc per phase: lw, beqz (lw's tail), beqz, lw (beqz's tail ×2).
+    const AT_BEQZ: [bool; 5] = [false, true, true, false, false];
+    (0..5).find(|k| (0..5).all(|i| (pcs[i] == lw + 4) == AT_BEQZ[(k + i + 1) % 5]))
+}
+
+#[test]
+fn host_ops_at_every_poll_phase_match_unelided_oracle() {
+    // Between frames the forwarder spins on an empty `RECV_READY`, and the
+    // elided side parks the lane. Every kind of host op that reaches a
+    // core lands once at each of the five cycles of its poll period, read
+    // off the pc the host sees: the lane must settle to exactly that
+    // cycle, and with a counter sample every cycle the trace shows every
+    // lane's closed-form counters against the oracle's ticked ones.
+    use rosebud::apps::forwarder::FORWARDER_ASM;
+    use rosebud::core::{MemRegion, RosebudConfig, RoundRobinLb, RpuProgram};
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Op {
+        WriteMem,
+        WriteDebug,
+        MaskedPoke,
+        UnmaskedPoke,
+        GatedReload,
+        ForceReload,
+        Hang,
+    }
+    // Each lane's script: the ops it takes, each at every phase in turn.
+    // Odd lanes unmask the poke line at the interconnect, so a poke there
+    // raises `mip` under the spinning core (which never enables it).
+    let script = |r: usize| -> Vec<(Op, usize)> {
+        let each = |ops: &[Op]| -> Vec<(Op, usize)> {
+            ops.iter()
+                .flat_map(|&op| (0..5).map(move |k| (op, k)))
+                .collect()
+        };
+        match r {
+            0 => each(&[Op::WriteMem, Op::WriteDebug, Op::MaskedPoke]),
+            1 | 3 | 5 | 7 | 9 => vec![(Op::UnmaskedPoke, r / 2)],
+            2 | 4 | 6 | 8 | 10 => {
+                let k = r / 2 - 1;
+                vec![(Op::GatedReload, k), (Op::ForceReload, k), (Op::Hang, k)]
+            }
+            _ => Vec::new(),
+        }
+    };
+    let unmasked = FORWARDER_ASM.replace(
+        "    poll:",
+        "        li t3, 0x20\n        sw t3, 0x2c(t0)          # MASKS: poke\n    poll:",
+    );
+    let images = [
+        rosebud::riscv::assemble(FORWARDER_ASM).unwrap(),
+        rosebud::riscv::assemble(&unmasked).unwrap(),
+    ];
+
+    differential("poll-phase ops", |side| {
+        let mut cfg = RosebudConfig::with_rpus(16);
+        cfg.pr_cycles = 2_000;
+        let images = images.clone();
+        let mut sys = Rosebud::builder(cfg)
+            .load_balancer(Box::new(RoundRobinLb::new()))
+            .firmware(move |r| RpuProgram::Riscv(images[r % 2].clone()))
+            .build()
+            .unwrap();
+        sys.enable_tracing(TraceConfig {
+            counter_interval: 1,
+            pc_profile: false,
+            max_events: 1 << 22,
+        });
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 1.0);
+        let mut scripts: Vec<_> = (0..16).map(|r| script(r).into_iter().peekable()).collect();
+        let mut not_before = [200u64; 16];
+        let mut pcs = vec![Vec::<u32>::new(); 16];
+        let mut landed = Vec::new();
+        h.begin_window();
+        for cycle in 0..9_000u64 {
+            for r in 0..16 {
+                let Some(&(op, k)) = scripts[r].peek() else {
+                    continue;
+                };
+                if cycle < not_before[r] || poll_phase(&pcs[r]) != Some(k) {
+                    continue;
+                }
+                let host_op = match op {
+                    Op::WriteMem => HostOp::WriteMem {
+                        rpu: r,
+                        region: MemRegion::Dmem,
+                        offset: 0x100 + k,
+                        bytes: vec![k as u8 + 1],
+                    },
+                    Op::WriteDebug => HostOp::WriteDebug {
+                        rpu: r,
+                        value: k as u64,
+                    },
+                    Op::MaskedPoke | Op::UnmaskedPoke => HostOp::Poke { rpu: r },
+                    Op::GatedReload => HostOp::Reload {
+                        rpu: r,
+                        gated: true,
+                    },
+                    Op::ForceReload => HostOp::ForceReload { rpu: r },
+                    Op::Hang => HostOp::Fault(FaultKind::FirmwareHang { rpu: r }),
+                };
+                h.sys.apply(host_op).unwrap();
+                landed.push((op, k));
+                scripts[r].next();
+                // Long enough to park again, or to be rewritten and booted.
+                not_before[r] = cycle
+                    + match op {
+                        Op::GatedReload | Op::ForceReload => 3_000,
+                        _ => 60,
+                    };
+            }
+            tick(&mut h, side);
+            for (r, rpu) in h.sys.rpus().iter().enumerate() {
+                let history = &mut pcs[r];
+                match rpu.cpu() {
+                    Some(cpu) => history.push(cpu.pc()),
+                    None => history.clear(),
+                }
+                if history.len() > 5 {
+                    history.remove(0);
+                }
+            }
+        }
+        let scripted: usize = (0..16).map(|r| script(r).len()).sum();
+        assert_eq!(landed.len(), scripted, "ops landed: {landed:?}");
         snapshot(h)
     });
 }
