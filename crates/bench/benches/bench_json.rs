@@ -88,13 +88,14 @@ fn recovery_point() -> Recovery {
     // traffic and let the supervisor walk its ladder.
     let sys = build_watchdog_forwarding_system(8, 64).expect("valid config");
     let hang = FaultPlan::new().at(50_000, FaultKind::FirmwareHang { rpu: 3 });
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(hang);
+    let gen = Box::new(FixedSizeGen::new(64, 2));
+    let mut h = Harness::new(sys, gen, 205.0).faults(hang.clone());
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..120_000 {
         h.tick();
         sup.poll(&mut h.sys);
     }
-    let ev = h.sys.recovery_log()[0];
+    let ev = sup.recoveries()[0].timed(&hang, None);
     Recovery {
         detection_latency_cycles: ev.detection_latency.unwrap_or_default(),
         downtime_cycles: ev.downtime,
@@ -142,14 +143,14 @@ fn fleet_point() -> FleetBench {
         .apply(HostOp::Fault(crash))
         .expect("a box the rack has");
     let mut budget = 80_000u64;
-    while h.sys.failovers().is_empty() && budget > 0 {
+    while sup.failovers().is_empty() && budget > 0 {
         run(&mut h, &mut sup, 1_000);
         budget -= 1_000;
     }
     h.begin_window();
     run(&mut h, &mut sup, 30_000);
     let m = h.measure();
-    let rec = h.sys.failovers().first().copied().expect("one failover");
+    let rec = sup.failovers().first().copied().expect("one failover");
     FleetBench {
         boxes: BOXES,
         aggregate_gbps: m.gbps,

@@ -26,7 +26,8 @@ fn recovery_latency_and_degradation() {
     heading("§3.4: hang detection latency + graceful degradation (8 RPUs, 64 B)");
     let sys = build_watchdog_forwarding_system(RPUS, 64).expect("valid config");
     let hang = FaultPlan::new().at(HANG_AT, FaultKind::FirmwareHang { rpu: 3 });
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(hang);
+    let gen = Box::new(FixedSizeGen::new(64, 2));
+    let mut h = Harness::new(sys, gen, 205.0).faults(hang.clone());
     let mut sup = Supervisor::new(&h.sys);
 
     run_supervised(&mut h, &mut sup, 20_000);
@@ -44,7 +45,7 @@ fn recovery_latency_and_degradation() {
     run_supervised(&mut h, &mut sup, 20_000);
     let recovered = h.measure().mpps;
 
-    let ev = h.sys.recovery_log()[0];
+    let ev = sup.recoveries()[0].timed(&hang, None);
     println!("baseline           : {baseline:>7.1} Mpps");
     println!(
         "degraded (reload)  : {:>7.1} Mpps ({} of baseline)",

@@ -7,7 +7,6 @@ use rosebud_kernel::Counters;
 
 use crate::fault::Ledger;
 use crate::rpu::PerfCounters;
-use crate::supervisor::RecoveryEvent;
 use crate::system::Rosebud;
 use crate::verify::LintRecord;
 
@@ -84,8 +83,6 @@ pub struct Diagnostics {
     pub lb_assigned: u64,
     /// The packet-conservation ledger.
     pub ledger: Ledger,
-    /// Completed fault recoveries, oldest first.
-    pub recoveries: Vec<RecoveryEvent>,
     /// Firmware lint reports recorded by the load path, oldest first
     /// (empty under [`crate::LoadPolicy::Off`]).
     pub lint: Vec<LintRecord>,
@@ -123,27 +120,6 @@ impl Diagnostics {
                 out,
                 "RPU {r} perf: {} retired / {} stall cycles / {} mem-wait / {} backpressure",
                 p.instret, p.stall_cycles, p.mem_wait_cycles, p.backpressure_stalls
-            );
-        }
-        for ev in &self.recoveries {
-            let _ = writeln!(
-                out,
-                "recovery: RPU {} {} — detected @{} cycle(s){}, down {} cycles, \
-                 {} purged{}{}",
-                ev.rpu,
-                ev.kind,
-                ev.detected_at,
-                ev.detection_latency
-                    .map(|l| format!(" ({l} after fault)"))
-                    .unwrap_or_default(),
-                ev.downtime,
-                ev.packets_purged,
-                if ev.forced { ", forced eviction" } else { "" },
-                if ev.retries > 0 {
-                    format!(", {} host retries", ev.retries)
-                } else {
-                    String::new()
-                },
             );
         }
         for rec in &self.lint {
@@ -304,7 +280,6 @@ impl Rosebud {
             lb_stall_cycles: self.lb_stall_cycles(),
             lb_assigned: self.lb_assigned(),
             ledger: self.ledger(),
-            recoveries: self.recovery_log().to_vec(),
             lint: self.lint_log().to_vec(),
             bottleneck,
         }

@@ -16,7 +16,8 @@
 //! the next [`Fleet::tick`](crate::Fleet::tick). Each scale keeps only a
 //! this-cycle inbox, drained whole. Nothing about a fault is random: a
 //! corrupted frame is quarantined whole, so the same plan reproduces the
-//! same cycle-exact failure (and, with the supervisor, recovery) trace.
+//! same cycle-exact failure trace. Nor is a landing noted: a host reads when
+//! a fault hit off the plan (see [`Supervisor`](crate::Supervisor)).
 
 use rosebud_kernel::{Cycle, SimRng};
 
@@ -278,9 +279,6 @@ pub(crate) struct FaultState {
     pub rx_drop_until: Vec<Cycle>,
     /// Cycle until which the host-DMA/PCIe path is down.
     pub host_down_until: Cycle,
-    /// Last injected firmware fault per RPU (for detection-latency
-    /// accounting in recovery records).
-    pub last_fault_at: Vec<Option<Cycle>>,
 }
 
 impl FaultState {
@@ -290,7 +288,6 @@ impl FaultState {
             corrupt_pending: vec![0; num_rpus],
             rx_drop_until: vec![0; num_ports],
             host_down_until: 0,
-            last_fault_at: vec![None; num_rpus],
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Fleet-level topology: N Rosebud boxes behind a consistent-hashing front
 //! load balancer, with device-scale fault injection and what the
-//! rack-scale recovery ladder senses and does.
+//! rack-scale recovery ladder senses and does — not what it notes: its steps
+//! and failover records stay with the ladder.
 //!
 //! The paper deploys one VCU1525 per middlebox (§6); a production rack runs
 //! many, fronted by an ECMP switch that hashes flows across boxes. This
@@ -18,7 +19,7 @@
 //! [`Harness`](crate::Harness) does to a rack — a chaos plan included — is an
 //! [`EventLog`](crate::EventLog) that [`replay`](crate::ports::replay)
 //! reproduces on a fresh one: the same steering decisions, fault timeline,
-//! supervisor log, and conservation ledger.
+//! box traces, and conservation ledger.
 //!
 //! # Examples
 //!
@@ -67,7 +68,7 @@ use crate::host::{HostOp, HostReply};
 use crate::lb::ConsistentHashRing;
 use crate::ports::Device;
 use crate::system::Rosebud;
-use crate::trace::{FleetStep, TraceConfig};
+use crate::trace::TraceConfig;
 
 /// Topology knobs for a [`Fleet`].
 #[derive(Debug, Clone, Copy)]
@@ -126,38 +127,6 @@ struct FleetBox {
     reloads: u64,
 }
 
-/// One entry of the fleet supervisor's failover log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetLogEntry {
-    /// Cycle of the transition.
-    pub at: Cycle,
-    /// The box it concerns.
-    pub device: usize,
-    /// The ladder step taken.
-    pub step: FleetStep,
-}
-
-/// A completed box failover, from detection to re-admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverRecord {
-    /// The box that failed over.
-    pub device: usize,
-    /// Cycle the box was marked unhealthy (probe-miss threshold reached).
-    pub detected_at: Cycle,
-    /// Cycle the drain completed (clean or by deadline purge).
-    pub drained_at: Cycle,
-    /// Whether the drain completed without purging anything.
-    pub graceful: bool,
-    /// Frames destroyed by the deadline purge (front link plus in-box).
-    pub packets_purged: u64,
-    /// Cycle the box re-entered rotation after probation.
-    pub readmitted_at: Cycle,
-    /// `readmitted_at - detected_at`.
-    pub downtime: Cycle,
-    /// Flows whose steering changed while the box was out of rotation.
-    pub flows_resteered: u64,
-}
-
 /// N Rosebud boxes behind a consistent-hashing ECMP front load balancer.
 ///
 /// Frames enter via [`inject`](Self::inject): the front LB hashes the
@@ -191,8 +160,8 @@ pub struct Fleet {
     injected: u64,
     /// Ledger rows folded in from box incarnations retired by reloads.
     ledger_acc: Ledger,
-    log: Vec<FleetLogEntry>,
-    failovers: Vec<FailoverRecord>,
+    /// Boxes the ladder returned to the ring: completed failovers.
+    readmitted: usize,
     trace_cfg: Option<TraceConfig>,
     archived_traces: Vec<String>,
     now: Cycle,
@@ -245,8 +214,7 @@ impl Fleet {
             faults: Vec::new(),
             injected: 0,
             ledger_acc: Ledger::default(),
-            log: Vec::new(),
-            failovers: Vec::new(),
+            readmitted: 0,
             trace_cfg: None,
             archived_traces: Vec::new(),
             now: 0,
@@ -271,11 +239,6 @@ impl Fleet {
     /// Nanoseconds per cycle (taken from box 0's clock).
     pub fn ns_per_cycle(&self) -> f64 {
         self.ns_per_cycle
-    }
-
-    /// The front LB's ring, for inspection.
-    pub fn ring(&self) -> &ConsistentHashRing {
-        &self.ring
     }
 
     /// Direct access to one box's system (e.g. for RPU-level inspection).
@@ -498,6 +461,7 @@ impl Fleet {
     /// Returns box `device`'s ring points to rotation.
     pub(crate) fn ring_restore(&mut self, device: usize) {
         self.ring.restore(device);
+        self.readmitted += 1;
     }
 
     /// Purges box `device`'s front link and in-flight frames into the fleet
@@ -544,41 +508,6 @@ impl Fleet {
     /// boots) but stays out of rotation until the supervisor re-admits it.
     pub(crate) fn finish_reload(&mut self, device: usize) {
         self.boxes[device].offline = false;
-    }
-
-    /// Appends one ladder transition to the fleet log.
-    pub(crate) fn log_step(&mut self, device: usize, step: FleetStep) {
-        self.log.push(FleetLogEntry {
-            at: self.now,
-            device,
-            step,
-        });
-    }
-
-    /// Records a completed failover.
-    pub(crate) fn log_failover(&mut self, rec: FailoverRecord) {
-        self.failovers.push(rec);
-    }
-
-    /// The fleet supervisor's ladder log.
-    pub fn log(&self) -> &[FleetLogEntry] {
-        &self.log
-    }
-
-    /// The ladder log rendered one transition per line — the fleet-scale
-    /// analogue of a box trace's supervisor lines.
-    pub fn log_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for e in &self.log {
-            let _ = writeln!(out, "[{:>8}] box {}: {}", e.at, e.device, e.step);
-        }
-        out
-    }
-
-    /// Completed failovers, in completion order.
-    pub fn failovers(&self) -> &[FailoverRecord] {
-        &self.failovers
     }
 
     /// Distinct flows the front LB has steered.
@@ -664,7 +593,7 @@ impl Fleet {
             in_flight: self.ledger_in_flight(),
             flows_seen: self.flows_seen,
             flows_resteered: self.flows_resteered,
-            failovers: self.failovers.len(),
+            failovers: self.readmitted,
         }
     }
 }
@@ -861,8 +790,8 @@ mod tests {
             sup.poll(&mut h.sys);
             h.tick();
         }
-        assert_eq!(h.sys.failovers().len(), 1, "log:\n{}", h.sys.log_text());
-        let rec = h.sys.failovers()[0];
+        assert_eq!(sup.failovers().len(), 1, "log:\n{}", sup.log_text());
+        let rec = sup.failovers()[0];
         assert_eq!(rec.device, 1);
         assert!(!rec.graceful, "a crash can never drain cleanly");
         assert!(rec.packets_purged > 0);
@@ -896,7 +825,7 @@ mod tests {
             sup.poll(&mut h.sys);
             h.tick();
         }
-        assert!(!sup.recovering(), "log:\n{}", h.sys.log_text());
+        assert!(!sup.recovering(), "log:\n{}", sup.log_text());
         h.sys.assert_conservation();
         assert!(h.received() > 1_000);
     }
@@ -926,11 +855,8 @@ mod tests {
     fn last_live_box_is_never_removed() {
         let mut fleet = forwarder_fleet(2);
         fleet.ring_remove(0);
-        assert_eq!(fleet.ring().live_count(), 1);
+        assert_eq!(fleet.ring.live_count(), 1);
         fleet.ring_remove(1);
-        assert!(
-            fleet.ring().is_live(1),
-            "last live box must stay in rotation"
-        );
+        assert!(fleet.ring.is_live(1), "last live box must stay in rotation");
     }
 }

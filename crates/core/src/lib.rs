@@ -72,15 +72,18 @@ pub use config::RosebudConfig;
 pub use diag::{Bottleneck, BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKind};
 pub use fabric::ByteFifo;
 pub use fault::{FaultKind, FaultPlan, Ledger};
-pub use fleet::{FailoverRecord, Fleet, FleetConfig, FleetLogEntry};
+pub use fleet::{Fleet, FleetConfig};
 pub use harness::{Harness, Measurement};
 pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingModel};
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
-pub use supervisor::{FleetSupervisor, RecoveryEvent, Supervisor};
+pub use supervisor::{
+    FailoverRecord, FleetLogEntry, FleetStep, FleetSupervisor, RecoveryEvent, Supervisor,
+    SupervisorStep,
+};
 pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram};
 pub use testbench::{PacketReport, RpuTestbench, TxRecord};
-pub use trace::{FleetStep, SupervisorStep, TraceConfig, TraceEvent, Tracer};
+pub use trace::{TraceConfig, TraceEvent, Tracer};
 pub use types::{irq, memmap, port, BcastMsg, Desc, HostDmaReq, SlotMeta, SELF_TAG};
 pub use verify::{machine_spec, LintRecord, LoadPolicy, STACK_BYTES};

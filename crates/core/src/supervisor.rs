@@ -15,15 +15,22 @@
 //! watchdog-expiry counter, free-slot levels, per-RPU counters, and probe
 //! round trips. The injected-fault oracle ([`crate::Rpu::is_hung`]) is
 //! never consulted.
+//!
+//! A supervisor is the paper's host program and keeps its own notes: its
+//! steps and its records. The device writes none down, so a supervised box
+//! equals an unsupervised replay of the ops the ladder applied. Nor can it
+//! know when a fault landed: [`RecoveryEvent::timed`] reads that off the plan.
+
+use std::fmt;
 
 use rosebud_kernel::Cycle;
 
 use crate::diag::RpuFaultKind;
-use crate::fleet::{FailoverRecord, Fleet};
+use crate::fault::{FaultKind, FaultPlan};
+use crate::fleet::Fleet;
 use crate::host::{HostOp, HostReply};
 use crate::rpu::{Rpu, RpuState};
 use crate::system::Rosebud;
-use crate::trace::{FleetStep, SupervisorStep};
 
 /// Misses in a row that declare a unit faulty (stalled polls of a busy RPU,
 /// timed-out probes of a box) or fail a box on probation.
@@ -116,13 +123,35 @@ struct Watch {
     retries: u32,
 }
 
-/// What one scale of the ladder senses and does, each action writing its
-/// own lines to the scale's log; [`Ladder`] decides when.
+/// The unit a scale's action is taken on, the cycle it is taken at, and the
+/// ladder's log the action notes its steps in.
+struct At<'a, T> {
+    unit: usize,
+    now: Cycle,
+    log: &'a mut Vec<(Cycle, usize, T)>,
+}
+
+impl<'a, T> At<'a, T> {
+    fn new(unit: usize, now: Cycle, log: &'a mut Vec<(Cycle, usize, T)>) -> Self {
+        Self { unit, now, log }
+    }
+
+    fn note(&mut self, step: T) {
+        self.log.push((self.now, self.unit, step));
+    }
+}
+
+/// What one scale of the ladder senses and does, each action noting its own
+/// steps; [`Ladder`] decides when.
 trait Scale {
     /// What the units live in.
     type Sys;
     /// What detection concludes.
     type Kind;
+    /// One step, as the ladder's log notes it.
+    type Step;
+    /// What a completed recovery leaves behind.
+    type Record;
     /// Grace an isolated unit gets to show life before the drain.
     const GRACE: Option<Cycle>;
     /// Clean reads a verifying unit needs for readmission.
@@ -130,25 +159,28 @@ trait Scale {
 
     fn read(&mut self, sys: &Self::Sys, u: usize, ask: Ask) -> Reading<Self::Kind>;
     /// The `strikes`-th miss in a row.
-    fn missed(&mut self, _sys: &mut Self::Sys, _u: usize, _strikes: u32) {}
+    fn missed(&mut self, _at: At<'_, Self::Step>, _strikes: u32) {}
     /// Declares the unit faulty and takes it out of rotation.
-    fn isolate(&mut self, sys: &mut Self::Sys, u: usize, kind: Self::Kind);
-    fn drain(&mut self, sys: &mut Self::Sys, u: usize);
+    fn isolate(&mut self, sys: &mut Self::Sys, at: At<'_, Self::Step>, kind: Self::Kind);
+    fn drain(&mut self, sys: &mut Self::Sys, at: At<'_, Self::Step>);
     fn drained(&self, sys: &Self::Sys, u: usize) -> bool;
     /// Purges what is left (all of it when `forced`) and starts the reload;
     /// returns what it purged.
-    fn reload(&mut self, sys: &mut Self::Sys, u: usize, forced: bool) -> u64;
+    fn reload(&mut self, sys: &mut Self::Sys, at: At<'_, Self::Step>, forced: bool) -> u64;
     /// Whether the unit reloading `since` has booted.
-    fn booted(&mut self, sys: &mut Self::Sys, u: usize, since: Cycle, now: Cycle) -> bool;
-    /// Returns the unit to rotation and writes the recovery's record.
-    fn readmit(&mut self, sys: &mut Self::Sys, u: usize, w: &Watch, now: Cycle);
+    fn booted(&mut self, sys: &mut Self::Sys, at: At<'_, Self::Step>, since: Cycle) -> bool;
+    /// Returns the unit to rotation; the recovery's record.
+    fn readmit(&mut self, sys: &mut Self::Sys, at: At<'_, Self::Step>, w: &Watch) -> Self::Record;
 }
 
-/// The rung machine over the units of one scale.
+/// The rung machine over the units of one scale, and its notes: every step
+/// taken, `(cycle, unit, step)`, and every completed recovery.
 #[derive(Debug)]
-struct Ladder<S> {
+struct Ladder<S: Scale> {
     scale: S,
     watch: Vec<Watch>,
+    steps: Vec<(Cycle, usize, S::Step)>,
+    records: Vec<S::Record>,
 }
 
 impl<S: Scale> Ladder<S> {
@@ -156,6 +188,8 @@ impl<S: Scale> Ladder<S> {
         Self {
             scale,
             watch: vec![Watch::default(); units],
+            steps: Vec::new(),
+            records: Vec::new(),
         }
     }
 
@@ -169,7 +203,7 @@ impl<S: Scale> Ladder<S> {
             Rung::Healthy => match self.scale.read(sys, u, Ask::Health) {
                 Reading::Ok => self.watch[u].strikes = 0,
                 Reading::Miss(kind) => {
-                    if self.strike(sys, u) {
+                    if self.strike(u, now) {
                         self.declare(sys, u, kind, now);
                     }
                 }
@@ -192,7 +226,8 @@ impl<S: Scale> Ladder<S> {
                 }
             }
             Rung::Reloading { since } => {
-                if self.scale.booted(sys, u, since, now) {
+                let at = At::new(u, now, &mut self.steps);
+                if self.scale.booted(sys, at, since) {
                     self.watch[u].rung = Rung::Verifying;
                     self.watch[u].streak = 0;
                 }
@@ -206,7 +241,7 @@ impl<S: Scale> Ladder<S> {
                 }
                 Reading::Miss(_) => {
                     self.watch[u].streak = 0;
-                    if self.strike(sys, u) {
+                    if self.strike(u, now) {
                         self.reload(sys, u, now, true);
                     }
                 }
@@ -217,10 +252,11 @@ impl<S: Scale> Ladder<S> {
     }
 
     /// Counts a miss: `true` on the third in a row.
-    fn strike(&mut self, sys: &mut S::Sys, u: usize) -> bool {
+    fn strike(&mut self, u: usize, now: Cycle) -> bool {
         self.watch[u].strikes += 1;
         let strikes = self.watch[u].strikes;
-        self.scale.missed(sys, u, strikes);
+        let at = At::new(u, now, &mut self.steps);
+        self.scale.missed(at, strikes);
         strikes >= STRIKES
     }
 
@@ -229,7 +265,8 @@ impl<S: Scale> Ladder<S> {
             detected_at: now,
             ..Watch::default()
         };
-        self.scale.isolate(sys, u, kind);
+        let at = At::new(u, now, &mut self.steps);
+        self.scale.isolate(sys, at, kind);
         match S::GRACE {
             Some(grace) => self.watch[u].rung = Rung::Isolated { until: now + grace },
             None => self.drain(sys, u, now),
@@ -237,14 +274,15 @@ impl<S: Scale> Ladder<S> {
     }
 
     fn drain(&mut self, sys: &mut S::Sys, u: usize, now: Cycle) {
-        self.scale.drain(sys, u);
+        self.scale.drain(sys, At::new(u, now, &mut self.steps));
         self.watch[u].rung = Rung::Draining {
             deadline: now + DRAIN_TIMEOUT,
         };
     }
 
     fn reload(&mut self, sys: &mut S::Sys, u: usize, now: Cycle, forced: bool) {
-        let purged = self.scale.reload(sys, u, forced);
+        let at = At::new(u, now, &mut self.steps);
+        let purged = self.scale.reload(sys, at, forced);
         let w = &mut self.watch[u];
         w.purged += purged;
         w.reloads += 1;
@@ -255,13 +293,53 @@ impl<S: Scale> Ladder<S> {
     /// The one place a recovery ends.
     fn readmit(&mut self, sys: &mut S::Sys, u: usize, now: Cycle) {
         let done = self.watch[u];
-        self.scale.readmit(sys, u, &done, now);
+        let at = At::new(u, now, &mut self.steps);
+        let record = self.scale.readmit(sys, at, &done);
+        self.records.push(record);
         self.watch[u].rung = Rung::Healthy;
         self.watch[u].strikes = 0;
     }
 }
 
-/// One completed recovery, as recorded in the host log.
+/// One rung of the RPU ladder, as [`Supervisor::steps`] notes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SupervisorStep {
+    /// The detector concluded the RPU is faulty; it has been LB-disabled and
+    /// poked (rung 1).
+    Detected(RpuFaultKind),
+    /// The poke proved the region alive: false alarm, traffic restored.
+    FalseAlarm,
+    /// Graceful eviction started — bounded drain before reconfiguration
+    /// (rung 2).
+    DrainStarted,
+    /// The drain timed out: in-flight work destroyed, reload forced (rung 3).
+    ForcedEvict {
+        /// Slot-bound packets destroyed by the eviction.
+        purged: u64,
+    },
+    /// The PR bitstream write / firmware reboot is underway (rung 4).
+    Reloading,
+    /// Fresh firmware booted; the supervisor is verifying forward progress.
+    Verifying,
+    /// Verification passed: the LB enable bit is back (rung 5).
+    Reenabled,
+}
+
+impl fmt::Display for SupervisorStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SupervisorStep::Detected(kind) => write!(f, "detected kind={kind}"),
+            SupervisorStep::FalseAlarm => f.write_str("false-alarm"),
+            SupervisorStep::DrainStarted => f.write_str("drain"),
+            SupervisorStep::ForcedEvict { purged } => write!(f, "forced-evict purged={purged}"),
+            SupervisorStep::Reloading => f.write_str("reload"),
+            SupervisorStep::Verifying => f.write_str("verify"),
+            SupervisorStep::Reenabled => f.write_str("reenabled"),
+        }
+    }
+}
+
+/// One completed RPU recovery, as [`Supervisor::recoveries`] notes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryEvent {
     /// The recovered RPU.
@@ -270,7 +348,8 @@ pub struct RecoveryEvent {
     pub kind: RpuFaultKind,
     /// Cycle at which the supervisor detected the fault.
     pub detected_at: Cycle,
-    /// Cycle of the injected fault, when injection bookkeeping knows it.
+    /// Cycle of the injected fault, once [`timed`](Self::timed) against the
+    /// plan that injected it; the supervisor leaves it `None`.
     pub fault_at: Option<Cycle>,
     /// `detected_at - fault_at`, when known.
     pub detection_latency: Option<Cycle>,
@@ -286,6 +365,33 @@ pub struct RecoveryEvent {
     pub retries: u32,
 }
 
+impl RecoveryEvent {
+    /// This record with `fault_at` and `detection_latency` read off `plan`:
+    /// the last [`FirmwareHang`](FaultKind::FirmwareHang) or
+    /// [`FirmwareCrash`](FaultKind::FirmwareCrash) op on its RPU stamped at
+    /// or before detection. In a fleet's plan, `device` names the box whose
+    /// [`HostOp::Box`] ops count; `None` reads a box's own plan.
+    pub fn timed(self, plan: &FaultPlan, device: Option<usize>) -> Self {
+        let hits = |op: &HostOp| {
+            use FaultKind::{FirmwareCrash, FirmwareHang};
+            matches!(*op, HostOp::Fault(FirmwareHang { rpu } | FirmwareCrash { rpu }) if rpu == self.rpu)
+        };
+        let fault_at = plan.ops().iter().rev().find_map(|(at, op)| {
+            let hit = match (device, op) {
+                (None, op) => hits(op),
+                (Some(d), HostOp::Box { device, op }) => *device == d && hits(op),
+                _ => false,
+            };
+            (hit && *at <= self.detected_at).then_some(*at)
+        });
+        Self {
+            fault_at,
+            detection_latency: fault_at.map(|f| self.detected_at.saturating_sub(f)),
+            ..self
+        }
+    }
+}
+
 /// Does `op` to `sys`: what the ladder asks of an RPU it watches is never
 /// refused.
 fn host(sys: &mut Rosebud, op: HostOp) -> HostReply {
@@ -293,7 +399,7 @@ fn host(sys: &mut Rosebud, op: HostOp) -> HostReply {
         .expect("the supervisor addresses RPUs the box has")
 }
 
-/// One RPU's detector baselines, and what its record needs beyond the
+/// One RPU's detector baselines, and the kind its record needs beyond the
 /// [`Watch`].
 #[derive(Debug, Clone, Copy)]
 struct Baseline {
@@ -302,7 +408,6 @@ struct Baseline {
     drops: u64,
     watchdog_fires: u64,
     kind: RpuFaultKind,
-    fault_at: Option<Cycle>,
 }
 
 impl Baseline {
@@ -322,6 +427,8 @@ struct Rpus(Vec<Baseline>);
 impl Scale for Rpus {
     type Sys = Rosebud;
     type Kind = RpuFaultKind;
+    type Step = SupervisorStep;
+    type Record = RecoveryEvent;
     /// A poked core that shows life within one poll interval was a false
     /// alarm.
     const GRACE: Option<Cycle> = Some(POLL_INTERVAL);
@@ -380,24 +487,20 @@ impl Scale for Rpus {
         }
     }
 
-    fn isolate(&mut self, sys: &mut Rosebud, r: usize, kind: RpuFaultKind) {
-        let b = &mut self.0[r];
-        b.kind = kind;
-        b.fault_at = sys.last_fault_at(r);
+    fn isolate(&mut self, sys: &mut Rosebud, mut at: At<'_, SupervisorStep>, kind: RpuFaultKind) {
+        let r = at.unit;
+        self.0[r].kind = kind;
         // Stop routing traffic to it now (graceful degradation across the
         // remaining RPUs) and poke it.
-        sys.trace_supervisor(r, SupervisorStep::Detected(kind));
+        at.note(SupervisorStep::Detected(kind));
         host(sys, HostOp::Disable { rpu: r });
         host(sys, HostOp::Poke { rpu: r });
     }
 
-    fn drain(&mut self, sys: &mut Rosebud, r: usize) {
-        sys.trace_supervisor(r, SupervisorStep::DrainStarted);
-        let op = HostOp::Reload {
-            rpu: r,
-            gated: true,
-        };
-        host(sys, op);
+    fn drain(&mut self, sys: &mut Rosebud, mut at: At<'_, SupervisorStep>) {
+        let rpu = at.unit;
+        at.note(SupervisorStep::DrainStarted);
+        host(sys, HostOp::Reload { rpu, gated: true });
     }
 
     fn drained(&self, sys: &Rosebud, r: usize) -> bool {
@@ -405,55 +508,60 @@ impl Scale for Rpus {
         matches!(sys.rpus()[r].state(), RpuState::Reconfiguring { .. })
     }
 
-    fn reload(&mut self, sys: &mut Rosebud, r: usize, forced: bool) -> u64 {
+    fn reload(&mut self, sys: &mut Rosebud, mut at: At<'_, SupervisorStep>, forced: bool) -> u64 {
         let mut purged = 0;
         if forced {
             // The region will never drain, or its fresh firmware died:
             // destroy its in-flight work and force the reload.
-            let HostReply::Purged(n) = host(sys, HostOp::ForceReload { rpu: r }) else {
+            let HostReply::Purged(n) = host(sys, HostOp::ForceReload { rpu: at.unit }) else {
                 unreachable!("a forced reload answers with its purge count");
             };
             purged = n;
-            sys.trace_supervisor(r, SupervisorStep::ForcedEvict { purged });
+            at.note(SupervisorStep::ForcedEvict { purged });
         }
-        sys.trace_supervisor(r, SupervisorStep::Reloading);
+        at.note(SupervisorStep::Reloading);
         purged
     }
 
-    fn booted(&mut self, sys: &mut Rosebud, r: usize, _since: Cycle, _now: Cycle) -> bool {
+    fn booted(&mut self, sys: &mut Rosebud, mut at: At<'_, SupervisorStep>, _since: Cycle) -> bool {
+        let r = at.unit;
         // The factory firmware boots inside `finish_reconfigure`.
         if sys.reconfigure_pending(r) {
             return false;
         }
-        sys.trace_supervisor(r, SupervisorStep::Verifying);
+        at.note(SupervisorStep::Verifying);
         // Verification asks for progress past this baseline.
         self.0[r].sw_cycles = sys.rpus()[r].sw_cycles();
         true
     }
 
-    fn readmit(&mut self, sys: &mut Rosebud, r: usize, w: &Watch, now: Cycle) {
-        let step = match w.reloads {
+    fn readmit(
+        &mut self,
+        sys: &mut Rosebud,
+        mut at: At<'_, SupervisorStep>,
+        w: &Watch,
+    ) -> RecoveryEvent {
+        let (r, now) = (at.unit, at.now);
+        at.note(match w.reloads {
             0 => SupervisorStep::FalseAlarm,
             _ => SupervisorStep::Reenabled,
-        };
-        sys.trace_supervisor(r, step);
+        });
         host(sys, HostOp::Enable { rpu: r });
         let b = &mut self.0[r];
         b.rebase(&sys.rpus()[r]);
-        let event = RecoveryEvent {
+        RecoveryEvent {
             rpu: r,
             kind: b.kind,
             detected_at: w.detected_at,
-            fault_at: b.fault_at,
-            detection_latency: b.fault_at.map(|f| w.detected_at.saturating_sub(f)),
+            fault_at: None,
+            detection_latency: None,
             reenabled_at: now,
             downtime: now.saturating_sub(w.detected_at),
             packets_purged: w.purged,
             // The reload after a failed boot is forced too.
             forced: w.forced || w.reloads > 1,
             retries: w.retries,
-        };
-        sys.log_recovery(event);
+        }
     }
 }
 
@@ -475,7 +583,6 @@ impl Supervisor {
             drops: 0,
             watchdog_fires: 0,
             kind: RpuFaultKind::Hung,
-            fault_at: None,
         };
         let n = sys.rpus().len();
         Self {
@@ -494,6 +601,41 @@ impl Supervisor {
     /// `true` while any RPU is mid-recovery.
     pub fn recovering(&self) -> bool {
         self.ladder.recovering()
+    }
+
+    /// Every step taken, `(cycle, rpu, step)`, oldest first.
+    pub fn steps(&self) -> &[(Cycle, usize, SupervisorStep)] {
+        &self.ladder.steps
+    }
+
+    /// Completed recoveries, oldest first, untimed (see
+    /// [`RecoveryEvent::timed`]).
+    pub fn recoveries(&self) -> &[RecoveryEvent] {
+        &self.ladder.records
+    }
+
+    /// One `recovery:` line per completed recovery, each timed against
+    /// `plan` — the host's recovery report beside the box's
+    /// [`Diagnostics`](crate::Diagnostics).
+    pub fn render(&self, plan: &FaultPlan) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for ev in self.recoveries().iter().map(|ev| ev.timed(plan, None)) {
+            let (rpu, kind, at) = (ev.rpu, ev.kind, ev.detected_at);
+            let latency = ev.detection_latency.map(|l| format!(" ({l} after fault)"));
+            let forced = if ev.forced { ", forced eviction" } else { "" };
+            let retries = (ev.retries > 0).then(|| format!(", {} host retries", ev.retries));
+            let _ = writeln!(
+                out,
+                "recovery: RPU {rpu} {kind} — detected @{at} cycle(s){}, down {} cycles, \
+                 {} purged{forced}{}",
+                latency.unwrap_or_default(),
+                ev.downtime,
+                ev.packets_purged,
+                retries.unwrap_or_default(),
+            );
+        }
+        out
     }
 
     /// One supervisor step. Cheap when it is not yet time to poll.
@@ -522,6 +664,78 @@ impl Supervisor {
     }
 }
 
+/// One rung of the rack ladder, as [`FleetSupervisor::steps`] notes it. The
+/// per-box rungs mirror [`SupervisorStep`] one level up: probes stand in for
+/// the watchdog, the consistent-hash ring for the LB enable mask, and a
+/// whole-box PR reload for the region bitstream write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetStep {
+    /// A health probe timed out (or the box could not answer).
+    ProbeMissed {
+        /// Consecutive misses so far.
+        streak: u32,
+    },
+    /// Enough consecutive misses: the box is marked unhealthy and its ring
+    /// points leave rotation — new flows re-steer, in-flight completes.
+    MarkedUnhealthy,
+    /// The bounded drain of in-flight packets toward the box began.
+    DrainStarted,
+    /// The drain finished on its own: every in-flight frame delivered.
+    DrainedClean,
+    /// The drain deadline expired: front-link and in-box frames destroyed,
+    /// accounted as purged in the fleet ledger.
+    Purged {
+        /// Frames destroyed fleet-wide for this box.
+        packets: u64,
+    },
+    /// The whole-box PR reload/reboot is underway.
+    Reloading,
+    /// The rebuilt box is on probation, answering probes but carrying no
+    /// traffic yet.
+    Probation,
+    /// Enough consecutive healthy probes: the box's ring points are back.
+    Readmitted,
+}
+
+impl fmt::Display for FleetStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetStep::ProbeMissed { streak } => write!(f, "probe-missed streak={streak}"),
+            FleetStep::MarkedUnhealthy => f.write_str("marked-unhealthy"),
+            FleetStep::DrainStarted => f.write_str("drain"),
+            FleetStep::DrainedClean => f.write_str("drained-clean"),
+            FleetStep::Purged { packets } => write!(f, "purged packets={packets}"),
+            FleetStep::Reloading => f.write_str("reload"),
+            FleetStep::Probation => f.write_str("probation"),
+            FleetStep::Readmitted => f.write_str("readmitted"),
+        }
+    }
+}
+
+/// One entry of the rack ladder's log: `(cycle, box, step)`.
+pub type FleetLogEntry = (Cycle, usize, FleetStep);
+
+/// A completed box failover, from detection to re-admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FailoverRecord {
+    /// The box that failed over.
+    pub device: usize,
+    /// Cycle the box was marked unhealthy (probe-miss threshold reached).
+    pub detected_at: Cycle,
+    /// Cycle the drain completed (clean or by deadline purge).
+    pub drained_at: Cycle,
+    /// Whether the drain completed without purging anything.
+    pub graceful: bool,
+    /// Frames destroyed by the deadline purge (front link plus in-box).
+    pub packets_purged: u64,
+    /// Cycle the box re-entered rotation after probation.
+    pub readmitted_at: Cycle,
+    /// `readmitted_at - detected_at`.
+    pub downtime: Cycle,
+    /// Flows whose steering changed while the box was out of rotation.
+    pub flows_resteered: u64,
+}
+
 /// A rack's boxes, as the front LB's health probes see them.
 struct Boxes {
     /// Each box's RPU ladder, polled while the box is manageable.
@@ -535,6 +749,8 @@ struct Boxes {
 impl Scale for Boxes {
     type Sys = Fleet;
     type Kind = ();
+    type Step = FleetStep;
+    type Record = FailoverRecord;
     const GRACE: Option<Cycle> = None;
     /// Healthy probes in a row a reloaded box passes before re-admission.
     const PROBATION: u32 = 3;
@@ -551,55 +767,62 @@ impl Scale for Boxes {
         }
     }
 
-    fn missed(&mut self, fleet: &mut Fleet, b: usize, strikes: u32) {
-        fleet.log_step(b, FleetStep::ProbeMissed { streak: strikes });
+    fn missed(&mut self, mut at: At<'_, FleetStep>, strikes: u32) {
+        at.note(FleetStep::ProbeMissed { streak: strikes });
         let wait = backoff(PROBE_BACKOFF, PROBE_BACKOFF_CAP, strikes - 1);
-        self.next_probe[b] = fleet.now() + wait;
+        self.next_probe[at.unit] = at.now + wait;
     }
 
-    fn isolate(&mut self, fleet: &mut Fleet, b: usize, _kind: ()) {
-        fleet.log_step(b, FleetStep::MarkedUnhealthy);
-        self.resteered_at[b] = fleet.flows_resteered();
-        fleet.ring_remove(b);
+    fn isolate(&mut self, fleet: &mut Fleet, mut at: At<'_, FleetStep>, _kind: ()) {
+        at.note(FleetStep::MarkedUnhealthy);
+        self.resteered_at[at.unit] = fleet.flows_resteered();
+        fleet.ring_remove(at.unit);
     }
 
-    fn drain(&mut self, fleet: &mut Fleet, b: usize) {
-        fleet.log_step(b, FleetStep::DrainStarted);
+    fn drain(&mut self, _fleet: &mut Fleet, mut at: At<'_, FleetStep>) {
+        at.note(FleetStep::DrainStarted);
     }
 
     fn drained(&self, fleet: &Fleet, b: usize) -> bool {
         fleet.box_quiesced(b)
     }
 
-    fn reload(&mut self, fleet: &mut Fleet, b: usize, forced: bool) -> u64 {
+    fn reload(&mut self, fleet: &mut Fleet, mut at: At<'_, FleetStep>, forced: bool) -> u64 {
+        let b = at.unit;
         if !forced {
-            fleet.log_step(b, FleetStep::DrainedClean);
+            at.note(FleetStep::DrainedClean);
         }
         let purged = fleet.begin_reload(b);
         if purged > 0 {
-            fleet.log_step(b, FleetStep::Purged { packets: purged });
+            at.note(FleetStep::Purged { packets: purged });
         }
-        fleet.log_step(b, FleetStep::Reloading);
+        at.note(FleetStep::Reloading);
         // The rebuilt box gets a fresh RPU ladder: the old one's watch state
         // describes hardware that no longer exists.
         self.rpus[b] = Supervisor::new(fleet.sys(b));
         purged
     }
 
-    fn booted(&mut self, fleet: &mut Fleet, b: usize, since: Cycle, now: Cycle) -> bool {
-        if now < since + BOX_RELOAD_CYCLES {
+    fn booted(&mut self, fleet: &mut Fleet, mut at: At<'_, FleetStep>, since: Cycle) -> bool {
+        if at.now < since + BOX_RELOAD_CYCLES {
             return false;
         }
-        fleet.finish_reload(b);
-        fleet.log_step(b, FleetStep::Probation);
-        self.next_probe[b] = now + PROBE_INTERVAL;
+        fleet.finish_reload(at.unit);
+        at.note(FleetStep::Probation);
+        self.next_probe[at.unit] = at.now + PROBE_INTERVAL;
         true
     }
 
-    fn readmit(&mut self, fleet: &mut Fleet, b: usize, w: &Watch, now: Cycle) {
+    fn readmit(
+        &mut self,
+        fleet: &mut Fleet,
+        mut at: At<'_, FleetStep>,
+        w: &Watch,
+    ) -> FailoverRecord {
+        let (b, now) = (at.unit, at.now);
         fleet.ring_restore(b);
-        fleet.log_step(b, FleetStep::Readmitted);
-        let rec = FailoverRecord {
+        at.note(FleetStep::Readmitted);
+        FailoverRecord {
             device: b,
             detected_at: w.detected_at,
             drained_at: w.drained_at,
@@ -608,8 +831,7 @@ impl Scale for Boxes {
             readmitted_at: now,
             downtime: now.saturating_sub(w.detected_at),
             flows_resteered: fleet.flows_resteered().saturating_sub(self.resteered_at[b]),
-        };
-        fleet.log_failover(rec);
+        }
     }
 }
 
@@ -643,6 +865,32 @@ impl FleetSupervisor {
         self.ladder.recovering()
     }
 
+    /// Every step taken, oldest first.
+    pub fn steps(&self) -> &[FleetLogEntry] {
+        &self.ladder.steps
+    }
+
+    /// Completed failovers, in completion order.
+    pub fn failovers(&self) -> &[FailoverRecord] {
+        &self.ladder.records
+    }
+
+    /// The RPU ladder of box `device`'s current incarnation: a reload
+    /// starts a fresh one.
+    pub fn rpus(&self, device: usize) -> &Supervisor {
+        &self.ladder.scale.rpus[device]
+    }
+
+    /// The steps rendered one per line.
+    pub fn log_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (at, device, step) in self.steps() {
+            let _ = writeln!(out, "[{at:>8}] box {device}: {step}");
+        }
+        out
+    }
+
     /// One supervisory step: polls the RPU ladders of manageable boxes, then
     /// advances each box's rung. Call once per cycle, before
     /// [`Fleet::tick`].
@@ -663,7 +911,7 @@ impl FleetSupervisor {
 mod tests {
     use super::*;
     use crate::system::RpuProgram;
-    use crate::{Desc, FaultKind, FaultPlan, Firmware, Harness, RosebudConfig, RpuIo};
+    use crate::{Desc, Firmware, Harness, RosebudConfig, RpuIo};
     use rosebud_net::FixedSizeGen;
 
     struct PacedForwarder;
@@ -689,21 +937,22 @@ mod tests {
 
     #[test]
     fn crash_is_detected_and_region_recycled() {
-        let mut h =
-            harness(4).faults(FaultPlan::new().at(10_000, FaultKind::FirmwareCrash { rpu: 2 }));
+        let plan = FaultPlan::new().at(10_000, FaultKind::FirmwareCrash { rpu: 2 });
+        let mut h = harness(4).faults(plan.clone());
         let mut sup = Supervisor::new(&h.sys);
         for _ in 0..200_000 {
             h.tick();
             sup.poll(&mut h.sys);
-            if !h.sys.recovery_log().is_empty() && !sup.recovering() {
+            if !sup.recoveries().is_empty() && !sup.recovering() {
                 break;
             }
         }
-        let log = h.sys.recovery_log();
+        let log = sup.recoveries();
         assert_eq!(log.len(), 1, "exactly one recovery: {log:?}");
-        let ev = log[0];
+        let ev = log[0].timed(&plan, None);
         assert_eq!(ev.rpu, 2);
         assert_eq!(ev.kind, RpuFaultKind::Halted);
+        assert_eq!(ev.fault_at, Some(10_000));
         assert!(ev.detection_latency.unwrap() <= 1024, "{ev:?}");
         assert!(ev.downtime >= h.sys.config().pr_cycles, "{ev:?}");
         assert_eq!(h.sys.enabled_mask(), 0b1111);
@@ -720,7 +969,8 @@ mod tests {
             h.tick();
             sup.poll(&mut h.sys);
         }
-        assert!(h.sys.recovery_log().is_empty());
+        assert!(sup.recoveries().is_empty());
+        assert!(sup.steps().is_empty());
         assert_eq!(h.sys.enabled_mask(), 0b1111);
     }
 
@@ -735,12 +985,12 @@ mod tests {
         for _ in 0..300_000 {
             h.tick();
             sup.poll(&mut h.sys);
-            if !h.sys.recovery_log().is_empty() && !sup.recovering() {
+            if !sup.recoveries().is_empty() && !sup.recovering() {
                 break;
             }
         }
         assert!(sup.link_retries() > 0, "outage must force retries");
-        let log = h.sys.recovery_log();
+        let log = sup.recoveries();
         assert_eq!(log.len(), 1, "{log:?}");
         assert!(
             log[0].detected_at >= 39_000,
@@ -748,5 +998,43 @@ mod tests {
             log[0]
         );
         assert_eq!(h.sys.enabled_mask(), 0b1111);
+    }
+
+    /// The plan's last firmware fault on the record's RPU at or before
+    /// detection, in a box's plan and in a fleet's.
+    #[test]
+    fn a_record_is_timed_by_the_last_firmware_fault_before_detection() {
+        let ev = RecoveryEvent {
+            rpu: 1,
+            kind: RpuFaultKind::Hung,
+            detected_at: 500,
+            fault_at: None,
+            detection_latency: None,
+            reenabled_at: 900,
+            downtime: 400,
+            packets_purged: 0,
+            forced: false,
+            retries: 0,
+        };
+        let in_box = |rpu, device| HostOp::Box {
+            device,
+            op: Box::new(FaultKind::FirmwareCrash { rpu }.into()),
+        };
+        let plan = FaultPlan::new()
+            .at(100, FaultKind::FirmwareHang { rpu: 1 })
+            .at(200, FaultKind::FirmwareCrash { rpu: 1 })
+            .at(300, FaultKind::FirmwareHang { rpu: 0 })
+            .at(300, FaultKind::CorruptIngress { rpu: 1, count: 2 })
+            .at(400, in_box(1, 2))
+            .at(450, in_box(1, 3))
+            .at(600, FaultKind::FirmwareHang { rpu: 1 });
+        let timed = ev.timed(&plan, None);
+        assert_eq!(
+            (timed.fault_at, timed.detection_latency),
+            (Some(200), Some(300))
+        );
+        assert_eq!(ev.timed(&plan, Some(2)).fault_at, Some(400));
+        assert_eq!(ev.timed(&plan, Some(4)).fault_at, None);
+        assert_eq!(ev.timed(&FaultPlan::new(), None), ev);
     }
 }

@@ -17,8 +17,7 @@ use crate::lb::LoadBalancer;
 use crate::mac::Mac;
 use crate::pr::Reconfig;
 use crate::rpu::{Firmware, Rpu, RpuState};
-use crate::supervisor::RecoveryEvent;
-use crate::trace::{SupervisorStep, TraceConfig, TraceEvent, Tracer};
+use crate::trace::{TraceConfig, TraceEvent, Tracer};
 use crate::verify::LoadPolicy;
 
 /// How often [`Rosebud::tick`] re-asserts the packet-conservation ledger.
@@ -139,7 +138,6 @@ impl RosebudBuilder {
                 routed_drops: 0,
                 fault: None,
             },
-            recovery_log: Vec::new(),
             cfg,
         })
     }
@@ -207,9 +205,6 @@ pub struct Rosebud {
     pub(crate) host: HostBridge,
     pub(crate) pr: Reconfig,
     pub(crate) fx: Fx,
-    /// Completed recovery records, written by the supervisor over the host
-    /// interface.
-    recovery_log: Vec<RecoveryEvent>,
 }
 
 /// The trace-facing name of an RPU's lifecycle state.
@@ -372,12 +367,6 @@ impl Rosebud {
         self.fx.host_link_up(self.clock.cycle())
     }
 
-    /// When the most recent injected firmware fault hit `rpu` (detection-
-    /// latency accounting for recovery records).
-    pub(crate) fn last_fault_at(&self, rpu: usize) -> Option<Cycle> {
-        self.fx.fault.as_ref().and_then(|f| f.last_fault_at[rpu])
-    }
-
     /// The packet-conservation ledger.
     pub fn ledger(&self) -> Ledger {
         self.fx.ledger
@@ -414,16 +403,6 @@ impl Rosebud {
         );
     }
 
-    /// Appends a completed recovery record (the supervisor's host-side log).
-    pub(crate) fn log_recovery(&mut self, event: RecoveryEvent) {
-        self.recovery_log.push(event);
-    }
-
-    /// Completed recoveries, oldest first.
-    pub fn recovery_log(&self) -> &[RecoveryEvent] {
-        &self.recovery_log
-    }
-
     /// Installs a [`Tracer`], replacing any previous one. When
     /// `cfg.pc_profile` is set, also turns on per-PC cycle attribution for
     /// every RPU's RV32 core.
@@ -446,15 +425,6 @@ impl Rosebud {
     pub fn take_tracer(&mut self) -> Option<Tracer> {
         self.fx.tracer.take()
     }
-
-    /// Records a supervisor recovery-ladder step against `rpu`. Called by
-    /// [`crate::Supervisor`] at every rung transition; a no-op when tracing
-    /// is off.
-    pub(crate) fn trace_supervisor(&mut self, rpu: usize, step: SupervisorStep) {
-        let rpu = rpu as u8;
-        self.fx
-            .trace(self.clock.cycle(), TraceEvent::Supervisor { rpu, step });
-    }
 }
 
 /// Stage 0: lands every fault applied since the last tick, in the order
@@ -472,14 +442,8 @@ pub(crate) fn land_faults(now: Cycle, fx: &mut Fx, lanes: &mut Lanes) {
 fn land(now: Cycle, fault: &mut FaultState, lanes: &mut Lanes) {
     for kind in fault.inbox.drain(..) {
         match kind {
-            FaultKind::FirmwareHang { rpu } => {
-                fault.last_fault_at[rpu] = Some(now);
-                lanes.rpu_mut(rpu).force_hang();
-            }
-            FaultKind::FirmwareCrash { rpu } => {
-                fault.last_fault_at[rpu] = Some(now);
-                lanes.rpu_mut(rpu).force_crash();
-            }
+            FaultKind::FirmwareHang { rpu } => lanes.rpu_mut(rpu).force_hang(),
+            FaultKind::FirmwareCrash { rpu } => lanes.rpu_mut(rpu).force_crash(),
             FaultKind::CorruptIngress { rpu, count } => {
                 fault.corrupt_pending[rpu] += count;
             }

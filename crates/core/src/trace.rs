@@ -6,9 +6,12 @@
 //! *when*: a [`Tracer`] installed via [`crate::Rosebud::enable_tracing`]
 //! records a cycle-stamped event for every load-balancer assignment,
 //! descriptor delivery and send, host-DMA start/completion, RPU lifecycle
-//! transition (including every rung of the supervisor's recovery ladder),
-//! RX/TX FIFO high-water mark, and periodic per-RPU hardware performance
-//! counter sample.
+//! transition, RX/TX FIFO high-water mark, and periodic per-RPU hardware
+//! performance counter sample.
+//!
+//! A trace shows what the device did, never who asked: a supervisor's rungs
+//! reach it only as the host ops they apply, so a supervised run and an
+//! unsupervised replay of those ops export the same trace.
 //!
 //! Tracing is strictly opt-in: with no tracer installed the hooks reduce to
 //! an `Option::is_some` test on a field that is `None`, so the simulation's
@@ -23,7 +26,6 @@
 
 use rosebud_kernel::Cycle;
 
-use crate::diag::RpuFaultKind;
 use crate::rpu::PerfCounters;
 
 /// Tuning for an installed [`Tracer`].
@@ -46,111 +48,6 @@ impl Default for TraceConfig {
             counter_interval: 4096,
             pc_profile: true,
             max_events: 1 << 20,
-        }
-    }
-}
-
-/// One rung-transition of the supervisor's recovery ladder, as it appears in
-/// the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorStep {
-    /// The detector concluded the RPU is faulty; it has been LB-disabled and
-    /// poked (rung 1).
-    Detected(RpuFaultKind),
-    /// The poke proved the region alive: false alarm, traffic restored.
-    FalseAlarm,
-    /// Graceful eviction started — bounded drain before reconfiguration
-    /// (rung 2).
-    DrainStarted,
-    /// The drain timed out: in-flight work destroyed, reload forced (rung 3).
-    ForcedEvict {
-        /// Slot-bound packets destroyed by the eviction.
-        purged: u64,
-    },
-    /// The PR bitstream write / firmware reboot is underway (rung 4).
-    Reloading,
-    /// Fresh firmware booted; the supervisor is verifying forward progress.
-    Verifying,
-    /// Verification passed: the LB enable bit is back (rung 5).
-    Reenabled,
-}
-
-impl SupervisorStep {
-    fn render(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            SupervisorStep::Detected(kind) => {
-                let _ = write!(out, "detected kind={kind}");
-            }
-            SupervisorStep::FalseAlarm => out.push_str("false-alarm"),
-            SupervisorStep::DrainStarted => out.push_str("drain"),
-            SupervisorStep::ForcedEvict { purged } => {
-                let _ = write!(out, "forced-evict purged={purged}");
-            }
-            SupervisorStep::Reloading => out.push_str("reload"),
-            SupervisorStep::Verifying => out.push_str("verify"),
-            SupervisorStep::Reenabled => out.push_str("reenabled"),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            SupervisorStep::Detected(_) => "sup.detected",
-            SupervisorStep::FalseAlarm => "sup.false-alarm",
-            SupervisorStep::DrainStarted => "sup.drain",
-            SupervisorStep::ForcedEvict { .. } => "sup.forced-evict",
-            SupervisorStep::Reloading => "sup.reload",
-            SupervisorStep::Verifying => "sup.verify",
-            SupervisorStep::Reenabled => "sup.reenabled",
-        }
-    }
-}
-
-/// One transition of the fleet supervisor's drain-the-device ladder, as it
-/// appears in the fleet log ([`crate::Fleet::log_text`]). The per-box rungs
-/// mirror [`SupervisorStep`] one level up: probes stand in for the
-/// watchdog, the consistent-hash ring for the LB enable mask, and a whole-
-/// box PR reload for the region bitstream write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetStep {
-    /// A health probe timed out (or the box could not answer).
-    ProbeMissed {
-        /// Consecutive misses so far.
-        streak: u32,
-    },
-    /// Enough consecutive misses: the box is marked unhealthy and its ring
-    /// points leave rotation — new flows re-steer, in-flight completes.
-    MarkedUnhealthy,
-    /// The bounded drain of in-flight packets toward the box began.
-    DrainStarted,
-    /// The drain finished on its own: every in-flight frame delivered.
-    DrainedClean,
-    /// The drain deadline expired: front-link and in-box frames destroyed,
-    /// accounted as purged in the fleet ledger.
-    Purged {
-        /// Frames destroyed fleet-wide for this box.
-        packets: u64,
-    },
-    /// The whole-box PR reload/reboot is underway.
-    Reloading,
-    /// The rebuilt box is on probation, answering probes but carrying no
-    /// traffic yet.
-    Probation,
-    /// Enough consecutive healthy probes: the box's ring points are back.
-    Readmitted,
-}
-
-impl std::fmt::Display for FleetStep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetStep::ProbeMissed { streak } => write!(f, "probe-missed streak={streak}"),
-            FleetStep::MarkedUnhealthy => f.write_str("marked-unhealthy"),
-            FleetStep::DrainStarted => f.write_str("drain"),
-            FleetStep::DrainedClean => f.write_str("drained-clean"),
-            FleetStep::Purged { packets } => write!(f, "purged packets={packets}"),
-            FleetStep::Reloading => f.write_str("reload"),
-            FleetStep::Probation => f.write_str("probation"),
-            FleetStep::Readmitted => f.write_str("readmitted"),
         }
     }
 }
@@ -236,7 +133,7 @@ pub enum TraceEvent {
         len: u32,
     },
     /// An RPU's lifecycle state changed (running/draining/reconfiguring/
-    /// halted — PR, crashes, supervisor actions all surface here).
+    /// halted — PR, crashes and host ops all surface here).
     RpuStateChange {
         /// The RPU.
         rpu: u8,
@@ -248,13 +145,6 @@ pub enum TraceEvent {
     LbEnableMask {
         /// New enable bitmask.
         mask: u64,
-    },
-    /// A supervisor recovery-ladder transition.
-    Supervisor {
-        /// The RPU being recovered.
-        rpu: u8,
-        /// The ladder step.
-        step: SupervisorStep,
     },
     /// A periodic per-RPU hardware performance-counter sample.
     CounterSample {
@@ -460,10 +350,6 @@ impl Tracer {
                 TraceEvent::LbEnableMask { mask } => {
                     let _ = write!(out, "lb.mask mask={mask:#x}");
                 }
-                TraceEvent::Supervisor { rpu, step } => {
-                    let _ = write!(out, "sup rpu={rpu} ");
-                    step.render(&mut out);
-                }
                 TraceEvent::CounterSample { rpu, perf } => {
                     let _ = write!(
                         out,
@@ -589,11 +475,6 @@ impl Tracer {
                     "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{t:.4},\
                      \"name\":\"lb_enabled\",\"args\":{{\"rpus\":{}}}}}",
                     mask.count_ones(),
-                ),
-                TraceEvent::Supervisor { rpu, step } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"p\",\
-                     \"name\":\"{}\",\"args\":{{}}}}",
-                    step.label(),
                 ),
                 TraceEvent::CounterSample { rpu, perf } => format!(
                     "{{\"ph\":\"C\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\

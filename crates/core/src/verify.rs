@@ -186,22 +186,22 @@ mod tests {
         };
         // Every automaton register is a real register with the direction
         // the automaton's trigger (load vs. store) requires.
-        assert_eq!(dir(proto.recv_ready).0, true);
+        assert!(dir(proto.recv_ready).0);
         for &d in &proto.recv_desc {
-            assert_eq!(dir(d).0, true);
+            assert!(dir(d).0);
         }
-        assert_eq!(dir(proto.recv_release).1, true);
-        assert_eq!(dir(proto.send_stage).1, true);
-        assert_eq!(dir(proto.send_commit).1, true);
+        assert!(dir(proto.recv_release).1);
+        assert!(dir(proto.send_stage).1);
+        assert!(dir(proto.send_commit).1);
         for off in [
             proto.dma_host_addr,
             proto.dma_local_addr,
             proto.dma_len,
             proto.dma_ctrl,
         ] {
-            assert_eq!(dir(off).1, true);
+            assert!(dir(off).1);
         }
-        assert_eq!(dir(proto.dma_status).0, true);
+        assert!(dir(proto.dma_status).0);
     }
 
     #[test]

@@ -322,7 +322,6 @@ mod tests {
             w.write_packet(pkt).unwrap();
         }
         assert_eq!(w.packets_written(), 40);
-        drop(w);
         assert_eq!(streamed, to_pcap(&trace, clock));
         // Write → read → byte-identical packets.
         let back = parse_pcap(&streamed, clock).unwrap();

@@ -61,14 +61,14 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         .apply(HostOp::Fault(FaultKind::BoxCrash { device: killed }))?;
     let mut reported = 0;
     let mut windows = Vec::new();
-    while h.sys.failovers().is_empty() {
+    while sup.failovers().is_empty() {
         h.begin_window();
         run(&mut h, &mut sup, 2_000);
         windows.push(h.measure().gbps);
-        for e in &h.sys.log()[reported..] {
-            println!("  [{:>7}] box {}: {}", e.at, e.device, e.step);
+        for (at, device, step) in &sup.steps()[reported..] {
+            println!("  [{at:>7}] box {device}: {step}");
         }
-        reported = h.sys.log().len();
+        reported = sup.steps().len();
     }
 
     println!("\ndegraded-throughput timeline (2 000-cycle windows after the kill):");
@@ -81,7 +81,7 @@ fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let rec = h.sys.failovers()[0];
+    let rec = sup.failovers()[0];
     println!(
         "\nfailover complete: detected @{}, drained @{} ({}), {} purged, \
          re-admitted @{} — downtime {} cycles, {} of {} flows re-steered",
@@ -139,7 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
         .at(140_000, FaultKind::FirmwareCrash { rpu: 6 });
 
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(plan);
+    let gen = Box::new(FixedSizeGen::new(64, 2));
+    let mut h = Harness::new(sys, gen, 205.0).faults(plan.clone());
     let mut sup = Supervisor::new(&h.sys);
 
     println!("warming up 8 watchdog-petting forwarders at 64 B saturation ...");
@@ -158,7 +159,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reported = 0;
     let mut was_down = false;
     // Two firmware faults are scheduled, so two recoveries must complete.
-    while h.sys.recovery_log().len() < 2 || sup.recovering() {
+    while sup.recoveries().len() < 2 || sup.recovering() {
         h.tick();
         sup.poll(&mut h.sys);
         if !h.sys.host_link_up() && !was_down {
@@ -171,7 +172,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             was_down = false;
         }
-        for ev in &h.sys.recovery_log()[reported..] {
+        // The host reads when each fault landed off its own plan.
+        for ev in sup.recoveries()[reported..]
+            .iter()
+            .map(|ev| ev.timed(&plan, None))
+        {
             println!(
                 "  [recovery] RPU {} {}: detected @{} (latency {}), \
                  re-enabled @{} (downtime {}), {} purged, forced: {}",
@@ -186,7 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ev.forced,
             );
         }
-        reported = h.sys.recovery_log().len();
+        reported = sup.recoveries().len();
     }
 
     h.begin_window();

@@ -12,14 +12,16 @@
 //! throughout, and the whole trace is cycle-exact deterministic.
 //!
 //! The same drill one level up kills a whole box of a four-box rack, and a
-//! planned chaos run at either scale replays bit-exactly from its event log.
+//! planned chaos run at either scale replays bit-exactly from its event log —
+//! a supervised one too, with no supervisor on the replay: the ladder keeps
+//! its notes to itself, so the box shows only the ops it applied.
 
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
 use rosebud::core::ports::{pump, replay};
 use rosebud::core::{
     Device, EventLog, FailoverRecord, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor,
     Harness, HostOp, HostReply, Ledger, RecoveryEvent, Rosebud, RpuFaultKind, RpuState, Supervisor,
-    TraceConfig,
+    SupervisorStep, TraceConfig,
 };
 use rosebud::net::{FixedSizeGen, FlowTrafficGen, GenPort, Packet};
 
@@ -27,13 +29,15 @@ const RPUS: usize = 8;
 const WEDGED: usize = 3;
 const HANG_AT: u64 = 50_000;
 
-/// Eight watchdog forwarders at 64-byte saturation, RPU 3 wedged at
-/// `HANG_AT`.
+/// RPU 3 wedged at `HANG_AT`.
+fn hang_plan() -> FaultPlan {
+    FaultPlan::new().at(HANG_AT, FaultKind::FirmwareHang { rpu: WEDGED })
+}
+
+/// Eight watchdog forwarders at 64-byte saturation under `hang_plan`.
 fn wedged_at_hang_at() -> Harness {
     let sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-    let hang = FaultKind::FirmwareHang { rpu: WEDGED };
-    Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0)
-        .faults(FaultPlan::new().at(HANG_AT, hang))
+    Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(hang_plan())
 }
 
 /// Ticks the system and the supervising host agent in lockstep.
@@ -90,7 +94,11 @@ fn run_scenario() -> Trace {
         degraded_mpps,
         recovered_mpps,
         wedged_frames_after_recovery: h.sys.rpu_counters(WEDGED).rx_frames - frames_at_recovery,
-        recoveries: h.sys.recovery_log().to_vec(),
+        recoveries: sup
+            .recoveries()
+            .iter()
+            .map(|ev| ev.timed(&hang_plan(), None))
+            .collect(),
         ledger: h.sys.ledger(),
         in_flight: h.sys.ledger_in_flight(),
     }
@@ -224,7 +232,7 @@ fn a_supervised_spinning_forwarder_raises_no_false_alarm() {
         }
         let tracer = h.sys.take_tracer().expect("tracing enabled");
         (
-            h.sys.recovery_log().to_vec(),
+            sup.recoveries().to_vec(),
             tracer.compact_text(),
             h.sys.diagnostics().render(),
         )
@@ -308,14 +316,14 @@ fn run_fleet_scenario() -> FleetTrace {
 
     // Let the reload and probation complete.
     let mut budget = 40_000u64;
-    while h.sys.failovers().is_empty() && budget > 0 {
+    while sup.failovers().is_empty() && budget > 0 {
         run_fleet(&mut h, &mut sup, 1_000);
         budget -= 1_000;
     }
     assert!(
-        !h.sys.failovers().is_empty(),
+        !sup.failovers().is_empty(),
         "failover never completed; ladder log:\n{}",
-        h.sys.log_text()
+        sup.log_text()
     );
 
     // Re-admitted: the fleet must carry full load again.
@@ -336,8 +344,8 @@ fn run_fleet_scenario() -> FleetTrace {
         baseline_gbps,
         degraded_gbps,
         recovered_gbps,
-        failovers: h.sys.failovers().to_vec(),
-        log_text: h.sys.log_text(),
+        failovers: sup.failovers().to_vec(),
+        log_text: sup.log_text(),
         flows_seen: h.sys.flows_seen(),
         cross_survivor_resteers,
         ledger: h.sys.ledger(),
@@ -604,4 +612,80 @@ fn a_four_box_chaos_drill_replays_from_its_log() {
     let mut fresh = factory();
     replay(&log, &mut fresh);
     assert_eq!(observe(&fresh), observe(&live));
+}
+
+/// `examples/chaos`'s plan: a forced recovery (the hang), a graceful one
+/// (the crash), a PCIe outage in between, and faults the ladder ignores.
+fn chaos_plan() -> FaultPlan {
+    FaultPlan::new()
+        .at(40_000, FaultKind::CorruptIngress { rpu: 1, count: 20 })
+        .at(50_000, FaultKind::FirmwareHang { rpu: 3 })
+        .at(
+            55_000,
+            FaultKind::RxFifoOverflow {
+                port: 0,
+                cycles: 2_000,
+            },
+        )
+        .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
+        .at(140_000, FaultKind::FirmwareCrash { rpu: 6 })
+}
+
+/// The host ops behind one noted ladder step.
+fn ladder_ops(rpu: usize, step: SupervisorStep) -> Vec<HostOp> {
+    match step {
+        SupervisorStep::Detected(_) => vec![HostOp::Disable { rpu }, HostOp::Poke { rpu }],
+        SupervisorStep::DrainStarted => vec![HostOp::Reload { rpu, gated: true }],
+        SupervisorStep::ForcedEvict { .. } => vec![HostOp::ForceReload { rpu }],
+        SupervisorStep::Reenabled | SupervisorStep::FalseAlarm => vec![HostOp::Enable { rpu }],
+        SupervisorStep::Reloading | SupervisorStep::Verifying => vec![],
+    }
+}
+
+#[test]
+fn a_supervised_box_replays_without_its_supervisor() {
+    // The supervisor is a host program: all it does to the box is apply ops.
+    // Its log, turned back into those ops ahead of the plan's own at each
+    // cycle (it polls after a tick, the harness applies before the next),
+    // reproduces the supervised box on a fresh one with no ladder at all.
+    let run = |plan: FaultPlan, supervised: bool| {
+        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
+        sys.enable_tracing(trace_cfg());
+        let gen = Box::new(FixedSizeGen::new(64, 2));
+        let mut h = Harness::new(sys, gen, 205.0).faults(plan);
+        let mut sup = Supervisor::new(&h.sys);
+        for _ in 0..170_000 {
+            h.tick();
+            if supervised {
+                sup.poll(&mut h.sys);
+            }
+        }
+        let trace = h.sys.tracer().unwrap().compact_text();
+        let seen = (trace, h.sys.ledger(), h.sys.diagnostics().render());
+        (seen, sup)
+    };
+    let (supervised, sup) = run(chaos_plan(), true);
+    // The recovery report is the host's, timed against its own plan.
+    assert_eq!(
+        sup.render(&chaos_plan()),
+        "recovery: RPU 3 hung — detected @50177 cycle(s) (177 after fault), down 30208 cycles, \
+         16 purged, forced eviction, 4 host retries\n\
+         recovery: RPU 6 halted — detected @140289 cycle(s) (289 after fault), down 26112 cycles, \
+         0 purged\n"
+    );
+    let ladder = sup
+        .steps()
+        .iter()
+        .flat_map(|&(at, rpu, step)| ladder_ops(rpu, step).into_iter().map(move |op| (at, op)));
+    let plan = chaos_plan();
+    let replay_plan = ladder
+        .chain(plan.ops().iter().cloned())
+        .fold(FaultPlan::new(), |p, (at, op)| p.at(at, op));
+    let (replayed, _) = run(replay_plan, false);
+    assert!(
+        supervised.0 == replayed.0,
+        "trace differs from the replay's"
+    );
+    assert_eq!(supervised.1, replayed.1, "ledger");
+    assert_eq!(supervised.2, replayed.2, "diagnostics");
 }

@@ -705,7 +705,7 @@ fn fleet_failover_matches_unelided_oracle() {
                 trace.push_str(&tracer.compact_text());
             }
             trace.push_str("=== fleet ladder ===\n");
-            trace.push_str(&h.sys.log_text());
+            trace.push_str(&sup.log_text());
             let drops = (0..h.sys.num_boxes())
                 .map(|b| h.sys.sys(b).drop_count())
                 .sum();

@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use rosebud::apps::forwarder::build_watchdog_forwarding_system;
-use rosebud::core::{
-    FaultPlan, Harness, RpuState, Supervisor, SupervisorStep, TraceConfig, TraceEvent,
-};
+use rosebud::core::{FaultPlan, Harness, RpuState, Supervisor, SupervisorStep};
 use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
 const RPUS: usize = 4;
@@ -117,8 +115,7 @@ proptest! {
         plan_seed in any::<u64>(),
         events in 1usize..6,
     ) {
-        let mut sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
-        sys.enable_tracing(TraceConfig { counter_interval: 0, pc_profile: false, max_events: 1 << 20 });
+        let sys = build_watchdog_forwarding_system(RPUS, 64).unwrap();
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 40.0)
             .faults(FaultPlan::random(plan_seed, 30_000, RPUS, 2, events));
         let mut sup = Supervisor::new(&h.sys);
@@ -126,12 +123,9 @@ proptest! {
             h.tick();
             sup.poll(&mut h.sys);
         }
-        let tracer = h.sys.tracer().unwrap();
-        prop_assert_eq!(tracer.dropped_events(), 0);
         let mut prev = [None; RPUS];
-        for (at, ev) in tracer.events() {
-            let TraceEvent::Supervisor { rpu, step } = *ev else { continue };
-            let before = prev[rpu as usize].replace(step);
+        for &(at, rpu, step) in sup.steps() {
+            let before = prev[rpu].replace(step);
             use SupervisorStep::*;
             let ordered = match step {
                 Reenabled => matches!(before, Some(Verifying)),
@@ -158,8 +152,8 @@ proptest! {
             let mut draining = false;
             let mut reloaded = false;
             let mut probation = false;
-            for e in h.sys.log().iter().filter(|e| e.device == device) {
-                match e.step {
+            for (_, _, step) in sup.steps().iter().filter(|e| e.1 == device) {
+                match step {
                     FleetStep::DrainStarted => draining = true,
                     FleetStep::DrainedClean => {
                         prop_assert!(draining, "box {device}: drain finished before starting");

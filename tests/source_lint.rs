@@ -297,18 +297,23 @@ fn a_live_core_has_one_door() {
 }
 
 /// What the recovery ladder senses and does through, at the rack scale
-/// (`Fleet`) and the box scale (`Rosebud`): crate-private doors, so the one
-/// ladder in `supervisor.rs` is the only thing that walks through them.
+/// (`Fleet`): crate-private doors, so the one ladder in `supervisor.rs` is
+/// the only thing that walks through them.
 const LADDER_DOORS: &[&str] = &[
     "manageable_box",
     "box_quiesced",
-    "box_reloads",
     "probe_rtt",
-    "probe_ok",
     "ring_remove",
     "ring_restore",
     "begin_reload",
     "finish_reload",
+];
+
+/// The doors through which the ladder once wrote its notes into the devices
+/// it watches — a box's recovery log and trace, a rack's failover log — and
+/// read when a fault landed out of the injector's memory. Deleted: the host
+/// monitor keeps its own notes (DESIGN.md, "The recovery ladder").
+const DELETED_NOTE_DOORS: &[&str] = &[
     "log_step",
     "log_failover",
     "log_recovery",
@@ -316,13 +321,26 @@ const LADDER_DOORS: &[&str] = &[
     "last_fault_at",
 ];
 
+/// What the ladder notes down. Only `supervisor.rs` and the re-exports in
+/// `lib.rs` may name one: a device that knows these types knows it has a
+/// monitor, and then a supervised run no longer replays without one.
+const MONITOR_NOTES: &[&str] = &[
+    "RecoveryEvent",
+    "FailoverRecord",
+    "SupervisorStep",
+    "FleetStep",
+    "FleetLogEntry",
+];
+
 /// The recovery ladder (DESIGN.md, "The recovery ladder") is written once:
 /// its rung enum, its watch struct and the `poll` that matches on rungs
-/// live in `supervisor.rs` and nowhere else in the core or the shell, and
-/// none of [`LADDER_DOORS`] is public.
+/// live in `supervisor.rs` and nowhere else in the core or the shell, none
+/// of [`LADDER_DOORS`] is public, none of [`DELETED_NOTE_DOORS`] is named
+/// at all, and [`MONITOR_NOTES`] are named only where the ladder lives.
 #[test]
 fn one_recovery_ladder() {
     let home = "crates/core/src/supervisor.rs";
+    let reexports = "crates/core/src/lib.rs";
     let mut violations = String::new();
     let mut home_seen = false;
     for (rel, text) in sources("crates/core/src")
@@ -335,6 +353,8 @@ fn one_recovery_ladder() {
                 assert!(text.contains(decl), "{home} no longer declares `{decl}`");
             }
         }
+        // The one statement of `lib.rs` that may name the notes.
+        let mut in_reexport = false;
         for (lineno, line) in text.lines().enumerate() {
             let code = line.split("//").next().unwrap_or("");
             let mut hit = |what: &str| {
@@ -350,18 +370,30 @@ fn one_recovery_ladder() {
                 if code.contains("Rung::") {
                     hit("a match on rungs");
                 }
+                in_reexport |= rel == reexports && line.starts_with("pub use supervisor::");
+                for name in MONITOR_NOTES.iter().filter(|n| line.contains(**n)) {
+                    if !in_reexport {
+                        hit(&format!("the monitor's note `{name}`"));
+                    }
+                }
+                in_reexport &= !line.contains(';');
             }
             for name in LADDER_DOORS {
                 if code.contains(&format!("pub fn {name}(")) {
                     hit(&format!("`pub fn {name}`"));
                 }
             }
+            for name in DELETED_NOTE_DOORS.iter().filter(|n| line.contains(**n)) {
+                hit(&format!("the deleted door `{name}`"));
+            }
         }
     }
     assert!(home_seen, "{home} is gone");
     assert!(
         violations.is_empty(),
-        "a second recovery ladder, or a public door into the first:\n{violations}\
-         (give `Scale` what it needs in supervisor.rs, and keep the door `pub(crate)`)"
+        "a second recovery ladder, a public door into the first, or a device \
+         that knows its monitor:\n{violations}\
+         (give `Scale` what it needs in supervisor.rs, keep the door `pub(crate)`, \
+         and keep the ladder's notes in the ladder)"
     );
 }

@@ -157,8 +157,9 @@ fn firewall_trace_matches_golden() {
 }
 
 /// The chaos scenario of `tests/fault_recovery.rs`, traced: a firmware hang
-/// under live IMIX traffic, walked through the full supervisor ladder.
-fn chaos_trace_text(traffic_seed: u64) -> String {
+/// under live IMIX traffic, walked through the full supervisor ladder. The
+/// box's trace, then the ladder's own log.
+fn chaos_trace_text(traffic_seed: u64) -> (String, String) {
     let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
     sys.enable_tracing(TraceConfig {
         counter_interval: 8192,
@@ -173,24 +174,40 @@ fn chaos_trace_text(traffic_seed: u64) -> String {
         h.tick();
         sup.poll(&mut h.sys);
     }
-    h.sys.take_tracer().unwrap().compact_text()
+    let steps = sup.steps().iter();
+    let ladder = steps.map(|(at, rpu, step)| format!("@{at} rpu={rpu} {step}\n"));
+    (
+        h.sys.take_tracer().unwrap().compact_text(),
+        ladder.collect(),
+    )
 }
 
 #[test]
 fn chaos_trace_is_deterministic_per_seed() {
-    let a = chaos_trace_text(11);
+    let (a, ladder) = chaos_trace_text(11);
     let b = chaos_trace_text(11);
-    assert_eq!(a, b, "same seed must yield a byte-identical trace");
+    assert_eq!(
+        (&a, &ladder),
+        (&b.0, &b.1),
+        "same seed must yield a byte-identical trace"
+    );
 
-    // Sanity: the trace actually contains the interesting event classes, so
-    // determinism is not vacuous.
+    // Sanity: the ladder walked every rung and the trace contains the
+    // interesting event classes, so determinism is not vacuous.
     for needle in [
-        "sup rpu=3 detected kind=hung",
-        "sup rpu=3 drain",
-        "sup rpu=3 forced-evict",
-        "sup rpu=3 reload",
-        "sup rpu=3 verify",
-        "sup rpu=3 reenabled",
+        "rpu=3 detected kind=hung",
+        "rpu=3 drain",
+        "rpu=3 forced-evict",
+        "rpu=3 reload",
+        "rpu=3 verify",
+        "rpu=3 reenabled",
+    ] {
+        assert!(
+            ladder.contains(needle),
+            "ladder log must contain {needle:?}"
+        );
+    }
+    for needle in [
         "rpu.state rpu=3 state=reconfiguring",
         "lb.mask mask=0xf7",
         "lb.assign",
@@ -205,15 +222,16 @@ fn chaos_trace_is_deterministic_per_seed() {
 #[test]
 fn chaos_trace_differs_across_seeds() {
     assert_ne!(
-        chaos_trace_text(11),
-        chaos_trace_text(12),
+        chaos_trace_text(11).0,
+        chaos_trace_text(12).0,
         "different traffic seeds must not collapse to the same trace"
     );
 }
 
-/// The RPU ladder under `examples/chaos`'s plan, traced: a forced recovery
-/// (the hang), a graceful one (the crash) and the host-link backoff (the
-/// PCIe outage) — every `sup` line, every recovery record, the retry count.
+/// The RPU ladder under `examples/chaos`'s plan: a forced recovery (the
+/// hang), a graceful one (the crash) and the host-link backoff (the PCIe
+/// outage) — every step the ladder noted, every recovery record timed
+/// against the plan, the retry count.
 fn rpu_ladder_text(out: &mut String) {
     use std::fmt::Write as _;
     let plan = FaultPlan::new()
@@ -228,37 +246,32 @@ fn rpu_ladder_text(out: &mut String) {
         )
         .at(60_000, FaultKind::HostDmaOutage { cycles: 8_000 })
         .at(140_000, FaultKind::FirmwareCrash { rpu: 6 });
-    let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
-    sys.enable_tracing(TraceConfig {
-        counter_interval: 0,
-        pc_profile: false,
-        max_events: 1 << 22,
-    });
-    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(64, 2)), 205.0).faults(plan);
+    let sys = build_watchdog_forwarding_system(8, 64).unwrap();
+    let gen = Box::new(FixedSizeGen::new(64, 2));
+    let mut h = Harness::new(sys, gen, 205.0).faults(plan.clone());
     let mut sup = Supervisor::new(&h.sys);
     for _ in 0..190_000 {
         h.tick();
         sup.poll(&mut h.sys);
     }
-    let tracer = h.sys.take_tracer().unwrap();
-    assert_eq!(tracer.dropped_events(), 0, "raise max_events");
     writeln!(out, "# rpu ladder: examples/chaos plan 0xC0FFEE, 8 RPUs").unwrap();
-    for line in tracer
-        .compact_text()
-        .lines()
-        .filter(|l| l.contains(" sup "))
-    {
-        writeln!(out, "{line}").unwrap();
+    for (at, rpu, step) in sup.steps() {
+        writeln!(out, "@{at} sup rpu={rpu} {step}").unwrap();
     }
-    for ev in h.sys.recovery_log() {
-        writeln!(out, "{ev:?}").unwrap();
+    for ev in sup.recoveries() {
+        writeln!(out, "{:?}", ev.timed(&plan, None)).unwrap();
     }
     writeln!(out, "link_retries={}", sup.link_retries()).unwrap();
 }
 
 /// Four watchdog-forwarder boxes behind the front LB at 60 Gbps, polled
 /// then ticked, with every op of `faults` applied at cycle 20 000.
-fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: Vec<HostOp>) -> Fleet {
+fn fleet_drill(
+    out: &mut String,
+    title: &str,
+    cycles: u64,
+    faults: Vec<HostOp>,
+) -> (FleetSupervisor, FaultPlan) {
     use std::fmt::Write as _;
     let fleet = Fleet::new(
         FleetConfig {
@@ -272,18 +285,18 @@ fn fleet_drill(out: &mut String, title: &str, cycles: u64, faults: Vec<HostOp>) 
         .into_iter()
         .fold(FaultPlan::new(), |plan, op| plan.at(20_000, op));
     let gen = FlowTrafficGen::new(512, 256, 0.0, 11);
-    let mut h = Harness::fleet(fleet, Box::new(gen), 60.0).faults(plan);
+    let mut h = Harness::fleet(fleet, Box::new(gen), 60.0).faults(plan.clone());
     let mut sup = FleetSupervisor::new(&h.sys);
     for _ in 0..cycles {
         sup.poll(&mut h.sys);
         h.tick();
     }
     writeln!(out, "# box ladder: {title}").unwrap();
-    out.push_str(&h.sys.log_text());
-    for rec in h.sys.failovers() {
+    out.push_str(&sup.log_text());
+    for rec in sup.failovers() {
         writeln!(out, "{rec:?}").unwrap();
     }
-    h.sys
+    (sup, plan)
 }
 
 /// Every decision both recovery ladders take in three fixed drills, one
@@ -319,10 +332,10 @@ fn ladders_text() -> String {
             op: Box::new(FaultKind::FirmwareCrash { rpu: 1 }.into()),
         },
     ];
-    let fleet = fleet_drill(&mut out, "flap + brownout drill", 90_000, havoc);
-    for device in 0..fleet.num_boxes() {
-        for ev in fleet.sys(device).recovery_log() {
-            writeln!(out, "box {device}: {ev:?}").unwrap();
+    let (sup, plan) = fleet_drill(&mut out, "flap + brownout drill", 90_000, havoc);
+    for device in 0..4 {
+        for ev in sup.rpus(device).recoveries() {
+            writeln!(out, "box {device}: {:?}", ev.timed(&plan, Some(device))).unwrap();
         }
     }
     out
