@@ -117,13 +117,9 @@ fn fleet_point() -> FleetBench {
     // The rack-scale failover drill: 4 boxes behind the consistent-hashing
     // front LB, one killed cold mid-run, measured after re-admission.
     const BOXES: usize = 4;
-    let fleet = Fleet::new(
-        FleetConfig {
-            boxes: BOXES,
-            ..FleetConfig::default()
-        },
-        |_| build_watchdog_forwarding_system(4, 64).expect("valid config"),
-    )
+    let fleet = Fleet::new(FleetConfig { boxes: BOXES }, |_| {
+        build_watchdog_forwarding_system(4, 64).expect("valid config")
+    })
     .expect("valid fleet config");
     let mut h = Harness::fleet(
         fleet,

@@ -61,7 +61,7 @@ fn recovery_latency_and_degradation() {
         "downtime           : {:>7} cycles ({} purged, forced: {})",
         ev.downtime, ev.packets_purged, ev.forced
     );
-    let model = PrTimingModel::default();
+    let model = PrTimingModel;
     println!(
         "wall-clock reload  : {:>7.0} ms on hardware (§4.1 model; sim uses a \
          shortened PR window)",

@@ -11,7 +11,7 @@ use rosebud_net::FixedSizeGen;
 
 fn reload_time_model() {
     heading("§4.1: PR reload time (analytic MCAP model, 320 loads)");
-    let model = PrTimingModel::default();
+    let model = PrTimingModel;
     let samples: Vec<f64> = (0..320).map(|i| model.reload_seconds(i) * 1e3).collect();
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let min = samples.iter().copied().fold(f64::INFINITY, f64::min);

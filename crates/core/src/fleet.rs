@@ -40,7 +40,7 @@
 //! }
 //!
 //! let mut fleet = Fleet::new(
-//!     FleetConfig { boxes: 2, ..FleetConfig::default() },
+//!     FleetConfig { boxes: 2 },
 //!     |_| {
 //!         Rosebud::builder(RosebudConfig::with_rpus(2))
 //!             .firmware(|_| RpuProgram::Native(Box::new(Fwd)))
@@ -70,34 +70,29 @@ use crate::ports::Device;
 use crate::system::Rosebud;
 use crate::trace::TraceConfig;
 
-/// Topology knobs for a [`Fleet`].
+/// Topology of a [`Fleet`].
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Number of Rosebud boxes behind the front LB.
     pub boxes: usize,
-    /// Front-link serialization rate per box, bytes per cycle (50 B/cycle at
-    /// 4 ns/cycle is a 100 G cable, matching the testbed's cross-connects).
-    pub link_bytes_per_cycle: u64,
-    /// Frames the front link buffers before back-pressuring the tester.
-    pub link_capacity: usize,
-    /// Virtual nodes per box on the consistent-hash ring; more points mean
-    /// smoother spread and smaller disturbance per failover.
-    pub vnodes: usize,
 }
 
 /// Front-link propagation delay in cycles (switch + cable).
 const LINK_LATENCY: Cycle = 64;
+/// Front-link serialization rate per box, bytes per cycle (50 B/cycle at
+/// 4 ns/cycle is a 100 G cable, matching the testbed's cross-connects).
+const LINK_BYTES_PER_CYCLE: u64 = 50;
+/// Frames the front link buffers before back-pressuring the tester.
+const LINK_CAPACITY: usize = 64;
+/// Virtual nodes per box on the consistent-hash ring; more points mean
+/// smoother spread and smaller disturbance per failover.
+const VNODES: usize = 64;
 /// Shards in the front LB's flow table.
 const FLOW_SHARDS: usize = 16;
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        Self {
-            boxes: 4,
-            link_bytes_per_cycle: 50,
-            link_capacity: 64,
-            vnodes: 64,
-        }
+        Self { boxes: 4 }
     }
 }
 
@@ -182,17 +177,11 @@ impl Fleet {
         if cfg.boxes == 0 {
             return Err("fleet needs at least one box".into());
         }
-        if cfg.link_bytes_per_cycle == 0 {
-            return Err("front link rate must be nonzero".into());
-        }
-        if cfg.link_capacity == 0 {
-            return Err("front link capacity must be nonzero".into());
-        }
         let factory: Box<dyn Fn(usize) -> Rosebud> = Box::new(factory);
         let boxes: Vec<FleetBox> = (0..cfg.boxes)
             .map(|b| FleetBox {
                 sys: factory(b),
-                front: LinkPort::new(cfg.link_bytes_per_cycle, cfg.link_capacity, LINK_LATENCY),
+                front: LinkPort::new(LINK_BYTES_PER_CYCLE, LINK_CAPACITY, LINK_LATENCY),
                 crashed: false,
                 offline: false,
                 flap_until: 0,
@@ -205,7 +194,7 @@ impl Fleet {
             .collect();
         let ns_per_cycle = boxes[0].sys.config().ns_per_cycle();
         Ok(Self {
-            ring: ConsistentHashRing::new(cfg.boxes, cfg.vnodes),
+            ring: ConsistentHashRing::new(cfg.boxes, VNODES),
             flows: ShardedFlowTable::new(FLOW_SHARDS),
             resteer_matrix: vec![0; cfg.boxes * cfg.boxes],
             flows_seen: 0,
@@ -693,14 +682,7 @@ mod tests {
     }
 
     fn forwarder_fleet(boxes: usize) -> Fleet {
-        Fleet::new(
-            FleetConfig {
-                boxes,
-                ..FleetConfig::default()
-            },
-            |_| forwarder_box(),
-        )
-        .unwrap()
+        Fleet::new(FleetConfig { boxes }, |_| forwarder_box()).unwrap()
     }
 
     /// What [`Device`] promises a tester, whatever is behind it: offers
@@ -755,21 +737,12 @@ mod tests {
 
     #[test]
     fn front_link_saturation_backpressures_instead_of_dropping() {
-        // Starve the front links (1 B/cycle, 2-deep) and offer far more
-        // than they can carry: capacity refusals must surface through the
-        // port-layer counter AND hand every refused frame back to the
-        // harness — nothing silently shed, so the ledger still balances.
-        let fleet = Fleet::new(
-            FleetConfig {
-                boxes: 2,
-                link_bytes_per_cycle: 1,
-                link_capacity: 2,
-                ..FleetConfig::default()
-            },
-            |_| forwarder_box(),
-        )
-        .unwrap();
-        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 100.0);
+        // Offer 400 Gbps to two boxes behind 100 G front links: capacity
+        // refusals must surface through the port-layer counter AND hand
+        // every refused frame back to the harness — nothing silently shed,
+        // so the ledger still balances.
+        let fleet = forwarder_fleet(2);
+        let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 400.0);
         h.run(10_000);
         let refused: u64 = (0..2).map(|b| h.sys.front_refused(b)).sum();
         assert!(refused > 0, "saturated links must report refusals");

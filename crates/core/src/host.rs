@@ -768,39 +768,28 @@ impl Rosebud {
 ///
 /// The dominant term is writing the PR bitstream through Xilinx's MCAP,
 /// which streams configuration frames at roughly 3 MB/s effective on this
-/// board generation; pausing/draining and booting add milliseconds.
+/// board generation; pausing/draining and booting add milliseconds. A VU9P
+/// PR region covering ~1/16 of the device is ~2.2 MB of frames; 3 MB/s MCAP
+/// + ~20 ms overhead lands at the measured mean.
 #[derive(Debug, Clone, Copy)]
-pub struct PrTimingModel {
-    /// PR bitstream size for one RPU region, in bytes.
-    pub bitstream_bytes: f64,
-    /// Effective MCAP write bandwidth, bytes/second.
-    pub mcap_bytes_per_sec: f64,
-    /// Pause + drain + boot overhead, seconds.
-    pub fixed_overhead_s: f64,
-    /// Run-to-run jitter fraction (uniform ±).
-    pub jitter: f64,
-}
-
-impl Default for PrTimingModel {
-    fn default() -> Self {
-        // A VU9P PR region covering ~1/16 of the device is ~2.2 MB of
-        // frames; 3 MB/s MCAP + ~20 ms overhead lands at the measured mean.
-        Self {
-            bitstream_bytes: 2.21e6,
-            mcap_bytes_per_sec: 3.0e6,
-            fixed_overhead_s: 0.020,
-            jitter: 0.04,
-        }
-    }
-}
+pub struct PrTimingModel;
 
 impl PrTimingModel {
+    /// PR bitstream size for one RPU region, in bytes.
+    pub const BITSTREAM_BYTES: f64 = 2.21e6;
+    /// Effective MCAP write bandwidth, bytes/second.
+    pub const MCAP_BYTES_PER_SEC: f64 = 3.0e6;
+    /// Pause + drain + boot overhead, seconds.
+    pub const FIXED_OVERHEAD_S: f64 = 0.020;
+    /// Run-to-run jitter fraction (uniform ±).
+    pub const JITTER: f64 = 0.04;
+
     /// One reload's duration in seconds, with deterministic per-sample
     /// jitter from `sample` (the load index).
     pub fn reload_seconds(&self, sample: u64) -> f64 {
-        let base = self.bitstream_bytes / self.mcap_bytes_per_sec + self.fixed_overhead_s;
+        let base = Self::BITSTREAM_BYTES / Self::MCAP_BYTES_PER_SEC + Self::FIXED_OVERHEAD_S;
         let mut rng = rosebud_kernel::SimRng::seed_from(0x9E37 ^ sample);
-        base * (1.0 + self.jitter * (2.0 * rng.unit() - 1.0))
+        base * (1.0 + Self::JITTER * (2.0 * rng.unit() - 1.0))
     }
 
     /// Mean reload time over `n` samples, in seconds.
@@ -839,7 +828,7 @@ mod tests {
 
     #[test]
     fn pr_model_means_756ms_over_320_loads() {
-        let model = PrTimingModel::default();
+        let model = PrTimingModel;
         let mean = model.mean_reload_seconds(320);
         assert!(
             (mean - 0.756).abs() < 0.015,
@@ -849,11 +838,12 @@ mod tests {
 
     #[test]
     fn pr_model_jitter_is_bounded() {
-        let model = PrTimingModel::default();
-        let base = model.bitstream_bytes / model.mcap_bytes_per_sec + model.fixed_overhead_s;
+        let model = PrTimingModel;
+        let base = PrTimingModel::BITSTREAM_BYTES / PrTimingModel::MCAP_BYTES_PER_SEC
+            + PrTimingModel::FIXED_OVERHEAD_S;
         for i in 0..100 {
             let s = model.reload_seconds(i);
-            assert!((s - base).abs() <= base * model.jitter * 1.001);
+            assert!((s - base).abs() <= base * PrTimingModel::JITTER * 1.001);
         }
     }
 }

@@ -7,11 +7,29 @@
 //! `collection::vec`, and `Strategy::prop_map` — on top of a deterministic
 //! splitmix/xoshiro-style RNG seeded from the test's name.
 //!
+//! # Shrinking
+//!
+//! Shrinking works on raw draws, Hypothesis-style, so no strategy carries
+//! shrinking code. Every `u64` a [`TestRng`] hands out is appended to its
+//! tape, unchanged. When a case fails a `prop_assert*`, the runner replays
+//! smaller tapes through the same property ([`TestRng::replay`] hands out a
+//! tape's values, then zeros). It deletes spans, zeroes spans and
+//! binary-searches each value down. It keeps the shortest, then
+//! lexicographically least tape that still fails. Every strategy maps a
+//! smaller draw to a simpler value: a shorter `vec`, the first
+//! `prop_oneof!` arm, the low end of a range. So the kept tape is a small
+//! case. At most [`test_runner::SHRINK_REPLAYS`] replays are spent. The
+//! report names the original case index and the test's seed, and carries
+//! the shrunk tape and the shrunk case's message. Shrinking is a pure
+//! function of the test name, so re-running the test prints the same
+//! shrunk case.
+//!
+//! A case that panics is not shrunk: the panic propagates unchanged. While
+//! shrinking, a replay that panics counts as passing.
+//!
 //! Differences from the real crate, by design:
 //!
-//! * **No shrinking.** A failing case reports its case index and seed; the
-//!   failure reproduces exactly by re-running the test (sampling is a pure
-//!   function of the test name and case index).
+//! * **Shrinking by tape**, as above, not by value trees.
 //! * **Uniform `prop_oneof!` arms** (no weights — none are used here).
 //! * Sampling distributions are simple uniform draws, not the real crate's
 //!   size-biased distributions.
@@ -20,10 +38,15 @@
 
 use std::rc::Rc;
 
-/// Deterministic generator state for one test case (splitmix64 core).
+/// Deterministic generator state for one test case (splitmix64 core),
+/// recording every draw on a tape.
 #[derive(Debug, Clone)]
 pub struct TestRng {
     state: u64,
+    /// The tape handed out instead of splitmix draws, when replaying.
+    replay: Option<Vec<u64>>,
+    /// Every value handed out so far, in order.
+    tape: Vec<u64>,
 }
 
 impl TestRng {
@@ -31,16 +54,35 @@ impl TestRng {
     pub fn seed_from(seed: u64) -> Self {
         Self {
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            replay: None,
+            tape: Vec::new(),
         }
     }
 
-    /// Next 64 random bits (splitmix64).
+    /// A generator that hands out `tape`'s values, then zeros: feed it a
+    /// failure report's tape to rebuild the shrunk case.
+    pub fn replay(tape: Vec<u64>) -> Self {
+        Self {
+            state: 0,
+            replay: Some(tape),
+            tape: Vec::new(),
+        }
+    }
+
+    /// Next 64 random bits (splitmix64), or the replayed tape's next value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let v = match &self.replay {
+            Some(tape) => tape.get(self.tape.len()).copied().unwrap_or(0),
+            None => {
+                self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+        };
+        self.tape.push(v);
+        v
     }
 
     /// Next 32 random bits.
@@ -70,8 +112,13 @@ pub fn seed_for_name(name: &str) -> u64 {
     h
 }
 
-/// Error and config types, under the real crate's module path.
+/// The case runner and shrinker, and its error and config types, under the
+/// real crate's module path.
 pub mod test_runner {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::{seed_for_name, TestRng};
+
     /// Why a test case failed.
     #[derive(Debug, Clone)]
     pub struct TestCaseError(pub String);
@@ -111,12 +158,126 @@ pub mod test_runner {
             Self { cases: 64 }
         }
     }
+
+    /// Replays the shrinker may spend on one failing case.
+    pub const SHRINK_REPLAYS: u32 = 2048;
+
+    /// Runs `config.cases` cases of the property `name` (what [`proptest!`]
+    /// expands to). Case `i` samples from a generator seeded by the name
+    /// and `i`. The first case that fails is shrunk and reported.
+    ///
+    /// [`proptest!`]: crate::proptest
+    pub fn run<F>(name: &str, config: &ProptestConfig, mut case: F)
+    where
+        F: FnMut(&mut TestRng) -> TestCaseResult,
+    {
+        let base = seed_for_name(name);
+        for i in 0..u64::from(config.cases) {
+            let mut rng = TestRng::seed_from(base ^ i.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            if let Err(error) = case(&mut rng) {
+                let mut s = Shrinker {
+                    case: &mut case,
+                    best: rng.tape,
+                    error,
+                    replays: 0,
+                };
+                s.shrink();
+                panic!(
+                    "proptest case {i}/{total} failed (test seed {base:#x}); shrunk in {n} \
+                     replays to tape {tape:?}: {e}",
+                    total = config.cases,
+                    n = s.replays,
+                    tape = s.best,
+                    e = s.error,
+                );
+            }
+        }
+    }
+
+    /// The smallest failing tape found so far for one property.
+    struct Shrinker<'a, F> {
+        case: &'a mut F,
+        best: Vec<u64>,
+        error: TestCaseError,
+        replays: u32,
+    }
+
+    impl<F: FnMut(&mut TestRng) -> TestCaseResult> Shrinker<'_, F> {
+        /// Replays `tape` and keeps what the case drew if it still fails
+        /// and is smaller than the best tape (shorter, then less; trailing
+        /// zeros dropped, since replay pads with them).
+        fn try_tape(&mut self, tape: Vec<u64>) -> bool {
+            if self.replays == SHRINK_REPLAYS {
+                return false;
+            }
+            self.replays += 1;
+            let mut rng = TestRng::replay(tape);
+            let Ok(Err(error)) = catch_unwind(AssertUnwindSafe(|| (self.case)(&mut rng))) else {
+                return false;
+            };
+            let mut tape = rng.tape;
+            while tape.last() == Some(&0) {
+                tape.pop();
+            }
+            let smaller = (tape.len(), &tape) < (self.best.len(), &self.best);
+            if smaller {
+                (self.best, self.error) = (tape, error);
+            }
+            smaller
+        }
+
+        /// Deletes spans, zeroes spans (largest first) and lowers values
+        /// until a round changes nothing or the replays run out.
+        fn shrink(&mut self) {
+            loop {
+                let before = self.best.clone();
+                for zero in [false, true] {
+                    let mut k = self.best.len().next_power_of_two();
+                    while k > 0 {
+                        let mut i = 0;
+                        while i + k <= self.best.len() {
+                            let mut tape = self.best.clone();
+                            if zero {
+                                tape[i..i + k].fill(0);
+                            } else {
+                                tape.drain(i..i + k);
+                            }
+                            if tape == self.best || !self.try_tape(tape) {
+                                i += k;
+                            }
+                        }
+                        k /= 2;
+                    }
+                }
+                // Binary search for the least value that still fails; the
+                // zeroing pass already tried 0.
+                let mut i = 0;
+                while i < self.best.len() {
+                    let (mut lo, mut hi) = (0, self.best[i]);
+                    while lo + 1 < hi && i < self.best.len() {
+                        let mid = lo + (hi - lo) / 2;
+                        let mut tape = self.best.clone();
+                        tape[i] = mid;
+                        if self.try_tape(tape) {
+                            hi = mid;
+                        } else {
+                            lo = mid;
+                        }
+                    }
+                    i += 1;
+                }
+                if self.best == before || self.replays == SHRINK_REPLAYS {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 /// A source of random values of one type.
 ///
-/// Unlike the real crate there is no value tree: `sample` draws directly
-/// and nothing shrinks.
+/// Unlike the real crate there is no value tree: `sample` draws directly,
+/// and shrinking replays smaller draws (see the crate docs).
 pub trait Strategy {
     /// The type of generated values.
     type Value;
@@ -397,22 +558,16 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $config;
-            let base = $crate::seed_for_name(concat!(module_path!(), "::", stringify!($name)));
-            for case in 0..u64::from(config.cases) {
-                let mut rng = $crate::TestRng::seed_from(base ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
-                $(let $arg = $crate::Strategy::sample(&$strategy, &mut rng);)*
-                let outcome: $crate::test_runner::TestCaseResult = (|| {
+            $crate::test_runner::run(
+                concat!(module_path!(), "::", stringify!($name)),
+                &config,
+                |rng: &mut $crate::TestRng| -> $crate::test_runner::TestCaseResult {
+                    $(let $arg = $crate::Strategy::sample(&$strategy, rng);)*
                     $body
                     #[allow(unreachable_code)]
                     Ok(())
-                })();
-                if let Err(e) = outcome {
-                    panic!(
-                        "proptest case {case}/{total} failed (test seed {base:#x}): {e}",
-                        total = config.cases,
-                    );
-                }
-            }
+                },
+            );
         }
     )*};
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -484,6 +639,56 @@ macro_rules! prop_oneof {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    use crate::test_runner::{run, ProptestConfig};
+
+    /// The message a property run panicked with.
+    fn failure(property: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(property))
+            .expect_err("the property must fail");
+        payload.downcast::<String>().map(|s| *s).unwrap()
+    }
+
+    #[test]
+    fn recording_leaves_the_stream_unchanged() {
+        // splitmix64 from seed 7, as before draws were recorded.
+        let want = [
+            0xec77_9c36_93f8_8501,
+            0xfed9_eeb4_936d_e39d,
+            0x6f9f_b04b_092b_d30a,
+            0x260f_fb02_60bb_be5f,
+        ];
+        let mut rng = TestRng::seed_from(7);
+        let got: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(got, want);
+        assert_eq!(rng.tape, want);
+        let mut again = TestRng::replay(want.to_vec());
+        assert_eq!((0..5).map(|_| again.next_u64()).last(), Some(0));
+    }
+
+    #[test]
+    fn a_failing_integer_shrinks_to_the_boundary() {
+        let msg = failure(|| {
+            run("shrink_int", &ProptestConfig::default(), |rng| {
+                let x = (0u32..1_000_000).sample(rng);
+                prop_assert!(x < 1000, "x = {}", x);
+                Ok(())
+            })
+        });
+        assert!(msg.ends_with(": x = 1000"), "{msg}");
+    }
+
+    #[test]
+    fn a_failing_vec_shrinks_to_one_minimal_element() {
+        let msg = failure(|| {
+            run("shrink_vec", &ProptestConfig::default(), |rng| {
+                let v = crate::collection::vec(any::<u8>(), 0..20).sample(rng);
+                prop_assert!(v.iter().all(|&x| x < 7), "v = {:?}", v);
+                Ok(())
+            })
+        });
+        assert!(msg.ends_with(": v = [7]"), "{msg}");
+    }
 
     #[test]
     fn rng_is_deterministic() {

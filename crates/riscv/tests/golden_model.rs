@@ -1,149 +1,93 @@
 //! Differential testing of the execution engine: random straight-line
-//! ALU/M programs run on the [`Cpu`] must agree with a direct Rust
-//! evaluation of the same operations, and a battery of classic routines
+//! ALU/M programs, self-modifying ones included, run on the [`Cpu`] must
+//! agree with a direct Rust evaluation of the same operations and must not
+//! notice the decode cache, and a battery of classic routines
 //! (memcpy, strlen, CRC-32, quicksort-ish partition) must produce the right
 //! answers through the assembler + ISS pipeline.
 
+mod gen;
+
 use proptest::prelude::*;
-use rosebud_riscv::{assemble, Cpu, RamBus, Reg, StepResult};
+use rosebud_riscv::{assemble, AluOp, Cpu, Instr, MulOp, RamBus, Reg, StepResult};
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Add,
-    Sub,
-    Xor,
-    Or,
-    And,
-    Sll,
-    Srl,
-    Sra,
-    Slt,
-    Sltu,
-    Mul,
-    Div,
-    Rem,
-}
-
-impl Op {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Xor => "xor",
-            Op::Or => "or",
-            Op::And => "and",
-            Op::Sll => "sll",
-            Op::Srl => "srl",
-            Op::Sra => "sra",
-            Op::Slt => "slt",
-            Op::Sltu => "sltu",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::Rem => "rem",
-        }
-    }
-
-    fn eval(self, a: u32, b: u32) -> u32 {
-        match self {
-            Op::Add => a.wrapping_add(b),
-            Op::Sub => a.wrapping_sub(b),
-            Op::Xor => a ^ b,
-            Op::Or => a | b,
-            Op::And => a & b,
-            Op::Sll => a << (b & 31),
-            Op::Srl => a >> (b & 31),
-            Op::Sra => ((a as i32) >> (b & 31)) as u32,
-            Op::Slt => u32::from((a as i32) < (b as i32)),
-            Op::Sltu => u32::from(a < b),
-            Op::Mul => a.wrapping_mul(b),
-            Op::Div => {
-                if b == 0 {
-                    u32::MAX
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    a
-                } else {
-                    ((a as i32) / (b as i32)) as u32
-                }
-            }
-            Op::Rem => {
-                if b == 0 {
-                    a
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    0
-                } else {
-                    ((a as i32) % (b as i32)) as u32
-                }
-            }
-        }
+/// The reference: `op`'s destination and result over registers `x`,
+/// computed from the ISA manual rather than from the ISS.
+fn eval(op: Instr, x: &[u32; 32]) -> (usize, u32) {
+    let r = |r: Reg| x[r.0 as usize];
+    match op {
+        Instr::Op { op, rd, rs1, rs2 } => (rd.0 as usize, alu(op, r(rs1), r(rs2))),
+        Instr::OpImm { op, rd, rs1, imm } => (rd.0 as usize, alu(op, r(rs1), imm as u32)),
+        Instr::MulDiv { op, rd, rs1, rs2 } => (rd.0 as usize, muldiv(op, r(rs1), r(rs2))),
+        other => unreachable!("not ALU/M: {other:?}"),
     }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Add),
-        Just(Op::Sub),
-        Just(Op::Xor),
-        Just(Op::Or),
-        Just(Op::And),
-        Just(Op::Sll),
-        Just(Op::Srl),
-        Just(Op::Sra),
-        Just(Op::Slt),
-        Just(Op::Sltu),
-        Just(Op::Mul),
-        Just(Op::Div),
-        Just(Op::Rem),
-    ]
+fn alu(op: AluOp, a: u32, b: u32) -> u32 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Xor => a ^ b,
+        AluOp::Or => a | b,
+        AluOp::And => a & b,
+        AluOp::Sll => a << (b & 31),
+        AluOp::Srl => a >> (b & 31),
+        AluOp::Sra => ((a as i32) >> (b & 31)) as u32,
+        AluOp::Slt => u32::from((a as i32) < (b as i32)),
+        AluOp::Sltu => u32::from(a < b),
+    }
+}
+
+fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
+    let (sa, sb) = (i64::from(a as i32), i64::from(b as i32));
+    let (ua, ub) = (u64::from(a), u64::from(b));
+    match op {
+        MulOp::Mul => a.wrapping_mul(b),
+        MulOp::Mulh => ((sa * sb) >> 32) as u32,
+        MulOp::Mulhsu => ((sa * ub as i64) >> 32) as u32,
+        MulOp::Mulhu => ((ua * ub) >> 32) as u32,
+        // In 64 bits, i32::MIN / -1 needs no special case.
+        MulOp::Div => sa.checked_div(sb).map_or(u32::MAX, |q| q as u32),
+        MulOp::Rem => sa.checked_rem(sb).map_or(a, |r| r as u32),
+        MulOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
+        MulOp::Remu => a.checked_rem(b).unwrap_or(a),
+    }
+}
+
+/// Registers, `cycles()` and memory after running `source` to `ebreak`.
+fn run(source: &str, decode_cache: bool) -> (Vec<u32>, u64, Vec<u8>) {
+    let image = assemble(source).expect("generated program assembles");
+    let mut bus = RamBus::new(64 * 1024);
+    if decode_cache {
+        bus = bus.with_decode_cache();
+    }
+    bus.load_image(0, image.words());
+    let mut cpu = Cpu::new(0);
+    for _ in 0..10_000 {
+        if matches!(cpu.step(&mut bus), StepResult::Break) {
+            break;
+        }
+    }
+    let regs = (0..32).map(|r| cpu.reg(Reg(r))).collect();
+    (regs, cpu.cycles(), bus.mem().to_vec())
 }
 
 proptest! {
-    /// Random straight-line programs over registers a0–a7: the ISS must
-    /// compute exactly what direct evaluation computes.
+    /// Random straight-line ALU/M streams over a0–a7, some ops overwritten
+    /// just before they run: the ISS must compute exactly what direct
+    /// evaluation computes, with the decode cache on as with it off.
     #[test]
-    fn iss_agrees_with_direct_evaluation(
-        seeds in proptest::collection::vec(any::<u32>(), 8),
-        ops in proptest::collection::vec(
-            (op_strategy(), 0usize..8, 0usize..8, 0usize..8),
-            1..40
-        ),
-    ) {
-        // Build the program: seed a0..a7, then the op sequence.
-        let regs = ["a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"];
-        let mut source = String::new();
-        for (r, v) in regs.iter().zip(&seeds) {
-            source.push_str(&format!("li {r}, {}\n", *v as i32));
+    fn iss_agrees_with_direct_evaluation(stream in gen::stream(1..40)) {
+        let source = stream.asm();
+        let mut model = [0u32; 32];
+        model[10..18].copy_from_slice(&stream.seeds);
+        for &(op, patch) in &stream.ops {
+            let (rd, v) = eval(patch.unwrap_or(op), &model);
+            model[rd] = v;
         }
-        for (op, rd, rs1, rs2) in &ops {
-            source.push_str(&format!(
-                "{} {}, {}, {}\n",
-                op.mnemonic(), regs[*rd], regs[*rs1], regs[*rs2]
-            ));
-        }
-        source.push_str("ebreak\n");
-
-        // Golden model.
-        let mut model: Vec<u32> = seeds.clone();
-        for (op, rd, rs1, rs2) in &ops {
-            model[*rd] = op.eval(model[*rs1], model[*rs2]);
-        }
-
-        // ISS.
-        let image = assemble(&source).expect("generated program assembles");
-        let mut bus = RamBus::new(64 * 1024);
-        bus.load_image(0, image.words());
-        let mut cpu = Cpu::new(0);
-        for _ in 0..10_000 {
-            if matches!(cpu.step(&mut bus), StepResult::Break) {
-                break;
-            }
-        }
-        for (i, r) in regs.iter().enumerate() {
-            prop_assert_eq!(
-                cpu.reg(Reg::parse(r).unwrap()),
-                model[i],
-                "register {} after {:?}", r, ops
-            );
-        }
+        let uncached = run(&source, false);
+        prop_assert_eq!(&uncached.0[10..18], &model[10..18], "a0–a7 of\n{}", source);
+        let cached = run(&source, true);
+        prop_assert!(cached == uncached, "decode cache on and off diverge on\n{}", source);
     }
 }
 

@@ -2,122 +2,15 @@
 //! decoder's totality over random words, and assembler/disassembler
 //! round-trips.
 
+mod gen;
+
+use gen::{Class, ALL};
 use proptest::prelude::*;
-use rosebud_riscv::{
-    assemble, decode, disassemble, encode, AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp,
-    Reg, StoreOp,
-};
-
-fn reg_strategy() -> impl Strategy<Value = Reg> {
-    (0u8..32).prop_map(Reg::new)
-}
-
-fn instr_strategy() -> impl Strategy<Value = Instr> {
-    let alu = prop_oneof![
-        Just(AluOp::Add),
-        Just(AluOp::Sll),
-        Just(AluOp::Slt),
-        Just(AluOp::Sltu),
-        Just(AluOp::Xor),
-        Just(AluOp::Srl),
-        Just(AluOp::Sra),
-        Just(AluOp::Or),
-        Just(AluOp::And),
-    ];
-    let alu_rr = prop_oneof![alu.clone(), Just(AluOp::Sub)];
-    prop_oneof![
-        (reg_strategy(), -(1i32 << 19)..(1 << 19)).prop_map(|(rd, imm)| Instr::Lui { rd, imm }),
-        (reg_strategy(), -(1i32 << 19)..(1 << 19)).prop_map(|(rd, imm)| Instr::Auipc { rd, imm }),
-        (
-            reg_strategy(),
-            (-(1i32 << 19)..(1 << 19)).prop_map(|x| x * 2)
-        )
-            .prop_map(|(rd, imm)| Instr::Jal { rd, imm }),
-        (reg_strategy(), reg_strategy(), -2048i32..2048).prop_map(|(rd, rs1, imm)| Instr::Jalr {
-            rd,
-            rs1,
-            imm
-        }),
-        (
-            prop_oneof![
-                Just(BranchOp::Eq),
-                Just(BranchOp::Ne),
-                Just(BranchOp::Lt),
-                Just(BranchOp::Ge),
-                Just(BranchOp::Ltu),
-                Just(BranchOp::Geu)
-            ],
-            reg_strategy(),
-            reg_strategy(),
-            (-2048i32..2048).prop_map(|x| x * 2)
-        )
-            .prop_map(|(op, rs1, rs2, imm)| Instr::Branch { op, rs1, rs2, imm }),
-        (
-            prop_oneof![
-                Just(LoadOp::Lb),
-                Just(LoadOp::Lh),
-                Just(LoadOp::Lw),
-                Just(LoadOp::Lbu),
-                Just(LoadOp::Lhu)
-            ],
-            reg_strategy(),
-            reg_strategy(),
-            -2048i32..2048
-        )
-            .prop_map(|(op, rd, rs1, imm)| Instr::Load { op, rd, rs1, imm }),
-        (
-            prop_oneof![Just(StoreOp::Sb), Just(StoreOp::Sh), Just(StoreOp::Sw)],
-            reg_strategy(),
-            reg_strategy(),
-            -2048i32..2048
-        )
-            .prop_map(|(op, rs1, rs2, imm)| Instr::Store { op, rs1, rs2, imm }),
-        (alu.clone(), reg_strategy(), reg_strategy(), 0i32..32).prop_map(|(op, rd, rs1, shamt)| {
-            let imm = match op {
-                AluOp::Sll | AluOp::Srl | AluOp::Sra => shamt,
-                _ => shamt * 64 - 1024, // any in-range immediate
-            };
-            Instr::OpImm { op, rd, rs1, imm }
-        }),
-        (alu_rr, reg_strategy(), reg_strategy(), reg_strategy())
-            .prop_map(|(op, rd, rs1, rs2)| Instr::Op { op, rd, rs1, rs2 }),
-        (
-            prop_oneof![
-                Just(MulOp::Mul),
-                Just(MulOp::Mulh),
-                Just(MulOp::Mulhsu),
-                Just(MulOp::Mulhu),
-                Just(MulOp::Div),
-                Just(MulOp::Divu),
-                Just(MulOp::Rem),
-                Just(MulOp::Remu)
-            ],
-            reg_strategy(),
-            reg_strategy(),
-            reg_strategy()
-        )
-            .prop_map(|(op, rd, rs1, rs2)| Instr::MulDiv { op, rd, rs1, rs2 }),
-        Just(Instr::Fence),
-        Just(Instr::Ecall),
-        Just(Instr::Ebreak),
-        Just(Instr::Mret),
-        Just(Instr::Wfi),
-        (
-            prop_oneof![Just(CsrOp::Rw), Just(CsrOp::Rs), Just(CsrOp::Rc)],
-            reg_strategy(),
-            0u16..4096,
-            prop_oneof![
-                reg_strategy().prop_map(CsrSrc::Reg),
-                (0u8..32).prop_map(CsrSrc::Imm)
-            ]
-        )
-            .prop_map(|(op, rd, csr, src)| Instr::Csr { op, rd, csr, src }),
-    ]
-}
+use rosebud_riscv::{assemble, decode, disassemble, encode, Instr};
 
 proptest! {
     #[test]
-    fn encode_decode_identity(instr in instr_strategy()) {
+    fn encode_decode_identity(instr in gen::instr(Class::Any, ALL)) {
         prop_assert_eq!(decode(encode(instr).unwrap()).unwrap(), instr);
     }
 
@@ -137,7 +30,7 @@ proptest! {
     }
 
     #[test]
-    fn disassembly_reassembles(instr in instr_strategy()) {
+    fn disassembly_reassembles(instr in gen::instr(Class::Any, ALL)) {
         // Branch/jump targets are pc-relative in the text, so skip those
         // (covered by unit tests); everything else must round-trip through
         // text.

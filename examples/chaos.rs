@@ -23,13 +23,9 @@ use rosebud::net::{FixedSizeGen, FlowTrafficGen};
 
 fn fleet_main(boxes: usize) -> Result<(), Box<dyn std::error::Error>> {
     let killed = boxes / 2;
-    let fleet = Fleet::new(
-        FleetConfig {
-            boxes,
-            ..FleetConfig::default()
-        },
-        |_| build_watchdog_forwarding_system(4, 64).unwrap(),
-    )?;
+    let fleet = Fleet::new(FleetConfig { boxes }, |_| {
+        build_watchdog_forwarding_system(4, 64).unwrap()
+    })?;
     let load = 15.0 * boxes as f64;
     let mut h = Harness::fleet(
         fleet,

@@ -8,14 +8,13 @@
 //! cargo run --release --example lint                 # lint every builtin
 //! cargo run --release --example lint -- firewall     # one builtin
 //! cargo run --release --example lint -- my_fw.s      # your own assembly
-//! cargo run --release --example lint -- --deny ...   # mirror the load gate
 //! cargo run --release --example lint -- --strict ... # warnings fail too
 //! cargo run --release --example lint -- --json ...   # machine-readable
 //! ```
 //!
-//! `--deny` mirrors `LoadPolicy::Deny` exactly: the exit status is non-zero
-//! when any report contains *errors* (the same findings that would refuse
-//! the image at load time). `--strict` additionally fails on warnings.
+//! The exit status is non-zero when any report contains *errors* (the same
+//! findings `LoadPolicy::Deny` refuses at load time). `--strict`
+//! additionally fails on warnings.
 //! `--json` replaces the text reports with one JSON object per target
 //! (check id, severity, PC, and witness path per diagnostic), for CI
 //! artifacts and editor integration.
@@ -46,17 +45,15 @@ fn builtins() -> Vec<(&'static str, String)> {
 }
 
 fn main() {
-    let mut deny = false;
     let mut strict = false;
     let mut json = false;
     let mut targets: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--deny" => deny = true,
             "--strict" => strict = true,
             "--json" => json = true,
             "--help" | "-h" => {
-                eprintln!("usage: lint [--deny] [--strict] [--json] [NAME|FILE.s ...]");
+                eprintln!("usage: lint [--strict] [--json] [NAME|FILE.s ...]");
                 eprintln!("builtins: {}", builtin_names().join(", "));
                 return;
             }
@@ -124,9 +121,8 @@ fn main() {
             jobs.len()
         );
     }
-    // Default and --deny both fail on errors (the findings LoadPolicy::Deny
-    // refuses); --strict also fails on warnings.
-    let _ = deny;
+    // Errors (the findings LoadPolicy::Deny refuses) fail the run; --strict
+    // also fails on warnings.
     if errors > 0 || (strict && warnings > 0) {
         std::process::exit(1);
     }

@@ -257,13 +257,9 @@ const KILLED: usize = 2;
 const FLEET_LOAD_GBPS: f64 = 60.0;
 
 fn fleet_under_test() -> Harness<Fleet> {
-    let fleet = Fleet::new(
-        FleetConfig {
-            boxes: BOXES,
-            ..FleetConfig::default()
-        },
-        |_| build_watchdog_forwarding_system(4, 64).unwrap(),
-    )
+    let fleet = Fleet::new(FleetConfig { boxes: BOXES }, |_| {
+        build_watchdog_forwarding_system(4, 64).unwrap()
+    })
     .unwrap();
     Harness::fleet(
         fleet,
@@ -557,10 +553,7 @@ fn a_planned_chaos_run_on_a_box_replays_from_its_log() {
 #[test]
 fn a_four_box_chaos_drill_replays_from_its_log() {
     let factory = || {
-        let cfg = FleetConfig {
-            boxes: BOXES,
-            ..FleetConfig::default()
-        };
+        let cfg = FleetConfig { boxes: BOXES };
         let fleet = Fleet::new(cfg, |_| build_watchdog_forwarding_system(4, 64).unwrap());
         let mut fleet = fleet.unwrap();
         fleet.enable_tracing(trace_cfg());

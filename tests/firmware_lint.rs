@@ -566,19 +566,13 @@ fn fleet_pr_reload_denies_tainted_dma_firmware() {
     // The reload is queued as the box is built: pre-run configuration, like
     // the factory's own firmware.
     let bad = assemble(TAINTED_DMA_FIRMWARE).unwrap();
-    let mut fleet = Fleet::new(
-        FleetConfig {
-            boxes: 2,
-            ..FleetConfig::default()
-        },
-        move |device| {
-            let mut sys = forwarder_system(LoadPolicy::Deny).expect("good boot firmware");
-            if device == 0 {
-                sys.reconfigure_rpu(1, Some(RpuProgram::Riscv(bad.clone())), None);
-            }
-            sys
-        },
-    )
+    let mut fleet = Fleet::new(FleetConfig { boxes: 2 }, move |device| {
+        let mut sys = forwarder_system(LoadPolicy::Deny).expect("good boot firmware");
+        if device == 0 {
+            sys.reconfigure_rpu(1, Some(RpuProgram::Riscv(bad.clone())), None);
+        }
+        sys
+    })
     .unwrap();
 
     let pr = fleet.sys(0).config().pr_cycles;

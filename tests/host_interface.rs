@@ -321,10 +321,7 @@ fn an_op_a_fleet_cannot_land_is_refused_and_changes_nothing() {
         ),
     ];
     let fleet = || {
-        let cfg = FleetConfig {
-            boxes: 2,
-            ..FleetConfig::default()
-        };
+        let cfg = FleetConfig { boxes: 2 };
         let mut fleet = Fleet::new(cfg, |_| build_forwarding_system(4).unwrap()).unwrap();
         fleet.enable_tracing(rosebud::core::TraceConfig::default());
         Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 20.0)

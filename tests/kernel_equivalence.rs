@@ -665,13 +665,9 @@ fn fleet_failover_matches_unelided_oracle() {
 
     for seed in [5u64, 31] {
         differential(&format!("fleet-chaos seed={seed}"), |side| {
-            let mut fleet = Fleet::new(
-                FleetConfig {
-                    boxes: 2,
-                    ..FleetConfig::default()
-                },
-                |_| build_watchdog_forwarding_system(4, 64).unwrap(),
-            )
+            let mut fleet = Fleet::new(FleetConfig { boxes: 2 }, |_| {
+                build_watchdog_forwarding_system(4, 64).unwrap()
+            })
             .unwrap();
             fleet.enable_tracing(trace_cfg());
             let brownout = FaultKind::BoxBrownout {

@@ -90,7 +90,7 @@ proptest! {
         gbps in 5.0f64..80.0,
     ) {
         let fleet = Fleet::new(
-            FleetConfig { boxes: 2, ..FleetConfig::default() },
+            FleetConfig { boxes: 2 },
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let gen = FlowTrafficGen::new(64, 256, 0.05, traffic_seed);
@@ -138,7 +138,7 @@ proptest! {
         }
 
         let fleet = Fleet::new(
-            FleetConfig { boxes: 2, ..FleetConfig::default() },
+            FleetConfig { boxes: 2 },
             |_| build_watchdog_forwarding_system(RPUS, 64).unwrap(),
         ).unwrap();
         let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(128, 2)), 30.0)

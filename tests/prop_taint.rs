@@ -3,6 +3,10 @@
 //! is denied, and the same program with a mask or bounds-guard sanitizer
 //! inserted passes clean — across random chains, masks, and guard limits.
 
+#[path = "../crates/riscv/tests/gen/mod.rs"]
+mod gen;
+
+use gen::{Contract, Sanitizer};
 use proptest::prelude::*;
 use rosebud::core::{machine_spec, RosebudConfig};
 use rosebud::riscv::{assemble, Analyzer, Check, LintReport, Severity};
@@ -20,121 +24,48 @@ fn taint_errors(report: &LintReport) -> usize {
         .count()
 }
 
-/// One op in the chain from the packet load to the DMA length register.
-/// Every op propagates taint (arithmetic/logic with a clean second operand
-/// keeps the attacker's influence alive), so only an explicit sanitizer may
-/// clear it.
-fn chain_op(pick: u8, val: u32) -> String {
-    let imm = val % 2048;
-    match pick % 6 {
-        0 => format!("addi a2, a2, {imm}"),
-        1 => "xor a2, a2, s3".to_string(),
-        2 => format!("slli a2, a2, {}", val % 4),
-        3 => format!("srli a2, a2, {}", val % 4),
-        4 => "or a2, a2, s3".to_string(),
-        _ => "add a2, a2, s3".to_string(),
-    }
-}
-
-/// The protocol-correct DMA skeleton: poll, take the descriptor, run the op
-/// chain over the packet-derived length in `a2`, optionally sanitize, then
-/// program + kick + completion-poll the engine, release, and forward.
-fn dma_program(chain: &[String], sanitizer: &str) -> String {
-    format!(
-        "
-        .equ IO, 0x02000000
-            li t0, IO
-            li t1, 0x01000000
-            li s3, 7                 # clean mixing operand for the chain
-        poll:
-            sw t1, 0x40(t0)          # pet the watchdog
-            lw a0, 0x00(t0)          # RECV_READY
-            beqz a0, poll
-            lw a1, 0x04(t0)          # RECV_DESC_LO
-            lw a2, 0(t1)             # packet word: the attacker's length
-            {chain}
-            {sanitizer}
-            sw zero, 0x44(t0)        # DMA_HOST_ADDR
-            sw t1, 0x48(t0)          # DMA_LOCAL_ADDR
-            sw a2, 0x4c(t0)          # DMA_LEN
-            li a3, 1
-            sw a3, 0x50(t0)          # DMA_CTRL: kick
-        wait:
-            sw t1, 0x40(t0)          # keep petting
-            lw a3, 0x54(t0)          # DMA_STATUS completion poll
-            bnez a3, wait
-            sw zero, 0x0c(t0)        # RECV_RELEASE
-            sw a1, 0x10(t0)          # stage
-            sw a1, 0x14(t0)          # commit
-            j poll
-        ",
-        chain = chain.join("\n            "),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Mask-sanitized programs pass; their unsanitized twins are denied.
     #[test]
     fn mask_sanitized_passes_and_unsanitized_twin_fails(
-        picks in proptest::collection::vec(any::<u8>(), 0..6),
-        vals in proptest::collection::vec(any::<u32>(), 6),
-        mask_bits in 4u32..16,
+        program in gen::dma(0..6, Sanitizer::Mask),
     ) {
-        let chain: Vec<String> = picks
-            .iter()
-            .zip(&vals)
-            .map(|(&p, &v)| chain_op(p, v))
-            .collect();
-        let mask = (1u32 << mask_bits) - 1;
-
-        let sanitized = check(&dma_program(
-            &chain,
-            &format!("andi a2, a2, {}", mask & 0x7ff),
-        ));
+        let src = program.asm(Contract::Keep);
+        let sanitized = check(&src);
         prop_assert!(
             !sanitized.has_errors(),
-            "mask-sanitized program must pass:\n{}",
+            "mask-sanitized program must pass:\n{}{src}",
             sanitized.render("sanitized")
         );
-
-        let twin = check(&dma_program(&chain, "# no sanitizer"));
+        let src = program.asm(Contract::Break);
+        let twin = check(&src);
         prop_assert!(
             taint_errors(&twin) > 0,
-            "unsanitized twin must be denied:\n{}",
+            "unsanitized twin must be denied:\n{}{src}",
             twin.render("twin")
         );
     }
 
-    /// Bounds-guard sanitization (`bltu` against a clean limit) also clears
+    /// Bounds-guard sanitization (`bgeu` against a clean limit) also clears
     /// the taint on the guarded edge.
     #[test]
     fn guard_sanitized_passes_and_unsanitized_twin_fails(
-        picks in proptest::collection::vec(any::<u8>(), 0..6),
-        vals in proptest::collection::vec(any::<u32>(), 6),
-        limit in 64u32..4096,
+        program in gen::dma(0..6, Sanitizer::Guard),
     ) {
-        let chain: Vec<String> = picks
-            .iter()
-            .zip(&vals)
-            .map(|(&p, &v)| chain_op(p, v))
-            .collect();
-        let guard = format!(
-            "li s4, {limit}\n            bgeu a2, s4, poll # oversized: drop back to poll"
-        );
-
-        let guarded = check(&dma_program(&chain, &guard));
+        let src = program.asm(Contract::Keep);
+        let guarded = check(&src);
         prop_assert!(
             taint_errors(&guarded) == 0,
-            "guard-sanitized program must have no taint errors:\n{}",
+            "guard-sanitized program must have no taint errors:\n{}{src}",
             guarded.render("guarded")
         );
-
-        let twin = check(&dma_program(&chain, "# no sanitizer"));
+        let src = program.asm(Contract::Break);
+        let twin = check(&src);
         prop_assert!(
             taint_errors(&twin) > 0,
-            "unsanitized twin must be denied:\n{}",
+            "unsanitized twin must be denied:\n{}{src}",
             twin.render("twin")
         );
     }

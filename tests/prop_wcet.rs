@@ -1,7 +1,10 @@
 //! Property test for the analyzer's WCET model: for generated straight-line
-//! and single-loop programs, the static bound must dominate the cycles an
-//! actual ISS run takes — across random instruction mixes, operand values,
-//! and loop trip counts.
+//! and single-loop programs with calls, the static bound must dominate the
+//! cycles an actual ISS run takes — across random instruction mixes,
+//! operand values, and loop trip counts.
+
+#[path = "../crates/riscv/tests/gen/mod.rs"]
+mod gen;
 
 use proptest::prelude::*;
 use rosebud::riscv::{assemble, Analyzer, Cpu, MachineSpec, RamBus, StepResult};
@@ -33,51 +36,16 @@ fn simulate(src: &str) -> u64 {
     }
 }
 
-/// One random body instruction. Everything writes registers the program has
-/// already initialized (a0..a3 and t0), so the analyzer's uninit check stays
-/// quiet and the WCET comparison is the only thing under test. `t0` holds a
-/// valid RAM address for the memory ops.
-fn body_instr(pick: u8, val: i32) -> String {
-    let imm = val.rem_euclid(2048);
-    match pick % 8 {
-        0 => format!("addi a0, a0, {imm}"),
-        1 => "xor a1, a0, a2".to_string(),
-        2 => format!("sltiu a2, a1, {imm}"),
-        3 => "mul a3, a0, a1".to_string(),
-        4 => "divu a2, a1, a0".to_string(),
-        5 => "sw a0, 8(t0)".to_string(),
-        6 => "lw a1, 8(t0)".to_string(),
-        _ => format!("srli a0, a0, {}", val.rem_euclid(31) + 1),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Straight-line programs: the acyclic path bound is the whole story.
+    /// Straight-line programs, calls included: the acyclic path bound is
+    /// the whole story.
     #[test]
-    fn straight_line_bound_dominates_simulation(
-        picks in proptest::collection::vec(any::<u8>(), 1..24),
-        vals in proptest::collection::vec(any::<i32>(), 24),
-        a0 in any::<u16>(),
-    ) {
-        let mut src = String::from(
-            "
-                li t0, 1024
-                li a0, AA
-                li a1, 3
-                li a2, 7
-                li a3, 1
-            ",
-        )
-        .replace("AA", &a0.to_string());
-        for (i, &p) in picks.iter().enumerate() {
-            src.push_str(&format!("    {}\n", body_instr(p, vals[i])));
-        }
-        src.push_str("    ebreak\n");
-
+    fn straight_line_bound_dominates_simulation(code in gen::code(1..24, 0..1)) {
+        let src = code.0;
         let report = analyzer().check(&assemble(&src).unwrap());
-        prop_assert!(!report.has_errors(), "{}", report.render("generated"));
+        prop_assert!(!report.has_errors(), "{}\n{src}", report.render("generated"));
         let bound = report.wcet[0].acyclic_cycles;
         let measured = simulate(&src);
         prop_assert!(
@@ -90,38 +58,12 @@ proptest! {
     /// bound must cover the run. The `-1` is because the bound's acyclic
     /// part already walks the loop body once.
     #[test]
-    fn counted_loop_bound_dominates_simulation(
-        picks in proptest::collection::vec(any::<u8>(), 1..10),
-        vals in proptest::collection::vec(any::<i32>(), 10),
-        iters in 1u32..200,
-    ) {
-        let mut src = String::from(
-            "
-                li t0, 1024
-                li a0, 5
-                li a1, 3
-                li a2, 7
-                li a3, 1
-                li s0, II
-            loop:
-            ",
-        )
-        .replace("II", &iters.to_string());
-        for (i, &p) in picks.iter().enumerate() {
-            src.push_str(&format!("    {}\n", body_instr(p, vals[i])));
-        }
-        src.push_str(
-            "
-                addi s0, s0, -1
-                bnez s0, loop
-                ebreak
-            ",
-        );
-
+    fn counted_loop_bound_dominates_simulation(code in gen::code(1..10, 1..200)) {
+        let (src, iters) = code;
         let report = analyzer().check(&assemble(&src).unwrap());
-        prop_assert!(!report.has_errors(), "{}", report.render("generated"));
+        prop_assert!(!report.has_errors(), "{}\n{src}", report.render("generated"));
         let w = &report.wcet[0];
-        prop_assert_eq!(w.loops.len(), 1);
+        prop_assert_eq!(w.loops.len(), 1, "{}", src);
         let bound = w.acyclic_cycles + u64::from(iters - 1) * w.loops[0].cycles_per_iter;
         let measured = simulate(&src);
         prop_assert!(

@@ -1,6 +1,9 @@
 //! System-level property tests: packet conservation and slot-accounting
 //! invariants hold under randomized traffic shapes, sizes and loads.
 
+#[path = "../crates/riscv/tests/gen/mod.rs"]
+mod gen;
+
 use proptest::prelude::*;
 use rosebud::apps::forwarder::build_forwarding_system;
 use rosebud::core::{Device, Harness};
@@ -127,75 +130,17 @@ mod elision {
     }
 }
 
-/// Spin-loop elision against generated poll loops. Each case assembles a
-/// forwarder whose poll loop runs a random body before it checks
-/// `RECV_READY`: loads of `RECV_READY`, `STATUS`, `DMA_STATUS` and data
-/// memory, ALU ops on scratch registers and forward branches. Half the
-/// cases also carry one access a parked core could not repeat — a load of
-/// `TIMER_L`, `BCAST_FREE` or the broadcast mirror, a data-memory store, or
-/// `csrr mcycle` into a scratch register — so that loop must never park.
-/// Under random arrivals the box as shipped must match the un-elided
-/// oracle on the compact trace (a counter sample every few cycles),
-/// ledger and diagnostics; a failure prints the program.
+/// Spin-loop elision against generated poll loops (`gen::poll`): a random
+/// pure body before the `RECV_READY` check, and in the `Break` half of the
+/// cases one access a parked core could not repeat, so that loop must never
+/// park. Under random arrivals the box as shipped must match the un-elided
+/// oracle on the compact trace (a counter sample every few cycles), ledger
+/// and diagnostics; a failure prints the program.
 mod spin {
+    use super::gen;
     use proptest::prelude::*;
     use rosebud::core::{Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram, TraceConfig};
     use rosebud::net::FixedSizeGen;
-
-    /// Scratch registers the body may read and write.
-    const SCRATCH: [&str; 6] = ["s2", "s3", "s4", "s5", "s6", "s7"];
-
-    /// One body instruction from its drawn fields; `i` names labels.
-    fn pure(i: usize, (kind, a, b, imm): (u8, u8, u8, i16)) -> String {
-        let (rd, rs) = (SCRATCH[a as usize % 6], SCRATCH[b as usize % 6]);
-        match kind % 7 {
-            0 => format!("lw {rd}, 0x00(t0)        # RECV_READY"),
-            1 => format!("lw {rd}, 0x18(t0)        # STATUS"),
-            2 => format!("lw {rd}, 0x54(t0)        # DMA_STATUS"),
-            3 => format!("lw {rd}, {}(t1)        # data memory", (imm & 0x3c)),
-            4 => format!("addi {rd}, {rs}, {}", imm % 2048),
-            5 => format!("xor {rd}, {rd}, {rs}"),
-            _ => format!("bne {rd}, {rs}, b{i}\n        andi {rd}, {rs}, 7\n    b{i}:"),
-        }
-    }
-
-    /// The one impure access of an impure case.
-    fn impure(kind: u8, reg: u8) -> String {
-        let rd = SCRATCH[reg as usize % 6];
-        match kind % 5 {
-            0 => format!("lw {rd}, 0x24(t0)        # TIMER_L"),
-            1 => format!("lw {rd}, 0x3c(t0)        # BCAST_FREE"),
-            2 => format!("lw {rd}, 0(t3)           # broadcast mirror"),
-            3 => format!("sw {rd}, 0x40(t1)        # data-memory store"),
-            _ => format!("csrr {rd}, mcycle"),
-        }
-    }
-
-    fn program(body: &[String]) -> String {
-        format!(
-            "
-    .equ IO, 0x02000000
-        li t0, IO
-        li t1, 0x00800000        # data memory
-        li t2, 0x01000000        # port XOR mask
-        li t3, 0x04000000        # broadcast region
-        li t4, 1
-        sw t4, 4(t3)             # one broadcast: the mirrors change
-    poll:
-        {}
-        lw a0, 0x00(t0)          # RECV_READY
-        beqz a0, poll
-        lw a1, 0x04(t0)
-        lw a2, 0x08(t0)
-        sw zero, 0x0c(t0)
-        xor a1, a1, t2
-        sw a1, 0x10(t0)
-        sw a2, 0x14(t0)
-        j poll
-",
-            body.join("\n        ")
-        )
-    }
 
     fn observe(image: &rosebud::riscv::Image, oracle: bool, size: usize, gbps: f64) -> [String; 3] {
         let image = image.clone();
@@ -228,19 +173,12 @@ mod spin {
 
         #[test]
         fn a_generated_poll_loop_parks_like_the_unelided_oracle(
-            body in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>()), 0..6),
-            impure_at in 0usize..12,
-            impure_kind in any::<u8>(),
+            program in gen::poll(0..6),
+            contract in gen::contract(),
             size in 64usize..1500,
             gbps in 0.5f64..20.0,
         ) {
-            let mut lines: Vec<String> =
-                body.into_iter().enumerate().map(|(i, f)| pure(i, f)).collect();
-            // Half the cases: one impure access, anywhere in the body.
-            if impure_at < 6 {
-                lines.insert(impure_at.min(lines.len()), impure(impure_kind, impure_kind >> 3));
-            }
-            let asm = program(&lines);
+            let asm = program.asm(contract);
             let image = rosebud::riscv::assemble(&asm).unwrap();
             let want = observe(&image, true, size, gbps);
             let got = observe(&image, false, size, gbps);

@@ -15,6 +15,7 @@ use rosebud::apps::firewall::{
     build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen,
 };
 use rosebud::apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
+use rosebud::apps::host_dma::build_host_dma_system;
 use rosebud::core::{
     FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
     TraceConfig,
@@ -156,6 +157,60 @@ fn firewall_trace_matches_golden() {
     assert_golden("firewall.trace", &firewall_trace_text());
 }
 
+/// `Tracer::perfetto_json` over a traced run of the host-DMA forwarder
+/// (DMA spans included): one JSON object per line between the header and
+/// the footer, one thread-name entry per port and per RPU plus the two
+/// process names, then one entry per recorded event.
+#[test]
+fn perfetto_export_has_one_entry_per_event() {
+    const RPUS: usize = 4;
+    let mut sys = build_host_dma_system(RPUS).unwrap();
+    sys.enable_tracing(TraceConfig {
+        counter_interval: 1024,
+        pc_profile: false,
+        max_events: 1 << 20,
+    });
+    let (ports, ns) = (sys.config().num_ports, sys.config().ns_per_cycle());
+    let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(128, 2)), 2.0);
+    h.run(20_000);
+    let tracer = h.sys.take_tracer().unwrap();
+    let json = tracer.perfetto_json(ns);
+    let body = json
+        .strip_prefix("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+        .and_then(|b| b.strip_suffix("\n]}\n"))
+        .expect("header and footer");
+    let lines: Vec<&str> = body.lines().collect();
+    let mut meta = 0;
+    let mut spans = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let entry = if i + 1 == lines.len() {
+            Some(*line)
+        } else {
+            line.strip_suffix(',')
+        };
+        let entry = entry.unwrap_or_else(|| panic!("line {i} is not one entry: {line}"));
+        assert!(entry.starts_with('{') && entry.ends_with('}'), "{entry}");
+        for key in ["\"ph\":", "\"pid\":", "\"tid\":"] {
+            assert!(entry.contains(key), "{key} missing from {entry}");
+        }
+        meta += usize::from(entry.starts_with("{\"ph\":\"M\""));
+        if entry.starts_with("{\"ph\":\"X\"") {
+            let dur = entry
+                .split("\"dur\":")
+                .nth(1)
+                .and_then(|d| d.split(',').next());
+            let dur: f64 = dur
+                .and_then(|d| d.parse().ok())
+                .expect("an X event has a dur");
+            assert!(dur >= 0.0, "{entry}");
+            spans += 1;
+        }
+    }
+    assert_eq!(meta, ports + RPUS + 2);
+    assert_eq!(lines.len() - meta, tracer.events().len());
+    assert!(spans > 0, "the host-DMA forwarder completes DMAs");
+}
+
 /// The chaos scenario of `tests/fault_recovery.rs`, traced: a firmware hang
 /// under live IMIX traffic, walked through the full supervisor ladder. The
 /// box's trace, then the ladder's own log.
@@ -273,13 +328,9 @@ fn fleet_drill(
     faults: Vec<HostOp>,
 ) -> (FleetSupervisor, FaultPlan) {
     use std::fmt::Write as _;
-    let fleet = Fleet::new(
-        FleetConfig {
-            boxes: 4,
-            ..FleetConfig::default()
-        },
-        |_| build_watchdog_forwarding_system(4, 64).unwrap(),
-    )
+    let fleet = Fleet::new(FleetConfig { boxes: 4 }, |_| {
+        build_watchdog_forwarding_system(4, 64).unwrap()
+    })
     .unwrap();
     let plan = faults
         .into_iter()
