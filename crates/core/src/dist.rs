@@ -138,6 +138,15 @@ impl Distributor {
         }
     }
 
+    /// The first cycle from `next` on at which stage 3 could move a frame.
+    /// Stage 2 admits only what the MAC or the host interface holds, so
+    /// their horizons cover it.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        self.pipeline
+            .head_at()
+            .map_or(Cycle::MAX, |at| at.max(next))
+    }
+
     /// The RPU enable mask.
     pub fn enabled_mask(&self) -> u64 {
         self.enabled

@@ -194,6 +194,18 @@ impl Loopback {
         lanes.push_rin(item, now);
     }
 
+    /// The first cycle from `next` on at which stage 9 could grant or
+    /// deliver: the next grant while a frame is queued, the wire's head.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        let grant = (!self.queue.is_empty()).then_some(self.next_grant);
+        let heads = [grant, self.wire.head_ready_at()];
+        heads
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Cycle::MAX, |at| at.max(next))
+    }
+
     /// Frames queued for, or on, the loopback wire.
     pub fn in_flight(&self) -> usize {
         self.queue.len() + self.wire.len()
@@ -270,6 +282,31 @@ impl BcastArbiter {
             lanes.deliver_bcast(&msg);
         }
     }
+
+    /// The first cycle from `next` on at which stage 11 could deliver a
+    /// message. A queued outbox is the lanes' to report.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        self.pipeline
+            .head_at()
+            .map_or(Cycle::MAX, |at| at.max(next))
+    }
+
+    /// The RPU whose outbox the next grant visits.
+    #[cfg(test)]
+    pub(crate) fn next_grant(&self) -> usize {
+        self.next_rpu
+    }
+
+    /// Stage 11 over `k` cycles with every outbox empty: the grant pointer
+    /// moves on `k` places.
+    #[inline]
+    pub fn skip(&mut self, k: Cycle, num_rpus: usize) {
+        let n = num_rpus as Cycle;
+        // No division when `k` is one tick.
+        let step = if k < n { k } else { k % n };
+        let to = self.next_rpu as Cycle + step;
+        self.next_rpu = (if to >= n { to - n } else { to }) as usize;
+    }
 }
 
 impl Rosebud {
@@ -329,5 +366,28 @@ mod tests {
         let mut arb = BcastArbiter::new(&cfg);
         let grants: Vec<usize> = (0..8).map(|_| arb.granted_rpu(4)).collect();
         assert_eq!(grants, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_skip_moves_the_grant_pointer_as_that_many_grants_would() {
+        for n in 1..=6 {
+            let cfg = RosebudConfig::with_rpus(n);
+            for start in 0..n {
+                for k in 0..3 * n as Cycle + 2 {
+                    let (mut granted, mut skipped) =
+                        (BcastArbiter::new(&cfg), BcastArbiter::new(&cfg));
+                    granted.next_rpu = start;
+                    skipped.next_rpu = start;
+                    for _ in 0..k {
+                        granted.granted_rpu(n);
+                    }
+                    skipped.skip(k, n);
+                    assert_eq!(
+                        skipped.next_rpu, granted.next_rpu,
+                        "n={n} start={start} k={k}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -135,6 +135,21 @@ impl HostBridge {
         }
     }
 
+    /// The first cycle from `next` on at which stage 2 could admit a host
+    /// frame or stage 10 could complete a PCIe crossing. An outage only
+    /// delays what this names, so it is left out.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        if !self.tx.is_empty() {
+            return next;
+        }
+        let heads = [self.rx_delay.head_at(), self.dma_delay.head_at()];
+        heads
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Cycle::MAX, |at| at.max(next))
+    }
+
     /// The head of the virtual interface's transmit queue, as the LB sees
     /// it.
     pub fn tx_head(&self) -> Option<&Packet> {
@@ -614,6 +629,9 @@ impl Rosebud {
         if let Some(rpu) = op.rpu().filter(|&rpu| rpu >= self.cfg.num_rpus) {
             return Err(format!("no RPU {rpu}: the box has {}", self.cfg.num_rpus));
         }
+        // An op may change what any unit has due: the next tick is a full
+        // one, which works the horizon out again.
+        self.quiet_until = 0;
         let ports = self.mac.num_ports();
         match op {
             HostOp::LbWrite { addr, value } => self.dist.host_write(addr, value),

@@ -92,6 +92,10 @@ pub(crate) struct Lanes {
     rout_busy: LaneSet,
     /// Stage 10: the RPU has posted a host-DMA request.
     dma_posted: LaneSet,
+    /// Stage 11: the RPU's broadcast outbox holds a message. Not one of the
+    /// five [`Lanes::wake`] sets: a woken core's own tick is what could fill
+    /// the outbox, and stage 5 marks it from there.
+    bcast_queued: LaneSet,
     /// For a lane not in `awake`: the first cycle at which its tick could
     /// change any state (the armed-watchdog deadline, or never). Stale for
     /// a lane that is awake.
@@ -123,6 +127,7 @@ impl Lanes {
             tx_ready: all,
             rout_busy: all,
             dma_posted: all,
+            bcast_queued: all,
             quiet: vec![0; n],
             next_wake: Cycle::MAX,
             clock,
@@ -242,12 +247,15 @@ impl Lanes {
         for r in self.awake {
             let rpu = &mut self.rpus[r];
             let inert = rpu.tick(now);
-            let (send, dma) = rpu.inner().posted();
+            let (send, dma, bcast) = rpu.inner().posted();
             if send {
                 self.tx_ready.insert(r);
             }
             if dma {
                 self.dma_posted.insert(r);
+            }
+            if bcast {
+                self.bcast_queued.insert(r);
             }
             if inert {
                 let horizon = rpu.quiet_horizon();
@@ -386,7 +394,16 @@ impl Lanes {
     /// out of RPU `r`'s outbox. Fills no queue, so it does not wake.
     #[inline]
     pub fn pop_bcast(&mut self, r: usize) -> Option<BcastMsg> {
-        self.rpus[r].inner_mut().pop_bcast()
+        if !self.bcast_queued.contains(r) {
+            return None;
+        }
+        let inner = self.rpus[r].inner_mut();
+        let msg = inner.pop_bcast();
+        let (_, _, more) = inner.posted();
+        if !more {
+            self.bcast_queued.remove(r);
+        }
+        msg
     }
 
     /// The lane half of stage 11, inbound: writes `msg` into every RPU's
@@ -400,13 +417,41 @@ impl Lanes {
         }
     }
 
+    /// `true` when all five words are empty: no lane has a frame on a link,
+    /// a core to tick, a send or a DMA request to collect. Every door into a
+    /// lane between two ticks goes through [`Lanes::wake`], which ends this.
+    #[inline]
+    pub fn idle(&self) -> bool {
+        let words = self.rin_busy.0 | self.awake.0 | self.tx_ready.0 | self.rout_busy.0;
+        (words | self.dma_posted.0) == 0
+    }
+
+    /// The first cycle from `next` on at which a stage could find work in
+    /// a lane: `next` while a word or an outbox is occupied, otherwise the
+    /// first sleeping lane's horizon.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        if self.idle() && self.bcast_queued == LaneSet::default() {
+            self.next_wake
+        } else {
+            next
+        }
+    }
+
+    /// Stage 5 of a quiet stretch through cycle `last`: no core ticks, but
+    /// a core parked in a poll loop reads its pc and counters off the
+    /// clock, which has to move as if it had.
+    #[inline]
+    pub fn skip_through(&self, last: Cycle) {
+        self.clock.store(last, Ordering::Relaxed);
+    }
+
     /// The occupancy invariant, *word ⊇ truth*, for every lane: a queue
     /// that holds something is in its word, and a lane that is not awake
     /// has a horizon ahead of `now` that `next_wake` does not overshoot.
     /// Checked at the end of every tick of a debug build.
     pub fn assert_occupancy(&self, now: Cycle) {
         for (r, rpu) in self.rpus.iter().enumerate() {
-            let (send, dma) = rpu.inner().posted();
+            let (send, dma, bcast) = rpu.inner().posted();
             assert!(
                 self.rin[r].is_empty() || self.rin_busy.contains(r),
                 "cycle {now}: lane {r} has a frame on rin but is not in rin_busy"
@@ -424,6 +469,10 @@ impl Lanes {
                 "cycle {now}: lane {r} posted a DMA request but is not in dma_posted"
             );
             assert!(
+                !bcast || self.bcast_queued.contains(r),
+                "cycle {now}: lane {r} has a broadcast queued but is not in bcast_queued"
+            );
+            assert!(
                 self.awake.contains(r) || (self.quiet[r] > now && self.quiet[r] >= self.next_wake),
                 "cycle {now}: lane {r} asleep with quiet {} (next_wake {})",
                 self.quiet[r],
@@ -439,11 +488,11 @@ mod tests {
     use crate::fault::{FaultKind, Ledger};
     use crate::harness::Harness;
     use crate::host::{HostOp, HostReply};
-    use crate::ports::Device;
+    use crate::ports::{pump, Device};
     use crate::system::{land_faults, Rosebud, RosebudBuilder, RpuProgram};
     use crate::types::{port, SlotMeta};
     use rosebud_accel::FirewallMatcher;
-    use rosebud_net::{FixedSizeGen, Packet};
+    use rosebud_net::{FixedSizeGen, GenPort, Packet};
     use rosebud_riscv::assemble;
 
     #[test]
@@ -729,6 +778,113 @@ mod tests {
                 .unwrap();
             assert_eq!(asleep_lane_cycles(accelerated, 20_000, false), 0);
         }
+    }
+
+    /// Runs `sys` as the benchmark drives it — `size`-byte frames paced to
+    /// `gbps`, `pump`, then `tick` — for `cycles`, returning how many of the
+    /// ticks were quiet. `oracle` wakes every lane before every tick.
+    fn quiet_ticks(mut sys: Rosebud, size: usize, gbps: f64, cycles: u64, oracle: bool) -> u64 {
+        let gen = Box::new(FixedSizeGen::new(size, 2));
+        let mut source = GenPort::per_port(gen, gbps, sys.config().ns_per_cycle(), 2);
+        let mut quiet = 0;
+        for _ in 0..cycles {
+            pump(&mut sys, &mut source);
+            if oracle {
+                sys.wake_all();
+            }
+            quiet += u64::from(sys.now() < sys.quiet_until && sys.lanes.idle());
+            sys.tick();
+            sys.drain(&mut |_, _| {});
+        }
+        quiet
+    }
+
+    /// The quiet tick is only worth its compare if it fires where lanes
+    /// sit parked: a duty-cycled box at 5 Gbps (the `duty256_light`
+    /// workload) takes most of its ticks quiet, while a box saturated with
+    /// 64-byte frames, one whose lanes carry accelerators, and the oracle
+    /// take none.
+    #[test]
+    fn a_duty_cycled_box_ticks_quiet_and_a_saturated_accelerated_or_oracle_box_never_does() {
+        let duty256 = DUTY_CYCLE.replace("li t5, 700", "li t5, 2000");
+        let duty = builder(16, &duty256).build().unwrap();
+        let quiet = quiet_ticks(duty, 256, 5.0, 50_000, false);
+        assert!(quiet > 40_000, "only {quiet} of 50000 ticks were quiet");
+
+        let saturated = builder(16, BUSY_POLL).build().unwrap();
+        assert_eq!(quiet_ticks(saturated, 64, 205.0, 20_000, false), 0);
+
+        let oracle = builder(16, &duty256).build().unwrap();
+        assert_eq!(quiet_ticks(oracle, 256, 5.0, 20_000, true), 0);
+
+        for asm in [DUTY_CYCLE, BUSY_POLL] {
+            let accelerated = builder(16, asm)
+                .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
+                .build()
+                .unwrap();
+            assert_eq!(quiet_ticks(accelerated, 256, 5.0, 20_000, false), 0);
+        }
+    }
+
+    /// One box jumps its quiet stretches with `Device::skip_quiet`; its twin
+    /// ticks through them with the gate held open, so every one of its
+    /// ticks is a full one. In lockstep they agree on the clock, the
+    /// broadcast arbiter's grant pointer and every core's counters and
+    /// registers — half of them parked in `wfi`, half in a poll loop whose
+    /// reads come off the clock — and at the end on the ledger and
+    /// diagnostics.
+    #[test]
+    fn jumping_a_quiet_stretch_equals_ticking_through_it() {
+        let build = || {
+            let (duty, poll) = (assemble(DUTY_CYCLE).unwrap(), assemble(BUSY_POLL).unwrap());
+            let mut cfg = RosebudConfig::with_rpus(5);
+            cfg.pr_cycles = 500;
+            Rosebud::builder(cfg)
+                .firmware(move |r| {
+                    RpuProgram::Riscv(if r % 2 == 0 { &duty } else { &poll }.clone())
+                })
+                .build()
+                .unwrap()
+        };
+        let (mut jumped, mut ticked) = (build(), build());
+        let gen = || Box::new(FixedSizeGen::new(200, 2));
+        let mut sources = [
+            GenPort::per_port(gen(), 3.0, 4.0, 2),
+            GenPort::per_port(gen(), 3.0, 4.0, 2),
+        ];
+        // Traffic for a while, then none; both see the same frames.
+        let (traffic_until, end) = (8_000, 40_000);
+        let mut jumps = 0;
+        while jumped.now() < end {
+            if jumped.now() < traffic_until {
+                pump(&mut jumped, &mut sources[0]);
+            } else {
+                let at = jumped.now();
+                jumped.skip_quiet(end);
+                jumps += jumped.now() - at;
+            }
+            if jumped.now() < end {
+                jumped.tick();
+            }
+            while ticked.now() < jumped.now() {
+                if ticked.now() < traffic_until {
+                    pump(&mut ticked, &mut sources[1]);
+                }
+                ticked.quiet_until = 0;
+                ticked.tick();
+            }
+            assert_eq!(jumped.bcast.next_grant(), ticked.bcast.next_grant());
+            for (a, b) in jumped.rpus().iter().zip(ticked.rpus()) {
+                let cycle = jumped.now();
+                assert_eq!(a.perf(), b.perf(), "RPU {} at cycle {cycle}", a.id());
+                let (ca, cb) = (format!("{:?}", a.cpu()), format!("{:?}", b.cpu()));
+                assert_eq!(ca, cb, "RPU {} at cycle {cycle}", a.id());
+            }
+        }
+        assert!(jumps > (end - traffic_until) / 2, "jumped {jumps} cycles");
+        assert_eq!(jumped.ledger(), ticked.ledger());
+        let diagnostics = |sys: &Rosebud| format!("{:?}", sys.diagnostics());
+        assert_eq!(diagnostics(&jumped), diagnostics(&ticked));
     }
 
     /// The purity table, one row at a time: a poll loop that makes one

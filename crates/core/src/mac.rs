@@ -141,6 +141,25 @@ impl Mac {
         }
     }
 
+    /// The first cycle from `next` on at which stage 1 or 8 could move a
+    /// frame: `next` while a receive FIFO holds one for the LB, else the
+    /// earliest head of a serializer or egress pipeline.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        let mut at = Cycle::MAX;
+        for p in &self.ports {
+            if !p.rx_fifo.is_empty() {
+                return next;
+            }
+            let heads = [
+                p.rx_mac.head_ready_at(),
+                p.tx_delay.head_at(),
+                p.tx_mac.head_ready_at(),
+            ];
+            at = heads.into_iter().flatten().fold(at, Cycle::min);
+        }
+        at.max(next)
+    }
+
     /// Hands every delivered frame to `sink` as `(port, frame)`, emptying
     /// the output buffers in place.
     pub fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
@@ -177,6 +196,7 @@ impl Rosebud {
     /// means).
     pub fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
         let now = self.clock.cycle();
+        self.quiet_until = 0;
         let p = pkt.port as usize;
         let Some(port) = self.mac.ports.get_mut(p) else {
             return Err(pkt);

@@ -50,6 +50,16 @@ pub trait Device {
     /// Advances the device one cycle.
     fn tick(&mut self);
 
+    /// Advances the device through cycles before `to` in which it provably
+    /// has nothing to do, exactly as ticking through them with nothing
+    /// offered would, and stops where it cannot prove that — so `now()`
+    /// ends anywhere from where it was to `to`. For a caller that knows
+    /// nothing arrives before `to`, as [`replay`] does. The default
+    /// advances nothing.
+    fn skip_quiet(&mut self, to: Cycle) {
+        let _ = to;
+    }
+
     /// Hands every frame delivered since the last drain to `sink`, each
     /// exactly once, as `(lane, frame)`. The buffers are emptied in place
     /// and keep their capacity, so a caller that drains every cycle costs
@@ -60,6 +70,7 @@ pub trait Device {
 /// Lane `p < num_ports` is physical port `p` (frames a bound
 /// [`EgressPort`] took never show up here); lane `num_ports` is the host.
 impl Device for Rosebud {
+    #[inline]
     fn now(&self) -> Cycle {
         Rosebud::now(self)
     }
@@ -78,6 +89,11 @@ impl Device for Rosebud {
 
     fn tick(&mut self) {
         Rosebud::tick(self);
+    }
+
+    #[inline]
+    fn skip_quiet(&mut self, to: Cycle) {
+        self.skip_to(to);
     }
 
     fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
@@ -462,7 +478,9 @@ pub(crate) fn step<D: Device + ?Sized>(
 /// Replays a recorded run on a fresh device: at each cycle applies the
 /// operations logged at it, injects the arrivals logged at it, and ticks —
 /// the order a live shell acts in — for exactly the recorded cycle count,
-/// and returns everything the device delivered. Determinism makes this
+/// and returns everything the device delivered. Between two logged events
+/// it lets the device jump its quiet cycles ([`Device::skip_quiet`]), since
+/// nothing is offered there. Determinism makes this
 /// exact: the log holds only *accepted* injections and *applied*
 /// operations, so each one succeeds at the same cycle it did live, and every
 /// downstream effect (trace, ledger, diagnostics) reproduces bit-for-bit.
@@ -482,6 +500,13 @@ pub fn replay<D: Device + ?Sized>(log: &EventLog, dev: &mut D) -> Vec<Packet> {
         step(dev, &log.ops, &mut next, &mut source, |_, _, pkt| {
             delivered.push(pkt);
         });
+        let op = log.ops.get(next).map_or(Cycle::MAX, |(at, _)| *at);
+        let frame = match source.clock(dev.now()) {
+            PortClock::Ready => dev.now(),
+            PortClock::NotBefore(at) => at,
+            PortClock::Idle | PortClock::Exhausted => Cycle::MAX,
+        };
+        dev.skip_quiet(op.min(frame).min(log.cycles));
     }
     delivered
 }

@@ -168,6 +168,17 @@ impl Reconfig {
         }
     }
 
+    /// The first cycle from `next` on at which stage 12 could move a job
+    /// along: `next` while one waits on a drain, else the earliest end of
+    /// a bitstream write.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        let due = |job: &PrJob| match job.phase {
+            PrPhase::Draining => next,
+            PrPhase::Writing { until } => until.max(next),
+        };
+        self.jobs.iter().map(due).min().unwrap_or(Cycle::MAX)
+    }
+
     /// The bitstream write is over: installs the job's accelerator and
     /// program (or the factories') and hands the region back.
     fn finish(

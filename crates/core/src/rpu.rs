@@ -392,10 +392,12 @@ impl RpuInner {
     }
 
     /// What the core has left for the fabric to collect: `(a committed send
-    /// is queued, a host-DMA request is posted)` — stages 6 and 10.
+    /// is queued, a host-DMA request is posted, a broadcast is queued)` —
+    /// stages 6, 10 and 11.
     #[inline]
-    pub(crate) fn posted(&self) -> (bool, bool) {
-        (!self.tx_queue.is_empty(), self.dma_pending.is_some())
+    pub(crate) fn posted(&self) -> (bool, bool, bool) {
+        let bcast = !self.bcast_out.is_empty();
+        (!self.tx_queue.is_empty(), self.dma_pending.is_some(), bcast)
     }
 
     pub(crate) fn take_dma_req(&mut self) -> Option<crate::types::HostDmaReq> {

@@ -139,6 +139,7 @@ impl RosebudBuilder {
                 fault: None,
             },
             cfg,
+            quiet_until: 0,
         })
     }
 }
@@ -188,6 +189,20 @@ impl Fx {
         *pending -= 1;
         true
     }
+
+    /// The first cycle from `next` on at which the end-of-tick scans or
+    /// stage 0 could record or land anything: `next` while a fault waits in
+    /// the inbox, the tracer's next counter sample. Its `note_*` scans
+    /// record a change, and nothing changes while no unit has work due.
+    pub fn horizon(&self, next: Cycle) -> Cycle {
+        if self.fault.as_ref().is_some_and(|f| !f.inbox.is_empty()) {
+            return next;
+        }
+        match self.tracer.as_ref().map(|t| t.config().counter_interval) {
+            Some(interval) if interval != 0 => next.next_multiple_of(interval),
+            _ => Cycle::MAX,
+        }
+    }
 }
 
 /// The simulated Rosebud system (Fig. 2): everything inside the DUT FPGA.
@@ -205,6 +220,12 @@ pub struct Rosebud {
     pub(crate) host: HostBridge,
     pub(crate) pr: Reconfig,
     pub(crate) fx: Fx,
+    /// Set by a full tick that leaves every lane idle: the first cycle at
+    /// which any unit could have work (the minimum of their horizons).
+    /// Below it, while the lanes stay idle, a tick is a quiet one. Reset by
+    /// `inject`, `apply` and `enable_tracing`; every other door into the
+    /// box reaches a lane and so ends the lanes' idleness itself.
+    pub(crate) quiet_until: Cycle,
 }
 
 /// The trace-facing name of an RPU's lifecycle state.
@@ -251,6 +272,7 @@ impl Rosebud {
     }
 
     /// Current cycle.
+    #[inline]
     pub fn now(&self) -> Cycle {
         self.clock.cycle()
     }
@@ -282,10 +304,12 @@ impl Rosebud {
         self.fx.routed_drops
     }
 
-    /// Runs `cycles` clock cycles.
+    /// Runs `cycles` clock cycles, the quiet ones in closed form.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
+        let end = self.now() + cycles;
+        while self.now() < end {
             self.tick();
+            self.skip_to(end);
         }
     }
 
@@ -298,8 +322,16 @@ impl Rosebud {
     /// `#[inline]`, so the tick still compiles to one body; as thirteen
     /// cross-module calls an idle 16-RPU box costs 60 ns a cycle instead
     /// of 40.
+    ///
+    /// A tick below `quiet_until` with every lane idle is a quiet one: no
+    /// stage has anything to do, so it runs the one-cycle `skip` that
+    /// [`Device::skip_quiet`](crate::Device::skip_quiet) runs for many.
     pub fn tick(&mut self) {
         let now = self.clock.cycle();
+        if now < self.quiet_until && self.lanes.idle() {
+            self.skip(1);
+            return;
+        }
         let Self {
             cfg,
             mac,
@@ -357,7 +389,57 @@ impl Rosebud {
             self.lanes.assert_occupancy(now);
         }
 
+        // Only a box whose lanes are all idle asks its units when they next
+        // have work; a busy one pays this compare and nothing more.
+        if self.lanes.idle() {
+            self.quiet_until = self.horizon(now + 1);
+        }
         self.clock.tick();
+    }
+
+    /// The first cycle from `next` on at which any unit could have work:
+    /// the minimum of their horizons.
+    fn horizon(&self, next: Cycle) -> Cycle {
+        let units = [
+            self.mac.horizon(next),
+            self.dist.horizon(next),
+            self.loopback.horizon(next),
+            self.host.horizon(next),
+            self.bcast.horizon(next),
+            self.pr.horizon(next),
+            self.fx.horizon(next),
+        ];
+        units.into_iter().fold(self.lanes.horizon(next), Cycle::min)
+    }
+
+    /// `k` quiet ticks from now in one step: what a tick changes when no
+    /// unit has work due and every lane is idle — the clock, the broadcast
+    /// arbiter's grant pointer, the clock parked cores read, and the
+    /// standing checks whose cycles fall in the stretch.
+    fn skip(&mut self, k: Cycle) {
+        let now = self.clock.cycle();
+        let last = now + k - 1;
+        self.bcast.skip(k, self.cfg.num_rpus);
+        self.lanes.skip_through(last);
+        // Nothing moved, so one check stands for every one in the stretch.
+        if now.next_multiple_of(LEDGER_CHECK_INTERVAL) <= last {
+            self.assert_conservation();
+        }
+        if cfg!(debug_assertions) {
+            self.lanes.assert_occupancy(last);
+        }
+        self.clock.advance(k);
+    }
+
+    /// Takes the quiet ticks from now up to, not including, cycle `to` in
+    /// one `skip`; stops short where a unit could have work.
+    #[inline]
+    pub(crate) fn skip_to(&mut self, to: Cycle) {
+        let now = self.clock.cycle();
+        let end = to.min(self.quiet_until);
+        if now < end && self.lanes.idle() {
+            self.skip(end - now);
+        }
     }
 
     /// `true` while the host-DMA/PCIe path is up. The supervisor checks
@@ -414,6 +496,8 @@ impl Rosebud {
             }
         }
         self.fx.tracer = Some(Tracer::new(cfg, num_rpus, self.mac.num_ports()));
+        // The new tracer scans and samples from the next tick on.
+        self.quiet_until = 0;
     }
 
     /// The installed tracer, if tracing is enabled.

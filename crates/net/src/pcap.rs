@@ -30,6 +30,13 @@ pub enum PcapError {
     UnsupportedLinkType(u32),
     /// Big-endian pcap files are valid but not supported here.
     BigEndian,
+    /// Record `record` (counting from 0) is stamped before the one ahead
+    /// of it, as in a capture merged from two interfaces: a replay delivers
+    /// frames in stamp order, so it has none to give this one.
+    OutOfOrder {
+        /// The first record stamped before its predecessor.
+        record: u64,
+    },
 }
 
 impl fmt::Display for PcapError {
@@ -39,6 +46,12 @@ impl fmt::Display for PcapError {
             PcapError::BadMagic(m) => write!(f, "bad pcap magic 0x{m:08x}"),
             PcapError::UnsupportedLinkType(l) => write!(f, "unsupported link type {l}"),
             PcapError::BigEndian => write!(f, "big-endian pcap files are not supported"),
+            PcapError::OutOfOrder { record } => {
+                write!(
+                    f,
+                    "record {record} is stamped before the record ahead of it"
+                )
+            }
         }
     }
 }
@@ -159,12 +172,13 @@ impl<W: Write> PcapWriter<W> {
 
 /// Parses a classic little-endian Ethernet pcap file back into a [`Trace`].
 /// Generation timestamps are reconstructed in cycles at `clock_hz`; packet
-/// ids are assigned sequentially; ingress ports alternate.
+/// ids are assigned sequentially; ingress ports alternate. The trace is in
+/// stamp order, as [`PcapReplayPort`](crate::PcapReplayPort) needs.
 ///
 /// # Errors
 ///
 /// Returns [`PcapError`] for short files, foreign magics, big-endian files,
-/// or non-Ethernet link types.
+/// non-Ethernet link types, or a record stamped before its predecessor.
 pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
     if bytes.len() < 24 {
         return Err(PcapError::Truncated);
@@ -195,6 +209,13 @@ pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
         }
         let micros = u64::from(ts_sec) * 1_000_000 + u64::from(ts_usec);
         let ts_gen = (micros as u128 * clock_hz as u128 / 1_000_000) as u64;
+        if trace
+            .packets()
+            .last()
+            .is_some_and(|last| ts_gen < last.ts_gen)
+        {
+            return Err(PcapError::OutOfOrder { record: id });
+        }
         trace.push(Packet::new(
             id,
             bytes[at..at + incl].to_vec(),

@@ -42,8 +42,10 @@ use crate::WIRE_OVERHEAD_BYTES;
 /// ```
 pub struct GenPort {
     gen: Box<dyn TrafficGen>,
-    target_gbps: f64,
-    ns_per_cycle: f64,
+    /// Bytes each lane's budget grows by per cycle.
+    bytes_per_cycle: f64,
+    /// The most budget a lane can bank.
+    cap: f64,
     /// One pacing lane per physical port (or a single aggregate lane).
     budget_bytes: Vec<f64>,
     pending: Vec<Option<Packet>>,
@@ -67,29 +69,29 @@ impl GenPort {
         ports: usize,
     ) -> Self {
         assert!(ports > 0, "need at least one port lane");
-        Self {
-            gen,
-            target_gbps,
-            ns_per_cycle,
-            budget_bytes: vec![0.0; ports],
-            pending: vec![None; ports],
-            tag_ports: true,
-            cursor: 0,
-            next_id: 0,
-            last_refill: None,
-        }
+        let bytes_per_cycle = target_gbps / 8.0 * ns_per_cycle / ports as f64;
+        Self::paced(gen, bytes_per_cycle, ports, true)
     }
 
     /// One shared budget at the full `target_gbps`, frames keeping the
     /// generator's own port rotation — the rack-level tester model.
     pub fn aggregate(gen: Box<dyn TrafficGen>, target_gbps: f64, ns_per_cycle: f64) -> Self {
+        Self::paced(gen, target_gbps / 8.0 * ns_per_cycle, 1, false)
+    }
+
+    fn paced(
+        gen: Box<dyn TrafficGen>,
+        bytes_per_cycle: f64,
+        lanes: usize,
+        tag_ports: bool,
+    ) -> Self {
         Self {
             gen,
-            target_gbps,
-            ns_per_cycle,
-            budget_bytes: vec![0.0],
-            pending: vec![None],
-            tag_ports: false,
+            bytes_per_cycle,
+            cap: bytes_per_cycle.max(1.0) * 64.0 + 18_000.0,
+            budget_bytes: vec![0.0; lanes],
+            pending: vec![None; lanes],
+            tag_ports,
             cursor: 0,
             next_id: 0,
             last_refill: None,
@@ -117,13 +119,7 @@ impl GenPort {
             Some(last) if now > last => (now - last).min(32_768),
             Some(_) => return,
         };
-        let lanes = self.budget_bytes.len();
-        let bytes_per_cycle = if self.tag_ports {
-            self.target_gbps / 8.0 * self.ns_per_cycle / lanes as f64
-        } else {
-            self.target_gbps / 8.0 * self.ns_per_cycle
-        };
-        let cap = bytes_per_cycle.max(1.0) * 64.0 + 18_000.0;
+        let (bytes_per_cycle, cap) = (self.bytes_per_cycle, self.cap);
         for _ in 0..grants {
             for b in &mut self.budget_bytes {
                 *b = (*b + bytes_per_cycle).min(cap);

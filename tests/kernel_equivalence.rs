@@ -382,6 +382,86 @@ fn interrupt_wakes_of_parked_cores_match_unelided_oracle() {
     });
 }
 
+/// The duty-cycled forwarder, broadcasting its wake count (to word `r`)
+/// every time its `period`-cycle timer ends a sleep. Only RPU 0 enables the
+/// broadcast line, takes the first broadcast as a wake of its own, then
+/// masks it and keeps the cycle of every later wake in STATUS.
+fn bcast_sleeper(r: usize, period: u32) -> String {
+    let mie = if r == 0 { 0x3 } else { 0x2 };
+    format!(
+        "
+    .equ IO, 0x02000000
+        li t0, IO
+        li t1, 0x00800000
+        li t2, 0x01000000
+        li t3, 0x04000000
+        addi t3, t3, {word}
+        li t5, {period}
+        li t6, {mie}
+        csrw mie, t6
+        li s0, 0
+    park:
+        sw t5, 0x40(t0)          # TIMER_CMP
+        wfi
+        csrr a0, mip
+        andi a0, a0, 1           # the broadcast line
+        beqz a0, woke
+        csrc mie, a0
+        lw a0, 0x24(t0)          # TIMER_L
+        sw a0, 0x18(t0)          # STATUS
+    woke:
+        addi s0, s0, 1
+        sw s0, 0(t3)             # broadcast the wake count
+    drain:
+        lw a0, 0x00(t0)
+        beqz a0, park
+        lw a1, 0x04(t0)
+        lw a2, 0x08(t0)
+        sw a1, 0(t1)
+        sw a2, 4(t1)
+        sw zero, 0x0c(t0)
+        xor a1, a1, t2
+        sw a1, 0x10(t0)
+        sw a2, 0x14(t0)
+        j drain
+    ",
+        word = 4 * r
+    )
+}
+
+#[test]
+fn broadcasts_after_quiet_stretches_match_unelided_oracle() {
+    // Duty-cycled cores leave the box with nothing due for most of its
+    // cycles, so the elided side takes them as quiet ticks, which move the
+    // broadcast arbiter's grant pointer without visiting an outbox. Each
+    // core broadcasts when its timer ends a sleep, so the grant it waits
+    // for — and each message's latency — depends on where quiet ticks left
+    // the pointer; RPU 0 also wakes on the first delivery and notes when.
+    use rosebud::core::{RosebudConfig, RpuProgram};
+
+    differential("bcast-after-quiet", |side| {
+        let images: Vec<_> = (0..7)
+            .map(|r| rosebud::riscv::assemble(&bcast_sleeper(r, 600 + 173 * r as u32)).unwrap())
+            .collect();
+        let sys = Rosebud::builder(RosebudConfig::with_rpus(7))
+            .firmware(move |r| RpuProgram::Riscv(images[r].clone()))
+            .build()
+            .unwrap();
+        let mut h = Harness::new(traced_parking(sys), Box::new(ImixGen::new(2, 13)), 3.0);
+        h.begin_window();
+        for _ in 0..40_000 {
+            tick(&mut h, side);
+        }
+        let latency = h.sys.bcast_latency().samples().to_vec();
+        assert!(latency.len() > 100, "{} broadcasts", latency.len());
+        let status: Vec<u32> = (0..7).map(|r| h.sys.rpu_status(r)).collect();
+        assert_ne!(status[0], 0, "RPU 0 took a broadcast wake");
+        let mut seen = snapshot(h);
+        seen.measurement += &format!(" bcast latency {latency:?} status {status:?}");
+        seen
+    });
+}
+
 /// Which of the five cycles of the forwarder's poll period (`lw` 2 + taken
 /// `beqz` 3) a lane starts next, from the pc it started each of the last
 /// five with — `None` outside the loop. Phase 0 issues the `lw`.

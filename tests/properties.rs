@@ -130,6 +130,150 @@ mod elision {
     }
 }
 
+/// The quiet tick against the oracle: every arm of `HostOp` a box takes, and
+/// a frame, each lands at a random cycle on a duty-cycled box with no other
+/// traffic, which spends nearly all its time with nothing due. The box as
+/// shipped jumps those stretches (`Device::skip_quiet`) and takes quiet
+/// ticks; the oracle wakes every lane before every tick and never does. An
+/// arrival that did not end the stretch it lands in would take effect late
+/// on the jumping side only.
+mod quiet {
+    use proptest::prelude::*;
+    use rosebud::apps::forwarder::duty_cycle_forwarder_asm;
+    use rosebud::core::{
+        lb_regs, Device, FaultKind, HostOp, MemRegion, Rosebud, RosebudConfig, RoundRobinLb,
+        RpuProgram, TraceConfig,
+    };
+    use rosebud::net::{FixedSizeGen, Packet, TrafficGen};
+
+    /// One arrival: an op, or (as `None`) a frame on the wire.
+    type Arrival = Option<HostOp>;
+
+    /// Every arm of `HostOp` a box takes, aimed at `rpu`, and a frame.
+    fn arrivals(rpu: usize, period: u32) -> Vec<Arrival> {
+        use FaultKind::*;
+        let image = rosebud::riscv::assemble(&duty_cycle_forwarder_asm(period / 2)).unwrap();
+        let ops = [
+            HostOp::Disable { rpu },
+            HostOp::LbWrite {
+                addr: lb_regs::ENABLE_LO,
+                value: 0xf,
+            },
+            HostOp::Poke { rpu },
+            HostOp::Evict { rpu },
+            HostOp::WriteDebug { rpu, value: 7 },
+            HostOp::WriteMem {
+                rpu,
+                region: MemRegion::Dmem,
+                offset: 0x80,
+                bytes: vec![1, 2, 3],
+            },
+            HostOp::WriteHostDram {
+                offset: 0x40,
+                bytes: vec![9; 8],
+            },
+            HostOp::HostFrame(Packet::new(1 << 40, vec![0x5a; 128], 0, 0)),
+            HostOp::Fault(HostDmaOutage { cycles: 300 }),
+            HostOp::Fault(RxFifoOverflow {
+                port: 1,
+                cycles: 300,
+            }),
+            HostOp::Fault(CorruptIngress { rpu, count: 1 }),
+            HostOp::Reload { rpu, gated: true },
+            HostOp::Enable { rpu },
+            HostOp::LoadFirmware {
+                rpu: (rpu + 1) % 4,
+                image,
+            },
+            HostOp::Fault(FirmwareHang { rpu }),
+            HostOp::ForceReload { rpu },
+            HostOp::Fault(FirmwareCrash { rpu: (rpu + 2) % 4 }),
+        ];
+        ops.into_iter().map(Some).chain([None]).collect()
+    }
+
+    /// Lands `arrivals[i]` at `at[i]` and runs to 2 000 cycles past the
+    /// last: the ledger, trace and diagnostics it ends with, and how many
+    /// arrivals found the box at the end of a jump.
+    fn observe(
+        oracle: bool,
+        period: u32,
+        arrivals: &[Arrival],
+        at: &[u64],
+    ) -> ([String; 3], usize) {
+        let image = rosebud::riscv::assemble(&duty_cycle_forwarder_asm(period)).unwrap();
+        let mut cfg = RosebudConfig::with_rpus(4);
+        cfg.pr_cycles = 400;
+        let mut sys = Rosebud::builder(cfg)
+            .load_balancer(Box::new(RoundRobinLb::new()))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        sys.enable_tracing(TraceConfig {
+            counter_interval: 1024,
+            pc_profile: false,
+            max_events: 1 << 20,
+        });
+        let mut gen = FixedSizeGen::new(300, 2);
+        let end = at.last().copied().unwrap_or(0) + 2_000;
+        let (mut next, mut jumped_to) = (0, 0);
+        let mut jumped = false;
+        while sys.now() < end {
+            while let Some(&cycle) = at.get(next).filter(|&&cycle| cycle == sys.now()) {
+                jumped_to += usize::from(jumped);
+                match &arrivals[next] {
+                    Some(op) => {
+                        sys.apply(op.clone()).unwrap();
+                    }
+                    None => sys.inject(gen.generate(next as u64, cycle)).unwrap(),
+                }
+                next += 1;
+            }
+            if oracle {
+                sys.wake_all();
+                sys.tick();
+            } else {
+                sys.tick();
+                let from = sys.now();
+                sys.skip_quiet(at.get(next).copied().unwrap_or(end));
+                jumped = sys.now() > from;
+            }
+        }
+        let seen = [
+            format!("{:?}", sys.ledger()),
+            sys.take_tracer().unwrap().compact_text(),
+            sys.diagnostics().render(),
+        ];
+        (seen, jumped_to)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn arrivals_inside_quiet_stretches_match_the_unelided_oracle(
+            rpu in 0usize..4,
+            period in 800u32..3000,
+            gaps in proptest::collection::vec(50u64..2_500, 18),
+        ) {
+            let arrivals = arrivals(rpu, period);
+            let at: Vec<u64> = gaps
+                .iter()
+                .scan(0, |cycle, gap| {
+                    *cycle += gap;
+                    Some(*cycle)
+                })
+                .collect();
+            let (want, _) = observe(true, period, &arrivals, &at);
+            let (got, jumped_to) = observe(false, period, &arrivals, &at);
+            for (what, (got, want)) in ["ledger", "trace", "diagnostics"].iter().zip(got.iter().zip(&want)) {
+                prop_assert!(got == want, "{} diverged from the oracle (rpu {}, period {}, at {:?})", what, rpu, period, at);
+            }
+            prop_assert!(jumped_to >= arrivals.len() / 2, "only {} arrivals ended a jump", jumped_to);
+        }
+    }
+}
+
 /// Spin-loop elision against generated poll loops (`gen::poll`): a random
 /// pure body before the `RECV_READY` check, and in the `Break` half of the
 /// cases one access a parked core could not repeat, so that loop must never

@@ -125,6 +125,7 @@ const OCCUPANCY_WORDS: &[&str] = &[
     "tx_ready",
     "rout_busy",
     "dma_posted",
+    "bcast_queued",
     "next_wake",
 ];
 
