@@ -6,8 +6,6 @@
 //! a single pass. Built from scratch (goto/fail/output construction) — no
 //! external matching crates.
 
-use std::collections::VecDeque;
-
 /// A pattern to search for, tagged with its rule identifier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
@@ -55,25 +53,47 @@ pub struct Match {
     pub end: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    /// Dense transition table (256-way). u32::MAX means "no edge" before
-    /// fail-link compilation; after compilation every slot is a state.
-    next: Box<[u32; 256]>,
-    /// Pattern ids ending at this node (own + inherited via fail links).
-    outputs: Vec<u32>,
+/// Rows per state: one transition per byte value.
+const ROW: usize = 256;
+
+/// No trie edge, no child, no sibling.
+const NONE: u32 = u32::MAX;
+
+/// A trie state while the automaton is built.
+struct TrieState {
+    /// Pattern ids ending here, in insertion order.
+    own: Vec<u32>,
+    fail: usize,
+    /// Whether this state or one on its fail chain ends a pattern.
+    has_out: bool,
+    /// The byte on the edge into this state.
+    byte: u8,
+    first_child: u32,
+    sibling: u32,
 }
 
-impl Node {
-    fn new() -> Self {
+impl TrieState {
+    fn new(byte: u8, sibling: u32) -> Self {
         Self {
-            next: Box::new([u32::MAX; 256]),
-            outputs: Vec::new(),
+            own: Vec::new(),
+            fail: 0,
+            has_out: false,
+            byte,
+            first_child: NONE,
+            sibling,
         }
     }
 }
 
-/// The compiled automaton.
+/// The compiled automaton: one flat transition table with one 256-entry row
+/// per state.
+///
+/// Every entry is the target state premultiplied by 256 — the offset of its
+/// row — so a scan step is one load, `state = trans[state + byte]`. States
+/// with outputs are numbered last, so the match test is one compare of the
+/// value just loaded against `match_from`. Their pattern ids sit in one CSR
+/// pair (`out_start`, `out_ids`): a state's own ids in insertion order, then
+/// the ids it inherits through its fail links, nearest first.
 ///
 /// # Examples
 ///
@@ -85,72 +105,134 @@ impl Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
-    nodes: Vec<Node>,
+    trans: Vec<u32>,
+    /// First premultiplied state with outputs.
+    match_from: usize,
+    /// `out_ids[out_start[i]..out_start[i + 1]]` are the outputs of the
+    /// `i`-th state with outputs.
+    out_start: Vec<u32>,
+    out_ids: Vec<u32>,
     pattern_count: usize,
-    table_bytes: usize,
 }
 
 impl AhoCorasick {
     /// Builds the automaton from `patterns` using the classic
     /// goto/fail/output construction, then compiles fail links into dense
-    /// next-state tables so matching is one table lookup per byte — the
+    /// next-state rows so matching is one table lookup per byte — the
     /// access pattern the hardware engines implement in URAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern is empty, or if the trie needs more than 2^24
+    /// states (a 16 GiB table), the most a premultiplied `u32` state can
+    /// address.
     pub fn build(patterns: &[Pattern]) -> Self {
-        let mut nodes = vec![Node::new()];
-
-        // Goto function: a trie of all patterns.
+        // Goto function: a trie of all patterns. `goto` holds one dense row
+        // per trie state (NONE where there is no edge) for lookups; each
+        // state also lists its children, so the passes below walk edges.
+        let mut goto = vec![NONE; ROW];
+        let mut trie = vec![TrieState::new(0, NONE)];
         for pattern in patterns {
+            // `Pattern::new` refuses these; the fields are public.
+            assert!(!pattern.bytes.is_empty(), "empty patterns match everywhere");
             let mut state = 0usize;
             for &byte in &pattern.bytes {
-                let slot = nodes[state].next[byte as usize];
-                state = if slot == u32::MAX {
-                    nodes.push(Node::new());
-                    let new_state = (nodes.len() - 1) as u32;
-                    nodes[state].next[byte as usize] = new_state;
-                    new_state as usize
-                } else {
-                    slot as usize
-                };
-            }
-            nodes[state].outputs.push(pattern.id);
-        }
-
-        // Fail links via BFS, immediately compiled into the dense tables:
-        // after this loop, next[b] is total (never u32::MAX).
-        let mut fail = vec![0u32; nodes.len()];
-        let mut queue = VecDeque::new();
-        for byte in 0..256 {
-            let slot = nodes[0].next[byte];
-            if slot == u32::MAX {
-                nodes[0].next[byte] = 0;
-            } else {
-                fail[slot as usize] = 0;
-                queue.push_back(slot);
-            }
-        }
-        while let Some(state) = queue.pop_front() {
-            let state = state as usize;
-            let f = fail[state] as usize;
-            // Inherit outputs from the fail target.
-            let inherited: Vec<u32> = nodes[f].outputs.clone();
-            nodes[state].outputs.extend(inherited);
-            for byte in 0..256 {
-                let slot = nodes[state].next[byte];
-                let via_fail = nodes[f].next[byte];
-                if slot == u32::MAX {
-                    nodes[state].next[byte] = via_fail;
-                } else {
-                    fail[slot as usize] = via_fail;
-                    queue.push_back(slot);
+                let slot = state * ROW + usize::from(byte);
+                if goto[slot] == NONE {
+                    let child = trie.len();
+                    goto[slot] = child as u32;
+                    goto.resize(goto.len() + ROW, NONE);
+                    trie.push(TrieState::new(byte, trie[state].first_child));
+                    trie[state].first_child = child as u32;
                 }
+                state = goto[slot] as usize;
+            }
+            trie[state].own.push(pattern.id);
+        }
+        let states = trie.len();
+        assert!(states <= 1 << 24, "automaton exceeds 2^24 states");
+
+        // Fail links in BFS order: a child's fail target is where its
+        // parent's fail chain first has an edge on the child's byte. A fail
+        // target is shallower than its state, so its output flag is final.
+        let mut order = Vec::with_capacity(states);
+        order.push(0);
+        let mut head = 0;
+        while let Some(&state) = order.get(head) {
+            head += 1;
+            let mut child = trie[state].first_child;
+            while child != NONE {
+                let c = child as usize;
+                let byte = usize::from(trie[c].byte);
+                let mut fail = 0;
+                if state != 0 {
+                    let mut f = trie[state].fail;
+                    fail = loop {
+                        match goto[f * ROW + byte] {
+                            NONE if f == 0 => break 0,
+                            NONE => f = trie[f].fail,
+                            g => break g as usize,
+                        }
+                    };
+                }
+                trie[c].fail = fail;
+                trie[c].has_out = !trie[c].own.is_empty() || trie[fail].has_out;
+                order.push(c);
+                child = trie[c].sibling;
             }
         }
 
-        let table_bytes = nodes.len() * (256 * 4);
+        // Number the states without outputs first (the root stays 0), then
+        // those with outputs, each group in BFS order.
+        let match_states = trie.iter().filter(|t| t.has_out).count();
+        let match_from = (states - match_states) * ROW;
+        let (mut plain, mut matching) = (0, match_from);
+        let mut renamed = vec![0u32; states];
+        for &s in &order {
+            let next = if trie[s].has_out {
+                &mut matching
+            } else {
+                &mut plain
+            };
+            renamed[s] = *next as u32;
+            *next += ROW;
+        }
+
+        // Each row is its fail target's row (final, as that state is
+        // shallower) with the state's own trie edges written over it; the
+        // root's row starts at 0, the root. Outputs are a state's own ids,
+        // then those along its fail chain, nearest first.
+        let mut trans = vec![0u32; states * ROW];
+        let mut out_start = vec![0u32];
+        let mut out_ids = Vec::new();
+        for &s in &order {
+            let row = renamed[s] as usize;
+            if s != 0 {
+                let from = renamed[trie[s].fail] as usize;
+                trans.copy_within(from..from + ROW, row);
+            }
+            let mut child = trie[s].first_child;
+            while child != NONE {
+                let c = &trie[child as usize];
+                trans[row + usize::from(c.byte)] = renamed[child as usize];
+                child = c.sibling;
+            }
+            if trie[s].has_out {
+                let mut f = s;
+                while f != 0 {
+                    out_ids.extend_from_slice(&trie[f].own);
+                    f = trie[f].fail;
+                }
+                out_start.push(out_ids.len() as u32);
+            }
+        }
+
         Self {
-            nodes,
+            trans,
+            match_from,
+            out_start,
+            out_ids,
             pattern_count: patterns.len(),
-            table_bytes,
         }
     }
 
@@ -159,40 +241,51 @@ impl AhoCorasick {
         self.pattern_count
     }
 
-    /// Size of the dense transition tables in bytes — what the hardware
-    /// model maps onto URAM blocks (§7.1.2: the large lookup tables that
-    /// would not fit without URAM).
+    /// Size of the dense transition table in bytes, 1 KiB per state — what
+    /// the hardware model maps onto URAM blocks (§7.1.2: the large lookup
+    /// tables that would not fit without URAM).
     pub fn table_bytes(&self) -> usize {
-        self.table_bytes
+        self.trans.len() * std::mem::size_of::<u32>()
     }
 
-    /// Finds all matches in `haystack`, in end-position order.
+    /// Finds all matches in `haystack`, in end-position order; at one end
+    /// position, longer patterns first, equal ones in insertion order.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
         self.scan(haystack, |m| out.push(m));
         out
     }
 
-    /// Streaming scan calling `on_match` for each hit, in end-position
-    /// order. This is what both the hardware model and the CPU baseline use.
-    pub fn scan<F: FnMut(Match)>(&self, haystack: &[u8], mut on_match: F) {
-        let mut state = 0usize;
-        for (pos, &byte) in haystack.iter().enumerate() {
-            state = self.nodes[state].next[byte as usize] as usize;
-            for &id in &self.nodes[state].outputs {
-                on_match(Match { id, end: pos });
-            }
-        }
+    /// Streaming scan calling `on_match` for each hit, in the order of
+    /// [`find_all`](Self::find_all). This is what both the hardware model
+    /// and the CPU baseline use.
+    pub fn scan<F: FnMut(Match)>(&self, haystack: &[u8], on_match: F) {
+        self.scan_from(0, haystack, on_match);
     }
 
     /// Resumable scan for cross-packet matching: feeds `haystack` starting
     /// from automaton state `state`, returns the final state.
+    ///
+    /// The state is opaque: pass 0 (the start state) or a value an earlier
+    /// `scan_from` on this automaton returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is neither.
     pub fn scan_from<F: FnMut(Match)>(&self, state: u32, haystack: &[u8], mut on_match: F) -> u32 {
         let mut state = state as usize;
+        assert!(
+            state.is_multiple_of(ROW) && state < self.trans.len(),
+            "{state} is not a state of this automaton"
+        );
         for (pos, &byte) in haystack.iter().enumerate() {
-            state = self.nodes[state].next[byte as usize] as usize;
-            for &id in &self.nodes[state].outputs {
-                on_match(Match { id, end: pos });
+            state = self.trans[state + usize::from(byte)] as usize;
+            if state >= self.match_from {
+                let i = (state - self.match_from) / ROW;
+                let ids = &self.out_ids[self.out_start[i] as usize..self.out_start[i + 1] as usize];
+                for &id in ids {
+                    on_match(Match { id, end: pos });
+                }
             }
         }
         state as u32
@@ -251,6 +344,22 @@ mod tests {
                 Match { id: 4, end: 5 }
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn empty_pattern_literal_rejected_by_build() {
+        let _ = AhoCorasick::build(&[Pattern {
+            id: 1,
+            bytes: Vec::new(),
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a state")]
+    fn scan_from_rejects_a_foreign_state() {
+        let ac = AhoCorasick::build(&[Pattern::new(1, b"x")]);
+        ac.scan_from(3, b"x", |_| {});
     }
 
     #[test]

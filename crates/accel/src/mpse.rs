@@ -15,6 +15,8 @@
 //!    match, zero = end-of-packet) and `ACC_PIG_SLOT`, and releases each
 //!    entry with `ACC_PIG_CTRL = 2`.
 
+use std::sync::Arc;
+
 use rosebud_kernel::Fifo;
 
 use crate::aho::{AhoCorasick, Pattern};
@@ -92,10 +94,20 @@ impl Rule {
 }
 
 /// A compiled rule set: the string automaton plus the port-matcher tables.
+///
+/// The compiled parts sit behind one `Arc`, so a clone — one per RPU when a
+/// box is built — shares them: a box holds one table however many lanes
+/// scan with it.
 #[derive(Debug, Clone)]
-pub struct RuleSet {
+pub struct RuleSet(Arc<Compiled>);
+
+#[derive(Debug)]
+struct Compiled {
     rules: Vec<Rule>,
     automaton: AhoCorasick,
+    /// `(id, src_port, dst_port)` of every rule, sorted by id: the port
+    /// matcher's table.
+    ports: Vec<(u32, Option<u16>, Option<u16>)>,
 }
 
 impl RuleSet {
@@ -106,38 +118,46 @@ impl RuleSet {
     /// Panics if `rules` is empty or contains duplicate ids.
     pub fn compile(rules: Vec<Rule>) -> Self {
         assert!(!rules.is_empty(), "rule set must not be empty");
-        let mut seen = std::collections::HashSet::new();
-        for r in &rules {
-            assert!(seen.insert(r.id), "duplicate rule id {}", r.id);
+        let mut ports: Vec<_> = rules
+            .iter()
+            .map(|r| (r.id, r.src_port, r.dst_port))
+            .collect();
+        ports.sort_unstable_by_key(|&(id, ..)| id);
+        if let Some(w) = ports.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate rule id {}", w[0].0);
         }
         let patterns: Vec<Pattern> = rules
             .iter()
             .map(|r| Pattern::new(r.id, &r.pattern))
             .collect();
         let automaton = AhoCorasick::build(&patterns);
-        Self { rules, automaton }
+        Self(Arc::new(Compiled {
+            rules,
+            automaton,
+            ports,
+        }))
     }
 
     /// The rules, in compile order.
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.0.rules
     }
 
     /// The string automaton.
     pub fn automaton(&self) -> &AhoCorasick {
-        &self.automaton
+        &self.0.automaton
     }
 
     /// Whether `rule_id`'s port constraints accept the given ports — the
     /// port-matcher stage.
     pub fn ports_accept(&self, rule_id: u32, src_port: u16, dst_port: u16) -> bool {
-        self.rules
-            .iter()
-            .find(|r| r.id == rule_id)
-            .map(|r| {
-                r.src_port.is_none_or(|p| p == src_port) && r.dst_port.is_none_or(|p| p == dst_port)
+        let ports = &self.0.ports;
+        ports
+            .binary_search_by_key(&rule_id, |&(id, ..)| id)
+            .is_ok_and(|i| {
+                let (_, src, dst) = ports[i];
+                src.is_none_or(|p| p == src_port) && dst.is_none_or(|p| p == dst_port)
             })
-            .unwrap_or(false)
     }
 
     /// All rule ids whose pattern occurs in `payload` and whose port
@@ -145,7 +165,7 @@ impl RuleSet {
     /// truth used by verification tests and by the CPU baseline.
     pub fn matches(&self, payload: &[u8], src_port: u16, dst_port: u16) -> Vec<u32> {
         let mut out = Vec::new();
-        self.automaton.scan(payload, |m| {
+        self.automaton().scan(payload, |m| {
             if self.ports_accept(m.id, src_port, dst_port) {
                 out.push(m.id);
             }
@@ -267,9 +287,14 @@ impl PigasusMatcher {
     }
 
     fn start_job(&mut self, job: Job, pmem: &[u8]) {
+        // Both bounds are firmware MMIO writes: a range past the end of
+        // packet memory (or of the address space) scans an empty payload,
+        // and the job still reports EoP after `len / engines` cycles.
         let start = job.addr as usize;
-        let end = (job.addr + job.len) as usize;
-        let payload = pmem.get(start..end).unwrap_or(&[]);
+        let payload = start
+            .checked_add(job.len as usize)
+            .and_then(|end| pmem.get(start..end))
+            .unwrap_or(&[]);
         let src_port = (job.ports >> 16) as u16;
         let dst_port = job.ports as u16;
         let mut pending = std::collections::VecDeque::new();
@@ -569,6 +594,48 @@ mod tests {
         assert_eq!(first[0].rule_id, 100);
         assert_eq!(second[0].rule_id, 100);
         assert!(!m.is_busy());
+    }
+
+    #[test]
+    fn a_job_past_the_address_space_scans_nothing_and_reports_eop() {
+        // Firmware can post any address and length; their sum overflows
+        // `u32` here. The job scans an empty payload and still takes
+        // `len / engines` cycles to report EoP.
+        let mut m = PigasusMatcher::new(simple_rules(), 16);
+        let pmem = vec![0u8; 256];
+        kick(&mut m, 0xFFFF_FF00, 0x200, 0, 4);
+        let mut done_at = None;
+        for t in 1..=100 {
+            m.tick(&pmem);
+            if m.read_reg(PIG_MATCH_REG).value != 0 {
+                done_at = Some(t);
+                break;
+            }
+        }
+        assert_eq!(done_at, Some(0x200 / 16));
+        assert_eq!(m.read_reg(PIG_RULE_ID_REG).value, 0, "EoP, no match");
+        assert_eq!(m.read_reg(PIG_SLOT_REG).value, 4);
+    }
+
+    #[test]
+    fn ports_accept_looks_rules_up_by_id() {
+        let rules = simple_rules();
+        assert!(rules.ports_accept(100, 1, 1));
+        assert!(rules.ports_accept(200, 1, 80));
+        assert!(!rules.ports_accept(200, 1, 81));
+        assert!(rules.ports_accept(300, 6666, 1));
+        assert!(!rules.ports_accept(300, 6667, 1));
+        assert!(!rules.ports_accept(150, 1, 80), "unknown id");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate rule id 7")]
+    fn duplicate_rule_ids_rejected() {
+        let _ = RuleSet::compile(vec![
+            Rule::new(7, b"a"),
+            Rule::new(3, b"b"),
+            Rule::new(7, b"c"),
+        ]);
     }
 
     #[test]

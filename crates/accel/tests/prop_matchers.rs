@@ -1,7 +1,8 @@
 //! Property tests on the accelerator models: the Aho–Corasick automaton
-//! agrees with a naive matcher on arbitrary inputs; the cycle-level MPSE
-//! model produces exactly the functional match set; the firewall matcher
-//! agrees with direct prefix comparison.
+//! agrees with a naive matcher on arbitrary inputs, in the exact order it
+//! reports matches; the cycle-level MPSE model produces exactly the
+//! functional match set; the firewall matcher agrees with direct prefix
+//! comparison.
 
 use proptest::prelude::*;
 use rosebud_accel::{
@@ -40,7 +41,81 @@ fn pattern_set() -> impl Strategy<Value = Vec<Pattern>> {
     })
 }
 
+/// The naive matcher in the order the automaton reports: by end position,
+/// then longer patterns first, then insertion order.
+fn naive_ordered(patterns: &[Pattern], haystack: &[u8]) -> Vec<Match> {
+    let mut out: Vec<(usize, Match)> = Vec::new();
+    for pos in 0..haystack.len() {
+        for (index, p) in patterns.iter().enumerate() {
+            if pos + 1 >= p.len() && haystack[pos + 1 - p.len()..=pos] == p.bytes[..] {
+                out.push((index, Match { id: p.id, end: pos }));
+            }
+        }
+    }
+    out.sort_by_key(|&(index, m)| (m.end, std::cmp::Reverse(patterns[index].len()), index));
+    out.into_iter().map(|(_, m)| m).collect()
+}
+
+/// Patterns over the full byte range, about half of them cut from
+/// `haystack` (at `start % len`, up to `len` bytes) so that matches occur,
+/// often several ending at one position.
+fn cut_patterns(specs: Vec<(bool, usize, usize, Vec<u8>)>, haystack: &[u8]) -> Vec<Pattern> {
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (cut, start, len, random))| {
+            let id = i as u32 + 1;
+            if cut && !haystack.is_empty() {
+                let start = start % haystack.len();
+                let end = (start + len).min(haystack.len());
+                Pattern::new(id, &haystack[start..end])
+            } else {
+                Pattern::new(id, &random)
+            }
+        })
+        .collect()
+}
+
+fn pattern_specs() -> impl Strategy<Value = Vec<(bool, usize, usize, Vec<u8>)>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            0usize..64,
+            1usize..8,
+            proptest::collection::vec(any::<u8>(), 1..6),
+        ),
+        1..10,
+    )
+}
+
 proptest! {
+    #[test]
+    fn automaton_reports_naive_matches_in_order_over_all_bytes(
+        haystack in proptest::collection::vec(any::<u8>(), 0..96),
+        specs in pattern_specs(),
+    ) {
+        let patterns = cut_patterns(specs, &haystack);
+        let ac = AhoCorasick::build(&patterns);
+        prop_assert_eq!(ac.find_all(&haystack), naive_ordered(&patterns, &haystack));
+    }
+
+    #[test]
+    fn split_scan_equals_whole_scan_over_all_bytes(
+        haystack in proptest::collection::vec(any::<u8>(), 0..96),
+        specs in pattern_specs(),
+        split in 0usize..97,
+    ) {
+        let split = split % (haystack.len() + 1);
+        let patterns = cut_patterns(specs, &haystack);
+        let ac = AhoCorasick::build(&patterns);
+        let mut chunked = Vec::new();
+        let state = ac.scan_from(0, &haystack[..split], |m| chunked.push(m));
+        ac.scan_from(state, &haystack[split..], |m| {
+            chunked.push(Match { id: m.id, end: m.end + split });
+        });
+        prop_assert_eq!(chunked, ac.find_all(&haystack));
+    }
+
     #[test]
     fn automaton_agrees_with_naive_matcher(
         patterns in pattern_set(),

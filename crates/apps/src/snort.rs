@@ -14,7 +14,6 @@
 //!   packets. `cargo bench --bench micro` in `rosebud-bench` measures it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rosebud_accel::RuleSet;
 use rosebud_net::Trace;
@@ -69,15 +68,13 @@ impl SnortModel {
 /// payload against a compiled rule set, parallelized across scoped worker
 /// threads — the honest CPU comparator for the micro-benchmarks.
 pub struct CpuMatcher {
-    rules: Arc<RuleSet>,
+    rules: RuleSet,
 }
 
 impl CpuMatcher {
     /// Wraps a compiled rule set.
     pub fn new(rules: RuleSet) -> Self {
-        Self {
-            rules: Arc::new(rules),
-        }
+        Self { rules }
     }
 
     /// The rule set.
@@ -114,7 +111,7 @@ impl CpuMatcher {
         let chunk = packets.len().div_ceil(threads);
         std::thread::scope(|scope| {
             for part in packets.chunks(chunk.max(1)) {
-                let rules = Arc::clone(&self.rules);
+                let rules = &self.rules;
                 let hits = &hits;
                 scope.spawn(move || {
                     let mut local = 0u64;

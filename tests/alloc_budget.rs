@@ -2,7 +2,8 @@
 //! allocation at the device edge and move from there on, so in steady state
 //! `Rosebud::tick` allocates nothing, a generated frame costs one
 //! allocation, and an idle live shell costs none (DESIGN.md, "Who owns a
-//! frame's bytes").
+//! frame's bytes"). Set-up is budgeted too: the lanes of an IDS box share
+//! one compiled rule set, so handing one to another lane allocates nothing.
 //!
 //! Counted with a per-thread counting `GlobalAlloc`, so the test harness's
 //! other threads do not pollute a measurement. This is the only `unsafe` in
@@ -14,7 +15,9 @@ use std::os::unix::net::UnixDatagram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rosebud::accel::RuleSet;
 use rosebud::apps::forwarder::{build_duty_cycle_forwarding_system, build_forwarding_system};
+use rosebud::apps::rules::synthetic_rules;
 use rosebud::core::ports::{pump, Device};
 use rosebud::core::{HostOp, Rosebud};
 use rosebud::kernel::{Cycle, EgressPort};
@@ -256,4 +259,22 @@ fn idle_sockets_cost_no_allocation() {
     assert_eq!(allocs, 2);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lanes_share_one_compiled_rule_set() {
+    let rules = synthetic_rules(128, 1);
+    // One trie state per distinct non-empty pattern prefix, plus the root.
+    let prefixes: std::collections::HashSet<&[u8]> = rules
+        .iter()
+        .flat_map(|r| (1..=r.pattern.len()).map(|n| &r.pattern[..n]))
+        .collect();
+    let states = prefixes.len() + 1;
+    assert_eq!(states, 1477, "the benchmark's IDS rules, seed 1");
+
+    let compiled = RuleSet::compile(rules);
+    let (allocs, lane) = allocs_in(|| compiled.clone());
+    assert_eq!(allocs, 0, "a lane's rule set must share the box's table");
+    // The URAM model stays dense: 1 KiB per state, however it is shared.
+    assert_eq!(lane.automaton().table_bytes(), states * 1024);
 }
