@@ -7,7 +7,7 @@
 //! Output path: `$ROSEBUD_BENCH_OUT`, else `<workspace root>/BENCH_rosebud.json`.
 
 use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
-use rosebud_bench::sim_speed::{build, ns_per_cycle, Scenario};
+use rosebud_bench::sim_speed::{build, point, Point, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
     Device, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
@@ -160,13 +160,13 @@ fn fleet_point() -> FleetBench {
     }
 }
 
-/// Sim-speed points at 16 RPUs, decode cache on: `(scenario, ns/cycle)`.
-fn sim_speed_points() -> Vec<(&'static str, f64)> {
+/// Sim-speed points at 16 RPUs, decode cache on.
+fn sim_speed_points() -> Vec<(&'static str, Point)> {
     Scenario::ALL
         .into_iter()
         .map(|scenario| {
-            let ns = ns_per_cycle(&mut build(scenario, 16), 10_000, 150_000, 5);
-            (scenario.name(), ns)
+            let p = point(&mut build(scenario, 16), 10_000, 150_000, 5);
+            (scenario.name(), p)
         })
         .collect()
 }
@@ -214,11 +214,17 @@ fn main() {
         fleet.flows_seen,
     ));
     json.push_str("  \"sim_speed\": [\n");
-    for (i, (scenario, ns)) in sim_speed.iter().enumerate() {
+    for (i, (scenario, p)) in sim_speed.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"ns_per_cycle\": {}}}{}\n",
+            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"ns_per_cycle\": {}, \
+             \"quiet_share\": {}, \"parked_share\": {}, \"stepped_instr_share\": {}, \
+             \"iss_share\": {}}}{}\n",
             scenario,
-            json_f64(*ns),
+            json_f64(p.ns_per_cycle),
+            json_f64(p.stats.quiet_share()),
+            json_f64(p.stats.parked_share()),
+            json_f64(p.stats.stepped_instr_share()),
+            json_f64(p.profile.iss_share()),
             if i + 1 < sim_speed.len() { "," } else { "" },
         ));
     }

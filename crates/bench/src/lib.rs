@@ -75,10 +75,13 @@ pub fn versus(measured: f64, paper: f64) -> String {
 /// (`benches/sim_speed.rs` and the `sim_speed` section of
 /// `BENCH_rosebud.json`).
 pub mod sim_speed {
+    use std::sync::OnceLock;
     use std::time::Instant;
 
     use rosebud_apps::forwarder::{duty_cycle_forwarder_asm, forwarder_image};
-    use rosebud_core::{Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
+    use rosebud_core::{
+        Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram, SimStats, StageProfile,
+    };
     use rosebud_net::FixedSizeGen;
     use rosebud_riscv::assemble;
 
@@ -176,6 +179,39 @@ pub mod sim_speed {
             best = best.min(t.elapsed().as_secs_f64());
         }
         best * 1e9 / cycles as f64
+    }
+
+    /// One sim-speed point: the speed, and where the box's time went.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Point {
+        /// Wall-clock ns per simulated cycle ([`ns_per_cycle`]).
+        pub ns_per_cycle: f64,
+        /// The box's own counters over the timed run, warm-up included.
+        pub stats: SimStats,
+        /// A profiled run of `cycles` after the timed ones.
+        pub profile: StageProfile,
+    }
+
+    /// [`ns_per_cycle`], then the box's counters, then `cycles` more under
+    /// the stage profile (which slows the tick it times, so it runs apart).
+    pub fn point(h: &mut Harness, warmup: u64, cycles: u64, reps: usize) -> Point {
+        let ns_per_cycle = ns_per_cycle(h, warmup, cycles, reps);
+        let stats = h.sys.sim_stats();
+        h.sys.profile_stages(Some(wall_ns));
+        h.run(cycles);
+        let profile = h.sys.sim_stats().profile.expect("profile on");
+        h.sys.profile_stages(None);
+        Point {
+            ns_per_cycle,
+            stats,
+            profile,
+        }
+    }
+
+    /// The stage profile's clock: wall nanoseconds since first use.
+    pub fn wall_ns() -> u64 {
+        static START: OnceLock<Instant> = OnceLock::new();
+        START.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 }
 

@@ -45,7 +45,7 @@ impl Distributor {
     /// Stage 2: the distribution subsystem grants each incoming port a slot
     /// every other cycle — the "125 MPPS per incoming port" limit the paper
     /// reports (§6.1) — then serves the host's (low-rate) virtual interface.
-    #[inline]
+    #[inline(always)]
     pub fn admit(
         &mut self,
         now: Cycle,
@@ -127,7 +127,7 @@ impl Distributor {
     }
 
     /// Stage 3: fixed ingress pipeline → per-RPU 32 Gbps links.
-    #[inline]
+    #[inline(always)]
     pub fn feed_links(&mut self, now: Cycle, lanes: &mut Lanes) {
         while let Some(item) = self.pipeline.peek_ready(now) {
             if lanes.rin_full(item.rpu) {

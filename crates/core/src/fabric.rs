@@ -131,7 +131,7 @@ impl Loopback {
     }
 
     /// Stage 9: one grant, then one delivery.
-    #[inline]
+    #[inline(always)]
     pub fn tick(&mut self, now: Cycle, slots: &mut SlotTracker, lanes: &mut Lanes) {
         self.grant(now);
         self.deliver(now, slots, lanes);
@@ -270,7 +270,7 @@ impl BcastArbiter {
 
     /// Stage 11: one outbox visited per cycle; delivery is simultaneous at
     /// every RPU (§4.4).
-    #[inline]
+    #[inline(always)]
     pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes) {
         let granted = self.granted_rpu(lanes.rpus().len());
         if let Some(msg) = lanes.pop_bcast(granted) {

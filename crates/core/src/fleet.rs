@@ -67,6 +67,7 @@ use crate::fault::{FaultKind, Ledger};
 use crate::host::{HostOp, HostReply};
 use crate::lb::ConsistentHashRing;
 use crate::ports::Device;
+use crate::sim::SimStats;
 use crate::system::Rosebud;
 use crate::trace::TraceConfig;
 
@@ -554,6 +555,16 @@ impl Fleet {
             l,
             in_flight,
         );
+    }
+
+    /// Every box's [`SimStats`] summed: cycles and lane-cycles count box
+    /// by box.
+    pub fn sim_stats(&self) -> SimStats {
+        let mut stats = SimStats::default();
+        for b in &self.boxes {
+            stats += b.sys.sim_stats();
+        }
+        stats
     }
 
     /// A point-in-time fleet health snapshot.

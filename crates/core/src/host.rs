@@ -105,7 +105,7 @@ impl HostBridge {
     /// DMA requests traverse PCIe, touch host DRAM, and complete with the
     /// DMA interrupt (§4.2). An injected PCIe outage stalls the whole stage:
     /// nothing is lost, everything waits for link-up.
-    #[inline]
+    #[inline(always)]
     pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes, fx: &mut Fx) {
         if !fx.host_link_up(now) {
             return;

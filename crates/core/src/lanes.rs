@@ -17,6 +17,7 @@ use crate::host::HostBridge;
 use crate::lb::SlotTracker;
 use crate::mac::Mac;
 use crate::rpu::{CoreClock, Rpu};
+use crate::sim::SimStats;
 use crate::system::Fx;
 use crate::trace::TraceEvent;
 use crate::types::{irq, BcastMsg, HostDmaReq, SELF_TAG};
@@ -106,6 +107,8 @@ pub(crate) struct Lanes {
     /// The last cycle stage 5 ran, which every RPU reads: a core parked in
     /// a poll loop works out its pc and counters from it.
     clock: CoreClock,
+    /// Lane-cycles stage 5 ticked a core ([`SimStats`]).
+    stepped: u64,
 }
 
 impl Lanes {
@@ -131,6 +134,7 @@ impl Lanes {
             quiet: vec![0; n],
             next_wake: Cycle::MAX,
             clock,
+            stepped: 0,
         }
     }
 
@@ -197,7 +201,7 @@ impl Lanes {
     }
 
     /// Stage 4: per-RPU link → DMA into packet memory + descriptor delivery.
-    #[inline]
+    #[inline(always)]
     pub fn deliver(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
         for r in self.rin_busy {
             let Some(item) = self.rin[r].pop_ready(now) else {
@@ -238,12 +242,13 @@ impl Lanes {
     /// Stage 5: core + accelerator, for the lanes that are awake. What the
     /// tick left for stages 6 and 10 is looked at once, here; the horizon is
     /// consulted only after an inert tick.
-    #[inline]
+    #[inline(always)]
     pub fn run_cores(&mut self, now: Cycle) {
         if now >= self.next_wake {
             self.wake_due(now);
         }
         self.clock.store(now, Ordering::Relaxed);
+        self.stepped += u64::from(self.awake.0.count_ones());
         for r in self.awake {
             let rpu = &mut self.rpus[r];
             let inert = rpu.tick(now);
@@ -268,6 +273,19 @@ impl Lanes {
         }
     }
 
+    /// The lanes' share of the box's [`SimStats`]: lane-cycles stepped, and
+    /// every RPU's own.
+    pub fn sim_stats(&self) -> SimStats {
+        let mut stats = SimStats {
+            stepped_lane_cycles: self.stepped,
+            ..SimStats::default()
+        };
+        for rpu in &self.rpus {
+            stats += rpu.sim_stats();
+        }
+        stats
+    }
+
     /// Returns every sleeping lane whose horizon `now` has reached to
     /// `awake`, settled through the cycle before, and re-derives
     /// `next_wake` from the ones still asleep.
@@ -287,7 +305,7 @@ impl Lanes {
     }
 
     /// Stage 6: committed sends → per-RPU egress links.
-    #[inline]
+    #[inline(always)]
     pub fn collect_sends(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
         for r in self.tx_ready {
             if self.rout[r].is_full() {
@@ -336,7 +354,7 @@ impl Lanes {
     /// Stage 7: egress links → routing; slot freed once fully serialized out
     /// ("the interconnect notifies the LB about slot being freed after it is
     /// sent out", §4.2).
-    #[inline]
+    #[inline(always)]
     pub fn route(
         &mut self,
         now: Cycle,
@@ -727,20 +745,24 @@ mod tests {
         [l.rin_busy, l.awake, l.tx_ready, l.rout_busy, l.dma_posted]
     }
 
-    /// Runs `sys` at 5 Gbps for `cycles`, returning how many (lane, cycle)
-    /// pairs were asleep coming out of a tick. `oracle` wakes every lane
-    /// before every tick.
+    /// Runs `sys` at 5 Gbps for `cycles`, returning how many lane-cycles
+    /// stage 5 did not tick, as the box reports them. `oracle` wakes every
+    /// lane before every tick, and then the box must report that nothing
+    /// slept: no quiet tick and no parked lane-cycle.
     fn asleep_lane_cycles(sys: Rosebud, cycles: u64, oracle: bool) -> u64 {
         let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 5.0);
-        let mut asleep = 0;
         for _ in 0..cycles {
             if oracle {
                 h.sys.wake_all();
             }
             h.tick();
-            asleep += (h.sys.rpus().len() - h.sys.lanes.awake.count()) as u64;
         }
-        asleep
+        let stats = h.sys.sim_stats();
+        assert_eq!(stats.lane_cycles, cycles * h.sys.rpus().len() as u64);
+        if oracle {
+            assert_eq!((stats.quiet_ticks, stats.parked_lane_cycles), (0, 0));
+        }
+        stats.lane_cycles - stats.stepped_lane_cycles
     }
 
     /// The elision differential is only worth something if lanes really
@@ -782,21 +804,25 @@ mod tests {
 
     /// Runs `sys` as the benchmark drives it — `size`-byte frames paced to
     /// `gbps`, `pump`, then `tick` — for `cycles`, returning how many of the
-    /// ticks were quiet. `oracle` wakes every lane before every tick.
+    /// ticks the box reports quiet. `oracle` wakes every lane before every
+    /// tick, and then no core may park either.
     fn quiet_ticks(mut sys: Rosebud, size: usize, gbps: f64, cycles: u64, oracle: bool) -> u64 {
         let gen = Box::new(FixedSizeGen::new(size, 2));
         let mut source = GenPort::per_port(gen, gbps, sys.config().ns_per_cycle(), 2);
-        let mut quiet = 0;
         for _ in 0..cycles {
             pump(&mut sys, &mut source);
             if oracle {
                 sys.wake_all();
             }
-            quiet += u64::from(sys.now() < sys.quiet_until && sys.lanes.idle());
             sys.tick();
             sys.drain(&mut |_, _| {});
         }
-        quiet
+        let stats = sys.sim_stats();
+        assert_eq!((stats.cycles, stats.jumped_cycles), (cycles, 0));
+        if oracle {
+            assert_eq!(stats.parked_lane_cycles, 0);
+        }
+        stats.quiet_ticks
     }
 
     /// The quiet tick is only worth its compare if it fires where lanes
@@ -882,6 +908,8 @@ mod tests {
             }
         }
         assert!(jumps > (end - traffic_until) / 2, "jumped {jumps} cycles");
+        assert_eq!(jumped.sim_stats().jumped_cycles, jumps);
+        assert_eq!(ticked.sim_stats().jumped_cycles, 0);
         assert_eq!(jumped.ledger(), ticked.ledger());
         let diagnostics = |sys: &Rosebud| format!("{:?}", sys.diagnostics());
         assert_eq!(diagnostics(&jumped), diagnostics(&ticked));
@@ -912,12 +940,10 @@ mod tests {
         };
         let asleep = |access: &str| {
             let mut sys = builder(2, &poll_with(access)).build().unwrap();
-            let mut asleep = 0;
             for _ in 0..2_000 {
                 sys.tick();
-                asleep += 2 - sys.lanes.awake.count();
             }
-            asleep
+            sys.sim_stats().parked_lane_cycles
         };
         for pure in [
             "lw zero, 0x18(t0)   # STATUS",

@@ -61,6 +61,7 @@ pub mod ports;
 mod pr;
 pub mod resources;
 mod rpu;
+mod sim;
 mod supervisor;
 mod system;
 mod testbench;
@@ -78,6 +79,7 @@ pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingM
 pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
+pub use sim::{SimStats, StageClock, StageProfile, STAGE_NAMES};
 pub use supervisor::{
     FailoverRecord, FleetLogEntry, FleetStep, FleetSupervisor, RecoveryEvent, Supervisor,
     SupervisorStep,

@@ -61,7 +61,7 @@ impl Mac {
     }
 
     /// Stage 1, wire-side receive: MAC serializer → MAC FIFO.
-    #[inline]
+    #[inline(always)]
     pub fn receive(&mut self, now: Cycle) {
         for p in &mut self.ports {
             if p.rx_mac.head_ready_at().is_none_or(|ready| ready > now) {
@@ -104,7 +104,7 @@ impl Mac {
     /// leaves the TX MAC, so a congested receiver holds the frame
     /// serializing in the MAC (real backpressure) instead of being dropped
     /// past the edge.
-    #[inline]
+    #[inline(always)]
     pub fn transmit(&mut self, now: Cycle, fx: &mut Fx) {
         for p in &mut self.ports {
             if p.tx_delay.peek_ready(now).is_some() && !p.tx_mac.is_full() {

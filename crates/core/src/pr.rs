@@ -136,7 +136,7 @@ impl Reconfig {
     }
 
     /// Stage 12: moves every partial-reconfiguration job along.
-    #[inline]
+    #[inline(always)]
     pub fn tick(
         &mut self,
         now: Cycle,

@@ -24,10 +24,11 @@ use std::sync::Arc;
 use rosebud_accel::Accelerator;
 use rosebud_kernel::{Counters, Cycle, Fifo};
 use rosebud_riscv::{
-    decode, AccessSize, Bus, BusFault, BusValue, Cpu, DecodeCache, Fetched, Image, Reg, StepResult,
+    AccessSize, Bus, BusFault, BusValue, Cpu, DecodeCache, Fetched, Image, Reg, StepResult,
 };
 
 use crate::config::RosebudConfig;
+use crate::sim::SimStats;
 use crate::types::memmap::{self, io};
 use crate::types::{BcastMsg, Desc, SlotMeta};
 
@@ -198,6 +199,9 @@ pub struct RpuInner {
     /// differently without settling the lane first (`TIMER_*`, `BCAST_*`,
     /// an unassigned I/O offset, the broadcast mirror, `IO_EXT`).
     impure: bool,
+    /// Core loads and stores that reached the interconnect's I/O window
+    /// (host-side instrumentation, [`SimStats::io_accesses`]).
+    io_accesses: u64,
 }
 
 impl std::fmt::Debug for RpuInner {
@@ -250,6 +254,7 @@ impl RpuInner {
             header_slot_bytes: 128,
             missed: false,
             impure: false,
+            io_accesses: 0,
         }
     }
 
@@ -266,6 +271,7 @@ impl RpuInner {
         memmap::DMEM_BASE + (self.dmem.len() as u32 / 2) + u32::from(slot) * self.header_slot_bytes
     }
 
+    #[inline(always)]
     fn io_read(&mut self, offset: u32) -> u32 {
         match offset {
             io::RECV_READY => {
@@ -298,6 +304,7 @@ impl RpuInner {
         }
     }
 
+    #[inline(always)]
     fn io_write(&mut self, offset: u32, value: u32) {
         match offset {
             io::RECV_RELEASE => {
@@ -553,32 +560,31 @@ impl RpuInner {
         &self.bcast_mirror
     }
 
+    #[inline(always)]
     fn load(&mut self, addr: u32, size: AccessSize) -> Result<BusValue, BusFault> {
-        let n = size.bytes() as usize;
-        let read_from = |mem: &[u8], off: u32| -> Result<u32, BusFault> {
-            let off = off as usize;
-            if off + n > mem.len() {
-                return Err(BusFault {
-                    addr,
-                    is_store: false,
-                });
+        match Region::of(addr) {
+            Region::Imem => read(&self.imem, addr, size, addr).map(BusValue::fast),
+            Region::Dmem => {
+                read(&self.dmem, addr - memmap::DMEM_BASE, size, addr).map(BusValue::fast)
             }
-            let mut bytes = [0u8; 4];
-            bytes[..n].copy_from_slice(&mem[off..off + n]);
-            Ok(u32::from_le_bytes(bytes))
-        };
-        match addr {
-            a if (memmap::BCAST_BASE..memmap::BCAST_BASE + memmap::BCAST_BYTES).contains(&a) => {
+            Region::Pmem => {
+                read(&self.pmem, addr - memmap::PMEM_BASE, size, addr).map(|value| BusValue {
+                    value,
+                    wait_cycles: PMEM_WAIT_CYCLES,
+                })
+            }
+            Region::Io => {
+                self.io_accesses += 1;
+                Ok(BusValue::fast(self.io_read(addr - memmap::IO_BASE)))
+            }
+            Region::Bcast => {
                 self.impure = true;
-                Ok(BusValue::fast(read_from(
-                    &self.bcast_mirror,
-                    a - memmap::BCAST_BASE,
-                )?))
+                read(&self.bcast_mirror, addr - memmap::BCAST_BASE, size, addr).map(BusValue::fast)
             }
-            a if a >= memmap::IO_EXT_BASE => {
+            Region::IoExt => {
                 self.impure = true;
                 let r = match &mut self.accel {
-                    Some(accel) => accel.read_reg(a - memmap::IO_EXT_BASE),
+                    Some(accel) => accel.read_reg(addr - memmap::IO_EXT_BASE),
                     None => rosebud_accel::RegRead::fast(0),
                 };
                 Ok(BusValue {
@@ -586,115 +592,161 @@ impl RpuInner {
                     wait_cycles: r.wait_cycles,
                 })
             }
-            a if a >= memmap::IO_BASE => Ok(BusValue::fast(self.io_read(a - memmap::IO_BASE))),
-            a if a >= memmap::PMEM_BASE => Ok(BusValue {
-                value: read_from(&self.pmem, a - memmap::PMEM_BASE)?,
-                wait_cycles: PMEM_WAIT_CYCLES,
-            }),
-            a if a >= memmap::DMEM_BASE => Ok(BusValue::fast(read_from(
-                &self.dmem,
-                a - memmap::DMEM_BASE,
-            )?)),
-            a => Ok(BusValue::fast(read_from(&self.imem, a)?)),
         }
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) -> Result<u32, BusFault> {
         self.impure = true;
-        let n = size.bytes() as usize;
-        let bytes = value.to_le_bytes();
-        match addr {
-            a if (memmap::BCAST_BASE..memmap::BCAST_BASE + memmap::BCAST_BYTES).contains(&a) => {
-                Ok(self.bcast_write(a - memmap::BCAST_BASE, value))
-            }
-            a if a >= memmap::IO_EXT_BASE => {
-                if let Some(accel) = &mut self.accel {
-                    accel.write_reg(a - memmap::IO_EXT_BASE, value);
-                }
-                Ok(0)
-            }
-            a if a >= memmap::IO_BASE => {
-                self.io_write(a - memmap::IO_BASE, value);
-                Ok(0)
-            }
-            a if a >= memmap::PMEM_BASE => {
-                let off = (a - memmap::PMEM_BASE) as usize;
-                if off + n > self.pmem.len() {
-                    return Err(BusFault {
-                        addr,
-                        is_store: true,
-                    });
-                }
-                self.pmem[off..off + n].copy_from_slice(&bytes[..n]);
-                Ok(PMEM_WAIT_CYCLES)
-            }
-            a if a >= memmap::DMEM_BASE => {
-                let off = (a - memmap::DMEM_BASE) as usize;
-                if off + n > self.dmem.len() {
-                    return Err(BusFault {
-                        addr,
-                        is_store: true,
-                    });
-                }
-                self.dmem[off..off + n].copy_from_slice(&bytes[..n]);
-                Ok(0)
-            }
-            a => {
+        match Region::of(addr) {
+            Region::Imem => {
                 // Stores to instruction memory are allowed (the DMA engine
-                // loads firmware this way) but unusual from the core.
-                let off = a as usize;
-                if off + n > self.imem.len() {
-                    return Err(BusFault {
-                        addr,
-                        is_store: true,
-                    });
+                // loads firmware this way) but unusual from the core; the
+                // words they touch are decoded again.
+                write(&mut self.imem, addr, value, size, addr)?;
+                self.icache.refresh(&self.imem, addr, size.bytes() as usize);
+                Ok(0)
+            }
+            Region::Dmem => {
+                write(&mut self.dmem, addr - memmap::DMEM_BASE, value, size, addr).map(|()| 0)
+            }
+            Region::Pmem => write(&mut self.pmem, addr - memmap::PMEM_BASE, value, size, addr)
+                .map(|()| PMEM_WAIT_CYCLES),
+            Region::Io => {
+                self.io_accesses += 1;
+                self.io_write(addr - memmap::IO_BASE, value);
+                Ok(0)
+            }
+            Region::Bcast => Ok(self.bcast_write(addr - memmap::BCAST_BASE, value)),
+            Region::IoExt => {
+                if let Some(accel) = &mut self.accel {
+                    accel.write_reg(addr - memmap::IO_EXT_BASE, value);
                 }
-                self.imem[off..off + n].copy_from_slice(&bytes[..n]);
-                self.icache.invalidate_bytes(a, n);
                 Ok(0)
             }
         }
+    }
+
+    /// A fetch from a PC the decode cache does not cover — misaligned, or
+    /// outside instruction memory: a plain word load, with its fault
+    /// values. Out of line: firmware never gets here.
+    #[inline(never)]
+    fn fetch_uncovered(&mut self, pc: u32) -> Fetched {
+        Fetched::load(&mut InnerBus(self), pc)
+    }
+}
+
+/// Log2 of the memory map's alignment: every region base is a multiple of
+/// 8 MiB, so an address's top nine bits name its region.
+const REGION_SHIFT: u32 = 23;
+
+const _: () = {
+    let mask = (1 << REGION_SHIFT) - 1;
+    assert!(memmap::IMEM_BASE == 0 && memmap::DMEM_BASE & mask == 0);
+    assert!(memmap::PMEM_BASE & mask == 0 && memmap::IO_BASE & mask == 0);
+    assert!(memmap::IO_EXT_BASE & mask == 0 && memmap::BCAST_BASE & mask == 0);
+    assert!(memmap::BCAST_BYTES <= 1 << REGION_SHIFT);
+};
+
+/// Where a core access lands (DESIGN.md, "The in-box instruction path").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    Imem,
+    Dmem,
+    Pmem,
+    Io,
+    /// The broadcast window.
+    Bcast,
+    /// The accelerator: everything at or above `IO_EXT_BASE` outside the
+    /// broadcast window.
+    IoExt,
+}
+
+impl Region {
+    /// One shift and one match: the region decode of every core access.
+    #[inline]
+    fn of(addr: u32) -> Self {
+        const DMEM: u32 = memmap::DMEM_BASE >> REGION_SHIFT;
+        const PMEM: u32 = memmap::PMEM_BASE >> REGION_SHIFT;
+        const IO: u32 = memmap::IO_BASE >> REGION_SHIFT;
+        const IO_EXT: u32 = memmap::IO_EXT_BASE >> REGION_SHIFT;
+        const BCAST: u32 = memmap::BCAST_BASE >> REGION_SHIFT;
+        match addr >> REGION_SHIFT {
+            ..DMEM => Region::Imem,
+            DMEM..PMEM => Region::Dmem,
+            PMEM..IO => Region::Pmem,
+            IO..IO_EXT => Region::Io,
+            BCAST if addr - memmap::BCAST_BASE < memmap::BCAST_BYTES => Region::Bcast,
+            _ => Region::IoExt,
+        }
+    }
+}
+
+/// The `size`-byte little-endian value at offset `off` of `mem`, or a load
+/// fault at `addr` when it runs past the end.
+#[inline]
+fn read(mem: &[u8], off: u32, size: AccessSize, addr: u32) -> Result<u32, BusFault> {
+    let off = off as usize;
+    let value = match size {
+        AccessSize::Byte => mem.get(off).map(|&b| u32::from(b)),
+        AccessSize::Half => mem
+            .get(off..off + 2)
+            .map(|b| u32::from(u16::from_le_bytes([b[0], b[1]]))),
+        AccessSize::Word => mem
+            .get(off..off + 4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+    };
+    value.ok_or(BusFault {
+        addr,
+        is_store: false,
+    })
+}
+
+/// Writes the low `size` bytes of `value` at offset `off` of `mem`, or
+/// faults the store at `addr` when they run past the end.
+#[inline]
+fn write(
+    mem: &mut [u8],
+    off: u32,
+    value: u32,
+    size: AccessSize,
+    addr: u32,
+) -> Result<(), BusFault> {
+    let (off, n) = (off as usize, size.bytes() as usize);
+    match mem.get_mut(off..off + n) {
+        Some(bytes) => {
+            bytes.copy_from_slice(&value.to_le_bytes()[..n]);
+            Ok(())
+        }
+        None => Err(BusFault {
+            addr,
+            is_store: true,
+        }),
     }
 }
 
 struct InnerBus<'a>(&'a mut RpuInner);
 
 impl Bus for InnerBus<'_> {
+    #[inline(always)]
     fn load(&mut self, addr: u32, size: AccessSize) -> Result<BusValue, BusFault> {
         self.0.load(addr, size)
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) -> Result<u32, BusFault> {
         self.0.store(addr, value, size)
     }
 
-    fn fetch(&mut self, pc: u32) -> Result<Fetched, BusFault> {
-        // Fast path: a word-aligned fetch from instruction memory skips the
-        // full address decode and, on a cache hit, the instruction decode.
-        // Everything else (misaligned PCs, runaway PCs in other regions)
-        // takes the exact uncached path, including its fault values.
-        let ic = &mut self.0.icache;
-        if ic.covers(pc) {
-            let at = pc as usize;
-            if at + 4 <= self.0.imem.len() {
-                if let Some(instr) = ic.get(pc) {
-                    return Ok(Fetched::Decoded(instr));
-                }
-                let word = u32::from_le_bytes(self.0.imem[at..at + 4].try_into().expect("4 bytes"));
-                return match decode(word) {
-                    Ok(instr) => {
-                        ic.fill(pc, instr);
-                        Ok(Fetched::Decoded(instr))
-                    }
-                    // Never cache illegal words: the core must fault
-                    // with the raw word, exactly like the slow path.
-                    Err(_) => Ok(Fetched::Word(word)),
-                };
-            }
+    /// The one instruction path: every instruction-memory word has a valid
+    /// slot, so a word-aligned fetch from instruction memory is one compare
+    /// and one read, and anything else is a plain word load.
+    #[inline(always)]
+    fn fetch(&mut self, pc: u32) -> Fetched {
+        match self.0.icache.get(pc) {
+            Some(entry) => entry,
+            None => self.0.fetch_uncovered(pc),
         }
-        self.0
-            .load(pc, AccessSize::Word)
-            .map(|v| Fetched::Word(v.value))
     }
 }
 
@@ -950,6 +1002,23 @@ pub struct Rpu {
     /// allocates.
     phases: Vec<Phase>,
     clock: CoreClock,
+    counts: SpinCounts,
+}
+
+/// The lane's share of [`SimStats`], kept where the spin probe and
+/// [`Rpu::settle`] already branch; [`Rpu::sim_stats`] adds what a core
+/// parked now owes.
+#[derive(Debug, Clone, Copy, Default)]
+struct SpinCounts {
+    started: u64,
+    refused: u64,
+    settled: u64,
+    /// Cycles parked in a poll loop, through the last settle.
+    parked: u64,
+    /// Instructions credited in closed form, through the last settle.
+    credited: u64,
+    /// Instructions retired by RV32 engines since replaced.
+    retired: u64,
 }
 
 impl std::fmt::Debug for Rpu {
@@ -980,6 +1049,7 @@ impl Rpu {
             arm: Arm::Miss,
             phases: Vec::new(),
             clock: CoreClock::default(),
+            counts: SpinCounts::default(),
         }
     }
 
@@ -1032,12 +1102,13 @@ impl Rpu {
         let bytes = image.bytes();
         let base = image.base() as usize;
         self.inner.imem[base..base + bytes.len()].copy_from_slice(&bytes);
-        self.inner.icache.clear();
-        self.inner.icache.predecode(image.base(), image.words());
+        let inner = &mut self.inner;
+        inner.icache.refresh(&inner.imem, image.base(), bytes.len());
         self.boot_image = Some(image.clone());
         if self.phases.capacity() == 0 {
             self.phases.reserve_exact(MAX_SPIN_PHASES);
         }
+        self.retire_engine();
         self.spin = Spin::Off;
         let mut cpu = Box::new(Cpu::new(image.base()));
         cpu.raise_irq(31); // reserved line kept clear; ensures mip plumbed
@@ -1057,6 +1128,7 @@ impl Rpu {
             stall: &mut self.stall,
         };
         firmware.boot(&mut io);
+        self.retire_engine();
         self.engine = Engine::Native(firmware);
         self.spin = Spin::Off;
         self.hung = false;
@@ -1101,6 +1173,7 @@ impl Rpu {
     /// inert and the old engine is discarded.
     pub fn begin_reconfigure(&mut self, until: u64) {
         self.state = RpuState::Reconfiguring { until };
+        self.retire_engine();
         self.engine = Engine::Empty;
         self.spin = Spin::Off;
         self.stall = 0;
@@ -1112,10 +1185,6 @@ impl Rpu {
         for slot in &mut self.inner.slot_state {
             slot.parked = Vec::new();
         }
-        // The next firmware load re-predecodes; drop stale entries now so a
-        // host that pokes instruction memory mid-reconfigure cannot race a
-        // live cache.
-        self.inner.icache.clear();
         if let Some(accel) = &mut self.inner.accel {
             accel.reset();
         }
@@ -1276,6 +1345,41 @@ impl Rpu {
         })
     }
 
+    /// This lane's share of the box's [`SimStats`]: the spin probe's
+    /// counts, the cycles parked and instructions credited — a core parked
+    /// now included, in closed form — and the instructions stepped, which
+    /// are the rest of `minstret`.
+    pub(crate) fn sim_stats(&self) -> SimStats {
+        let c = self.counts;
+        let (mut parked, mut credited, mut retired) = (c.parked, c.credited, c.retired);
+        if let Some((now, _)) = self.now_core() {
+            retired += now.instret();
+            if let (Some((n, ..)), Engine::Riscv(cpu)) = (self.parked_at(), &self.engine) {
+                parked += n;
+                credited += now.instret() - cpu.instret();
+            }
+        }
+        SimStats {
+            parked_lane_cycles: parked,
+            stepped_instrs: retired - credited,
+            credited_instrs: credited,
+            probes_started: c.started,
+            probes_refused: c.refused,
+            probes_settled: c.settled,
+            io_accesses: self.inner.io_accesses,
+            ..SimStats::default()
+        }
+    }
+
+    /// Folds what the outgoing engine did into the counts, before a load
+    /// or a reconfiguration replaces it.
+    fn retire_engine(&mut self) {
+        let s = self.sim_stats();
+        self.counts.parked = s.parked_lane_cycles;
+        self.counts.credited = s.credited_instrs;
+        self.counts.retired = s.stepped_instrs + s.credited_instrs;
+    }
+
     /// Brings a core parked in a poll loop to where ticking it every cycle
     /// would have it, drops any probe in progress, and sets the RPU's clock
     /// to the last cycle its box ticked (a host `TIMER_CMP` write arms the
@@ -1301,6 +1405,9 @@ impl Rpu {
             if let Engine::Riscv(cpu) = &mut self.engine {
                 cpu.credit(periods * cycles, periods * instret, periods * waits);
             }
+            self.counts.settled += 1;
+            self.counts.parked += n;
+            self.counts.credited += periods * instret;
             self.sw_cycles += periods * p;
             self.stalled_cycles += periods * stalled;
             for cycle in through + 1 - n % p..=through {
@@ -1364,6 +1471,7 @@ impl Rpu {
     /// spins in a poll loop — the cheap gate that tells the caller
     /// [`Rpu::quiet_horizon`] is worth consulting; a busy core never pays
     /// for the horizon computation.
+    #[inline(always)]
     pub(crate) fn tick(&mut self, now: u64) -> bool {
         // Ticked by hand (`RpuTestbench`, unit tests): catch up first.
         if matches!(self.spin, Spin::Parked { .. }) {
@@ -1377,6 +1485,7 @@ impl Rpu {
     }
 
     /// One clock cycle of a core that is not parked in a poll loop.
+    #[inline(always)]
     fn cycle(&mut self, now: Cycle) -> bool {
         self.inner.now = now;
         if self.inner.watchdog_fired() {
@@ -1519,6 +1628,7 @@ impl Rpu {
             Spin::Off | Spin::Missed | Spin::Armed => {
                 self.phases.clear();
                 self.phases.push(phase(self));
+                self.counts.started += 1;
                 Spin::Probing
             }
             Spin::Probing if !impure && boundary && cpu.same_state(&self.phases[0].cpu) => {
@@ -1531,6 +1641,7 @@ impl Rpu {
                         && (1..32).any(|r| cpu.reg(Reg(r)) != self.phases[0].cpu.reg(Reg(r))) =>
             {
                 self.arm = Arm::Settle;
+                self.counts.refused += 1;
                 Spin::Off
             }
             Spin::Probing => {
@@ -1792,6 +1903,346 @@ mod tests {
         let cpu = rpu.cpu().unwrap();
         let a0 = cpu.reg(rosebud_riscv::Reg::parse("a0").unwrap());
         assert!((1000..1010).contains(&u64::from(a0)), "timer read {a0}");
+    }
+
+    /// The region decode and the one instruction path against the code
+    /// they replaced: the range chain below is the bus as it was, kept as
+    /// the oracle (DESIGN.md, "The in-box instruction path").
+    mod region {
+        use super::*;
+        use proptest::prelude::*;
+        use rosebud_accel::FirewallMatcher;
+        use rosebud_riscv::{decode, CpuFault};
+
+        /// The load path before the one-shift decode: a chain of range
+        /// tests, broadcast window first.
+        fn chain_load(
+            inner: &mut RpuInner,
+            addr: u32,
+            size: AccessSize,
+        ) -> Result<BusValue, BusFault> {
+            let n = size.bytes() as usize;
+            let read_from = |mem: &[u8], off: u32| -> Result<u32, BusFault> {
+                let off = off as usize;
+                if off + n > mem.len() {
+                    return Err(BusFault {
+                        addr,
+                        is_store: false,
+                    });
+                }
+                let mut bytes = [0u8; 4];
+                bytes[..n].copy_from_slice(&mem[off..off + n]);
+                Ok(u32::from_le_bytes(bytes))
+            };
+            match addr {
+                a if (memmap::BCAST_BASE..memmap::BCAST_BASE + memmap::BCAST_BYTES)
+                    .contains(&a) =>
+                {
+                    inner.impure = true;
+                    Ok(BusValue::fast(read_from(
+                        &inner.bcast_mirror,
+                        a - memmap::BCAST_BASE,
+                    )?))
+                }
+                a if a >= memmap::IO_EXT_BASE => {
+                    inner.impure = true;
+                    let r = match &mut inner.accel {
+                        Some(accel) => accel.read_reg(a - memmap::IO_EXT_BASE),
+                        None => rosebud_accel::RegRead::fast(0),
+                    };
+                    Ok(BusValue {
+                        value: r.value,
+                        wait_cycles: r.wait_cycles,
+                    })
+                }
+                a if a >= memmap::IO_BASE => Ok(BusValue::fast(inner.io_read(a - memmap::IO_BASE))),
+                a if a >= memmap::PMEM_BASE => Ok(BusValue {
+                    value: read_from(&inner.pmem, a - memmap::PMEM_BASE)?,
+                    wait_cycles: PMEM_WAIT_CYCLES,
+                }),
+                a if a >= memmap::DMEM_BASE => Ok(BusValue::fast(read_from(
+                    &inner.dmem,
+                    a - memmap::DMEM_BASE,
+                )?)),
+                a => Ok(BusValue::fast(read_from(&inner.imem, a)?)),
+            }
+        }
+
+        /// The store path before the one-shift decode. It leaves the decode
+        /// cache alone: the test checks the cache against a fresh decode of
+        /// instruction memory instead.
+        fn chain_store(
+            inner: &mut RpuInner,
+            addr: u32,
+            value: u32,
+            size: AccessSize,
+        ) -> Result<u32, BusFault> {
+            inner.impure = true;
+            let n = size.bytes() as usize;
+            let bytes = value.to_le_bytes();
+            let copy = |mem: &mut [u8], off: u32| {
+                let off = off as usize;
+                if off + n > mem.len() {
+                    return Err(BusFault {
+                        addr,
+                        is_store: true,
+                    });
+                }
+                mem[off..off + n].copy_from_slice(&bytes[..n]);
+                Ok(())
+            };
+            match addr {
+                a if (memmap::BCAST_BASE..memmap::BCAST_BASE + memmap::BCAST_BYTES)
+                    .contains(&a) =>
+                {
+                    Ok(inner.bcast_write(a - memmap::BCAST_BASE, value))
+                }
+                a if a >= memmap::IO_EXT_BASE => {
+                    if let Some(accel) = &mut inner.accel {
+                        accel.write_reg(a - memmap::IO_EXT_BASE, value);
+                    }
+                    Ok(0)
+                }
+                a if a >= memmap::IO_BASE => {
+                    inner.io_write(a - memmap::IO_BASE, value);
+                    Ok(0)
+                }
+                a if a >= memmap::PMEM_BASE => {
+                    copy(&mut inner.pmem, a - memmap::PMEM_BASE).map(|()| PMEM_WAIT_CYCLES)
+                }
+                a if a >= memmap::DMEM_BASE => {
+                    copy(&mut inner.dmem, a - memmap::DMEM_BASE).map(|()| 0)
+                }
+                a => copy(&mut inner.imem, a).map(|()| 0),
+            }
+        }
+
+        /// The fetch before the one instruction path: a plain word load,
+        /// decoded where it decodes.
+        fn chain_fetch(inner: &mut RpuInner, pc: u32) -> Fetched {
+            match chain_load(inner, pc, AccessSize::Word) {
+                Ok(v) => decode(v.value).map_or(Fetched::Word(v.value), Fetched::Decoded),
+                Err(fault) => Fetched::Fault(fault.addr),
+            }
+        }
+
+        /// An RPU's bus with an accelerator, a firmware image, two frames
+        /// queued and a broadcast delivered, so every register has
+        /// something to say.
+        fn inner() -> RpuInner {
+            let mut rpu = Rpu::new(1, &cfg());
+            rpu.set_accelerator(Box::new(FirewallMatcher::from_prefixes(&[[10, 0, 0, 1]])));
+            rpu.load_riscv(&assemble(&forwarder_asm()).unwrap());
+            let mut inner = rpu.inner;
+            inner.dma_deliver(0, vec![7u8; 64], meta(1));
+            inner.dma_deliver(3, vec![9u8; 200], meta(2));
+            let msg = BcastMsg {
+                from: 2,
+                offset: 8,
+                value: 0x5a5a_5a5a,
+                sent_at: 0,
+            };
+            inner.deliver_bcast(&msg);
+            inner
+        }
+
+        /// Everything an access can change, the accelerator's innards
+        /// aside (its reads are compared value by value).
+        fn state(inner: &RpuInner) -> String {
+            format!(
+                "rx={:?} tx={:?} status={} dbg={:?}/{} in={} masks={} irq={:#x} wd={} ack={} \
+                 dma=({},{},{},{:?},{}) lo={} missed={} impure={} bcast={:?} notify={:?} {:?}",
+                inner.rx_queue.iter().collect::<Vec<_>>(),
+                inner.tx_queue.iter().collect::<Vec<_>>(),
+                inner.status,
+                inner.debug_out,
+                inner.debug_out_staged,
+                inner.debug_in,
+                inner.masks,
+                inner.bcast_irq_mask,
+                inner.timer_deadline,
+                inner.timer_ack,
+                inner.dma_host_addr,
+                inner.dma_local_addr,
+                inner.dma_len,
+                inner.dma_pending,
+                inner.dma_busy,
+                inner.send_staged_lo,
+                inner.missed,
+                inner.impure,
+                inner.bcast_out.iter().collect::<Vec<_>>(),
+                inner.bcast_notify.iter().collect::<Vec<_>>(),
+                inner.counters,
+            )
+        }
+
+        /// Every word slot holds what decoding instruction memory gives.
+        fn cache_is_fresh(inner: &RpuInner) -> bool {
+            let mut fresh = DecodeCache::new(inner.imem.len());
+            fresh.refresh(&inner.imem, 0, inner.imem.len());
+            (0..inner.imem.len() as u32)
+                .step_by(4)
+                .all(|pc| inner.icache.get(pc) == fresh.get(pc))
+        }
+
+        /// Region edges: every base, every memory's end, the broadcast
+        /// window's end, the top of the address space.
+        fn edges() -> Vec<u32> {
+            let c = cfg();
+            vec![
+                0,
+                c.imem_bytes,
+                memmap::DMEM_BASE,
+                memmap::DMEM_BASE + c.dmem_bytes,
+                memmap::PMEM_BASE,
+                memmap::PMEM_BASE + c.pmem_bytes,
+                memmap::IO_BASE,
+                memmap::IO_BASE + 0x60,
+                memmap::IO_EXT_BASE,
+                memmap::BCAST_BASE,
+                memmap::BCAST_BASE + memmap::BCAST_BYTES,
+                memmap::BCAST_BASE + (1 << 23),
+                0x8000_0000,
+                u32::MAX - 7,
+            ]
+        }
+
+        /// `(edge or random, offset from the edge, random address, width,
+        /// load / store / fetch, stored value)`.
+        fn access() -> impl Strategy<Value = (usize, i32, u32, usize, u8, u32)> {
+            (
+                0usize..edges().len() + 2,
+                -8i32..=8,
+                any::<u32>(),
+                0usize..3,
+                0u8..3,
+                any::<u32>(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A sequence of loads, stores and fetches around every region
+            /// edge and at random does the same on the one-shift decode as
+            /// on the range chain: value, wait cycles, fault address and
+            /// direction, the `impure` / `missed` flags and every side
+            /// effect — and instruction memory's slots stay a fresh decode
+            /// of it.
+            #[test]
+            fn the_region_decode_matches_the_range_chain(
+                ops in proptest::collection::vec(access(), 1..16),
+            ) {
+                let (mut a, mut b) = (inner(), inner());
+                let edges = edges();
+                for (edge, delta, random, width, kind, value) in ops {
+                    let addr = match edges.get(edge) {
+                        Some(&e) => e.wrapping_add_signed(delta),
+                        None => random,
+                    };
+                    let size = [AccessSize::Byte, AccessSize::Half, AccessSize::Word][width];
+                    let (got, want) = match kind {
+                        0 => (
+                            format!("{:?}", a.load(addr, size)),
+                            format!("{:?}", chain_load(&mut b, addr, size)),
+                        ),
+                        1 => (
+                            format!("{:?}", a.store(addr, value, size)),
+                            format!("{:?}", chain_store(&mut b, addr, value, size)),
+                        ),
+                        _ => (
+                            format!("{:?}", InnerBus(&mut a).fetch(addr)),
+                            format!("{:?}", chain_fetch(&mut b, addr)),
+                        ),
+                    };
+                    prop_assert_eq!(&got, &want, "{} at {:#x} ({:?})", kind, addr, size);
+                    prop_assert_eq!(state(&a), state(&b), "{} at {:#x}", kind, addr);
+                    prop_assert!(a.imem == b.imem && a.dmem == b.dmem, "memory at {:#x}", addr);
+                    prop_assert!(a.pmem == b.pmem && a.bcast_mirror == b.bcast_mirror);
+                    prop_assert!(cache_is_fresh(&a), "stale slot after {} at {:#x}", kind, addr);
+                }
+            }
+        }
+
+        /// A misaligned PC (`jalr` clears only bit 0), the last word of
+        /// instruction memory, the word past it, an illegal word and a PC
+        /// in data memory fetch what a plain word load fetches.
+        #[test]
+        fn fetches_off_the_slots_take_the_plain_word_load() {
+            let mut a = inner();
+            a.store(0x40, 0xffff_ffff, AccessSize::Word).unwrap();
+            let end = cfg().imem_bytes;
+            let want = |pc| chain_fetch(&mut inner_with_illegal(), pc);
+            for pc in [
+                2,
+                6,
+                0x40,
+                end - 4,
+                end - 2,
+                end,
+                end + 4,
+                memmap::DMEM_BASE + 8,
+            ] {
+                assert_eq!(InnerBus(&mut a).fetch(pc), want(pc), "pc {pc:#x}");
+            }
+            assert_eq!(InnerBus(&mut a).fetch(end), Fetched::Fault(end));
+            assert_eq!(InnerBus(&mut a).fetch(0x40), Fetched::Word(0xffff_ffff));
+        }
+
+        fn inner_with_illegal() -> RpuInner {
+            let mut b = inner();
+            chain_store(&mut b, 0x40, 0xffff_ffff, AccessSize::Word).unwrap();
+            b
+        }
+
+        /// An undecodable word faults with its own `(pc, word)`.
+        #[test]
+        fn an_illegal_word_faults_with_its_pc_and_word() {
+            let mut rpu = Rpu::new(0, &cfg());
+            rpu.load_riscv(&assemble("nop\nnop\nebreak").unwrap());
+            rpu.inner.store(4, 0xffff_ffff, AccessSize::Word).unwrap();
+            let mut cpu = Cpu::new(0);
+            let mut bus = InnerBus(&mut rpu.inner);
+            assert!(matches!(cpu.step(&mut bus), StepResult::Executed { .. }));
+            assert_eq!(
+                cpu.step(&mut bus),
+                StepResult::Fault(CpuFault::IllegalInstruction {
+                    pc: 4,
+                    word: 0xffff_ffff
+                })
+            );
+        }
+
+        /// The firmware patches the upper half of an instruction it has
+        /// already run with `sh`; the next run must see the new word.
+        #[test]
+        fn a_halfword_store_into_code_re_decodes_its_slot() {
+            let patch = assemble("addi a0, a0, 64").unwrap().words()[0];
+            let image = assemble(&format!(
+                "
+                    li a0, 0
+                    jal ra, site
+                    li t0, site
+                    li t1, {}
+                    sh t1, 2(t0)
+                    jal ra, site
+                    ebreak
+                site:
+                    addi a0, a0, 1
+                    jalr zero, ra, 0
+                ",
+                patch >> 16
+            ))
+            .unwrap();
+            let mut rpu = Rpu::new(0, &cfg());
+            rpu.load_riscv(&image);
+            for now in 0..200 {
+                rpu.tick(now);
+            }
+            assert!(rpu.is_halted());
+            let a0 = rpu.cpu().unwrap().reg(Reg::parse("a0").unwrap());
+            assert_eq!(a0, 65, "1 before the patch, 64 after it");
+        }
     }
 
     mod horizon {

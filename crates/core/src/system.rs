@@ -17,6 +17,7 @@ use crate::lb::LoadBalancer;
 use crate::mac::Mac;
 use crate::pr::Reconfig;
 use crate::rpu::{Firmware, Rpu, RpuState};
+use crate::sim::{Laps, Profiler, SimCounts, SimStats, StageClock, Unprofiled};
 use crate::trace::{TraceConfig, TraceEvent, Tracer};
 use crate::verify::LoadPolicy;
 
@@ -140,6 +141,7 @@ impl RosebudBuilder {
             },
             cfg,
             quiet_until: 0,
+            sim: SimCounts::default(),
         })
     }
 }
@@ -226,6 +228,8 @@ pub struct Rosebud {
     /// `inject`, `apply` and `enable_tracing`; every other door into the
     /// box reaches a lane and so ends the lanes' idleness itself.
     pub(crate) quiet_until: Cycle,
+    /// The simulator's own counters and stage profiler ([`SimStats`]).
+    sim: SimCounts,
 }
 
 /// The trace-facing name of an RPU's lifecycle state.
@@ -318,10 +322,10 @@ impl Rosebud {
     /// one method of the unit that owns its state; the units it reads or
     /// feeds are passed in. Every per-lane stage sweeps its occupancy word
     /// in ascending lane order and applies shared effects inline — one
-    /// thread, one order. Each stage method has this one caller and is
-    /// `#[inline]`, so the tick still compiles to one body; as thirteen
-    /// cross-module calls an idle 16-RPU box costs 60 ns a cycle instead
-    /// of 40.
+    /// thread, one order. Each stage method is `#[inline(always)]`, so the
+    /// tick still compiles to one body (and the profiled tick to another);
+    /// as thirteen cross-module calls an idle 16-RPU box costs 60 ns a
+    /// cycle instead of 40.
     ///
     /// A tick below `quiet_until` with every lane idle is a quiet one: no
     /// stage has anything to do, so it runs the one-cycle `skip` that
@@ -329,9 +333,32 @@ impl Rosebud {
     pub fn tick(&mut self) {
         let now = self.clock.cycle();
         if now < self.quiet_until && self.lanes.idle() {
+            self.sim.quiet_ticks += 1;
             self.skip(1);
             return;
         }
+        if self.sim.profiler.is_none() {
+            self.full_tick(now, &mut Unprofiled);
+        } else {
+            self.profiled_tick(now);
+        }
+    }
+
+    /// A full tick under the stage profile. Out of line: an unprofiled run
+    /// pays one branch for it.
+    #[inline(never)]
+    fn profiled_tick(&mut self, now: Cycle) {
+        if let Some(mut profiler) = self.sim.profiler.take() {
+            self.full_tick(now, &mut *profiler);
+            self.sim.profiler = Some(profiler);
+        }
+    }
+
+    /// The thirteen stages and the tail, with `laps` told where each one
+    /// ends.
+    #[inline(always)]
+    fn full_tick(&mut self, now: Cycle, laps: &mut impl Laps) {
+        laps.start();
         let Self {
             cfg,
             mac,
@@ -347,30 +374,43 @@ impl Rosebud {
 
         // 0. Faults applied since the last tick land.
         land_faults(now, fx, lanes);
+        laps.lap(0);
         // 1. Wire-side receive: MAC serializer → MAC FIFO.
         mac.receive(now);
+        laps.lap(1);
         // 2. LB: one admission per port slot, then the host interface.
         dist.admit(now, mac, host, lanes, fx);
+        laps.lap(2);
         // 3. Fixed ingress pipeline → per-RPU links.
         dist.feed_links(now, lanes);
+        laps.lap(3);
         // 4. Per-RPU link → DMA into packet memory + descriptor delivery.
         lanes.deliver(now, dist.slots_mut(), fx);
+        laps.lap(4);
         // 5. RPUs: core + accelerator.
         lanes.run_cores(now);
+        laps.lap(5);
         // 6. Committed sends → per-RPU egress links.
         lanes.collect_sends(now, dist.slots_mut(), fx);
+        laps.lap(6);
         // 7. Egress links → egress switch; slot freed.
         lanes.route(now, dist.slots_mut(), mac, host, loopback, fx);
+        laps.lap(7);
         // 8. Physical-port egress pipelines → wire.
         mac.transmit(now, fx);
+        laps.lap(8);
         // 9. Loopback module (§4.4).
         loopback.tick(now, dist.slots_mut(), lanes);
+        laps.lap(9);
         // 10. Host PCIe delivery and the host-DRAM access manager.
         host.tick(now, lanes, fx);
+        laps.lap(10);
         // 11. Broadcast arbiter.
         bcast.tick(now, lanes);
+        laps.lap(11);
         // 12. Partial-reconfiguration jobs.
         pr.tick(now, cfg, lanes, dist);
+        laps.lap(12);
 
         // Periodic trace scans: FIFO high-water marks, lifecycle
         // transitions, enable-mask changes, counter samples. Zero work when
@@ -395,6 +435,7 @@ impl Rosebud {
             self.quiet_until = self.horizon(now + 1);
         }
         self.clock.tick();
+        laps.lap(13);
     }
 
     /// The first cycle from `next` on at which any unit could have work:
@@ -438,8 +479,32 @@ impl Rosebud {
         let now = self.clock.cycle();
         let end = to.min(self.quiet_until);
         if now < end && self.lanes.idle() {
+            self.sim.jumped_cycles += end - now;
             self.skip(end - now);
         }
+    }
+
+    /// What the simulator did to run this box: its elision layers'
+    /// counters and, while one is on, the stage profile. Host-side only —
+    /// no part of the device, and no part of a replay.
+    pub fn sim_stats(&self) -> SimStats {
+        let mut stats = self.lanes.sim_stats();
+        stats.cycles = self.now();
+        stats.lane_cycles = self.now() * self.cfg.num_rpus as u64;
+        stats.quiet_ticks = self.sim.quiet_ticks;
+        stats.jumped_cycles = self.sim.jumped_cycles;
+        stats.profile = (self.sim.profiler.as_ref())
+            .map(|p| p.profile((stats.stepped_instrs, stats.io_accesses)));
+        stats
+    }
+
+    /// Starts the stage profile afresh, timing every full tick's stages
+    /// with `clock` from the next tick on; `None` stops it. Off, it costs a
+    /// tick one branch.
+    pub fn profile_stages(&mut self, clock: Option<StageClock>) {
+        let now = self.lanes.sim_stats();
+        let base = (now.stepped_instrs, now.io_accesses);
+        self.sim.profiler = clock.map(|clock| Box::new(Profiler::new(clock, base)));
     }
 
     /// `true` while the host-DMA/PCIe path is up. The supervisor checks
@@ -513,7 +578,7 @@ impl Rosebud {
 
 /// Stage 0: lands every fault applied since the last tick, in the order
 /// they were applied. `Rosebud::apply` refused the ones that cannot land.
-#[inline]
+#[inline(always)]
 pub(crate) fn land_faults(now: Cycle, fx: &mut Fx, lanes: &mut Lanes) {
     if let Some(fault) = &mut fx.fault {
         land(now, fault, lanes);

@@ -111,7 +111,7 @@ pub(super) fn flow(pc: u32, instr: Instr) -> Flow {
 /// Builds the graph reachable from `entries`, plus its structural findings.
 pub(super) fn build(
     image: &Image,
-    dc: &mut DecodeCache,
+    dc: &DecodeCache,
     cost: &CostModel,
     entries: &BTreeMap<u32, bool>,
 ) -> (Cfg, Vec<Diagnostic>) {
@@ -131,7 +131,7 @@ pub(super) fn build(
 }
 
 /// Phase A: reachable PCs and block leaders.
-fn discover(dc: &mut DecodeCache, entries: &BTreeMap<u32, bool>) -> (BTreeSet<u32>, BTreeSet<u32>) {
+fn discover(dc: &DecodeCache, entries: &BTreeMap<u32, bool>) -> (BTreeSet<u32>, BTreeSet<u32>) {
     let mut leaders: BTreeSet<u32> = entries.keys().copied().collect();
     let mut reachable: BTreeSet<u32> = BTreeSet::new();
     let mut queue: VecDeque<u32> = leaders.iter().copied().collect();
@@ -171,7 +171,7 @@ fn discover(dc: &mut DecodeCache, entries: &BTreeMap<u32, bool>) -> (BTreeSet<u3
 
 /// Phase B: blocks with per-edge costs, and the call-site table.
 fn materialize(
-    dc: &mut DecodeCache,
+    dc: &DecodeCache,
     cost: &CostModel,
     leaders: &BTreeSet<u32>,
     reachable: &BTreeSet<u32>,
@@ -292,7 +292,7 @@ fn resolve_returns(cfg: &mut Cfg) {
 }
 
 /// Illegal words, jumps the analysis cannot follow, and dead code.
-fn structural_findings(cfg: &Cfg, image: &Image, dc: &mut DecodeCache) -> Vec<Diagnostic> {
+fn structural_findings(cfg: &Cfg, image: &Image, dc: &DecodeCache) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for block in cfg.blocks.values() {
         if let Some(pc) = block.illegal_at {
@@ -367,12 +367,8 @@ fn structural_findings(cfg: &Cfg, image: &Image, dc: &mut DecodeCache) -> Vec<Di
     diags
 }
 
-fn decode_at(dc: &mut DecodeCache, pc: u32) -> Option<Instr> {
-    if dc.covers(pc) {
-        dc.get(pc)
-    } else {
-        None
-    }
+fn decode_at(dc: &DecodeCache, pc: u32) -> Option<Instr> {
+    dc.instr(pc)
 }
 
 fn target_ok(dc: &DecodeCache, t: u32) -> bool {
@@ -604,7 +600,7 @@ mod tests {
             dc.predecode(image.base(), image.words());
             let mut entries = BTreeMap::from([(image.base(), false)]);
             loop {
-                let (cfg, _) = build(&image, &mut dc, &spec.cost, &entries);
+                let (cfg, _) = build(&image, &dc, &spec.cost, &entries);
                 assert_well_formed(&cfg);
                 let states = absint::solve(&spec, &cfg);
                 let (_, facts) = absint::report(&spec, &cfg, &states);

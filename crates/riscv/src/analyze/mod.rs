@@ -127,7 +127,7 @@ impl Analyzer {
         let mut entries: BTreeMap<u32, bool> = BTreeMap::new(); // pc -> is_trap
         entries.insert(image.base(), false);
         loop {
-            let (cfg, mut diagnostics) = cfg::build(image, &mut dc, &spec.cost, &entries);
+            let (cfg, mut diagnostics) = cfg::build(image, &dc, &spec.cost, &entries);
             let states = absint::solve(spec, &cfg);
             let (found, facts) = absint::report(spec, &cfg, &states);
             let known = entries.len();

@@ -69,14 +69,29 @@ impl std::fmt::Display for BusFault {
 
 impl std::error::Error for BusFault {}
 
-/// An instruction fetch result: either the raw word (the core decodes it) or
-/// an already-decoded instruction from a bus-side decode cache.
+/// An instruction fetch result: the raw word (the core decodes it), an
+/// already-decoded instruction from a bus-side decode cache, or the address
+/// of the load fault a word load from the PC raises. Eight bytes, one
+/// [`Instr`]: the two other arms live in its tag's spare values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fetched {
     /// The raw instruction word; the core runs the decoder on it.
     Word(u32),
     /// A predecoded instruction, bypassing the decoder entirely.
     Decoded(Instr),
+    /// The PC is unmapped: a load fault at this address.
+    Fault(u32),
+}
+
+impl Fetched {
+    /// What a plain word load from `pc` fetches.
+    #[inline]
+    pub fn load(bus: &mut (impl Bus + ?Sized), pc: u32) -> Self {
+        match bus.load(pc, AccessSize::Word) {
+            Ok(v) => Fetched::Word(v.value),
+            Err(fault) => Fetched::Fault(fault.addr),
+        }
+    }
 }
 
 /// The memory system as seen by the core: instruction fetches, loads, and
@@ -96,17 +111,13 @@ pub trait Bus {
     /// Returns [`BusFault`] for unmapped addresses.
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) -> Result<u32, BusFault>;
 
-    /// Fetches the instruction at `pc`. The default forwards to [`load`](Self::load);
-    /// buses with a [`DecodeCache`](crate::DecodeCache) override this to
-    /// return predecoded instructions. Either way the architectural outcome
-    /// must be identical to a plain word load plus decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusFault`] for unmapped addresses.
-    fn fetch(&mut self, pc: u32) -> Result<Fetched, BusFault> {
-        self.load(pc, AccessSize::Word)
-            .map(|v| Fetched::Word(v.value))
+    /// Fetches the instruction at `pc`. The default is a plain word load
+    /// ([`Fetched::load`]); buses with a [`DecodeCache`](crate::DecodeCache)
+    /// override this to return predecoded instructions. Either way the
+    /// architectural outcome must be identical to a plain word load plus
+    /// decode.
+    fn fetch(&mut self, pc: u32) -> Fetched {
+        Fetched::load(self, pc)
     }
 }
 
@@ -281,11 +292,13 @@ impl Cpu {
     }
 
     /// Reads a register.
+    #[inline]
     pub fn reg(&self, reg: Reg) -> u32 {
         self.regs[reg.0 as usize]
     }
 
     /// Writes a register (`x0` stays zero).
+    #[inline]
     pub fn set_reg(&mut self, reg: Reg, value: u32) {
         if reg.0 != 0 {
             self.regs[reg.0 as usize] = value;
@@ -381,6 +394,7 @@ impl Cpu {
         };
     }
 
+    #[inline]
     fn read_csr(&self, addr: u16) -> u32 {
         match addr {
             csr::MSTATUS => self.mstatus,
@@ -397,6 +411,7 @@ impl Cpu {
         }
     }
 
+    #[inline]
     fn write_csr(&mut self, addr: u16, value: u32) {
         match addr {
             csr::MSTATUS => self.mstatus = value & (MSTATUS_MIE | MSTATUS_MPIE),
@@ -409,6 +424,7 @@ impl Cpu {
         }
     }
 
+    #[inline]
     fn take_interrupt(&mut self) -> bool {
         if self.mstatus & MSTATUS_MIE == 0 {
             return false;
@@ -433,6 +449,7 @@ impl Cpu {
     }
 
     /// Executes one instruction (or takes a pending interrupt) against `bus`.
+    #[inline(always)]
     pub fn step(&mut self, bus: &mut impl Bus) -> StepResult {
         match self.halted {
             Halt::Break => return StepResult::Break,
@@ -461,16 +478,20 @@ impl Cpu {
         }
 
         let instr = match bus.fetch(self.pc) {
-            Ok(Fetched::Decoded(i)) => i,
-            Ok(Fetched::Word(word)) => match decode(word) {
+            Fetched::Decoded(i) => i,
+            Fetched::Word(word) => match decode(word) {
                 Ok(i) => i,
                 Err(_) => {
                     self.halted = Halt::Fault;
                     return StepResult::Fault(CpuFault::IllegalInstruction { pc: self.pc, word });
                 }
             },
-            Err(fault) => {
+            Fetched::Fault(addr) => {
                 self.halted = Halt::Fault;
+                let fault = BusFault {
+                    addr,
+                    is_store: false,
+                };
                 return StepResult::Fault(CpuFault::Bus(fault));
             }
         };
@@ -665,6 +686,7 @@ impl Cpu {
     }
 }
 
+#[inline(always)]
 pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -688,6 +710,8 @@ pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
 pub struct RamBus {
     mem: Vec<u8>,
     icache: Option<crate::DecodeCache>,
+    hits: u64,
+    misses: u64,
 }
 
 impl RamBus {
@@ -696,19 +720,27 @@ impl RamBus {
         Self {
             mem: vec![0; size],
             icache: None,
+            hits: 0,
+            misses: 0,
         }
     }
 
     /// Enables the decoded-instruction cache over the whole RAM. Purely a
     /// speed knob: fetch results and fault behaviour are unchanged.
     pub fn with_decode_cache(mut self) -> Self {
-        self.icache = Some(crate::DecodeCache::new(self.mem.len()));
+        let mut cache = crate::DecodeCache::new(self.mem.len());
+        cache.refresh(&self.mem, 0, self.mem.len());
+        self.icache = Some(cache);
         self
     }
 
     /// The decode cache's counters, when one is enabled.
     pub fn decode_cache_stats(&self) -> Option<crate::DecodeCacheStats> {
-        self.icache.as_ref().map(crate::DecodeCache::stats)
+        self.icache.as_ref().map(|cache| crate::DecodeCacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            invalidations: cache.refreshed(),
+        })
     }
 
     /// Copies a word image to `base` (the boot loader path).
@@ -718,8 +750,7 @@ impl RamBus {
             self.mem[at..at + 4].copy_from_slice(&w.to_le_bytes());
         }
         if let Some(cache) = &mut self.icache {
-            cache.invalidate_bytes(base, words.len() * 4);
-            cache.predecode(base, words);
+            cache.refresh(&self.mem, base, words.len() * 4);
         }
     }
 
@@ -728,7 +759,9 @@ impl RamBus {
         &self.mem
     }
 
-    /// Mutable raw access to the backing store.
+    /// Mutable raw access to the backing store. Writes through it bypass the
+    /// decode cache: put code in with [`RamBus::load_image`] or
+    /// [`Bus::store`].
     pub fn mem_mut(&mut self) -> &mut [u8] {
         &mut self.mem
     }
@@ -750,46 +783,33 @@ impl Bus for RamBus {
     }
 
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) -> Result<u32, BusFault> {
-        let addr = addr as usize;
+        let at = addr as usize;
         let n = size.bytes() as usize;
-        if addr + n > self.mem.len() {
+        if at + n > self.mem.len() {
             return Err(BusFault {
-                addr: addr as u32,
+                addr,
                 is_store: true,
             });
         }
-        self.mem[addr..addr + n].copy_from_slice(&value.to_le_bytes()[..n]);
+        self.mem[at..at + n].copy_from_slice(&value.to_le_bytes()[..n]);
         if let Some(cache) = &mut self.icache {
-            cache.invalidate_bytes(addr as u32, n);
+            cache.refresh(&self.mem, addr, n);
         }
         Ok(0)
     }
 
-    fn fetch(&mut self, pc: u32) -> Result<Fetched, BusFault> {
-        let Some(cache) = &mut self.icache else {
-            return self
-                .load(pc, AccessSize::Word)
-                .map(|v| Fetched::Word(v.value));
-        };
-        if !cache.covers(pc) || pc as usize + 4 > self.mem.len() {
-            return self
-                .load(pc, AccessSize::Word)
-                .map(|v| Fetched::Word(v.value));
-        }
-        if let Some(i) = cache.get(pc) {
-            return Ok(Fetched::Decoded(i));
-        }
-        let at = pc as usize;
-        let word = u32::from_le_bytes(self.mem[at..at + 4].try_into().expect("4-byte slice"));
-        Ok(match decode(word) {
-            Ok(i) => {
-                cache.fill(pc, i);
-                Fetched::Decoded(i)
+    fn fetch(&mut self, pc: u32) -> Fetched {
+        match self.icache.as_ref().map(|cache| cache.get(pc)) {
+            None => Fetched::load(self, pc),
+            Some(Some(entry)) => {
+                self.hits += 1;
+                entry
             }
-            // Never cache undecodable words: the core must re-read the raw
-            // word and fault with the exact pc/word the uncached path reports.
-            Err(_) => Fetched::Word(word),
-        })
+            Some(None) => {
+                self.misses += 1;
+                Fetched::load(self, pc)
+            }
+        }
     }
 }
 

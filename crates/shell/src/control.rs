@@ -9,7 +9,7 @@
 //!
 //! | Request                     | Effect                                             |
 //! |-----------------------------|----------------------------------------------------|
-//! | `GET /stats`                | cycle, injected/forwarded/rejected, backlog        |
+//! | `GET /stats`                | cycle, injected/forwarded/rejected, backlog; `sim` |
 //! | `GET /ledger`               | the packet-conservation ledger                     |
 //! | `GET /counters`             | full diagnostics render                            |
 //! | `GET /events`               | the event log (frames and ops), versioned text     |
@@ -215,13 +215,14 @@ fn dispatch<B: ShellBackend>(
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/stats") => {
             let body = format!(
-                "cycle={} injected={} forwarded={} rejected={} backlog={} backend={}\n",
+                "cycle={} injected={} forwarded={} rejected={} backlog={} backend={}\n{}\n",
                 shell.sys().now(),
                 shell.log().events.len(),
                 shell.forwarded(),
                 shell.rejected(),
                 shell.backlog(),
                 shell.backend().name(),
+                shell.sys().sim_stats(),
             );
             ("200 OK", TEXT, body)
         }
@@ -322,6 +323,11 @@ mod tests {
         let (s, _, body) = dispatch(&request("GET", "/stats", b""), &mut sh);
         assert_eq!(s, "200 OK");
         assert!(body.contains("cycle=0"));
+        assert!(body
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("sim full_ticks=0 "));
         let (s, _, body) = dispatch(&request("GET", "/ledger", b""), &mut sh);
         assert_eq!(s, "200 OK");
         assert!(body.contains("injected=0"));

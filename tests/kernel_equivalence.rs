@@ -29,6 +29,8 @@ use rosebud::apps::forwarder::{
 };
 use rosebud::core::{FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, TraceConfig};
 use rosebud::net::{FixedSizeGen, ImixGen};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Which side of the differential a run is.
 #[derive(Clone, Copy, PartialEq)]
@@ -37,12 +39,25 @@ enum Side {
     Oracle,
     /// The system as shipped.
     Elided,
+    /// As shipped, with the stage profile on: it must be invisible.
+    Profiled,
 }
 
-/// One harness cycle on the given side.
+/// The stage profile's clock: wall nanoseconds since first use.
+fn wall_ns() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// One harness cycle on the given side. The profiled side turns the stage
+/// profile on at every 1024th cycle, which also restarts it.
 fn tick(h: &mut Harness, side: Side) {
-    if side == Side::Oracle {
-        h.sys.wake_all();
+    match side {
+        Side::Oracle => h.sys.wake_all(),
+        Side::Profiled if h.sys.now().is_multiple_of(1024) => {
+            h.sys.profile_stages(Some(wall_ns));
+        }
+        _ => {}
     }
     h.tick();
 }
@@ -91,22 +106,27 @@ fn snapshot(mut h: Harness) -> Observed {
     }
 }
 
-/// Runs `scenario` on both sides and demands identical output, pointing
-/// at the first diverging trace line when not.
+/// Runs `scenario` on every side and demands identical output: the elided
+/// run against the oracle, and the profiled run against the elided one
+/// (`stage profile on ≡ off`).
 fn differential(scenario: &str, run: impl Fn(Side) -> Observed) {
     let oracle = run(Side::Oracle);
-    let got = run(Side::Elided);
+    let elided = run(Side::Elided);
+    same(scenario, &elided, &oracle, "elided", "oracle");
+    let profiled = run(Side::Profiled);
+    same(scenario, &profiled, &elided, "profiled", "unprofiled");
+}
+
+/// Demands that `got` equal `want`, pointing at the first diverging trace
+/// line when not.
+fn same(scenario: &str, got: &Observed, oracle: &Observed, side: &str, against: &str) {
+    let scenario = format!("{scenario} ({side} vs {against})");
     if got.trace != oracle.trace {
         for (i, (want, have)) in oracle.trace.lines().zip(got.trace.lines()).enumerate() {
-            assert_eq!(
-                want,
-                have,
-                "{scenario}: elided trace diverges from the oracle at line {}",
-                i + 1
-            );
+            assert_eq!(want, have, "{scenario}: trace diverges at line {}", i + 1);
         }
         panic!(
-            "{scenario}: elided trace length differs ({} vs {} lines)",
+            "{scenario}: trace length differs ({} vs {} lines)",
             oracle.trace.lines().count(),
             got.trace.lines().count()
         );
@@ -714,6 +734,10 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
         let mut sys = traced(factory());
         let delivered = match side {
             Side::Elided => replay(&log, &mut sys).len(),
+            Side::Profiled => {
+                sys.profile_stages(Some(wall_ns));
+                replay(&log, &mut sys).len()
+            }
             Side::Oracle => {
                 let mut oracle = Unelided(sys);
                 let delivered = replay(&log, &mut oracle).len();

@@ -398,3 +398,41 @@ fn one_recovery_ladder() {
          and keep the ladder's notes in the ladder)"
     );
 }
+
+/// The simulator's own counters and stage profile (DESIGN.md, "The
+/// simulator's own counters"). An elided run and its `wake_all` oracle
+/// differ in them by design.
+const SIM_COUNTERS: &[&str] = &[
+    "SimStats",
+    "sim_stats",
+    "StageProfile",
+    "SimCounts",
+    "profile_stages",
+];
+
+/// The diagnostics and the trace describe the device, and the elision
+/// differentials compare them byte for byte, so neither may read what the
+/// simulator did to run it.
+#[test]
+fn device_reports_do_not_read_the_simulators_counters() {
+    let reports = ["crates/core/src/diag.rs", "crates/core/src/trace.rs"];
+    let mut seen = 0;
+    let mut violations = String::new();
+    for (rel, text) in sources("crates/core/src") {
+        if !reports.contains(&rel.as_str()) {
+            continue;
+        }
+        seen += 1;
+        for (lineno, line) in text.lines().enumerate() {
+            for name in SIM_COUNTERS.iter().filter(|n| line.contains(**n)) {
+                writeln!(violations, "{rel}:{}: `{name}`", lineno + 1).unwrap();
+            }
+        }
+    }
+    assert_eq!(seen, reports.len(), "{reports:?} moved: update the rule");
+    assert!(
+        violations.is_empty(),
+        "a device report reads the simulator's counters:\n{violations}\
+         (report them through `Rosebud::sim_stats` beside the device, not in it)"
+    );
+}
