@@ -7,6 +7,11 @@
 //! control/debug interface, partial reconfiguration, and the FPGA resource
 //! model behind Tables 1–4.
 //!
+//! Single-RPU simulation (§3.3, Appendix A.4) has no driver of its own: it
+//! is a one-RPU box ([`RosebudConfig::with_rpus`]`(1)`), read off its trace:
+//! [`Tracer::residencies`] gives each packet's cycles from delivery to its
+//! last send, and [`Rpu::pc_profile`] the firmware's per-PC cycles.
+//!
 //! # Examples
 //!
 //! A four-RPU system running an assembled RV32 forwarder:
@@ -64,7 +69,6 @@ mod rpu;
 mod sim;
 mod supervisor;
 mod system;
-mod testbench;
 mod trace;
 mod types;
 mod verify;
@@ -85,7 +89,6 @@ pub use supervisor::{
     SupervisorStep,
 };
 pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram};
-pub use testbench::{PacketReport, RpuTestbench, TxRecord};
 pub use trace::{TraceConfig, TraceEvent, Tracer};
 pub use types::{irq, memmap, port, BcastMsg, Desc, HostDmaReq, SlotMeta, SELF_TAG};
 pub use verify::{machine_spec, LintRecord, LoadPolicy, STACK_BYTES};

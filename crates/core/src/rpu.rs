@@ -525,12 +525,12 @@ impl RpuInner {
     }
 
     /// Takes the most recent firmware-written 64-bit debug value, if any.
-    pub fn take_debug_out(&mut self) -> Option<u64> {
+    pub(crate) fn take_debug_out(&mut self) -> Option<u64> {
         self.debug_out.take()
     }
 
     /// Sets the host→RPU half of the debug channel.
-    pub fn set_debug_in(&mut self, value: u64) {
+    pub(crate) fn set_debug_in(&mut self, value: u64) {
         self.debug_in = value;
     }
 
@@ -1079,7 +1079,7 @@ impl Rpu {
     }
 
     /// Installs an accelerator into the PR region.
-    pub fn set_accelerator(&mut self, accel: Box<dyn Accelerator>) {
+    pub(crate) fn set_accelerator(&mut self, accel: Box<dyn Accelerator>) {
         self.inner.accel = Some(accel);
     }
 
@@ -1089,7 +1089,7 @@ impl Rpu {
     }
 
     /// Mutable access to the installed accelerator (host-side table loads).
-    pub fn accelerator_mut(&mut self) -> Option<&mut (dyn Accelerator + '_)> {
+    pub(crate) fn accelerator_mut(&mut self) -> Option<&mut (dyn Accelerator + '_)> {
         match &mut self.inner.accel {
             Some(b) => Some(&mut **b),
             None => None,
@@ -1098,7 +1098,7 @@ impl Rpu {
 
     /// Loads an assembled firmware image into instruction memory and boots
     /// the RV32 core at the image base.
-    pub fn load_riscv(&mut self, image: &Image) {
+    pub(crate) fn load_riscv(&mut self, image: &Image) {
         let bytes = image.bytes();
         let base = image.base() as usize;
         self.inner.imem[base..base + bytes.len()].copy_from_slice(&bytes);
@@ -1122,7 +1122,7 @@ impl Rpu {
     }
 
     /// Installs native firmware and runs its boot hook.
-    pub fn load_native(&mut self, mut firmware: Box<dyn Firmware>) {
+    pub(crate) fn load_native(&mut self, mut firmware: Box<dyn Firmware>) {
         let mut io = RpuIo {
             inner: &mut self.inner,
             stall: &mut self.stall,
@@ -1137,7 +1137,7 @@ impl Rpu {
     }
 
     /// Raises interrupt `line`, subject to the firmware's mask register.
-    pub fn raise_irq(&mut self, line: u8) {
+    pub(crate) fn raise_irq(&mut self, line: u8) {
         if self.inner.masks & (1 << line) == 0 && line >= 4 {
             return; // evict/poke respect set_masks (Appendix B/C)
         }
@@ -1151,7 +1151,7 @@ impl Rpu {
     /// Begins the drain phase before partial reconfiguration: the system has
     /// already told the LB to stop sending here; the RPU finishes in-flight
     /// work. Also raises the eviction interrupt (A.8).
-    pub fn start_drain(&mut self) {
+    pub(crate) fn start_drain(&mut self) {
         self.state = RpuState::Draining;
         self.raise_irq(crate::types::irq::EVICT);
     }
@@ -1171,7 +1171,7 @@ impl Rpu {
 
     /// Enters the reconfiguring state until cycle `until`; the region is
     /// inert and the old engine is discarded.
-    pub fn begin_reconfigure(&mut self, until: u64) {
+    pub(crate) fn begin_reconfigure(&mut self, until: u64) {
         self.state = RpuState::Reconfiguring { until };
         self.retire_engine();
         self.engine = Engine::Empty;
@@ -1220,15 +1220,16 @@ impl Rpu {
 
     /// Turns on per-PC cycle attribution for the RV32 engine. Idempotent;
     /// the accumulated profile survives reloads (it is host-side state).
-    pub fn enable_profiling(&mut self) {
+    pub(crate) fn enable_profiling(&mut self) {
         if self.profile.is_none() {
             self.profile = Some(std::collections::BTreeMap::new());
         }
     }
 
     /// The per-PC cycle profile: cycles charged at each program counter.
-    /// `None` until [`Rpu::enable_profiling`]; empty for native firmware
-    /// (which has no PCs to attribute).
+    /// `None` until a trace with [`crate::TraceConfig::pc_profile`] is
+    /// enabled ([`crate::Rosebud::enable_tracing`]); empty for native
+    /// firmware (which has no PCs to attribute).
     pub fn pc_profile(&self) -> Option<&std::collections::BTreeMap<u32, u64>> {
         self.profile.as_ref()
     }
@@ -1470,13 +1471,10 @@ impl Rpu {
     /// halted, parked in `wfi`, or no engine) or has just proven that it
     /// spins in a poll loop — the cheap gate that tells the caller
     /// [`Rpu::quiet_horizon`] is worth consulting; a busy core never pays
-    /// for the horizon computation.
+    /// for the horizon computation. A core parked in a poll loop is settled
+    /// before it ticks again: `Lanes` settles every lane it wakes.
     #[inline(always)]
     pub(crate) fn tick(&mut self, now: u64) -> bool {
-        // Ticked by hand (`RpuTestbench`, unit tests): catch up first.
-        if matches!(self.spin, Spin::Parked { .. }) {
-            self.settle_through(now.saturating_sub(1));
-        }
         let inert = self.cycle(now);
         if self.spin != Spin::Off || self.inner.missed && self.arm != Arm::Settle {
             return inert | self.watch(now);
@@ -1665,6 +1663,16 @@ mod tests {
         RosebudConfig::with_rpus(4)
     }
 
+    /// Ticks a bare RPU the way a test that ticks it by hand every cycle
+    /// must: a core parked in a poll loop catches up through the cycle
+    /// before, as `Lanes` settles a lane before it ticks it again.
+    fn hand_tick(rpu: &mut Rpu, now: u64) -> bool {
+        if matches!(rpu.spin, Spin::Parked { .. }) {
+            rpu.settle_through(now.saturating_sub(1));
+        }
+        rpu.tick(now)
+    }
+
     fn meta(id: u64) -> SlotMeta {
         SlotMeta {
             packet_id: id,
@@ -1718,7 +1726,7 @@ mod tests {
         rpu.inner_mut().dma_deliver(0, arrived, meta(1));
         assert_eq!(rpu.inner().parked_buffers(), 1);
         for now in 0..100 {
-            rpu.tick(now);
+            hand_tick(&mut rpu, now);
         }
         let (desc, bytes, m) = rpu.inner_mut().take_tx().expect("packet forwarded");
         assert_eq!(desc.port, 1, "port flipped 0 -> 1");
@@ -1740,7 +1748,7 @@ mod tests {
         rpu.load_riscv(&assemble(&forwarder_asm()).unwrap());
         // Warm up.
         for now in 0..200 {
-            rpu.tick(now);
+            hand_tick(&mut rpu, now);
         }
         // Keep the RPU saturated and measure packets over a window.
         let frame = vec![0u8; 64];
@@ -1755,7 +1763,7 @@ mod tests {
                     rpu.inner_mut().dma_deliver(slot, frame.clone(), meta(0));
                 }
             }
-            rpu.tick(now);
+            hand_tick(&mut rpu, now);
             while rpu.inner_mut().take_tx().is_some() {
                 sent += 1;
             }
@@ -2376,7 +2384,7 @@ mod tests {
                     asleep = None;
                 }
                 clock.store(now, Ordering::Relaxed);
-                ticked.tick(now);
+                hand_tick(&mut ticked, now);
                 match &asleep {
                     Some((_, seen)) => {
                         slept += 1;

@@ -202,6 +202,67 @@ impl Tracer {
         self.dropped
     }
 
+    /// Every descriptor delivered to RPU `rpu`, in delivery order, as
+    /// `(delivered, sent)`: the cycle of its `DescRx`, and the cycle of the
+    /// last `DescTx` or `DescDrop` that carried its slot as the tag before
+    /// the slot was delivered again — `None` while the firmware still holds
+    /// it. `sent - delivered` is the packet's firmware residency, the
+    /// per-packet count of the paper's single-RPU simulations (§7.1.4); the
+    /// spacing of a burst's `sent` cycles is its steady-state cost.
+    ///
+    /// # Examples
+    ///
+    /// Appendix A.4's single-RPU simulation is a one-RPU box, read off its
+    /// trace:
+    ///
+    /// ```
+    /// use rosebud_core::{Desc, Firmware, Rosebud, RosebudConfig, RpuIo, RpuProgram, TraceConfig};
+    /// use rosebud_net::PacketBuilder;
+    ///
+    /// struct Echo;
+    /// impl Firmware for Echo {
+    ///     fn tick(&mut self, io: &mut RpuIo<'_>) {
+    ///         if let Some(desc) = io.rx_pop() {
+    ///             io.send(Desc { port: 1, ..desc });
+    ///             io.charge(15);
+    ///         }
+    ///     }
+    /// }
+    ///
+    /// let mut sys = Rosebud::builder(RosebudConfig::with_rpus(1))
+    ///     .firmware(|_| RpuProgram::Native(Box::new(Echo)))
+    ///     .build()
+    ///     .unwrap();
+    /// sys.enable_tracing(TraceConfig::default());
+    /// sys.inject(PacketBuilder::new().tcp(1, 2).pad_to(64).build()).unwrap();
+    /// sys.run(1000);
+    /// let [(delivered, Some(sent))] = sys.tracer().unwrap().residencies(0)[..] else {
+    ///     panic!("one packet in, one send out");
+    /// };
+    /// assert_eq!(sent - delivered, 0, "popped and sent in the cycle it arrived");
+    /// ```
+    pub fn residencies(&self, rpu: usize) -> Vec<(Cycle, Option<Cycle>)> {
+        let mut spans = Vec::new();
+        let mut open: [Option<usize>; 256] = [None; 256];
+        for &(cycle, ref ev) in &self.events {
+            match *ev {
+                TraceEvent::DescRx { rpu: r, slot, .. } if usize::from(r) == rpu => {
+                    open[usize::from(slot)] = Some(spans.len());
+                    spans.push((cycle, None));
+                }
+                TraceEvent::DescTx { rpu: r, tag, .. } | TraceEvent::DescDrop { rpu: r, tag }
+                    if usize::from(r) == rpu =>
+                {
+                    if let Some(i) = open[usize::from(tag)] {
+                        spans[i].1 = Some(cycle);
+                    }
+                }
+                _ => {}
+            }
+        }
+        spans
+    }
+
     pub(crate) fn record(&mut self, now: Cycle, event: TraceEvent) {
         if self.events.len() >= self.cfg.max_events {
             self.dropped += 1;

@@ -3,7 +3,7 @@
 //! assembled and native firmware.
 
 use rosebud_core::{
-    irq, memmap, Desc, Firmware, HostOp, Rosebud, RosebudConfig, RpuIo, RpuProgram, RpuTestbench,
+    irq, memmap, Desc, Firmware, HostOp, Rosebud, RosebudConfig, RpuIo, RpuProgram,
 };
 use rosebud_riscv::assemble;
 
@@ -240,13 +240,6 @@ fn host_dma_has_pcie_latency() {
             }
         }
     }
-    let mut tb = RpuTestbench::new(RosebudConfig::with_rpus(2));
-    tb.load_native(Box::new(OneShot {
-        started_at: None,
-        done_at: None,
-    }));
-    // The testbench has no host; drive through the full system instead.
-    drop(tb);
     let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
         .firmware(|_| {
             RpuProgram::Native(Box::new(OneShot {

@@ -14,9 +14,10 @@
 
 use rosebud::accel::{generate_firewall_verilog, Accelerator, RegRead, ResourceUsage};
 use rosebud::core::{
-    Desc, Firmware, Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuIo, RpuProgram, RpuTestbench,
+    Desc, Device, Firmware, Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuIo, RpuProgram,
+    TraceConfig,
 };
-use rosebud::net::{FixedSizeGen, PacketBuilder};
+use rosebud::net::{FixedSizeGen, Packet, PacketBuilder};
 
 /// Step A.1: the custom accelerator. Counts distinct byte values in the
 /// payload as a cheap entropy proxy; hardware-style: streams 16 B/cycle,
@@ -185,32 +186,44 @@ impl Firmware for EntropyFirmware {
     }
 }
 
+/// Sends one packet through a traced one-RPU box and returns the port it
+/// left on with its cycles from descriptor delivery to the firmware's send.
+fn process_one(sys: &mut Rosebud, pkt: Packet) -> (usize, u64) {
+    sys.inject(pkt).expect("an idle box takes a frame");
+    sys.run(1_000);
+    let mut port = None;
+    sys.drain(&mut |lane, _| port = Some(lane));
+    let tracer = sys.tracer().expect("traced box");
+    let (delivered, sent) = *tracer.residencies(0).last().expect("delivered");
+    let cycles = sent.expect("sent") - delivered;
+    (port.expect("one frame out"), cycles)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Step A.4: simulate a single RPU before any full-system build.
+    // Step A.4: simulate a single RPU before any full-system build — a
+    // one-RPU box, read off its trace.
     println!("-- single-RPU simulation (Appendix A.4) --");
-    let mut tb = RpuTestbench::new(RosebudConfig::with_rpus(8));
-    tb.set_accelerator(Box::new(EntropyScorer::new()));
-    tb.load_native(Box::new(EntropyFirmware {
-        threshold: 180,
-        pending: None,
-    }));
+    let mut one = Rosebud::builder(RosebudConfig::with_rpus(1))
+        .accelerator(|_| Box::new(EntropyScorer::new()))
+        .firmware(|_| {
+            RpuProgram::Native(Box::new(EntropyFirmware {
+                threshold: 180,
+                pending: None,
+            }))
+        })
+        .build()?;
+    one.enable_tracing(TraceConfig::default());
 
     let low_entropy = PacketBuilder::new().tcp(1, 2).payload(&[0x41; 400]).build();
-    let report = tb.process_one(&low_entropy, 1000);
-    println!(
-        "low-entropy packet: routed to port {} in {} cycles",
-        report.outputs[0].desc.port, report.cycles
-    );
-    assert_ne!(report.outputs[0].desc.port, rosebud::core::port::HOST);
+    let (port, cycles) = process_one(&mut one, low_entropy);
+    println!("low-entropy packet: routed to port {port} in {cycles} cycles");
+    assert_ne!(port, usize::from(rosebud::core::port::HOST));
 
     let random: Vec<u8> = (0..400u32).map(|i| (i * 197 + 13) as u8).collect();
     let high_entropy = PacketBuilder::new().tcp(1, 2).payload(&random).build();
-    let report = tb.process_one(&high_entropy, 1000);
-    println!(
-        "high-entropy packet: routed to port {} (host) in {} cycles",
-        report.outputs[0].desc.port, report.cycles
-    );
-    assert_eq!(report.outputs[0].desc.port, rosebud::core::port::HOST);
+    let (port, cycles) = process_one(&mut one, high_entropy);
+    println!("high-entropy packet: routed to port {port} (host) in {cycles} cycles");
+    assert_eq!(port, usize::from(rosebud::core::port::HOST));
 
     // Step A.5 analogue: for generated accelerators the framework can emit
     // the RTL artefact too (the firewall generator of §7.2):

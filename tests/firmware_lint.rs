@@ -17,10 +17,10 @@ use rosebud::apps::forwarder::{
 use rosebud::apps::host_dma::host_dma_forwarder_asm;
 use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
 use rosebud::core::{
-    machine_spec, Fleet, FleetConfig, Harness, HostOp, LoadPolicy, Rosebud, RosebudConfig,
-    RoundRobinLb, RpuProgram, RpuState, RpuTestbench,
+    machine_spec, Fleet, FleetConfig, Harness, HostOp, LoadPolicy, Rosebud, RosebudBuilder,
+    RosebudConfig, RoundRobinLb, RpuProgram, RpuState, TraceConfig,
 };
-use rosebud::net::PacketBuilder;
+use rosebud::net::{Packet, PacketBuilder};
 use rosebud::riscv::{assemble, Analyzer, Check, LintReport, Severity};
 
 fn analyzer() -> Analyzer {
@@ -614,8 +614,8 @@ fn fleet_pr_reload_denies_tainted_dma_firmware() {
 /// compare against the static per-iteration bound because an *average* over
 /// iterations can never exceed the worst case. The loop header is a 2-cycle
 /// `lw` in both firmwares, so `profile[header] / 2` counts iterations.
-fn measured_loop_average(tb: &RpuTestbench, header: u32) -> f64 {
-    let profile = tb.rpu().pc_profile().expect("profiling enabled");
+fn measured_loop_average(sys: &Rosebud, header: u32) -> f64 {
+    let profile = sys.rpus()[0].pc_profile().expect("profiling enabled");
     let header_cycles = *profile.get(&header).expect("loop header executed");
     let iterations = header_cycles / 2;
     let loop_cycles: u64 = profile
@@ -624,6 +624,33 @@ fn measured_loop_average(tb: &RpuTestbench, header: u32) -> f64 {
         .map(|(_, c)| c)
         .sum();
     loop_cycles as f64 / iterations as f64
+}
+
+/// A one-RPU box with 32 slots, for `firmware` to be installed on.
+fn one_rpu() -> RosebudBuilder {
+    let mut cfg = RosebudConfig::with_rpus(1);
+    cfg.slots_per_rpu = 32;
+    Rosebud::builder(cfg)
+}
+
+/// Builds `builder` traced and per-PC profiled from cycle 0, offers `pkts`
+/// back to back (ticking while its ingress refuses one), runs it to cycle
+/// `until`, and returns it with the cycle of each packet's last send.
+fn burst(builder: RosebudBuilder, pkts: &[&Packet], until: u64) -> (Rosebud, Vec<u64>) {
+    let mut sys = builder.build().unwrap();
+    sys.enable_tracing(TraceConfig::default());
+    for &pkt in pkts {
+        let mut pkt = pkt.clone();
+        while let Err(back) = sys.inject(pkt) {
+            pkt = back;
+            sys.tick();
+        }
+    }
+    sys.run(until - sys.now());
+    let sent = sys.tracer().unwrap().residencies(0);
+    let sends = sent.iter().map(|&(_, tx)| tx.expect("burst must drain"));
+    let sends = sends.collect();
+    (sys, sends)
 }
 
 fn single_loop_bound(report: &LintReport) -> (u32, u64) {
@@ -643,32 +670,56 @@ fn forwarder_wcet_bound_dominates_measured_cycles() {
     let (header, bound) = single_loop_bound(&report);
     assert_eq!(bound, 16, "the paper's 16-cycle forwarder loop");
 
-    let mut cfg = RosebudConfig::with_rpus(4);
-    cfg.slots_per_rpu = 64;
-    let mut tb = RpuTestbench::new(cfg);
-    tb.load_riscv(&forwarder_image());
-    tb.enable_profiling();
-    tb.step(100);
     let pkt = PacketBuilder::new().tcp(4000, 80).pad_to(256).build();
-    for _ in 0..32 {
-        tb.deliver(&pkt).unwrap();
-    }
-    tb.step(4_000);
-    assert_eq!(tb.outputs().len(), 32, "burst must drain");
+    let fw = one_rpu().firmware(|_| RpuProgram::Riscv(forwarder_image()));
+    let (sys, sends) = burst(fw, &[&pkt; 32], 4_100);
+    assert_eq!(sends.len(), 32, "burst must drain");
+    // The whole profile, exactly: the prologue once, the poll (`lw` +
+    // `beqz`) whenever the queue is empty, and the body once per packet.
+    let profile: Vec<(u32, u64)> = sys.rpus()[0]
+        .pc_profile()
+        .expect("profiling enabled")
+        .iter()
+        .map(|(&pc, &cycles)| (pc, cycles))
+        .collect();
+    assert_eq!(
+        profile,
+        [
+            (0, 1),
+            (4, 1),
+            (8, 1),
+            (12, 1),
+            (16, 1),
+            (20, 1),
+            (24, 1498),
+            (28, 2180),
+            (32, 64),
+            (36, 64),
+            (40, 32),
+            (44, 32),
+            (48, 32),
+            (52, 32),
+            (56, 32),
+            (60, 32),
+            (64, 96),
+        ]
+    );
 
-    let measured = measured_loop_average(&tb, header);
+    let measured = measured_loop_average(&sys, header);
     assert!(
         bound as f64 >= measured,
         "static bound {bound} < measured average {measured:.2} cycles/iteration"
     );
     // Busy-path check: under back-to-back load the inter-send spacing is one
     // full processing iteration, which must also fit under the bound.
-    let sends: Vec<u64> = tb.outputs().iter().map(|o| o.sent_at).collect();
     let spacing = (sends[31] - sends[1]) as f64 / 30.0;
     assert!(
         bound as f64 >= spacing,
         "static bound {bound} < busy spacing {spacing:.2} cycles/packet"
     );
+    // §6.1's "16 cycles" between every two sends of the burst.
+    let gaps: Vec<u64> = sends.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(gaps, [16; 31], "steady-state forwarder gaps");
     println!(
         "forwarder: static {bound} cycles/iter, measured avg {measured:.2}, \
          busy spacing {spacing:.2}"
@@ -681,15 +732,6 @@ fn firewall_wcet_bound_dominates_measured_cycles() {
     let (header, bound) = single_loop_bound(&report);
 
     let blacklist = synthetic_blacklist(64, 7);
-    let mut cfg = RosebudConfig::with_rpus(4);
-    cfg.slots_per_rpu = 64;
-    let mut tb = RpuTestbench::new(cfg);
-    tb.set_accelerator(Box::new(rosebud::accel::FirewallMatcher::from_prefixes(
-        &blacklist,
-    )));
-    tb.load_riscv(&firewall_image());
-    tb.enable_profiling();
-    tb.step(100);
     // Mix safe and blacklisted sources so both loop paths execute.
     let safe = PacketBuilder::new()
         .src_ip([240, 1, 2, 3])
@@ -705,23 +747,30 @@ fn firewall_wcet_bound_dominates_measured_cycles() {
             .pad_to(256)
             .build()
     };
-    for i in 0..32 {
-        tb.deliver(if i % 4 == 0 { &bad } else { &safe }).unwrap();
-    }
-    tb.step(8_000);
-    assert_eq!(tb.outputs().len(), 32, "burst must drain");
+    let pkts: Vec<&Packet> = (0..32)
+        .map(|i| if i % 4 == 0 { &bad } else { &safe })
+        .collect();
+    let matcher = rosebud::accel::FirewallMatcher::from_prefixes(&blacklist);
+    let fw = one_rpu()
+        .accelerator(move |_| Box::new(matcher.clone()))
+        .firmware(|_| RpuProgram::Riscv(firewall_image()));
+    let (sys, sends) = burst(fw, &pkts, 8_100);
+    assert_eq!(sends.len(), 32, "burst must drain");
 
-    let measured = measured_loop_average(&tb, header);
+    let measured = measured_loop_average(&sys, header);
     assert!(
         bound as f64 >= measured,
         "static bound {bound} < measured average {measured:.2} cycles/iteration"
     );
-    let sends: Vec<u64> = tb.outputs().iter().map(|o| o.sent_at).collect();
     let spacing = (sends[31] - sends[1]) as f64 / 30.0;
     assert!(
         bound as f64 >= spacing,
         "static bound {bound} < busy spacing {spacing:.2} cycles/packet"
     );
+    // A safe packet takes 28 cycles, a blacklisted one (every fourth) 31.
+    let gaps: Vec<u64> = sends.windows(2).map(|w| w[1] - w[0]).collect();
+    let expected: Vec<u64> = (1..32).map(|i| if i % 4 == 0 { 31 } else { 28 }).collect();
+    assert_eq!(gaps, expected, "busy gaps, safe and blacklisted");
     println!(
         "firewall: static {bound} cycles/iter, measured avg {measured:.2}, \
          busy spacing {spacing:.2}"

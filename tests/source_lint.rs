@@ -436,3 +436,52 @@ fn device_reports_do_not_read_the_simulators_counters() {
          (report them through `Rosebud::sim_stats` beside the device, not in it)"
     );
 }
+
+/// `Rpu::tick` as declared: one plain argument, the cycle. Every other tick
+/// in the core takes a reference (`Accelerator::tick`, `Firmware::tick`),
+/// several arguments (the stage units) or none (`Rosebud::tick`), so a call
+/// `.tick(x)` with one plain argument is an RPU's.
+const RPU_TICK: &str = "pub(crate) fn tick(&mut self, now: u64) -> bool {";
+
+/// A core is ticked by its box and by nothing else: outside the unit tests,
+/// the one call of `Rpu::tick` is in `Lanes::run_cores`, whose wakes settle
+/// a core parked in a poll loop before it ticks again. `Rpu::tick` carries
+/// no catch-up for a driver that ticks an `Rpu` by hand; single-RPU
+/// simulation is a one-RPU box (DESIGN.md, "Spin-loop elision").
+#[test]
+fn a_core_is_ticked_only_by_its_box() {
+    let home = "crates/core/src/rpu.rs";
+    let mut calls = Vec::new();
+    for (rel, text) in sources("crates/core/src") {
+        if rel == home {
+            assert!(
+                text.contains(RPU_TICK),
+                "{home} no longer declares `{RPU_TICK}`"
+            );
+        }
+        let code = text.split("\n#[cfg(test)]\nmod tests").next().unwrap();
+        let mut within = "";
+        for (lineno, line) in code.lines().enumerate() {
+            let line = line.split("//").next().unwrap_or("");
+            if let Some(at) = line.find("fn ") {
+                within = line[at + 3..].split(['(', '<']).next().unwrap_or("");
+            }
+            for (at, _) in line.match_indices(".tick(") {
+                let arg = line[at + 6..].split(')').next().unwrap_or("");
+                if !arg.is_empty() && arg.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    calls.push((rel.clone(), within.to_string(), lineno + 1));
+                }
+            }
+        }
+    }
+    let sites: Vec<(&str, &str)> = calls
+        .iter()
+        .map(|(rel, within, _)| (rel.as_str(), within.as_str()))
+        .collect();
+    assert_eq!(
+        sites,
+        [("crates/core/src/lanes.rs", "run_cores")],
+        "`Rpu::tick` called from {calls:?}: a core is ticked by `Lanes::run_cores` \
+         alone (drive a one-RPU `Rosebud` instead of ticking an `Rpu` by hand)"
+    );
+}
