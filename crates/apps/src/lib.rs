@@ -46,3 +46,30 @@ pub mod pigasus_asm;
 pub mod pktgen;
 pub mod rules;
 pub mod snort;
+
+/// Every shipped RV32 firmware as assembly source, by stable name: the set
+/// the `lint` example checks by default and the firmware lint golden
+/// snapshots.
+pub fn shipped_firmware() -> Vec<(&'static str, String)> {
+    vec![
+        ("forwarder", forwarder::FORWARDER_ASM.to_string()),
+        (
+            "forwarder-single-port",
+            forwarder::FORWARDER_SINGLE_PORT_ASM.to_string(),
+        ),
+        (
+            "watchdog-forwarder",
+            forwarder::watchdog_forwarder_asm(4096),
+        ),
+        (
+            "duty-cycle-forwarder",
+            forwarder::duty_cycle_forwarder_asm(2048),
+        ),
+        (
+            "host-dma-forwarder",
+            host_dma::host_dma_forwarder_asm(65536),
+        ),
+        ("firewall", firewall::FIREWALL_ASM.to_string()),
+        ("pigasus", pigasus_asm::PIGASUS_HW_ASM.to_string()),
+    ]
+}

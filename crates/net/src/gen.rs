@@ -326,53 +326,6 @@ pub struct ImixGen {
     flows: u64,
     next_size: usize,
     counter: u64,
-    flow_lengths: Option<FlowLenState>,
-}
-
-/// Flow-structure state for [`ImixGen::with_flow_lengths`]: a pool of
-/// concurrently active flows, each carrying a packet budget drawn from the
-/// configured length distribution. Uses its own PRNG so enabling the knob
-/// never perturbs the frame-*size* sequence.
-#[derive(Debug)]
-struct FlowLenState {
-    table: Vec<(u32, u32)>,
-    total_weight: u64,
-    rng: SimRng,
-    /// `(flow id, packets remaining)` per concurrency slot.
-    pool: Vec<(u64, u32)>,
-    next_flow: u64,
-    cursor: usize,
-}
-
-impl FlowLenState {
-    fn draw_len(&mut self) -> u32 {
-        let mut pick = self.rng.below(self.total_weight);
-        for &(len, w) in &self.table {
-            if pick < u64::from(w) {
-                return len;
-            }
-            pick -= u64::from(w);
-        }
-        unreachable!("weights sum checked at construction")
-    }
-
-    /// The flow id the next packet belongs to, advancing round-robin over
-    /// the pool and retiring/replacing exhausted flows.
-    fn next_key(&mut self) -> u64 {
-        if self.cursor >= self.pool.len() {
-            self.cursor = 0;
-        }
-        if self.pool[self.cursor].1 == 0 {
-            let id = self.next_flow;
-            self.next_flow += 1;
-            let len = self.draw_len();
-            self.pool[self.cursor] = (id, len);
-        }
-        self.pool[self.cursor].1 -= 1;
-        let id = self.pool[self.cursor].0;
-        self.cursor += 1;
-        id
-    }
 }
 
 impl ImixGen {
@@ -403,7 +356,6 @@ impl ImixGen {
             flows: 512,
             next_size: weights[0].0,
             counter: 0,
-            flow_lengths: None,
         };
         gen.roll();
         gen
@@ -420,45 +372,6 @@ impl ImixGen {
     pub fn with_flows(mut self, flows: u32) -> Self {
         assert!(flows > 0, "need at least one flow");
         self.flows = u64::from(flows);
-        self
-    }
-
-    /// Structures traffic into flows with realistic *lengths*: `lengths` is
-    /// a `(packets_per_flow, weight)` table (e.g. heavy-tailed: mostly mice,
-    /// a few elephants), `concurrency` how many flows are in flight at once.
-    /// Packets round-robin over the active flows; a flow that exhausts its
-    /// drawn budget retires and a fresh 5-tuple takes its slot.
-    ///
-    /// The knob draws from its own `seed`ed PRNG, so the frame-size sequence
-    /// is exactly the un-knobbed generator's — only the 5-tuple rotation
-    /// changes. Not calling this keeps the historical counter-based rotation
-    /// byte-for-byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lengths` is empty, any flow length or weight is zero, or
-    /// `concurrency` is zero.
-    pub fn with_flow_lengths(
-        mut self,
-        lengths: &[(u32, u32)],
-        concurrency: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(!lengths.is_empty(), "need at least one flow-length class");
-        assert!(concurrency > 0, "need at least one concurrent flow");
-        for &(len, w) in lengths {
-            assert!(len > 0, "zero-packet flow class");
-            assert!(w > 0, "zero weight");
-        }
-        let total_weight = lengths.iter().map(|&(_, w)| u64::from(w)).sum();
-        self.flow_lengths = Some(FlowLenState {
-            table: lengths.to_vec(),
-            total_weight,
-            rng: SimRng::seed_from(seed),
-            pool: vec![(0, 0); concurrency],
-            next_flow: 0,
-            cursor: 0,
-        });
         self
     }
 
@@ -493,15 +406,11 @@ impl TrafficGen for ImixGen {
         // With the default 512-flow floor this reduces to the historical
         // ([10, 2, n>>8, n], 20_000 + n%512) rotation byte-for-byte, so
         // golden traces are unaffected.
-        let k = match &mut self.flow_lengths {
-            Some(state) => state.next_key(),
-            None => n,
-        };
-        let f = k % self.flows.max(65_536);
+        let f = n % self.flows.max(65_536);
         PacketBuilder::new()
             .src_ip([10, 2 + (f >> 16) as u8, (f >> 8) as u8, f as u8])
             .dst_ip([10, 3, 0, 1])
-            .udp(20_000 + (k % self.flows.min(512)) as u16, 9)
+            .udp(20_000 + (n % self.flows.min(512)) as u16, 9)
             .pad_to(size)
             .port((n % u64::from(self.ports)) as u8)
             .build_with(id, ts)
@@ -641,28 +550,6 @@ mod tests {
             }
         }
         assert!(keys.len() > 66_000, "only {} distinct flows", keys.len());
-    }
-
-    #[test]
-    fn flow_length_knob_shapes_flows_without_touching_sizes() {
-        // The size sequence must be exactly the un-knobbed generator's.
-        let mut plain = ImixGen::new(2, 11);
-        let mut knobbed = ImixGen::new(2, 11).with_flow_lengths(&[(5, 1)], 4, 77);
-        let total = 4_000u64;
-        let mut per_flow = std::collections::HashMap::new();
-        for i in 0..total {
-            let a = plain.generate(i, 0);
-            let b = knobbed.generate(i, 0);
-            assert_eq!(a.len(), b.len(), "sizes diverged at packet {i}");
-            let key = crate::flow_hash(&b).expect("UDP frames hash");
-            *per_flow.entry(key).or_insert(0u32) += 1;
-        }
-        // Every completed flow carries exactly 5 packets; only the <=4
-        // in-flight flows may be short.
-        let short = per_flow.values().filter(|&&c| c != 5).count();
-        assert!(short <= 4, "{short} flows off the 5-packet budget");
-        assert!(per_flow.values().all(|&c| c <= 5));
-        assert!(per_flow.len() >= (total as usize / 5), "flows not retiring");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::cpu::csr;
-use crate::isa::{CsrSrc, Instr, LoadOp, MulOp, Reg, StoreOp};
+use crate::isa::{CsrSrc, Instr, MulOp, Reg};
 
 use super::cfg::{Block, Cfg};
 use super::init::Init;
@@ -262,7 +262,7 @@ fn exec_block(
             Instr::Load { op, rd, rs1, imm } => {
                 let addr = read(state, rs1, pc, out);
                 let target = resolve_target(spec, addr, imm);
-                let bytes = access_bytes_load(op);
+                let bytes = op.bytes();
                 let wait = check_access(spec, pc, rs1, AccessDir::Load, bytes, &target, out);
                 let tainted = match target {
                     // Packet buffers live in pmem: every load is a
@@ -281,7 +281,7 @@ fn exec_block(
                 read(state, rs2, pc, out);
                 let value_tainted = state.taint.reg(rs2);
                 let target = resolve_target(spec, addr, imm);
-                let bytes = access_bytes_store(op);
+                let bytes = op.bytes();
                 let wait = check_access(spec, pc, rs1, AccessDir::Store, bytes, &target, out);
                 match target {
                     Target::Const(_, Where::Io(off)) => {
@@ -371,22 +371,6 @@ enum Target {
 enum AccessDir {
     Load,
     Store,
-}
-
-fn access_bytes_load(op: LoadOp) -> u32 {
-    match op {
-        LoadOp::Lb | LoadOp::Lbu => 1,
-        LoadOp::Lh | LoadOp::Lhu => 2,
-        LoadOp::Lw => 4,
-    }
-}
-
-fn access_bytes_store(op: StoreOp) -> u32 {
-    match op {
-        StoreOp::Sb => 1,
-        StoreOp::Sh => 2,
-        StoreOp::Sw => 4,
-    }
 }
 
 /// Resolves a `base + imm` access against the machine map using the

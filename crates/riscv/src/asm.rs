@@ -16,7 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::isa::{encode, AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp, Reg, StoreOp};
+use crate::cpu::csr;
+use crate::isa::{encode, template, AluOp, BranchOp, CsrOp, CsrSrc, Instr, Reg};
 
 /// The widest span an image may lay out, in bytes. The paper's memory map
 /// (Appendix B) gives code the window below `DMEM_BASE` = 0x80_0000, so no
@@ -586,6 +587,12 @@ fn imm_op(
     eval(&parse_expr(text, pos)?, symbols, pos)
 }
 
+/// `value` as the type an `Instr` field holds; whether it fits the field's
+/// encoding is for `encode` to say.
+fn narrow<T: TryFrom<i64>>(value: i64, pos: Pos) -> Result<T, AsmError> {
+    T::try_from(value).map_err(|_| err(pos, format!("immediate {value} out of range")))
+}
+
 /// Parses `imm(rs)` memory-operand syntax.
 fn mem_op(
     operands: &[String],
@@ -607,67 +614,33 @@ fn mem_op(
     let imm = if imm_text.is_empty() {
         0
     } else {
-        eval(&parse_expr(imm_text, pos)?, symbols, pos)?
+        narrow(eval(&parse_expr(imm_text, pos)?, symbols, pos)?, pos)?
     };
-    if !(-2048..2048).contains(&imm) {
-        return Err(err(pos, format!("memory offset {imm} out of range")));
-    }
     let reg = Reg::parse(text[open + 1..close].trim())
         .ok_or_else(|| err(pos, format!("bad register in `{text}`")))?;
-    Ok((reg, imm as i32))
-}
-
-fn branch_imm(target: i64, pc: u32, pos: Pos) -> Result<i32, AsmError> {
-    let delta = target.saturating_sub(i64::from(pc));
-    if !(-4096..4096).contains(&delta) || delta % 2 != 0 {
-        return Err(err(pos, format!("branch target out of range ({delta})")));
-    }
-    Ok(delta as i32)
-}
-
-fn jump_imm(target: i64, pc: u32, pos: Pos) -> Result<i32, AsmError> {
-    let delta = target.saturating_sub(i64::from(pc));
-    if !(-(1 << 20)..(1 << 20)).contains(&delta) || delta % 2 != 0 {
-        return Err(err(pos, format!("jump target out of range ({delta})")));
-    }
-    Ok(delta as i32)
+    Ok((reg, imm))
 }
 
 fn csr_number(name: &str, pos: Pos) -> Result<u16, AsmError> {
-    if let Some(v) = parse_int(name) {
-        if (0..4096).contains(&v) {
-            return Ok(v as u16);
-        }
+    match parse_int(name) {
+        Some(number) => narrow(number, pos),
+        None => csr::NAMES
+            .iter()
+            .find(|&&(known, _)| known == name)
+            .map(|&(_, number)| number)
+            .ok_or_else(|| err(pos, format!("unknown CSR `{name}`"))),
     }
-    Ok(match name {
-        "mstatus" => 0x300,
-        "mie" => 0x304,
-        "mtvec" => 0x305,
-        "mscratch" => 0x340,
-        "mepc" => 0x341,
-        "mcause" => 0x342,
-        "mip" => 0x344,
-        "mcycle" => 0xb00,
-        "mcycleh" => 0xb80,
-        "minstret" => 0xb02,
-        other => return Err(err(pos, format!("unknown CSR `{other}`"))),
-    })
 }
 
 /// A `lui`/`auipc` immediate: the upper 20 bits, written unsigned
 /// (`0xfffff`) or signed (`-1`).
-fn u_imm(v: i64, pos: Pos) -> Result<i32, AsmError> {
-    if !(0..(1 << 20)).contains(&v) && !(-(1 << 19)..0).contains(&v) {
-        return Err(err(pos, format!("upper immediate {v} out of range")));
-    }
-    Ok(((v as i32) << 12) >> 12)
-}
-
-fn check_i_imm(imm: i64, pos: Pos) -> Result<i32, AsmError> {
-    if !(-2048..2048).contains(&imm) {
-        return Err(err(pos, format!("immediate {imm} out of 12-bit range")));
-    }
-    Ok(imm as i32)
+fn upper(v: i64, pos: Pos) -> Result<i32, AsmError> {
+    let wrap = if ((1 << 19)..(1 << 20)).contains(&v) {
+        1 << 20
+    } else {
+        0
+    };
+    narrow(v - wrap, pos)
 }
 
 fn lower(
@@ -679,81 +652,139 @@ fn lower(
 ) -> Result<Vec<Instr>, AsmError> {
     use Instr::*;
     let ops = operands;
+    let reg = |idx| reg_op(ops, idx, pos);
+    let int = |idx| -> Result<i32, AsmError> { narrow(imm_op(ops, idx, symbols, pos)?, pos) };
+    // The offset from `pc` to a branch or jump target.
+    let target = |idx| -> Result<i32, AsmError> {
+        let delta = imm_op(ops, idx, symbols, pos)?.saturating_sub(i64::from(pc));
+        narrow(delta, pos)
+    };
+    let mem = |idx| mem_op(ops, idx, symbols, pos);
+    let csr = |idx: usize| {
+        let name = ops
+            .get(idx)
+            .ok_or_else(|| err(pos, "missing CSR operand"))?;
+        csr_number(name, pos)
+    };
 
-    let alu_imm = |op: AluOp| -> Result<Vec<Instr>, AsmError> {
-        Ok(vec![OpImm {
-            op,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
-            imm: check_i_imm(imm_op(ops, 2, symbols, pos)?, pos)?,
-        }])
-    };
-    let shift_imm = |op: AluOp| -> Result<Vec<Instr>, AsmError> {
-        let amount = imm_op(ops, 2, symbols, pos)?;
-        if !(0..32).contains(&amount) {
-            return Err(err(pos, format!("shift amount {amount} out of range")));
-        }
-        Ok(vec![OpImm {
-            op,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
-            imm: amount as i32,
-        }])
-    };
-    let alu_reg = |op: AluOp| -> Result<Vec<Instr>, AsmError> {
-        Ok(vec![Op {
-            op,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
-            rs2: reg_op(ops, 2, pos)?,
-        }])
-    };
-    let mul_reg = |op: MulOp| -> Result<Vec<Instr>, AsmError> {
-        Ok(vec![MulDiv {
-            op,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
-            rs2: reg_op(ops, 2, pos)?,
-        }])
-    };
-    let load = |op: LoadOp| -> Result<Vec<Instr>, AsmError> {
-        let (rs1, imm) = mem_op(ops, 1, symbols, pos)?;
-        Ok(vec![Load {
-            op,
-            rd: reg_op(ops, 0, pos)?,
-            rs1,
-            imm,
-        }])
-    };
-    let store = |op: StoreOp| -> Result<Vec<Instr>, AsmError> {
-        let (rs1, imm) = mem_op(ops, 1, symbols, pos)?;
-        Ok(vec![Store {
-            op,
-            rs1,
-            rs2: reg_op(ops, 0, pos)?,
-            imm,
-        }])
-    };
-    let branch = |op: BranchOp, swap: bool| -> Result<Vec<Instr>, AsmError> {
-        let (a, b) = (reg_op(ops, 0, pos)?, reg_op(ops, 1, pos)?);
-        let (rs1, rs2) = if swap { (b, a) } else { (a, b) };
-        let target = imm_op(ops, 2, symbols, pos)?;
+    if let Some(base) = template(mnemonic) {
+        return Ok(vec![match base {
+            Lui { .. } => Lui {
+                rd: reg(0)?,
+                imm: upper(imm_op(ops, 1, symbols, pos)?, pos)?,
+            },
+            Auipc { .. } => Auipc {
+                rd: reg(0)?,
+                imm: upper(imm_op(ops, 1, symbols, pos)?, pos)?,
+            },
+            // `jal label` or `jal rd, label`.
+            Jal { .. } if ops.len() == 1 => Jal {
+                rd: Reg::RA,
+                imm: target(0)?,
+            },
+            Jal { .. } => Jal {
+                rd: reg(0)?,
+                imm: target(1)?,
+            },
+            // `jalr rs`, `jalr rd, imm(rs)`, or `jalr rd, rs, imm`.
+            Jalr { .. } if ops.len() == 1 => Jalr {
+                rd: Reg::RA,
+                rs1: reg(0)?,
+                imm: 0,
+            },
+            Jalr { .. } if ops.len() == 2 && ops[1].contains('(') => {
+                let (rs1, imm) = mem(1)?;
+                Jalr {
+                    rd: reg(0)?,
+                    rs1,
+                    imm,
+                }
+            }
+            Jalr { .. } => Jalr {
+                rd: reg(0)?,
+                rs1: reg(1)?,
+                imm: int(2)?,
+            },
+            Branch { op, .. } => Branch {
+                op,
+                rs1: reg(0)?,
+                rs2: reg(1)?,
+                imm: target(2)?,
+            },
+            Load { op, .. } => {
+                let (rs1, imm) = mem(1)?;
+                Load {
+                    op,
+                    rd: reg(0)?,
+                    rs1,
+                    imm,
+                }
+            }
+            Store { op, .. } => {
+                let (rs1, imm) = mem(1)?;
+                Store {
+                    op,
+                    rs1,
+                    rs2: reg(0)?,
+                    imm,
+                }
+            }
+            OpImm { op, .. } => OpImm {
+                op,
+                rd: reg(0)?,
+                rs1: reg(1)?,
+                imm: int(2)?,
+            },
+            Op { op, .. } => Op {
+                op,
+                rd: reg(0)?,
+                rs1: reg(1)?,
+                rs2: reg(2)?,
+            },
+            MulDiv { op, .. } => MulDiv {
+                op,
+                rd: reg(0)?,
+                rs1: reg(1)?,
+                rs2: reg(2)?,
+            },
+            Csr {
+                op,
+                src: CsrSrc::Reg(_),
+                ..
+            } => Csr {
+                op,
+                rd: reg(0)?,
+                csr: csr(1)?,
+                src: CsrSrc::Reg(reg(2)?),
+            },
+            Csr { op, .. } => Csr {
+                op,
+                rd: reg(0)?,
+                csr: csr(1)?,
+                src: CsrSrc::Imm(narrow(imm_op(ops, 2, symbols, pos)?, pos)?),
+            },
+            Fence | Ecall | Ebreak | Mret | Wfi => base,
+        }]);
+    }
+
+    // --- pseudo-instructions ---
+    let swapped = |op: BranchOp| -> Result<Vec<Instr>, AsmError> {
+        let (rs2, rs1) = (reg(0)?, reg(1)?);
         Ok(vec![Branch {
             op,
             rs1,
             rs2,
-            imm: branch_imm(target, pc, pos)?,
+            imm: target(2)?,
         }])
     };
     let branch_zero = |op: BranchOp, swap: bool| -> Result<Vec<Instr>, AsmError> {
-        let r = reg_op(ops, 0, pos)?;
+        let r = reg(0)?;
         let (rs1, rs2) = if swap { (Reg::ZERO, r) } else { (r, Reg::ZERO) };
-        let target = imm_op(ops, 1, symbols, pos)?;
         Ok(vec![Branch {
             op,
             rs1,
             rs2,
-            imm: branch_imm(target, pc, pos)?,
+            imm: target(1)?,
         }])
     };
     let li_expand = |rd: Reg, value: i64| -> Result<Vec<Instr>, AsmError> {
@@ -780,162 +811,45 @@ fn lower(
             ])
         }
     };
-    let csr_instr = |op: CsrOp,
-                     rd: Reg,
-                     csr_idx: usize,
-                     src_idx: usize,
-                     imm_form: bool|
-     -> Result<Vec<Instr>, AsmError> {
-        let csr = csr_number(
-            ops.get(csr_idx)
-                .ok_or_else(|| err(pos, "missing CSR operand"))?,
-            pos,
-        )?;
+    // `csrw csr, rs` is `csrrw zero, csr, rs`, and so on.
+    let csr_write = |op: CsrOp, imm_form: bool| -> Result<Vec<Instr>, AsmError> {
+        let csr = csr(0)?;
         let src = if imm_form {
-            let v = imm_op(ops, src_idx, symbols, pos)?;
-            if !(0..32).contains(&v) {
-                return Err(err(pos, format!("CSR immediate {v} out of range")));
-            }
-            CsrSrc::Imm(v as u8)
+            CsrSrc::Imm(narrow(imm_op(ops, 1, symbols, pos)?, pos)?)
         } else {
-            CsrSrc::Reg(reg_op(ops, src_idx, pos)?)
+            CsrSrc::Reg(reg(1)?)
         };
-        Ok(vec![Csr { op, rd, csr, src }])
+        Ok(vec![Csr {
+            op,
+            rd: Reg::ZERO,
+            csr,
+            src,
+        }])
     };
 
     match mnemonic {
-        // --- U/J/I-type primaries ---
-        "lui" => Ok(vec![Lui {
-            rd: reg_op(ops, 0, pos)?,
-            imm: u_imm(imm_op(ops, 1, symbols, pos)?, pos)?,
-        }]),
-        "auipc" => Ok(vec![Auipc {
-            rd: reg_op(ops, 0, pos)?,
-            imm: u_imm(imm_op(ops, 1, symbols, pos)?, pos)?,
-        }]),
-        "jal" => {
-            // `jal label` or `jal rd, label`.
-            let (rd, target) = if ops.len() == 1 {
-                (Reg::RA, imm_op(ops, 0, symbols, pos)?)
-            } else {
-                (reg_op(ops, 0, pos)?, imm_op(ops, 1, symbols, pos)?)
-            };
-            Ok(vec![Jal {
-                rd,
-                imm: jump_imm(target, pc, pos)?,
-            }])
-        }
-        "jalr" => {
-            // `jalr rs`, `jalr rd, rs, imm`, or `jalr rd, imm(rs)`.
-            if ops.len() == 1 {
-                Ok(vec![Jalr {
-                    rd: Reg::RA,
-                    rs1: reg_op(ops, 0, pos)?,
-                    imm: 0,
-                }])
-            } else if ops.len() == 2 && ops[1].contains('(') {
-                let (rs1, imm) = mem_op(ops, 1, symbols, pos)?;
-                Ok(vec![Jalr {
-                    rd: reg_op(ops, 0, pos)?,
-                    rs1,
-                    imm,
-                }])
-            } else {
-                Ok(vec![Jalr {
-                    rd: reg_op(ops, 0, pos)?,
-                    rs1: reg_op(ops, 1, pos)?,
-                    imm: check_i_imm(imm_op(ops, 2, symbols, pos)?, pos)?,
-                }])
-            }
-        }
-        // --- branches ---
-        "beq" => branch(BranchOp::Eq, false),
-        "bne" => branch(BranchOp::Ne, false),
-        "blt" => branch(BranchOp::Lt, false),
-        "bge" => branch(BranchOp::Ge, false),
-        "bltu" => branch(BranchOp::Ltu, false),
-        "bgeu" => branch(BranchOp::Geu, false),
-        "bgt" => branch(BranchOp::Lt, true),
-        "ble" => branch(BranchOp::Ge, true),
-        "bgtu" => branch(BranchOp::Ltu, true),
-        "bleu" => branch(BranchOp::Geu, true),
+        "bgt" => swapped(BranchOp::Lt),
+        "ble" => swapped(BranchOp::Ge),
+        "bgtu" => swapped(BranchOp::Ltu),
+        "bleu" => swapped(BranchOp::Geu),
         "beqz" => branch_zero(BranchOp::Eq, false),
         "bnez" => branch_zero(BranchOp::Ne, false),
         "bltz" => branch_zero(BranchOp::Lt, false),
         "bgez" => branch_zero(BranchOp::Ge, false),
         "bgtz" => branch_zero(BranchOp::Lt, true),
         "blez" => branch_zero(BranchOp::Ge, true),
-        // --- loads/stores ---
-        "lb" => load(LoadOp::Lb),
-        "lh" => load(LoadOp::Lh),
-        "lw" => load(LoadOp::Lw),
-        "lbu" => load(LoadOp::Lbu),
-        "lhu" => load(LoadOp::Lhu),
-        "sb" => store(StoreOp::Sb),
-        "sh" => store(StoreOp::Sh),
-        "sw" => store(StoreOp::Sw),
-        // --- ALU immediate ---
-        "addi" => alu_imm(AluOp::Add),
-        "slti" => alu_imm(AluOp::Slt),
-        "sltiu" => alu_imm(AluOp::Sltu),
-        "xori" => alu_imm(AluOp::Xor),
-        "ori" => alu_imm(AluOp::Or),
-        "andi" => alu_imm(AluOp::And),
-        "subi" => Err(err(
-            pos,
-            "`subi` does not exist in RV32; use `addi` with a negated immediate".to_string(),
-        )),
-        "slli" => shift_imm(AluOp::Sll),
-        "srli" => shift_imm(AluOp::Srl),
-        "srai" => shift_imm(AluOp::Sra),
-        // --- ALU register ---
-        "add" => alu_reg(AluOp::Add),
-        "sub" => alu_reg(AluOp::Sub),
-        "sll" => alu_reg(AluOp::Sll),
-        "slt" => alu_reg(AluOp::Slt),
-        "sltu" => alu_reg(AluOp::Sltu),
-        "xor" => alu_reg(AluOp::Xor),
-        "srl" => alu_reg(AluOp::Srl),
-        "sra" => alu_reg(AluOp::Sra),
-        "or" => alu_reg(AluOp::Or),
-        "and" => alu_reg(AluOp::And),
-        // --- M extension ---
-        "mul" => mul_reg(MulOp::Mul),
-        "mulh" => mul_reg(MulOp::Mulh),
-        "mulhsu" => mul_reg(MulOp::Mulhsu),
-        "mulhu" => mul_reg(MulOp::Mulhu),
-        "div" => mul_reg(MulOp::Div),
-        "divu" => mul_reg(MulOp::Divu),
-        "rem" => mul_reg(MulOp::Rem),
-        "remu" => mul_reg(MulOp::Remu),
-        // --- system ---
-        "fence" => Ok(vec![Fence]),
-        "ecall" => Ok(vec![Ecall]),
-        "ebreak" => Ok(vec![Ebreak]),
-        "mret" => Ok(vec![Mret]),
-        "wfi" => Ok(vec![Wfi]),
-        "csrrw" => csr_instr(CsrOp::Rw, reg_op(ops, 0, pos)?, 1, 2, false),
-        "csrrs" => csr_instr(CsrOp::Rs, reg_op(ops, 0, pos)?, 1, 2, false),
-        "csrrc" => csr_instr(CsrOp::Rc, reg_op(ops, 0, pos)?, 1, 2, false),
-        "csrrwi" => csr_instr(CsrOp::Rw, reg_op(ops, 0, pos)?, 1, 2, true),
-        "csrrsi" => csr_instr(CsrOp::Rs, reg_op(ops, 0, pos)?, 1, 2, true),
-        "csrrci" => csr_instr(CsrOp::Rc, reg_op(ops, 0, pos)?, 1, 2, true),
         "csrr" => Ok(vec![Csr {
             op: CsrOp::Rs,
-            rd: reg_op(ops, 0, pos)?,
-            csr: csr_number(
-                ops.get(1).ok_or_else(|| err(pos, "csrr needs `rd, csr`"))?,
-                pos,
-            )?,
+            rd: reg(0)?,
+            csr: csr(1)?,
             src: CsrSrc::Reg(Reg::ZERO),
         }]),
-        "csrw" => csr_instr(CsrOp::Rw, Reg::ZERO, 0, 1, false),
-        "csrs" => csr_instr(CsrOp::Rs, Reg::ZERO, 0, 1, false),
-        "csrc" => csr_instr(CsrOp::Rc, Reg::ZERO, 0, 1, false),
-        "csrwi" => csr_instr(CsrOp::Rw, Reg::ZERO, 0, 1, true),
-        "csrsi" => csr_instr(CsrOp::Rs, Reg::ZERO, 0, 1, true),
-        "csrci" => csr_instr(CsrOp::Rc, Reg::ZERO, 0, 1, true),
-        // --- pseudo-instructions ---
+        "csrw" => csr_write(CsrOp::Rw, false),
+        "csrs" => csr_write(CsrOp::Rs, false),
+        "csrc" => csr_write(CsrOp::Rc, false),
+        "csrwi" => csr_write(CsrOp::Rw, true),
+        "csrsi" => csr_write(CsrOp::Rs, true),
+        "csrci" => csr_write(CsrOp::Rc, true),
         "nop" => Ok(vec![OpImm {
             op: AluOp::Add,
             rd: Reg::ZERO,
@@ -943,7 +857,7 @@ fn lower(
             imm: 0,
         }]),
         "li" | "la" => {
-            let rd = reg_op(ops, 0, pos)?;
+            let rd = reg(0)?;
             let value = imm_op(ops, 1, symbols, pos)?;
             if !(-(1i64 << 31)..(1i64 << 32)).contains(&value) {
                 return Err(err(pos, format!("li value {value} does not fit 32 bits")));
@@ -952,53 +866,47 @@ fn lower(
         }
         "mv" => Ok(vec![OpImm {
             op: AluOp::Add,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
+            rd: reg(0)?,
+            rs1: reg(1)?,
             imm: 0,
         }]),
         "not" => Ok(vec![OpImm {
             op: AluOp::Xor,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
+            rd: reg(0)?,
+            rs1: reg(1)?,
             imm: -1,
         }]),
         "neg" => Ok(vec![Op {
             op: AluOp::Sub,
-            rd: reg_op(ops, 0, pos)?,
+            rd: reg(0)?,
             rs1: Reg::ZERO,
-            rs2: reg_op(ops, 1, pos)?,
+            rs2: reg(1)?,
         }]),
         "seqz" => Ok(vec![OpImm {
             op: AluOp::Sltu,
-            rd: reg_op(ops, 0, pos)?,
-            rs1: reg_op(ops, 1, pos)?,
+            rd: reg(0)?,
+            rs1: reg(1)?,
             imm: 1,
         }]),
         "snez" => Ok(vec![Op {
             op: AluOp::Sltu,
-            rd: reg_op(ops, 0, pos)?,
+            rd: reg(0)?,
             rs1: Reg::ZERO,
-            rs2: reg_op(ops, 1, pos)?,
+            rs2: reg(1)?,
         }]),
-        "j" => {
-            let target = imm_op(ops, 0, symbols, pos)?;
-            Ok(vec![Jal {
-                rd: Reg::ZERO,
-                imm: jump_imm(target, pc, pos)?,
-            }])
-        }
+        "j" => Ok(vec![Jal {
+            rd: Reg::ZERO,
+            imm: target(0)?,
+        }]),
         "jr" => Ok(vec![Jalr {
             rd: Reg::ZERO,
-            rs1: reg_op(ops, 0, pos)?,
+            rs1: reg(0)?,
             imm: 0,
         }]),
-        "call" => {
-            let target = imm_op(ops, 0, symbols, pos)?;
-            Ok(vec![Jal {
-                rd: Reg::RA,
-                imm: jump_imm(target, pc, pos)?,
-            }])
-        }
+        "call" => Ok(vec![Jal {
+            rd: Reg::RA,
+            imm: target(0)?,
+        }]),
         "ret" => Ok(vec![Jalr {
             rd: Reg::ZERO,
             rs1: Reg::RA,

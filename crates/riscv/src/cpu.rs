@@ -143,6 +143,20 @@ pub mod csr {
     pub const MCYCLEH: u16 = 0xb80;
     /// Retired-instruction counter, low 32 bits (read-only).
     pub const MINSTRET: u16 = 0xb02;
+
+    /// The names the assembler knows, with their numbers.
+    pub(crate) const NAMES: [(&str, u16); 10] = [
+        ("mstatus", MSTATUS),
+        ("mie", MIE),
+        ("mtvec", MTVEC),
+        ("mscratch", MSCRATCH),
+        ("mepc", MEPC),
+        ("mcause", MCAUSE),
+        ("mip", MIP),
+        ("mcycle", MCYCLE),
+        ("mcycleh", MCYCLEH),
+        ("minstret", MINSTRET),
+    ];
 }
 
 const MSTATUS_MIE: u32 = 1 << 3;

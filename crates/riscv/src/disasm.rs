@@ -1,11 +1,13 @@
 //! Disassembly of decoded instructions, for debug dumps and round-trip tests.
 
-use crate::isa::{AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp, StoreOp};
+use crate::isa::{mnemonic, CsrSrc, Instr};
 
 /// Renders `instr` as assembly text (ABI register names, decimal immediates).
 ///
 /// The output parses back through the assembler to the same instruction, a
 /// property the test suite verifies for randomly generated instructions.
+/// The one exception is an `OpImm` with [`crate::AluOp::Sub`], which prints
+/// as the `subi` RV32 lacks and the assembler refuses.
 ///
 /// # Examples
 ///
@@ -15,99 +17,33 @@ use crate::isa::{AluOp, BranchOp, CsrOp, CsrSrc, Instr, LoadOp, MulOp, StoreOp};
 /// assert_eq!(text, "addi a0, zero, 42");
 /// ```
 pub fn disassemble(instr: Instr) -> String {
+    let name = mnemonic(instr);
     match instr {
-        Instr::Lui { rd, imm } => format!("lui {rd}, {imm}"),
-        Instr::Auipc { rd, imm } => format!("auipc {rd}, {imm}"),
-        Instr::Jal { rd, imm } => format!("jal {rd}, {imm}"),
-        Instr::Jalr { rd, rs1, imm } => format!("jalr {rd}, {rs1}, {imm}"),
-        Instr::Branch { op, rs1, rs2, imm } => {
-            let name = match op {
-                BranchOp::Eq => "beq",
-                BranchOp::Ne => "bne",
-                BranchOp::Lt => "blt",
-                BranchOp::Ge => "bge",
-                BranchOp::Ltu => "bltu",
-                BranchOp::Geu => "bgeu",
-            };
-            format!("{name} {rs1}, {rs2}, {imm}")
+        Instr::Lui { rd, imm } | Instr::Auipc { rd, imm } | Instr::Jal { rd, imm } => {
+            format!("{name} {rd}, {imm}")
         }
-        Instr::Load { op, rd, rs1, imm } => {
-            let name = match op {
-                LoadOp::Lb => "lb",
-                LoadOp::Lh => "lh",
-                LoadOp::Lw => "lw",
-                LoadOp::Lbu => "lbu",
-                LoadOp::Lhu => "lhu",
-            };
-            format!("{name} {rd}, {imm}({rs1})")
-        }
-        Instr::Store { op, rs1, rs2, imm } => {
-            let name = match op {
-                StoreOp::Sb => "sb",
-                StoreOp::Sh => "sh",
-                StoreOp::Sw => "sw",
-            };
-            format!("{name} {rs2}, {imm}({rs1})")
-        }
-        Instr::OpImm { op, rd, rs1, imm } => {
-            let name = match op {
-                AluOp::Add => "addi",
-                AluOp::Slt => "slti",
-                AluOp::Sltu => "sltiu",
-                AluOp::Xor => "xori",
-                AluOp::Or => "ori",
-                AluOp::And => "andi",
-                AluOp::Sll => "slli",
-                AluOp::Srl => "srli",
-                AluOp::Sra => "srai",
-                AluOp::Sub => unreachable!("no subi"),
-            };
+        Instr::Jalr { rd, rs1, imm } | Instr::OpImm { rd, rs1, imm, .. } => {
             format!("{name} {rd}, {rs1}, {imm}")
         }
-        Instr::Op { op, rd, rs1, rs2 } => {
-            let name = match op {
-                AluOp::Add => "add",
-                AluOp::Sub => "sub",
-                AluOp::Sll => "sll",
-                AluOp::Slt => "slt",
-                AluOp::Sltu => "sltu",
-                AluOp::Xor => "xor",
-                AluOp::Srl => "srl",
-                AluOp::Sra => "sra",
-                AluOp::Or => "or",
-                AluOp::And => "and",
-            };
+        Instr::Branch { rs1, rs2, imm, .. } => format!("{name} {rs1}, {rs2}, {imm}"),
+        Instr::Load { rd, rs1, imm, .. } => format!("{name} {rd}, {imm}({rs1})"),
+        Instr::Store { rs1, rs2, imm, .. } => format!("{name} {rs2}, {imm}({rs1})"),
+        Instr::Op { rd, rs1, rs2, .. } | Instr::MulDiv { rd, rs1, rs2, .. } => {
             format!("{name} {rd}, {rs1}, {rs2}")
         }
-        Instr::MulDiv { op, rd, rs1, rs2 } => {
-            let name = match op {
-                MulOp::Mul => "mul",
-                MulOp::Mulh => "mulh",
-                MulOp::Mulhsu => "mulhsu",
-                MulOp::Mulhu => "mulhu",
-                MulOp::Div => "div",
-                MulOp::Divu => "divu",
-                MulOp::Rem => "rem",
-                MulOp::Remu => "remu",
-            };
-            format!("{name} {rd}, {rs1}, {rs2}")
-        }
-        Instr::Fence => "fence".to_string(),
-        Instr::Ecall => "ecall".to_string(),
-        Instr::Ebreak => "ebreak".to_string(),
-        Instr::Mret => "mret".to_string(),
-        Instr::Wfi => "wfi".to_string(),
-        Instr::Csr { op, rd, csr, src } => {
-            let (name, operand) = match (op, src) {
-                (CsrOp::Rw, CsrSrc::Reg(r)) => ("csrrw", r.to_string()),
-                (CsrOp::Rs, CsrSrc::Reg(r)) => ("csrrs", r.to_string()),
-                (CsrOp::Rc, CsrSrc::Reg(r)) => ("csrrc", r.to_string()),
-                (CsrOp::Rw, CsrSrc::Imm(v)) => ("csrrwi", v.to_string()),
-                (CsrOp::Rs, CsrSrc::Imm(v)) => ("csrrsi", v.to_string()),
-                (CsrOp::Rc, CsrSrc::Imm(v)) => ("csrrci", v.to_string()),
-            };
-            format!("{name} {rd}, {csr}, {operand}")
-        }
+        Instr::Csr {
+            rd,
+            csr,
+            src: CsrSrc::Reg(rs1),
+            ..
+        } => format!("{name} {rd}, {csr}, {rs1}"),
+        Instr::Csr {
+            rd,
+            csr,
+            src: CsrSrc::Imm(v),
+            ..
+        } => format!("{name} {rd}, {csr}, {v}"),
+        Instr::Fence | Instr::Ecall | Instr::Ebreak | Instr::Mret | Instr::Wfi => name.to_string(),
     }
 }
 
@@ -160,6 +96,21 @@ mod tests {
             assert_eq!(re.words().len(), 1, "{text}");
             assert_eq!(decode(re.words()[0]).unwrap(), instr, "{text}");
         }
+    }
+
+    /// `subi` is not RV32, but `Instr` can say it: it prints, and the
+    /// assembler refuses the text with its `addi` guidance.
+    #[test]
+    fn sub_immediate_disassembles_as_subi() {
+        let instr = Instr::OpImm {
+            op: crate::isa::AluOp::Sub,
+            rd: Reg(10),
+            rs1: Reg(11),
+            imm: 4,
+        };
+        let text = disassemble(instr);
+        assert_eq!(text, "subi a0, a1, 4");
+        assert!(assemble(&text).unwrap_err().message.contains("addi"));
     }
 
     #[test]

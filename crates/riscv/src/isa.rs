@@ -1,6 +1,9 @@
 //! RV32IM instruction definitions, decoding, and encoding.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A decoded RV32IM instruction.
 ///
@@ -103,60 +106,22 @@ impl Reg {
 
     /// The ABI name (`zero`, `ra`, `sp`, `a0`, …).
     pub fn abi_name(self) -> &'static str {
-        const NAMES: [&str; 32] = [
-            "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
-            "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-            "t3", "t4", "t5", "t6",
-        ];
-        NAMES[self.0 as usize]
+        REG_NAMES[self.0 as usize]
     }
 
-    /// Parses either an `x<N>` or ABI register name.
+    /// Parses either an `x<N>` or ABI register name (`fp` is `s0`).
     pub fn parse(name: &str) -> Option<Reg> {
+        // Built once from the names; the assembler parses every operand.
+        static BY_NAME: OnceLock<BTreeMap<&str, u8>> = OnceLock::new();
         let name = name.trim();
-        if let Some(num) = name.strip_prefix('x') {
-            if let Ok(n) = num.parse::<u8>() {
-                if n < 32 {
-                    return Some(Reg(n));
-                }
-            }
-        }
-        let idx = match name {
-            "zero" => 0,
-            "ra" => 1,
-            "sp" => 2,
-            "gp" => 3,
-            "tp" => 4,
-            "t0" => 5,
-            "t1" => 6,
-            "t2" => 7,
-            "s0" | "fp" => 8,
-            "s1" => 9,
-            "a0" => 10,
-            "a1" => 11,
-            "a2" => 12,
-            "a3" => 13,
-            "a4" => 14,
-            "a5" => 15,
-            "a6" => 16,
-            "a7" => 17,
-            "s2" => 18,
-            "s3" => 19,
-            "s4" => 20,
-            "s5" => 21,
-            "s6" => 22,
-            "s7" => 23,
-            "s8" => 24,
-            "s9" => 25,
-            "s10" => 26,
-            "s11" => 27,
-            "t3" => 28,
-            "t4" => 29,
-            "t5" => 30,
-            "t6" => 31,
-            _ => return None,
+        let index = match name.strip_prefix('x') {
+            Some(num) => num.parse::<u8>().ok().filter(|&n| n < 32),
+            None => BY_NAME
+                .get_or_init(|| REG_NAMES.into_iter().zip(0..).chain([("fp", 8)]).collect())
+                .get(name)
+                .copied(),
         };
-        Some(Reg(idx))
+        index.map(Reg)
     }
 }
 
@@ -298,6 +263,14 @@ pub enum EncodeError {
     /// `OpImm` with [`AluOp::Sub`]: RV32 has no `subi`. Negate the
     /// immediate and use `addi` instead.
     NoSubImmediate,
+    /// An immediate that does not fit its field, or an odd branch or jump
+    /// offset.
+    OutOfRange {
+        /// The field, as the message names it (`"branch offset"`, …).
+        field: &'static str,
+        /// The value that does not fit.
+        value: i32,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -309,11 +282,256 @@ impl fmt::Display for EncodeError {
                     "`subi` does not exist in RV32; use `addi` with a negated immediate"
                 )
             }
+            EncodeError::OutOfRange { field, value } => write!(f, "{field} {value} out of range"),
         }
     }
 }
 
 impl std::error::Error for EncodeError {}
+
+// The instruction table: the one place that says what each base operation
+// is called and how it is encoded. `decode` matches on the opcode, then
+// finds a row by its function bits with one indexed load; `encode`,
+// `mnemonic` (the disassembler's names), `template` (the assembler's) and
+// the analyzer's access widths read the same rows. A table's rows are in
+// its op enum's declaration order, so `rows[op as usize]` is `op`'s row.
+
+const LUI: u32 = 0b0110111;
+const AUIPC: u32 = 0b0010111;
+const JAL: u32 = 0b1101111;
+const JALR: u32 = 0b1100111;
+const BRANCH: u32 = 0b1100011;
+const LOAD: u32 = 0b0000011;
+const STORE: u32 = 0b0100011;
+const OP_IMM: u32 = 0b0010011;
+const OP: u32 = 0b0110011;
+const MISC_MEM: u32 = 0b0001111;
+const SYSTEM: u32 = 0b1110011;
+/// The funct7 that selects the M extension under `OP`.
+const MULDIV: u32 = 0b0000001;
+/// The operand-free SYSTEM words: funct12 over the opcode.
+const ECALL: u32 = SYSTEM;
+const EBREAK: u32 = (0x001 << 20) | SYSTEM;
+const MRET: u32 = (0x302 << 20) | SYSTEM;
+const WFI: u32 = (0x105 << 20) | SYSTEM;
+
+/// ABI register names, by index.
+const REG_NAMES: [&str; 32] = [
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6",
+];
+
+/// One operation: its mnemonic(s), the function bits that select it under
+/// its opcode, and for a load or a store the bytes it moves.
+struct Row<Op> {
+    op: Op,
+    /// The mnemonic (of the register form, for an ALU or CSR operation).
+    name: &'static str,
+    /// The immediate form's mnemonic, for an ALU or CSR operation.
+    imm_name: &'static str,
+    funct3: u32,
+    /// Bits 31:25 where they select: `OP`'s funct7, `srai`'s bit 30.
+    funct7: u32,
+    bytes: u32,
+}
+
+/// A row, written on one line: `(op, name, imm_name, funct3, funct7, bytes)`.
+const fn row<Op>(
+    op: Op,
+    name: &'static str,
+    imm_name: &'static str,
+    funct3: u32,
+    funct7: u32,
+    bytes: u32,
+) -> Row<Op> {
+    Row {
+        op,
+        name,
+        imm_name,
+        funct3,
+        funct7,
+        bytes,
+    }
+}
+
+/// The rows of one op enum and the inverse `decode` reads.
+struct Table<Op, const N: usize> {
+    rows: [Row<Op>; N],
+    /// Row number by [`key`]; `u8::MAX` where no row has that key.
+    index: [u8; 16],
+}
+
+/// A row's index key: funct3, and funct7's bit 5 (the one bit that tells
+/// `sub` from `add` and `sra` from `srl`).
+const fn key(funct3: u32, funct7: u32) -> usize {
+    (funct3 | (((funct7 >> 5) & 1) << 3)) as usize
+}
+
+impl<Op: Copy, const N: usize> Table<Op, N> {
+    const fn new(rows: [Row<Op>; N]) -> Self {
+        let mut index = [u8::MAX; 16];
+        let mut i = 0;
+        while i < N {
+            index[key(rows[i].funct3, rows[i].funct7)] = i as u8;
+            i += 1;
+        }
+        Table { rows, index }
+    }
+
+    /// The operation `funct3` and `funct7` select: one load, no scan.
+    #[inline]
+    fn decode(&self, funct3: u32, funct7: u32) -> Option<Op> {
+        let row = self
+            .rows
+            .get(usize::from(self.index[key(funct3, funct7)]))?;
+        (row.funct7 == funct7).then_some(row.op)
+    }
+
+    fn ops(&self) -> impl Iterator<Item = Op> + '_ {
+        self.rows.iter().map(|row| row.op)
+    }
+}
+
+const BRANCHES: Table<BranchOp, 6> = Table::new([
+    row(BranchOp::Eq, "beq", "", 0b000, 0, 0),
+    row(BranchOp::Ne, "bne", "", 0b001, 0, 0),
+    row(BranchOp::Lt, "blt", "", 0b100, 0, 0),
+    row(BranchOp::Ge, "bge", "", 0b101, 0, 0),
+    row(BranchOp::Ltu, "bltu", "", 0b110, 0, 0),
+    row(BranchOp::Geu, "bgeu", "", 0b111, 0, 0),
+]);
+
+const LOADS: Table<LoadOp, 5> = Table::new([
+    row(LoadOp::Lb, "lb", "", 0b000, 0, 1),
+    row(LoadOp::Lh, "lh", "", 0b001, 0, 2),
+    row(LoadOp::Lw, "lw", "", 0b010, 0, 4),
+    row(LoadOp::Lbu, "lbu", "", 0b100, 0, 1),
+    row(LoadOp::Lhu, "lhu", "", 0b101, 0, 2),
+]);
+
+const STORES: Table<StoreOp, 3> = Table::new([
+    row(StoreOp::Sb, "sb", "", 0b000, 0, 1),
+    row(StoreOp::Sh, "sh", "", 0b001, 0, 2),
+    row(StoreOp::Sw, "sw", "", 0b010, 0, 4),
+]);
+
+/// `OP` and `OP-IMM`. `subi` is named so that `disassemble` can print the
+/// `Instr` and `encode` can refuse it; no word decodes to it.
+const ALU: Table<AluOp, 10> = Table::new([
+    row(AluOp::Add, "add", "addi", 0b000, 0, 0),
+    row(AluOp::Sub, "sub", "subi", 0b000, 0b0100000, 0),
+    row(AluOp::Sll, "sll", "slli", 0b001, 0, 0),
+    row(AluOp::Slt, "slt", "slti", 0b010, 0, 0),
+    row(AluOp::Sltu, "sltu", "sltiu", 0b011, 0, 0),
+    row(AluOp::Xor, "xor", "xori", 0b100, 0, 0),
+    row(AluOp::Srl, "srl", "srli", 0b101, 0, 0),
+    row(AluOp::Sra, "sra", "srai", 0b101, 0b0100000, 0),
+    row(AluOp::Or, "or", "ori", 0b110, 0, 0),
+    row(AluOp::And, "and", "andi", 0b111, 0, 0),
+]);
+
+const MULS: Table<MulOp, 8> = Table::new([
+    row(MulOp::Mul, "mul", "", 0b000, MULDIV, 0),
+    row(MulOp::Mulh, "mulh", "", 0b001, MULDIV, 0),
+    row(MulOp::Mulhsu, "mulhsu", "", 0b010, MULDIV, 0),
+    row(MulOp::Mulhu, "mulhu", "", 0b011, MULDIV, 0),
+    row(MulOp::Div, "div", "", 0b100, MULDIV, 0),
+    row(MulOp::Divu, "divu", "", 0b101, MULDIV, 0),
+    row(MulOp::Rem, "rem", "", 0b110, MULDIV, 0),
+    row(MulOp::Remu, "remu", "", 0b111, MULDIV, 0),
+]);
+
+/// The immediate forms set funct3's bit 2.
+const CSRS: Table<CsrOp, 3> = Table::new([
+    row(CsrOp::Rw, "csrrw", "csrrwi", 0b001, 0, 0),
+    row(CsrOp::Rs, "csrrs", "csrrsi", 0b010, 0, 0),
+    row(CsrOp::Rc, "csrrc", "csrrci", 0b011, 0, 0),
+]);
+
+impl AluOp {
+    /// Whether the immediate form is a shift: a 5-bit amount under funct7.
+    fn is_shift(self) -> bool {
+        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
+    }
+}
+
+impl LoadOp {
+    /// The bytes the load reads.
+    pub(crate) fn bytes(self) -> u32 {
+        LOADS.rows[self as usize].bytes
+    }
+}
+
+impl StoreOp {
+    /// The bytes the store writes.
+    pub(crate) fn bytes(self) -> u32 {
+        STORES.rows[self as usize].bytes
+    }
+}
+
+/// The mnemonic of `instr`, as [`crate::disassemble`] prints it.
+pub(crate) fn mnemonic(instr: Instr) -> &'static str {
+    match instr {
+        Instr::Lui { .. } => "lui",
+        Instr::Auipc { .. } => "auipc",
+        Instr::Jal { .. } => "jal",
+        Instr::Jalr { .. } => "jalr",
+        Instr::Branch { op, .. } => BRANCHES.rows[op as usize].name,
+        Instr::Load { op, .. } => LOADS.rows[op as usize].name,
+        Instr::Store { op, .. } => STORES.rows[op as usize].name,
+        Instr::OpImm { op, .. } => ALU.rows[op as usize].imm_name,
+        Instr::Op { op, .. } => ALU.rows[op as usize].name,
+        Instr::MulDiv { op, .. } => MULS.rows[op as usize].name,
+        Instr::Csr {
+            op,
+            src: CsrSrc::Reg(_),
+            ..
+        } => CSRS.rows[op as usize].name,
+        Instr::Csr { op, .. } => CSRS.rows[op as usize].imm_name,
+        Instr::Fence => "fence",
+        Instr::Ecall => "ecall",
+        Instr::Ebreak => "ebreak",
+        Instr::Mret => "mret",
+        Instr::Wfi => "wfi",
+    }
+}
+
+/// The base instruction called `name`, every operand zero: how the
+/// assembler resolves a mnemonic. Pseudo-instructions are the assembler's.
+pub(crate) fn template(name: &str) -> Option<Instr> {
+    // Built once from the rows, like `decode`'s index: a statement costs a
+    // map lookup, not a scan of every mnemonic.
+    static BY_NAME: OnceLock<BTreeMap<&str, Instr>> = OnceLock::new();
+    let by_name = BY_NAME.get_or_init(|| {
+        let (rd, rs1, rs2, imm, csr) = (Reg::ZERO, Reg::ZERO, Reg::ZERO, 0, 0);
+        let singles = [
+            Instr::Lui { rd, imm },
+            Instr::Auipc { rd, imm },
+            Instr::Jal { rd, imm },
+            Instr::Jalr { rd, rs1, imm },
+            Instr::Fence,
+            Instr::Ecall,
+            Instr::Ebreak,
+            Instr::Mret,
+            Instr::Wfi,
+        ];
+        singles
+            .into_iter()
+            .chain(BRANCHES.ops().map(|op| Instr::Branch { op, rs1, rs2, imm }))
+            .chain(LOADS.ops().map(|op| Instr::Load { op, rd, rs1, imm }))
+            .chain(STORES.ops().map(|op| Instr::Store { op, rs1, rs2, imm }))
+            .chain(ALU.ops().map(|op| Instr::OpImm { op, rd, rs1, imm }))
+            .chain(ALU.ops().map(|op| Instr::Op { op, rd, rs1, rs2 }))
+            .chain(MULS.ops().map(|op| Instr::MulDiv { op, rd, rs1, rs2 }))
+            .chain(CSRS.ops().flat_map(|op| {
+                [CsrSrc::Reg(rs1), CsrSrc::Imm(0)].map(|src| Instr::Csr { op, rd, csr, src })
+            }))
+            .map(|base| (mnemonic(base), base))
+            .collect()
+    });
+    by_name.get(name).copied()
+}
 
 fn bits(word: u32, hi: u32, lo: u32) -> u32 {
     (word >> lo) & ((1 << (hi - lo + 1)) - 1)
@@ -366,145 +584,75 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
 
     let illegal = DecodeError::Illegal(word);
     Ok(match opcode {
-        0b0110111 => Instr::Lui { rd, imm: u_imm },
-        0b0010111 => Instr::Auipc { rd, imm: u_imm },
-        0b1101111 => Instr::Jal { rd, imm: j_imm },
-        0b1100111 => {
-            if funct3 != 0 {
-                return Err(illegal);
-            }
-            Instr::Jalr {
+        LUI => Instr::Lui { rd, imm: u_imm },
+        AUIPC => Instr::Auipc { rd, imm: u_imm },
+        JAL => Instr::Jal { rd, imm: j_imm },
+        JALR if funct3 == 0 => Instr::Jalr {
+            rd,
+            rs1,
+            imm: i_imm,
+        },
+        BRANCH => Instr::Branch {
+            op: BRANCHES.decode(funct3, 0).ok_or(illegal)?,
+            rs1,
+            rs2,
+            imm: b_imm,
+        },
+        LOAD => Instr::Load {
+            op: LOADS.decode(funct3, 0).ok_or(illegal)?,
+            rd,
+            rs1,
+            imm: i_imm,
+        },
+        STORE => Instr::Store {
+            op: STORES.decode(funct3, 0).ok_or(illegal)?,
+            rs1,
+            rs2,
+            imm: s_imm,
+        },
+        OP_IMM => match ALU.decode(funct3, 0).ok_or(illegal)? {
+            op if op.is_shift() => Instr::OpImm {
+                op: ALU.decode(funct3, funct7).ok_or(illegal)?,
                 rd,
                 rs1,
-                imm: i_imm,
-            }
-        }
-        0b1100011 => {
-            let op = match funct3 {
-                0b000 => BranchOp::Eq,
-                0b001 => BranchOp::Ne,
-                0b100 => BranchOp::Lt,
-                0b101 => BranchOp::Ge,
-                0b110 => BranchOp::Ltu,
-                0b111 => BranchOp::Geu,
-                _ => return Err(illegal),
-            };
-            Instr::Branch {
-                op,
-                rs1,
-                rs2,
-                imm: b_imm,
-            }
-        }
-        0b0000011 => {
-            let op = match funct3 {
-                0b000 => LoadOp::Lb,
-                0b001 => LoadOp::Lh,
-                0b010 => LoadOp::Lw,
-                0b100 => LoadOp::Lbu,
-                0b101 => LoadOp::Lhu,
-                _ => return Err(illegal),
-            };
-            Instr::Load {
-                op,
-                rd,
-                rs1,
-                imm: i_imm,
-            }
-        }
-        0b0100011 => {
-            let op = match funct3 {
-                0b000 => StoreOp::Sb,
-                0b001 => StoreOp::Sh,
-                0b010 => StoreOp::Sw,
-                _ => return Err(illegal),
-            };
-            Instr::Store {
-                op,
-                rs1,
-                rs2,
-                imm: s_imm,
-            }
-        }
-        0b0010011 => {
-            let (op, imm) = match funct3 {
-                0b000 => (AluOp::Add, i_imm),
-                0b010 => (AluOp::Slt, i_imm),
-                0b011 => (AluOp::Sltu, i_imm),
-                0b100 => (AluOp::Xor, i_imm),
-                0b110 => (AluOp::Or, i_imm),
-                0b111 => (AluOp::And, i_imm),
-                0b001 => {
-                    if funct7 != 0 {
-                        return Err(illegal);
-                    }
-                    (AluOp::Sll, rs2.0 as i32)
-                }
-                0b101 => match funct7 {
-                    0b0000000 => (AluOp::Srl, rs2.0 as i32),
-                    0b0100000 => (AluOp::Sra, rs2.0 as i32),
-                    _ => return Err(illegal),
-                },
-                _ => return Err(illegal),
-            };
-            Instr::OpImm { op, rd, rs1, imm }
-        }
-        0b0110011 => {
-            if funct7 == 0b0000001 {
-                let op = match funct3 {
-                    0b000 => MulOp::Mul,
-                    0b001 => MulOp::Mulh,
-                    0b010 => MulOp::Mulhsu,
-                    0b011 => MulOp::Mulhu,
-                    0b100 => MulOp::Div,
-                    0b101 => MulOp::Divu,
-                    0b110 => MulOp::Rem,
-                    0b111 => MulOp::Remu,
-                    _ => return Err(illegal),
-                };
-                Instr::MulDiv { op, rd, rs1, rs2 }
-            } else {
-                let op = match (funct3, funct7) {
-                    (0b000, 0b0000000) => AluOp::Add,
-                    (0b000, 0b0100000) => AluOp::Sub,
-                    (0b001, 0b0000000) => AluOp::Sll,
-                    (0b010, 0b0000000) => AluOp::Slt,
-                    (0b011, 0b0000000) => AluOp::Sltu,
-                    (0b100, 0b0000000) => AluOp::Xor,
-                    (0b101, 0b0000000) => AluOp::Srl,
-                    (0b101, 0b0100000) => AluOp::Sra,
-                    (0b110, 0b0000000) => AluOp::Or,
-                    (0b111, 0b0000000) => AluOp::And,
-                    _ => return Err(illegal),
-                };
-                Instr::Op { op, rd, rs1, rs2 }
-            }
-        }
-        0b0001111 => Instr::Fence,
-        0b1110011 => match funct3 {
-            0b000 => match word {
-                0x0000_0073 => Instr::Ecall,
-                0x0010_0073 => Instr::Ebreak,
-                0x3020_0073 => Instr::Mret,
-                0x1050_0073 => Instr::Wfi,
-                _ => return Err(illegal),
+                imm: rs2.0 as i32,
             },
-            0b001 | 0b010 | 0b011 | 0b101 | 0b110 | 0b111 => {
-                let csr = bits(word, 31, 20) as u16;
-                let op = match funct3 & 0b011 {
-                    0b001 => CsrOp::Rw,
-                    0b010 => CsrOp::Rs,
-                    0b011 => CsrOp::Rc,
-                    _ => return Err(illegal),
-                };
-                let src = if funct3 & 0b100 != 0 {
-                    CsrSrc::Imm(rs1.0)
-                } else {
-                    CsrSrc::Reg(rs1)
-                };
-                Instr::Csr { op, rd, csr, src }
-            }
+            op => Instr::OpImm {
+                op,
+                rd,
+                rs1,
+                imm: i_imm,
+            },
+        },
+        OP if funct7 == MULDIV => Instr::MulDiv {
+            op: MULS.decode(funct3, funct7).ok_or(illegal)?,
+            rd,
+            rs1,
+            rs2,
+        },
+        OP => Instr::Op {
+            op: ALU.decode(funct3, funct7).ok_or(illegal)?,
+            rd,
+            rs1,
+            rs2,
+        },
+        MISC_MEM => Instr::Fence,
+        SYSTEM if funct3 == 0 => match word {
+            ECALL => Instr::Ecall,
+            EBREAK => Instr::Ebreak,
+            MRET => Instr::Mret,
+            WFI => Instr::Wfi,
             _ => return Err(illegal),
+        },
+        SYSTEM => Instr::Csr {
+            op: CSRS.decode(funct3 & 0b011, 0).ok_or(illegal)?,
+            rd,
+            csr: bits(word, 31, 20) as u16,
+            src: if funct3 & 0b100 == 0 {
+                CsrSrc::Reg(rs1)
+            } else {
+                CsrSrc::Imm(rs1.0)
+            },
         },
         _ => return Err(illegal),
     })
@@ -519,178 +667,106 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
 ///
 /// Returns [`EncodeError::NoSubImmediate`] for an `OpImm` with
 /// [`AluOp::Sub`]: RV32 has no `subi` — negate the immediate and use
-/// `addi`. The assembler surfaces this as an [`crate::AsmError`] on the
-/// offending source line.
-///
-/// # Panics
-///
-/// Panics if an immediate is out of range for its encoding (the assembler
-/// checks ranges before calling).
+/// `addi`. Returns [`EncodeError::OutOfRange`] for an immediate its field
+/// cannot hold, or an odd branch or jump offset. The assembler surfaces
+/// both as an [`crate::AsmError`] on the offending source line.
 pub fn encode(instr: Instr) -> Result<u32, EncodeError> {
-    fn u_type(opcode: u32, rd: Reg, imm: i32) -> u32 {
-        assert!((-(1 << 19)..(1 << 19)).contains(&imm), "U-imm out of range");
-        ((imm as u32) << 12) | ((rd.0 as u32) << 7) | opcode
+    /// `imm` as the bits of its field, if it lies in `range` and is a
+    /// multiple of `align`.
+    fn fit(
+        field: &'static str,
+        imm: i32,
+        range: Range<i32>,
+        align: i32,
+    ) -> Result<u32, EncodeError> {
+        if range.contains(&imm) && imm % align == 0 {
+            Ok(imm as u32)
+        } else {
+            Err(EncodeError::OutOfRange { field, value: imm })
+        }
     }
-    fn i_type(opcode: u32, funct3: u32, rd: Reg, rs1: Reg, imm: i32) -> u32 {
-        assert!((-2048..2048).contains(&imm), "I-imm out of range: {imm}");
-        ((imm as u32 & 0xfff) << 20)
-            | ((rs1.0 as u32) << 15)
-            | (funct3 << 12)
-            | ((rd.0 as u32) << 7)
-            | opcode
+    const I12: Range<i32> = -2048..2048;
+    fn reg(r: Reg, at: u32) -> u32 {
+        (r.0 as u32) << at
     }
-    fn s_type(opcode: u32, funct3: u32, rs1: Reg, rs2: Reg, imm: i32) -> u32 {
-        assert!((-2048..2048).contains(&imm), "S-imm out of range: {imm}");
-        let imm = imm as u32 & 0xfff;
-        ((imm >> 5) << 25)
-            | ((rs2.0 as u32) << 20)
-            | ((rs1.0 as u32) << 15)
-            | (funct3 << 12)
-            | ((imm & 0x1f) << 7)
-            | opcode
-    }
-    fn b_type(funct3: u32, rs1: Reg, rs2: Reg, imm: i32) -> u32 {
-        assert!(
-            (-4096..4096).contains(&imm) && imm % 2 == 0,
-            "B-imm out of range or misaligned: {imm}"
-        );
-        let imm = imm as u32 & 0x1fff;
-        (((imm >> 12) & 1) << 31)
-            | (((imm >> 5) & 0x3f) << 25)
-            | ((rs2.0 as u32) << 20)
-            | ((rs1.0 as u32) << 15)
-            | (funct3 << 12)
-            | (((imm >> 1) & 0xf) << 8)
-            | (((imm >> 11) & 1) << 7)
-            | 0b1100011
+    fn i_type(opcode: u32, funct3: u32, rd: Reg, rs1: Reg, imm: u32) -> u32 {
+        ((imm & 0xfff) << 20) | reg(rs1, 15) | (funct3 << 12) | reg(rd, 7) | opcode
     }
     fn r_type(funct7: u32, funct3: u32, rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
-        (funct7 << 25)
-            | ((rs2.0 as u32) << 20)
-            | ((rs1.0 as u32) << 15)
-            | (funct3 << 12)
-            | ((rd.0 as u32) << 7)
-            | 0b0110011
+        (funct7 << 25) | reg(rs2, 20) | reg(rs1, 15) | (funct3 << 12) | reg(rd, 7) | OP
     }
 
     Ok(match instr {
-        Instr::Lui { rd, imm } => u_type(0b0110111, rd, imm),
-        Instr::Auipc { rd, imm } => u_type(0b0010111, rd, imm),
+        Instr::Lui { rd, imm } => {
+            (fit("upper immediate", imm, -(1 << 19)..(1 << 19), 1)? << 12) | reg(rd, 7) | LUI
+        }
+        Instr::Auipc { rd, imm } => {
+            (fit("upper immediate", imm, -(1 << 19)..(1 << 19), 1)? << 12) | reg(rd, 7) | AUIPC
+        }
         Instr::Jal { rd, imm } => {
-            assert!(
-                (-(1 << 20)..(1 << 20)).contains(&imm) && imm % 2 == 0,
-                "J-imm out of range or misaligned: {imm}"
-            );
-            let imm = imm as u32 & 0x1f_ffff;
+            let imm = fit("jump offset", imm, -(1 << 20)..(1 << 20), 2)?;
             (((imm >> 20) & 1) << 31)
                 | (((imm >> 1) & 0x3ff) << 21)
                 | (((imm >> 11) & 1) << 20)
                 | (((imm >> 12) & 0xff) << 12)
-                | ((rd.0 as u32) << 7)
-                | 0b1101111
+                | reg(rd, 7)
+                | JAL
         }
-        Instr::Jalr { rd, rs1, imm } => i_type(0b1100111, 0, rd, rs1, imm),
+        Instr::Jalr { rd, rs1, imm } => i_type(JALR, 0, rd, rs1, fit("immediate", imm, I12, 1)?),
         Instr::Branch { op, rs1, rs2, imm } => {
-            let funct3 = match op {
-                BranchOp::Eq => 0b000,
-                BranchOp::Ne => 0b001,
-                BranchOp::Lt => 0b100,
-                BranchOp::Ge => 0b101,
-                BranchOp::Ltu => 0b110,
-                BranchOp::Geu => 0b111,
-            };
-            b_type(funct3, rs1, rs2, imm)
+            let imm = fit("branch offset", imm, -4096..4096, 2)?;
+            (((imm >> 12) & 1) << 31)
+                | (((imm >> 5) & 0x3f) << 25)
+                | reg(rs2, 20)
+                | reg(rs1, 15)
+                | (BRANCHES.rows[op as usize].funct3 << 12)
+                | (((imm >> 1) & 0xf) << 8)
+                | (((imm >> 11) & 1) << 7)
+                | BRANCH
         }
         Instr::Load { op, rd, rs1, imm } => {
-            let funct3 = match op {
-                LoadOp::Lb => 0b000,
-                LoadOp::Lh => 0b001,
-                LoadOp::Lw => 0b010,
-                LoadOp::Lbu => 0b100,
-                LoadOp::Lhu => 0b101,
-            };
-            i_type(0b0000011, funct3, rd, rs1, imm)
+            let imm = fit("memory offset", imm, I12, 1)?;
+            i_type(LOAD, LOADS.rows[op as usize].funct3, rd, rs1, imm)
         }
         Instr::Store { op, rs1, rs2, imm } => {
-            let funct3 = match op {
-                StoreOp::Sb => 0b000,
-                StoreOp::Sh => 0b001,
-                StoreOp::Sw => 0b010,
-            };
-            s_type(0b0100011, funct3, rs1, rs2, imm)
+            let imm = fit("memory offset", imm, I12, 1)?;
+            (((imm >> 5) & 0x7f) << 25)
+                | reg(rs2, 20)
+                | reg(rs1, 15)
+                | (STORES.rows[op as usize].funct3 << 12)
+                | ((imm & 0x1f) << 7)
+                | STORE
         }
-        Instr::OpImm { op, rd, rs1, imm } => match op {
-            AluOp::Add => i_type(0b0010011, 0b000, rd, rs1, imm),
-            AluOp::Slt => i_type(0b0010011, 0b010, rd, rs1, imm),
-            AluOp::Sltu => i_type(0b0010011, 0b011, rd, rs1, imm),
-            AluOp::Xor => i_type(0b0010011, 0b100, rd, rs1, imm),
-            AluOp::Or => i_type(0b0010011, 0b110, rd, rs1, imm),
-            AluOp::And => i_type(0b0010011, 0b111, rd, rs1, imm),
-            AluOp::Sll => {
-                assert!((0..32).contains(&imm), "shift amount out of range");
-                i_type(0b0010011, 0b001, rd, rs1, imm)
-            }
-            AluOp::Srl => {
-                assert!((0..32).contains(&imm), "shift amount out of range");
-                i_type(0b0010011, 0b101, rd, rs1, imm)
-            }
-            AluOp::Sra => {
-                assert!((0..32).contains(&imm), "shift amount out of range");
-                i_type(0b0010011, 0b101, rd, rs1, imm | 0x400)
-            }
-            AluOp::Sub => return Err(EncodeError::NoSubImmediate),
-        },
-        Instr::Op { op, rd, rs1, rs2 } => {
-            let (funct3, funct7) = match op {
-                AluOp::Add => (0b000, 0b0000000),
-                AluOp::Sub => (0b000, 0b0100000),
-                AluOp::Sll => (0b001, 0b0000000),
-                AluOp::Slt => (0b010, 0b0000000),
-                AluOp::Sltu => (0b011, 0b0000000),
-                AluOp::Xor => (0b100, 0b0000000),
-                AluOp::Srl => (0b101, 0b0000000),
-                AluOp::Sra => (0b101, 0b0100000),
-                AluOp::Or => (0b110, 0b0000000),
-                AluOp::And => (0b111, 0b0000000),
+        Instr::OpImm { op: AluOp::Sub, .. } => return Err(EncodeError::NoSubImmediate),
+        Instr::OpImm { op, rd, rs1, imm } => {
+            let row = &ALU.rows[op as usize];
+            let imm = if op.is_shift() {
+                fit("shift amount", imm, 0..32, 1)? | (row.funct7 << 5)
+            } else {
+                fit("immediate", imm, I12, 1)?
             };
-            r_type(funct7, funct3, rd, rs1, rs2)
+            i_type(OP_IMM, row.funct3, rd, rs1, imm)
+        }
+        Instr::Op { op, rd, rs1, rs2 } => {
+            let row = &ALU.rows[op as usize];
+            r_type(row.funct7, row.funct3, rd, rs1, rs2)
         }
         Instr::MulDiv { op, rd, rs1, rs2 } => {
-            let funct3 = match op {
-                MulOp::Mul => 0b000,
-                MulOp::Mulh => 0b001,
-                MulOp::Mulhsu => 0b010,
-                MulOp::Mulhu => 0b011,
-                MulOp::Div => 0b100,
-                MulOp::Divu => 0b101,
-                MulOp::Rem => 0b110,
-                MulOp::Remu => 0b111,
-            };
-            r_type(0b0000001, funct3, rd, rs1, rs2)
+            r_type(MULDIV, MULS.rows[op as usize].funct3, rd, rs1, rs2)
         }
-        Instr::Fence => 0x0000_000f,
-        Instr::Ecall => 0x0000_0073,
-        Instr::Ebreak => 0x0010_0073,
-        Instr::Mret => 0x3020_0073,
-        Instr::Wfi => 0x1050_0073,
+        Instr::Fence => MISC_MEM,
+        Instr::Ecall => ECALL,
+        Instr::Ebreak => EBREAK,
+        Instr::Mret => MRET,
+        Instr::Wfi => WFI,
         Instr::Csr { op, rd, csr, src } => {
-            let base = match op {
-                CsrOp::Rw => 0b001,
-                CsrOp::Rs => 0b010,
-                CsrOp::Rc => 0b011,
+            let (imm_form, rs1) = match src {
+                CsrSrc::Reg(r) => (0, reg(r, 0)),
+                CsrSrc::Imm(v) => (0b100, fit("CSR immediate", i32::from(v), 0..32, 1)?),
             };
-            let (funct3, rs1_field) = match src {
-                CsrSrc::Reg(r) => (base, r.0 as u32),
-                CsrSrc::Imm(v) => {
-                    assert!(v < 32, "CSR immediate out of range");
-                    (base | 0b100, v as u32)
-                }
-            };
-            ((csr as u32) << 20)
-                | (rs1_field << 15)
-                | (funct3 << 12)
-                | ((rd.0 as u32) << 7)
-                | 0b1110011
+            let csr = fit("CSR number", i32::from(csr), 0..4096, 1)?;
+            let funct3 = CSRS.rows[op as usize].funct3 | imm_form;
+            (csr << 20) | (rs1 << 15) | (funct3 << 12) | reg(rd, 7) | SYSTEM
         }
     })
 }
@@ -840,6 +916,81 @@ mod tests {
             err.to_string().contains("addi"),
             "error should point at the fix"
         );
+    }
+
+    /// Every field `encode` fills is range-checked there, once: an
+    /// immediate that does not fit is an error naming the field, not a
+    /// panic (the assembler reports it on the offending line).
+    #[test]
+    fn out_of_range_immediates_are_errors_not_panics() {
+        let (r, z) = (Reg(10), Reg::ZERO);
+        let csr = |csr, src| Instr::Csr {
+            op: CsrOp::Rw,
+            rd: r,
+            csr,
+            src,
+        };
+        for (instr, field) in [
+            (
+                Instr::OpImm {
+                    op: AluOp::Add,
+                    rd: r,
+                    rs1: r,
+                    imm: 2048,
+                },
+                "immediate",
+            ),
+            (
+                Instr::OpImm {
+                    op: AluOp::Sra,
+                    rd: r,
+                    rs1: r,
+                    imm: 32,
+                },
+                "shift amount",
+            ),
+            (
+                Instr::Lui {
+                    rd: r,
+                    imm: 1 << 19,
+                },
+                "upper immediate",
+            ),
+            (
+                Instr::Branch {
+                    op: BranchOp::Eq,
+                    rs1: r,
+                    rs2: z,
+                    imm: 7,
+                }, // in range, but odd
+                "branch offset",
+            ),
+            (
+                Instr::Jal {
+                    rd: r,
+                    imm: 1 << 20,
+                },
+                "jump offset",
+            ),
+            (
+                Instr::Store {
+                    op: StoreOp::Sw,
+                    rs1: r,
+                    rs2: z,
+                    imm: -2049,
+                },
+                "memory offset",
+            ),
+            (csr(0x300, CsrSrc::Imm(32)), "CSR immediate"),
+            (csr(4096, CsrSrc::Reg(z)), "CSR number"),
+        ] {
+            let e = encode(instr).unwrap_err();
+            assert!(
+                matches!(e, EncodeError::OutOfRange { field: f, .. } if f == field),
+                "{instr:?}: {e}"
+            );
+            assert!(e.to_string().ends_with(" out of range"), "{e}");
+        }
     }
 
     #[test]

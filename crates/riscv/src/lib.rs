@@ -11,6 +11,12 @@
 //! * [`assemble`] — a two-pass assembler for writing firmware, and
 //! * [`disassemble`] — the inverse, used by host-side debug dumps.
 //!
+//! The instruction set is written down once, in a crate-private table that
+//! gives each operation its mnemonic, function bits and (loads and stores)
+//! access width. [`decode`], [`encode`], the assembler, the disassembler and
+//! the [`Analyzer`] all read it; [`encode`] is the one place an immediate's
+//! range is checked. [`Cpu`] executes decoded [`Instr`]s and never reads it.
+//!
 //! # Examples
 //!
 //! ```

@@ -166,3 +166,67 @@ fn subi_is_rejected_with_guidance() {
         "the rejection must point at the fix: {msg}"
     );
 }
+
+/// FNV-1a, 64-bit, continued from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Every (opcode, funct3, funct7) under four fixed fills of rd/rs1/rs2, then
+/// every value of bits 31:20 under the SYSTEM opcode. The number of words
+/// the decoder accepts and a hash over their disassembly are pinned, and
+/// each accepted word re-encodes to itself (FENCE to its canonical word:
+/// its other bits are don't-care). Any change to what the decoder accepts,
+/// what it decodes a word to, or how an instruction is printed shows here.
+#[test]
+fn exhaustive_decoder_sweep_is_pinned() {
+    const SYSTEM: u32 = 0b111_0011;
+    const MISC_MEM: u32 = 0b000_1111;
+    const FILLS: [(u32, u32, u32); 4] = [(0, 0, 0), (31, 31, 31), (10, 5, 1), (1, 30, 17)];
+    let mut words = Vec::new();
+    for opcode in 0..128 {
+        for funct3 in 0..8 {
+            for funct7 in 0..128 {
+                for (rd, rs1, rs2) in FILLS {
+                    words.push(
+                        funct7 << 25 | rs2 << 20 | rs1 << 15 | funct3 << 12 | rd << 7 | opcode,
+                    );
+                }
+            }
+        }
+    }
+    let field_sweep = words.len();
+    for bits in 0..4096 {
+        for funct3 in 0..8 {
+            for (rd, rs1, _) in FILLS {
+                words.push(bits << 20 | rs1 << 15 | funct3 << 12 | rd << 7 | SYSTEM);
+            }
+        }
+    }
+    let mut accepted = [0usize; 2];
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (i, &word) in words.iter().enumerate() {
+        let Ok(instr) = decode(word) else { continue };
+        accepted[usize::from(i >= field_sweep)] += 1;
+        let canonical = if word & 0x7f == MISC_MEM {
+            MISC_MEM
+        } else {
+            word
+        };
+        assert_eq!(encode(instr), Ok(canonical), "{word:#010x} = {instr:?}");
+        hash = fnv1a(hash, disassemble(instr).as_bytes());
+        hash = fnv1a(hash, b"\n");
+    }
+    assert_eq!(
+        accepted,
+        [30_293, 98_308],
+        "accepted words (field sweep, SYSTEM sweep)"
+    );
+    assert_eq!(
+        hash, 0x1555_289e_5519_a8f6,
+        "hash over the disassembly of every accepted word"
+    );
+}

@@ -144,23 +144,7 @@ proptest! {
         program in 0usize..7,
         edits in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..8),
     ) {
-        use rosebud_apps::firewall::FIREWALL_ASM;
-        use rosebud_apps::forwarder::{
-            duty_cycle_forwarder_asm, watchdog_forwarder_asm, FORWARDER_ASM,
-            FORWARDER_SINGLE_PORT_ASM,
-        };
-        use rosebud_apps::host_dma::host_dma_forwarder_asm;
-        use rosebud_apps::pigasus_asm::PIGASUS_HW_ASM;
-
-        let source = match program {
-            0 => FORWARDER_ASM.to_string(),
-            1 => FORWARDER_SINGLE_PORT_ASM.to_string(),
-            2 => watchdog_forwarder_asm(4096),
-            3 => duty_cycle_forwarder_asm(2048),
-            4 => host_dma_forwarder_asm(65536),
-            5 => FIREWALL_ASM.to_string(),
-            _ => PIGASUS_HW_ASM.to_string(),
-        };
+        let source = rosebud_apps::shipped_firmware().swap_remove(program).1;
         if let Ok(image) = assemble(&mutate(&source, &edits)) {
             prop_assert!(image.size_bytes() <= 0x80_0000);
         }

@@ -19,30 +19,9 @@
 //! (check id, severity, PC, and witness path per diagnostic), for CI
 //! artifacts and editor integration.
 
-use rosebud::apps::firewall::FIREWALL_ASM;
-use rosebud::apps::forwarder::{
-    duty_cycle_forwarder_asm, watchdog_forwarder_asm, FORWARDER_ASM, FORWARDER_SINGLE_PORT_ASM,
-};
-use rosebud::apps::host_dma::host_dma_forwarder_asm;
-use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
+use rosebud::apps::shipped_firmware;
 use rosebud::core::{machine_spec, RosebudConfig};
 use rosebud::riscv::{assemble, Analyzer};
-
-/// Builtin firmware: name → assembly source.
-fn builtins() -> Vec<(&'static str, String)> {
-    vec![
-        ("forwarder", FORWARDER_ASM.to_string()),
-        (
-            "forwarder-single-port",
-            FORWARDER_SINGLE_PORT_ASM.to_string(),
-        ),
-        ("watchdog-forwarder", watchdog_forwarder_asm(4096)),
-        ("duty-cycle-forwarder", duty_cycle_forwarder_asm(2048)),
-        ("host-dma-forwarder", host_dma_forwarder_asm(65536)),
-        ("firewall", FIREWALL_ASM.to_string()),
-        ("pigasus", PIGASUS_HW_ASM.to_string()),
-    ]
-}
 
 fn main() {
     let mut strict = false;
@@ -63,14 +42,14 @@ fn main() {
 
     // Source each target: a builtin name, or a path to an assembly file.
     let jobs: Vec<(String, String)> = if targets.is_empty() {
-        builtins()
+        shipped_firmware()
             .into_iter()
             .map(|(n, s)| (n.to_string(), s))
             .collect()
     } else {
         let mut jobs = Vec::new();
         for t in &targets {
-            if let Some((name, src)) = builtins().into_iter().find(|(n, _)| n == t) {
+            if let Some((name, src)) = shipped_firmware().into_iter().find(|(n, _)| n == t) {
                 jobs.push((name.to_string(), src));
             } else {
                 match std::fs::read_to_string(t) {
@@ -129,5 +108,5 @@ fn main() {
 }
 
 fn builtin_names() -> Vec<&'static str> {
-    builtins().into_iter().map(|(n, _)| n).collect()
+    shipped_firmware().into_iter().map(|(n, _)| n).collect()
 }

@@ -9,13 +9,9 @@
 
 use std::path::PathBuf;
 
-use rosebud::apps::firewall::{firewall_image, synthetic_blacklist, NoopGen, FIREWALL_ASM};
-use rosebud::apps::forwarder::{
-    duty_cycle_forwarder_asm, forwarder_image, watchdog_forwarder_asm, FORWARDER_ASM,
-    FORWARDER_SINGLE_PORT_ASM,
-};
-use rosebud::apps::host_dma::host_dma_forwarder_asm;
-use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
+use rosebud::apps::firewall::{firewall_image, synthetic_blacklist, NoopGen};
+use rosebud::apps::forwarder::{forwarder_image, FORWARDER_ASM};
+use rosebud::apps::shipped_firmware;
 use rosebud::core::{
     machine_spec, Fleet, FleetConfig, Harness, HostOp, LoadPolicy, Rosebud, RosebudBuilder,
     RosebudConfig, RoundRobinLb, RpuProgram, RpuState, TraceConfig,
@@ -340,26 +336,10 @@ fn missed_completion_poll_is_denied_with_witness() {
 // Shipped firmware: zero errors, snapshotted reports.
 // ---------------------------------------------------------------------------
 
-/// Every shipped RV32 firmware, by stable name.
-fn shipped() -> Vec<(&'static str, String)> {
-    vec![
-        ("forwarder", FORWARDER_ASM.to_string()),
-        (
-            "forwarder-single-port",
-            FORWARDER_SINGLE_PORT_ASM.to_string(),
-        ),
-        ("watchdog-forwarder", watchdog_forwarder_asm(4096)),
-        ("duty-cycle-forwarder", duty_cycle_forwarder_asm(2048)),
-        ("host-dma-forwarder", host_dma_forwarder_asm(65536)),
-        ("firewall", FIREWALL_ASM.to_string()),
-        ("pigasus", PIGASUS_HW_ASM.to_string()),
-    ]
-}
-
 #[test]
 fn shipped_firmware_has_zero_lint_errors() {
     let analyzer = analyzer();
-    for (name, src) in shipped() {
+    for (name, src) in shipped_firmware() {
         let report = analyzer.check(&assemble(&src).unwrap());
         assert!(
             !report.has_errors(),
@@ -376,7 +356,7 @@ fn shipped_firmware_has_zero_lint_errors() {
 fn shipped_firmware_lint_reports_match_golden() {
     let analyzer = analyzer();
     let mut text = String::new();
-    for (name, src) in shipped() {
+    for (name, src) in shipped_firmware() {
         text.push_str(&analyzer.check(&assemble(&src).unwrap()).render(name));
         text.push('\n');
     }
@@ -774,5 +754,36 @@ fn firewall_wcet_bound_dominates_measured_cycles() {
     println!(
         "firewall: static {bound} cycles/iter, measured avg {measured:.2}, \
          busy spacing {spacing:.2}"
+    );
+}
+
+/// Every shipped image, word for word, pinned by an FNV-1a hash over its
+/// little-endian bytes: the assembler must keep emitting exactly these.
+#[test]
+fn shipped_images_are_pinned_by_hash() {
+    let pins: Vec<(&str, usize, u64)> = shipped_firmware()
+        .iter()
+        .map(|(name, src)| {
+            let image = assemble(src).unwrap();
+            let hash = image
+                .bytes()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            (*name, image.words().len(), hash)
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            ("forwarder", 17, 0xa848_fae2_2d2f_0bba),
+            ("forwarder-single-port", 16, 0xf8e3_b9d4_1a76_158f),
+            ("watchdog-forwarder", 20, 0x72a7_cc95_2b81_8b71),
+            ("duty-cycle-forwarder", 23, 0x6e14_b3db_ffe0_a6ce),
+            ("host-dma-forwarder", 38, 0xcce6_6c43_bdd2_4096),
+            ("firewall", 33, 0xa9e6_d536_3c29_a127),
+            ("pigasus", 102, 0x6ec5_bcd4_4dd7_84b9),
+        ]
     );
 }

@@ -485,3 +485,87 @@ fn a_core_is_ticked_only_by_its_box() {
          alone (drive a one-RPU `Rosebud` instead of ticking an `Rpu` by hand)"
     );
 }
+
+/// The RV32IM base mnemonics (and the `subi` that `Instr` can express).
+const BASE_MNEMONICS: &[&str] = &[
+    "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu", "lb", "lh", "lw",
+    "lbu", "lhu", "sb", "sh", "sw", "addi", "subi", "slti", "sltiu", "xori", "ori", "andi", "slli",
+    "srli", "srai", "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and", "mul",
+    "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu", "fence", "ecall", "ebreak", "mret",
+    "wfi", "csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci",
+];
+
+/// The RV32 major opcodes, as binary literals.
+const OPCODES: &[&str] = &[
+    "0b0110111",
+    "0b0010111",
+    "0b1101111",
+    "0b1100111",
+    "0b1100011",
+    "0b0000011",
+    "0b0100011",
+    "0b0010011",
+    "0b0110011",
+    "0b0001111",
+    "0b1110011",
+];
+
+/// The ABI register names, with the `fp` alias.
+const REG_NAMES: &[&str] = &[
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6", "fp",
+];
+
+/// The CSR names the assembler knows.
+const CSR_NAMES: &[&str] = &[
+    "mstatus", "mie", "mtvec", "mscratch", "mepc", "mcause", "mip", "mcycle", "mcycleh", "minstret",
+];
+
+/// RV32IM is written down once (DESIGN.md, "The instruction table"): a base
+/// mnemonic, an opcode or a register name is spelled in `isa.rs`'s table, a
+/// CSR name beside `cpu::csr`, and `decode`, `encode`, the assembler, the
+/// disassembler and the analyzer read them from there. Outside test modules
+/// and comments, no other source of the crate spells one as a literal.
+#[test]
+fn an_instruction_is_spelled_once() {
+    let quoted =
+        |words: &[&str]| -> Vec<String> { words.iter().map(|w| format!("\"{w}\"")).collect() };
+    let isa = "crates/riscv/src/isa.rs";
+    let rules = [
+        (isa, quoted(BASE_MNEMONICS), "mnemonic"),
+        (
+            isa,
+            OPCODES.iter().map(|o| o.to_string()).collect(),
+            "opcode",
+        ),
+        (isa, quoted(REG_NAMES), "register name"),
+        ("crates/riscv/src/cpu.rs", quoted(CSR_NAMES), "CSR name"),
+    ];
+    let mut violations = String::new();
+    for (rel, text) in sources("crates/riscv/src") {
+        let code = text.split("\n#[cfg(test)]\nmod tests").next().unwrap();
+        for (home, spellings, what) in &rules {
+            if rel == *home {
+                for spelling in spellings {
+                    assert!(
+                        code.contains(spelling),
+                        "{home} no longer spells {spelling}"
+                    );
+                }
+                continue;
+            }
+            for (lineno, line) in code.lines().enumerate() {
+                let line = line.split("//").next().unwrap_or("");
+                for spelling in spellings.iter().filter(|s| line.contains(s.as_str())) {
+                    writeln!(violations, "{rel}:{}: {what} {spelling}", lineno + 1).unwrap();
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "spelled outside the instruction table:\n{violations}(read the name or the \
+         encoding from `isa.rs`, a CSR from `cpu::csr`)"
+    );
+}
