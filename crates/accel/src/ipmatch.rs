@@ -25,7 +25,7 @@ pub const FW_MATCH_REG: u32 = 0x04;
 
 /// Number of bits resolved by the matcher (9 in the first cycle + 15 in the
 /// second): the accelerator matches /24 prefixes.
-pub const FW_PREFIX_BITS: u32 = 24;
+pub(crate) const FW_PREFIX_BITS: u32 = 24;
 
 /// The two-stage blacklist matcher.
 ///

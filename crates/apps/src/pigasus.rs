@@ -44,28 +44,28 @@ pub enum ReorderMode {
 mod cost {
     /// Parse + accelerator kick for a TCP packet (HW reorder): total with
     /// [`EOP_DRAIN`] is the paper's 61 cycles.
-    pub const RX_TCP: u64 = 40;
+    pub(super) const RX_TCP: u64 = 40;
     /// Parse + kick for UDP (two cycles shorter header path): totals 59.
-    pub const RX_UDP: u64 = 38;
+    pub(super) const RX_UDP: u64 = 38;
     /// Draining the end-of-packet marker and sending the packet.
-    pub const EOP_DRAIN: u64 = 20;
+    pub(super) const EOP_DRAIN: u64 = 20;
     /// Handling one match: read rule id, append to packet, re-route (the
     /// 82-cycle attack path = 61 + 21).
-    pub const PER_MATCH: u64 = 21;
+    pub(super) const PER_MATCH: u64 = 21;
     /// Extra flow-table work in software-reordering mode (totals ≈138 at
     /// small sizes, Fig. 9).
-    pub const SW_FLOW_TABLE: u64 = 77;
+    pub(super) const SW_FLOW_TABLE: u64 = 77;
     /// Cost of parking an out-of-order packet in the reorder buffer.
-    pub const SW_BUFFER: u64 = 30;
+    pub(super) const SW_BUFFER: u64 = 30;
     /// Non-IP packet drop path.
-    pub const DROP: u64 = 18;
+    pub(super) const DROP: u64 = 18;
 
     /// Software reordering loses accelerator overlap as payloads grow
     /// ("less overlapping opportunity for the management software and the
     /// hardware accelerator", §7.1.4): ≈138 cycles at 64 B rising to ≈200
     /// at 2048 B, with the rise starting once payloads outgrow the overlap
     /// window (~800 B).
-    pub fn sw_size_penalty(size: u32) -> u64 {
+    pub(super) fn sw_size_penalty(size: u32) -> u64 {
         (u64::from(size.saturating_sub(800)) * 48) / 1000
     }
 }

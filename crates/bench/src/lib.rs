@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use rosebud_core::{Harness, Measurement, Rosebud};
 use rosebud_net::TrafficGen;

@@ -27,7 +27,7 @@ pub(crate) struct Distributor {
 }
 
 impl Distributor {
-    pub fn new(cfg: &RosebudConfig, lb: Box<dyn LoadBalancer>) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig, lb: Box<dyn LoadBalancer>) -> Self {
         Self {
             lb,
             tracker: SlotTracker::new(cfg.num_rpus, cfg.slots_per_rpu),
@@ -46,7 +46,7 @@ impl Distributor {
     /// every other cycle — the "125 MPPS per incoming port" limit the paper
     /// reports (§6.1) — then serves the host's (low-rate) virtual interface.
     #[inline(always)]
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         now: Cycle,
         mac: &mut Mac,
@@ -128,7 +128,7 @@ impl Distributor {
 
     /// Stage 3: fixed ingress pipeline → per-RPU 32 Gbps links.
     #[inline(always)]
-    pub fn feed_links(&mut self, now: Cycle, lanes: &mut Lanes) {
+    pub(crate) fn feed_links(&mut self, now: Cycle, lanes: &mut Lanes) {
         while let Some(item) = self.pipeline.peek_ready(now) {
             if lanes.rin_full(item.rpu) {
                 break;
@@ -141,14 +141,14 @@ impl Distributor {
     /// The first cycle from `next` on at which stage 3 could move a frame.
     /// Stage 2 admits only what the MAC or the host interface holds, so
     /// their horizons cover it.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         self.pipeline
             .head_at()
             .map_or(Cycle::MAX, |at| at.max(next))
     }
 
     /// The RPU enable mask.
-    pub fn enabled_mask(&self) -> u64 {
+    pub(crate) fn enabled_mask(&self) -> u64 {
         self.enabled
     }
 
@@ -161,7 +161,7 @@ impl Distributor {
     }
 
     /// A word written to the LB's host register channel.
-    pub fn host_write(&mut self, addr: u32, value: u32) {
+    pub(crate) fn host_write(&mut self, addr: u32, value: u32) {
         match addr {
             lb_regs::ENABLE_LO => {
                 self.enabled = (self.enabled & !0xffff_ffff) | u64::from(value);
@@ -180,18 +180,18 @@ impl Distributor {
     }
 
     /// The slot tracker.
-    pub fn slots(&self) -> &SlotTracker {
+    pub(crate) fn slots(&self) -> &SlotTracker {
         &self.tracker
     }
 
     /// The slot tracker, for the stages that free or bind slots.
-    pub fn slots_mut(&mut self) -> &mut SlotTracker {
+    pub(crate) fn slots_mut(&mut self) -> &mut SlotTracker {
         &mut self.tracker
     }
 
     /// Slots bound to a frame, over all RPUs: everything between the LB's
     /// decision and the egress link's last byte.
-    pub fn bound_slots(&self) -> usize {
+    pub(crate) fn bound_slots(&self) -> usize {
         (0..self.tracker.num_rpus())
             .map(|r| self.tracker.bound_count(r))
             .sum()
@@ -200,7 +200,7 @@ impl Distributor {
     /// Forced eviction: forgets every frame bound for `rpu` — its slots and
     /// whatever the ingress pipeline still carries there. Returns the number
     /// of slot-bound frames destroyed.
-    pub fn purge_for(&mut self, rpu: usize) -> u64 {
+    pub(crate) fn purge_for(&mut self, rpu: usize) -> u64 {
         let purged = self.tracker.bound_count(rpu) as u64;
         self.pipeline.retain(|item| item.rpu != rpu);
         self.tracker.flush(rpu);

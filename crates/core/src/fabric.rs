@@ -114,7 +114,7 @@ pub(crate) struct Loopback {
 }
 
 impl Loopback {
-    pub fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         Self {
             queue: Fifo::new(64),
             wire: Serializer::new(cfg.mac_bytes_per_cycle, 8),
@@ -132,7 +132,7 @@ impl Loopback {
 
     /// Stage 9: one grant, then one delivery.
     #[inline(always)]
-    pub fn tick(&mut self, now: Cycle, slots: &mut SlotTracker, lanes: &mut Lanes) {
+    pub(crate) fn tick(&mut self, now: Cycle, slots: &mut SlotTracker, lanes: &mut Lanes) {
         self.grant(now);
         self.deliver(now, slots, lanes);
     }
@@ -196,7 +196,7 @@ impl Loopback {
 
     /// The first cycle from `next` on at which stage 9 could grant or
     /// deliver: the next grant while a frame is queued, the wire's head.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         let grant = (!self.queue.is_empty()).then_some(self.next_grant);
         let heads = [grant, self.wire.head_ready_at()];
         heads
@@ -207,7 +207,7 @@ impl Loopback {
     }
 
     /// Frames queued for, or on, the loopback wire.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.queue.len() + self.wire.len()
     }
 }
@@ -252,7 +252,7 @@ pub(crate) struct BcastArbiter {
 }
 
 impl BcastArbiter {
-    pub fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         Self {
             next_rpu: 0,
             pipeline: DelayLine::new(cfg.bcast_pipeline_cycles),
@@ -271,7 +271,7 @@ impl BcastArbiter {
     /// Stage 11: one outbox visited per cycle; delivery is simultaneous at
     /// every RPU (§4.4).
     #[inline(always)]
-    pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes) {
+    pub(crate) fn tick(&mut self, now: Cycle, lanes: &mut Lanes) {
         let granted = self.granted_rpu(lanes.rpus().len());
         if let Some(msg) = lanes.pop_bcast(granted) {
             self.pipeline.push(msg, now);
@@ -285,7 +285,7 @@ impl BcastArbiter {
 
     /// The first cycle from `next` on at which stage 11 could deliver a
     /// message. A queued outbox is the lanes' to report.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         self.pipeline
             .head_at()
             .map_or(Cycle::MAX, |at| at.max(next))
@@ -300,7 +300,7 @@ impl BcastArbiter {
     /// Stage 11 over `k` cycles with every outbox empty: the grant pointer
     /// moves on `k` places.
     #[inline]
-    pub fn skip(&mut self, k: Cycle, num_rpus: usize) {
+    pub(crate) fn skip(&mut self, k: Cycle, num_rpus: usize) {
         let n = num_rpus as Cycle;
         // No division when `k` is one tick.
         let step = if k < n { k } else { k % n };

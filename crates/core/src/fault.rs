@@ -282,7 +282,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(num_rpus: usize, num_ports: usize) -> Self {
+    pub(crate) fn new(num_rpus: usize, num_ports: usize) -> Self {
         Self {
             inbox: Vec::new(),
             corrupt_pending: vec![0; num_rpus],

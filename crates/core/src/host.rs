@@ -91,7 +91,7 @@ pub(crate) struct HostBridge {
 }
 
 impl HostBridge {
-    pub fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         Self {
             rx_delay: DelayLine::new(cfg.pcie_rtt_cycles / 2),
             rx: Vec::new(),
@@ -106,7 +106,7 @@ impl HostBridge {
     /// DMA interrupt (§4.2). An injected PCIe outage stalls the whole stage:
     /// nothing is lost, everything waits for link-up.
     #[inline(always)]
-    pub fn tick(&mut self, now: Cycle, lanes: &mut Lanes, fx: &mut Fx) {
+    pub(crate) fn tick(&mut self, now: Cycle, lanes: &mut Lanes, fx: &mut Fx) {
         if !fx.host_link_up(now) {
             return;
         }
@@ -138,7 +138,7 @@ impl HostBridge {
     /// The first cycle from `next` on at which stage 2 could admit a host
     /// frame or stage 10 could complete a PCIe crossing. An outage only
     /// delays what this names, so it is left out.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         if !self.tx.is_empty() {
             return next;
         }
@@ -152,30 +152,30 @@ impl HostBridge {
 
     /// The head of the virtual interface's transmit queue, as the LB sees
     /// it.
-    pub fn tx_head(&self) -> Option<&Packet> {
+    pub(crate) fn tx_head(&self) -> Option<&Packet> {
         self.tx.front()
     }
 
     /// Takes the head of the transmit queue.
-    pub fn tx_pop(&mut self) -> Option<Packet> {
+    pub(crate) fn tx_pop(&mut self) -> Option<Packet> {
         self.tx.pop()
     }
 
     /// Starts a frame an RPU addressed to the host across PCIe.
-    pub fn send(&mut self, pkt: Packet, now: Cycle) {
+    pub(crate) fn send(&mut self, pkt: Packet, now: Cycle) {
         self.rx_delay.push(pkt, now);
     }
 
     /// Hands every delivered frame to `sink` as `(lane, frame)`, emptying
     /// the buffer in place.
-    pub fn drain(&mut self, lane: usize, sink: &mut dyn FnMut(usize, Packet)) {
+    pub(crate) fn drain(&mut self, lane: usize, sink: &mut dyn FnMut(usize, Packet)) {
         for pkt in self.rx.drain(..) {
             sink(lane, pkt);
         }
     }
 
     /// Frames the virtual interface holds, both directions.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.tx.len() + self.rx_delay.len()
     }
 }

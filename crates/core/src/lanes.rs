@@ -114,7 +114,7 @@ pub(crate) struct Lanes {
 impl Lanes {
     /// Every lane starts in every occupancy word (a native boot hook may
     /// already have queued a send); the first tick clears what is empty.
-    pub fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         let (rate, depth) = (cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2);
         let n = cfg.num_rpus;
         let all = LaneSet::all(n);
@@ -139,7 +139,7 @@ impl Lanes {
     }
 
     /// The RPUs, read-only.
-    pub fn rpus(&self) -> &[Rpu] {
+    pub(crate) fn rpus(&self) -> &[Rpu] {
         &self.rpus
     }
 
@@ -152,7 +152,7 @@ impl Lanes {
     /// *missed* one is a determinism bug the elision differential
     /// (`tests/kernel_equivalence.rs`) exists to catch.
     #[inline]
-    pub fn wake(&mut self, r: usize) {
+    pub(crate) fn wake(&mut self, r: usize) {
         self.rpus[r].settle();
         self.rin_busy.insert(r);
         self.awake.insert(r);
@@ -169,7 +169,7 @@ impl Lanes {
     }
 
     /// `true` when lane `r`'s ingress link can take no more frames.
-    pub fn rin_full(&self, r: usize) -> bool {
+    pub(crate) fn rin_full(&self, r: usize) -> bool {
         self.rin[r].is_full()
     }
 
@@ -180,7 +180,7 @@ impl Lanes {
     /// # Panics
     ///
     /// Panics if the link is full; callers check [`Lanes::rin_full`] first.
-    pub fn push_rin(&mut self, item: IngressItem, now: Cycle) {
+    pub(crate) fn push_rin(&mut self, item: IngressItem, now: Cycle) {
         let (r, len) = (item.rpu, item.bytes.len() as u64);
         self.rin[r]
             .push(item, len, now)
@@ -189,20 +189,20 @@ impl Lanes {
     }
 
     /// `true` when neither of lane `r`'s links holds a frame (PR drain).
-    pub fn links_empty(&self, r: usize) -> bool {
+    pub(crate) fn links_empty(&self, r: usize) -> bool {
         self.rin[r].is_empty() && self.rout[r].is_empty()
     }
 
     /// Forced eviction: drops whatever is on lane `r`'s two links. The
     /// words keep their (now stale) set bits, which cost one visit each.
-    pub fn flush_links(&mut self, r: usize) {
+    pub(crate) fn flush_links(&mut self, r: usize) {
         self.rin[r].flush();
         self.rout[r].flush();
     }
 
     /// Stage 4: per-RPU link → DMA into packet memory + descriptor delivery.
     #[inline(always)]
-    pub fn deliver(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
+    pub(crate) fn deliver(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
         for r in self.rin_busy {
             let Some(item) = self.rin[r].pop_ready(now) else {
                 if self.rin[r].is_empty() {
@@ -243,7 +243,7 @@ impl Lanes {
     /// tick left for stages 6 and 10 is looked at once, here; the horizon is
     /// consulted only after an inert tick.
     #[inline(always)]
-    pub fn run_cores(&mut self, now: Cycle) {
+    pub(crate) fn run_cores(&mut self, now: Cycle) {
         if now >= self.next_wake {
             self.wake_due(now);
         }
@@ -275,7 +275,7 @@ impl Lanes {
 
     /// The lanes' share of the box's [`SimStats`]: lane-cycles stepped, and
     /// every RPU's own.
-    pub fn sim_stats(&self) -> SimStats {
+    pub(crate) fn sim_stats(&self) -> SimStats {
         let mut stats = SimStats {
             stepped_lane_cycles: self.stepped,
             ..SimStats::default()
@@ -306,7 +306,7 @@ impl Lanes {
 
     /// Stage 6: committed sends → per-RPU egress links.
     #[inline(always)]
-    pub fn collect_sends(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
+    pub(crate) fn collect_sends(&mut self, now: Cycle, slots: &mut SlotTracker, fx: &mut Fx) {
         for r in self.tx_ready {
             if self.rout[r].is_full() {
                 continue;
@@ -355,7 +355,7 @@ impl Lanes {
     /// ("the interconnect notifies the LB about slot being freed after it is
     /// sent out", §4.2).
     #[inline(always)]
-    pub fn route(
+    pub(crate) fn route(
         &mut self,
         now: Cycle,
         slots: &mut SlotTracker,
@@ -392,7 +392,7 @@ impl Lanes {
     /// the PCIe delay line. The register holds one request, so a visit
     /// always empties it.
     #[inline]
-    pub fn pick_up_dma(
+    pub(crate) fn pick_up_dma(
         &mut self,
         now: Cycle,
         pcie: &mut DelayLine<(usize, HostDmaReq)>,
@@ -411,7 +411,7 @@ impl Lanes {
     /// The lane half of stage 11, outbound: takes the next broadcast message
     /// out of RPU `r`'s outbox. Fills no queue, so it does not wake.
     #[inline]
-    pub fn pop_bcast(&mut self, r: usize) -> Option<BcastMsg> {
+    pub(crate) fn pop_bcast(&mut self, r: usize) -> Option<BcastMsg> {
         if !self.bcast_queued.contains(r) {
             return None;
         }
@@ -427,7 +427,7 @@ impl Lanes {
     /// The lane half of stage 11, inbound: writes `msg` into every RPU's
     /// mirror at once (§4.4), interrupting — and so waking — the ones that
     /// unmasked the word.
-    pub fn deliver_bcast(&mut self, msg: &BcastMsg) {
+    pub(crate) fn deliver_bcast(&mut self, msg: &BcastMsg) {
         for r in 0..self.rpus.len() {
             if self.rpus[r].inner_mut().deliver_bcast(msg) {
                 self.rpu_mut(r).raise_irq(irq::BCAST);
@@ -439,7 +439,7 @@ impl Lanes {
     /// a core to tick, a send or a DMA request to collect. Every door into a
     /// lane between two ticks goes through [`Lanes::wake`], which ends this.
     #[inline]
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         let words = self.rin_busy.0 | self.awake.0 | self.tx_ready.0 | self.rout_busy.0;
         (words | self.dma_posted.0) == 0
     }
@@ -447,7 +447,7 @@ impl Lanes {
     /// The first cycle from `next` on at which a stage could find work in
     /// a lane: `next` while a word or an outbox is occupied, otherwise the
     /// first sleeping lane's horizon.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         if self.idle() && self.bcast_queued == LaneSet::default() {
             self.next_wake
         } else {
@@ -459,7 +459,7 @@ impl Lanes {
     /// a core parked in a poll loop reads its pc and counters off the
     /// clock, which has to move as if it had.
     #[inline]
-    pub fn skip_through(&self, last: Cycle) {
+    pub(crate) fn skip_through(&self, last: Cycle) {
         self.clock.store(last, Ordering::Relaxed);
     }
 
@@ -467,7 +467,7 @@ impl Lanes {
     /// that holds something is in its word, and a lane that is not awake
     /// has a horizon ahead of `now` that `next_wake` does not overshoot.
     /// Checked at the end of every tick of a debug build.
-    pub fn assert_occupancy(&self, now: Cycle) {
+    pub(crate) fn assert_occupancy(&self, now: Cycle) {
         for (r, rpu) in self.rpus.iter().enumerate() {
             let (send, dma, bcast) = rpu.inner().posted();
             assert!(

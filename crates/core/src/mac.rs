@@ -40,7 +40,7 @@ pub(crate) struct Mac {
 }
 
 impl Mac {
-    pub fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         let port = |_| PortState {
             rx_mac: Serializer::new(cfg.mac_bytes_per_cycle, 64),
             rx_fifo: ByteFifo::new(cfg.mac_rx_fifo_bytes),
@@ -56,13 +56,13 @@ impl Mac {
     }
 
     /// Number of physical ports.
-    pub fn num_ports(&self) -> usize {
+    pub(crate) fn num_ports(&self) -> usize {
         self.ports.len()
     }
 
     /// Stage 1, wire-side receive: MAC serializer → MAC FIFO.
     #[inline(always)]
-    pub fn receive(&mut self, now: Cycle) {
+    pub(crate) fn receive(&mut self, now: Cycle) {
         for p in &mut self.ports {
             if p.rx_mac.head_ready_at().is_none_or(|ready| ready > now) {
                 continue;
@@ -77,25 +77,25 @@ impl Mac {
     }
 
     /// The head of port `p`'s receive FIFO, as the LB sees it.
-    pub fn rx_head(&self, p: usize) -> Option<&Packet> {
+    pub(crate) fn rx_head(&self, p: usize) -> Option<&Packet> {
         self.ports[p].rx_fifo.front()
     }
 
     /// Takes the head of port `p`'s receive FIFO.
-    pub fn rx_pop(&mut self, p: usize) -> Option<Packet> {
+    pub(crate) fn rx_pop(&mut self, p: usize) -> Option<Packet> {
         self.ports[p].rx_fifo.pop()
     }
 
     /// `true` when `dest` names a physical port whose egress pipeline is
     /// full.
-    pub fn tx_congested(&self, dest: u8) -> bool {
+    pub(crate) fn tx_congested(&self, dest: u8) -> bool {
         self.ports
             .get(dest as usize)
             .is_some_and(|p| p.tx_delay.len() >= TX_PIPELINE_LIMIT)
     }
 
     /// Enters `pkt` into port `pkt.port`'s egress pipeline.
-    pub fn send(&mut self, pkt: Packet, now: Cycle) {
+    pub(crate) fn send(&mut self, pkt: Packet, now: Cycle) {
         self.ports[pkt.port as usize].tx_delay.push(pkt, now);
     }
 
@@ -105,7 +105,7 @@ impl Mac {
     /// serializing in the MAC (real backpressure) instead of being dropped
     /// past the edge.
     #[inline(always)]
-    pub fn transmit(&mut self, now: Cycle, fx: &mut Fx) {
+    pub(crate) fn transmit(&mut self, now: Cycle, fx: &mut Fx) {
         for p in &mut self.ports {
             if p.tx_delay.peek_ready(now).is_some() && !p.tx_mac.is_full() {
                 let pkt = p.tx_delay.pop_ready(now).expect("peeked ready");
@@ -144,7 +144,7 @@ impl Mac {
     /// The first cycle from `next` on at which stage 1 or 8 could move a
     /// frame: `next` while a receive FIFO holds one for the LB, else the
     /// earliest head of a serializer or egress pipeline.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         let mut at = Cycle::MAX;
         for p in &self.ports {
             if !p.rx_fifo.is_empty() {
@@ -162,7 +162,7 @@ impl Mac {
 
     /// Hands every delivered frame to `sink` as `(port, frame)`, emptying
     /// the output buffers in place.
-    pub fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+    pub(crate) fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
         for (p, port) in self.ports.iter_mut().enumerate() {
             for pkt in port.output.drain(..) {
                 sink(p, pkt);
@@ -171,17 +171,17 @@ impl Mac {
     }
 
     /// Bytes queued in port `p`'s receive FIFO.
-    pub fn rx_fifo_bytes(&self, p: usize) -> u64 {
+    pub(crate) fn rx_fifo_bytes(&self, p: usize) -> u64 {
         self.ports[p].rx_fifo.bytes()
     }
 
     /// Frames in port `p`'s egress pipeline.
-    pub fn tx_pipeline_len(&self, p: usize) -> usize {
+    pub(crate) fn tx_pipeline_len(&self, p: usize) -> usize {
         self.ports[p].tx_delay.len()
     }
 
     /// Frames the MAC paths hold, both directions.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.ports
             .iter()
             .map(|p| p.rx_mac.len() + p.rx_fifo.len() + p.tx_delay.len() + p.tx_mac.len())

@@ -40,7 +40,7 @@ pub(crate) struct Reconfig {
 }
 
 impl Reconfig {
-    pub fn new(
+    pub(crate) fn new(
         firmware_factory: FirmwareFactory,
         accel_factory: Option<AccelFactory>,
         load_policy: LoadPolicy,
@@ -61,7 +61,7 @@ impl Reconfig {
     ///
     /// Returns a description when an image does not fit instruction memory
     /// or [`LoadPolicy::Deny`] rejects it.
-    pub fn boot(&mut self, cfg: &RosebudConfig, lanes: &mut Lanes) -> Result<(), String> {
+    pub(crate) fn boot(&mut self, cfg: &RosebudConfig, lanes: &mut Lanes) -> Result<(), String> {
         for i in 0..cfg.num_rpus {
             let rpu = lanes.rpu_mut(i);
             if let Some(accel) = &self.accel_factory {
@@ -137,7 +137,7 @@ impl Reconfig {
 
     /// Stage 12: moves every partial-reconfiguration job along.
     #[inline(always)]
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now: Cycle,
         cfg: &RosebudConfig,
@@ -171,7 +171,7 @@ impl Reconfig {
     /// The first cycle from `next` on at which stage 12 could move a job
     /// along: `next` while one waits on a drain, else the earliest end of
     /// a bitstream write.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         let due = |job: &PrJob| match job.phase {
             PrPhase::Draining => next,
             PrPhase::Writing { until } => until.max(next),

@@ -246,7 +246,7 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    pub fn new(clock: StageClock, base: (u64, u64)) -> Self {
+    pub(crate) fn new(clock: StageClock, base: (u64, u64)) -> Self {
         const READS: u64 = 1000;
         let start = clock();
         for _ in 0..READS {
@@ -264,7 +264,7 @@ impl Profiler {
 
     /// The profile so far, given the box's `(stepped instructions, I/O
     /// accesses)` now.
-    pub fn profile(&self, (stepped, io): (u64, u64)) -> StageProfile {
+    pub(crate) fn profile(&self, (stepped, io): (u64, u64)) -> StageProfile {
         let clock_cost = self.ticks * self.read_ns;
         StageProfile {
             ticks: self.ticks,

@@ -165,14 +165,14 @@ pub(crate) struct Fx {
 impl Fx {
     /// Records `event` when tracing is on.
     #[inline]
-    pub fn trace(&mut self, now: Cycle, event: TraceEvent) {
+    pub(crate) fn trace(&mut self, now: Cycle, event: TraceEvent) {
         if let Some(t) = self.tracer.as_mut() {
             t.record(now, event);
         }
     }
 
     /// `true` while no injected outage holds the host-DMA/PCIe path down.
-    pub fn host_link_up(&self, now: Cycle) -> bool {
+    pub(crate) fn host_link_up(&self, now: Cycle) -> bool {
         self.fault.as_ref().is_none_or(|f| f.host_down_until <= now)
     }
 
@@ -180,7 +180,7 @@ impl Fx {
     /// corrupted: one of the `count` an injected `CorruptIngress` owes it.
     /// Stage 4 quarantines it before DMA, so which bytes went bad is never
     /// read and not modelled.
-    pub fn corrupts(&mut self, rpu: usize) -> bool {
+    pub(crate) fn corrupts(&mut self, rpu: usize) -> bool {
         let Some(fault) = &mut self.fault else {
             return false;
         };
@@ -196,7 +196,7 @@ impl Fx {
     /// stage 0 could record or land anything: `next` while a fault waits in
     /// the inbox, the tracer's next counter sample. Its `note_*` scans
     /// record a change, and nothing changes while no unit has work due.
-    pub fn horizon(&self, next: Cycle) -> Cycle {
+    pub(crate) fn horizon(&self, next: Cycle) -> Cycle {
         if self.fault.as_ref().is_some_and(|f| !f.inbox.is_empty()) {
             return next;
         }

@@ -21,7 +21,7 @@ pub const STACK_BYTES: u32 = 4096;
 
 /// Worst-case wait-states a blocking accelerator register read can charge
 /// (the firewall matcher's early result read costs up to this much).
-pub const ACCEL_READ_WAIT_CYCLES: u32 = 2;
+pub(crate) const ACCEL_READ_WAIT_CYCLES: u32 = 2;
 
 /// What a [`crate::Rosebud`] does with lint findings at firmware-load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

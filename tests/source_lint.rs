@@ -569,3 +569,294 @@ fn an_instruction_is_spelled_once() {
          encoding from `isa.rs`, a CSR from `cpu::csr`)"
     );
 }
+
+/// The library crates whose public surface `tests/golden/public_api.list`
+/// pins (DESIGN.md, "The public surface and the hardware constants").
+const LIBRARIES: &[&str] = &["kernel", "net", "riscv", "accel", "core", "apps", "shell"];
+
+/// The item a declaration line opens or names: its kind and its name.
+fn declared(code: &str) -> Option<(&'static str, String)> {
+    const KINDS: &[(&str, &str)] = &[
+        ("fn ", "fn"),
+        ("const fn ", "fn"),
+        ("unsafe fn ", "fn"),
+        ("struct ", "struct"),
+        ("enum ", "enum"),
+        ("union ", "union"),
+        ("trait ", "trait"),
+        ("type ", "type"),
+        ("const ", "const"),
+        ("static ", "static"),
+        ("mod ", "mod"),
+    ];
+    let rest = code.strip_prefix("pub ").unwrap_or(code);
+    let rest = if rest.starts_with("pub(") {
+        rest.split_once(") ")?.1
+    } else {
+        rest
+    };
+    KINDS.iter().find_map(|(prefix, kind)| {
+        let name: String = rest
+            .strip_prefix(prefix)?
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        (!name.is_empty()).then_some((*kind, name))
+    })
+}
+
+/// The type an `impl` line is for: `impl<T> Trait for Foo<T> {` → `Foo`.
+fn impl_target(code: &str) -> Option<String> {
+    let rest = code.strip_prefix("impl")?;
+    let mut rest = rest.trim_start();
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            (depth == 0).then_some(i)
+        })?;
+        rest = rest[end + 1..].trim_start();
+    }
+    if let Some((_, target)) = rest.split_once(" for ") {
+        rest = target;
+    }
+    let name: String = rest
+        .trim_start_matches(['&', '\''])
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// The names a `pub use` tree brings into scope: `a::{b, c as d}` → `b`, `d`.
+fn use_leaves(tree: &str, out: &mut Vec<String>) {
+    let tree = tree.trim();
+    if let Some(open) = tree.find('{') {
+        let prefix = tree[..open].trim_end_matches("::");
+        let inner = &tree[open + 1..tree.rfind('}').unwrap_or(tree.len())];
+        let mut depth = 0;
+        let mut start = 0;
+        for (i, c) in inner.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                ',' if depth == 0 => {
+                    use_leaves_under(prefix, &inner[start..i], out);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        use_leaves_under(prefix, &inner[start..], out);
+    } else if let Some((_, alias)) = tree.split_once(" as ") {
+        out.push(alias.trim().to_string());
+    } else if !tree.is_empty() {
+        out.push(tree.rsplit("::").next().unwrap().to_string());
+    }
+}
+
+fn use_leaves_under(prefix: &str, tree: &str, out: &mut Vec<String>) {
+    match tree.trim() {
+        "" => {}
+        "self" => out.push(prefix.rsplit("::").next().unwrap().to_string()),
+        "*" => out.push(format!("{prefix}::*")),
+        tree => use_leaves(tree, out),
+    }
+}
+
+/// One `crate file kind name` line for every `pub` item, field, `pub use`
+/// and `pub mod` outside test code in `crates/{krate}/src`. A method, an
+/// associated const or a field is named under its type, an item of an
+/// inline module under the module. The scan reads rustfmt's layout: an
+/// `impl`, type or module closes at the `}` with its opening line's indent.
+fn public_items(krate: &str) -> Vec<String> {
+    let src = format!("crates/{krate}/src/");
+    let files = sources(&src);
+    // Files that only a test build compiles (`#[cfg(test)] mod fixtures;`).
+    let mut test_files = Vec::new();
+    for (rel, text) in &files {
+        let dir = &rel[..rel.rfind('/').unwrap() + 1];
+        let lines: Vec<&str> = text.lines().collect();
+        for pair in lines.windows(2) {
+            if let ("#[cfg(test)]", Some(("mod", name))) =
+                (pair[0].trim(), declared(pair[1].trim()))
+            {
+                if pair[1].ends_with(';') {
+                    test_files.push(format!("{dir}{name}.rs"));
+                    test_files.push(format!("{dir}{name}/mod.rs"));
+                }
+            }
+        }
+    }
+    let mut items = Vec::new();
+    for (rel, text) in &files {
+        if test_files.contains(rel) {
+            continue;
+        }
+        let file = &rel[src.len()..];
+        // Open scopes: (indent, name, whether its `pub` lines are fields).
+        let mut scopes: Vec<(usize, String, bool)> = Vec::new();
+        let mut test_item = false;
+        let mut skip_to: Option<String> = None;
+        let mut pending_use: Option<String> = None;
+        for line in text.lines() {
+            if let Some(end) = &skip_to {
+                if line.starts_with(end.as_str()) {
+                    skip_to = None;
+                }
+                continue;
+            }
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            let path: String = scopes
+                .iter()
+                .filter(|(_, name, _)| !name.is_empty())
+                .map(|(_, name, _)| format!("{name}::"))
+                .collect();
+            let mut push = |kind: &str, name: &str| {
+                items.push(format!("{krate} {file} {kind} {path}{name}"));
+            };
+            if let Some(tree) = pending_use.as_mut() {
+                tree.push_str(code);
+            } else if let Some(tree) = code.strip_prefix("pub use ") {
+                pending_use = Some(tree.to_string());
+            }
+            if let Some(tree) = pending_use.take() {
+                if !code.ends_with(';') {
+                    pending_use = Some(tree);
+                    continue;
+                }
+                let mut names = Vec::new();
+                use_leaves(tree.trim_end_matches(';'), &mut names);
+                for name in names {
+                    push("use", &name);
+                }
+                continue;
+            }
+            if code.starts_with("//") || code.is_empty() {
+                continue;
+            }
+            if code.starts_with("#[cfg(test)]") {
+                test_item = true;
+                continue;
+            }
+            if code.starts_with("#[") {
+                continue;
+            }
+            if std::mem::take(&mut test_item) {
+                if !code.ends_with(';') {
+                    skip_to = Some(format!("{}}}", &line[..indent]));
+                }
+                continue;
+            }
+            if code.starts_with('}') && scopes.last().is_some_and(|(at, ..)| *at == indent) {
+                scopes.pop();
+                continue;
+            }
+            if scopes.last().is_some_and(|(.., fields)| *fields) {
+                if let Some(field) = code.strip_prefix("pub ") {
+                    push("field", field.split(':').next().unwrap_or("").trim());
+                }
+                continue;
+            }
+            let opens = code.ends_with('{');
+            match declared(code) {
+                Some((kind, name)) => {
+                    if code.starts_with("pub ") {
+                        push(kind, &name);
+                        let after = &code[code.find(&*name).unwrap() + name.len()..];
+                        if let Some(tuple) = after.strip_prefix('(').filter(|_| kind == "struct") {
+                            for (i, part) in tuple.split(',').enumerate() {
+                                if part.trim_start().starts_with("pub ") {
+                                    push("field", &format!("{name}::{i}"));
+                                }
+                            }
+                        }
+                    }
+                    if opens && kind != "fn" {
+                        let fields = kind == "struct" || kind == "union";
+                        scopes.push((indent, name, fields));
+                    }
+                }
+                None if opens && code.starts_with("impl") => {
+                    scopes.push((indent, impl_target(code).unwrap_or_default(), false));
+                }
+                None => {}
+            }
+        }
+    }
+    items.sort();
+    items
+}
+
+/// `tests/golden/public_api.list`: a count per library crate, then every
+/// line of [`public_items`], sorted.
+fn public_api_ledger() -> String {
+    let mut counts = String::new();
+    let mut lines = String::new();
+    let mut total = 0;
+    for krate in LIBRARIES {
+        let items = public_items(krate);
+        total += items.len();
+        writeln!(counts, "# {krate} {}", items.len()).unwrap();
+        for item in items {
+            writeln!(lines, "{item}").unwrap();
+        }
+    }
+    format!(
+        "# The public surface of the library crates: one `crate file kind name`\n\
+         # line per `pub` item, field, `pub use` and `pub mod` outside test code.\n\
+         # Refresh with UPDATE_GOLDEN=1 cargo test --test source_lint.\n\
+         {counts}# total {total}\n{lines}"
+    )
+}
+
+/// Every `pub` the library crates declare is in the ledger, so a new one
+/// shows up in its diff (DESIGN.md, "The public surface and the hardware
+/// constants"). `UPDATE_GOLDEN=1` rewrites the ledger instead.
+#[test]
+fn public_surface_matches_ledger() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/public_api.list");
+    let actual = public_api_ledger();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    let want: Vec<&str> = expected.lines().collect();
+    let got: Vec<&str> = actual.lines().collect();
+    let gone: Vec<&&str> = want.iter().filter(|l| !got.contains(l)).collect();
+    let new: Vec<&&str> = got.iter().filter(|l| !want.contains(l)).collect();
+    assert!(
+        expected == actual,
+        "the public surface moved from tests/golden/public_api.list:\n\
+         gone: {gone:#?}\nnew: {new:#?}\n\
+         (refresh an intentional change with UPDATE_GOLDEN=1 cargo test --test source_lint)"
+    );
+}
+
+/// The ledger lists what a library declares `pub`; rustc's `unreachable_pub`
+/// keeps that equal to what a caller outside the crate can reach, so every
+/// documented library root, the seven of the ledger among them, turns the
+/// lint on.
+#[test]
+fn every_library_warns_on_unreachable_pub() {
+    let mut roots = Vec::new();
+    for (rel, text) in sources("crates") {
+        if rel.ends_with("/src/lib.rs") && text.contains("#![warn(missing_docs)]") {
+            assert!(
+                text.contains("#![warn(missing_docs)]\n#![warn(unreachable_pub)]"),
+                "{rel} lacks `#![warn(unreachable_pub)]` beside `#![warn(missing_docs)]`"
+            );
+            roots.push(rel);
+        }
+    }
+    for krate in LIBRARIES {
+        let root = format!("crates/{krate}/src/lib.rs");
+        assert!(roots.contains(&root), "{root} warns on neither lint");
+    }
+}
