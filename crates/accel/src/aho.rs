@@ -112,7 +112,6 @@ pub struct AhoCorasick {
     /// `i`-th state with outputs.
     out_start: Vec<u32>,
     out_ids: Vec<u32>,
-    pattern_count: usize,
 }
 
 impl AhoCorasick {
@@ -232,13 +231,7 @@ impl AhoCorasick {
             match_from,
             out_start,
             out_ids,
-            pattern_count: patterns.len(),
         }
-    }
-
-    /// Number of patterns compiled in.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
     }
 
     /// Size of the dense transition table in bytes, 1 KiB per state — what

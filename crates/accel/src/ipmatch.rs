@@ -52,8 +52,6 @@ pub struct FirewallMatcher {
     /// Result of the last completed lookup.
     flag: bool,
     now: u64,
-    lookups: u64,
-    hits: u64,
 }
 
 impl FirewallMatcher {
@@ -75,14 +73,7 @@ impl FirewallMatcher {
             pending: None,
             flag: false,
             now: 0,
-            lookups: 0,
-            hits: 0,
         }
-    }
-
-    /// Number of blacklist entries compiled in.
-    pub fn rule_count(&self) -> u32 {
-        self.rule_count
     }
 
     /// Functional check, bypassing the cycle model (ground truth for tests
@@ -90,16 +81,6 @@ impl FirewallMatcher {
     pub fn is_blacklisted(&self, ip: u32) -> bool {
         let prefix24 = ip >> (32 - FW_PREFIX_BITS);
         self.stage1[(prefix24 >> 15) as usize] && self.stage2.contains(&prefix24)
-    }
-
-    /// Total lookups started.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Total lookups that matched the blacklist.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -117,9 +98,6 @@ impl Accelerator for FirewallMatcher {
                     Some((ip, done_at)) => {
                         let wait = done_at.saturating_sub(self.now) as u32;
                         self.flag = self.is_blacklisted(ip);
-                        if self.flag {
-                            self.hits += 1;
-                        }
                         self.pending = None;
                         wait
                     }
@@ -139,14 +117,10 @@ impl Accelerator for FirewallMatcher {
             // Resolve any lookup the firmware abandoned without reading.
             if let Some((ip, _)) = self.pending.take() {
                 self.flag = self.is_blacklisted(ip);
-                if self.flag {
-                    self.hits += 1;
-                }
             }
             // The raw `lw` word has the wire bytes reversed; normalize to a
             // host-order (big-endian-value) address.
             self.pending = Some((value.swap_bytes(), self.now + 2));
-            self.lookups += 1;
         }
     }
 
@@ -155,9 +129,6 @@ impl Accelerator for FirewallMatcher {
         if let Some((ip, done_at)) = self.pending {
             if self.now >= done_at {
                 self.flag = self.is_blacklisted(ip);
-                if self.flag {
-                    self.hits += 1;
-                }
                 self.pending = None;
             }
         }
@@ -229,13 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_and_lookup_counters() {
+    fn back_to_back_lookups() {
         let mut fw = FirewallMatcher::from_prefixes(&[[5, 5, 5, 0]]);
-        check(&mut fw, [5, 5, 5, 1]);
-        check(&mut fw, [5, 5, 6, 1]);
-        check(&mut fw, [5, 5, 5, 200]);
-        assert_eq!(fw.lookups(), 3);
-        assert_eq!(fw.hits(), 2);
+        assert_eq!(check(&mut fw, [5, 5, 5, 1]).0, 1);
+        assert_eq!(check(&mut fw, [5, 5, 6, 1]).0, 0);
+        assert_eq!(check(&mut fw, [5, 5, 5, 200]).0, 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use codegen::generate_firewall_verilog;
 pub use interface::{Accelerator, RegRead, ResourceUsage};
 pub use ipmatch::{FirewallMatcher, FW_MATCH_REG, FW_SRC_IP_REG};
 pub use mpse::{
-    MatchEvent, PigasusMatcher, Rule, RuleSet, PIG_CTRL_REG, PIG_DMA_ADDR_REG, PIG_DMA_LEN_REG,
+    PigasusMatcher, Rule, RuleSet, PIG_CTRL_REG, PIG_DMA_ADDR_REG, PIG_DMA_LEN_REG,
     PIG_DMA_STAT_REG, PIG_MATCH_REG, PIG_PORTS_RAW_REG, PIG_PORTS_REG, PIG_RULE_ID_REG,
     PIG_SLOT_REG, PIG_STATE_H_REG, PIG_STATE_L_REG,
 };

@@ -139,7 +139,7 @@ impl RuleSet {
     }
 
     /// The rules, in compile order.
-    pub fn rules(&self) -> &[Rule] {
+    pub(crate) fn rules(&self) -> &[Rule] {
         &self.0.rules
     }
 
@@ -150,7 +150,7 @@ impl RuleSet {
 
     /// Whether `rule_id`'s port constraints accept the given ports — the
     /// port-matcher stage.
-    pub fn ports_accept(&self, rule_id: u32, src_port: u16, dst_port: u16) -> bool {
+    pub(crate) fn ports_accept(&self, rule_id: u32, src_port: u16, dst_port: u16) -> bool {
         let ports = &self.0.ports;
         ports
             .binary_search_by_key(&rule_id, |&(id, ..)| id)
@@ -176,11 +176,11 @@ impl RuleSet {
 
 /// One entry in the matcher's result FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchEvent {
+pub(crate) struct MatchEvent {
     /// Packet slot the job was tagged with.
-    pub slot: u8,
+    pub(crate) slot: u8,
     /// Matched rule id; 0 marks end-of-packet.
-    pub rule_id: u32,
+    pub(crate) rule_id: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -220,10 +220,6 @@ pub struct PigasusMatcher {
     reg_state_h: u32,
     reg_slot: u32,
     done_count: u32,
-    /// Total payload bytes streamed (throughput accounting).
-    bytes_processed: u64,
-    busy_cycles: u64,
-    table_bytes_loaded: u64,
 }
 
 impl std::fmt::Debug for PigasusMatcher {
@@ -259,31 +255,7 @@ impl PigasusMatcher {
             reg_state_h: 0,
             reg_slot: 0,
             done_count: 0,
-            bytes_processed: 0,
-            busy_cycles: 0,
-            table_bytes_loaded: 0,
         }
-    }
-
-    /// The compiled rule set.
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
-    }
-
-    /// Payload bytes streamed so far.
-    pub fn bytes_processed(&self) -> u64 {
-        self.bytes_processed
-    }
-
-    /// Cycles spent with a job active.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Bytes the host has pushed through the runtime table-load port
-    /// (§7.1.2's URAM write path).
-    pub fn table_bytes_loaded(&self) -> u64 {
-        self.table_bytes_loaded
     }
 
     fn start_job(&mut self, job: Job, pmem: &[u8]) {
@@ -381,10 +353,8 @@ impl Accelerator for PigasusMatcher {
         let Some(active) = &mut self.active else {
             return;
         };
-        self.busy_cycles += 1;
         let advance = self.engines.min(active.len - active.pos);
         active.pos += advance;
-        self.bytes_processed += u64::from(advance);
         // Surface matches whose end position the stream has passed.
         while let Some(front) = active.pending.front() {
             if (front.end as u32) < active.pos {
@@ -416,12 +386,10 @@ impl Accelerator for PigasusMatcher {
         self.active.is_some() || !self.job_queue.is_empty()
     }
 
-    fn load_table(&mut self, _offset: u32, data: &[u8]) {
+    fn load_table(&mut self, _offset: u32, _data: &[u8]) {
         // The real engine's URAM rule tables are written at runtime through
         // the packet-distribution subsystem (§7.1.2). The model's automaton
-        // is rebuilt via `PigasusMatcher::new` (or a PR swap) instead; the
-        // hook records traffic so the A.6 host flow is observable.
-        self.table_bytes_loaded += data.len() as u64;
+        // is rebuilt via `PigasusMatcher::new` (or a PR swap) instead.
     }
 
     fn reset(&mut self) {

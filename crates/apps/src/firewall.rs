@@ -62,38 +62,6 @@ pub fn firewall_image() -> Image {
     assemble(FIREWALL_ASM).expect("embedded firewall firmware must assemble")
 }
 
-/// Parses a blacklist in the common textual forms: bare IPv4 addresses, or
-/// emerging-threats `PF` drop rules (`block drop quick from 192.0.2.0/24 to
-/// any`). Comments (`#`) and blank lines are skipped; the /24-and-coarser
-/// structure of the generated accelerator means only the top 24 bits of
-/// each entry matter.
-pub fn parse_blacklist(text: &str) -> Vec<[u8; 4]> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        for token in line.split_whitespace() {
-            let addr = token.split('/').next().unwrap_or(token);
-            let parts: Vec<&str> = addr.split('.').collect();
-            if parts.len() != 4 {
-                continue;
-            }
-            if let (Ok(a), Ok(b), Ok(c), Ok(d)) = (
-                parts[0].parse::<u8>(),
-                parts[1].parse::<u8>(),
-                parts[2].parse::<u8>(),
-                parts[3].parse::<u8>(),
-            ) {
-                out.push([a, b, c, d]);
-                break; // one address per rule line
-            }
-        }
-    }
-    out
-}
-
 /// Generates a deterministic synthetic blacklist of `n` addresses spread
 /// over many 9-bit groups — the stand-in for the proprietary
 /// emerging-threats feed (1050 entries in the paper).
@@ -181,22 +149,6 @@ mod tests {
     use super::*;
     use rosebud_core::Harness;
     use rosebud_net::{AttackMixGen, FixedSizeGen};
-
-    #[test]
-    fn parse_blacklist_handles_common_formats() {
-        let text = "
-            # emerging threats sample
-            block drop quick from 192.0.2.0/24 to any
-            198.51.100.7
-            block drop quick proto tcp from 203.0.113.5 to any
-            not-an-ip line
-        ";
-        let ips = parse_blacklist(text);
-        assert_eq!(
-            ips,
-            vec![[192, 0, 2, 0], [198, 51, 100, 7], [203, 0, 113, 5]]
-        );
-    }
 
     #[test]
     fn synthetic_blacklist_is_deterministic_and_unique_prefixes() {

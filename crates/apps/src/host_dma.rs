@@ -15,10 +15,10 @@ use rosebud_core::{LoadPolicy, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram}
 use rosebud_riscv::{assemble, Image};
 
 /// Bytes mirrored to host DRAM per packet (one ring entry).
-pub const RING_ENTRY_BYTES: u32 = 64;
+pub(crate) const RING_ENTRY_BYTES: u32 = 64;
 
 /// Size of the host-DRAM header ring in bytes (must be a power of two).
-pub const RING_BYTES: u32 = 0x1_0000;
+pub(crate) const RING_BYTES: u32 = 0x1_0000;
 
 /// Source of the host-mirroring forwarder. `interval` is the watchdog
 /// deadline in cycles; it must cover one full poll + DMA round-trip, so use
@@ -73,7 +73,7 @@ pub fn host_dma_forwarder_asm(interval: u32) -> String {
 /// # Panics
 ///
 /// Panics only if the embedded source fails to assemble (a build bug).
-pub fn host_dma_forwarder_image() -> Image {
+pub(crate) fn host_dma_forwarder_image() -> Image {
     assemble(&host_dma_forwarder_asm(65536)).expect("embedded host-dma forwarder must assemble")
 }
 

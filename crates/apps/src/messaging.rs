@@ -16,7 +16,7 @@ pub struct BcastSender {
     period: u64,
     next_at: u64,
     /// Messages sent.
-    pub sent: u64,
+    pub(crate) sent: u64,
 }
 
 impl BcastSender {

@@ -96,9 +96,9 @@ struct Parked {
 }
 
 /// Number of flow-table entries: 32 K × 16 B = 0.5 MB of scratch (§7.1.2).
-pub const FLOW_TABLE_ENTRIES: usize = 32 * 1024;
+pub(crate) const FLOW_TABLE_ENTRIES: usize = 32 * 1024;
 /// Flow idle timeout in cycles (≈1 ms: "older flows quickly time out").
-pub const FLOW_TIMEOUT_CYCLES: u64 = 250_000;
+pub(crate) const FLOW_TIMEOUT_CYCLES: u64 = 250_000;
 
 /// The per-RPU Pigasus firmware.
 pub struct PigasusFirmware {
@@ -113,13 +113,13 @@ pub struct PigasusFirmware {
     parked: Vec<Parked>,
     max_parked: usize,
     /// Counters surfaced through the host debug channel.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Packets whose matches were appended and routed to the host.
-    pub matched_packets: u64,
+    pub(crate) matched_packets: u64,
     /// Out-of-order packets buffered then released in order.
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Collisions/overflow punted to the host unprocessed.
-    pub punted: u64,
+    pub(crate) punted: u64,
 }
 
 impl PigasusFirmware {

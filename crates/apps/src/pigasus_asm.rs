@@ -5,8 +5,8 @@
 //! measured cycle costs; this one *earns* them instruction by instruction on
 //! the VexRiscv model: parse the header copy, feed the matcher over MMIO,
 //! drain the result FIFO, append rule IDs to matched packets, route safe
-//! traffic out the other port and matches to the host. Use it when you want
-//! the §7.1 case study with zero modelled software.
+//! traffic out the other port and matches to the host. Its tests run the
+//! §7.1 case study with zero modelled software.
 //!
 //! Calibration note: this hand-scheduled loop takes ~32 cycles per safe
 //! packet — roughly half the 61 the paper measured from riscv-gcc output
@@ -15,10 +15,6 @@
 //! §7.1.4). The calibrated native firmware in [`crate::pigasus`] carries
 //! the paper's measured numbers; this module demonstrates the mechanism
 //! end to end on the instruction-set simulator.
-
-use rosebud_accel::{PigasusMatcher, Rule, RuleSet};
-use rosebud_core::{Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
-use rosebud_riscv::{assemble, Image};
 
 /// The assembled HW-reorder IPS firmware (Appendix B).
 ///
@@ -144,49 +140,37 @@ pub const PIGASUS_HW_ASM: &str = "
         j poll
 ";
 
-/// Assembles the firmware.
-///
-/// # Panics
-///
-/// Panics only if the embedded source fails to assemble (a build bug).
-pub fn pigasus_hw_image() -> Image {
-    assemble(PIGASUS_HW_ASM).expect("embedded Pigasus firmware must assemble")
-}
-
-/// Builds the §7.1 HW-reorder IPS with the *assembled* firmware on every
-/// RPU — the all-the-way-down configuration (ISS + MMIO + accelerator
-/// model, no modelled software at all).
-///
-/// # Errors
-///
-/// Propagates configuration-validation errors from the builder.
-pub fn build_pigasus_riscv_system(
-    rules: Vec<Rule>,
-    rpus: usize,
-    engines: u32,
-) -> Result<Rosebud, String> {
-    let mut cfg = RosebudConfig::with_rpus(rpus);
-    cfg.slots_per_rpu = 32;
-    let compiled = RuleSet::compile(rules);
-    let image = pigasus_hw_image();
-    Rosebud::builder(cfg)
-        .load_balancer(Box::new(RoundRobinLb::new()))
-        .accelerator(move |_| Box::new(PigasusMatcher::new(compiled.clone(), engines)))
-        .firmware(move |_| RpuProgram::Riscv(image.clone()))
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::{attack_trace, synthetic_rules};
-    use rosebud_core::{port, Device, TraceConfig};
+    use rosebud_accel::{PigasusMatcher, Rule, RuleSet};
+    use rosebud_core::{
+        port, Device, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram, TraceConfig,
+    };
     use rosebud_net::{Packet, PacketBuilder};
+    use rosebud_riscv::assemble;
+
+    /// The §7.1 HW-reorder IPS with the *assembled* firmware on every RPU —
+    /// the all-the-way-down configuration (ISS + MMIO + accelerator model,
+    /// no modelled software at all).
+    fn build_pigasus_riscv_system(rules: Vec<Rule>, rpus: usize, engines: u32) -> Rosebud {
+        let mut cfg = RosebudConfig::with_rpus(rpus);
+        cfg.slots_per_rpu = 32;
+        let compiled = RuleSet::compile(rules);
+        let image = assemble(PIGASUS_HW_ASM).unwrap();
+        Rosebud::builder(cfg)
+            .load_balancer(Box::new(RoundRobinLb::new()))
+            .accelerator(move |_| Box::new(PigasusMatcher::new(compiled.clone(), engines)))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap()
+    }
 
     /// A traced one-RPU box after taking `pkts`, offered in order (ticking
     /// while its ingress refuses one), and running `cycles` more.
     fn one_rpu(rules: Vec<Rule>, pkts: &[&Packet], cycles: u64) -> Rosebud {
-        let mut sys = build_pigasus_riscv_system(rules, 1, 16).unwrap();
+        let mut sys = build_pigasus_riscv_system(rules, 1, 16);
         sys.enable_tracing(TraceConfig::default());
         for &pkt in pkts {
             let mut pkt = pkt.clone();
@@ -283,7 +267,7 @@ mod tests {
     #[test]
     fn full_system_with_assembled_firmware_matches_ground_truth() {
         let rules = synthetic_rules(16, 41);
-        let mut sys = build_pigasus_riscv_system(rules.clone(), 4, 16).unwrap();
+        let mut sys = build_pigasus_riscv_system(rules.clone(), 4, 16);
         let attacks = attack_trace(&rules, 400);
         for pkt in &attacks {
             let mut p = pkt.clone();

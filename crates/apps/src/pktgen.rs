@@ -2,7 +2,7 @@
 //! the Rosebud framework with a 16-RPU design and is mostly used as a
 //! high-speed packet generator."
 //!
-//! [`PktGenFirmware`] is the `basic_pkt_gen` program: each RPU composes a
+//! `PktGenFirmware` is the `basic_pkt_gen` program: each RPU composes a
 //! frame in its own packet memory once, then transmits descriptors for it in
 //! a 16-cycle loop — which is why the paper notes "below 128-byte, packets
 //! have reduced packet generation performance" (16 RPUs × 250 MHz / 16
@@ -18,7 +18,7 @@ use rosebud_net::{Packet, PacketBuilder};
 
 /// The `basic_pkt_gen` firmware: transmit the same pre-composed frame in a
 /// fixed-cycle loop, alternating physical ports.
-pub struct PktGenFirmware {
+pub(crate) struct PktGenFirmware {
     size: usize,
     /// Cycles per transmitted packet (the paper's loop is 16).
     loop_cycles: u64,
@@ -33,7 +33,7 @@ impl PktGenFirmware {
     /// # Panics
     ///
     /// Panics if `size < 60` or `loop_cycles == 0`.
-    pub fn new(size: usize, loop_cycles: u64) -> Self {
+    pub(crate) fn new(size: usize, loop_cycles: u64) -> Self {
         assert!(size >= 60, "frame size below Ethernet minimum");
         assert!(loop_cycles > 0, "loop must take at least a cycle");
         Self {
@@ -141,7 +141,7 @@ impl BackToBack {
     }
 
     /// Advances both FPGAs one cycle and moves frames across the cables.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.tester.tick();
         self.dut.tick();
         let ports = self.tester.config().num_ports;
@@ -196,11 +196,6 @@ impl BackToBack {
             injected: 0,
             cycles,
         }
-    }
-
-    /// Frames the tester has received back in total.
-    pub fn received(&self) -> u64 {
-        self.received
     }
 
     /// Runs the testbed until `n` returning frames have been captured (or

@@ -15,9 +15,9 @@ use rosebud_net::{PacketBuilder, Trace};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleParseError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for RuleParseError {

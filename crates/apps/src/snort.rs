@@ -33,12 +33,12 @@ use rosebud_net::Trace;
 #[derive(Debug, Clone, Copy)]
 pub struct SnortModel {
     /// Physical cores (the paper's Xeon 6130 has 32).
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Per-packet cost on one core, nanoseconds (parse, flow lookup,
     /// AF_PACKET hand-off, Hyperscan invocation overhead).
-    pub per_packet_ns: f64,
+    pub(crate) per_packet_ns: f64,
     /// Per-payload-byte scanning cost on one core, nanoseconds.
-    pub per_byte_ns: f64,
+    pub(crate) per_byte_ns: f64,
 }
 
 impl SnortModel {
@@ -75,11 +75,6 @@ impl CpuMatcher {
     /// Wraps a compiled rule set.
     pub fn new(rules: RuleSet) -> Self {
         Self { rules }
-    }
-
-    /// The rule set.
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
     }
 
     /// Scans every packet of `trace` on the calling thread; returns the

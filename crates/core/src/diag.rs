@@ -5,6 +5,7 @@
 
 use rosebud_kernel::Counters;
 
+use crate::config::MAC_RX_FIFO_BYTES;
 use crate::fault::Ledger;
 use crate::rpu::PerfCounters;
 use crate::system::Rosebud;
@@ -36,7 +37,7 @@ impl std::fmt::Display for RpuFaultKind {
 
 /// Where the diagnosis believes the system is limited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
+pub(crate) enum Bottleneck {
     /// Traffic is being absorbed without visible backpressure.
     None,
     /// MAC receive FIFOs are filling: the system behind the LB cannot keep
@@ -67,27 +68,27 @@ pub enum Bottleneck {
 #[derive(Debug, Clone)]
 pub struct Diagnostics {
     /// Per-port interface counters.
-    pub ports: Vec<Counters>,
+    pub(crate) ports: Vec<Counters>,
     /// Per-port MAC receive-FIFO occupancy in bytes.
-    pub rx_fifo_bytes: Vec<u64>,
+    pub(crate) rx_fifo_bytes: Vec<u64>,
     /// Per-RPU interface counters.
-    pub rpus: Vec<Counters>,
+    pub(crate) rpus: Vec<Counters>,
     /// Per-RPU free slots as the LB sees them.
-    pub free_slots: Vec<usize>,
+    pub(crate) free_slots: Vec<usize>,
     /// Per-RPU hardware performance counters (§4.3): instructions retired,
     /// stall cycles, memory-port wait cycles.
     pub perf: Vec<PerfCounters>,
     /// Cycles the LB spent unable to place a head-of-line packet.
-    pub lb_stall_cycles: u64,
+    pub(crate) lb_stall_cycles: u64,
     /// Packets the LB has placed.
-    pub lb_assigned: u64,
+    pub(crate) lb_assigned: u64,
     /// The packet-conservation ledger.
-    pub ledger: Ledger,
+    pub(crate) ledger: Ledger,
     /// Firmware lint reports recorded by the load path, oldest first
     /// (empty under [`crate::LoadPolicy::Off`]).
-    pub lint: Vec<LintRecord>,
+    pub(crate) lint: Vec<LintRecord>,
     /// The verdict.
-    pub bottleneck: Bottleneck,
+    pub(crate) bottleneck: Bottleneck,
 }
 
 impl Diagnostics {
@@ -170,21 +171,21 @@ impl Diagnostics {
 #[derive(Debug, Clone)]
 pub struct BoxHealth {
     /// The fleet device index.
-    pub device: usize,
+    pub(crate) device: usize,
     /// Whether the box's ring points are in rotation.
-    pub in_rotation: bool,
+    pub(crate) in_rotation: bool,
     /// Whether the shell is frozen by an injected box crash.
     pub crashed: bool,
     /// Frames the box delivered (ports + host), lifetime including reloads.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Frames the box dropped with an accounted reason, lifetime.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Frames in flight inside the box right now.
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
     /// Frames queued on the front link toward the box (serializer + wire).
-    pub front_queue: u64,
+    pub(crate) front_queue: u64,
     /// Completed whole-box reloads.
-    pub reloads: u64,
+    pub(crate) reloads: u64,
 }
 
 /// A point-in-time diagnostic snapshot of a whole fleet — the per-box
@@ -195,15 +196,15 @@ pub struct FleetDiagnostics {
     /// Per-box health, indexed by device.
     pub boxes: Vec<BoxHealth>,
     /// The fleet-wide conservation ledger (see [`crate::Fleet::ledger`]).
-    pub ledger: Ledger,
+    pub(crate) ledger: Ledger,
     /// Frames in flight fleet-wide (front links plus in-box).
-    pub in_flight: u64,
+    pub(crate) in_flight: u64,
     /// Distinct flows the front LB has steered.
-    pub flows_seen: u64,
+    pub(crate) flows_seen: u64,
     /// Flows whose steering changed box at least once.
-    pub flows_resteered: u64,
+    pub(crate) flows_resteered: u64,
     /// Completed box failovers.
-    pub failovers: usize,
+    pub(crate) failovers: usize,
 }
 
 impl FleetDiagnostics {
@@ -324,7 +325,7 @@ impl Rosebud {
         }
         // Full ingress FIFO: something downstream cannot keep up.
         if let Some((port, &bytes)) = rx_fifo_bytes.iter().enumerate().max_by_key(|(_, &b)| b) {
-            if bytes * 2 >= self.cfg.mac_rx_fifo_bytes {
+            if bytes * 2 >= MAC_RX_FIFO_BYTES {
                 // Distinguish imbalance from global starvation by slot
                 // distribution: starvation empties every RPU's free pool;
                 // imbalance empties a few while others stay fresh.

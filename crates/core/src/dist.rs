@@ -15,6 +15,11 @@ use crate::system::{Fx, Rosebud};
 use crate::trace::TraceEvent;
 use crate::types::{port, SlotMeta};
 
+/// Fixed ingress pipeline latency in cycles: LB decision, cluster-switch
+/// hops, die-crossing registers, DMA setup. Calibrated so the minimum
+/// forwarding RTT matches the paper's 0.765 µs (Eq. 1).
+const INGRESS_FIXED_CYCLES: u64 = 88;
+
 pub(crate) struct Distributor {
     lb: Box<dyn LoadBalancer>,
     tracker: SlotTracker,
@@ -36,7 +41,7 @@ impl Distributor {
             } else {
                 (1u64 << cfg.num_rpus) - 1
             },
-            pipeline: DelayLine::new(cfg.ingress_fixed_cycles),
+            pipeline: DelayLine::new(INGRESS_FIXED_CYCLES),
             assigned: 0,
             stall_cycles: 0,
         }

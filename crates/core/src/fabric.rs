@@ -5,7 +5,7 @@
 use rosebud_kernel::{Cycle, DelayLine, Fifo, LatencyStats, Serializer};
 use rosebud_net::Packet;
 
-use crate::config::RosebudConfig;
+use crate::config::{RosebudConfig, MAC_BYTES_PER_CYCLE};
 use crate::host::HostBridge;
 use crate::lanes::Lanes;
 use crate::lb::SlotTracker;
@@ -18,7 +18,7 @@ use crate::types::{port, BcastMsg, SlotMeta};
 /// FIFOs whose fill level produces the 32.8 µs added latency of a saturated
 /// 64-byte flood (§6.2).
 #[derive(Debug, Clone)]
-pub struct ByteFifo {
+pub(crate) struct ByteFifo {
     items: std::collections::VecDeque<Packet>,
     bytes: u64,
     capacity_bytes: u64,
@@ -27,7 +27,7 @@ pub struct ByteFifo {
 
 impl ByteFifo {
     /// Creates a FIFO holding at most `capacity_bytes` of frame data.
-    pub fn new(capacity_bytes: u64) -> Self {
+    pub(crate) fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "capacity must be non-zero");
         Self {
             items: Default::default(),
@@ -38,12 +38,12 @@ impl ByteFifo {
     }
 
     /// `true` if `len` more bytes fit.
-    pub fn has_room(&self, len: u64) -> bool {
+    pub(crate) fn has_room(&self, len: u64) -> bool {
         self.bytes + len <= self.capacity_bytes
     }
 
     /// Enqueues `pkt`, or returns it when full.
-    pub fn push(&mut self, pkt: Packet) -> Result<(), Packet> {
+    pub(crate) fn push(&mut self, pkt: Packet) -> Result<(), Packet> {
         if !self.has_room(pkt.len()) {
             self.rejected += 1;
             return Err(pkt);
@@ -54,29 +54,29 @@ impl ByteFifo {
     }
 
     /// The oldest packet, without dequeuing.
-    pub fn front(&self) -> Option<&Packet> {
+    pub(crate) fn front(&self) -> Option<&Packet> {
         self.items.front()
     }
 
     /// Dequeues the oldest packet.
-    pub fn pop(&mut self) -> Option<Packet> {
+    pub(crate) fn pop(&mut self) -> Option<Packet> {
         let pkt = self.items.pop_front()?;
         self.bytes -= pkt.len();
         Some(pkt)
     }
 
     /// Queued bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Queued packets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 
     /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 }
@@ -84,23 +84,31 @@ impl ByteFifo {
 /// A packet travelling from the LB to an RPU.
 #[derive(Debug, Clone)]
 pub(crate) struct IngressItem {
-    pub rpu: usize,
-    pub slot: u8,
-    pub bytes: Vec<u8>,
-    pub meta: SlotMeta,
+    pub(crate) rpu: usize,
+    pub(crate) slot: u8,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) meta: SlotMeta,
     /// Bytes were mangled on the link (fault injection); the link-level FCS
     /// check quarantines the frame before it reaches the RPU's DMA engine.
-    pub corrupted: bool,
+    pub(crate) corrupted: bool,
 }
 
 /// A packet leaving an RPU, captured at `take_tx` time.
 #[derive(Debug, Clone)]
 pub(crate) struct EgressItem {
-    pub src_rpu: usize,
-    pub desc: crate::types::Desc,
-    pub bytes: Vec<u8>,
-    pub meta: Option<SlotMeta>,
+    pub(crate) src_rpu: usize,
+    pub(crate) desc: crate::types::Desc,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) meta: Option<SlotMeta>,
 }
+
+/// Cycles between loopback-port packet grants: the destination-RPU header
+/// attach (§6.3: loopback tops out at ~60 % of 64 B line rate).
+const LOOPBACK_HEADER_CYCLES: u64 = 3;
+
+/// Pipeline cycles from broadcast arbiter grant to simultaneous delivery at
+/// every core (§6.3's sparse-message latency floor).
+const BCAST_PIPELINE_CYCLES: u64 = 12;
 
 /// The loopback module routing full packets between RPUs (§4.4). A single
 /// 100 Gbps port with a per-packet destination-header attach cost that caps
@@ -108,7 +116,6 @@ pub(crate) struct EgressItem {
 pub(crate) struct Loopback {
     queue: Fifo<EgressItem>,
     wire: Serializer<EgressItem>,
-    header_cycles: u64,
     next_grant: Cycle,
     num_rpus: usize,
 }
@@ -117,8 +124,7 @@ impl Loopback {
     pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         Self {
             queue: Fifo::new(64),
-            wire: Serializer::new(cfg.mac_bytes_per_cycle, 8),
-            header_cycles: cfg.loopback_header_cycles,
+            wire: Serializer::new(MAC_BYTES_PER_CYCLE, 8),
             next_grant: 0,
             num_rpus: cfg.num_rpus,
         }
@@ -148,7 +154,7 @@ impl Loopback {
             self.wire
                 .push(item, wire_len, now)
                 .expect("wire fullness checked above");
-            self.next_grant = now + self.header_cycles;
+            self.next_grant = now + LOOPBACK_HEADER_CYCLES;
         }
     }
 
@@ -255,7 +261,7 @@ impl BcastArbiter {
     pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         Self {
             next_rpu: 0,
-            pipeline: DelayLine::new(cfg.bcast_pipeline_cycles),
+            pipeline: DelayLine::new(BCAST_PIPELINE_CYCLES),
             latency: LatencyStats::new(),
             ns_per_cycle: cfg.ns_per_cycle(),
         }
@@ -356,7 +362,7 @@ mod tests {
         lb.grant(1); // within the header-attach window: no grant
         lb.grant(2);
         assert_eq!(lb.queue.len(), 1);
-        lb.grant(3); // 3 = loopback_header_cycles
+        lb.grant(LOOPBACK_HEADER_CYCLES);
         assert_eq!(lb.queue.len(), 0);
     }
 

@@ -105,7 +105,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// The fleet device a device-scale fault names; `None` for the kinds a
     /// box takes itself.
-    pub fn device(&self) -> Option<usize> {
+    pub(crate) fn device(&self) -> Option<usize> {
         match *self {
             FaultKind::BoxCrash { device }
             | FaultKind::BoxHostOutage { device, .. }
@@ -251,17 +251,17 @@ pub struct Ledger {
 
 impl Ledger {
     /// Left-hand side: everything that ever entered the system.
-    pub fn entered(&self) -> u64 {
+    pub(crate) fn entered(&self) -> u64 {
         self.injected + self.originated
     }
 
     /// Right-hand side less in-flight: everything accounted for.
-    pub fn accounted(&self) -> u64 {
+    pub(crate) fn accounted(&self) -> u64 {
         self.delivered + self.dropped + self.corrupted + self.purged
     }
 
     /// `true` when `entered == accounted + in_flight`.
-    pub fn balances(&self, in_flight: u64) -> bool {
+    pub(crate) fn balances(&self, in_flight: u64) -> bool {
         self.entered() == self.accounted() + in_flight
     }
 }
@@ -272,13 +272,13 @@ impl Ledger {
 #[derive(Debug)]
 pub(crate) struct FaultState {
     /// Faults applied since the last tick; stage 0 lands them all.
-    pub inbox: Vec<FaultKind>,
+    pub(crate) inbox: Vec<FaultKind>,
     /// Frames still to quarantine on each RPU's ingress link.
-    pub corrupt_pending: Vec<u32>,
+    pub(crate) corrupt_pending: Vec<u32>,
     /// Per-port cycle until which the RX FIFO sheds arriving frames.
-    pub rx_drop_until: Vec<Cycle>,
+    pub(crate) rx_drop_until: Vec<Cycle>,
     /// Cycle until which the host-DMA/PCIe path is down.
-    pub host_down_until: Cycle,
+    pub(crate) host_down_until: Cycle,
 }
 
 impl FaultState {

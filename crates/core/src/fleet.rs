@@ -25,8 +25,8 @@
 //!
 //! ```
 //! use rosebud_core::{
-//!     Desc, Firmware, Fleet, FleetConfig, FleetSupervisor, Rosebud, RosebudConfig, RpuIo,
-//!     RpuProgram,
+//!     Desc, Device, Firmware, Fleet, FleetConfig, FleetSupervisor, Rosebud, RosebudConfig,
+//!     RpuIo, RpuProgram,
 //! };
 //!
 //! struct Fwd;
@@ -67,7 +67,6 @@ use crate::fault::{FaultKind, Ledger};
 use crate::host::{HostOp, HostReply};
 use crate::lb::ConsistentHashRing;
 use crate::ports::Device;
-use crate::sim::SimStats;
 use crate::system::Rosebud;
 use crate::trace::TraceConfig;
 
@@ -125,7 +124,7 @@ struct FleetBox {
 
 /// N Rosebud boxes behind a consistent-hashing ECMP front load balancer.
 ///
-/// Frames enter via [`inject`](Self::inject): the front LB hashes the
+/// Frames enter via [`inject`](Device::inject): the front LB hashes the
 /// 5-tuple, extends it to 64 bits, and walks the ring to a live box; the
 /// frame then crosses that box's front link (serialization + propagation)
 /// before reaching the box's MACs. Delivered frames are collected per box
@@ -222,12 +221,12 @@ impl Fleet {
     }
 
     /// Current fleet cycle.
-    pub fn now(&self) -> Cycle {
+    pub(crate) fn now(&self) -> Cycle {
         self.now
     }
 
     /// Nanoseconds per cycle (taken from box 0's clock).
-    pub fn ns_per_cycle(&self) -> f64 {
+    pub(crate) fn ns_per_cycle(&self) -> f64 {
         self.ns_per_cycle
     }
 
@@ -297,7 +296,7 @@ impl Fleet {
     /// `Err(pkt)` hands the frame back when the chosen box's front link is
     /// full — the ECMP switch back-pressuring the tester. Flow-to-box
     /// ownership is recorded only for accepted frames.
-    pub fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+    pub(crate) fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
         let key = flow_hash(&pkt).map(extend_hash);
         let device = match key {
             Some(k) => self.ring.node_for(k),
@@ -343,7 +342,7 @@ impl Fleet {
     /// Advances the whole rack one cycle: the faults applied since the last
     /// tick land, every front link moves, every live box ticks, and the
     /// fleet ledger is spot-checked.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         for kind in std::mem::take(&mut self.faults) {
             self.land(kind);
         }
@@ -410,17 +409,8 @@ impl Fleet {
 
     /// Frames queued on box `device`'s front link (serializer + wire + the
     /// retry slot) — the port-layer backlog signal.
-    pub fn front_queue(&self, device: usize) -> u64 {
+    pub(crate) fn front_queue(&self, device: usize) -> u64 {
         self.boxes[device].front.backlog() as u64
-    }
-
-    /// Frames the front LB tried to push onto box `device`'s link and were
-    /// refused for capacity — the port-layer backpressure counter. Every
-    /// refusal was handed back to the caller of [`inject`](Self::inject),
-    /// never dropped, which is what keeps the fleet conservation ledger
-    /// balanced under saturation.
-    pub fn front_refused(&self, device: usize) -> u64 {
-        self.boxes[device].front.refused()
     }
 
     /// The health-probe model: round-trip cycles for a probe to box
@@ -506,7 +496,7 @@ impl Fleet {
     }
 
     /// Flows whose steering changed box at least once.
-    pub fn flows_resteered(&self) -> u64 {
+    pub(crate) fn flows_resteered(&self) -> u64 {
         self.flows_resteered
     }
 
@@ -557,16 +547,6 @@ impl Fleet {
         );
     }
 
-    /// Every box's [`SimStats`] summed: cycles and lane-cycles count box
-    /// by box.
-    pub fn sim_stats(&self) -> SimStats {
-        let mut stats = SimStats::default();
-        for b in &self.boxes {
-            stats += b.sys.sim_stats();
-        }
-        stats
-    }
-
     /// A point-in-time fleet health snapshot.
     pub fn diagnostics(&self) -> FleetDiagnostics {
         let boxes = self
@@ -613,7 +593,7 @@ impl Device for Fleet {
         Fleet::inject(self, pkt)
     }
 
-    /// A device-scale fault lands at the top of the next [`Fleet::tick`];
+    /// A device-scale fault lands at the top of the next [`tick`](Device::tick);
     /// [`HostOp::Box`] is that box's [`Rosebud::apply`]. Refused: a box the
     /// rack lacks, and every other op — a box's own go inside `Box`.
     fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
@@ -755,7 +735,7 @@ mod tests {
         let fleet = forwarder_fleet(2);
         let mut h = Harness::fleet(fleet, Box::new(FixedSizeGen::new(256, 2)), 400.0);
         h.run(10_000);
-        let refused: u64 = (0..2).map(|b| h.sys.front_refused(b)).sum();
+        let refused: u64 = h.sys.boxes.iter().map(|b| b.front.refused()).sum();
         assert!(refused > 0, "saturated links must report refusals");
         // Refused frames were handed back, not lost: conservation holds
         // over everything actually accepted.

@@ -241,14 +241,4 @@ impl<D: Device> Harness<D> {
     pub fn take_collected(&mut self) -> Vec<Packet> {
         std::mem::take(&mut self.collected)
     }
-
-    /// The wrapped generator.
-    pub fn generator(&self) -> &dyn TrafficGen {
-        self.source.generator()
-    }
-
-    /// The paced ingress port feeding the DUT.
-    pub fn source(&self) -> &GenPort {
-        &self.source
-    }
 }

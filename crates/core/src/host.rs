@@ -33,7 +33,6 @@ use rosebud_kernel::{Cycle, DelayLine, Fifo};
 use rosebud_net::Packet;
 use rosebud_riscv::{AccessSize, Image};
 
-use crate::config::RosebudConfig;
 use crate::fault::{FaultKind, FaultState};
 use crate::lanes::Lanes;
 use crate::system::{Fx, Rosebud};
@@ -74,6 +73,10 @@ pub mod lb_regs {
     pub const SLOTS_BASE: u32 = 0x100;
 }
 
+/// Simulated PCIe round-trip latency to host DRAM, in cycles: the paper cites
+/// "order of microseconds", and 1 µs is 250 cycles. Each crossing is half.
+const PCIE_RTT_CYCLES: u64 = 250;
+
 /// The host/PCIe bridge (Fig. 2): the virtual Ethernet interface in both
 /// directions, and the host-DRAM access manager that serves RPU DMA requests
 /// (§4.2).
@@ -91,13 +94,13 @@ pub(crate) struct HostBridge {
 }
 
 impl HostBridge {
-    pub(crate) fn new(cfg: &RosebudConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            rx_delay: DelayLine::new(cfg.pcie_rtt_cycles / 2),
+            rx_delay: DelayLine::new(PCIE_RTT_CYCLES / 2),
             rx: Vec::new(),
             tx: Fifo::new(256),
             dram: vec![0; 4 * 1024 * 1024],
-            dma_delay: DelayLine::new(cfg.pcie_rtt_cycles / 2),
+            dma_delay: DelayLine::new(PCIE_RTT_CYCLES / 2),
         }
     }
 
@@ -794,13 +797,13 @@ pub struct PrTimingModel;
 
 impl PrTimingModel {
     /// PR bitstream size for one RPU region, in bytes.
-    pub const BITSTREAM_BYTES: f64 = 2.21e6;
+    const BITSTREAM_BYTES: f64 = 2.21e6;
     /// Effective MCAP write bandwidth, bytes/second.
-    pub const MCAP_BYTES_PER_SEC: f64 = 3.0e6;
+    const MCAP_BYTES_PER_SEC: f64 = 3.0e6;
     /// Pause + drain + boot overhead, seconds.
-    pub const FIXED_OVERHEAD_S: f64 = 0.020;
+    const FIXED_OVERHEAD_S: f64 = 0.020;
     /// Run-to-run jitter fraction (uniform ±).
-    pub const JITTER: f64 = 0.04;
+    const JITTER: f64 = 0.04;
 
     /// One reload's duration in seconds, with deterministic per-sample
     /// jitter from `sample` (the load index).
@@ -814,12 +817,6 @@ impl PrTimingModel {
     pub fn mean_reload_seconds(&self, n: u64) -> f64 {
         (0..n).map(|i| self.reload_seconds(i)).sum::<f64>() / n as f64
     }
-}
-
-/// Converts a reload duration to cycles at `clock_hz` (for callers that want
-/// to simulate the full wall-clock reconfiguration).
-pub fn pr_reload_model(model: &PrTimingModel, clock_hz: u64, sample: u64) -> Cycle {
-    (model.reload_seconds(sample) * clock_hz as f64) as Cycle
 }
 
 #[cfg(test)]

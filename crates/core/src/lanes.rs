@@ -1197,7 +1197,8 @@ mod tests {
         assert_eq!(sys.lanes.awake, LaneSet::default());
         assert_eq!(&sys.host_dram()[0x3000..0x3004], &[0; 4]);
 
-        sys.run(500 + sys.config().pcie_rtt_cycles);
+        // The outage ends, then one PCIe round trip (250 cycles, host.rs).
+        sys.run(500 + 250);
         assert_eq!(sys.lanes.dma_posted, LaneSet::default());
         assert_eq!(
             &sys.host_dram()[0x3000..0x3004],

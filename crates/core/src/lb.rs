@@ -22,7 +22,7 @@ pub struct SlotTracker {
 
 impl SlotTracker {
     /// Creates a tracker for `num_rpus` RPUs advertising `slots` slots each.
-    pub fn new(num_rpus: usize, slots: usize) -> Self {
+    pub(crate) fn new(num_rpus: usize, slots: usize) -> Self {
         assert!(slots <= 256, "slot tags are 8-bit");
         Self {
             free: (0..num_rpus)
@@ -33,12 +33,12 @@ impl SlotTracker {
     }
 
     /// Number of RPUs tracked.
-    pub fn num_rpus(&self) -> usize {
+    pub(crate) fn num_rpus(&self) -> usize {
         self.free.len()
     }
 
     /// Slots currently free on `rpu`.
-    pub fn free_count(&self, rpu: usize) -> usize {
+    pub(crate) fn free_count(&self, rpu: usize) -> usize {
         self.free[rpu].len()
     }
 
@@ -48,7 +48,7 @@ impl SlotTracker {
     }
 
     /// Takes a free slot on `rpu`, if any.
-    pub fn alloc(&mut self, rpu: usize) -> Option<u8> {
+    pub(crate) fn alloc(&mut self, rpu: usize) -> Option<u8> {
         self.free[rpu].pop()
     }
 
@@ -59,7 +59,7 @@ impl SlotTracker {
     /// Panics if the slot is already free (a double-free means the
     /// interconnect notified the LB twice — a protocol bug worth failing
     /// loudly on).
-    pub fn release(&mut self, rpu: usize, slot: u8) {
+    pub(crate) fn release(&mut self, rpu: usize, slot: u8) {
         assert!(
             !self.free[rpu].contains(&slot),
             "double free of slot {slot} on RPU {rpu}"
@@ -73,7 +73,7 @@ impl SlotTracker {
 
     /// Marks every slot of `rpu` free — the host-side flush before loading a
     /// new RPU (§4.2).
-    pub fn flush(&mut self, rpu: usize) {
+    pub(crate) fn flush(&mut self, rpu: usize) {
         self.free[rpu] = (0..self.capacity as u8).rev().collect();
     }
 
@@ -286,20 +286,8 @@ impl LoadBalancer for LeastLoadedLb {
 /// (its points are skipped, not recomputed), and restoring it sends exactly
 /// those flows home again — the bounded-disturbance property the fleet
 /// failover tests assert.
-///
-/// # Examples
-///
-/// ```
-/// use rosebud_core::ConsistentHashRing;
-/// let mut ring = ConsistentHashRing::new(4, 64);
-/// let home = ring.node_for(0xABCD_EF01_2345_6789);
-/// ring.remove(home);
-/// assert_ne!(ring.node_for(0xABCD_EF01_2345_6789), home);
-/// ring.restore(home);
-/// assert_eq!(ring.node_for(0xABCD_EF01_2345_6789), home);
-/// ```
 #[derive(Debug, Clone)]
-pub struct ConsistentHashRing {
+pub(crate) struct ConsistentHashRing {
     /// `(point, node)` sorted by point.
     points: Vec<(u64, u16)>,
     live: Vec<bool>,
@@ -311,7 +299,7 @@ impl ConsistentHashRing {
     /// # Panics
     ///
     /// Panics if `nodes` or `vnodes` is zero, or `nodes > u16::MAX`.
-    pub fn new(nodes: usize, vnodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize, vnodes: usize) -> Self {
         assert!(nodes > 0, "need at least one node");
         assert!(vnodes > 0, "need at least one virtual node");
         assert!(nodes <= usize::from(u16::MAX), "node index must fit u16");
@@ -340,7 +328,7 @@ impl ConsistentHashRing {
     ///
     /// Panics if this would leave no live node — an ECMP group must always
     /// have somewhere to steer.
-    pub fn remove(&mut self, node: usize) {
+    pub(crate) fn remove(&mut self, node: usize) {
         let was_live = self.live[node];
         self.live[node] = false;
         if self.live.iter().all(|l| !l) {
@@ -350,33 +338,23 @@ impl ConsistentHashRing {
     }
 
     /// Returns a node's points to rotation (re-admission). Idempotent.
-    pub fn restore(&mut self, node: usize) {
+    pub(crate) fn restore(&mut self, node: usize) {
         self.live[node] = true;
     }
 
     /// Whether a node is currently in rotation.
-    pub fn is_live(&self, node: usize) -> bool {
+    pub(crate) fn is_live(&self, node: usize) -> bool {
         self.live[node]
     }
 
     /// Number of live members.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// Total member count (live or not).
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// `true` when the ring has no members (never, post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
     }
 
     /// The live node owning `hash`: the first live point at or clockwise of
     /// the hash, wrapping.
-    pub fn node_for(&self, hash: u64) -> usize {
+    pub(crate) fn node_for(&self, hash: u64) -> usize {
         let start = self.points.partition_point(|&(p, _)| p < hash);
         let n = self.points.len();
         for i in 0..n {

@@ -75,21 +75,20 @@ mod types;
 mod verify;
 
 pub use config::RosebudConfig;
-pub use diag::{Bottleneck, BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKind};
-pub use fabric::ByteFifo;
+pub use diag::{BoxHealth, Diagnostics, FleetDiagnostics, RpuFaultKind};
 pub use fault::{FaultKind, FaultPlan, Ledger};
 pub use fleet::{Fleet, FleetConfig};
 pub use harness::{Harness, Measurement};
-pub use host::{lb_regs, pr_reload_model, HostOp, HostReply, MemRegion, PrTimingModel};
-pub use lb::{ConsistentHashRing, HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
+pub use host::{lb_regs, HostOp, HostReply, MemRegion, PrTimingModel};
+pub use lb::{HashLb, LeastLoadedLb, LoadBalancer, RoundRobinLb, SlotTracker};
 pub use ports::{pump, Device, EventLog, PortEvent};
 pub use rpu::{Firmware, PerfCounters, Rpu, RpuInner, RpuIo, RpuState};
-pub use sim::{SimStats, StageClock, StageProfile, STAGE_NAMES};
+pub use sim::{SimStats, StageProfile, STAGE_NAMES};
 pub use supervisor::{
     FailoverRecord, FleetLogEntry, FleetStep, FleetSupervisor, RecoveryEvent, Supervisor,
     SupervisorStep,
 };
-pub use system::{AccelFactory, FirmwareFactory, Rosebud, RosebudBuilder, RpuProgram};
+pub use system::{Rosebud, RosebudBuilder, RpuProgram};
 pub use trace::{TraceConfig, TraceEvent, Tracer};
-pub use types::{irq, memmap, port, BcastMsg, Desc, HostDmaReq, SlotMeta, SELF_TAG};
-pub use verify::{machine_spec, LintRecord, LoadPolicy, STACK_BYTES};
+pub use types::{irq, memmap, port, Desc, SELF_TAG};
+pub use verify::{machine_spec, LintRecord, LoadPolicy};

@@ -5,12 +5,17 @@
 use rosebud_kernel::{Counters, Cycle, DelayLine, EgressPort, Serializer};
 use rosebud_net::Packet;
 
-use crate::config::RosebudConfig;
+use crate::config::{RosebudConfig, MAC_BYTES_PER_CYCLE, MAC_RX_FIFO_BYTES};
 use crate::fabric::ByteFifo;
 use crate::system::{Fx, Rosebud};
 
 /// Frames an egress pipeline holds before stage 7 stops feeding it.
 const TX_PIPELINE_LIMIT: usize = 64;
+
+/// Fixed egress pipeline latency in cycles (switch hops + MAC FIFO),
+/// calibrated with the distributor's ingress latency so the minimum
+/// forwarding RTT matches the paper's 0.765 µs (Eq. 1).
+const EGRESS_FIXED_CYCLES: u64 = 87;
 
 /// One physical interface: receive serializer + FIFO on the way in, fixed
 /// switch-egress delay + transmit serializer on the way out.
@@ -42,10 +47,10 @@ pub(crate) struct Mac {
 impl Mac {
     pub(crate) fn new(cfg: &RosebudConfig) -> Self {
         let port = |_| PortState {
-            rx_mac: Serializer::new(cfg.mac_bytes_per_cycle, 64),
-            rx_fifo: ByteFifo::new(cfg.mac_rx_fifo_bytes),
-            tx_delay: DelayLine::new(cfg.egress_fixed_cycles),
-            tx_mac: Serializer::new(cfg.mac_bytes_per_cycle, 64),
+            rx_mac: Serializer::new(MAC_BYTES_PER_CYCLE, 64),
+            rx_fifo: ByteFifo::new(MAC_RX_FIFO_BYTES),
+            tx_delay: DelayLine::new(EGRESS_FIXED_CYCLES),
+            tx_mac: Serializer::new(MAC_BYTES_PER_CYCLE, 64),
             output: Vec::new(),
             egress: None,
             counters: Counters::default(),
@@ -242,7 +247,7 @@ impl Rosebud {
 
     /// Bytes currently queued in port `p`'s MAC receive FIFO (host-visible
     /// occupancy, useful for locating bottlenecks per §4.3).
-    pub fn rx_fifo_bytes(&self, p: usize) -> u64 {
+    pub(crate) fn rx_fifo_bytes(&self, p: usize) -> u64 {
         self.mac.rx_fifo_bytes(p)
     }
 }

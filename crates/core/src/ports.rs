@@ -155,7 +155,7 @@ pub fn pump<D: Device + ?Sized>(dev: &mut D, source: &mut dyn IngressPort<Packet
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortEvent {
     /// Cycle the receive MAC accepted the frame.
-    pub cycle: Cycle,
+    pub(crate) cycle: Cycle,
     /// The frame, exactly as injected.
     pub pkt: Packet,
 }
@@ -424,7 +424,7 @@ impl EventLog {
     /// The log's arrivals as a replayable ingress port: every event is
     /// delivered at its recorded cycle, then the source reports
     /// [`Exhausted`](PortClock::Exhausted).
-    pub fn replay_port(&self) -> StampedIngress<Packet> {
+    pub(crate) fn replay_port(&self) -> StampedIngress<Packet> {
         let mut port = StampedIngress::new();
         for ev in &self.events {
             port.push_at(ev.cycle, ev.pkt.clone());

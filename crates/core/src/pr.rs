@@ -6,7 +6,7 @@ use rosebud_accel::Accelerator;
 use rosebud_kernel::Cycle;
 use rosebud_riscv::Image;
 
-use crate::config::RosebudConfig;
+use crate::config::{RosebudConfig, IMEM_BYTES};
 use crate::dist::Distributor;
 use crate::lanes::Lanes;
 use crate::rpu::Rpu;
@@ -89,11 +89,10 @@ impl Reconfig {
             return Err(format!("no RPU {rpu}: the box has {}", cfg.num_rpus));
         }
         let end = u64::from(image.base()) + u64::from(image.size_bytes());
-        if end > u64::from(cfg.imem_bytes) {
+        if end > u64::from(IMEM_BYTES) {
             return Err(format!(
                 "firmware for RPU {rpu} does not fit: image ends at byte {end}, \
-                 instruction memory holds {}",
-                cfg.imem_bytes
+                 instruction memory holds {IMEM_BYTES}"
             ));
         }
         if self.load_policy == LoadPolicy::Off {
@@ -210,11 +209,6 @@ impl Reconfig {
 }
 
 impl Rosebud {
-    /// The static-lint policy applied to firmware loads.
-    pub fn load_policy(&self) -> LoadPolicy {
-        self.pr.load_policy
-    }
-
     /// Every lint report the load path has produced, oldest first.
     pub fn lint_log(&self) -> &[LintRecord] {
         &self.pr.lint_log

@@ -200,7 +200,7 @@ impl FrameworkResources {
 
 /// Percentage of the VU9P a usage consumes, per resource class, formatted
 /// like the paper's tables.
-pub fn percent_of_device(usage: ResourceUsage) -> [f64; 5] {
+pub(crate) fn percent_of_device(usage: ResourceUsage) -> [f64; 5] {
     [
         usage.luts as f64 * 100.0 / VU9P.luts as f64,
         usage.regs as f64 * 100.0 / VU9P.regs as f64,

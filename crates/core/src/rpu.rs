@@ -27,7 +27,7 @@ use rosebud_riscv::{
     AccessSize, Bus, BusFault, BusValue, Cpu, DecodeCache, Fetched, Image, Reg, StepResult,
 };
 
-use crate::config::RosebudConfig;
+use crate::config::{RosebudConfig, DMEM_BYTES, IMEM_BYTES, PMEM_BYTES, SLOT_BYTES};
 use crate::sim::SimStats;
 use crate::types::memmap::{self, io};
 use crate::types::{BcastMsg, Desc, SlotMeta};
@@ -123,13 +123,13 @@ pub struct PerfCounters {
     pub mem_wait_cycles: u64,
     /// Backpressure stalls charged at the interconnect (full egress queue,
     /// full broadcast FIFO).
-    pub backpressure_stalls: u64,
+    pub(crate) backpressure_stalls: u64,
     /// Frames DMA-delivered into the region.
-    pub rx_frames: u64,
+    pub(crate) rx_frames: u64,
     /// Frames the region committed for egress.
-    pub tx_frames: u64,
+    pub(crate) tx_frames: u64,
     /// Frames the region dropped.
-    pub drops: u64,
+    pub(crate) drops: u64,
 }
 
 /// What the interconnect keeps per packet-memory slot.
@@ -185,7 +185,6 @@ pub struct RpuInner {
     dma_pending: Option<crate::types::HostDmaReq>,
     dma_busy: bool,
     num_rpus: usize,
-    slot_bytes: u32,
     slots: usize,
     counters: Counters,
     send_staged_lo: u32,
@@ -219,10 +218,10 @@ impl RpuInner {
     fn new(id: usize, cfg: &RosebudConfig) -> Self {
         Self {
             id,
-            imem: vec![0; cfg.imem_bytes as usize],
-            icache: DecodeCache::new(cfg.imem_bytes as usize),
-            dmem: vec![0; cfg.dmem_bytes as usize],
-            pmem: vec![0; cfg.pmem_bytes as usize],
+            imem: vec![0; IMEM_BYTES as usize],
+            icache: DecodeCache::new(IMEM_BYTES as usize),
+            dmem: vec![0; DMEM_BYTES as usize],
+            pmem: vec![0; PMEM_BYTES as usize],
             bcast_mirror: vec![0; memmap::BCAST_BYTES as usize],
             accel: None,
             rx_queue: Fifo::new(cfg.slots_per_rpu.max(1)),
@@ -247,7 +246,6 @@ impl RpuInner {
             dma_pending: None,
             dma_busy: false,
             num_rpus: cfg.num_rpus,
-            slot_bytes: cfg.slot_bytes,
             slots: cfg.slots_per_rpu,
             counters: Counters::default(),
             send_staged_lo: 0,
@@ -261,13 +259,13 @@ impl RpuInner {
     /// Packet-memory address of `slot`'s buffer. Slots occupy the upper
     /// region of packet memory, like the firmware's `PKTS_START` layout
     /// (Appendix B).
-    pub fn slot_addr(&self, slot: u8) -> u32 {
-        let region = self.pmem.len() as u32 - self.slots as u32 * self.slot_bytes;
-        memmap::PMEM_BASE + region + u32::from(slot) * self.slot_bytes
+    pub(crate) fn slot_addr(&self, slot: u8) -> u32 {
+        let region = self.pmem.len() as u32 - self.slots as u32 * SLOT_BYTES;
+        memmap::PMEM_BASE + region + u32::from(slot) * SLOT_BYTES
     }
 
     /// Data-memory address of `slot`'s low-latency header copy.
-    pub fn header_slot_addr(&self, slot: u8) -> u32 {
+    pub(crate) fn header_slot_addr(&self, slot: u8) -> u32 {
         memmap::DMEM_BASE + (self.dmem.len() as u32 / 2) + u32::from(slot) * self.header_slot_bytes
     }
 
@@ -447,7 +445,7 @@ impl RpuInner {
     /// `bytes` buffer stays parked with the slot for [`Self::take_tx`].
     pub(crate) fn dma_deliver(&mut self, slot: u8, bytes: Vec<u8>, meta: SlotMeta) -> bool {
         let addr = (self.slot_addr(slot) - memmap::PMEM_BASE) as usize;
-        let len = bytes.len().min(self.slot_bytes as usize);
+        let len = bytes.len().min(SLOT_BYTES as usize);
         if self.rx_queue.is_full() {
             self.counters.count_drop();
             return false;
@@ -515,12 +513,12 @@ impl RpuInner {
     }
 
     /// Host/interconnect counters for this RPU (§4.3).
-    pub fn counters(&self) -> Counters {
+    pub(crate) fn counters(&self) -> Counters {
         self.counters
     }
 
     /// The host-visible status register (§3.4).
-    pub fn status(&self) -> u32 {
+    pub(crate) fn status(&self) -> u32 {
         self.status
     }
 
@@ -546,12 +544,12 @@ impl RpuInner {
     }
 
     /// Raw packet memory (host debugging reads the whole RPU memory, §3.4).
-    pub fn pmem(&self) -> &[u8] {
+    pub(crate) fn pmem(&self) -> &[u8] {
         &self.pmem
     }
 
     /// Raw data memory.
-    pub fn dmem(&self) -> &[u8] {
+    pub(crate) fn dmem(&self) -> &[u8] {
         &self.dmem
     }
 
@@ -779,11 +777,6 @@ impl RpuIo<'_> {
         !self.inner.rx_queue.is_empty()
     }
 
-    /// The pending descriptor, without consuming it.
-    pub fn rx_peek(&self) -> Option<Desc> {
-        self.inner.rx_queue.front().copied()
-    }
-
     /// Consumes the pending descriptor (`RECV_DESC_RELEASE = 1`).
     pub fn rx_pop(&mut self) -> Option<Desc> {
         self.inner.rx_queue.pop()
@@ -812,11 +805,6 @@ impl RpuIo<'_> {
         if let Some(accel) = &mut self.inner.accel {
             accel.write_reg(offset, value);
         }
-    }
-
-    /// Read-only view of packet memory.
-    pub fn pmem(&self) -> &[u8] {
-        &self.inner.pmem
     }
 
     /// Reads `len` bytes at packet-memory address `addr` (absolute, i.e.
@@ -875,13 +863,7 @@ impl RpuIo<'_> {
     /// and the delivered word.
     pub fn bcast_poll(&mut self) -> Option<(u32, u32)> {
         let offset = self.inner.bcast_notify.pop()?;
-        let word = offset as usize & !3;
-        let value = u32::from_le_bytes(
-            self.inner.bcast_mirror[word..word + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        Some((offset, value))
+        Some((offset, self.bcast_read(offset)))
     }
 
     /// Reads a word from this RPU's broadcast mirror.
@@ -1060,7 +1042,7 @@ impl Rpu {
     }
 
     /// This RPU's index.
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.inner.id
     }
 
@@ -1157,7 +1139,7 @@ impl Rpu {
     }
 
     /// `true` when all queues are empty and the accelerator is idle.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         let fw_idle = match &self.engine {
             Engine::Native(fw) => fw.is_idle(),
             Engine::Riscv(_) => true, // assembled firmware drains its slots
@@ -1197,7 +1179,7 @@ impl Rpu {
     }
 
     /// Snapshot of the host-visible hardware performance counters (§4.3).
-    pub fn perf(&self) -> PerfCounters {
+    pub(crate) fn perf(&self) -> PerfCounters {
         let c = self.inner.counters();
         let (instret, stall_cycles, mem_wait_cycles) = match (&self.engine, self.now_core()) {
             (_, Some((cpu, stalled))) => (cpu.instret(), stalled, cpu.mem_wait_cycles()),
@@ -1636,7 +1618,9 @@ impl Rpu {
                 if impure
                     || self.phases.len() == MAX_SPIN_PHASES
                     || boundary
-                        && (1..32).any(|r| cpu.reg(Reg(r)) != self.phases[0].cpu.reg(Reg(r))) =>
+                        && (1..32)
+                            .map(Reg::new)
+                            .any(|r| cpu.reg(r) != self.phases[0].cpu.reg(r)) =>
             {
                 self.arm = Arm::Settle;
                 self.counts.refused += 1;
@@ -2096,14 +2080,13 @@ mod tests {
         /// Region edges: every base, every memory's end, the broadcast
         /// window's end, the top of the address space.
         fn edges() -> Vec<u32> {
-            let c = cfg();
             vec![
                 0,
-                c.imem_bytes,
+                IMEM_BYTES,
                 memmap::DMEM_BASE,
-                memmap::DMEM_BASE + c.dmem_bytes,
+                memmap::DMEM_BASE + DMEM_BYTES,
                 memmap::PMEM_BASE,
-                memmap::PMEM_BASE + c.pmem_bytes,
+                memmap::PMEM_BASE + PMEM_BYTES,
                 memmap::IO_BASE,
                 memmap::IO_BASE + 0x60,
                 memmap::IO_EXT_BASE,
@@ -2179,7 +2162,7 @@ mod tests {
         fn fetches_off_the_slots_take_the_plain_word_load() {
             let mut a = inner();
             a.store(0x40, 0xffff_ffff, AccessSize::Word).unwrap();
-            let end = cfg().imem_bytes;
+            let end = IMEM_BYTES;
             let want = |pc| chain_fetch(&mut inner_with_illegal(), pc);
             for pc in [
                 2,

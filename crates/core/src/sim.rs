@@ -20,7 +20,7 @@ use rosebud_kernel::Cycle;
 
 /// A host clock the stage profile reads: nanoseconds from any fixed origin.
 /// The caller hands it in, so the simulation core never reads wall time.
-pub type StageClock = fn() -> u64;
+pub(crate) type StageClock = fn() -> u64;
 
 /// The spans the stage profile times: the thirteen stages of
 /// [`Rosebud::tick`](crate::Rosebud::tick), then its tail (trace scans,
@@ -38,15 +38,15 @@ const CORES: usize = 5;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageProfile {
     /// Full ticks profiled (quiet ticks run no stage).
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// Nanoseconds spent in each span of [`STAGE_NAMES`], the clock's own
     /// cost taken out.
-    pub ns: [u64; STAGE_NAMES.len()],
+    pub(crate) ns: [u64; STAGE_NAMES.len()],
     /// RV32 instructions the cores stepped in those ticks.
-    pub stepped_instrs: u64,
+    pub(crate) stepped_instrs: u64,
     /// Core loads and stores that reached the interconnect's I/O window in
     /// those ticks.
-    pub io_accesses: u64,
+    pub(crate) io_accesses: u64,
 }
 
 impl StageProfile {
@@ -56,7 +56,7 @@ impl StageProfile {
     }
 
     /// Nanoseconds per full tick, all spans.
-    pub fn tick_ns_per_cycle(&self) -> f64 {
+    pub(crate) fn tick_ns_per_cycle(&self) -> f64 {
         ratio(self.ns.iter().sum(), self.ticks)
     }
 
@@ -65,11 +65,6 @@ impl StageProfile {
     /// included).
     pub fn ns_per_stepped_instr(&self) -> f64 {
         ratio(self.ns[CORES], self.stepped_instrs)
-    }
-
-    /// The share of stepped instructions that were I/O-window accesses.
-    pub fn io_share(&self) -> f64 {
-        ratio(self.io_accesses, self.stepped_instrs)
     }
 
     /// The ISS's share of tick time: ns per stepped instruction × stepped
@@ -90,52 +85,51 @@ impl AddAssign for StageProfile {
     }
 }
 
-/// What the simulator did to run a box ([`Rosebud::sim_stats`]), or a rack
-/// of them summed ([`Fleet::sim_stats`]). A lane-cycle is one lane for one
-/// cycle; each is stepped, parked in a poll loop, or asleep otherwise.
+/// What the simulator did to run a box ([`Rosebud::sim_stats`]). A
+/// lane-cycle is one lane for one cycle; each is stepped, parked in a poll
+/// loop, or asleep otherwise.
 ///
 /// [`Rosebud::sim_stats`]: crate::Rosebud::sim_stats
-/// [`Fleet::sim_stats`]: crate::Fleet::sim_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Cycles simulated.
-    pub cycles: Cycle,
+    pub(crate) cycles: Cycle,
     /// Ticks taken quiet: one compare, no stage.
-    pub quiet_ticks: u64,
+    pub(crate) quiet_ticks: u64,
     /// Cycles jumped in closed form by [`Device::skip_quiet`](crate::Device::skip_quiet)
     /// (and [`Rosebud::run`](crate::Rosebud::run)).
-    pub jumped_cycles: u64,
+    pub(crate) jumped_cycles: u64,
     /// Lanes × cycles.
-    pub lane_cycles: u64,
+    pub(crate) lane_cycles: u64,
     /// Lane-cycles whose core the core stage ticked.
-    pub stepped_lane_cycles: u64,
+    pub(crate) stepped_lane_cycles: u64,
     /// Lane-cycles a core spent parked in a proven poll loop.
-    pub parked_lane_cycles: u64,
+    pub(crate) parked_lane_cycles: u64,
     /// RV32 instructions the simulator stepped.
-    pub stepped_instrs: u64,
+    pub(crate) stepped_instrs: u64,
     /// RV32 instructions credited in closed form to parked cores.
-    pub credited_instrs: u64,
+    pub(crate) credited_instrs: u64,
     /// Spin probes opened on a poll miss.
-    pub probes_started: u64,
+    pub(crate) probes_started: u64,
     /// Probes that found their loop is no fixed point.
-    pub probes_refused: u64,
+    pub(crate) probes_refused: u64,
     /// Parks ended by something from outside reaching the lane.
-    pub probes_settled: u64,
+    pub(crate) probes_settled: u64,
     /// Core loads and stores that reached the interconnect's I/O window.
-    pub io_accesses: u64,
+    pub(crate) io_accesses: u64,
     /// The stage profile, while one is on.
     pub profile: Option<StageProfile>,
 }
 
 impl SimStats {
     /// Ticks that ran every stage.
-    pub fn full_ticks(&self) -> u64 {
+    pub(crate) fn full_ticks(&self) -> u64 {
         self.cycles - self.quiet_ticks - self.jumped_cycles
     }
 
     /// Lane-cycles asleep other than in a poll loop: in `wfi`, halted, hung
     /// or mid-reconfiguration, or in a quiet tick.
-    pub fn asleep_lane_cycles(&self) -> u64 {
+    pub(crate) fn asleep_lane_cycles(&self) -> u64 {
         self.lane_cycles - self.stepped_lane_cycles - self.parked_lane_cycles
     }
 
@@ -227,10 +221,10 @@ fn ratio(a: u64, b: u64) -> f64 {
 /// The box's own shortcut counters and, when on, its stage profiler.
 #[derive(Default)]
 pub(crate) struct SimCounts {
-    pub quiet_ticks: u64,
-    pub jumped_cycles: u64,
+    pub(crate) quiet_ticks: u64,
+    pub(crate) jumped_cycles: u64,
     /// Boxed: cold, and only a profiled run has one.
-    pub profiler: Option<Box<Profiler>>,
+    pub(crate) profiler: Option<Box<Profiler>>,
 }
 
 /// Times the stages of the full ticks it is handed to.

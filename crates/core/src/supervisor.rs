@@ -362,7 +362,7 @@ pub struct RecoveryEvent {
     /// Whether the graceful drain timed out and eviction was forced.
     pub forced: bool,
     /// Host-link retries spent during this recovery.
-    pub retries: u32,
+    pub(crate) retries: u32,
 }
 
 impl RecoveryEvent {
@@ -892,8 +892,8 @@ impl FleetSupervisor {
     }
 
     /// One supervisory step: polls the RPU ladders of manageable boxes, then
-    /// advances each box's rung. Call once per cycle, before
-    /// [`Fleet::tick`].
+    /// advances each box's rung. Call once per cycle, before the fleet's
+    /// [`tick`](crate::Device::tick).
     pub fn poll(&mut self, fleet: &mut Fleet) {
         let now = fleet.now();
         for (b, rpus) in self.ladder.scale.rpus.iter_mut().enumerate() {

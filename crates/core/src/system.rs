@@ -42,9 +42,9 @@ impl std::fmt::Debug for RpuProgram {
 }
 
 /// Factory producing one firmware instance per RPU.
-pub type FirmwareFactory = Box<dyn Fn(usize) -> RpuProgram + Send>;
+pub(crate) type FirmwareFactory = Box<dyn Fn(usize) -> RpuProgram + Send>;
 /// Factory producing one accelerator instance per RPU.
-pub type AccelFactory = Box<dyn Fn(usize) -> Box<dyn Accelerator> + Send>;
+pub(crate) type AccelFactory = Box<dyn Fn(usize) -> Box<dyn Accelerator> + Send>;
 
 /// Builder for a [`Rosebud`] system.
 ///
@@ -64,7 +64,6 @@ pub type AccelFactory = Box<dyn Fn(usize) -> Box<dyn Accelerator> + Send>;
 ///     .unwrap();
 /// assert_eq!(sys.config().num_rpus, 4);
 /// assert_eq!(sys.rpus().len(), 4);
-/// assert_eq!(sys.rpus()[2].id(), 2);
 /// ```
 pub struct RosebudBuilder {
     cfg: RosebudConfig,
@@ -125,13 +124,13 @@ impl RosebudBuilder {
         let mut pr = Reconfig::new(firmware, self.accel, self.load_policy);
         pr.boot(&cfg, &mut lanes)?;
         Ok(Rosebud {
-            clock: Clock::new(cfg.clock_hz),
+            clock: Clock::default(),
             mac: Mac::new(&cfg),
             dist: Distributor::new(&cfg, lb),
             lanes,
             loopback: Loopback::new(&cfg),
             bcast: BcastArbiter::new(&cfg),
-            host: HostBridge::new(&cfg),
+            host: HostBridge::new(),
             pr,
             fx: Fx {
                 ledger: Ledger::default(),
@@ -151,15 +150,15 @@ impl RosebudBuilder {
 /// counter, and the injected-fault state.
 pub(crate) struct Fx {
     /// Packet-conservation accounting.
-    pub ledger: Ledger,
+    pub(crate) ledger: Ledger,
     /// The cycle-stamped event recorder, when tracing is enabled (§4.3).
-    pub tracer: Option<Tracer>,
+    pub(crate) tracer: Option<Tracer>,
     /// Packets dropped by firmware (zero-length sends) plus routing errors.
-    pub routed_drops: u64,
+    pub(crate) routed_drops: u64,
     /// What injected faults have armed, from the first one on. Boxed: it is
     /// cold, and inline it grew `Rosebud` enough to cost `duty256_light`
     /// ~4 % in simulated cycles per second.
-    pub fault: Option<Box<FaultState>>,
+    pub(crate) fault: Option<Box<FaultState>>,
 }
 
 impl Fx {

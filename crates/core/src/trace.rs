@@ -187,7 +187,7 @@ impl Tracer {
     }
 
     /// The configuration this tracer was installed with.
-    pub fn config(&self) -> TraceConfig {
+    pub(crate) fn config(&self) -> TraceConfig {
         self.cfg
     }
 

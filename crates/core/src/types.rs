@@ -105,14 +105,6 @@ pub const SELF_TAG: u8 = 0xff;
 
 /// A packet descriptor: the slot-based handle the LB, interconnect, and
 /// firmware exchange instead of packet payloads (§4.2).
-///
-/// # Examples
-///
-/// ```
-/// use rosebud_core::Desc;
-/// let desc = Desc { tag: 3, len: 1500, port: 1, data: 0x0108_0000 };
-/// assert_eq!(Desc::unpack_lo(desc.pack_lo()), (1500, 3, 1));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Desc {
     /// Slot tag within the owning RPU.
@@ -128,17 +120,17 @@ pub struct Desc {
 
 impl Desc {
     /// Packs `(len, tag, port)` into the MMIO low word.
-    pub fn pack_lo(&self) -> u32 {
+    pub(crate) fn pack_lo(&self) -> u32 {
         (self.len & 0xffff) | (u32::from(self.tag) << 16) | (u32::from(self.port) << 24)
     }
 
     /// Unpacks an MMIO low word into `(len, tag, port)`.
-    pub fn unpack_lo(lo: u32) -> (u32, u8, u8) {
+    fn unpack_lo(lo: u32) -> (u32, u8, u8) {
         (lo & 0xffff, (lo >> 16) as u8, (lo >> 24) as u8)
     }
 
     /// Reassembles a descriptor from the packed low word plus data address.
-    pub fn from_words(lo: u32, data: u32) -> Self {
+    pub(crate) fn from_words(lo: u32, data: u32) -> Self {
         let (len, tag, port) = Self::unpack_lo(lo);
         Self {
             tag,
@@ -153,44 +145,44 @@ impl Desc {
 /// timestamps survive the trip through packet memory so conservation and
 /// latency can be measured).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotMeta {
+pub(crate) struct SlotMeta {
     /// The packet's unique id.
-    pub packet_id: u64,
+    pub(crate) packet_id: u64,
     /// Cycle the traffic source generated it.
-    pub ts_gen: u64,
+    pub(crate) ts_gen: u64,
     /// Port it entered the system on.
-    pub ingress_port: u8,
+    pub(crate) ingress_port: u8,
     /// Original frame length.
-    pub orig_len: u32,
+    pub(crate) orig_len: u32,
 }
 
 /// A host-DRAM DMA request from an RPU (§4.2: "communication between host
 /// DRAM and RPUs is also packetized, using a different slot number, i.e.,
 /// DRAM tag").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostDmaReq {
+pub(crate) struct HostDmaReq {
     /// Byte address in host DRAM.
-    pub host_addr: u32,
+    pub(crate) host_addr: u32,
     /// Byte address in the RPU's packet memory (absolute, `PMEM_BASE`-based).
-    pub local_addr: u32,
+    pub(crate) local_addr: u32,
     /// Transfer length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
     /// `true` for local→host writes, `false` for host→local reads.
-    pub to_host: bool,
+    pub(crate) to_host: bool,
 }
 
 /// A broadcast message in flight (§4.4): a word written to the semi-coherent
 /// region, delivered to every RPU at the same cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BcastMsg {
+pub(crate) struct BcastMsg {
     /// Originating RPU.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Byte offset within the broadcast region.
-    pub offset: u32,
+    pub(crate) offset: u32,
     /// The written word.
-    pub value: u32,
+    pub(crate) value: u32,
     /// Cycle the originating core issued the write (latency accounting).
-    pub sent_at: u64,
+    pub(crate) sent_at: u64,
 }
 
 #[cfg(test)]

@@ -10,18 +10,18 @@
 
 use rosebud_riscv::{CostModel, LintReport, MachineSpec, MmioReg, ProtocolSpec, Region};
 
-use crate::config::RosebudConfig;
+use crate::config::{RosebudConfig, DMEM_BYTES, IMEM_BYTES, PMEM_BYTES};
 use crate::rpu::PMEM_WAIT_CYCLES;
 use crate::types::memmap::{self, io};
 
 /// Bytes reserved for the firmware stack at the top of data memory. Purely
 /// a lint-time convention: `sp`-relative constant accesses must stay inside
 /// this window.
-pub const STACK_BYTES: u32 = 4096;
+pub(crate) const STACK_BYTES: u32 = 4096;
 
 /// Worst-case wait-states a blocking accelerator register read can charge
 /// (the firewall matcher's early result read costs up to this much).
-pub(crate) const ACCEL_READ_WAIT_CYCLES: u32 = 2;
+const ACCEL_READ_WAIT_CYCLES: u32 = 2;
 
 /// What a [`crate::Rosebud`] does with lint findings at firmware-load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,16 +53,18 @@ pub struct LintRecord {
 /// Builds the analyzer's machine description from a framework config: the
 /// RPU memory map, the interconnect register table with read/write
 /// directions, the watchdog-pet register, and the simulator's cost model.
-pub fn machine_spec(cfg: &RosebudConfig) -> MachineSpec {
+/// Every layout has the same memory sizes, so no field of `_cfg` changes
+/// the spec.
+pub fn machine_spec(_cfg: &RosebudConfig) -> MachineSpec {
     MachineSpec {
-        imem_bytes: cfg.imem_bytes,
+        imem_bytes: IMEM_BYTES,
         dmem: Region {
             base: memmap::DMEM_BASE,
-            bytes: cfg.dmem_bytes,
+            bytes: DMEM_BYTES,
         },
         pmem: Region {
             base: memmap::PMEM_BASE,
-            bytes: cfg.pmem_bytes,
+            bytes: PMEM_BYTES,
         },
         io_base: memmap::IO_BASE,
         io_window_bytes: memmap::IO_EXT_BASE - memmap::IO_BASE,
@@ -77,7 +79,7 @@ pub fn machine_spec(cfg: &RosebudConfig) -> MachineSpec {
         },
         watchdog_pet_offset: Some(io::TIMER_CMP),
         stack: Some(Region {
-            base: memmap::DMEM_BASE + cfg.dmem_bytes - STACK_BYTES,
+            base: memmap::DMEM_BASE + DMEM_BYTES - STACK_BYTES,
             bytes: STACK_BYTES,
         }),
         protocol: Some(ProtocolSpec {

@@ -3,7 +3,8 @@
 //! assembled and native firmware.
 
 use rosebud_core::{
-    irq, memmap, Desc, Firmware, HostOp, Rosebud, RosebudConfig, RpuIo, RpuProgram,
+    irq, memmap, Desc, Firmware, HostOp, Rosebud, RosebudConfig, RpuFaultKind, RpuIo, RpuProgram,
+    Supervisor, SupervisorStep,
 };
 use rosebud_riscv::assemble;
 
@@ -249,7 +250,8 @@ fn host_dma_has_pcie_latency() {
         })
         .build()
         .unwrap();
-    let pcie = sys.config().pcie_rtt_cycles / 2;
+    // One PCIe crossing: half the 1 µs (250-cycle) round trip.
+    let pcie = 125;
     let mut done_cycle = None;
     for c in 0..2_000u64 {
         sys.tick();
@@ -293,4 +295,85 @@ fn host_loads_accelerator_local_memory() {
     // AccelMem reads are write-only from the host (readback goes through
     // the DMA engine only when the accelerator is quiescent, §4.1).
     assert!(sys.read_rpu_mem(1, MemRegion::AccelMem, 0, 16).is_empty());
+}
+
+/// A.7 / §3.4: "a 64-bit debug channel … in both directions". Native
+/// firmware answers every value the host writes with that value plus one,
+/// through `RpuIo::debug_in` and `RpuIo::debug_out`; the host writes with
+/// `HostOp::WriteDebug` and reads with `take_debug`.
+#[test]
+fn native_debug_channel_answers_the_host() {
+    struct Echo {
+        last: u64,
+    }
+    impl Firmware for Echo {
+        fn tick(&mut self, io: &mut RpuIo<'_>) {
+            let value = io.debug_in();
+            if value != self.last {
+                self.last = value;
+                io.debug_out(value + 1);
+            }
+        }
+    }
+    let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+        .firmware(|_| RpuProgram::Native(Box::new(Echo { last: 0 })))
+        .build()
+        .unwrap();
+    sys.run(100);
+    assert_eq!(sys.take_debug(1), None, "nothing written, nothing answered");
+    for value in [0x1234_5678_9abc, 7] {
+        sys.apply(HostOp::WriteDebug { rpu: 1, value }).unwrap();
+        sys.run(100);
+        assert_eq!(sys.take_debug(1), Some(value + 1));
+        assert_eq!(sys.take_debug(1), None, "a read consumes the value");
+        assert_eq!(sys.take_debug(0), None, "RPU 0's channel was not written");
+    }
+}
+
+/// §3.4 hang detection from native firmware: the core pets its watchdog
+/// through `RpuIo::arm_watchdog` until it stops (the simulated hang); the
+/// timer fires, and the host monitor reads the expiry as a hung RPU.
+#[test]
+fn native_watchdog_expiry_is_caught_by_the_supervisor() {
+    const HANG_AT: u64 = 20_000;
+    struct Petting;
+    impl Firmware for Petting {
+        fn tick(&mut self, io: &mut RpuIo<'_>) {
+            if io.rpu_id() != 0 || io.now() < HANG_AT {
+                io.arm_watchdog(1_000);
+            }
+        }
+    }
+    let mut sys = Rosebud::builder(RosebudConfig::with_rpus(2))
+        .firmware(|_| RpuProgram::Native(Box::new(Petting)))
+        .build()
+        .unwrap();
+    let mut sup = Supervisor::new(&sys);
+    while sys.now() < HANG_AT + 2_000 {
+        sup.poll(&mut sys);
+        sys.tick();
+    }
+    assert_eq!(
+        sys.rpus()[1].watchdog_fires(),
+        0,
+        "a petted watchdog stays quiet"
+    );
+    assert_eq!(sys.rpus()[0].watchdog_fires(), 1);
+    let detected: Vec<(usize, SupervisorStep)> = sup
+        .steps()
+        .iter()
+        .filter(|(.., step)| matches!(step, SupervisorStep::Detected(_)))
+        .map(|&(_, rpu, step)| (rpu, step))
+        .collect();
+    assert_eq!(
+        detected,
+        [(0, SupervisorStep::Detected(RpuFaultKind::Hung))],
+        "steps: {:?}",
+        sup.steps()
+    );
+    let (at, ..) = sup.steps()[0];
+    assert!(
+        at > HANG_AT + 1_000,
+        "detected at {at}, before the watchdog expired"
+    );
 }

@@ -273,3 +273,46 @@ mod rosebud_apps_noop {
         }
     }
 }
+
+/// §4.4 broadcast receive from native firmware: RPU 0 broadcasts two
+/// words once; every RPU pops each delivery notification with
+/// `RpuIo::bcast_poll`, checks it against its mirror with
+/// `RpuIo::bcast_read`, and publishes the running sum in its status
+/// register.
+#[test]
+fn native_firmware_receives_broadcasts() {
+    struct Listener {
+        sent: bool,
+        sum: u32,
+    }
+    impl Firmware for Listener {
+        fn tick(&mut self, io: &mut RpuIo<'_>) {
+            if io.rpu_id() == 0 && !std::mem::replace(&mut self.sent, true) {
+                io.broadcast(0, 7);
+                io.broadcast(4, 35);
+            }
+            while let Some((offset, value)) = io.bcast_poll() {
+                assert_eq!(io.bcast_read(offset), value, "mirror at {offset:#x}");
+                self.sum += value;
+            }
+            io.set_status(self.sum);
+        }
+    }
+    let mut sys = Rosebud::builder(RosebudConfig::with_rpus(3))
+        .firmware(|_| {
+            RpuProgram::Native(Box::new(Listener {
+                sent: false,
+                sum: 0,
+            }))
+        })
+        .build()
+        .unwrap();
+    sys.run(2_000);
+    for rpu in 0..3 {
+        assert_eq!(
+            sys.rpu_status(rpu),
+            42,
+            "RPU {rpu} must see both broadcast words (7 + 35) exactly once"
+        );
+    }
+}

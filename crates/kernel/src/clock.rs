@@ -5,56 +5,26 @@
 /// single monotone counter suffices.
 pub type Cycle = u64;
 
-/// Default clock frequency: 250 MHz, the frequency all Rosebud bitstreams
-/// close timing at (paper §5).
-pub const DEFAULT_CLOCK_HZ: u64 = 250_000_000;
-
-/// A monotone cycle counter with frequency-aware time conversion.
+/// A monotone cycle counter, starting at cycle zero.
 ///
 /// # Examples
 ///
 /// ```
 /// use rosebud_kernel::Clock;
-/// let mut clock = Clock::new(250_000_000);
-/// clock.advance(250_000); // 1 ms
-/// assert_eq!(clock.micros(), 1000.0);
+/// let mut clock = Clock::default();
+/// clock.tick();
+/// clock.advance(249_999);
+/// assert_eq!(clock.cycle(), 250_000); // 1 ms at 250 MHz
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Clock {
-    freq_hz: u64,
     cycle: Cycle,
 }
 
-impl Default for Clock {
-    fn default() -> Self {
-        Self::new(DEFAULT_CLOCK_HZ)
-    }
-}
-
 impl Clock {
-    /// Creates a clock at `freq_hz`, starting at cycle zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is zero.
-    pub fn new(freq_hz: u64) -> Self {
-        assert!(freq_hz > 0, "clock frequency must be non-zero");
-        Self { freq_hz, cycle: 0 }
-    }
-
     /// The current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle
-    }
-
-    /// The configured frequency in hertz.
-    pub fn freq_hz(&self) -> u64 {
-        self.freq_hz
-    }
-
-    /// Nanoseconds per cycle (4.0 at the default 250 MHz).
-    pub fn ns_per_cycle(&self) -> f64 {
-        1e9 / self.freq_hz as f64
     }
 
     /// Advances the clock by one cycle.
@@ -66,21 +36,6 @@ impl Clock {
     pub fn advance(&mut self, cycles: Cycle) {
         self.cycle += cycles;
     }
-
-    /// Elapsed time in nanoseconds.
-    pub fn ns(&self) -> f64 {
-        super::cycles_to_ns(self.cycle, self.freq_hz)
-    }
-
-    /// Elapsed time in microseconds.
-    pub fn micros(&self) -> f64 {
-        self.ns() / 1e3
-    }
-
-    /// Elapsed time in seconds.
-    pub fn secs(&self) -> f64 {
-        self.ns() / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -88,24 +43,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_250mhz() {
-        let clock = Clock::default();
-        assert_eq!(clock.freq_hz(), 250_000_000);
-        assert_eq!(clock.ns_per_cycle(), 4.0);
-    }
-
-    #[test]
     fn advance_accumulates() {
         let mut clock = Clock::default();
         clock.tick();
         clock.advance(3);
         assert_eq!(clock.cycle(), 4);
-        assert_eq!(clock.ns(), 16.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_frequency_panics() {
-        let _ = Clock::new(0);
     }
 }

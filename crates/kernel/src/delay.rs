@@ -35,7 +35,7 @@ impl<T> DelayLine<T> {
     }
 
     /// The configured latency.
-    pub fn delay(&self) -> Cycle {
+    pub(crate) fn delay(&self) -> Cycle {
         self.delay
     }
 
@@ -78,7 +78,7 @@ impl<T> DelayLine<T> {
     }
 
     /// Discards everything in flight, returning the count.
-    pub fn flush(&mut self) -> usize {
+    pub(crate) fn flush(&mut self) -> usize {
         let n = self.items.len();
         self.items.clear();
         n

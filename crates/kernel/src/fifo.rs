@@ -20,7 +20,6 @@ use std::collections::VecDeque;
 /// assert!(fifo.push('b').is_ok());
 /// assert_eq!(fifo.push('c'), Err('c')); // full: the item bounces back
 /// assert_eq!(fifo.pop(), Some('a'));
-/// assert_eq!(fifo.peak_occupancy(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
@@ -28,8 +27,6 @@ pub struct Fifo<T> {
     capacity: usize,
     pushes: u64,
     pops: u64,
-    rejected: u64,
-    peak: usize,
 }
 
 impl<T> Fifo<T> {
@@ -46,20 +43,16 @@ impl<T> Fifo<T> {
             capacity,
             pushes: 0,
             pops: 0,
-            rejected: 0,
-            peak: 0,
         }
     }
 
     /// Attempts to enqueue `item`; returns it back if the FIFO is full.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.items.len() >= self.capacity {
-            self.rejected += 1;
             return Err(item);
         }
         self.items.push_back(item);
         self.pushes += 1;
-        self.peak = self.peak.max(self.items.len());
         Ok(())
     }
 
@@ -97,11 +90,6 @@ impl<T> Fifo<T> {
         self.capacity - self.items.len()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total number of successful pushes.
     pub fn pushes(&self) -> u64 {
         self.pushes
@@ -110,16 +98,6 @@ impl<T> Fifo<T> {
     /// Total number of successful pops.
     pub fn pops(&self) -> u64 {
         self.pops
-    }
-
-    /// Total number of rejected pushes (backpressure events).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak
     }
 
     /// Removes all queued items, returning how many were dropped. Used when
@@ -154,13 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_counts_rejections() {
+    fn backpressure_refuses_pushes() {
         let mut fifo = Fifo::new(1);
         fifo.push(1).unwrap();
         assert!(fifo.is_full());
         assert_eq!(fifo.push(2), Err(2));
         assert_eq!(fifo.push(3), Err(3));
-        assert_eq!(fifo.rejected(), 2);
         assert_eq!(fifo.pushes(), 1);
     }
 
@@ -171,7 +148,6 @@ mod tests {
         fifo.push('y').unwrap();
         assert_eq!(fifo.flush(), 2);
         assert!(fifo.is_empty());
-        assert_eq!(fifo.peak_occupancy(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 /// use rosebud_kernel::SimRng;
 /// let mut a = SimRng::seed_from(42);
 /// let mut b = SimRng::seed_from(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(a.below(1_000), b.below(1_000));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
@@ -37,7 +37,7 @@ impl SimRng {
     }
 
     /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.state[1] << 17;
         self.state[2] ^= self.state[0];

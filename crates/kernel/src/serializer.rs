@@ -38,7 +38,6 @@ pub struct Serializer<T> {
     /// Fractional cycle at which the wire finishes its last scheduled byte.
     wire_free: f64,
     busy_bytes: u64,
-    transferred_items: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -64,13 +63,7 @@ impl<T> Serializer<T> {
             capacity,
             wire_free: 0.0,
             busy_bytes: 0,
-            transferred_items: 0,
         }
-    }
-
-    /// Bytes moved per cycle.
-    pub fn bytes_per_cycle(&self) -> u64 {
-        self.bytes_per_cycle
     }
 
     /// Offers `item` of `len_bytes` to the link at cycle `now`. Returns the
@@ -111,7 +104,6 @@ impl<T> Serializer<T> {
             return None;
         }
         let entry = self.queue.pop_front().expect("front checked above");
-        self.transferred_items += 1;
         Some(entry.item)
     }
 
@@ -130,11 +122,6 @@ impl<T> Serializer<T> {
     /// `true` when the head item's serialization has completed by `now`.
     pub fn head_ready(&self, now: Cycle) -> bool {
         self.head_ready_at().is_some_and(|at| at <= now)
-    }
-
-    /// Total items delivered downstream.
-    pub fn transferred_items(&self) -> u64 {
-        self.transferred_items
     }
 
     /// Drops everything queued, returning the number of items discarded.

@@ -53,20 +53,10 @@ impl Counters {
         self.stall_cycles += cycles;
     }
 
-    /// Adds another counter set into this one (for aggregating interfaces).
-    pub fn merge(&mut self, other: &Counters) {
-        self.rx_bytes += other.rx_bytes;
-        self.rx_frames += other.rx_frames;
-        self.tx_bytes += other.tx_bytes;
-        self.tx_frames += other.tx_frames;
-        self.drops += other.drops;
-        self.stall_cycles += other.stall_cycles;
-    }
-
     /// The counter growth since an `earlier` snapshot. Saturating per field,
     /// so a counter reset between snapshots yields zero rather than a bogus
     /// huge delta.
-    pub fn since(&self, earlier: &Counters) -> Counters {
+    pub(crate) fn since(&self, earlier: &Counters) -> Counters {
         Counters {
             rx_bytes: self.rx_bytes.saturating_sub(earlier.rx_bytes),
             rx_frames: self.rx_frames.saturating_sub(earlier.rx_frames),
@@ -85,9 +75,9 @@ pub struct RateSample {
     /// Cycles elapsed since the previous sample (full 64-bit — windows that
     /// straddle the 2^32 cycle mark, ~17 s of simulated time at 250 MHz,
     /// must not wrap).
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Counter deltas over the window.
-    pub delta: Counters,
+    pub(crate) delta: Counters,
 }
 
 impl RateSample {
@@ -97,14 +87,6 @@ impl RateSample {
             return 0.0;
         }
         self.delta.rx_bytes as f64 * 8.0 / self.cycles as f64
-    }
-
-    /// Transmitted bits per cycle over the window; 0.0 for an empty window.
-    pub fn tx_bits_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.delta.tx_bytes as f64 * 8.0 / self.cycles as f64
     }
 }
 
@@ -123,8 +105,7 @@ impl RateSample {
 /// let mut w = RateWindow::new(0, c);
 /// c.count_rx_frame(1000);
 /// let s = w.sample(4000, c);
-/// assert_eq!(s.cycles, 4000);
-/// assert_eq!(s.rx_bits_per_cycle(), 2.0);
+/// assert_eq!(s.rx_bits_per_cycle(), 2.0); // 8000 bits over 4000 cycles
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RateWindow {
@@ -194,11 +175,6 @@ impl LatencyStats {
         self.samples.len()
     }
 
-    /// `true` when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Arithmetic mean; 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -247,93 +223,9 @@ impl LatencyStats {
     }
 }
 
-/// A fixed-bucket histogram for cycle-granularity distributions (e.g. cycles
-/// spent per packet, Fig. 9).
-///
-/// # Examples
-///
-/// ```
-/// use rosebud_kernel::Histogram;
-/// let mut h = Histogram::new(10, 8); // 8 buckets of width 10
-/// h.record(5);
-/// h.record(25);
-/// h.record(1_000); // clamps to the last bucket
-/// assert_eq!(h.bucket_counts()[0], 1);
-/// assert_eq!(h.bucket_counts()[2], 1);
-/// assert_eq!(h.bucket_counts()[7], 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` buckets, each `bucket_width` wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be non-zero");
-        assert!(buckets > 0, "bucket count must be non-zero");
-        Self {
-            bucket_width,
-            counts: vec![0; buckets],
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one value; out-of-range values clamp to the last bucket.
-    pub fn record(&mut self, value: u64) {
-        let idx = ((value / self.bucket_width) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
-    }
-
-    /// Per-bucket counts.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of recorded values; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::default();
-        a.count_rx_frame(100);
-        a.count_drop();
-        let mut b = Counters::default();
-        b.count_tx_frame(50);
-        b.count_stall(7);
-        a.merge(&b);
-        assert_eq!(a.rx_bytes, 100);
-        assert_eq!(a.tx_frames, 1);
-        assert_eq!(a.drops, 1);
-        assert_eq!(a.stall_cycles, 7);
-    }
 
     #[test]
     fn counters_since() {
@@ -378,7 +270,6 @@ mod tests {
         let s = w.sample(42, c);
         assert_eq!(s.cycles, 0);
         assert_eq!(s.rx_bits_per_cycle(), 0.0);
-        assert_eq!(s.tx_bits_per_cycle(), 0.0);
     }
 
     #[test]
@@ -400,13 +291,5 @@ mod tests {
         assert_eq!(stats.min(), 0.0);
         assert_eq!(stats.max(), 0.0);
         assert_eq!(stats.percentile(50.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new(1, 200);
-        h.record(10);
-        h.record(20);
-        assert_eq!(h.mean(), 15.0);
     }
 }

@@ -77,18 +77,6 @@ impl PacketBuilder {
         }
     }
 
-    /// Sets the source MAC address.
-    pub fn src_mac(mut self, mac: [u8; 6]) -> Self {
-        self.eth.src = mac;
-        self
-    }
-
-    /// Sets the destination MAC address.
-    pub fn dst_mac(mut self, mac: [u8; 6]) -> Self {
-        self.eth.dst = mac;
-        self
-    }
-
     /// Sets a raw EtherType (use to build non-IP frames).
     pub fn ethertype(mut self, ethertype: EtherType) -> Self {
         self.eth.ethertype = ethertype;
@@ -104,12 +92,6 @@ impl PacketBuilder {
     /// Sets the destination IPv4 address.
     pub fn dst_ip(mut self, ip: [u8; 4]) -> Self {
         self.dst_ip = ip;
-        self
-    }
-
-    /// Sets the IPv4 TTL.
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.ttl = ttl;
         self
     }
 
@@ -129,14 +111,6 @@ impl PacketBuilder {
     pub fn seq(mut self, seq: u32) -> Self {
         if let L4::Tcp { seq: s, .. } = &mut self.l4 {
             *s = seq;
-        }
-        self
-    }
-
-    /// Sets the TCP flag byte (no-op unless [`tcp`](Self::tcp) was called).
-    pub fn tcp_flags(mut self, flags: u8) -> Self {
-        if let L4::Tcp { flags: f, .. } = &mut self.l4 {
-            *f = flags;
         }
         self
     }
@@ -283,14 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn seq_and_flags_apply_to_tcp() {
-        let pkt = PacketBuilder::new()
-            .tcp(1, 2)
-            .seq(99)
-            .tcp_flags(0x02)
-            .build();
+    fn seq_applies_to_tcp() {
+        let pkt = PacketBuilder::new().tcp(1, 2).seq(99).build();
         let tcp = pkt.tcp().unwrap();
         assert_eq!(tcp.seq, 99);
-        assert_eq!(tcp.flags, 0x02);
+        assert_eq!(tcp.flags, 0x10, "ACK");
     }
 }

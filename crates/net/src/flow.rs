@@ -1,7 +1,8 @@
 //! 5-tuple flow identification and hashing.
 
+use crate::headers::{ETH_HEADER_LEN, IPV4_HEADER_LEN};
 use crate::packet::Packet;
-use crate::{IpProtocol, ETH_HEADER_LEN, IPV4_HEADER_LEN};
+use crate::IpProtocol;
 
 /// A 5-tuple flow key.
 ///
@@ -13,7 +14,7 @@ pub struct FlowKey {
     /// Source IPv4 address (host order).
     pub src_ip: u32,
     /// Destination IPv4 address (host order).
-    pub dst_ip: u32,
+    pub(crate) dst_ip: u32,
     /// Source L4 port.
     pub src_port: u16,
     /// Destination L4 port.
@@ -44,7 +45,7 @@ impl FlowKey {
     }
 
     /// The 32-bit flow hash of this key.
-    pub fn hash(&self) -> u32 {
+    pub(crate) fn hash(&self) -> u32 {
         let mut h = FNV_OFFSET;
         for b in self
             .src_ip
@@ -110,8 +111,7 @@ pub fn extend_hash(h: u32) -> u64 {
 /// let mut t = ShardedFlowTable::new(8);
 /// assert_eq!(t.insert(0xfeed_beef, 3), None);
 /// assert_eq!(t.insert(0xfeed_beef, 5), Some(3)); // reassignment
-/// assert_eq!(t.get(0xfeed_beef), Some(5));
-/// assert_eq!(t.len(), 1);
+/// assert_eq!(t.insert(0xfeed_beef, 5), Some(5));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedFlowTable {
@@ -163,7 +163,7 @@ impl ShardedFlowTable {
     }
 
     /// The shard a key lands in (top hash bits).
-    pub fn shard_of(&self, key: u64) -> usize {
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         if self.shards.len() == 1 {
             0
         } else {
@@ -180,26 +180,6 @@ impl ShardedFlowTable {
             shard.grow();
         }
         shard.insert(key, val)
-    }
-
-    /// The tracked value of `key`, if any.
-    pub fn get(&self, key: u64) -> Option<u16> {
-        self.shards[self.shard_of(key)].get(key)
-    }
-
-    /// Total tracked flows across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len).sum()
-    }
-
-    /// `true` when no flow is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.len == 0)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -234,11 +214,6 @@ impl Shard {
             self.len += 1;
             None
         }
-    }
-
-    fn get(&self, key: u64) -> Option<u16> {
-        let slot = &self.slots[self.probe(key)];
-        slot.used.then_some(slot.val)
     }
 
     fn grow(&mut self) {
@@ -294,12 +269,13 @@ mod tests {
             // Keys through the same extension the fleet uses.
             assert_eq!(t.insert(extend_hash(i), (i % 7) as u16), None);
         }
-        assert_eq!(t.len(), 50_000);
+        assert_eq!(t.shards.iter().map(|s| s.len).sum::<usize>(), 50_000);
         for i in 0..50_000u32 {
-            assert_eq!(t.get(extend_hash(i)), Some((i % 7) as u16));
+            let val = (i % 7) as u16;
+            assert_eq!(t.insert(extend_hash(i), val), Some(val));
         }
         // Shards must all carry a share: the selector uses top hash bits.
-        assert_eq!(t.num_shards(), 16);
+        assert_eq!(t.shards.len(), 16);
         let min_expected = 50_000 / 16 / 2;
         for s in 0..16 {
             let in_shard = (0..50_000u32)
@@ -315,8 +291,7 @@ mod tests {
         assert_eq!(t.insert(42, 1), None);
         assert_eq!(t.insert(42, 2), Some(1));
         assert_eq!(t.insert(42, 2), Some(2));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.shards[0].len, 1);
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl FlowTrafficGen {
     }
 
     /// The payload length carried by each generated frame.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.size.saturating_sub(54)
     }
 }
@@ -261,11 +261,6 @@ impl<G: TrafficGen> AttackMixGen<G> {
         self.attack_ips = ips;
         self
     }
-
-    /// Read access to the wrapped generator.
-    pub fn base(&self) -> &G {
-        &self.base
-    }
 }
 
 impl<G: TrafficGen> TrafficGen for AttackMixGen<G> {
@@ -323,7 +318,6 @@ pub struct ImixGen {
     total_weight: u32,
     rng: SimRng,
     ports: u8,
-    flows: u64,
     next_size: usize,
     counter: u64,
 }
@@ -340,7 +334,7 @@ impl ImixGen {
     ///
     /// Panics if `weights` is empty, any size is under 60 bytes, any weight
     /// is zero, or `ports` is zero.
-    pub fn with_weights(weights: &[(usize, u32)], ports: u8, seed: u64) -> Self {
+    fn with_weights(weights: &[(usize, u32)], ports: u8, seed: u64) -> Self {
         assert!(!weights.is_empty(), "need at least one size class");
         assert!(ports > 0, "need at least one port");
         for &(size, w) in weights {
@@ -353,26 +347,11 @@ impl ImixGen {
             total_weight,
             rng: SimRng::seed_from(seed),
             ports,
-            flows: 512,
             next_size: weights[0].0,
             counter: 0,
         };
         gen.roll();
         gen
-    }
-
-    /// Sets a floor on how many distinct 5-tuples to rotate through (the
-    /// default rotation covers 64 Ki source IPs × 512 source ports) —
-    /// fleet-scale runs spreading millions of flows over a consistent-hash
-    /// ring raise this to widen the source-IP rotation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows == 0`.
-    pub fn with_flows(mut self, flows: u32) -> Self {
-        assert!(flows > 0, "need at least one flow");
-        self.flows = u64::from(flows);
-        self
     }
 
     fn roll(&mut self) {
@@ -385,16 +364,6 @@ impl ImixGen {
             pick -= w;
         }
     }
-
-    /// The average frame size implied by the weight table.
-    pub fn mean_size(&self) -> f64 {
-        let num: u64 = self
-            .entries
-            .iter()
-            .map(|&(s, w)| s as u64 * u64::from(w))
-            .sum();
-        num as f64 / f64::from(self.total_weight)
-    }
 }
 
 impl TrafficGen for ImixGen {
@@ -403,14 +372,11 @@ impl TrafficGen for ImixGen {
         self.roll();
         let n = self.counter;
         self.counter += 1;
-        // With the default 512-flow floor this reduces to the historical
-        // ([10, 2, n>>8, n], 20_000 + n%512) rotation byte-for-byte, so
-        // golden traces are unaffected.
-        let f = n % self.flows.max(65_536);
+        // Source IPs rotate through 64 Ki addresses, source ports through 512.
         PacketBuilder::new()
-            .src_ip([10, 2 + (f >> 16) as u8, (f >> 8) as u8, f as u8])
+            .src_ip([10, 2, (n >> 8) as u8, n as u8])
             .dst_ip([10, 3, 0, 1])
-            .udp(20_000 + (n % self.flows.min(512)) as u16, 9)
+            .udp(20_000 + (n % 512) as u16, 9)
             .pad_to(size)
             .port((n % u64::from(self.ports)) as u8)
             .build_with(id, ts)
@@ -529,27 +495,6 @@ mod tests {
         assert!((c64 - 7.0 / 12.0).abs() < 0.03, "64B fraction {c64}");
         assert!((c576 - 4.0 / 12.0).abs() < 0.03, "576B fraction {c576}");
         assert!((c1500 - 1.0 / 12.0).abs() < 0.03, "1500B fraction {c1500}");
-        assert!((ImixGen::new(1, 0).mean_size() - 354.33).abs() < 0.5);
-    }
-
-    #[test]
-    fn imix_flow_floor_widens_rotation_without_changing_defaults() {
-        // The default must keep the historical packet bytes exactly.
-        let mut narrow = ImixGen::new(2, 9);
-        let mut narrow2 = ImixGen::new(2, 9).with_flows(512);
-        for i in 0..2_000 {
-            assert_eq!(narrow.generate(i, 0).data, narrow2.generate(i, 0).data);
-        }
-        // A wide rotation must produce more distinct flow keys than the
-        // 64 Ki-IP default over the same span.
-        let mut wide = ImixGen::new(2, 9).with_flows(1 << 20);
-        let mut keys = std::collections::HashSet::new();
-        for i in 0..70_000 {
-            if let Some(k) = crate::flow_hash(&wide.generate(i, 0)) {
-                keys.insert(k);
-            }
-        }
-        assert!(keys.len() > 66_000, "only {} distinct flows", keys.len());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 use std::fmt;
 
 /// Length of an Ethernet II header in bytes.
-pub const ETH_HEADER_LEN: usize = 14;
+pub(crate) const ETH_HEADER_LEN: usize = 14;
 /// Length of a minimal IPv4 header (no options) in bytes.
-pub const IPV4_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_HEADER_LEN: usize = 20;
 /// Length of a minimal TCP header (no options) in bytes.
-pub const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 /// Length of a UDP header in bytes.
-pub const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 /// An Ethernet II EtherType value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,8 +20,6 @@ impl EtherType {
     pub const IPV4: EtherType = EtherType(0x0800);
     /// ARP (0x0806).
     pub const ARP: EtherType = EtherType(0x0806);
-    /// IPv6 (0x86DD).
-    pub const IPV6: EtherType = EtherType(0x86DD);
 }
 
 impl fmt::Display for EtherType {
@@ -39,8 +37,6 @@ impl IpProtocol {
     pub const TCP: IpProtocol = IpProtocol(6);
     /// UDP (17).
     pub const UDP: IpProtocol = IpProtocol(17);
-    /// ICMP (1).
-    pub const ICMP: IpProtocol = IpProtocol(1);
 }
 
 /// Errors produced when parsing headers from raw bytes.
@@ -94,7 +90,7 @@ fn be32(buf: &[u8], at: usize) -> u32 {
 /// # Examples
 ///
 /// ```
-/// use rosebud_net::{EthHeader, EtherType};
+/// use rosebud_net::{EthHeader, EtherType, Packet};
 /// let hdr = EthHeader {
 ///     dst: [0xff; 6],
 ///     src: [2, 0, 0, 0, 0, 1],
@@ -102,7 +98,7 @@ fn be32(buf: &[u8], at: usize) -> u32 {
 /// };
 /// let mut buf = [0u8; 14];
 /// hdr.write(&mut buf);
-/// assert_eq!(EthHeader::parse(&buf).unwrap(), hdr);
+/// assert_eq!(Packet::new(0, buf.to_vec(), 0, 0).eth().unwrap(), hdr);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EthHeader {
@@ -120,7 +116,7 @@ impl EthHeader {
     /// # Errors
     ///
     /// Returns [`HeaderError::Truncated`] if `buf` is shorter than 14 bytes.
-    pub fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
         need(buf, ETH_HEADER_LEN)?;
         let mut dst = [0u8; 6];
         let mut src = [0u8; 6];
@@ -176,7 +172,7 @@ impl Ipv4Header {
     /// Returns [`HeaderError::Truncated`] if fewer than 20 bytes are
     /// available, or [`HeaderError::Malformed`] for a non-4 version or an IHL
     /// other than 5.
-    pub fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
         need(buf, IPV4_HEADER_LEN)?;
         let version = buf[0] >> 4;
         let ihl = buf[0] & 0x0f;
@@ -227,7 +223,7 @@ impl Ipv4Header {
     }
 
     /// Destination address as a `u32` in host order.
-    pub fn dst_u32(&self) -> u32 {
+    pub(crate) fn dst_u32(&self) -> u32 {
         u32::from_be_bytes(self.dst)
     }
 }
@@ -256,7 +252,7 @@ impl TcpHeader {
     ///
     /// Returns [`HeaderError::Truncated`] if fewer than 20 bytes are
     /// available.
-    pub fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
         need(buf, TCP_HEADER_LEN)?;
         Ok(Self {
             src_port: be16(buf, 0),
@@ -303,7 +299,7 @@ impl UdpHeader {
     ///
     /// Returns [`HeaderError::Truncated`] if fewer than 8 bytes are
     /// available.
-    pub fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, HeaderError> {
         need(buf, UDP_HEADER_LEN)?;
         Ok(Self {
             src_port: be16(buf, 0),

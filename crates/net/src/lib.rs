@@ -19,10 +19,8 @@
 //!     .tcp(1234, 80)
 //!     .payload(b"hello")
 //!     .build();
-//! let eth = rosebud_net::EthHeader::parse(pkt.bytes()).unwrap();
-//! assert_eq!(eth.ethertype, EtherType::IPV4);
-//! let ip = rosebud_net::Ipv4Header::parse(&pkt.bytes()[14..]).unwrap();
-//! assert_eq!(ip.protocol, IpProtocol::TCP);
+//! assert_eq!(pkt.eth().unwrap().ethertype, EtherType::IPV4);
+//! assert_eq!(pkt.ipv4().unwrap().protocol, IpProtocol::TCP);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,11 +41,10 @@ pub use flow::{extend_hash, flow_hash, FlowKey, ShardedFlowTable};
 pub use gen::{AttackMixGen, FixedSizeGen, FlowTrafficGen, ImixGen, TrafficGen};
 pub use headers::{
     ipv4_checksum, EthHeader, EtherType, HeaderError, IpProtocol, Ipv4Header, TcpHeader, UdpHeader,
-    ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
-pub use packet::{Packet, PacketId};
-pub use pcap::{parse_pcap, read_pcap_file, to_pcap, write_pcap_file, PcapError, PcapWriter};
-pub use port::{GenPort, PcapReplayPort, PcapWriterPort};
+pub use packet::Packet;
+pub use pcap::{parse_pcap, to_pcap, PcapError};
+pub use port::{GenPort, PcapReplayPort};
 pub use trace::Trace;
 
 /// Per-frame overhead on the Ethernet wire beyond the in-memory packet:
@@ -57,7 +54,7 @@ pub use trace::Trace;
 pub const WIRE_OVERHEAD_BYTES: u64 = 24;
 
 /// Bytes a frame of in-memory length `len` occupies on the wire.
-pub fn wire_bytes(len: u64) -> u64 {
+pub(crate) fn wire_bytes(len: u64) -> u64 {
     len + WIRE_OVERHEAD_BYTES
 }
 

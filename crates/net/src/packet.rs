@@ -9,7 +9,7 @@ use crate::{wire_bytes, HeaderError, IpProtocol};
 
 /// A unique, monotonically assigned packet identifier used by conservation
 /// checks ("every packet in is a packet out or an accounted drop").
-pub type PacketId = u64;
+pub(crate) type PacketId = u64;
 
 /// A packet travelling through the simulated system.
 ///
@@ -128,7 +128,7 @@ impl Packet {
     }
 
     /// Byte offset of the L4 payload, if the packet is TCP or UDP over IPv4.
-    pub fn payload_offset(&self) -> Option<usize> {
+    pub(crate) fn payload_offset(&self) -> Option<usize> {
         let ip = self.ipv4().ok()?;
         match ip.protocol {
             IpProtocol::TCP => Some(ETH_HEADER_LEN + IPV4_HEADER_LEN + 20),

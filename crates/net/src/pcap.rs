@@ -7,7 +7,6 @@
 //! move between this simulator and those tools.
 
 use std::fmt;
-use std::io::{self, Write};
 
 use crate::packet::Packet;
 use crate::trace::Trace;
@@ -65,8 +64,9 @@ impl std::error::Error for PcapError {}
 /// # Examples
 ///
 /// ```
-/// use rosebud_net::{parse_pcap, to_pcap, FixedSizeGen, Trace};
-/// let trace = Trace::from_gen(&mut FixedSizeGen::new(64, 2), 3);
+/// use rosebud_net::{parse_pcap, to_pcap, FixedSizeGen, Trace, TrafficGen};
+/// let mut gen = FixedSizeGen::new(64, 2);
+/// let trace: Trace = (0..3).map(|id| gen.generate(id, id * 100)).collect();
 /// let bytes = to_pcap(&trace, 250_000_000);
 /// let back = parse_pcap(&bytes, 250_000_000).unwrap();
 /// assert_eq!(back.len(), 3);
@@ -74,100 +74,25 @@ impl std::error::Error for PcapError {}
 /// ```
 pub fn to_pcap(trace: &Trace, clock_hz: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + trace.total_bytes() as usize + 16 * trace.len());
-    let mut w = PcapWriter::new(&mut out, clock_hz).expect("Vec writes are infallible");
+    out.extend_from_slice(&PCAP_MAGIC_LE.to_le_bytes());
+    out.extend_from_slice(&2u16.to_le_bytes()); // version major
+    out.extend_from_slice(&4u16.to_le_bytes()); // version minor
+    out.extend_from_slice(&0i32.to_le_bytes()); // thiszone
+    out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
+    out.extend_from_slice(&65535u32.to_le_bytes()); // snaplen
+    out.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
     for pkt in trace {
-        w.write_packet(pkt).expect("Vec writes are infallible");
-    }
-    out
-}
-
-/// A streaming pcap writer: header on construction, one record per
-/// [`write_packet`](PcapWriter::write_packet) call. This is the shape the
-/// egress dump ports need — a live or replayed run can emit frames as they
-/// are delivered instead of buffering the whole trace in memory.
-///
-/// # Examples
-///
-/// ```
-/// use rosebud_net::{parse_pcap, FixedSizeGen, PcapWriter, TrafficGen};
-///
-/// let mut gen = FixedSizeGen::new(64, 2);
-/// let mut out = Vec::new();
-/// let mut w = PcapWriter::new(&mut out, 250_000_000).unwrap();
-/// for i in 0..3 {
-///     w.write_packet(&gen.generate(i, i * 100)).unwrap();
-/// }
-/// assert_eq!(w.packets_written(), 3);
-/// drop(w);
-/// assert_eq!(parse_pcap(&out, 250_000_000).unwrap().len(), 3);
-/// ```
-#[derive(Debug)]
-pub struct PcapWriter<W: Write> {
-    w: W,
-    clock_hz: u64,
-    packets: u64,
-}
-
-impl<W: Write> PcapWriter<W> {
-    /// Writes the classic little-endian pcap header and returns the writer.
-    /// Record timestamps are derived from packet generation cycles at
-    /// `clock_hz`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn new(mut w: W, clock_hz: u64) -> io::Result<Self> {
-        w.write_all(&PCAP_MAGIC_LE.to_le_bytes())?;
-        w.write_all(&2u16.to_le_bytes())?; // version major
-        w.write_all(&4u16.to_le_bytes())?; // version minor
-        w.write_all(&0i32.to_le_bytes())?; // thiszone
-        w.write_all(&0u32.to_le_bytes())?; // sigfigs
-        w.write_all(&65535u32.to_le_bytes())?; // snaplen
-        w.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-        Ok(Self {
-            w,
-            clock_hz,
-            packets: 0,
-        })
-    }
-
-    /// Appends one packet record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_packet(&mut self, pkt: &Packet) -> io::Result<()> {
-        let micros = pkt.ts_gen as u128 * 1_000_000 / self.clock_hz as u128;
+        let micros = pkt.ts_gen as u128 * 1_000_000 / clock_hz as u128;
         let ts_sec = (micros / 1_000_000) as u32;
         let ts_usec = (micros % 1_000_000) as u32;
         let len = pkt.len() as u32;
-        self.w.write_all(&ts_sec.to_le_bytes())?;
-        self.w.write_all(&ts_usec.to_le_bytes())?;
-        self.w.write_all(&len.to_le_bytes())?; // incl_len
-        self.w.write_all(&len.to_le_bytes())?; // orig_len
-        self.w.write_all(pkt.bytes())?;
-        self.packets += 1;
-        Ok(())
+        out.extend_from_slice(&ts_sec.to_le_bytes());
+        out.extend_from_slice(&ts_usec.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes()); // incl_len
+        out.extend_from_slice(&len.to_le_bytes()); // orig_len
+        out.extend_from_slice(pkt.bytes());
     }
-
-    /// Records written so far.
-    pub fn packets_written(&self) -> u64 {
-        self.packets
-    }
-
-    /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.w.flush()
-    }
-
-    /// Consumes the writer, returning the underlying sink.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
+    out
 }
 
 /// Parses a classic little-endian Ethernet pcap file back into a [`Trace`].
@@ -228,31 +153,6 @@ pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
     Ok(trace)
 }
 
-/// Writes a trace to a pcap file on disk.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the filesystem.
-pub fn write_pcap_file(
-    trace: &Trace,
-    clock_hz: u64,
-    path: impl AsRef<std::path::Path>,
-) -> std::io::Result<()> {
-    std::fs::write(path, to_pcap(trace, clock_hz))
-}
-
-/// Reads a pcap file from disk.
-///
-/// # Errors
-///
-/// Propagates I/O errors; pcap format errors surface as
-/// [`std::io::ErrorKind::InvalidData`].
-pub fn read_pcap_file(path: impl AsRef<std::path::Path>, clock_hz: u64) -> std::io::Result<Trace> {
-    let bytes = std::fs::read(path)?;
-    parse_pcap(&bytes, clock_hz)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +183,9 @@ mod tests {
 
     #[test]
     fn header_fields_are_standard() {
-        let trace = Trace::from_gen(&mut FixedSizeGen::new(64, 1), 1);
+        let trace = [FixedSizeGen::new(64, 1).generate(0, 0)]
+            .into_iter()
+            .collect::<Trace>();
         let bytes = to_pcap(&trace, 250_000_000);
         assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
         assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
@@ -309,7 +211,9 @@ mod tests {
 
     #[test]
     fn rejects_truncated_record() {
-        let trace = Trace::from_gen(&mut FixedSizeGen::new(64, 1), 1);
+        let trace = [FixedSizeGen::new(64, 1).generate(0, 0)]
+            .into_iter()
+            .collect::<Trace>();
         let mut bytes = to_pcap(&trace, 250_000_000);
         bytes.truncate(bytes.len() - 10);
         assert_eq!(
@@ -327,40 +231,5 @@ mod tests {
             parse_pcap(&bytes, 1).unwrap_err(),
             PcapError::UnsupportedLinkType(101)
         );
-    }
-
-    #[test]
-    fn streaming_writer_matches_batch_export_byte_for_byte() {
-        let mut gen = FlowTrafficGen::new(4, 200, 0.0, 11);
-        let mut trace = Trace::new();
-        for i in 0..40u64 {
-            trace.push(gen.generate(i, i * 61));
-        }
-        let clock = 250_000_000;
-        let mut streamed = Vec::new();
-        let mut w = PcapWriter::new(&mut streamed, clock).unwrap();
-        for pkt in &trace {
-            w.write_packet(pkt).unwrap();
-        }
-        assert_eq!(w.packets_written(), 40);
-        assert_eq!(streamed, to_pcap(&trace, clock));
-        // Write → read → byte-identical packets.
-        let back = parse_pcap(&streamed, clock).unwrap();
-        assert_eq!(back.len(), trace.len());
-        for (a, b) in back.iter().zip(trace.iter()) {
-            assert_eq!(a.bytes(), b.bytes());
-        }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("rosebud_pcap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.pcap");
-        let trace = Trace::from_gen(&mut FixedSizeGen::new(128, 2), 5);
-        write_pcap_file(&trace, 250_000_000, &path).unwrap();
-        let back = read_pcap_file(&path, 250_000_000).unwrap();
-        assert_eq!(back.len(), 5);
-        std::fs::remove_file(&path).ok();
     }
 }

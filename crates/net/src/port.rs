@@ -3,18 +3,14 @@
 //! The simulation core consumes traffic through the
 //! [`IngressPort`]/[`EgressPort`] contract (see `rosebud_kernel::port`);
 //! this module adapts everything this crate knows how to produce or absorb
-//! onto that contract: paced [`TrafficGen`] sources ([`GenPort`]), pcap
-//! replay ([`PcapReplayPort`]), and streaming pcap capture
-//! ([`PcapWriterPort`]). The adapters are deliberately thin — a future
-//! feeder is "a ~100-line port impl", not a change to the core.
+//! onto that contract: paced [`TrafficGen`] sources ([`GenPort`]) and pcap
+//! replay ([`PcapReplayPort`]). The adapters are deliberately thin — a
+//! future feeder is "a ~100-line port impl", not a change to the core.
 
-use std::io::Write;
-
-use rosebud_kernel::{Cycle, EgressPort, IngressPort, PortClock, StampedIngress};
+use rosebud_kernel::{Cycle, IngressPort, PortClock, StampedIngress};
 
 use crate::gen::TrafficGen;
 use crate::packet::Packet;
-use crate::pcap::PcapWriter;
 use crate::trace::Trace;
 use crate::WIRE_OVERHEAD_BYTES;
 
@@ -96,11 +92,6 @@ impl GenPort {
             next_id: 0,
             last_refill: None,
         }
-    }
-
-    /// The wrapped generator.
-    pub fn generator(&self) -> &dyn TrafficGen {
-        &*self.gen
     }
 
     /// Frames generated so far (== the next packet id).
@@ -219,11 +210,6 @@ impl PcapReplayPort {
         inner.finish();
         Self { inner }
     }
-
-    /// `true` once every packet has been delivered.
-    pub fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
-    }
 }
 
 impl IngressPort<Packet> for PcapReplayPort {
@@ -248,78 +234,10 @@ impl IngressPort<Packet> for PcapReplayPort {
     }
 }
 
-/// An egress port streaming every delivered frame into a pcap — `tcpdump`
-/// as a port. Bind one to a device's egress to dump live or replayed
-/// traffic for offline inspection.
-///
-/// Frames are written with their delivery order preserved; the timestamp
-/// recorded is the packet's generation cycle (the same convention as the
-/// batch exporter). I/O errors are sticky: the first failure is remembered
-/// and later offers still succeed simulation-side (capture must never
-/// perturb the run), but [`PcapWriterPort::io_error`] reports it.
-pub struct PcapWriterPort<W: Write> {
-    writer: PcapWriter<W>,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> PcapWriterPort<W> {
-    /// A capture port writing to `w` with cycle→time conversion at
-    /// `clock_hz`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the header write failure.
-    pub fn new(w: W, clock_hz: u64) -> std::io::Result<Self> {
-        Ok(Self {
-            writer: PcapWriter::new(w, clock_hz)?,
-            error: None,
-        })
-    }
-
-    /// Frames captured so far.
-    pub fn packets_written(&self) -> u64 {
-        self.writer.packets_written()
-    }
-
-    /// The first I/O error the capture hit, if any.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flush failure.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer.into_inner())
-    }
-}
-
-impl<W: Write> EgressPort<Packet> for PcapWriterPort<W> {
-    fn can_accept(&self, _len_bytes: u64) -> bool {
-        true
-    }
-
-    fn offer(&mut self, pkt: Packet, _len_bytes: u64, _now: Cycle) -> Result<(), Packet> {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.write_packet(&pkt) {
-                self.error = Some(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "pcap-writer"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_pcap, FixedSizeGen};
+    use crate::FixedSizeGen;
 
     #[test]
     fn gen_port_rotates_lanes_and_retries_refusals() {
@@ -377,27 +295,7 @@ mod tests {
         assert_eq!(port.poll(100).unwrap().id, 1);
         assert_eq!(port.poll(350).unwrap().id, 2);
         assert_eq!(port.poll(350).unwrap().id, 3);
-        assert!(port.is_exhausted());
+        assert!(port.inner.is_exhausted());
         assert_eq!(port.clock(350), PortClock::Exhausted);
-    }
-
-    #[test]
-    fn writer_port_captures_delivered_frames() {
-        let mut gen = FixedSizeGen::new(128, 2);
-        let mut port = PcapWriterPort::new(Vec::new(), 250_000_000).unwrap();
-        let mut sent = Vec::new();
-        for i in 0..5u64 {
-            let pkt = gen.generate(i, i * 10);
-            let len = pkt.len();
-            port.offer(pkt.clone(), len, i * 10).unwrap();
-            sent.push(pkt);
-        }
-        assert_eq!(port.packets_written(), 5);
-        assert!(port.io_error().is_none());
-        let bytes = port.finish().unwrap();
-        let back = parse_pcap(&bytes, 250_000_000).unwrap();
-        for (a, b) in back.iter().zip(sent.iter()) {
-            assert_eq!(a.bytes(), b.bytes());
-        }
     }
 }

@@ -1,6 +1,5 @@
 //! In-memory packet traces.
 
-use crate::gen::TrafficGen;
 use crate::packet::Packet;
 
 /// An ordered collection of packets — the in-memory analogue of the pcap
@@ -9,8 +8,9 @@ use crate::packet::Packet;
 /// # Examples
 ///
 /// ```
-/// use rosebud_net::{FixedSizeGen, Trace};
-/// let trace = Trace::from_gen(&mut FixedSizeGen::new(64, 2), 100);
+/// use rosebud_net::{FixedSizeGen, Trace, TrafficGen};
+/// let mut gen = FixedSizeGen::new(64, 2);
+/// let trace: Trace = (0..100).map(|id| gen.generate(id, 0)).collect();
 /// assert_eq!(trace.len(), 100);
 /// assert_eq!(trace.total_bytes(), 6400);
 /// ```
@@ -23,13 +23,6 @@ impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Captures `count` packets from a generator, with ids 0..count and a
-    /// zero generation timestamp.
-    pub fn from_gen<G: TrafficGen>(gen: &mut G, count: usize) -> Self {
-        let packets = (0..count).map(|i| gen.generate(i as u64, 0)).collect();
-        Self { packets }
     }
 
     /// Appends a packet.
@@ -50,11 +43,6 @@ impl Trace {
     /// Sum of in-memory frame lengths.
     pub fn total_bytes(&self) -> u64 {
         self.packets.iter().map(Packet::len).sum()
-    }
-
-    /// Sum of wire lengths (including preamble/FCS/IFG).
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.packets.iter().map(Packet::wire_len).sum()
     }
 
     /// The packets, in order.
@@ -103,15 +91,7 @@ impl Extend<Packet> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FixedSizeGen;
-
-    #[test]
-    fn from_gen_assigns_sequential_ids() {
-        let trace = Trace::from_gen(&mut FixedSizeGen::new(64, 2), 10);
-        for (i, pkt) in trace.iter().enumerate() {
-            assert_eq!(pkt.id, i as u64);
-        }
-    }
+    use crate::{FixedSizeGen, TrafficGen};
 
     #[test]
     fn collect_and_extend() {
@@ -119,6 +99,6 @@ mod tests {
         let mut trace: Trace = (0..5).map(|i| gen.generate(i, 0)).collect();
         trace.extend((5..8).map(|i| gen.generate(i, 0)));
         assert_eq!(trace.len(), 8);
-        assert_eq!(trace.total_wire_bytes(), 8 * 88);
+        assert_eq!(trace.total_bytes(), 8 * 64);
     }
 }

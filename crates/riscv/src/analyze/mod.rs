@@ -88,11 +88,6 @@ impl Analyzer {
         Analyzer { spec }
     }
 
-    /// The spec this analyzer checks against.
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
-    }
-
     /// Runs every check over `image` and returns the report.
     ///
     /// Known-imprecise cases (documented deliberately — the analyzer is a

@@ -81,7 +81,7 @@ pub struct LoopBound {
     /// Loop-header block start PC.
     pub header: u32,
     /// Nearest label at the header, if the image has one.
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// Worst-case cycles for one iteration (header back to header).
     pub cycles_per_iter: u64,
 }
@@ -90,9 +90,9 @@ pub struct LoopBound {
 #[derive(Debug, Clone)]
 pub struct EntryWcet {
     /// Entry PC.
-    pub entry: u32,
+    pub(crate) entry: u32,
     /// Label at the entry, if any.
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// Longest acyclic path from the entry, in cycles (loop back edges
     /// excluded; multiply by iteration bounds for loop-carried budgets).
     pub acyclic_cycles: u64,

@@ -14,10 +14,10 @@ pub struct Region {
 
 impl Region {
     /// The empty region.
-    pub const NONE: Region = Region { base: 0, bytes: 0 };
+    pub(crate) const NONE: Region = Region { base: 0, bytes: 0 };
 
     /// Whether `addr` falls inside the region.
-    pub fn contains(&self, addr: u32) -> bool {
+    pub(crate) fn contains(&self, addr: u32) -> bool {
         self.bytes > 0 && addr.wrapping_sub(self.base) < self.bytes
     }
 }

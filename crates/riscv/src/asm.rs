@@ -11,7 +11,8 @@
 //! `#`/`//` comments, and the directives `.word`, `.half`, `.byte`,
 //! `.ascii`, `.asciz`, `.space`, `.align`, `.equ`, and `.org`. Sub-word
 //! data directives pad their extent to a word boundary so code that follows
-//! stays aligned.
+//! stays aligned; `.align N` pads to a 2^N-byte boundary with `nop` words,
+//! as GNU `as` does in a RISC-V code section.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,6 +25,14 @@ use crate::isa::{encode, template, AluOp, BranchOp, CsrOp, CsrSrc, Instr, Reg};
 /// loadable program is wider; a layout past it is refused before a word is
 /// allocated, whatever `.space` or `.org` asked for.
 const MAX_IMAGE_BYTES: u32 = 0x80_0000;
+
+/// `nop` (`addi x0, x0, 0`): the instruction and `.align`'s fill.
+const NOP: Instr = Instr::OpImm {
+    op: AluOp::Add,
+    rd: Reg::ZERO,
+    rs1: Reg::ZERO,
+    imm: 0,
+};
 
 /// An assembled program image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,11 +78,6 @@ impl Image {
         (self.words.len() * 4) as u32
     }
 
-    /// Looks up a label's address.
-    pub fn symbol(&self, name: &str) -> Option<u32> {
-        self.symbols.get(name).copied()
-    }
-
     /// Iterates over every symbol (labels and `.equ` constants) as
     /// `(name, value)` pairs, in unspecified order.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, u32)> {
@@ -83,11 +87,11 @@ impl Image {
 
 /// A 1-based source position (line and byte column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pos {
+pub(crate) struct Pos {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based byte column of the statement, label, or directive at fault.
-    pub col: usize,
+    pub(crate) col: usize,
 }
 
 /// An assembly error with its 1-based source position.
@@ -134,7 +138,7 @@ pub fn assemble(source: &str) -> Result<Image, AsmError> {
 /// # Errors
 ///
 /// See [`assemble`].
-pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
+pub(crate) fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
     let statements = parse(source)?;
 
     // Pass 1: lay out addresses and collect symbols.
@@ -174,7 +178,7 @@ pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
             body => {
                 placed.push((pc, stmt));
                 pc = pc
-                    .checked_add(body_size(body, stmt.pos)?)
+                    .checked_add(body_size(body, pc, stmt.pos)?)
                     .filter(|end| end - base <= MAX_IMAGE_BYTES)
                     .ok_or_else(|| {
                         let mib = MAX_IMAGE_BYTES >> 20;
@@ -261,7 +265,12 @@ pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
                     }
                 }
             }
-            Body::Align(_) => {}
+            Body::Align(power) => {
+                let nop = encode(NOP).expect("nop encodes");
+                for at in (addr..addr + align_padding(addr, *power)).step_by(4) {
+                    emit_at(&mut words, at, nop);
+                }
+            }
             Body::Equ(..) | Body::Org(..) | Body::None => unreachable!("not placed"),
         }
     }
@@ -304,7 +313,8 @@ enum Body {
     /// Raw string bytes (`.ascii` / `.asciz`).
     Ascii(Vec<u8>),
     Space(u32),
-    Align(#[allow(dead_code)] u32),
+    /// `.align N`: `nop` fill up to the next 2^N-byte boundary.
+    Align(u32),
     Equ(String, Expr),
     Org(Expr),
 }
@@ -447,7 +457,9 @@ fn parse_directive(rest: &str, pos: Pos) -> Result<Body, AsmError> {
         "align" => {
             let n: u32 = args
                 .parse()
-                .map_err(|_| err(pos, format!("bad .align value `{args}`")))?;
+                .ok()
+                .filter(|&n| n < 32)
+                .ok_or_else(|| err(pos, format!("bad .align value `{args}`")))?;
             Ok(Body::Align(n))
         }
         "equ" => {
@@ -537,14 +549,20 @@ fn eval(expr: &Expr, symbols: &BTreeMap<String, u32>, pos: Pos) -> Result<i64, A
     }
 }
 
-fn body_size(body: &Body, pos: Pos) -> Result<u32, AsmError> {
+/// Bytes from `addr` up to the next multiple of 2^`power`.
+fn align_padding(addr: u32, power: u32) -> u32 {
+    addr.wrapping_neg() & ((1 << power) - 1)
+}
+
+/// The bytes `body` lays out when placed at `pc`.
+fn body_size(body: &Body, pc: u32, pos: Pos) -> Result<u32, AsmError> {
     Ok(match body {
         Body::Instr(mnemonic, operands) => instr_size(mnemonic, operands),
         Body::Word(exprs) => (exprs.len() * 4) as u32,
         Body::Data(unit, exprs) => ((exprs.len() as u32 * unit).div_ceil(4)) * 4,
         Body::Ascii(bytes) => (bytes.len() as u32).div_ceil(4) * 4,
         Body::Space(bytes) => *bytes,
-        Body::Align(_) => 0, // everything is word aligned already
+        Body::Align(power) => align_padding(pc, *power),
         Body::Equ(..) | Body::Org(..) | Body::None => {
             return Err(err(pos, "internal: unsized body"))
         }
@@ -850,12 +868,7 @@ fn lower(
         "csrwi" => csr_write(CsrOp::Rw, true),
         "csrsi" => csr_write(CsrOp::Rs, true),
         "csrci" => csr_write(CsrOp::Rc, true),
-        "nop" => Ok(vec![OpImm {
-            op: AluOp::Add,
-            rd: Reg::ZERO,
-            rs1: Reg::ZERO,
-            imm: 0,
-        }]),
+        "nop" => Ok(vec![NOP]),
         "li" | "la" => {
             let rd = reg(0)?;
             let value = imm_op(ops, 1, symbols, pos)?;
@@ -986,8 +999,8 @@ mod tests {
             ",
         )
         .unwrap();
-        assert_eq!(image.symbol("start"), Some(0));
-        assert_eq!(image.symbol("end"), Some(12));
+        assert_eq!(image.symbols.get("start").copied(), Some(0));
+        assert_eq!(image.symbols.get("end").copied(), Some(12));
         assert_eq!(image.words().len(), 4);
     }
 
@@ -1002,7 +1015,7 @@ mod tests {
             ",
         )
         .unwrap();
-        let data_at = (image.symbol("data").unwrap() / 4) as usize;
+        let data_at = (image.symbols.get("data").copied().unwrap() / 4) as usize;
         assert_eq!(image.words()[data_at], 1);
         assert_eq!(image.words()[data_at + 2], 0xCAFE);
     }
@@ -1018,7 +1031,7 @@ mod tests {
             ",
         )
         .unwrap();
-        assert_eq!(image.symbol("later"), Some(0x20));
+        assert_eq!(image.symbols.get("later").copied(), Some(0x20));
         assert_eq!(image.words().len(), 9);
     }
 
@@ -1162,6 +1175,18 @@ mod data_directive_tests {
     use super::*;
 
     #[test]
+    fn align_pads_with_nops_to_a_power_of_two() {
+        let image = assemble("nop\n.align 4\nx: nop").unwrap();
+        assert_eq!(image.symbols.get("x").copied(), Some(16));
+        assert_eq!(image.words, vec![encode(NOP).unwrap(); 5]);
+        // On the boundary already: no fill.
+        let image = assemble("nop\n.align 2\ny: nop\n.align 3\nz: nop").unwrap();
+        assert_eq!(image.symbols.get("y").copied(), Some(4));
+        assert_eq!(image.symbols.get("z").copied(), Some(8));
+        assert!(assemble(".align 32").is_err());
+    }
+
+    #[test]
     fn byte_directive_packs_little_endian() {
         let image = assemble(
             "
@@ -1175,7 +1200,7 @@ mod data_directive_tests {
         assert_eq!(image.words()[0], 0x4433_2211);
         assert_eq!(image.words()[1] & 0xff, 0x55);
         // 5 bytes pad to 8: `after` is word-aligned.
-        assert_eq!(image.symbol("after"), Some(8));
+        assert_eq!(image.symbols.get("after").copied(), Some(8));
     }
 
     #[test]
@@ -1197,7 +1222,7 @@ mod data_directive_tests {
         .unwrap();
         let bytes = image.bytes();
         assert_eq!(&bytes[0..4], b"hi\n\0");
-        assert_eq!(image.symbol("code"), Some(4));
+        assert_eq!(image.symbols.get("code").copied(), Some(4));
     }
 
     #[test]

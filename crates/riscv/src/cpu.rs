@@ -168,21 +168,21 @@ const MSTATUS_MPIE: u32 = 1 << 7;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cycles for a simple ALU/CSR instruction.
-    pub base: u32,
+    pub(crate) base: u32,
     /// Cycles for a load hitting single-cycle memory (before wait-states).
-    pub load: u32,
+    pub(crate) load: u32,
     /// Cycles for a store (before wait-states).
-    pub store: u32,
+    pub(crate) store: u32,
     /// Cycles for a taken branch (misfetch penalty included).
-    pub branch_taken: u32,
+    pub(crate) branch_taken: u32,
     /// Cycles for a not-taken branch.
-    pub branch_not_taken: u32,
+    pub(crate) branch_not_taken: u32,
     /// Cycles for `jal`/`jalr`/`mret` (pipeline refill).
-    pub jump: u32,
+    pub(crate) jump: u32,
     /// Cycles for a multiply.
-    pub mul: u32,
+    pub(crate) mul: u32,
     /// Cycles for a divide/remainder.
-    pub div: u32,
+    pub(crate) div: u32,
 }
 
 impl Default for CostModel {
@@ -313,7 +313,7 @@ impl Cpu {
 
     /// Writes a register (`x0` stays zero).
     #[inline]
-    pub fn set_reg(&mut self, reg: Reg, value: u32) {
+    pub(crate) fn set_reg(&mut self, reg: Reg, value: u32) {
         if reg.0 != 0 {
             self.regs[reg.0 as usize] = value;
         }
@@ -371,11 +371,6 @@ impl Cpu {
         self.mip &= !(1 << line);
     }
 
-    /// Pending interrupt lines.
-    pub fn pending_irqs(&self) -> u32 {
-        self.mip
-    }
-
     /// `true` when `self` and `other` are the same architectural state up to
     /// the free-running counters (`mcycle`, `minstret`, memory waits): pc,
     /// registers, CSRs, pending lines and run state. A core that comes back
@@ -397,15 +392,6 @@ impl Cpu {
         self.cycles += cycles;
         self.instret += instret;
         self.mem_waits += mem_waits;
-    }
-
-    /// Resets the core: PC to `reset_pc`, registers and CSRs cleared. Used
-    /// when an RPU is rebooted after partial reconfiguration (Appendix A.8).
-    pub fn reset(&mut self, reset_pc: u32) {
-        *self = Self {
-            cost: self.cost,
-            ..Self::new(reset_pc)
-        };
     }
 
     #[inline]
@@ -1005,7 +991,7 @@ mod tests {
         }
         assert!(hit_break, "handler did not run");
         assert_eq!(cpu.reg(Reg::parse("a0").unwrap()), 99);
-        assert_eq!(cpu.pending_irqs(), 4);
+        assert_eq!(cpu.mip, 4);
     }
 
     #[test]

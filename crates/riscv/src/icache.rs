@@ -26,10 +26,10 @@ use crate::isa::decode;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
     /// Fetches answered from a slot.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Fetches outside the slots (a misaligned or out-of-range PC), which
     /// took the uncached word load.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Word slots re-decoded by stores or reloads.
     pub invalidations: u64,
 }
@@ -63,7 +63,7 @@ impl DecodeCache {
     /// Misaligned fetches (`jalr` only clears bit 0, so `pc % 4 == 2` is
     /// architecturally reachable) take the uncached path.
     #[inline]
-    pub fn covers(&self, pc: u32) -> bool {
+    pub(crate) fn covers(&self, pc: u32) -> bool {
         self.get(pc).is_some()
     }
 
@@ -77,7 +77,7 @@ impl DecodeCache {
 
     /// The decoded instruction at `pc`, when `pc` is covered and its word
     /// decodes.
-    pub fn instr(&self, pc: u32) -> Option<crate::Instr> {
+    pub(crate) fn instr(&self, pc: u32) -> Option<crate::Instr> {
         match self.get(pc)? {
             Fetched::Decoded(instr) => Some(instr),
             _ => None,
@@ -100,7 +100,7 @@ impl DecodeCache {
 
     /// Decodes an image of `words` at byte address `base` into the slots it
     /// covers (the analyzer's predecode, which has no memory behind it).
-    pub fn predecode(&mut self, base: u32, words: &[u32]) {
+    pub(crate) fn predecode(&mut self, base: u32, words: &[u32]) {
         for (i, &w) in words.iter().enumerate() {
             let slot = (base as usize >> 2) + i;
             if base & 3 == 0 && slot < self.slots.len() {
@@ -110,7 +110,7 @@ impl DecodeCache {
     }
 
     /// Word slots re-decoded by [`DecodeCache::refresh`] so far.
-    pub fn refreshed(&self) -> u64 {
+    pub(crate) fn refreshed(&self) -> u64 {
         self.refreshed
     }
 }

@@ -82,30 +82,44 @@ pub enum Instr {
     Wfi,
 }
 
-/// A register index 0–31.
+/// A register index 0–31, built by [`Reg::new`] or [`Reg::parse`]: both
+/// check the range, and the index is no public field, so a register past
+/// `x31` cannot be written down (and `encode` never shifts one into a
+/// neighbouring field):
+///
+/// ```compile_fail
+/// let _ = rosebud_riscv::Reg(33);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Reg(pub u8);
+pub struct Reg(pub(crate) u8);
 
 impl Reg {
     /// The hardwired zero register `x0`.
     pub const ZERO: Reg = Reg(0);
     /// Return address `x1`.
-    pub const RA: Reg = Reg(1);
+    pub(crate) const RA: Reg = Reg(1);
     /// Stack pointer `x2`.
-    pub const SP: Reg = Reg(2);
+    pub(crate) const SP: Reg = Reg(2);
 
     /// Creates a register, checking range.
     ///
     /// # Panics
     ///
     /// Panics if `index > 31`.
+    #[inline]
     pub fn new(index: u8) -> Self {
         assert!(index < 32, "register index out of range: {index}");
         Reg(index)
     }
 
+    /// The index, 0–31.
+    #[inline]
+    pub fn index(self) -> u8 {
+        self.0
+    }
+
     /// The ABI name (`zero`, `ra`, `sp`, `a0`, …).
-    pub fn abi_name(self) -> &'static str {
+    pub(crate) fn abi_name(self) -> &'static str {
         REG_NAMES[self.0 as usize]
     }
 
@@ -636,7 +650,9 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
             rs1,
             rs2,
         },
-        MISC_MEM => Instr::Fence,
+        // FENCE only: `fence.i` (funct3 = 1) is not implemented, and the
+        // other funct3 values are reserved.
+        MISC_MEM if funct3 == 0 => Instr::Fence,
         SYSTEM if funct3 == 0 => match word {
             ECALL => Instr::Ecall,
             EBREAK => Instr::Ebreak,

@@ -54,7 +54,7 @@ pub use analyze::{
     Analyzer, Check, Diagnostic, EntryWcet, LintReport, LoopBound, MachineSpec, MmioReg,
     ProtocolSpec, Region, Severity,
 };
-pub use asm::{assemble, assemble_at, AsmError, Image, Pos};
+pub use asm::{assemble, AsmError, Image};
 pub use cpu::{
     csr, AccessSize, Bus, BusFault, BusValue, CostModel, Cpu, CpuFault, Fetched, RamBus, StepResult,
 };

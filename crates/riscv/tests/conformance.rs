@@ -10,7 +10,9 @@
 //! (self-modifying stores, host `load_image` reloads) and the rule that
 //! undecodable words are never cached.
 
-use rosebud_riscv::{assemble, AccessSize, Bus, Cpu, CpuFault, RamBus, Reg, StepResult};
+use rosebud_riscv::{
+    assemble, decode, AccessSize, Bus, Cpu, CpuFault, DecodeError, Instr, RamBus, Reg, StepResult,
+};
 
 fn r(name: &str) -> Reg {
     Reg::parse(name).expect("valid ABI register name")
@@ -303,6 +305,24 @@ fn illegal_words_are_never_cached() {
         let mut cpu = Cpu::new(0);
         step_to_break(&mut cpu, &mut bus, 50);
         assert_eq!(cpu.reg(r("a0")), 8, "5 + 3 after patch (cached={cached})");
+    }
+}
+
+/// MISC-MEM decodes to FENCE for funct3 = 0 alone: the core faults on
+/// `fence.i` (funct3 = 1, not implemented) and on a reserved funct3 rather
+/// than running either as a FENCE.
+#[test]
+fn misc_mem_words_other_than_fence_are_illegal() {
+    assert_eq!(decode(0x0000_000f), Ok(Instr::Fence));
+    for word in [0x0000_100f, 0x0000_700f] {
+        assert_eq!(decode(word), Err(DecodeError::Illegal(word)));
+        let mut bus = RamBus::new(4096);
+        bus.load_image(0, &[word]);
+        assert_eq!(
+            Cpu::new(0).step(&mut bus),
+            StepResult::Fault(CpuFault::IllegalInstruction { pc: 0, word }),
+            "{word:#010x}"
+        );
     }
 }
 

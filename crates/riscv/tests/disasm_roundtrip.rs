@@ -222,11 +222,11 @@ fn exhaustive_decoder_sweep_is_pinned() {
     }
     assert_eq!(
         accepted,
-        [30_293, 98_308],
+        [26_709, 98_308],
         "accepted words (field sweep, SYSTEM sweep)"
     );
     assert_eq!(
-        hash, 0x1555_289e_5519_a8f6,
+        hash, 0x0a65_f925_94d7_10f6,
         "hash over the disassembly of every accepted word"
     );
 }

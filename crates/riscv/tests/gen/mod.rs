@@ -212,7 +212,7 @@ impl Stream {
     pub fn asm(&self) -> String {
         let mut s = String::new();
         for (r, &v) in (10u8..).zip(&self.seeds).filter(|&(_, &v)| v != 0) {
-            s += &format!("li {}, {}\n", Reg(r), v as i32);
+            s += &format!("li {}, {}\n", Reg::new(r), v as i32);
         }
         for (i, &(op, patch)) in self.ops.iter().enumerate() {
             if let Some(new) = patch {

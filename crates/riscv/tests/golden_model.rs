@@ -13,11 +13,11 @@ use rosebud_riscv::{assemble, AluOp, Cpu, Instr, MulOp, RamBus, Reg, StepResult}
 /// The reference: `op`'s destination and result over registers `x`,
 /// computed from the ISA manual rather than from the ISS.
 fn eval(op: Instr, x: &[u32; 32]) -> (usize, u32) {
-    let r = |r: Reg| x[r.0 as usize];
+    let r = |r: Reg| x[r.index() as usize];
     match op {
-        Instr::Op { op, rd, rs1, rs2 } => (rd.0 as usize, alu(op, r(rs1), r(rs2))),
-        Instr::OpImm { op, rd, rs1, imm } => (rd.0 as usize, alu(op, r(rs1), imm as u32)),
-        Instr::MulDiv { op, rd, rs1, rs2 } => (rd.0 as usize, muldiv(op, r(rs1), r(rs2))),
+        Instr::Op { op, rd, rs1, rs2 } => (rd.index() as usize, alu(op, r(rs1), r(rs2))),
+        Instr::OpImm { op, rd, rs1, imm } => (rd.index() as usize, alu(op, r(rs1), imm as u32)),
+        Instr::MulDiv { op, rd, rs1, rs2 } => (rd.index() as usize, muldiv(op, r(rs1), r(rs2))),
         other => unreachable!("not ALU/M: {other:?}"),
     }
 }
@@ -67,7 +67,7 @@ fn run(source: &str, decode_cache: bool) -> (Vec<u32>, u64, Vec<u8>) {
             break;
         }
     }
-    let regs = (0..32).map(|r| cpu.reg(Reg(r))).collect();
+    let regs = (0..32).map(|r| cpu.reg(Reg::new(r))).collect();
     (regs, cpu.cycles(), bus.mem().to_vec())
 }
 

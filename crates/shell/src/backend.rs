@@ -6,13 +6,12 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Largest frame a backend will accept from the outside (jumbo + slack).
-pub const MAX_FRAME: usize = 16 * 1024;
+pub(crate) const MAX_FRAME: usize = 16 * 1024;
 
 /// A transport carrying raw frames between the shell and real endpoints.
 ///
@@ -43,27 +42,25 @@ fn push(q: &FrameQueue, port: u8, frame: Vec<u8>) {
     q.lock().expect("ring poisoned").push_back((port, frame));
 }
 
-/// The receive side every datagram-style backend shares: one buffer for the
-/// backend's lifetime and the one loop that drains a non-blocking source.
+/// The receive side of a datagram backend: one buffer for the backend's
+/// lifetime and the one loop that drains a non-blocking source.
 struct Receiver {
     /// `MAX_FRAME + 1` bytes, so a datagram the kernel had to truncate is
     /// told apart from one that fits exactly.
     buf: Box<[u8]>,
-    oversized: u64,
 }
 
 impl Receiver {
     fn new() -> Self {
         Self {
             buf: vec![0; MAX_FRAME + 1].into_boxed_slice(),
-            oversized: 0,
         }
     }
 
     /// Calls `recv` (one non-blocking datagram read into the buffer) until
     /// it fails — `WouldBlock` is the empty queue, any other error is the
     /// far side's problem — appending each datagram to `out` as a frame on
-    /// `port`. One longer than [`MAX_FRAME`] is counted and dropped.
+    /// `port`. One longer than [`MAX_FRAME`] is dropped.
     fn drain(
         &mut self,
         port: u8,
@@ -71,9 +68,7 @@ impl Receiver {
         mut recv: impl FnMut(&mut [u8]) -> io::Result<usize>,
     ) {
         while let Ok(n) = recv(&mut self.buf) {
-            if n > MAX_FRAME {
-                self.oversized += 1;
-            } else {
+            if n <= MAX_FRAME {
                 out.push((port, self.buf[..n].to_vec()));
             }
         }
@@ -151,11 +146,6 @@ impl RingPeer {
     pub fn recv(&self) -> Vec<(u8, Vec<u8>)> {
         drain(&self.rx)
     }
-
-    /// Frames queued toward the shell but not yet drained.
-    pub fn backlog(&self) -> usize {
-        self.tx.lock().expect("ring poisoned").len()
-    }
 }
 
 /// A Unix-domain-datagram transport: one socket per physical port. Clients
@@ -193,16 +183,6 @@ impl UdsBackend {
             rx: Receiver::new(),
         })
     }
-
-    /// Number of ports (sockets) bound.
-    pub fn ports(&self) -> usize {
-        self.socks.len()
-    }
-
-    /// Datagrams dropped for exceeding [`MAX_FRAME`].
-    pub fn oversized(&self) -> u64 {
-        self.rx.oversized
-    }
 }
 
 impl ShellBackend for UdsBackend {
@@ -237,77 +217,6 @@ impl ShellBackend for UdsBackend {
     }
 }
 
-/// A UDP transport: one socket per physical port, same peer-learning rule
-/// as [`UdsBackend`]. Useful for cross-host play; frames are unencapsulated
-/// (one frame per datagram).
-pub struct UdpBackend {
-    socks: Vec<UdpSocket>,
-    peers: Vec<Option<SocketAddr>>,
-    rx: Receiver,
-}
-
-impl UdpBackend {
-    /// Binds one UDP socket per address (port `i` ↔ `addrs[i]`), all
-    /// non-blocking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(addrs: &[SocketAddr]) -> io::Result<Self> {
-        let mut socks = Vec::with_capacity(addrs.len());
-        for a in addrs {
-            let s = UdpSocket::bind(a)?;
-            s.set_nonblocking(true)?;
-            socks.push(s);
-        }
-        let peers = vec![None; socks.len()];
-        Ok(Self {
-            socks,
-            peers,
-            rx: Receiver::new(),
-        })
-    }
-
-    /// Datagrams dropped for exceeding [`MAX_FRAME`].
-    pub fn oversized(&self) -> u64 {
-        self.rx.oversized
-    }
-
-    /// The local address of port `p`'s socket (useful after binding port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lookup failure.
-    pub fn local_addr(&self, p: usize) -> io::Result<SocketAddr> {
-        self.socks[p].local_addr()
-    }
-}
-
-impl ShellBackend for UdpBackend {
-    fn recv_frames(&mut self) -> Vec<(u8, Vec<u8>)> {
-        let mut out = Vec::new();
-        for (port, (sock, peer)) in self.socks.iter().zip(&mut self.peers).enumerate() {
-            self.rx.drain(port as u8, &mut out, |buf| {
-                let (n, from) = sock.recv_from(buf)?;
-                *peer = Some(from);
-                Ok(n)
-            });
-        }
-        out
-    }
-
-    fn send_frame(&mut self, port: u8, frame: &[u8]) {
-        let p = port as usize;
-        if let Some(Some(peer)) = self.peers.get(p) {
-            let _ = self.socks[p].send_to(frame, *peer);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "udp"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,7 +231,7 @@ mod tests {
         shell.send_frame(0, &[9; 10]);
         let back = peer.recv();
         assert_eq!(back, vec![(0, vec![9; 10])]);
-        assert_eq!(peer.backlog(), 0);
+        assert!(peer.tx.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -331,7 +240,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p0 = dir.join("port0.sock");
         let mut be = UdsBackend::bind(&[&p0]).unwrap();
-        assert_eq!(be.ports(), 1);
+        assert_eq!(be.socks.len(), 1);
 
         // Sends with no learned peer go nowhere, without erroring.
         be.send_frame(0, &[0xFF; 32]);
@@ -349,38 +258,12 @@ mod tests {
         let (n, _) = client.recv_from(&mut buf).unwrap();
         assert_eq!(&buf[..n], &[8; 64][..]);
 
-        // A 17 KiB datagram is dropped and counted, not injected as a
-        // truncated frame; one of exactly MAX_FRAME still fits.
+        // A 17 KiB datagram is dropped, not injected as a truncated frame;
+        // one of exactly MAX_FRAME still fits.
         client.send_to(&[9; 17 * 1024], &p0).unwrap();
         client.send_to(&[6; MAX_FRAME], &p0).unwrap();
         assert_eq!(be.recv_frames(), vec![(0, vec![6; MAX_FRAME])]);
-        assert_eq!(be.oversized(), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn udp_backend_learns_peers_and_echoes() {
-        let mut be = UdpBackend::bind(&["127.0.0.1:0".parse().unwrap()]).unwrap();
-        let shell_addr = be.local_addr(0).unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client.send_to(&[5; 60], shell_addr).unwrap();
-        // UDP delivery over loopback is fast but not instant.
-        let mut got = Vec::new();
-        for _ in 0..200 {
-            got = be.recv_frames();
-            if !got.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, vec![(0, vec![5; 60])]);
-        be.send_frame(0, &[6; 64]);
-        let mut buf = [0u8; 128];
-        client
-            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
-            .unwrap();
-        let (n, _) = client.recv_from(&mut buf).unwrap();
-        assert_eq!(&buf[..n], &[6; 64][..]);
     }
 }

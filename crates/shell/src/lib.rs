@@ -5,8 +5,8 @@
 //! that line on purpose:
 //!
 //! * [`ShellBackend`] — transports carrying raw frames to and from real
-//!   endpoints: an in-process ring ([`RingBackend`], the CI workhorse),
-//!   Unix-domain datagrams ([`UdsBackend`]) and UDP ([`UdpBackend`]).
+//!   endpoints: an in-process ring ([`RingBackend`], the CI workhorse) and
+//!   Unix-domain datagrams ([`UdsBackend`]).
 //! * [`Shell`] — the event loop: drain the backend, stamp each accepted
 //!   frame with its injection cycle into an event log, tick the core, push
 //!   deliveries back out. The log replays bit-exactly on a fresh system
@@ -63,6 +63,6 @@ mod backend;
 mod control;
 mod shell;
 
-pub use backend::{RingBackend, RingPeer, ShellBackend, UdpBackend, UdsBackend, MAX_FRAME};
+pub use backend::{RingBackend, RingPeer, ShellBackend, UdsBackend};
 pub use control::ControlServer;
 pub use shell::Shell;

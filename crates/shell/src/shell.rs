@@ -61,7 +61,6 @@ pub struct Shell<B: ShellBackend> {
     log: EventLog,
     /// Frames received from the backend but not yet accepted by a MAC.
     pending: VecDeque<Packet>,
-    host_rx: Vec<Packet>,
     next_id: u64,
     forwarded: u64,
     rejected: u64,
@@ -75,7 +74,6 @@ impl<B: ShellBackend> Shell<B> {
             backend,
             log: EventLog::new(),
             pending: VecDeque::new(),
-            host_rx: Vec::new(),
             next_id: 0,
             forwarded: 0,
             rejected: 0,
@@ -124,13 +122,13 @@ impl<B: ShellBackend> Shell<B> {
         self.sys.tick();
         self.log.cycles = self.sys.now();
 
+        // The host lane (the PCIe virtual interface) has no host process
+        // behind a live shell: its deliveries are dropped here.
         let ports = self.sys.config().num_ports;
         self.sys.drain(&mut |lane, pkt| {
             if lane < ports {
                 self.backend.send_frame(pkt.port, pkt.bytes());
                 self.forwarded += 1;
-            } else {
-                self.host_rx.push(pkt);
             }
         });
 
@@ -165,7 +163,7 @@ impl<B: ShellBackend> Shell<B> {
     }
 
     /// The backend.
-    pub fn backend(&self) -> &B {
+    pub(crate) fn backend(&self) -> &B {
         &self.backend
     }
 
@@ -188,11 +186,6 @@ impl<B: ShellBackend> Shell<B> {
     /// Frames received from the backend but not yet accepted by a MAC.
     pub fn backlog(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Drains frames the firmware sent to the host over PCIe.
-    pub fn take_host_packets(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.host_rx)
     }
 }
 

@@ -579,10 +579,8 @@ fn declared(code: &str) -> Option<(&'static str, String)> {
     const KINDS: &[(&str, &str)] = &[
         ("fn ", "fn"),
         ("const fn ", "fn"),
-        ("unsafe fn ", "fn"),
         ("struct ", "struct"),
         ("enum ", "enum"),
-        ("union ", "union"),
         ("trait ", "trait"),
         ("type ", "type"),
         ("const ", "const"),
@@ -632,71 +630,26 @@ fn impl_target(code: &str) -> Option<String> {
     (!name.is_empty()).then_some(name)
 }
 
-/// The names a `pub use` tree brings into scope: `a::{b, c as d}` → `b`, `d`.
-fn use_leaves(tree: &str, out: &mut Vec<String>) {
-    let tree = tree.trim();
-    if let Some(open) = tree.find('{') {
-        let prefix = tree[..open].trim_end_matches("::");
-        let inner = &tree[open + 1..tree.rfind('}').unwrap_or(tree.len())];
-        let mut depth = 0;
-        let mut start = 0;
-        for (i, c) in inner.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                ',' if depth == 0 => {
-                    use_leaves_under(prefix, &inner[start..i], out);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-        use_leaves_under(prefix, &inner[start..], out);
-    } else if let Some((_, alias)) = tree.split_once(" as ") {
-        out.push(alias.trim().to_string());
-    } else if !tree.is_empty() {
-        out.push(tree.rsplit("::").next().unwrap().to_string());
-    }
-}
-
-fn use_leaves_under(prefix: &str, tree: &str, out: &mut Vec<String>) {
-    match tree.trim() {
-        "" => {}
-        "self" => out.push(prefix.rsplit("::").next().unwrap().to_string()),
-        "*" => out.push(format!("{prefix}::*")),
-        tree => use_leaves(tree, out),
-    }
+/// The names a `pub use` tree brings into scope: `a::{b, c::{d, e}}` → `b`,
+/// `d`, `e`. (The libraries re-export no `self`, glob or alias.)
+fn use_leaves(tree: &str) -> impl Iterator<Item = &str> {
+    tree.split([',', '{', '}'])
+        .map(str::trim)
+        .filter(|piece| !piece.is_empty() && !piece.ends_with("::"))
+        .map(|piece| piece.rsplit("::").next().unwrap())
 }
 
 /// One `crate file kind name` line for every `pub` item, field, `pub use`
-/// and `pub mod` outside test code in `crates/{krate}/src`. A method, an
-/// associated const or a field is named under its type, an item of an
-/// inline module under the module. The scan reads rustfmt's layout: an
-/// `impl`, type or module closes at the `}` with its opening line's indent.
+/// and `pub mod` outside `#[cfg(test)]` items in `crates/{krate}/src`. A
+/// method, an associated const or a field is named under its type, an item
+/// of an inline module under the module. The scan reads rustfmt's layout:
+/// an `impl`, type or module closes at the `}` with its opening line's
+/// indent.
 fn public_items(krate: &str) -> Vec<String> {
     let src = format!("crates/{krate}/src/");
     let files = sources(&src);
-    // Files that only a test build compiles (`#[cfg(test)] mod fixtures;`).
-    let mut test_files = Vec::new();
-    for (rel, text) in &files {
-        let dir = &rel[..rel.rfind('/').unwrap() + 1];
-        let lines: Vec<&str> = text.lines().collect();
-        for pair in lines.windows(2) {
-            if let ("#[cfg(test)]", Some(("mod", name))) =
-                (pair[0].trim(), declared(pair[1].trim()))
-            {
-                if pair[1].ends_with(';') {
-                    test_files.push(format!("{dir}{name}.rs"));
-                    test_files.push(format!("{dir}{name}/mod.rs"));
-                }
-            }
-        }
-    }
     let mut items = Vec::new();
     for (rel, text) in &files {
-        if test_files.contains(rel) {
-            continue;
-        }
         let file = &rel[src.len()..];
         // Open scopes: (indent, name, whether its `pub` lines are fields).
         let mut scopes: Vec<(usize, String, bool)> = Vec::new();
@@ -730,10 +683,8 @@ fn public_items(krate: &str) -> Vec<String> {
                     pending_use = Some(tree);
                     continue;
                 }
-                let mut names = Vec::new();
-                use_leaves(tree.trim_end_matches(';'), &mut names);
-                for name in names {
-                    push("use", &name);
+                for name in use_leaves(tree.trim_end_matches(';')) {
+                    push("use", name);
                 }
                 continue;
             }
@@ -778,7 +729,7 @@ fn public_items(krate: &str) -> Vec<String> {
                         }
                     }
                     if opens && kind != "fn" {
-                        let fields = kind == "struct" || kind == "union";
+                        let fields = kind == "struct";
                         scopes.push((indent, name, fields));
                     }
                 }
