@@ -2,9 +2,10 @@
 //! fixture, every shipped firmware lints clean (snapshotted under
 //! `tests/golden/firmware.lint`), the `LoadPolicy::Deny` gate provably
 //! blocks a bad image during a live PR reload, and the static WCET bounds
-//! are validated against measured per-PC cycle profiles.
+//! are validated against measured per-PC cycle profiles. The JSON form of
+//! the same reports is snapshotted under `tests/golden/firmware.lint.json`.
 //!
-//! Refresh the snapshot after an *intentional* analyzer change with:
+//! Refresh the snapshots after an *intentional* analyzer change with:
 //! `UPDATE_GOLDEN=1 cargo test --test firmware_lint`
 
 use std::path::PathBuf;
@@ -360,10 +361,30 @@ fn shipped_firmware_lint_reports_match_golden() {
         text.push_str(&analyzer.check(&assemble(&src).unwrap()).render(name));
         text.push('\n');
     }
+    assert_golden("firmware.lint", &text);
+}
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/firmware.lint");
+/// The same reports as `cargo run --example lint -- --json` prints them: one
+/// JSON array of `LintReport::render_json` objects. Pins the machine-readable
+/// form byte for byte.
+#[test]
+fn shipped_firmware_lint_json_matches_golden() {
+    let analyzer = analyzer();
+    let reports: Vec<String> = shipped_firmware()
+        .into_iter()
+        .map(|(name, src)| analyzer.check(&assemble(&src).unwrap()).render_json(name))
+        .collect();
+    assert_golden("firmware.lint.json", &format!("[{}]\n", reports.join(",")));
+}
+
+/// Compares `text` with `tests/golden/{name}`, or rewrites the snapshot
+/// under `UPDATE_GOLDEN`.
+fn assert_golden(name: &str, text: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &text).unwrap();
+        std::fs::write(&path, text).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -375,7 +396,7 @@ fn shipped_firmware_lint_reports_match_golden() {
     });
     assert_eq!(
         expected, text,
-        "lint reports drifted from tests/golden/firmware.lint (refresh \
+        "lint reports drifted from tests/golden/{name} (refresh \
          intentional changes with UPDATE_GOLDEN=1)"
     );
 }

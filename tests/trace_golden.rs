@@ -30,8 +30,10 @@ const GOLDEN_SNAPSHOTS: &[&str] = &[
     "forwarder.trace",
     "firewall.trace",
     "ladders.log",
-    // Owned by tests/firmware_lint.rs (shipped-firmware lint reports).
+    // Owned by tests/firmware_lint.rs (shipped-firmware lint reports, text
+    // and JSON).
     "firmware.lint",
+    "firmware.lint.json",
     // Owned by tests/source_lint.rs (the library crates' public surface).
     "public_api.list",
 ];
