@@ -9,7 +9,7 @@
 use rosebud_accel::FirewallMatcher;
 use rosebud_core::{Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
 use rosebud_kernel::SimRng;
-use rosebud_net::{PacketBuilder, Trace};
+use rosebud_net::{Packet, PacketBuilder};
 use rosebud_riscv::{assemble, Image};
 
 /// Assembly source of the firewall firmware — the Appendix C C code,
@@ -101,8 +101,8 @@ pub fn build_firewall_system(rpus: usize, blacklist: &[[u8; 4]]) -> Result<Roseb
 
 /// Generates the verification trace of Appendix D: one packet per blacklist
 /// entry plus `safe` packets from clean addresses, all TCP, `size` bytes.
-pub fn firewall_trace(blacklist: &[[u8; 4]], safe: usize, size: usize) -> Trace {
-    let mut trace = Trace::new();
+pub fn firewall_trace(blacklist: &[[u8; 4]], safe: usize, size: usize) -> Vec<Packet> {
+    let mut trace = Vec::with_capacity(blacklist.len() + safe);
     let mut id = 0u64;
     for ip in blacklist {
         trace.push(
@@ -132,7 +132,7 @@ pub fn firewall_trace(blacklist: &[[u8; 4]], safe: usize, size: usize) -> Trace 
 }
 
 /// Ground truth: how many packets of `trace` the blacklist should drop.
-pub fn expected_drops(trace: &Trace, blacklist: &[[u8; 4]]) -> usize {
+pub fn expected_drops(trace: &[Packet], blacklist: &[[u8; 4]]) -> usize {
     let matcher = FirewallMatcher::from_prefixes(blacklist);
     trace
         .iter()

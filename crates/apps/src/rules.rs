@@ -9,7 +9,7 @@
 
 use rosebud_accel::{Rule, RuleSet};
 use rosebud_kernel::SimRng;
-use rosebud_net::{PacketBuilder, Trace};
+use rosebud_net::{Packet, PacketBuilder};
 
 /// Errors from [`parse_rules`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,8 +168,8 @@ pub fn compile(rules: Vec<Rule>) -> RuleSet {
 /// Crafts one attack packet per rule: a TCP packet to the rule's port (or
 /// 80) whose payload embeds the rule's pattern — the paper's
 /// `attack_pcap` generation (Appendix D).
-pub fn attack_trace(rules: &[Rule], size: usize) -> Trace {
-    let mut trace = Trace::new();
+pub fn attack_trace(rules: &[Rule], size: usize) -> Vec<Packet> {
+    let mut trace = Vec::with_capacity(rules.len());
     for (i, rule) in rules.iter().enumerate() {
         let dst_port = rule.dst_port.unwrap_or(80);
         let src_port = rule.src_port.unwrap_or(40_000 + (i % 20_000) as u16);

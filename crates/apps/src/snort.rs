@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rosebud_accel::RuleSet;
-use rosebud_net::Trace;
+use rosebud_net::Packet;
 
 /// Analytic model of the Snort+Hyperscan baseline.
 ///
@@ -79,7 +79,7 @@ impl CpuMatcher {
 
     /// Scans every packet of `trace` on the calling thread; returns the
     /// number of (packet, rule) match events.
-    pub fn scan_trace(&self, trace: &Trace) -> u64 {
+    pub fn scan_trace(&self, trace: &[Packet]) -> u64 {
         let mut hits = 0u64;
         for pkt in trace {
             if let (Some(payload), Ok(tcp)) = (pkt.payload(), pkt.tcp()) {
@@ -99,13 +99,12 @@ impl CpuMatcher {
 
     /// Scans `trace` across `threads` workers (static partition), returning
     /// total match events. Models the AF_PACKET fanout the paper enables.
-    pub fn scan_trace_parallel(&self, trace: &Trace, threads: usize) -> u64 {
+    pub fn scan_trace_parallel(&self, trace: &[Packet], threads: usize) -> u64 {
         assert!(threads > 0, "need at least one worker");
         let hits = AtomicU64::new(0);
-        let packets = trace.packets();
-        let chunk = packets.len().div_ceil(threads);
+        let chunk = trace.len().div_ceil(threads);
         std::thread::scope(|scope| {
-            for part in packets.chunks(chunk.max(1)) {
+            for part in trace.chunks(chunk.max(1)) {
                 let rules = &self.rules;
                 let hits = &hits;
                 scope.spawn(move || {

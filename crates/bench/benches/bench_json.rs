@@ -7,25 +7,17 @@
 //! Output path: `$ROSEBUD_BENCH_OUT`, else `<workspace root>/BENCH_rosebud.json`.
 
 use rosebud_apps::forwarder::{build_forwarding_system, build_watchdog_forwarding_system};
-use rosebud_bench::sim_speed::{build, point, Point, Scenario};
-use rosebud_bench::{bench_output_path, json_f64, measure};
+use rosebud_bench::sim_speed::{build, point, Scenario};
+use rosebud_bench::{bench_output_path, measure};
 use rosebud_core::{
     Device, FaultKind, FaultPlan, Fleet, FleetConfig, FleetSupervisor, Harness, HostOp, Supervisor,
 };
+use rosebud_kernel::json::Json;
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
 
 /// One throughput point: saturating offered load, like the Fig. 7 sweep.
-struct Throughput {
-    size: usize,
-    gbps: f64,
-    mpps: f64,
-    /// Cross-check from the DUT's own §4.3 counters via a `RateWindow`,
-    /// in received bits per cycle summed over both ports.
-    counter_rx_bits_per_cycle: f64,
-}
-
-fn throughput_point(size: usize) -> Throughput {
+fn throughput(size: usize, o: &mut Json) {
     let sys = build_forwarding_system(16).expect("valid config");
     // Tracing stays off: this is the overhead-free measurement path.
     let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(size, 2)), 205.0);
@@ -47,20 +39,16 @@ fn throughput_point(size: usize) -> Throughput {
     h.run(30_000);
     let m = h.measure();
     let rate = window.sample(h.sys.now(), totals(&h.sys));
-    Throughput {
-        size,
-        gbps: m.gbps,
-        mpps: m.mpps,
-        counter_rx_bits_per_cycle: rate.rx_bits_per_cycle(),
-    }
+    o.key("frame_bytes").value(size);
+    o.key("gbps").value(m.gbps);
+    o.key("mpps").value(m.mpps);
+    // The cross-check from the DUT's own counters: received bits per
+    // cycle, summed over both ports.
+    o.key("counter_rx_bits_per_cycle")
+        .value(rate.rx_bits_per_cycle());
 }
 
-struct Latency {
-    p50_ns: f64,
-    p99_ns: f64,
-}
-
-fn latency_point() -> Latency {
+fn latency(o: &mut Json) {
     // Light load so queueing does not dominate: the paper's RTT experiment
     // (§6.2) measures the pipeline, not a saturated FIFO.
     let sys = build_forwarding_system(16).expect("valid config");
@@ -71,19 +59,11 @@ fn latency_point() -> Latency {
         20_000,
         30_000,
     );
-    Latency {
-        p50_ns: h.latency().percentile(50.0),
-        p99_ns: h.latency().percentile(99.0),
-    }
+    o.key("p50_ns").value(h.latency().percentile(50.0));
+    o.key("p99_ns").value(h.latency().percentile(99.0));
 }
 
-struct Recovery {
-    detection_latency_cycles: u64,
-    downtime_cycles: u64,
-    packets_purged: u64,
-}
-
-fn recovery_point() -> Recovery {
+fn recovery(o: &mut Json) {
     // The §3.4 scenario the recovery bench uses: hang RPU 3 under live
     // traffic and let the supervisor walk its ladder.
     let sys = build_watchdog_forwarding_system(8, 64).expect("valid config");
@@ -96,24 +76,13 @@ fn recovery_point() -> Recovery {
         sup.poll(&mut h.sys);
     }
     let ev = sup.recoveries()[0].timed(&hang, None);
-    Recovery {
-        detection_latency_cycles: ev.detection_latency.unwrap_or_default(),
-        downtime_cycles: ev.downtime,
-        packets_purged: ev.packets_purged,
-    }
+    o.key("detection_latency_cycles")
+        .value(ev.detection_latency.unwrap_or_default());
+    o.key("downtime_cycles").value(ev.downtime);
+    o.key("packets_purged").value(ev.packets_purged);
 }
 
-struct FleetBench {
-    boxes: usize,
-    aggregate_gbps: f64,
-    per_box_p99_ns: Vec<f64>,
-    failover_downtime_cycles: u64,
-    packets_purged: u64,
-    flows_disturbed: u64,
-    flows_seen: u64,
-}
-
-fn fleet_point() -> FleetBench {
+fn fleet(o: &mut Json) {
     // The rack-scale failover drill: 4 boxes behind the consistent-hashing
     // front LB, one killed cold mid-run, measured after re-admission.
     const BOXES: usize = 4;
@@ -147,88 +116,51 @@ fn fleet_point() -> FleetBench {
     run(&mut h, &mut sup, 30_000);
     let m = h.measure();
     let rec = sup.failovers().first().copied().expect("one failover");
-    FleetBench {
-        boxes: BOXES,
-        aggregate_gbps: m.gbps,
-        per_box_p99_ns: (0..BOXES)
-            .map(|b| h.box_latency(b).percentile(99.0))
-            .collect(),
-        failover_downtime_cycles: rec.downtime,
-        packets_purged: rec.packets_purged,
-        flows_disturbed: rec.flows_resteered,
-        flows_seen: h.sys.flows_seen(),
-    }
+    o.key("boxes").value(BOXES);
+    o.key("aggregate_gbps").value(m.gbps);
+    o.key("per_box_p99_ns").array(|a| {
+        for b in 0..BOXES {
+            a.value(h.box_latency(b).percentile(99.0));
+        }
+    });
+    o.key("failover_downtime_cycles").value(rec.downtime);
+    o.key("packets_purged").value(rec.packets_purged);
+    o.key("flows_disturbed").value(rec.flows_resteered);
+    o.key("flows_seen").value(h.sys.flows_seen());
 }
 
-/// Sim-speed points at 16 RPUs, decode cache on.
-fn sim_speed_points() -> Vec<(&'static str, Point)> {
-    Scenario::ALL
-        .into_iter()
-        .map(|scenario| {
-            let p = point(&mut build(scenario, 16), 10_000, 150_000, 5);
-            (scenario.name(), p)
-        })
-        .collect()
+/// One sim-speed point at 16 RPUs, decode cache on.
+fn sim_speed(scenario: Scenario, o: &mut Json) {
+    let p = point(&mut build(scenario, 16), 10_000, 150_000, 5);
+    o.key("scenario").value(scenario.name());
+    o.key("rpus").value(16u8);
+    o.key("ns_per_cycle").value(p.ns_per_cycle);
+    o.key("quiet_share").value(p.stats.quiet_share());
+    o.key("parked_share").value(p.stats.parked_share());
+    o.key("stepped_instr_share")
+        .value(p.stats.stepped_instr_share());
+    o.key("iss_share").value(p.profile.iss_share());
 }
 
 fn main() {
-    let throughput: Vec<Throughput> = [64, 1500].into_iter().map(throughput_point).collect();
-    let latency = latency_point();
-    let recovery = recovery_point();
-    let fleet = fleet_point();
-    let sim_speed = sim_speed_points();
-
-    let mut json = String::from("{\n  \"benchmark\": \"rosebud\",\n  \"throughput\": [\n");
-    for (i, t) in throughput.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"frame_bytes\": {}, \"gbps\": {}, \"mpps\": {}, \
-             \"counter_rx_bits_per_cycle\": {}}}{}\n",
-            t.size,
-            json_f64(t.gbps),
-            json_f64(t.mpps),
-            json_f64(t.counter_rx_bits_per_cycle),
-            if i + 1 < throughput.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}}},\n",
-        json_f64(latency.p50_ns),
-        json_f64(latency.p99_ns),
-    ));
-    json.push_str(&format!(
-        "  \"recovery\": {{\"detection_latency_cycles\": {}, \"downtime_cycles\": {}, \
-         \"packets_purged\": {}}},\n",
-        recovery.detection_latency_cycles, recovery.downtime_cycles, recovery.packets_purged,
-    ));
-    let p99s: Vec<String> = fleet.per_box_p99_ns.iter().map(|v| json_f64(*v)).collect();
-    json.push_str(&format!(
-        "  \"fleet\": {{\"boxes\": {}, \"aggregate_gbps\": {}, \"per_box_p99_ns\": [{}], \
-         \"failover_downtime_cycles\": {}, \"packets_purged\": {}, \"flows_disturbed\": {}, \
-         \"flows_seen\": {}}},\n",
-        fleet.boxes,
-        json_f64(fleet.aggregate_gbps),
-        p99s.join(", "),
-        fleet.failover_downtime_cycles,
-        fleet.packets_purged,
-        fleet.flows_disturbed,
-        fleet.flows_seen,
-    ));
-    json.push_str("  \"sim_speed\": [\n");
-    for (i, (scenario, p)) in sim_speed.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"ns_per_cycle\": {}, \
-             \"quiet_share\": {}, \"parked_share\": {}, \"stepped_instr_share\": {}, \
-             \"iss_share\": {}}}{}\n",
-            scenario,
-            json_f64(p.ns_per_cycle),
-            json_f64(p.stats.quiet_share()),
-            json_f64(p.stats.parked_share()),
-            json_f64(p.stats.stepped_instr_share()),
-            json_f64(p.profile.iss_share()),
-            if i + 1 < sim_speed.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let mut json = Json::default();
+    json.object(|o| {
+        o.key("benchmark").value("rosebud");
+        o.key("throughput").rows(|r| {
+            for size in [64, 1500] {
+                r.object(|o| throughput(size, o));
+            }
+        });
+        o.key("latency").object(latency);
+        o.key("recovery").object(recovery);
+        o.key("fleet").object(fleet);
+        o.key("sim_speed").rows(|r| {
+            for scenario in Scenario::ALL {
+                r.object(|o| sim_speed(scenario, o));
+            }
+        });
+    });
+    let json = format!("{json}\n");
 
     let path = bench_output_path("BENCH_rosebud.json");
     std::fs::write(&path, &json).expect("write benchmark summary");

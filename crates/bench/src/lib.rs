@@ -53,16 +53,6 @@ pub fn bench_output_path(default_name: &str) -> std::path::PathBuf {
     }
 }
 
-/// Formats an `f64` for JSON output: finite values with enough precision to
-/// round-trip usefully, non-finite values as `null` (JSON has no NaN).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Formats a measured-vs-paper pair with a deviation marker.
 pub fn versus(measured: f64, paper: f64) -> String {
     if paper == 0.0 {

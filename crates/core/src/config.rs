@@ -22,6 +22,17 @@ pub(crate) const DMEM_BYTES: u32 = 32 * 1024;
 /// Packet memory per RPU in bytes (8 URAM blocks × 128 KB).
 pub(crate) const PMEM_BYTES: u32 = 1024 * 1024;
 
+/// Most packet slots an RPU can advertise: the descriptor tag is 5 bits.
+const MAX_SLOTS_PER_RPU: usize = 32;
+
+// The most slots an RPU can have fit its packet memory, so `validate` needs
+// no storage check.
+const _: () = assert!(MAX_SLOTS_PER_RPU as u32 * SLOT_BYTES <= PMEM_BYTES);
+
+/// Most RPUs a box can have: every lane-occupancy word and the LB enable
+/// mask is one `u64`, one bit per RPU.
+const MAX_RPUS: usize = 64;
+
 /// The build-time parameters of a Rosebud instance that a caller chooses:
 /// the paper's FPGA images come in 8- and 16-RPU layouts (§5), and the
 /// ablation sweeps the RPU link width and the broadcast FIFO depth.
@@ -67,7 +78,7 @@ impl RosebudConfig {
     /// The 16-RPU layout (Fig. 5).
     pub fn with_rpus(num_rpus: usize) -> Self {
         assert!(
-            num_rpus > 0 && num_rpus <= 64,
+            num_rpus > 0 && num_rpus <= MAX_RPUS,
             "RPU count out of supported range"
         );
         Self {
@@ -92,21 +103,17 @@ impl RosebudConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.num_rpus == 0 {
-            return Err("need at least one RPU".into());
+        if self.num_rpus == 0 || self.num_rpus > MAX_RPUS {
+            return Err(format!(
+                "RPU count must be 1–{MAX_RPUS} (one bit per RPU in a 64-bit lane word and LB mask)"
+            ));
         }
         if self.num_ports == 0 || self.num_ports > 8 {
             return Err("port count must be 1–8".into());
         }
-        if self.slots_per_rpu == 0 || self.slots_per_rpu > 32 {
-            return Err(
-                "slots per RPU must be 1–32 (descriptor tag is 5 bits + context array)".into(),
-            );
-        }
-        let needed = self.slots_per_rpu as u32 * SLOT_BYTES;
-        if needed > PMEM_BYTES {
+        if self.slots_per_rpu == 0 || self.slots_per_rpu > MAX_SLOTS_PER_RPU {
             return Err(format!(
-                "slot storage ({needed} B) exceeds packet memory ({PMEM_BYTES} B)"
+                "slots per RPU must be 1–{MAX_SLOTS_PER_RPU} (descriptor tag is 5 bits + context array)"
             ));
         }
         if self.rpu_link_bytes_per_cycle == 0 {
@@ -138,6 +145,22 @@ mod tests {
         // RPU link: 16 B/cycle × 8 × 250 MHz = 32 Gbps (the narrow switches).
         let rpu_gbps = cfg.rpu_link_bytes_per_cycle as f64 * 8.0 * cfg.clock_hz as f64 / 1e9;
         assert_eq!(rpu_gbps, 32.0);
+    }
+
+    #[test]
+    fn validation_bounds_the_rpu_count() {
+        let cfg = RosebudConfig {
+            num_rpus: 65,
+            ..RosebudConfig::with_rpus(16)
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("1–64"), "{err}");
+        assert!(RosebudConfig::with_rpus(64).validate().is_ok());
+        let none = RosebudConfig {
+            num_rpus: 0,
+            ..RosebudConfig::with_rpus(16)
+        };
+        assert!(none.validate().is_err());
     }
 
     #[test]

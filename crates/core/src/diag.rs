@@ -151,17 +151,7 @@ impl Diagnostics {
                 if rec.denied { " — load DENIED" } else { "" },
             );
         }
-        let _ = writeln!(
-            out,
-            "ledger: {} in / {} originated / {} out / {} dropped / {} \
-             quarantined / {} purged",
-            self.ledger.injected,
-            self.ledger.originated,
-            self.ledger.delivered,
-            self.ledger.dropped,
-            self.ledger.corrupted,
-            self.ledger.purged,
-        );
+        let _ = writeln!(out, "ledger: {}", self.ledger);
         let _ = writeln!(out, "bottleneck: {:?}", self.bottleneck);
         out
     }
@@ -233,15 +223,8 @@ impl FleetDiagnostics {
         }
         let _ = writeln!(
             out,
-            "fleet ledger: {} in / {} originated / {} out / {} dropped / {} \
-             quarantined / {} purged / {} in flight",
-            self.ledger.injected,
-            self.ledger.originated,
-            self.ledger.delivered,
-            self.ledger.dropped,
-            self.ledger.corrupted,
-            self.ledger.purged,
-            self.in_flight,
+            "fleet ledger: {} in_flight={}",
+            self.ledger, self.in_flight
         );
         let _ = writeln!(
             out,

@@ -19,6 +19,8 @@
 //! same cycle-exact failure trace. Nor is a landing noted: a host reads when
 //! a fault hit off the plan (see [`Supervisor`](crate::Supervisor)).
 
+use std::fmt;
+
 use rosebud_kernel::{Cycle, SimRng};
 
 use crate::host::HostOp;
@@ -250,19 +252,27 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Left-hand side: everything that ever entered the system.
-    pub(crate) fn entered(&self) -> u64 {
-        self.injected + self.originated
-    }
-
-    /// Right-hand side less in-flight: everything accounted for.
-    pub(crate) fn accounted(&self) -> u64 {
-        self.delivered + self.dropped + self.corrupted + self.purged
-    }
-
-    /// `true` when `entered == accounted + in_flight`.
+    /// `true` when everything that entered is accounted for or in flight.
     pub(crate) fn balances(&self, in_flight: u64) -> bool {
-        self.entered() == self.accounted() + in_flight
+        let accounted = self.delivered + self.dropped + self.corrupted + self.purged;
+        self.injected + self.originated == accounted + in_flight
+    }
+}
+
+/// The ledger's one printed form; a caller that knows the in-flight count
+/// appends ` in_flight=N`.
+impl fmt::Display for Ledger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "injected={} originated={} delivered={} dropped={} corrupted={} purged={}",
+            self.injected,
+            self.originated,
+            self.delivered,
+            self.dropped,
+            self.corrupted,
+            self.purged
+        )
     }
 }
 

@@ -536,14 +536,11 @@ impl Fleet {
     /// `injected + originated == delivered + dropped + corrupted + purged +
     /// in-flight`, across every box, front link, purge, and reload.
     pub fn assert_conservation(&self) {
-        let l = self.ledger();
-        let in_flight = self.ledger_in_flight();
+        let (ledger, in_flight) = (self.ledger(), self.ledger_in_flight());
         assert!(
-            l.balances(in_flight),
-            "fleet ledger out of balance at cycle {}: {:?} in_flight={}",
+            ledger.balances(in_flight),
+            "fleet ledger out of balance at cycle {}: {ledger} in_flight={in_flight}",
             self.now,
-            l,
-            in_flight,
         );
     }
 

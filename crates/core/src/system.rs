@@ -534,18 +534,11 @@ impl Rosebud {
     /// corrupted + purged + in_flight`. Called automatically every
     /// `LEDGER_CHECK_INTERVAL` (1024) cycles.
     pub fn assert_conservation(&self) {
-        let in_flight = self.ledger_in_flight();
-        let ledger = self.fx.ledger;
+        let (ledger, in_flight) = (self.fx.ledger, self.ledger_in_flight());
         assert!(
             ledger.balances(in_flight),
-            "packet conservation violated at cycle {}: {:?} + {} in flight \
-             (entered {} != accounted {} + in-flight {})",
+            "packet conservation violated at cycle {}: {ledger} in_flight={in_flight}",
             self.clock.cycle(),
-            ledger,
-            in_flight,
-            ledger.entered(),
-            ledger.accounted(),
-            in_flight,
         );
     }
 

@@ -17,13 +17,17 @@
 //! an `Option::is_some` test on a field that is `None`, so the simulation's
 //! hot path is unchanged (the micro benchmark pins this down).
 //!
-//! Two exporters:
+//! Two exporters read one field list per event (`TraceEvent::fields`: name,
+//! lane, kind and ordered `key = value` fields), computed only at export:
 //!
 //! * [`Tracer::compact_text`] — one line per event, fully deterministic for
 //!   a given seed; this is what the golden-trace regression suite diffs.
 //! * [`Tracer::perfetto_json`] — the Chrome/Perfetto Trace Event format, for
 //!   interactive timeline inspection (`chrome://tracing`, <https://ui.perfetto.dev>).
 
+use std::fmt;
+
+use rosebud_kernel::json::Json;
 use rosebud_kernel::Cycle;
 
 use crate::rpu::PerfCounters;
@@ -351,80 +355,16 @@ impl Tracer {
         let mut out = String::with_capacity(self.events.len() * 40 + 64);
         out.push_str("# rosebud trace v1\n");
         for &(cycle, ref ev) in &self.events {
-            let _ = write!(out, "@{cycle} ");
-            match *ev {
-                TraceEvent::LbAssign {
-                    port,
-                    rpu,
-                    slot,
-                    packet_id,
-                    len,
-                } => {
-                    let _ = write!(
-                        out,
-                        "lb.assign port={port} rpu={rpu} slot={slot} pkt={packet_id} len={len}"
-                    );
-                }
-                TraceEvent::RxFifoHighWater { port, bytes } => {
-                    let _ = write!(out, "rxfifo.hw port={port} bytes={bytes}");
-                }
-                TraceEvent::TxFifoHighWater { port, frames } => {
-                    let _ = write!(out, "txfifo.hw port={port} frames={frames}");
-                }
-                TraceEvent::DescRx { rpu, slot, len } => {
-                    let _ = write!(out, "desc.rx rpu={rpu} slot={slot} len={len}");
-                }
-                TraceEvent::DescTx {
-                    rpu,
-                    tag,
-                    port,
-                    len,
-                } => {
-                    let _ = write!(out, "desc.tx rpu={rpu} tag={tag} port={port} len={len}");
-                }
-                TraceEvent::DescDrop { rpu, tag } => {
-                    let _ = write!(out, "desc.drop rpu={rpu} tag={tag}");
-                }
-                TraceEvent::DmaStart { rpu, to_host, len } => {
-                    let _ = write!(
-                        out,
-                        "dma.start rpu={rpu} dir={} len={len}",
-                        if to_host { "to-host" } else { "to-rpu" }
-                    );
-                }
-                TraceEvent::DmaComplete {
-                    rpu,
-                    started,
-                    to_host,
-                    len,
-                } => {
-                    let _ = write!(
-                        out,
-                        "dma.done rpu={rpu} dir={} len={len} dur={}",
-                        if to_host { "to-host" } else { "to-rpu" },
-                        cycle.saturating_sub(started),
-                    );
-                }
-                TraceEvent::RpuStateChange { rpu, state } => {
-                    let _ = write!(out, "rpu.state rpu={rpu} state={state}");
-                }
-                TraceEvent::LbEnableMask { mask } => {
-                    let _ = write!(out, "lb.mask mask={mask:#x}");
-                }
-                TraceEvent::CounterSample { rpu, perf } => {
-                    let _ = write!(
-                        out,
-                        "ctr rpu={rpu} sw={} ret={} stall={} memwait={} bp={} rx={} tx={} drop={}",
-                        perf.sw_cycles,
-                        perf.instret,
-                        perf.stall_cycles,
-                        perf.mem_wait_cycles,
-                        perf.backpressure_stalls,
-                        perf.rx_frames,
-                        perf.tx_frames,
-                        perf.drops,
-                    );
-                }
+            let r = ev.fields(cycle);
+            let _ = write!(out, "@{cycle} {}", r.name);
+            if let Some((key, index)) = r.lane.field() {
+                let _ = write!(out, " {key}={index}");
+            }
+            for (key, value) in &r.fields {
+                let _ = write!(out, " {key}={value}");
+            }
+            if let Kind::Span { dur } = r.kind {
+                let _ = write!(out, " dur={dur}");
             }
             out.push('\n');
         }
@@ -434,122 +374,316 @@ impl Tracer {
         out
     }
 
-    /// Exports the trace in the Chrome/Perfetto Trace Event JSON format.
+    /// Exports the trace in the Chrome/Perfetto Trace Event JSON format,
+    /// one entry per line.
     ///
-    /// Fabric events (LB, FIFOs) land in process 0, per-RPU events in
-    /// process 1 with one thread per RPU. DMA transfers become duration
-    /// (`"X"`) events; counter samples become counter (`"C"`) tracks.
+    /// Each event's field list maps by one rule: the lane gives the process
+    /// and thread (ports are threads of process 0 "fabric", RPUs threads of
+    /// process 1 "rpus", fabric-wide events thread 0 of process 0); the kind
+    /// gives the phase — an instant (`"i"`), a counter (`"C"`, named with
+    /// its lane so every port and RPU keeps its own track), or a span
+    /// (`"X"` from its start, with `dur`); the args are the fields.
     /// `ns_per_cycle` converts cycle stamps into the format's microsecond
     /// timebase (pass [`crate::RosebudConfig::ns_per_cycle`]).
     pub fn perfetto_json(&self, ns_per_cycle: f64) -> String {
         let ts = |cycle: Cycle| cycle as f64 * ns_per_cycle / 1000.0;
-        let mut entries: Vec<String> = Vec::with_capacity(self.events.len() + 8);
-        entries.push(
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"fabric\"}}"
-                .to_string(),
-        );
-        entries.push(
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"rpus\"}}"
-                .to_string(),
-        );
-        for i in 0..self.rx_fifo_hw.len() {
-            entries.push(format!(
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{i},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"port{i}\"}}}}"
-            ));
-        }
-        for i in 0..self.dma_open.len() {
-            entries.push(format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{i},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"rpu{i}\"}}}}"
-            ));
-        }
-        for &(cycle, ref ev) in &self.events {
-            let t = ts(cycle);
-            let line = match *ev {
-                TraceEvent::LbAssign {
-                    port,
-                    rpu,
-                    slot,
-                    packet_id,
-                    len,
-                } => format!(
-                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":{port},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"lb.assign\",\"args\":{{\"rpu\":{rpu},\"slot\":{slot},\
-                     \"pkt\":{packet_id},\"len\":{len}}}}}"
-                ),
-                TraceEvent::RxFifoHighWater { port, bytes } => format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"tid\":{port},\"ts\":{t:.4},\
-                     \"name\":\"rx_fifo{port}\",\"args\":{{\"bytes\":{bytes}}}}}"
-                ),
-                TraceEvent::TxFifoHighWater { port, frames } => format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"tid\":{port},\"ts\":{t:.4},\
-                     \"name\":\"tx_queue{port}\",\"args\":{{\"frames\":{frames}}}}}"
-                ),
-                TraceEvent::DescRx { rpu, slot, len } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"desc.rx\",\"args\":{{\"slot\":{slot},\"len\":{len}}}}}"
-                ),
-                TraceEvent::DescTx {
-                    rpu,
-                    tag,
-                    port,
-                    len,
-                } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"desc.tx\",\"args\":{{\"tag\":{tag},\"port\":{port},\
-                     \"len\":{len}}}}}"
-                ),
-                TraceEvent::DescDrop { rpu, tag } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"desc.drop\",\"args\":{{\"tag\":{tag}}}}}"
-                ),
-                // The start instant is implicit in the completion's "X"
-                // duration event; still emit it so cancelled DMAs (trace
-                // ends mid-flight) remain visible.
-                TraceEvent::DmaStart { rpu, to_host, len } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"dma.start\",\"args\":{{\"to_host\":{to_host},\
-                     \"len\":{len}}}}}"
-                ),
-                TraceEvent::DmaComplete {
-                    rpu,
-                    started,
-                    to_host,
-                    len,
-                } => {
-                    let dur = ts(cycle) - ts(started);
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{rpu},\"ts\":{:.4},\
-                         \"dur\":{dur:.4},\"name\":\"dma\",\"args\":{{\
-                         \"to_host\":{to_host},\"len\":{len}}}}}",
-                        ts(started),
-                    )
+        let mut json = Json::default();
+        json.object(|o| {
+            o.key("displayTimeUnit").value("ns");
+            o.key("traceEvents").rows(|j| {
+                let meta = |j: &mut Json, lane: Lane, what: &str, name: &str| {
+                    j.object(|o| {
+                        o.key("ph").value("M");
+                        o.key("pid").value(lane.pid());
+                        o.key("tid").value(lane.tid());
+                        o.key("name").value(what).key("args").object(|a| {
+                            a.key("name").value(name);
+                        });
+                    });
+                };
+                meta(j, Lane::Fabric, "process_name", "fabric");
+                meta(j, Lane::Rpu(0), "process_name", "rpus");
+                let ports = (0..self.rx_fifo_hw.len() as u8).map(Lane::Port);
+                for lane in ports.chain((0..self.dma_open.len() as u8).map(Lane::Rpu)) {
+                    meta(j, lane, "thread_name", &lane.track());
                 }
-                TraceEvent::RpuStateChange { rpu, state } => format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\"s\":\"t\",\
-                     \"name\":\"state:{state}\",\"args\":{{}}}}"
-                ),
-                TraceEvent::LbEnableMask { mask } => format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{t:.4},\
-                     \"name\":\"lb_enabled\",\"args\":{{\"rpus\":{}}}}}",
-                    mask.count_ones(),
-                ),
-                TraceEvent::CounterSample { rpu, perf } => format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{rpu},\"ts\":{t:.4},\
-                     \"name\":\"rpu{rpu}.perf\",\"args\":{{\"stall\":{},\
-                     \"memwait\":{},\"instret\":{},\"bp\":{}}}}}",
-                    perf.stall_cycles, perf.mem_wait_cycles, perf.instret, perf.backpressure_stalls,
-                ),
-            };
-            entries.push(line);
+                for &(cycle, ref ev) in &self.events {
+                    let r = ev.fields(cycle);
+                    let (ph, start) = match r.kind {
+                        Kind::Instant => ("i", cycle),
+                        Kind::Counter => ("C", cycle),
+                        Kind::Span { dur } => ("X", cycle - dur),
+                    };
+                    let name = match r.kind {
+                        Kind::Counter => format!("{} {}", r.name, r.lane.track()),
+                        _ => r.name.to_string(),
+                    };
+                    j.object(|o| {
+                        o.key("ph").value(ph);
+                        o.key("pid").value(r.lane.pid());
+                        o.key("tid").value(r.lane.tid());
+                        o.key("ts").value(ts(start));
+                        match r.kind {
+                            Kind::Instant => o.key("s").value("t"),
+                            Kind::Counter => o,
+                            Kind::Span { .. } => o.key("dur").value(ts(cycle) - ts(start)),
+                        };
+                        o.key("name").value(name.as_str());
+                        o.key("args").object(|a| {
+                            for (key, value) in &r.fields {
+                                match *value {
+                                    Field::Num(n) => a.key(key).value(n),
+                                    _ => a.key(key).value(value.to_string().as_str()),
+                                };
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        format!("{json}\n")
+    }
+}
+
+/// One event as both exporters see it: its name, the lane it belongs to,
+/// its kind, and its other fields in order.
+#[derive(Debug)]
+pub(crate) struct Record {
+    pub(crate) name: &'static str,
+    pub(crate) lane: Lane,
+    pub(crate) kind: Kind,
+    pub(crate) fields: Vec<(&'static str, Field)>,
+}
+
+/// Where an event happens: at a port, at an RPU, or across the fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    Port(u8),
+    Rpu(u8),
+    Fabric,
+}
+
+impl Lane {
+    /// The lane as a `key = index` field; the fabric has none.
+    pub(crate) fn field(self) -> Option<(&'static str, u8)> {
+        match self {
+            Lane::Port(p) => Some(("port", p)),
+            Lane::Rpu(r) => Some(("rpu", r)),
+            Lane::Fabric => None,
         }
-        let mut out = String::with_capacity(entries.len() * 120 + 64);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        out.push_str(&entries.join(",\n"));
-        out.push_str("\n]}\n");
-        out
+    }
+
+    /// The Perfetto process: RPUs are process 1, ports and the fabric 0.
+    fn pid(self) -> u8 {
+        u8::from(matches!(self, Lane::Rpu(_)))
+    }
+
+    /// The Perfetto thread: the port or RPU index, 0 for the fabric.
+    fn tid(self) -> u8 {
+        self.field().map_or(0, |(_, index)| index)
+    }
+
+    /// The Perfetto track name: `port1`, `rpu12`, `fabric`.
+    fn track(self) -> String {
+        self.field()
+            .map_or("fabric".into(), |(key, index)| format!("{key}{index}"))
+    }
+}
+
+/// A moment, a new sample of a running quantity, or an interval of `dur`
+/// cycles ending at the event's stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Instant,
+    Counter,
+    Span { dur: Cycle },
+}
+
+/// One field's value: a number, a bit mask (written in hex) or a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field {
+    Num(u64),
+    Hex(u64),
+    Name(&'static str),
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Num(n) => write!(f, "{n}"),
+            Field::Hex(m) => write!(f, "{m:#x}"),
+            Field::Name(s) => f.write_str(s),
+        }
+    }
+}
+
+impl TraceEvent {
+    /// The event's one spelling, read by [`Tracer::compact_text`] and
+    /// [`Tracer::perfetto_json`]; `at` is its cycle stamp. A table: one row
+    /// per variant.
+    #[rustfmt::skip]
+    pub(crate) fn fields(&self, at: Cycle) -> Record {
+        use Kind::{Counter, Instant};
+        use Lane::{Fabric, Port, Rpu};
+        use Field::{Hex, Name};
+        fn n(v: impl Into<u64>) -> Field {
+            Field::Num(v.into())
+        }
+        let dir = |to_host| ("dir", Name(if to_host { "to-host" } else { "to-rpu" }));
+        let (name, lane, kind, fields) = match *self {
+            TraceEvent::LbAssign { port, rpu, slot, packet_id, len } => ("lb.assign", Port(port), Instant,
+                vec![("rpu", n(rpu)), ("slot", n(slot)), ("pkt", n(packet_id)), ("len", n(len))]),
+            TraceEvent::RxFifoHighWater { port, bytes } => ("rxfifo.hw", Port(port), Counter,
+                vec![("bytes", n(bytes))]),
+            TraceEvent::TxFifoHighWater { port, frames } => ("txfifo.hw", Port(port), Counter,
+                vec![("frames", n(frames))]),
+            TraceEvent::DescRx { rpu, slot, len } => ("desc.rx", Rpu(rpu), Instant,
+                vec![("slot", n(slot)), ("len", n(len))]),
+            TraceEvent::DescTx { rpu, tag, port, len } => ("desc.tx", Rpu(rpu), Instant,
+                vec![("tag", n(tag)), ("port", n(port)), ("len", n(len))]),
+            TraceEvent::DescDrop { rpu, tag } => ("desc.drop", Rpu(rpu), Instant,
+                vec![("tag", n(tag))]),
+            // Implicit in the completion's span, but recorded so that a
+            // transfer the trace ends inside still shows.
+            TraceEvent::DmaStart { rpu, to_host, len } => ("dma.start", Rpu(rpu), Instant,
+                vec![dir(to_host), ("len", n(len))]),
+            TraceEvent::DmaComplete { rpu, started, to_host, len } => ("dma.done", Rpu(rpu),
+                Kind::Span { dur: at.saturating_sub(started) },
+                vec![dir(to_host), ("len", n(len))]),
+            TraceEvent::RpuStateChange { rpu, state } => ("rpu.state", Rpu(rpu), Instant,
+                vec![("state", Name(state))]),
+            TraceEvent::LbEnableMask { mask } => ("lb.mask", Fabric, Instant,
+                vec![("mask", Hex(mask))]),
+            TraceEvent::CounterSample { rpu, perf } => ("ctr", Rpu(rpu), Counter, vec![
+                ("sw", n(perf.sw_cycles)), ("ret", n(perf.instret)),
+                ("stall", n(perf.stall_cycles)), ("memwait", n(perf.mem_wait_cycles)),
+                ("bp", n(perf.backpressure_stalls)), ("rx", n(perf.rx_frames)),
+                ("tx", n(perf.tx_frames)), ("drop", n(perf.drops)),
+            ]),
+        };
+        Record { name, lane, kind, fields }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The text after `key` in `entry`, up to the first `end`.
+    fn after<'a>(entry: &'a str, key: &str, end: char) -> &'a str {
+        let rest = entry
+            .split_once(key)
+            .unwrap_or_else(|| panic!("{key} in {entry}"));
+        rest.1.split(end).next().unwrap()
+    }
+
+    /// One event of every variant through both exporters: the Perfetto
+    /// entry's lane and args are the compact line's fields, its name is the
+    /// event's, and a span's `dur` is the compact `dur`.
+    #[test]
+    fn both_exporters_read_one_field_list() {
+        let perf = PerfCounters {
+            sw_cycles: 1,
+            instret: 2,
+            stall_cycles: 3,
+            mem_wait_cycles: 4,
+            backpressure_stalls: 5,
+            rx_frames: 6,
+            tx_frames: 7,
+            drops: 8,
+        };
+        let events = [
+            TraceEvent::LbAssign {
+                port: 1,
+                rpu: 2,
+                slot: 3,
+                packet_id: 4,
+                len: 64,
+            },
+            TraceEvent::RxFifoHighWater { port: 1, bytes: 88 },
+            TraceEvent::TxFifoHighWater { port: 0, frames: 3 },
+            TraceEvent::DescRx {
+                rpu: 2,
+                slot: 3,
+                len: 64,
+            },
+            TraceEvent::DescTx {
+                rpu: 2,
+                tag: 3,
+                port: 0,
+                len: 64,
+            },
+            TraceEvent::DescDrop { rpu: 1, tag: 5 },
+            TraceEvent::DmaStart {
+                rpu: 3,
+                to_host: true,
+                len: 128,
+            },
+            TraceEvent::DmaComplete {
+                rpu: 3,
+                started: 40,
+                to_host: false,
+                len: 128,
+            },
+            TraceEvent::RpuStateChange {
+                rpu: 0,
+                state: "halted",
+            },
+            TraceEvent::LbEnableMask { mask: 0b1011 },
+            TraceEvent::CounterSample { rpu: 3, perf },
+        ];
+        let mut tracer = Tracer::new(TraceConfig::default(), 4, 2);
+        for (i, &ev) in events.iter().enumerate() {
+            tracer.record(100 + i as Cycle, ev);
+        }
+        let text = tracer.compact_text();
+        // One microsecond per cycle: Perfetto timestamps read as cycles.
+        let json = tracer.perfetto_json(1000.0);
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        let entries: Vec<&str> = json.lines().skip(1 + 2 + 2 + 4).collect();
+        let mut spans = 0;
+        for (i, ev) in events.iter().enumerate() {
+            let r = ev.fields(100 + i as Cycle);
+            let mut words = lines[i].split(' ').skip(1);
+            assert_eq!(words.next(), Some(r.name));
+            let mut want: Vec<&str> = words.collect();
+            let entry = entries[i];
+
+            let name = after(entry, "\"name\":\"", '"');
+            if r.kind == Kind::Counter {
+                assert!(name.starts_with(&format!("{} ", r.name)), "{entry}");
+            } else {
+                assert_eq!(name, r.name, "{entry}");
+            }
+            let (pid, tid) = (after(entry, "\"pid\":", ','), after(entry, "\"tid\":", ','));
+            let mut got = Vec::new();
+            match r.lane {
+                Lane::Port(_) => got.push(format!("port={tid}")),
+                Lane::Rpu(_) => got.push(format!("rpu={tid}")),
+                Lane::Fabric => assert_eq!((pid, tid), ("0", "0")),
+            }
+            assert_eq!(
+                pid,
+                if matches!(r.lane, Lane::Rpu(_)) {
+                    "1"
+                } else {
+                    "0"
+                }
+            );
+            let args = after(entry, "\"args\":{", '}');
+            got.extend(
+                args.split(',')
+                    .map(|kv| kv.replace('"', "").replacen(':', "=", 1)),
+            );
+
+            if let Kind::Span { dur } = r.kind {
+                assert_eq!(want.pop(), Some(format!("dur={dur}").as_str()));
+                let span: f64 = after(entry, "\"dur\":", ',').parse().unwrap();
+                assert_eq!(span, dur as f64, "{entry}");
+                spans += 1;
+            }
+            assert_eq!(got, want, "{entry} against {}", lines[i]);
+        }
+        assert_eq!(spans, 1);
     }
 }

@@ -20,7 +20,8 @@
 //!   contract every traffic producer/consumer at a device edge implements
 //!   (cycle-stamped delivery, bounded capacity, explicit backpressure),
 //!   with [`StampedIngress`] and [`LinkPort`] as the reusable
-//!   implementations.
+//!   implementations,
+//! * [`json`] — the one JSON writer every export goes through.
 //!
 //! # Examples
 //!
@@ -42,6 +43,7 @@
 mod clock;
 mod delay;
 mod fifo;
+pub mod json;
 mod port;
 mod rng;
 mod serializer;

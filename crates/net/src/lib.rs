@@ -34,7 +34,6 @@ mod headers;
 mod packet;
 mod pcap;
 mod port;
-mod trace;
 
 pub use builder::PacketBuilder;
 pub use flow::{extend_hash, flow_hash, FlowKey, ShardedFlowTable};
@@ -45,7 +44,6 @@ pub use headers::{
 pub use packet::Packet;
 pub use pcap::{parse_pcap, to_pcap, PcapError};
 pub use port::{GenPort, PcapReplayPort};
-pub use trace::Trace;
 
 /// Per-frame overhead on the Ethernet wire beyond the in-memory packet:
 /// 8 bytes preamble + start-of-frame, 4 bytes FCS, 12 bytes inter-frame gap.

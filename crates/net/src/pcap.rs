@@ -9,7 +9,6 @@
 use std::fmt;
 
 use crate::packet::Packet;
-use crate::trace::Trace;
 
 /// Classic pcap magic, little-endian, microsecond timestamps.
 const PCAP_MAGIC_LE: u32 = 0xa1b2_c3d4;
@@ -57,23 +56,24 @@ impl fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
-/// Serializes a trace as a classic pcap file. Packet timestamps come from
+/// Serializes a packet trace as a classic pcap file. Packet timestamps come from
 /// each packet's generation cycle at `clock_hz` (the synchronized RPU
 /// timers of §6.2), so inter-arrival times survive the export.
 ///
 /// # Examples
 ///
 /// ```
-/// use rosebud_net::{parse_pcap, to_pcap, FixedSizeGen, Trace, TrafficGen};
+/// use rosebud_net::{parse_pcap, to_pcap, FixedSizeGen, TrafficGen};
 /// let mut gen = FixedSizeGen::new(64, 2);
-/// let trace: Trace = (0..3).map(|id| gen.generate(id, id * 100)).collect();
+/// let trace: Vec<_> = (0..3).map(|id| gen.generate(id, id * 100)).collect();
 /// let bytes = to_pcap(&trace, 250_000_000);
 /// let back = parse_pcap(&bytes, 250_000_000).unwrap();
 /// assert_eq!(back.len(), 3);
-/// assert_eq!(back.packets()[0].bytes(), trace.packets()[0].bytes());
+/// assert_eq!(back[0].bytes(), trace[0].bytes());
 /// ```
-pub fn to_pcap(trace: &Trace, clock_hz: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + trace.total_bytes() as usize + 16 * trace.len());
+pub fn to_pcap(trace: &[Packet], clock_hz: u64) -> Vec<u8> {
+    let bytes: u64 = trace.iter().map(Packet::len).sum();
+    let mut out = Vec::with_capacity(24 + bytes as usize + 16 * trace.len());
     out.extend_from_slice(&PCAP_MAGIC_LE.to_le_bytes());
     out.extend_from_slice(&2u16.to_le_bytes()); // version major
     out.extend_from_slice(&4u16.to_le_bytes()); // version minor
@@ -95,7 +95,7 @@ pub fn to_pcap(trace: &Trace, clock_hz: u64) -> Vec<u8> {
     out
 }
 
-/// Parses a classic little-endian Ethernet pcap file back into a [`Trace`].
+/// Parses a classic little-endian Ethernet pcap file back into its packets.
 /// Generation timestamps are reconstructed in cycles at `clock_hz`; packet
 /// ids are assigned sequentially; ingress ports alternate. The trace is in
 /// stamp order, as [`PcapReplayPort`](crate::PcapReplayPort) needs.
@@ -104,7 +104,7 @@ pub fn to_pcap(trace: &Trace, clock_hz: u64) -> Vec<u8> {
 ///
 /// Returns [`PcapError`] for short files, foreign magics, big-endian files,
 /// non-Ethernet link types, or a record stamped before its predecessor.
-pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
+pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Vec<Packet>, PcapError> {
     if bytes.len() < 24 {
         return Err(PcapError::Truncated);
     }
@@ -118,7 +118,7 @@ pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
     if linktype != LINKTYPE_ETHERNET {
         return Err(PcapError::UnsupportedLinkType(linktype));
     }
-    let mut trace = Trace::new();
+    let mut trace: Vec<Packet> = Vec::new();
     let mut at = 24usize;
     let mut id = 0u64;
     while at < bytes.len() {
@@ -134,11 +134,7 @@ pub fn parse_pcap(bytes: &[u8], clock_hz: u64) -> Result<Trace, PcapError> {
         }
         let micros = u64::from(ts_sec) * 1_000_000 + u64::from(ts_usec);
         let ts_gen = (micros as u128 * clock_hz as u128 / 1_000_000) as u64;
-        if trace
-            .packets()
-            .last()
-            .is_some_and(|last| ts_gen < last.ts_gen)
-        {
+        if trace.last().is_some_and(|last| ts_gen < last.ts_gen) {
             return Err(PcapError::OutOfOrder { record: id });
         }
         trace.push(Packet::new(
@@ -161,10 +157,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_bytes_and_timing() {
         let mut gen = FlowTrafficGen::new(8, 300, 0.02, 9);
-        let mut trace = Trace::new();
-        for i in 0..50u64 {
-            trace.push(gen.generate(i, i * 137));
-        }
+        let trace: Vec<Packet> = (0..50u64).map(|i| gen.generate(i, i * 137)).collect();
         let clock = 250_000_000;
         let bytes = to_pcap(&trace, clock);
         let back = parse_pcap(&bytes, clock).unwrap();
@@ -183,10 +176,7 @@ mod tests {
 
     #[test]
     fn header_fields_are_standard() {
-        let trace = [FixedSizeGen::new(64, 1).generate(0, 0)]
-            .into_iter()
-            .collect::<Trace>();
-        let bytes = to_pcap(&trace, 250_000_000);
+        let bytes = to_pcap(&[FixedSizeGen::new(64, 1).generate(0, 0)], 250_000_000);
         assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
         assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
         assert_eq!(u16::from_le_bytes(bytes[6..8].try_into().unwrap()), 4);
@@ -211,10 +201,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_record() {
-        let trace = [FixedSizeGen::new(64, 1).generate(0, 0)]
-            .into_iter()
-            .collect::<Trace>();
-        let mut bytes = to_pcap(&trace, 250_000_000);
+        let mut bytes = to_pcap(&[FixedSizeGen::new(64, 1).generate(0, 0)], 250_000_000);
         bytes.truncate(bytes.len() - 10);
         assert_eq!(
             parse_pcap(&bytes, 250_000_000).unwrap_err(),
@@ -224,8 +211,7 @@ mod tests {
 
     #[test]
     fn rejects_non_ethernet_link() {
-        let trace = Trace::new();
-        let mut bytes = to_pcap(&trace, 1);
+        let mut bytes = to_pcap(&[], 1);
         bytes[20..24].copy_from_slice(&101u32.to_le_bytes()); // LINKTYPE_RAW
         assert_eq!(
             parse_pcap(&bytes, 1).unwrap_err(),

@@ -11,7 +11,6 @@ use rosebud_kernel::{Cycle, IngressPort, PortClock, StampedIngress};
 
 use crate::gen::TrafficGen;
 use crate::packet::Packet;
-use crate::trace::Trace;
 use crate::WIRE_OVERHEAD_BYTES;
 
 /// A paced [`TrafficGen`] behind the ingress-port contract — the tester
@@ -171,7 +170,7 @@ impl IngressPort<Packet> for GenPort {
     }
 }
 
-/// Replays a [`Trace`] (typically parsed from a pcap) through the ingress
+/// Replays a packet trace (typically parsed from a pcap) through the ingress
 /// contract: each packet is delivered at its recorded generation cycle, in
 /// order — `tcpreplay` as a port.
 ///
@@ -179,13 +178,10 @@ impl IngressPort<Packet> for GenPort {
 ///
 /// ```
 /// use rosebud_kernel::{IngressPort, PortClock};
-/// use rosebud_net::{FixedSizeGen, PcapReplayPort, Trace, TrafficGen};
+/// use rosebud_net::{FixedSizeGen, PcapReplayPort, TrafficGen};
 ///
-/// let mut trace = Trace::new();
 /// let mut gen = FixedSizeGen::new(64, 2);
-/// for i in 0..3u64 {
-///     trace.push(gen.generate(i, i * 50));
-/// }
+/// let trace: Vec<_> = (0..3u64).map(|i| gen.generate(i, i * 50)).collect();
 /// let mut port = PcapReplayPort::new(&trace);
 /// assert_eq!(port.clock(0), PortClock::Ready);
 /// assert_eq!(port.poll(0).unwrap().id, 0);
@@ -202,7 +198,7 @@ impl PcapReplayPort {
     /// # Panics
     ///
     /// Panics if `trace` is not sorted by `ts_gen` (pcap captures are).
-    pub fn new(trace: &Trace) -> Self {
+    pub fn new(trace: &[Packet]) -> Self {
         let mut inner = StampedIngress::new();
         for pkt in trace {
             inner.push_at(pkt.ts_gen, pkt.clone());
@@ -283,11 +279,8 @@ mod tests {
 
     #[test]
     fn replay_port_honors_stamps() {
-        let mut trace = Trace::new();
         let mut gen = FixedSizeGen::new(64, 2);
-        for i in 0..4u64 {
-            trace.push(gen.generate(i, i * 100));
-        }
+        let trace: Vec<Packet> = (0..4u64).map(|i| gen.generate(i, i * 100)).collect();
         let mut port = PcapReplayPort::new(&trace);
         assert_eq!(port.poll(0).unwrap().id, 0);
         assert!(port.poll(50).is_none());

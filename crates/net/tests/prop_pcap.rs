@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rosebud_kernel::IngressPort;
 use rosebud_net::{
-    parse_pcap, to_pcap, FixedSizeGen, PcapError, PcapReplayPort, Trace, TrafficGen,
+    parse_pcap, to_pcap, FixedSizeGen, Packet, PcapError, PcapReplayPort, TrafficGen,
 };
 
 const CLOCK_HZ: u64 = 250_000_000;
@@ -14,7 +14,7 @@ const HEADER: usize = 24;
 /// A capture of one frame per `(size, gap)`, each stamped `gap` cycles
 /// after the one before: the global header, then the records.
 fn capture(frames: &[(usize, u64)]) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let mut trace = Trace::new();
+    let mut trace = Vec::new();
     let mut at = 0;
     for (i, &(size, gap)) in frames.iter().enumerate() {
         at += gap;
@@ -86,9 +86,9 @@ proptest! {
             }
         }
         if let Ok(trace) = parse_pcap(&bytes, CLOCK_HZ) {
-            prop_assert!(trace.total_bytes() <= bytes.len() as u64);
+            prop_assert!(trace.iter().map(Packet::len).sum::<u64>() <= bytes.len() as u64);
             let mut port = PcapReplayPort::new(&trace);
-            let last = trace.packets().last().map_or(0, |p| p.ts_gen);
+            let last = trace.last().map_or(0, |p| p.ts_gen);
             let mut replayed = 0;
             while port.poll(last).is_some() {
                 replayed += 1;

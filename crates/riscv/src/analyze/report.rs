@@ -4,6 +4,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use rosebud_kernel::json::Json;
+
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -184,97 +186,53 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a single JSON object (no trailing newline) for
-    /// machine consumers: one object per diagnostic with check id, severity,
-    /// PC, and the CFG-path witness, plus the WCET summaries. The field
-    /// order and diagnostic order are stable, so the output is diffable.
-    pub fn render_json(&self, name: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\"name\":");
-        out.push_str(&json_string(name));
-        let _ = write!(
-            out,
-            ",\"errors\":{},\"warnings\":{},\"wcet\":[",
-            self.error_count(),
-            self.warning_count()
-        );
-        for (i, w) in self.wcet.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"entry\":{},\"label\":{},\"acyclic_cycles\":{},\"loops\":[",
-                w.entry,
-                json_opt_string(w.label.as_deref()),
-                w.acyclic_cycles
-            );
-            for (j, l) in w.loops.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+    /// Writes the report into `json` as one object for machine consumers:
+    /// one object per diagnostic with check id, severity, PC, and the
+    /// CFG-path witness, plus the WCET summaries. The field order and
+    /// diagnostic order are stable, so the output is diffable.
+    pub fn render_json(&self, name: &str, json: &mut Json) {
+        json.object(|o| {
+            o.key("name").value(name);
+            o.key("errors").value(self.error_count());
+            o.key("warnings").value(self.warning_count());
+            o.key("wcet").array(|a| {
+                for w in &self.wcet {
+                    a.object(|o| {
+                        o.key("entry").value(w.entry);
+                        o.key("label").value(w.label.as_deref());
+                        o.key("acyclic_cycles").value(w.acyclic_cycles);
+                        o.key("loops").array(|a| {
+                            for l in &w.loops {
+                                a.object(|o| {
+                                    o.key("header").value(l.header);
+                                    o.key("label").value(l.label.as_deref());
+                                    o.key("cycles_per_iter").value(l.cycles_per_iter);
+                                });
+                            }
+                        });
+                    });
                 }
-                let _ = write!(
-                    out,
-                    "{{\"header\":{},\"label\":{},\"cycles_per_iter\":{}}}",
-                    l.header,
-                    json_opt_string(l.label.as_deref()),
-                    l.cycles_per_iter
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let sev = match d.severity {
-                Severity::Warning => "warning",
-                Severity::Error => "error",
-            };
-            let _ = write!(
-                out,
-                "{{\"check\":{},\"severity\":\"{sev}\",\"pc\":{},\"message\":{},\"path\":[",
-                json_string(&d.check.to_string()),
-                d.pc,
-                json_string(&d.message)
-            );
-            for (j, p) in d.path.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            });
+            o.key("diagnostics").array(|a| {
+                for d in &self.diagnostics {
+                    a.object(|o| {
+                        o.key("check").value(d.check.to_string().as_str());
+                        o.key("severity").value(match d.severity {
+                            Severity::Warning => "warning",
+                            Severity::Error => "error",
+                        });
+                        o.key("pc").value(d.pc);
+                        o.key("message").value(d.message.as_str());
+                        o.key("path").array(|a| {
+                            for &p in &d.path {
+                                a.value(p);
+                            }
+                        });
+                    });
                 }
-                let _ = write!(out, "{p}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            });
+        });
     }
-}
-
-/// Escapes `s` as a JSON string literal (with the surrounding quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt_string(s: Option<&str>) -> String {
-    s.map(json_string).unwrap_or_else(|| "null".to_string())
 }
 
 #[cfg(test)]
@@ -310,7 +268,9 @@ mod tests {
                 ebreak
             ",
         );
-        let json = r.render_json("bad");
+        let mut json = rosebud_kernel::json::Json::default();
+        r.render_json("bad", &mut json);
+        let json = json.to_string();
         assert!(json.contains("\"name\":\"bad\""), "{json}");
         assert!(json.contains("\"check\":\"mmio\""), "{json}");
         assert!(json.contains("\"severity\":\"error\""), "{json}");

@@ -21,6 +21,7 @@
 
 use rosebud::apps::shipped_firmware;
 use rosebud::core::{machine_spec, RosebudConfig};
+use rosebud::kernel::json::Json;
 use rosebud::riscv::{assemble, Analyzer};
 
 fn main() {
@@ -70,30 +71,32 @@ fn main() {
     let analyzer = Analyzer::new(machine_spec(&RosebudConfig::with_rpus(1)));
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    let mut json_reports: Vec<String> = Vec::new();
-    for (name, src) in &jobs {
-        let image = match assemble(src) {
-            Ok(image) => image,
-            Err(e) => {
-                // file:line:col: error: message — editor-clickable.
-                eprintln!("{name}:{}:{}: error: {}", e.line, e.col, e.message);
-                errors += 1;
-                continue;
+    let mut reports = Json::default();
+    reports.array(|a| {
+        for (name, src) in &jobs {
+            let image = match assemble(src) {
+                Ok(image) => image,
+                Err(e) => {
+                    // file:line:col: error: message — editor-clickable.
+                    eprintln!("{name}:{}:{}: error: {}", e.line, e.col, e.message);
+                    errors += 1;
+                    continue;
+                }
+            };
+            let report = analyzer.check(&image);
+            if json {
+                report.render_json(name, a);
+            } else {
+                print!("{}", report.render(name));
+                println!();
             }
-        };
-        let report = analyzer.check(&image);
-        if json {
-            json_reports.push(report.render_json(name));
-        } else {
-            print!("{}", report.render(name));
-            println!();
+            errors += report.error_count();
+            warnings += report.warning_count();
         }
-        errors += report.error_count();
-        warnings += report.warning_count();
-    }
+    });
 
     if json {
-        println!("[{}]", json_reports.join(","));
+        println!("{reports}");
     } else {
         println!(
             "lint: {} target(s), {errors} error(s), {warnings} warning(s)",

@@ -8,7 +8,7 @@
 
 use rosebud::apps::forwarder::build_forwarding_system;
 use rosebud::apps::pktgen::{build_pktgen_system, BackToBack};
-use rosebud::net::{to_pcap, Trace};
+use rosebud::net::to_pcap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // "First, the FPGAs need to be programmed with the corresponding image.
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Capture a slice of what the DUT emits and export it as pcap, the way
     // the latency experiment captures samples with tcpdump.
-    let capture: Trace = b2b.capture(32, 50_000).into_iter().collect();
+    let capture = b2b.capture(32, 50_000);
     let pcap = to_pcap(&capture, b2b.dut.config().clock_hz);
     println!(
         "captured {} frames -> {} bytes of pcap (feed to wireshark/tcpreplay)",

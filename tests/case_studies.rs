@@ -9,9 +9,9 @@ use rosebud::apps::firewall::{
 use rosebud::apps::pigasus::{build_pigasus_system_with, ReorderMode};
 use rosebud::apps::rules::{attack_trace, synthetic_rules};
 use rosebud::core::Harness;
-use rosebud::net::{FlowTrafficGen, Trace, TrafficGen};
+use rosebud::net::{FlowTrafficGen, Packet, TrafficGen};
 
-fn inject_trace(h: &mut Harness, trace: &Trace, gap: u64) {
+fn inject_trace(h: &mut Harness, trace: &[Packet], gap: u64) {
     for pkt in trace {
         let mut p = pkt.clone();
         loop {
@@ -48,7 +48,7 @@ fn firewall_never_drops_clean_traffic() {
     // filter the trace to provably-clean packets first.
     let mut gen = FlowTrafficGen::new(64, 300, 0.0, 13);
     let matcher = rosebud::accel::FirewallMatcher::from_prefixes(&blacklist);
-    let trace: Trace = (0..500u64)
+    let trace: Vec<Packet> = (0..500u64)
         .map(|i| gen.generate(i, 0))
         .filter(|p| {
             p.ipv4()
@@ -98,7 +98,7 @@ fn ids_passes_clean_traffic_untouched() {
     let rules = synthetic_rules(64, 19);
     let sys = build_pigasus_system_with(ReorderMode::Hardware, rules, 8, 16).unwrap();
     let mut gen = FlowTrafficGen::new(32, 400, 0.0, 21);
-    let trace: Trace = (0..400u64).map(|i| gen.generate(i, 0)).collect();
+    let trace: Vec<Packet> = (0..400u64).map(|i| gen.generate(i, 0)).collect();
     let total = trace.len();
     let mut h = Harness::new(sys, Box::new(NoopGen), 0.0);
     inject_trace(&mut h, &trace, 2);

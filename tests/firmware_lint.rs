@@ -17,6 +17,7 @@ use rosebud::core::{
     machine_spec, Fleet, FleetConfig, Harness, HostOp, LoadPolicy, Rosebud, RosebudBuilder,
     RosebudConfig, RoundRobinLb, RpuProgram, RpuState, TraceConfig,
 };
+use rosebud::kernel::json::Json;
 use rosebud::net::{Packet, PacketBuilder};
 use rosebud::riscv::{assemble, Analyzer, Check, LintReport, Severity};
 
@@ -370,11 +371,15 @@ fn shipped_firmware_lint_reports_match_golden() {
 #[test]
 fn shipped_firmware_lint_json_matches_golden() {
     let analyzer = analyzer();
-    let reports: Vec<String> = shipped_firmware()
-        .into_iter()
-        .map(|(name, src)| analyzer.check(&assemble(&src).unwrap()).render_json(name))
-        .collect();
-    assert_golden("firmware.lint.json", &format!("[{}]\n", reports.join(",")));
+    let mut json = Json::default();
+    json.array(|a| {
+        for (name, src) in shipped_firmware() {
+            analyzer
+                .check(&assemble(&src).unwrap())
+                .render_json(name, a);
+        }
+    });
+    assert_golden("firmware.lint.json", &format!("{json}\n"));
 }
 
 /// Compares `text` with `tests/golden/{name}`, or rewrites the snapshot

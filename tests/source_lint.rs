@@ -570,6 +570,41 @@ fn an_instruction_is_spelled_once() {
     );
 }
 
+/// JSON is written once (DESIGN.md, "Observability: the trace/event
+/// model"): every export goes through `rosebud_kernel::json::Json`, which
+/// owns quoting, escaping and separators. Outside it and test code, no
+/// string literal under `crates/`, `src/` or `examples/` writes a JSON key.
+#[test]
+fn json_is_written_once() {
+    let home = "crates/kernel/src/json.rs";
+    let mut violations = String::new();
+    let mut home_seen = false;
+    for dir in ["crates", "src", "examples"] {
+        for (rel, text) in sources(dir) {
+            if rel == home {
+                home_seen = true;
+                continue;
+            }
+            if rel.contains("/tests/") {
+                continue;
+            }
+            let code = text.split("\n#[cfg(test)]\nmod tests").next().unwrap();
+            for (lineno, line) in code.lines().enumerate() {
+                let line = line.split("//").next().unwrap_or("");
+                if line.contains("{\\\"") || line.contains("\\\":") {
+                    writeln!(violations, "{rel}:{}: {}", lineno + 1, line.trim()).unwrap();
+                }
+            }
+        }
+    }
+    assert!(home_seen, "{home} is gone");
+    assert!(
+        violations.is_empty(),
+        "a JSON key written by hand:\n{violations}(write it through \
+         `rosebud_kernel::json::Json`)"
+    );
+}
+
 /// The library crates whose public surface `tests/golden/public_api.list`
 /// pins (DESIGN.md, "The public surface and the hardware constants").
 const LIBRARIES: &[&str] = &["kernel", "net", "riscv", "accel", "core", "apps", "shell"];
