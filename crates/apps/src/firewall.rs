@@ -102,7 +102,7 @@ pub fn build_firewall_system(rpus: usize, blacklist: &[[u8; 4]]) -> Result<Roseb
 /// Generates the verification trace of Appendix D: one packet per blacklist
 /// entry plus `safe` packets from clean addresses, all TCP, `size` bytes.
 pub fn firewall_trace(blacklist: &[[u8; 4]], safe: usize, size: usize) -> Vec<Packet> {
-    let mut trace = Vec::with_capacity(blacklist.len() + safe);
+    let mut trace = Vec::new();
     let mut id = 0u64;
     for ip in blacklist {
         trace.push(

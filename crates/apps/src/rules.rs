@@ -169,7 +169,7 @@ pub fn compile(rules: Vec<Rule>) -> RuleSet {
 /// 80) whose payload embeds the rule's pattern — the paper's
 /// `attack_pcap` generation (Appendix D).
 pub fn attack_trace(rules: &[Rule], size: usize) -> Vec<Packet> {
-    let mut trace = Vec::with_capacity(rules.len());
+    let mut trace = Vec::new();
     for (i, rule) in rules.iter().enumerate() {
         let dst_port = rule.dst_port.unwrap_or(80);
         let src_port = rule.src_port.unwrap_or(40_000 + (i % 20_000) as u16);

@@ -448,16 +448,16 @@ impl Tracer {
 /// One event as both exporters see it: its name, the lane it belongs to,
 /// its kind, and its other fields in order.
 #[derive(Debug)]
-pub(crate) struct Record {
-    pub(crate) name: &'static str,
-    pub(crate) lane: Lane,
-    pub(crate) kind: Kind,
-    pub(crate) fields: Vec<(&'static str, Field)>,
+struct Record {
+    name: &'static str,
+    lane: Lane,
+    kind: Kind,
+    fields: Vec<(&'static str, Field)>,
 }
 
 /// Where an event happens: at a port, at an RPU, or across the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lane {
+enum Lane {
     Port(u8),
     Rpu(u8),
     Fabric,
@@ -465,7 +465,7 @@ pub(crate) enum Lane {
 
 impl Lane {
     /// The lane as a `key = index` field; the fabric has none.
-    pub(crate) fn field(self) -> Option<(&'static str, u8)> {
+    fn field(self) -> Option<(&'static str, u8)> {
         match self {
             Lane::Port(p) => Some(("port", p)),
             Lane::Rpu(r) => Some(("rpu", r)),
@@ -493,7 +493,7 @@ impl Lane {
 /// A moment, a new sample of a running quantity, or an interval of `dur`
 /// cycles ending at the event's stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
+enum Kind {
     Instant,
     Counter,
     Span { dur: Cycle },
@@ -501,7 +501,7 @@ pub(crate) enum Kind {
 
 /// One field's value: a number, a bit mask (written in hex) or a name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Field {
+enum Field {
     Num(u64),
     Hex(u64),
     Name(&'static str),
@@ -522,7 +522,7 @@ impl TraceEvent {
     /// [`Tracer::perfetto_json`]; `at` is its cycle stamp. A table: one row
     /// per variant.
     #[rustfmt::skip]
-    pub(crate) fn fields(&self, at: Cycle) -> Record {
+    fn fields(&self, at: Cycle) -> Record {
         use Kind::{Counter, Instant};
         use Lane::{Fabric, Port, Rpu};
         use Field::{Hex, Name};

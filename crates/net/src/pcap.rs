@@ -56,8 +56,8 @@ impl fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
-/// Serializes a packet trace as a classic pcap file. Packet timestamps come from
-/// each packet's generation cycle at `clock_hz` (the synchronized RPU
+/// Serializes a packet trace as a classic pcap file. Packet timestamps come
+/// from each packet's generation cycle at `clock_hz` (the synchronized RPU
 /// timers of §6.2), so inter-arrival times survive the export.
 ///
 /// # Examples
