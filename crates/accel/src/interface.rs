@@ -74,6 +74,14 @@ impl RegRead {
 /// Accelerators are `Send` so a system hosting them can be handed to
 /// another thread whole. They are never shared — exactly one thread ticks a
 /// system — so `Sync` is not required.
+///
+/// An RPU whose core sleeps (in `wfi`, or parked in a proven poll loop)
+/// stops ticking an accelerator that says, through
+/// [`horizon`](Accelerator::horizon), that its coming ticks change nothing
+/// [`skip`](Accelerator::skip) cannot reproduce, and brings it forward with
+/// one `skip` when the lane wakes. Override both methods or neither: the
+/// defaults (horizon 0, a `skip` that does nothing) tick the accelerator
+/// every cycle, which is always correct.
 pub trait Accelerator: Send {
     /// A short name for debug output and resource tables.
     fn name(&self) -> &str;
@@ -102,6 +110,28 @@ pub trait Accelerator: Send {
 
     /// FPGA resources this accelerator would occupy.
     fn resources(&self) -> ResourceUsage;
+
+    /// How many coming ticks change nothing but what [`skip`] reproduces,
+    /// given that no register access, table load or reset comes first:
+    /// `u64::MAX` for an accelerator that idles until the core asks it
+    /// something. The default, 0, means "tick me every cycle".
+    ///
+    /// [`skip`]: Accelerator::skip
+    fn horizon(&self) -> u64 {
+        0
+    }
+
+    /// Stands in for `k` ticks, `k` at most [`horizon`], in closed form:
+    /// afterwards every register read (value and wait-states), later tick,
+    /// [`is_busy`] and [`horizon`] answer as after `k` calls to [`tick`].
+    /// With the default horizon of 0 there is nothing to stand in for.
+    ///
+    /// [`horizon`]: Accelerator::horizon
+    /// [`is_busy`]: Accelerator::is_busy
+    /// [`tick`]: Accelerator::tick
+    fn skip(&mut self, k: u64) {
+        let _ = k;
+    }
 }
 
 #[cfg(test)]

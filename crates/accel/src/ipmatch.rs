@@ -138,6 +138,20 @@ impl Accelerator for FirewallMatcher {
         self.pending.is_some()
     }
 
+    /// Idle, a tick only counts the cycle: nothing changes until the core
+    /// starts a lookup. A pending lookup is ticked through.
+    fn horizon(&self) -> u64 {
+        if self.pending.is_some() {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
+    fn skip(&mut self, k: u64) {
+        self.now += k;
+    }
+
     fn load_table(&mut self, _offset: u32, _data: &[u8]) {
         // The generated matcher's tables are baked into LUT logic; updating
         // the blacklist rebuilds the RPU via partial reconfiguration.

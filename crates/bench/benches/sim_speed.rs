@@ -1,5 +1,5 @@
 //! Sim speed: wall-clock ns per simulated cycle, swept over RPU counts and
-//! the four workload shapes of [`rosebud_bench::sim_speed::Scenario`], with
+//! the five workload shapes of [`rosebud_bench::sim_speed::Scenario`], with
 //! where the box's time went: the share of cycles taken quiet, of
 //! lane-cycles parked in a poll loop, of instructions stepped rather than
 //! credited, and the ISS's share of a tick from the stage profile (whose

@@ -69,6 +69,7 @@ pub mod sim_speed {
     use std::sync::OnceLock;
     use std::time::Instant;
 
+    use rosebud_apps::firewall::{build_firewall_system, synthetic_blacklist};
     use rosebud_apps::forwarder::{duty_cycle_forwarder_asm, forwarder_image};
     use rosebud_core::{
         Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram, SimStats, StageProfile,
@@ -76,13 +77,14 @@ pub mod sim_speed {
     use rosebud_net::FixedSizeGen;
     use rosebud_riscv::assemble;
 
-    /// The four workload shapes the table reports. They span the tick's
+    /// The five workload shapes the table reports. They span the tick's
     /// envelope: busy-poll firmware at saturation steps every core through
     /// every frame and parks it in its poll loop in between, and without
     /// traffic spins parked from the first empty poll on; duty-cycled
     /// firmware parks in `wfi` between timer alarms (the representative
-    /// middlebox idle pattern); and a fully parked fleet is the elision
-    /// ceiling.
+    /// middlebox idle pattern); a fully parked fleet is the elision
+    /// ceiling; and the loaded firewall parks its poll loops beside an IP
+    /// matcher, which is skipped while idle.
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub enum Scenario {
         /// §6.1 busy-poll forwarder at saturating offered load.
@@ -93,15 +95,19 @@ pub mod sim_speed {
         DutyCycleLight,
         /// Every core halted in `wfi` with interrupts masked; no traffic.
         ParkedIdle,
+        /// The §7.2 firewall (Appendix C loop + `FirewallMatcher` on every
+        /// lane) at saturating offered load.
+        FirewallLoaded,
     }
 
     impl Scenario {
         /// Every scenario, in table order.
-        pub const ALL: [Scenario; 4] = [
+        pub const ALL: [Scenario; 5] = [
             Scenario::BusyPollLoaded,
             Scenario::BusyPollIdle,
             Scenario::DutyCycleLight,
             Scenario::ParkedIdle,
+            Scenario::FirewallLoaded,
         ];
 
         /// Stable identifier for tables and JSON.
@@ -111,12 +117,13 @@ pub mod sim_speed {
                 Scenario::BusyPollIdle => "busy-poll-idle",
                 Scenario::DutyCycleLight => "duty-cycle-light",
                 Scenario::ParkedIdle => "parked-idle",
+                Scenario::FirewallLoaded => "firewall-loaded",
             }
         }
 
         fn offered_gbps(self) -> f64 {
             match self {
-                Scenario::BusyPollLoaded => 205.0,
+                Scenario::BusyPollLoaded | Scenario::FirewallLoaded => 205.0,
                 Scenario::DutyCycleLight => 5.0,
                 Scenario::BusyPollIdle | Scenario::ParkedIdle => 0.0,
             }
@@ -149,6 +156,10 @@ pub mod sim_speed {
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
                     .build()
                     .expect("valid config")
+            }
+            Scenario::FirewallLoaded => {
+                // The paper's emerging-threats feed has 1050 entries.
+                build_firewall_system(rpus, &synthetic_blacklist(1050, 1)).expect("valid config")
             }
         };
         Harness::new(

@@ -83,9 +83,10 @@ pub(crate) struct Lanes {
     /// Stage 5, core-tick elision: the lanes whose core must tick. A lane
     /// leaves when its tick was inert and its quiet horizon lies ahead —
     /// parked in `wfi` or in a proven poll loop, halted, hung or mid-PR, no
-    /// stall tail, no queued send, no accelerator — and returns, settled,
-    /// through stage 4's delivery, [`Lanes::wake`] or when `now` reaches
-    /// `quiet[r]`.
+    /// stall tail, no queued send, and no accelerator that has to tick
+    /// every cycle (an idle one is skipped in closed form) — and returns,
+    /// settled, through stage 4's delivery, [`Lanes::wake`] or when `now`
+    /// reaches `quiet[r]`.
     awake: LaneSet,
     /// Stage 6: a committed send is queued in the RPU.
     tx_ready: LaneSet,
@@ -509,9 +510,11 @@ mod tests {
     use crate::ports::{pump, Device};
     use crate::system::{land_faults, Rosebud, RosebudBuilder, RpuProgram};
     use crate::types::{port, SlotMeta};
-    use rosebud_accel::FirewallMatcher;
+    use rosebud_accel::{Accelerator, FirewallMatcher, RegRead, ResourceUsage};
     use rosebud_net::{FixedSizeGen, GenPort, Packet};
     use rosebud_riscv::assemble;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     #[test]
     fn lane_set_walks_ascending_over_a_copy() {
@@ -765,13 +768,53 @@ mod tests {
         stats.lane_cycles - stats.stepped_lane_cycles
     }
 
+    /// An accelerator that keeps [`Accelerator`]'s default horizon of 0:
+    /// it asks to be ticked every cycle, so its lane never sleeps.
+    struct Ticking;
+
+    impl Accelerator for Ticking {
+        fn name(&self) -> &str {
+            "ticking"
+        }
+        fn read_reg(&mut self, _offset: u32) -> RegRead {
+            RegRead::fast(0)
+        }
+        fn write_reg(&mut self, _offset: u32, _value: u32) {}
+        fn tick(&mut self, _pmem: &[u8]) {}
+        fn is_busy(&self) -> bool {
+            false
+        }
+        fn load_table(&mut self, _offset: u32, _data: &[u8]) {}
+        fn reset(&mut self) {}
+        fn resources(&self) -> ResourceUsage {
+            ResourceUsage::default()
+        }
+    }
+
+    /// `builder(16, asm)` with `accel` on every lane.
+    fn accelerated(asm: &str, accel: fn() -> Box<dyn Accelerator>) -> Rosebud {
+        builder(16, asm)
+            .accelerator(move |_| accel())
+            .build()
+            .unwrap()
+    }
+
+    fn idle_matcher() -> Box<dyn Accelerator> {
+        Box::new(FirewallMatcher::from_prefixes(&[]))
+    }
+
+    fn ticking() -> Box<dyn Accelerator> {
+        Box::new(Ticking)
+    }
+
     /// The elision differential is only worth something if lanes really
     /// sleep where they should and never where they must not: parked in
-    /// `wfi`, or spinning on an empty queue, they sleep; with an accelerator
-    /// attached, petting the watchdog in the loop, or woken before every
-    /// tick, never.
+    /// `wfi`, or spinning on an empty queue, they sleep, and exactly as much
+    /// next to an idle `FirewallMatcher` as bare; petting the watchdog in
+    /// the loop, next to an accelerator that must tick every cycle, or
+    /// woken before every tick, never.
     #[test]
-    fn parked_and_polling_cores_sleep_and_accelerated_petting_or_oracle_lanes_never_do() {
+    fn parked_polling_and_matcher_lanes_sleep_and_petting_ticking_or_oracle_lanes_never_do() {
         let lane_cycles = 16 * 20_000;
         let duty = builder(16, DUTY_CYCLE).build().unwrap();
         let asleep = asleep_lane_cycles(duty, 20_000, false);
@@ -794,11 +837,13 @@ mod tests {
         assert_eq!(asleep_lane_cycles(petting, 20_000, false), 0);
 
         for asm in [DUTY_CYCLE, BUSY_POLL] {
-            let accelerated = builder(16, asm)
-                .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
-                .build()
-                .unwrap();
-            assert_eq!(asleep_lane_cycles(accelerated, 20_000, false), 0);
+            let bare = asleep_lane_cycles(builder(16, asm).build().unwrap(), 20_000, false);
+            let matcher = asleep_lane_cycles(accelerated(asm, idle_matcher), 20_000, false);
+            assert_eq!(matcher, bare, "a FirewallMatcher lane sleeps as a bare one");
+            assert_eq!(
+                asleep_lane_cycles(accelerated(asm, ticking), 20_000, false),
+                0
+            );
         }
     }
 
@@ -827,15 +872,21 @@ mod tests {
 
     /// The quiet tick is only worth its compare if it fires where lanes
     /// sit parked: a duty-cycled box at 5 Gbps (the `duty256_light`
-    /// workload) takes most of its ticks quiet, while a box saturated with
-    /// 64-byte frames, one whose lanes carry accelerators, and the oracle
+    /// workload) takes most of its ticks quiet, and as many with an idle
+    /// `FirewallMatcher` on every lane, while a box saturated with 64-byte
+    /// frames, one whose accelerators must tick every cycle, and the oracle
     /// take none.
     #[test]
-    fn a_duty_cycled_box_ticks_quiet_and_a_saturated_accelerated_or_oracle_box_never_does() {
+    fn a_duty_cycled_box_ticks_quiet_and_a_saturated_ticking_or_oracle_box_never_does() {
         let duty256 = DUTY_CYCLE.replace("li t5, 700", "li t5, 2000");
         let duty = builder(16, &duty256).build().unwrap();
         let quiet = quiet_ticks(duty, 256, 5.0, 50_000, false);
         assert!(quiet > 40_000, "only {quiet} of 50000 ticks were quiet");
+        let matcher = quiet_ticks(accelerated(&duty256, idle_matcher), 256, 5.0, 50_000, false);
+        assert_eq!(
+            matcher, quiet,
+            "a FirewallMatcher box ticks quiet as a bare one"
+        );
 
         let saturated = builder(16, BUSY_POLL).build().unwrap();
         assert_eq!(quiet_ticks(saturated, 64, 205.0, 20_000, false), 0);
@@ -844,12 +895,119 @@ mod tests {
         assert_eq!(quiet_ticks(oracle, 256, 5.0, 20_000, true), 0);
 
         for asm in [DUTY_CYCLE, BUSY_POLL] {
-            let accelerated = builder(16, asm)
-                .accelerator(|_| Box::new(FirewallMatcher::from_prefixes(&[])))
-                .build()
-                .unwrap();
-            assert_eq!(quiet_ticks(accelerated, 256, 5.0, 20_000, false), 0);
+            let ticking = accelerated(asm, ticking);
+            assert_eq!(quiet_ticks(ticking, 256, 5.0, 20_000, false), 0);
         }
+    }
+
+    /// Counts the cycles it is brought through, ticked or skipped, in a
+    /// counter the test keeps; idle for good, so its lane may sleep.
+    struct Counting(Arc<AtomicU64>);
+
+    impl Accelerator for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn read_reg(&mut self, _offset: u32) -> RegRead {
+            RegRead::fast(0)
+        }
+        fn write_reg(&mut self, _offset: u32, _value: u32) {}
+        fn tick(&mut self, _pmem: &[u8]) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn is_busy(&self) -> bool {
+            false
+        }
+        fn load_table(&mut self, _offset: u32, _data: &[u8]) {}
+        fn reset(&mut self) {}
+        fn resources(&self) -> ResourceUsage {
+            ResourceUsage::default()
+        }
+        fn horizon(&self) -> u64 {
+            u64::MAX
+        }
+        fn skip(&mut self, k: u64) {
+            self.0.fetch_add(k, Ordering::Relaxed);
+        }
+    }
+
+    /// The one catch-up point, against the oracle: lanes that sleep in
+    /// `wfi`, park in a poll loop, hang, sit mid-PR (when the accelerator
+    /// is not ticked at all) and ride whole-box jumps each see their
+    /// accelerator brought through exactly the cycles the oracle ticks it.
+    #[test]
+    fn a_sleeping_lanes_accelerator_is_brought_through_every_cycle_it_missed() {
+        let build = |counts: &[Arc<AtomicU64>]| {
+            let images = [DUTY_CYCLE, BUSY_POLL, PARKED].map(|asm| assemble(asm).unwrap());
+            let counts = counts.to_vec();
+            let mut cfg = RosebudConfig::with_rpus(6);
+            cfg.pr_cycles = 500;
+            Rosebud::builder(cfg)
+                .firmware(move |r| RpuProgram::Riscv(images[r % 3].clone()))
+                .accelerator(move |r| Box::new(Counting(counts[r].clone())))
+                .build()
+                .unwrap()
+        };
+        let counters = || {
+            (0..6)
+                .map(|_| Arc::default())
+                .collect::<Vec<Arc<AtomicU64>>>()
+        };
+        let (elided_counts, oracle_counts) = (counters(), counters());
+        let (mut elided, mut oracle) = (build(&elided_counts), build(&oracle_counts));
+        let gen = || Box::new(FixedSizeGen::new(200, 2));
+        let mut sources = [
+            GenPort::per_port(gen(), 3.0, 4.0, 2),
+            GenPort::per_port(gen(), 3.0, 4.0, 2),
+        ];
+        let ops = |cycle| match cycle {
+            6_000 => Some(HostOp::Fault(FaultKind::FirmwareHang { rpu: 4 })),
+            9_000 => Some(HostOp::Reload {
+                rpu: 1,
+                gated: false,
+            }),
+            _ => None,
+        };
+        while elided.now() < 40_000 {
+            let now = elided.now();
+            if let Some(op) = ops(now) {
+                elided.apply(op.clone()).unwrap();
+                oracle.apply(op).unwrap();
+            }
+            if now < 12_000 {
+                pump(&mut elided, &mut sources[0]);
+                pump(&mut oracle, &mut sources[1]);
+            } else if now > 20_000 {
+                elided.skip_quiet(40_000);
+            }
+            while oracle.now() < elided.now() {
+                oracle.wake_all();
+                oracle.tick();
+            }
+            if elided.now() < 40_000 {
+                elided.tick();
+                oracle.wake_all();
+                oracle.tick();
+            }
+        }
+        let stats = elided.sim_stats();
+        assert!(
+            stats.parked_lane_cycles > 0 && stats.jumped_cycles > 0,
+            "{stats}"
+        );
+        assert!(
+            stats.asleep_lane_cycles() > stats.lane_cycles / 2,
+            "{stats}"
+        );
+        // Waking a lane settles it, accelerator included.
+        elided.wake_all();
+        let read = |c: &[Arc<AtomicU64>]| c.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let (elided, oracle): (Vec<u64>, Vec<u64>) = (read(&elided_counts), read(&oracle_counts));
+        assert_eq!(elided, oracle);
+        assert!(
+            oracle[1] < 40_000,
+            "the reloaded lane's PR stops its accelerator"
+        );
     }
 
     /// One box jumps its quiet stretches with `Device::skip_quiet`; its twin

@@ -1065,7 +1065,9 @@ impl Rpu {
         self.inner.accel = Some(accel);
     }
 
-    /// The installed accelerator, if any.
+    /// The installed accelerator, if any. Beside a sleeping core it stands
+    /// where its last tick left it, until the lane next settles
+    /// ([`Accelerator::skip`]).
     pub fn accelerator(&self) -> Option<&dyn Accelerator> {
         self.inner.accel.as_deref()
     }
@@ -1373,13 +1375,23 @@ impl Rpu {
     }
 
     /// [`Rpu::settle`] up to and including cycle `through`: the whole
-    /// periods in closed form, the rest stepped.
+    /// periods in closed form, the rest stepped. The one place a lane's
+    /// accelerator catches up on the cycles it was not ticked — whole poll
+    /// periods, `wfi`, hung, a whole-box jump — with one
+    /// [`Accelerator::skip`]: a lane sleeps only below its accelerator's
+    /// horizon ([`Rpu::quiet_horizon`]).
     fn settle_through(&mut self, through: Cycle) {
         self.arm = match (self.spin, self.arm) {
             (Spin::Probing, _) => Arm::SecondMiss,
             (Spin::Parked { .. }, _) | (_, Arm::Settle) => Arm::Miss,
             (_, arm) => arm,
         };
+        // Mid-PR the region is inert, its accelerator included.
+        let slept = match self.state {
+            RpuState::Reconfiguring { .. } => 0,
+            _ => through.saturating_sub(self.inner.now),
+        };
+        let mut stepped = 0;
         if let (Spin::Parked { base }, Engine::Riscv(cpu)) = (self.spin, &self.engine) {
             self.spin = Spin::Off;
             let (n, p) = ((through + 1).saturating_sub(base), self.phases.len() as u64);
@@ -1393,9 +1405,15 @@ impl Rpu {
             self.counts.credited += periods * instret;
             self.sw_cycles += periods * p;
             self.stalled_cycles += periods * stalled;
-            for cycle in through + 1 - n % p..=through {
-                self.cycle(cycle);
+            stepped = n % p;
+        }
+        if let Some(accel) = &mut self.inner.accel {
+            if slept > stepped {
+                accel.skip(slept - stepped);
             }
+        }
+        for cycle in through + 1 - stepped..=through {
+            self.cycle(cycle);
         }
         // What the loop read is about to change: its misses are stale.
         (self.spin, self.inner.missed, self.inner.impure) = (Spin::Off, false, false);
@@ -1412,39 +1430,45 @@ impl Rpu {
     /// catch.
     ///
     /// The armed watchdog caps every horizon: its expiry is the one
-    /// self-generated event an otherwise-inert RPU can produce.
+    /// self-generated event an otherwise-inert RPU can produce. So does the
+    /// accelerator's own [`Accelerator::horizon`], from its last tick, when
+    /// it ticks at all: below both, the lane's tick is the core's, and
+    /// [`Rpu::settle_through`] brings the accelerator forward in one skip.
+    /// An accelerator that keeps the default horizon of 0 has its lane
+    /// ticked every cycle.
     pub(crate) fn quiet_horizon(&self) -> u64 {
-        // An accelerator streams every cycle regardless of the core.
-        if self.inner.accel.is_some() {
-            return 0;
-        }
         let wd = if self.inner.timer_deadline != 0 {
             self.inner.timer_deadline
         } else {
             u64::MAX
         };
-        // Inert-by-state regions: `tick` early-returns before touching the
-        // core (the `now >= until` case also returns — the host completes
-        // the boot via `finish_reconfigure`, which wakes the lane).
-        if matches!(self.state, RpuState::Reconfiguring { .. }) || self.hung {
+        // Inert-by-state region: `tick` early-returns before touching the
+        // core or the accelerator (the `now >= until` case also returns —
+        // the host completes the boot via `finish_reconfigure`, which wakes
+        // the lane).
+        if matches!(self.state, RpuState::Reconfiguring { .. }) {
             return wd;
         }
         // A stall tail mutates the cycle counters every tick, a queued
         // committed send keeps stage 6 busy, and a host-side `TIMER_CMP`
         // write leaves an acknowledgement the next tick consumes.
-        if self.stall != 0 || !self.inner.tx_queue.is_empty() || self.inner.timer_ack {
+        let core = if self.hung {
+            wd
+        } else if self.stall != 0 || !self.inner.tx_queue.is_empty() || self.inner.timer_ack {
             return 0;
-        }
-        match &self.engine {
-            Engine::Empty => wd,
-            Engine::Native(_) => 0, // native `tick` hooks are arbitrary
-            Engine::Riscv(cpu) => {
-                if cpu.is_parked() || matches!(self.spin, Spin::Parked { .. }) {
-                    wd
-                } else {
-                    0
-                }
+        } else {
+            match &self.engine {
+                Engine::Empty => wd,
+                Engine::Native(_) => return 0, // native `tick` hooks are arbitrary
+                Engine::Riscv(cpu) if cpu.is_parked() => wd,
+                Engine::Riscv(_) if matches!(self.spin, Spin::Parked { .. }) => wd,
+                Engine::Riscv(_) => return 0,
             }
+        };
+        match self.inner.accel.as_deref().map(Accelerator::horizon) {
+            None => core,
+            Some(0) => 0,
+            Some(h) => core.min(self.inner.now.saturating_add(h).saturating_add(1)),
         }
     }
 
@@ -1585,11 +1609,15 @@ impl Rpu {
             return false;
         };
         // A loop is stalls and retired instructions of a running core; and
-        // a core that can never sleep never probes.
+        // a core that can never sleep never probes. A busy accelerator —
+        // one with no horizon ahead — keeps the core ticking for now: the
+        // probe waits for the next miss rather than start, and a loop it
+        // proved does not park.
         let repeatable = matches!(self.state, RpuState::Running | RpuState::Draining)
             && !self.hung
             && !cpu.is_waiting();
-        let can_sleep = self.inner.accel.is_none() && self.profile.is_none();
+        let can_sleep = self.profile.is_none();
+        let accel_idle = || self.inner.accel.as_deref().is_none_or(|a| a.horizon() > 0);
         let boundary = self.stall == 0;
         let phase = |rpu: &Self| Phase {
             cpu: (**cpu).clone(),
@@ -1605,6 +1633,7 @@ impl Rpu {
             Spin::Off if self.arm == Arm::SecondMiss => Spin::Missed,
             Spin::Missed if !missed => Spin::Missed,
             Spin::Off | Spin::Missed | Spin::Armed if !boundary => Spin::Armed,
+            Spin::Off | Spin::Missed | Spin::Armed if !accel_idle() => Spin::Off,
             Spin::Off | Spin::Missed | Spin::Armed => {
                 self.phases.clear();
                 self.phases.push(phase(self));
@@ -1612,7 +1641,12 @@ impl Rpu {
                 Spin::Probing
             }
             Spin::Probing if !impure && boundary && cpu.same_state(&self.phases[0].cpu) => {
-                Spin::Parked { base: now + 1 }
+                if accel_idle() {
+                    Spin::Parked { base: now + 1 }
+                } else {
+                    self.counts.refused += 1;
+                    Spin::Off
+                }
             }
             Spin::Probing
                 if impure

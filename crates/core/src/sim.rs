@@ -111,7 +111,8 @@ pub struct SimStats {
     pub(crate) credited_instrs: u64,
     /// Spin probes opened on a poll miss.
     pub(crate) probes_started: u64,
-    /// Probes that found their loop is no fixed point.
+    /// Probes that ended without a park: their loop is no fixed point, or
+    /// the accelerator beside it was busy when it closed.
     pub(crate) probes_refused: u64,
     /// Parks ended by something from outside reaching the lane.
     pub(crate) probes_settled: u64,

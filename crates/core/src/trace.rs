@@ -379,7 +379,8 @@ impl Tracer {
     ///
     /// Each event's field list maps by one rule: the lane gives the process
     /// and thread (ports are threads of process 0 "fabric", RPUs threads of
-    /// process 1 "rpus", fabric-wide events thread 0 of process 0); the kind
+    /// process 1 "rpus", fabric-wide events a thread of process 0 named
+    /// `fabric` that no port uses); the kind
     /// gives the phase — an instant (`"i"`), a counter (`"C"`, named with
     /// its lane so every port and RPU keeps its own track), or a span
     /// (`"X"` from its start, with `dur`); the args are the fields.
@@ -401,10 +402,11 @@ impl Tracer {
                         });
                     });
                 };
-                meta(j, Lane::Fabric, "process_name", "fabric");
+                meta(j, Lane::Port(0), "process_name", "fabric");
                 meta(j, Lane::Rpu(0), "process_name", "rpus");
                 let ports = (0..self.rx_fifo_hw.len() as u8).map(Lane::Port);
-                for lane in ports.chain((0..self.dma_open.len() as u8).map(Lane::Rpu)) {
+                let rpus = (0..self.dma_open.len() as u8).map(Lane::Rpu);
+                for lane in ports.chain(rpus).chain([Lane::Fabric]) {
                     meta(j, lane, "thread_name", &lane.track());
                 }
                 for &(cycle, ref ev) in &self.events {
@@ -478,9 +480,10 @@ impl Lane {
         u8::from(matches!(self, Lane::Rpu(_)))
     }
 
-    /// The Perfetto thread: the port or RPU index, 0 for the fabric.
+    /// The Perfetto thread: the port or RPU index; the fabric's own thread
+    /// is 255, which no port index reaches.
     fn tid(self) -> u8 {
-        self.field().map_or(0, |(_, index)| index)
+        self.field().map_or(u8::MAX, |(_, index)| index)
     }
 
     /// The Perfetto track name: `port1`, `rpu12`, `fabric`.
@@ -640,7 +643,7 @@ mod tests {
         // One microsecond per cycle: Perfetto timestamps read as cycles.
         let json = tracer.perfetto_json(1000.0);
         let lines: Vec<&str> = text.lines().skip(1).collect();
-        let entries: Vec<&str> = json.lines().skip(1 + 2 + 2 + 4).collect();
+        let entries: Vec<&str> = json.lines().skip(1 + 2 + 2 + 4 + 1).collect();
         let mut spans = 0;
         for (i, ev) in events.iter().enumerate() {
             let r = ev.fields(100 + i as Cycle);
@@ -660,7 +663,7 @@ mod tests {
             match r.lane {
                 Lane::Port(_) => got.push(format!("port={tid}")),
                 Lane::Rpu(_) => got.push(format!("rpu={tid}")),
-                Lane::Fabric => assert_eq!((pid, tid), ("0", "0")),
+                Lane::Fabric => assert_eq!((pid, tid), ("0", "255")),
             }
             assert_eq!(
                 pid,

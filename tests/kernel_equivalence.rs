@@ -17,18 +17,23 @@
 //! cycle and host ops landing at each cycle of the poll period), duty-cycled
 //! `wfi` firmware (wake-on-delivery and the timer alarm), cores that sleep on
 //! interrupts alone (DMA completion, poke, evict, broadcast, PR reload),
-//! firewall injection (host virtual interface + accelerators), and chaos
-//! runs (faults, supervisor-driven eviction/PR/reload against lanes that
-//! may be asleep when the host reaches in).
+//! firewall injection (host virtual interface + accelerators, which sleep
+//! with their lanes while idle: duty-cycled, and parked in the poll loop
+//! behind a live shell), the RV32 Pigasus box whose lanes must never park,
+//! and chaos runs (faults, supervisor-driven eviction/PR/reload against
+//! lanes that may be asleep when the host reaches in).
 
 use rosebud::apps::firewall::{
-    build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen,
+    build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen, FIREWALL_ASM,
 };
 use rosebud::apps::forwarder::{
     build_duty_cycle_forwarding_system, build_forwarding_system, build_watchdog_forwarding_system,
 };
-use rosebud::core::{FaultKind, FaultPlan, Harness, HostOp, Rosebud, Supervisor, TraceConfig};
-use rosebud::net::{FixedSizeGen, ImixGen};
+use rosebud::core::ports::{replay, Device, EventLog};
+use rosebud::core::{
+    FaultKind, FaultPlan, Harness, HostOp, HostReply, Rosebud, Supervisor, TraceConfig,
+};
+use rosebud::net::{FixedSizeGen, ImixGen, Packet};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -144,9 +149,9 @@ fn same(scenario: &str, got: &Observed, oracle: &Observed, side: &str, against: 
     assert_eq!(got.injected, oracle.injected, "{scenario}: injected");
     assert_eq!(got.drops, oracle.drops, "{scenario}: drops");
     // Non-vacuity: the scenario must actually have produced events. (That
-    // lanes actually sleep in `wfi` and in a poll loop, and never with an
-    // accelerator or a watchdog pet, is pinned in `core::lanes`' unit
-    // tests.)
+    // lanes actually sleep in `wfi` and in a poll loop, beside an idle
+    // accelerator too, and never beside one that must tick every cycle or
+    // with a watchdog pet, is pinned in `core::lanes`' unit tests.)
     assert!(
         !oracle.trace.is_empty(),
         "{scenario}: empty trace proves nothing"
@@ -211,6 +216,14 @@ fn duty_cycle_forwarder_matches_unelided_oracle() {
     }
 }
 
+/// Offers `pkt` to the box, ticking on `side` while its ingress refuses it.
+fn offer(h: &mut Harness, side: Side, mut pkt: Packet) {
+    while let Err(back) = h.sys.inject(pkt) {
+        pkt = back;
+        tick(h, side);
+    }
+}
+
 #[test]
 fn firewall_matches_unelided_oracle() {
     differential("firewall", |side| {
@@ -218,20 +231,115 @@ fn firewall_matches_unelided_oracle() {
         let sys = traced(build_firewall_system(4, &blacklist).unwrap());
         let trace = firewall_trace(&blacklist, 16, 256);
         let mut h = Harness::new(sys, Box::new(NoopGen), 0.0);
-        for pkt in &trace {
-            let mut p = pkt.clone();
-            loop {
-                match h.sys.inject(p) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        p = back;
-                        tick(&mut h, side);
-                    }
-                }
-            }
+        for pkt in trace {
+            offer(&mut h, side, pkt);
             tick(&mut h, side);
         }
         observe(h, 6_000, side)
+    });
+}
+
+/// The Appendix C firewall loop, duty-cycled: between drains it parks in
+/// `wfi` behind a 600-cycle timer alarm instead of polling.
+fn duty_cycled_firewall_asm() -> String {
+    let poll = "    poll:
+        lw a0, 0x00(t0)          # in_pkt_ready()
+        beqz a0, poll
+";
+    let park = "        li s0, 600
+        li s1, 2                 # the timer line
+        csrw mie, s1
+        j poll
+    park:
+        sw s0, 0x40(t0)          # TIMER_CMP: arm the alarm + ack the last fire
+        wfi
+    poll:
+        lw a0, 0x00(t0)
+        beqz a0, park
+";
+    assert!(
+        FIREWALL_ASM.contains(poll),
+        "the firewall's poll loop moved"
+    );
+    FIREWALL_ASM.replace(poll, park)
+}
+
+#[test]
+fn duty_cycled_firewall_matches_unelided_oracle() {
+    // Lanes sleep in `wfi` beside their IP matchers, which are not ticked
+    // while they do: every wake brings a matcher forward by the cycles it
+    // slept through, and the match read right after must wait exactly as
+    // long as on the oracle's matcher, ticked every cycle.
+    use rosebud::accel::FirewallMatcher;
+    use rosebud::core::{RosebudConfig, RpuProgram};
+
+    differential("duty-cycled-firewall", |side| {
+        let blacklist = synthetic_blacklist(24, 3);
+        let image = rosebud::riscv::assemble(&duty_cycled_firewall_asm()).unwrap();
+        let prefixes = blacklist.clone();
+        let sys = Rosebud::builder(RosebudConfig::with_rpus(8))
+            .accelerator(move |_| Box::new(FirewallMatcher::from_prefixes(&prefixes)))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        let mut h = Harness::new(traced(sys), Box::new(NoopGen), 0.0);
+        h.begin_window();
+        for pkt in firewall_trace(&blacklist, 40, 256) {
+            offer(&mut h, side, pkt);
+            for _ in 0..150 {
+                tick(&mut h, side);
+            }
+        }
+        for _ in 0..3_000 {
+            tick(&mut h, side);
+        }
+        if side != Side::Oracle {
+            // Whole cycles with every accelerated lane asleep.
+            let stats = h.sys.sim_stats();
+            assert!(stats.quiet_share() > 0.0, "no lane slept: {stats}");
+        }
+        snapshot(h)
+    });
+}
+
+#[test]
+fn assembled_pigasus_box_matches_unelided_oracle_and_never_parks() {
+    // The RV32 Pigasus loop reads its matcher on every turn, and the
+    // matcher keeps the default horizon: its lanes are the ones that must
+    // tick every cycle, under attack traffic and idle alike.
+    use rosebud::accel::{PigasusMatcher, RuleSet};
+    use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
+    use rosebud::apps::rules::{attack_trace, synthetic_rules};
+    use rosebud::core::{RosebudConfig, RoundRobinLb, RpuProgram};
+
+    differential("pigasus-asm", |side| {
+        let rules = synthetic_rules(16, 41);
+        let mut cfg = RosebudConfig::with_rpus(4);
+        cfg.slots_per_rpu = 32;
+        let compiled = RuleSet::compile(rules.clone());
+        let image = rosebud::riscv::assemble(PIGASUS_HW_ASM).unwrap();
+        let sys = Rosebud::builder(cfg)
+            .load_balancer(Box::new(RoundRobinLb::new()))
+            .accelerator(move |_| Box::new(PigasusMatcher::new(compiled.clone(), 16)))
+            .firmware(move |_| RpuProgram::Riscv(image.clone()))
+            .build()
+            .unwrap();
+        let gen = ImixGen::new(2, 17);
+        let mut h = Harness::new(traced_parking(sys), Box::new(gen), 10.0);
+        h.begin_window();
+        for pkt in attack_trace(&rules, 400) {
+            offer(&mut h, side, pkt);
+            for _ in 0..300 {
+                tick(&mut h, side);
+            }
+        }
+        for _ in 0..5_000 {
+            tick(&mut h, side);
+        }
+        let stats = h.sys.sim_stats();
+        assert_eq!(stats.parked_share(), 0.0, "{stats}");
+        assert_eq!(stats.quiet_share(), 0.0, "{stats}");
+        snapshot(h)
     });
 }
 
@@ -629,34 +737,8 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
     // event log on both sides — the record/replay contract must hold with
     // and without elision. The oracle replays through a device that wakes
     // every lane before every tick.
-    use rosebud::core::ports::{replay, Device};
-    use rosebud::core::{HostReply, MemRegion};
-    use rosebud::net::Packet;
+    use rosebud::core::MemRegion;
     use rosebud::shell::{RingBackend, Shell};
-
-    struct Unelided(Rosebud);
-
-    impl Device for Unelided {
-        fn now(&self) -> u64 {
-            self.0.now()
-        }
-        fn ns_per_cycle(&self) -> f64 {
-            self.0.ns_per_cycle()
-        }
-        fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
-            self.0.inject(pkt)
-        }
-        fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
-            self.0.apply(op)
-        }
-        fn tick(&mut self) {
-            self.0.wake_all();
-            self.0.tick();
-        }
-        fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
-            self.0.drain(sink);
-        }
-    }
 
     let factory = || build_duty_cycle_forwarding_system(8, 900).unwrap();
     let image =
@@ -731,29 +813,140 @@ fn recorded_live_shell_session_replays_like_the_unelided_oracle() {
     assert_eq!(log.ops.len(), applied, "and every applied op");
 
     differential("live-shell-replay", |side| {
-        let mut sys = traced(factory());
-        let delivered = match side {
-            Side::Elided => replay(&log, &mut sys).len(),
-            Side::Profiled => {
-                sys.profile_stages(Some(wall_ns));
-                replay(&log, &mut sys).len()
-            }
-            Side::Oracle => {
-                let mut oracle = Unelided(sys);
-                let delivered = replay(&log, &mut oracle).len();
-                sys = oracle.0;
-                delivered
-            }
-        };
-        Observed {
-            trace: sys.take_tracer().unwrap().compact_text(),
-            ledger: format!("{:?}", sys.ledger()),
-            diagnostics: format!("{:?}", sys.diagnostics()),
-            measurement: format!("delivered={delivered}"),
-            received: delivered as u64,
-            injected: log.events.len() as u64,
-            drops: sys.drop_count(),
+        let (sys, delivered) = replayed(traced(factory()), &log, side);
+        observed_replay(sys, delivered, &log)
+    });
+}
+
+/// The oracle's device for [`replay`]: the box, with every lane woken
+/// before every tick.
+struct Unelided(Rosebud);
+
+impl Device for Unelided {
+    fn now(&self) -> u64 {
+        self.0.now()
+    }
+    fn ns_per_cycle(&self) -> f64 {
+        self.0.ns_per_cycle()
+    }
+    fn inject(&mut self, pkt: Packet) -> Result<(), Packet> {
+        self.0.inject(pkt)
+    }
+    fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
+        self.0.apply(op)
+    }
+    fn tick(&mut self) {
+        self.0.wake_all();
+        self.0.tick();
+    }
+    fn drain(&mut self, sink: &mut dyn FnMut(usize, Packet)) {
+        self.0.drain(sink);
+    }
+}
+
+/// Replays `log` into `sys` on `side`, returning the box and how many
+/// frames it delivered.
+fn replayed(mut sys: Rosebud, log: &EventLog, side: Side) -> (Rosebud, usize) {
+    let delivered = match side {
+        Side::Elided => replay(log, &mut sys).len(),
+        Side::Profiled => {
+            sys.profile_stages(Some(wall_ns));
+            replay(log, &mut sys).len()
         }
+        Side::Oracle => {
+            let mut oracle = Unelided(sys);
+            let delivered = replay(log, &mut oracle).len();
+            sys = oracle.0;
+            delivered
+        }
+    };
+    (sys, delivered)
+}
+
+/// Everything observable about a replayed box.
+fn observed_replay(mut sys: Rosebud, delivered: usize, log: &EventLog) -> Observed {
+    Observed {
+        trace: sys.take_tracer().unwrap().compact_text(),
+        ledger: format!("{:?}", sys.ledger()),
+        diagnostics: format!("{:?}", sys.diagnostics()),
+        measurement: format!("delivered={delivered}"),
+        received: delivered as u64,
+        injected: log.events.len() as u64,
+        drops: sys.drop_count(),
+    }
+}
+
+/// The parks the spin probe's lanes have ended so far (the third of the
+/// `probes=` counts in [`rosebud::core::SimStats`]' line).
+fn parks_settled(sys: &Rosebud) -> u64 {
+    let line = sys.sim_stats().to_string();
+    let probes = line.split("probes=").nth(1).expect("a probes= field");
+    let settled = probes.split(['/', ' ']).nth(2).expect("three counts");
+    settled.parse().unwrap()
+}
+
+#[test]
+fn recorded_live_firewall_session_replays_like_the_unelided_oracle() {
+    // The live firewall workload's shape: the 16-RPU firewall behind a
+    // ring-backed shell, blacklisted and clean frames interleaved, every
+    // lane parked in its poll loop beside an idle IP matcher between
+    // frames. Three reloads land mid-run on lanes parked that way: each
+    // settles the lane, whose matcher catches up before the region is
+    // rebuilt around a fresh one. Recorded once, then replayed on every
+    // side.
+    use rosebud::shell::{RingBackend, Shell};
+
+    let blacklist = synthetic_blacklist(32, 11);
+    let factory = || build_firewall_system(16, &blacklist).unwrap();
+    let frames = firewall_trace(&blacklist, 64, 256);
+    let n = frames.len();
+    let mut ops = [
+        (
+            20,
+            HostOp::Reload {
+                rpu: 5,
+                gated: true,
+            },
+        ),
+        (
+            45,
+            HostOp::Reload {
+                rpu: 9,
+                gated: false,
+            },
+        ),
+        (70, HostOp::ForceReload { rpu: 12 }),
+    ]
+    .into_iter()
+    .peekable();
+    let applied = ops.len();
+
+    let (backend, peer) = RingBackend::pair();
+    let mut shell = Shell::new(traced_parking(factory()), backend);
+    for i in 0..n {
+        if let Some((_, op)) = ops.next_if(|(at, _)| *at == i) {
+            let before = parks_settled(shell.sys());
+            shell.apply(op).unwrap();
+            let after = parks_settled(shell.sys());
+            assert_eq!(after, before + 1, "op at frame {i} lands on a parked lane");
+        }
+        // Blacklisted and clean frames interleaved: 7 is prime to n.
+        let frame = &frames[(i * 7) % n];
+        peer.send((i % 2) as u8, frame.data.clone());
+        shell.pump(37);
+    }
+    shell.pump(4_000);
+    let log = shell.log().clone();
+    assert_eq!(log.events.len(), n, "every live frame must be recorded");
+    assert_eq!(log.ops.len(), applied, "and every applied op");
+
+    differential("live-firewall-replay", |side| {
+        let (sys, delivered) = replayed(traced_parking(factory()), &log, side);
+        if side != Side::Oracle {
+            let stats = sys.sim_stats();
+            assert!(stats.parked_share() > 0.5, "lanes must park: {stats}");
+        }
+        observed_replay(sys, delivered, &log)
     });
 }
 

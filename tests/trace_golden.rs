@@ -163,8 +163,8 @@ fn firewall_trace_matches_golden() {
 
 /// `Tracer::perfetto_json` over a traced run of the host-DMA forwarder
 /// (DMA spans included): one JSON object per line between the header and
-/// the footer, one thread-name entry per port and per RPU plus the two
-/// process names, then one entry per recorded event.
+/// the footer, one thread-name entry per port, per RPU and for the fabric
+/// plus the two process names, then one entry per recorded event.
 #[test]
 fn perfetto_export_has_one_entry_per_event() {
     const RPUS: usize = 4;
@@ -210,7 +210,7 @@ fn perfetto_export_has_one_entry_per_event() {
             spans += 1;
         }
     }
-    assert_eq!(meta, ports + RPUS + 2);
+    assert_eq!(meta, ports + RPUS + 1 + 2);
     assert_eq!(lines.len() - meta, tracer.events().len());
     assert!(spans > 0, "the host-DMA forwarder completes DMAs");
 }
