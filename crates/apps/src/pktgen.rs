@@ -112,6 +112,8 @@ pub struct BackToBack {
     pub dut: Rosebud,
     received: u64,
     received_bytes: u64,
+    /// Cable frames the DUT's receive MAC refused.
+    lost: u64,
     window_start: u64,
     window_received: u64,
     window_bytes: u64,
@@ -132,6 +134,7 @@ impl BackToBack {
             dut,
             received: 0,
             received_bytes: 0,
+            lost: 0,
             window_start: 0,
             window_received: 0,
             window_bytes: 0,
@@ -153,8 +156,10 @@ impl BackToBack {
                 pkt.port = lane as u8;
                 // The DUT's MAC may be saturated: the cable has no buffer,
                 // so an un-absorbable frame is lost (counted at the DUT's
-                // MAC in real hardware; counted here as tester-side drop).
-                let _ = self.dut.inject(pkt);
+                // MAC in real hardware; counted here, as `lost`).
+                if self.dut.inject(pkt).is_err() {
+                    self.lost += 1;
+                }
             }
         });
         self.dut.drain(&mut |lane, pkt| {
@@ -175,6 +180,12 @@ impl BackToBack {
         for _ in 0..cycles {
             self.tick();
         }
+    }
+
+    /// Frames the tester put on a cable that the DUT's saturated receive
+    /// MAC refused, so the cable lost them.
+    pub fn lost(&self) -> u64 {
+        self.lost
     }
 
     /// Starts a measurement window on the tester's receive side.
@@ -219,6 +230,18 @@ impl BackToBack {
 mod tests {
     use super::*;
     use crate::forwarder::build_forwarding_system;
+
+    #[test]
+    fn every_cable_frame_is_taken_or_counted_lost() {
+        // 16 generating RPUs at 64 B outrun an 8-RPU forwarder, whose
+        // receive MACs fill and refuse frames the cables cannot hold.
+        let tester = build_pktgen_system(16, 64).unwrap();
+        let mut b2b = BackToBack::new(tester, build_forwarding_system(8).unwrap());
+        b2b.run(20_000);
+        let sent: u64 = (0..2).map(|p| b2b.tester.port_counters(p).tx_frames).sum();
+        assert!(b2b.lost() > 0, "the DUT took all {sent} frames");
+        assert_eq!(sent, b2b.dut.ledger().injected + b2b.lost());
+    }
 
     #[test]
     fn pktgen_saturates_the_wire_for_large_frames() {

@@ -204,6 +204,7 @@ impl Rosebud {
         self.quiet_until = 0;
         let p = pkt.port as usize;
         let Some(port) = self.mac.ports.get_mut(p) else {
+            self.sim.refused_injects += 1;
             return Err(pkt);
         };
         let fx = &mut self.fx;
@@ -217,10 +218,25 @@ impl Rosebud {
             return Ok(());
         }
         let (len, wire) = (pkt.len(), pkt.wire_len());
-        port.rx_mac.push(pkt, wire, now)?;
+        if let Err(pkt) = port.rx_mac.push(pkt, wire, now) {
+            self.sim.refused_injects += 1;
+            return Err(pkt);
+        }
         port.counters.count_rx_frame(len);
         fx.ledger.injected += 1;
         Ok(())
+    }
+
+    /// `false` only when every [`inject`](Self::inject) this cycle would be
+    /// refused: no receive serializer has room, and no port is in an
+    /// injected RX FIFO overflow window (whose MAC takes a frame to shed
+    /// it).
+    #[inline]
+    pub(crate) fn can_inject(&self) -> bool {
+        let now = self.clock.cycle();
+        let fault = self.fx.fault.as_ref();
+        let shedding = |p: usize| fault.is_some_and(|f| f.rx_drop_until[p] > now);
+        (self.mac.ports.iter().enumerate()).any(|(p, port)| !port.rx_mac.is_full() || shedding(p))
     }
 
     /// Binds an egress port to physical port `p`: delivered frames are

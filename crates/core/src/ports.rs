@@ -40,6 +40,12 @@ pub trait Device {
     /// frame back and changes nothing.
     fn inject(&mut self, pkt: Packet) -> Result<(), Packet>;
 
+    /// `false` only when every [`inject`](Self::inject) this cycle would be
+    /// refused, so a driver may skip offering. The default is `true`.
+    fn can_inject(&self) -> bool {
+        true
+    }
+
     /// Does a host operation to the device; a refusal says why and changes
     /// nothing. A [`Rosebud`] takes a box's ops, a [`Fleet`](crate::Fleet)
     /// device-scale faults and [`HostOp::Box`]; the default takes none.
@@ -83,6 +89,11 @@ impl Device for Rosebud {
         Rosebud::inject(self, pkt)
     }
 
+    #[inline]
+    fn can_inject(&self) -> bool {
+        Rosebud::can_inject(self)
+    }
+
     fn apply(&mut self, op: HostOp) -> Result<HostReply, String> {
         Rosebud::apply(self, op)
     }
@@ -105,11 +116,23 @@ impl Device for Rosebud {
 /// Drains `source` into `dev`'s ingress for the current cycle, returning
 /// how many frames were accepted.
 ///
-/// The loop follows the port contract: poll until the source runs dry, hand
-/// refused frames back through [`IngressPort::give_back`]. A source that
-/// re-offers the *same* frame after a refusal (a replay or link port — the
-/// target MAC stays busy all cycle) ends the pump for this cycle; a source
-/// that moves on to other traffic (a multi-lane generator) keeps pumping.
+/// It asks both edges before it offers a frame. A source whose
+/// [`IngressPort::clock`] says `NotBefore` a later cycle, or a device that
+/// would refuse every frame ([`Device::can_inject`]), ends the pump before
+/// a poll; and once polling, a frame polled after an acceptance left the
+/// device refusing every frame is handed straight back, not offered. A
+/// skipped poll would only have returned nothing or frames the device
+/// refused, and a skipped offer would have been refused, so neither changes
+/// a frame or an acceptance: a port re-offers what it is handed back, and a
+/// paced [`GenPort`](rosebud_net::GenPort) replays the cycles it was not
+/// polled as cycles whose every offer was refused.
+///
+/// Otherwise the loop follows the port contract: poll until the source runs
+/// dry, hand refused frames back through [`IngressPort::give_back`]. A
+/// source that re-offers the *same* frame after a refusal (a replay or link
+/// port — the target MAC stays busy all cycle) ends the pump for this
+/// cycle; a source that moves on to other traffic (a multi-lane generator)
+/// keeps pumping, so a cycle that polls at all polls until dry.
 ///
 /// # Examples
 ///
@@ -131,21 +154,35 @@ impl Device for Rosebud {
 /// ```
 pub fn pump<D: Device + ?Sized>(dev: &mut D, source: &mut dyn IngressPort<Packet>) -> u64 {
     let now = dev.now();
+    let due = !matches!(source.clock(now), PortClock::NotBefore(at) if at > now);
+    if !due || !dev.can_inject() {
+        return 0;
+    }
     let mut accepted = 0;
+    // Whether the device can take a frame; a refusal changes nothing, so
+    // only an acceptance can close it.
+    let mut open = true;
     let mut last_refused: Option<u64> = None;
     while let Some(pkt) = source.poll(now) {
         let id = pkt.id;
-        match dev.inject(pkt) {
-            Ok(()) => accepted += 1,
-            Err(pkt) => {
-                let stuck = last_refused == Some(id);
-                source.give_back(pkt);
-                if stuck {
-                    break;
+        let pkt = if open {
+            match dev.inject(pkt) {
+                Ok(()) => {
+                    accepted += 1;
+                    open = dev.can_inject();
+                    continue;
                 }
-                last_refused = Some(id);
+                Err(pkt) => pkt,
             }
+        } else {
+            pkt
+        };
+        let stuck = last_refused == Some(id);
+        source.give_back(pkt);
+        if stuck {
+            break;
         }
+        last_refused = Some(id);
     }
     accepted
 }

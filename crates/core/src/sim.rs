@@ -118,6 +118,10 @@ pub struct SimStats {
     pub(crate) probes_settled: u64,
     /// Core loads and stores that reached the interconnect's I/O window.
     pub(crate) io_accesses: u64,
+    /// Frames the receive MACs took from a driver.
+    pub(crate) injects: u64,
+    /// Frames the receive MACs handed back to a driver.
+    pub(crate) refused_injects: u64,
     /// The stage profile, while one is on.
     pub profile: Option<StageProfile>,
 }
@@ -144,6 +148,12 @@ impl SimStats {
         ratio(self.parked_lane_cycles, self.lane_cycles)
     }
 
+    /// Offers a driver made that the receive MACs refused, per frame they
+    /// took: what backpressure cost the host.
+    pub fn refused_per_inject(&self) -> f64 {
+        ratio(self.refused_injects, self.injects)
+    }
+
     /// The share of retired RV32 instructions the simulator stepped rather
     /// than credited.
     pub fn stepped_instr_share(&self) -> f64 {
@@ -168,6 +178,8 @@ impl AddAssign for SimStats {
         self.probes_refused += other.probes_refused;
         self.probes_settled += other.probes_settled;
         self.io_accesses += other.io_accesses;
+        self.injects += other.injects;
+        self.refused_injects += other.refused_injects;
         self.profile = match (self.profile, other.profile) {
             (Some(mut a), Some(b)) => {
                 a += b;
@@ -224,6 +236,7 @@ fn ratio(a: u64, b: u64) -> f64 {
 pub(crate) struct SimCounts {
     pub(crate) quiet_ticks: u64,
     pub(crate) jumped_cycles: u64,
+    pub(crate) refused_injects: u64,
     /// Boxed: cold, and only a profiled run has one.
     pub(crate) profiler: Option<Box<Profiler>>,
 }

@@ -228,7 +228,7 @@ pub struct Rosebud {
     /// box reaches a lane and so ends the lanes' idleness itself.
     pub(crate) quiet_until: Cycle,
     /// The simulator's own counters and stage profiler ([`SimStats`]).
-    sim: SimCounts,
+    pub(crate) sim: SimCounts,
 }
 
 /// The trace-facing name of an RPU's lifecycle state.
@@ -492,6 +492,8 @@ impl Rosebud {
         stats.lane_cycles = self.now() * self.cfg.num_rpus as u64;
         stats.quiet_ticks = self.sim.quiet_ticks;
         stats.jumped_cycles = self.sim.jumped_cycles;
+        stats.refused_injects = self.sim.refused_injects;
+        stats.injects = self.fx.ledger.injected;
         stats.profile = (self.sim.profiler.as_ref())
             .map(|p| p.profile((stats.stepped_instrs, stats.io_accesses)));
         stats

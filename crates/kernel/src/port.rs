@@ -44,11 +44,13 @@ pub enum PortClock {
 
 /// A source of cycle-stamped items feeding a device edge.
 ///
-/// The driving loop is always the same shape:
+/// The driving loop is always the same shape: ask both edges first, then
+/// poll until dry.
 ///
 /// ```text
+/// if port.clock(now) is NotBefore(at > now) || device is closed { return }
 /// while let Some(item) = port.poll(now) {
-///     match device.accept(item) {
+///     match device.accept(item) {           // closed: refused unoffered
 ///         Ok(()) => {}
 ///         Err(item) => { port.give_back(item); break-or-continue }
 ///     }
@@ -57,7 +59,11 @@ pub enum PortClock {
 ///
 /// `give_back` is the backpressure edge: only the most recently polled item
 /// may be handed back, and the port must re-deliver it before any later
-/// item so arrival order is preserved under retry.
+/// item so arrival order is preserved under retry. A driver may skip a
+/// cycle's polls when the port's `clock` says `NotBefore` a later cycle or
+/// when its device would refuse every item; a port whose items are made
+/// rather than stored (a paced generator) counts such a cycle as one in
+/// which every offer was refused.
 pub trait IngressPort<T> {
     /// The next item due at `now`, if any. Items are delivered in stamp
     /// order; an item is only offered once its stamp is reached.

@@ -23,6 +23,15 @@ use crate::WIRE_OVERHEAD_BYTES;
 /// parks in that port's retry slot while generation moves on to the next
 /// physical port — one congested port must not starve the others.
 ///
+/// The generator runs on its own clock, not on the driver's polls: a cycle
+/// the driver did not poll counts as one in which every offer was refused,
+/// so the next poll first replays those cycles in order — one grant each,
+/// then every lane with an empty retry slot whose budget covers the next
+/// frame generates it there, stamped with that cycle. A driver may thus
+/// poll only when its device can take a frame, and between polls only from
+/// the cycle [`IngressPort::clock`] names on; every frame, id and stamp is
+/// the one per-cycle polling with those offers refused would give.
+///
 /// # Examples
 ///
 /// ```
@@ -51,6 +60,9 @@ pub struct GenPort {
     cursor: usize,
     next_id: u64,
     last_refill: Option<Cycle>,
+    /// No lane can offer a frame before this cycle: set when a poll runs
+    /// dry, cleared when one hands a frame out.
+    due: Cycle,
 }
 
 impl GenPort {
@@ -90,6 +102,7 @@ impl GenPort {
             cursor: 0,
             next_id: 0,
             last_refill: None,
+            due: 0,
         }
     }
 
@@ -98,50 +111,105 @@ impl GenPort {
         self.next_id
     }
 
-    /// Grants each lane its per-cycle byte budget for every cycle elapsed
-    /// since the last poll, then rewinds the lane cursor. One grant per
-    /// cycle keeps this byte-identical with the historical harness, which
-    /// ticked every cycle; a driver that skips cycles still accrues the
-    /// right budget (capped, so the loop is bounded).
-    fn refill(&mut self, now: Cycle) {
-        let grants = match self.last_refill {
-            None => 1,
-            Some(last) if now > last => (now - last).min(32_768),
-            Some(_) => return,
-        };
+    /// The next frame's wire occupancy in bytes.
+    fn next_wire(&self) -> f64 {
+        (self.gen.next_size() as u64 + WIRE_OVERHEAD_BYTES) as f64
+    }
+
+    /// Generates the next frame on `lane`, stamped `ts`, and charges the
+    /// lane's budget for it.
+    fn generate(&mut self, lane: usize, ts: Cycle) -> Packet {
+        let mut pkt = self.gen.generate(self.next_id, ts);
+        if self.tag_ports {
+            pkt.port = lane as u8;
+        }
+        self.next_id += 1;
+        self.budget_bytes[lane] -= pkt.wire_len() as f64;
+        pkt
+    }
+
+    /// One cycle's grant to every lane; `true` when every budget is full.
+    fn grant(&mut self) -> bool {
         let (bytes_per_cycle, cap) = (self.bytes_per_cycle, self.cap);
-        for _ in 0..grants {
-            for b in &mut self.budget_bytes {
-                *b = (*b + bytes_per_cycle).min(cap);
+        let mut full = true;
+        for b in &mut self.budget_bytes {
+            *b = (*b + bytes_per_cycle).min(cap);
+            full &= *b == cap;
+        }
+        full
+    }
+
+    /// Opens cycle `now`: replays every cycle since the last poll as one in
+    /// which every offer was refused, grants `now`'s budget and rewinds the
+    /// lane cursor. A poll one cycle after the last replays nothing.
+    fn refill(&mut self, now: Cycle) {
+        if let Some(last) = self.last_refill {
+            if now <= last {
+                return;
+            }
+            for cycle in last + 1..now {
+                if self.refused_cycle(cycle) {
+                    break;
+                }
             }
         }
+        self.grant();
         self.cursor = 0;
         self.last_refill = Some(now);
+    }
+
+    /// An unpolled `cycle`, as a poll whose every offer was refused: the
+    /// grant, then each lane with an empty retry slot whose budget covers
+    /// the next frame generates it there (none can before the last dry
+    /// poll's bound). `true` at a fixed point — nothing generated and every
+    /// budget full — from which more such cycles change nothing.
+    fn refused_cycle(&mut self, cycle: Cycle) -> bool {
+        let full = self.grant();
+        if cycle < self.due {
+            return full;
+        }
+        let mut generated = false;
+        for lane in 0..self.pending.len() {
+            if self.pending[lane].is_none() && self.budget_bytes[lane] >= self.next_wire() {
+                self.pending[lane] = Some(self.generate(lane, cycle));
+                generated = true;
+            }
+        }
+        full && !generated
+    }
+
+    /// After a poll at `now` ran dry: the first cycle a lane could offer a
+    /// frame, or a cycle before it. A parked retry frame is offered next
+    /// cycle. Otherwise the fullest lane needs `⌈(wire − budget) / grant⌉`
+    /// grants; one fewer absorbs the rounding of the per-cycle float steps,
+    /// since an early answer costs one empty poll and a late one a frame.
+    fn due_after(&self, now: Cycle) -> Cycle {
+        if self.pending.iter().any(Option::is_some) {
+            return now + 1;
+        }
+        let fullest = self.budget_bytes.iter().copied().fold(f64::MIN, f64::max);
+        let grants = ((self.next_wire() - fullest) / self.bytes_per_cycle).floor() as u64;
+        now.saturating_add(grants.saturating_sub(1).max(1))
     }
 }
 
 impl IngressPort<Packet> for GenPort {
     fn poll(&mut self, now: Cycle) -> Option<Packet> {
         self.refill(now);
-        let lanes = self.budget_bytes.len();
-        while self.cursor < lanes {
+        while self.cursor < self.pending.len() {
             let lane = self.cursor;
-            if self.pending[lane].is_none() {
-                let wire = (self.gen.next_size() as u64 + WIRE_OVERHEAD_BYTES) as f64;
-                if self.budget_bytes[lane] < wire {
+            let pkt = match self.pending[lane].take() {
+                Some(pkt) => pkt,
+                None if self.budget_bytes[lane] >= self.next_wire() => self.generate(lane, now),
+                None => {
                     self.cursor += 1;
                     continue;
                 }
-                let mut pkt = self.gen.generate(self.next_id, now);
-                if self.tag_ports {
-                    pkt.port = lane as u8;
-                }
-                self.next_id += 1;
-                self.budget_bytes[lane] -= pkt.wire_len() as f64;
-                self.pending[lane] = Some(pkt);
-            }
-            return self.pending[lane].take();
+            };
+            self.due = 0;
+            return Some(pkt);
         }
+        self.due = self.due_after(now);
         None
     }
 
@@ -155,10 +223,15 @@ impl IngressPort<Packet> for GenPort {
         self.cursor += 1;
     }
 
-    fn clock(&self, _now: Cycle) -> PortClock {
-        // A paced source always has more to offer next cycle (budget
-        // permitting); drivers poll every cycle.
-        PortClock::Idle
+    /// `Ready` while a retry frame is parked or a lane could generate;
+    /// otherwise `NotBefore` a lower bound on the first cycle one could.
+    #[inline]
+    fn clock(&self, now: Cycle) -> PortClock {
+        if now < self.due {
+            PortClock::NotBefore(self.due)
+        } else {
+            PortClock::Ready
+        }
     }
 
     fn backlog(&self) -> usize {

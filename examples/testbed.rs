@@ -34,7 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.gbps, m.mpps
     );
     let line = rosebud::net::effective_line_rate_gbps(200.0, 512);
-    println!("line rate at 512 B: {line:.1} Gbps\n");
+    println!("line rate at 512 B: {line:.1} Gbps");
+    println!(
+        "cable frames the DUT's saturated MACs refused (lost): {}\n",
+        b2b.lost()
+    );
 
     // Host-side §4.3 counters on the DUT, with the bottleneck verdict.
     let diag = b2b.dut.diagnostics();
