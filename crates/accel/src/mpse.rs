@@ -206,6 +206,7 @@ struct ActiveJob {
 /// 32 string-matching engines for the whole FPGA; the Rosebud port fits 16
 /// per RPU (§7.1.2), each consuming one byte per cycle, so the model streams
 /// `engines` bytes of payload per tick.
+#[derive(Clone)]
 pub struct PigasusMatcher {
     rules: RuleSet,
     engines: u32,
@@ -384,6 +385,35 @@ impl Accelerator for PigasusMatcher {
 
     fn is_busy(&self) -> bool {
         self.active.is_some() || !self.job_queue.is_empty()
+    }
+
+    /// Idle with no job queued, a tick changes nothing. Streaming, the
+    /// ticks before the one that surfaces the next result — the front
+    /// pending match, or end-of-packet once none is left — only move the
+    /// stream position. A visible result, or a queued job that the next
+    /// tick starts (and scans), closes the horizon.
+    fn horizon(&self) -> u64 {
+        let starting = self.active.is_none() && !self.job_queue.is_empty();
+        if starting || !self.results.is_empty() {
+            return 0;
+        }
+        let Some(active) = &self.active else {
+            return u64::MAX;
+        };
+        let (e, pos) = (u64::from(self.engines), u64::from(active.pos));
+        // The first tick at which a result becomes visible, counting from 1.
+        let visible = match active.pending.front() {
+            Some(m) => (m.end as u64).saturating_sub(pos) / e + 1,
+            None => u64::from(active.len - active.pos).div_ceil(e).max(1),
+        };
+        visible - 1
+    }
+
+    fn skip(&mut self, k: u64) {
+        if let Some(active) = &mut self.active {
+            let pos = u64::from(active.pos) + k.saturating_mul(u64::from(self.engines));
+            active.pos = pos.min(u64::from(active.len)) as u32;
+        }
     }
 
     fn load_table(&mut self, _offset: u32, _data: &[u8]) {

@@ -382,6 +382,18 @@ impl Firmware for PigasusFirmware {
             && self.parked.is_empty()
             && self.slot_desc.iter().all(Option::is_none)
     }
+
+    /// With no kick to retry, a tick only acts on a received frame or a
+    /// matcher result: it waits for the one (the `Rpu` checks its receive
+    /// queue) and for the other (the matcher's horizon closes while a
+    /// result is visible).
+    fn horizon(&self) -> u64 {
+        if self.pending_kick.is_none() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
 }
 
 /// Builds the §7.1 IDS system: 8 RPUs × 16 engines, the LB implied by the
@@ -507,6 +519,26 @@ mod tests {
             (55.0..70.0).contains(&cycles_per_packet),
             "HW reorder: {cycles_per_packet:.1} cycles/packet, paper ~61"
         );
+    }
+
+    /// Waiting on its receive queue and its matcher, the firmware has no
+    /// horizon of its own; a kick that waits for job-FIFO space is retried
+    /// every tick, which closes it. (With the shipped matcher a FIFO slot
+    /// frees only on the tick after end-of-packet, while that result still
+    /// closes the matcher's horizon, so the box differential cannot tell the
+    /// two apart: this pins the contract for any other accelerator.)
+    #[test]
+    fn a_waiting_kick_closes_the_firmware_horizon() {
+        let mut fw = PigasusFirmware::new(ReorderMode::Hardware, 32);
+        assert_eq!(fw.horizon(), u64::MAX);
+        let desc = Desc {
+            tag: 3,
+            len: 800,
+            port: 0,
+            data: rosebud_core::memmap::PMEM_BASE,
+        };
+        fw.pending_kick = Some((desc, 54, 80));
+        assert_eq!(fw.horizon(), 0);
     }
 
     #[test]

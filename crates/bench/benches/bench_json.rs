@@ -137,6 +137,7 @@ fn sim_speed(scenario: Scenario, o: &mut Json) {
     o.key("ns_per_cycle").value(p.ns_per_cycle);
     o.key("quiet_share").value(p.stats.quiet_share());
     o.key("parked_share").value(p.stats.parked_share());
+    o.key("asleep_share").value(p.stats.asleep_share());
     o.key("stepped_instr_share")
         .value(p.stats.stepped_instr_share());
     o.key("iss_share").value(p.profile.iss_share());

@@ -69,22 +69,26 @@ pub mod sim_speed {
     use std::sync::OnceLock;
     use std::time::Instant;
 
+    use rosebud_accel::Rule;
     use rosebud_apps::firewall::{build_firewall_system, synthetic_blacklist};
     use rosebud_apps::forwarder::{duty_cycle_forwarder_asm, forwarder_image};
+    use rosebud_apps::pigasus::{build_pigasus_system_with, ReorderMode};
+    use rosebud_apps::rules::synthetic_rules;
     use rosebud_core::{
         Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram, SimStats, StageProfile,
     };
-    use rosebud_net::FixedSizeGen;
+    use rosebud_net::{AttackMixGen, FixedSizeGen, FlowTrafficGen, TrafficGen};
     use rosebud_riscv::assemble;
 
-    /// The five workload shapes the table reports. They span the tick's
+    /// The six workload shapes the table reports. They span the tick's
     /// envelope: busy-poll firmware at saturation steps every core through
     /// every frame and parks it in its poll loop in between, and without
     /// traffic spins parked from the first empty poll on; duty-cycled
     /// firmware parks in `wfi` between timer alarms (the representative
     /// middlebox idle pattern); a fully parked fleet is the elision
-    /// ceiling; and the loaded firewall parks its poll loops beside an IP
-    /// matcher, which is skipped while idle.
+    /// ceiling; the loaded firewall parks its poll loops beside an IP
+    /// matcher, which is skipped while idle; and the IDS box's native lanes
+    /// sleep through their charged stalls and their matchers' scans.
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub enum Scenario {
         /// §6.1 busy-poll forwarder at saturating offered load.
@@ -98,16 +102,21 @@ pub mod sim_speed {
         /// The §7.2 firewall (Appendix C loop + `FirewallMatcher` on every
         /// lane) at saturating offered load.
         FirewallLoaded,
+        /// The §7.1 Pigasus IDS (native firmware, hardware reordering,
+        /// `PigasusMatcher` on every lane) under an 800-byte attack mix at
+        /// 20 Gbps.
+        IdsLight,
     }
 
     impl Scenario {
         /// Every scenario, in table order.
-        pub const ALL: [Scenario; 5] = [
+        pub const ALL: [Scenario; 6] = [
             Scenario::BusyPollLoaded,
             Scenario::BusyPollIdle,
             Scenario::DutyCycleLight,
             Scenario::ParkedIdle,
             Scenario::FirewallLoaded,
+            Scenario::IdsLight,
         ];
 
         /// Stable identifier for tables and JSON.
@@ -118,14 +127,29 @@ pub mod sim_speed {
                 Scenario::DutyCycleLight => "duty-cycle-light",
                 Scenario::ParkedIdle => "parked-idle",
                 Scenario::FirewallLoaded => "firewall-loaded",
+                Scenario::IdsLight => "ids-light",
             }
         }
 
         fn offered_gbps(self) -> f64 {
             match self {
                 Scenario::BusyPollLoaded | Scenario::FirewallLoaded => 205.0,
+                Scenario::IdsLight => 20.0,
                 Scenario::DutyCycleLight => 5.0,
                 Scenario::BusyPollIdle | Scenario::ParkedIdle => 0.0,
+            }
+        }
+
+        /// 256-byte frames, or for the IDS box the §7.1 attack mix: 800-byte
+        /// frames over 8192 flows, 1 % carrying a rule's pattern.
+        fn traffic(self) -> Box<dyn TrafficGen> {
+            match self {
+                Scenario::IdsLight => {
+                    let payloads = ids_rules().into_iter().map(|r| r.pattern).collect();
+                    let base = FlowTrafficGen::new(8192, 800, 0.003, 1);
+                    Box::new(AttackMixGen::new(base, 0.01, payloads, 1))
+                }
+                _ => Box::new(FixedSizeGen::new(256, 2)),
             }
         }
     }
@@ -161,12 +185,17 @@ pub mod sim_speed {
                 // The paper's emerging-threats feed has 1050 entries.
                 build_firewall_system(rpus, &synthetic_blacklist(1050, 1)).expect("valid config")
             }
+            Scenario::IdsLight => {
+                build_pigasus_system_with(ReorderMode::Hardware, ids_rules(), rpus, 16)
+                    .expect("valid config")
+            }
         };
-        Harness::new(
-            sys,
-            Box::new(FixedSizeGen::new(256, 2)),
-            scenario.offered_gbps(),
-        )
+        Harness::new(sys, scenario.traffic(), scenario.offered_gbps())
+    }
+
+    /// The IDS box's 128 rules.
+    fn ids_rules() -> Vec<Rule> {
+        synthetic_rules(128, 1)
     }
 
     /// Wall-clock nanoseconds per simulated cycle, min-of-`reps` after a

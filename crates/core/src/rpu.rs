@@ -44,6 +44,14 @@ pub(crate) const PMEM_WAIT_CYCLES: u32 = 1;
 /// Implementations perform the same architectural actions as firmware on the
 /// instruction-set simulator — read descriptors, poke accelerator registers,
 /// send packets — and charge their software cost with [`RpuIo::charge`].
+///
+/// A native lane sleeps like an RV32 one: through a charged stall tail,
+/// which changes nothing but the cycle counters, and — when the firmware
+/// says through [`horizon`](Firmware::horizon) that it is waiting — until
+/// something reaches it (a delivery, an interrupt, a host access), its
+/// accelerator's own horizon ends or its watchdog fires. The `Rpu` credits
+/// the cycles it slept in closed form, so its counters read as if it had
+/// been ticked every one of them.
 pub trait Firmware: Send {
     /// Short name for diagnostics.
     fn name(&self) -> &str {
@@ -67,6 +75,15 @@ pub trait Firmware: Send {
     /// before partial reconfiguration (Appendix A.8).
     fn is_idle(&self) -> bool {
         true
+    }
+
+    /// How many coming ticks change nothing but the cycle they count, given
+    /// an empty receive queue, no pending interrupt and no host access —
+    /// `u64::MAX` for firmware that waits for a frame or an accelerator
+    /// result (the accelerator's own [`Accelerator::horizon`] says when one
+    /// can appear). The default, 0, means "tick me every cycle".
+    fn horizon(&self) -> u64 {
+        0
     }
 }
 
@@ -1176,8 +1193,10 @@ impl Rpu {
 
     /// Total firmware cycles consumed (for cycles-per-packet accounting).
     pub fn sw_cycles(&self) -> u64 {
-        // Every cycle of a poll loop is a firmware cycle.
-        self.sw_cycles + self.parked_at().map_or(0, |(n, _, _)| n)
+        // Every cycle of a poll loop is a firmware cycle, and so is every
+        // cycle a native lane sleeps.
+        let (slept, _) = self.native_owed(self.ticked_through());
+        self.sw_cycles + self.parked_at().map_or(0, |(n, _, _)| n) + slept
     }
 
     /// Snapshot of the host-visible hardware performance counters (§4.3).
@@ -1186,7 +1205,9 @@ impl Rpu {
         let (instret, stall_cycles, mem_wait_cycles) = match (&self.engine, self.now_core()) {
             (_, Some((cpu, stalled))) => (cpu.instret(), stalled, cpu.mem_wait_cycles()),
             (Engine::Native(_), None) => {
-                (self.sw_cycles - self.stalled_cycles, self.stalled_cycles, 0)
+                let (slept, stalled) = self.native_owed(self.ticked_through());
+                let stalled = self.stalled_cycles + stalled;
+                (self.sw_cycles + slept - stalled, stalled, 0)
             }
             _ => (0, self.stalled_cycles, 0),
         };
@@ -1297,6 +1318,21 @@ impl Rpu {
         Some((n, n / p + 1, (n % p) as usize))
     }
 
+    /// For a native lane: the cycles after its last tick, through
+    /// `through`, that it slept, and how many of them a charged stall tail
+    /// took — what ticking it through them would add to `sw_cycles` and
+    /// `stalled_cycles`. A hung lane's tick counts nothing, and any other
+    /// engine owes nothing.
+    fn native_owed(&self, through: Cycle) -> (u64, u64) {
+        match self.engine {
+            Engine::Native(_) if !self.hung => {
+                let slept = through.saturating_sub(self.inner.now);
+                (slept, slept.min(self.stall))
+            }
+            _ => (0, 0),
+        }
+    }
+
     /// What one period of the parked loop adds to `(mcycle, minstret,
     /// memory waits, stall cycles)`: `cpu` stands one period past
     /// `phases[0]`.
@@ -1377,9 +1413,10 @@ impl Rpu {
     /// [`Rpu::settle`] up to and including cycle `through`: the whole
     /// periods in closed form, the rest stepped. The one place a lane's
     /// accelerator catches up on the cycles it was not ticked — whole poll
-    /// periods, `wfi`, hung, a whole-box jump — with one
-    /// [`Accelerator::skip`]: a lane sleeps only below its accelerator's
-    /// horizon ([`Rpu::quiet_horizon`]).
+    /// periods, `wfi`, hung, a native firmware's wait or stall tail, a
+    /// whole-box jump — with one [`Accelerator::skip`]: a lane sleeps only
+    /// below its accelerator's horizon ([`Rpu::quiet_horizon`]). A native
+    /// lane's counters catch up here too, in closed form.
     fn settle_through(&mut self, through: Cycle) {
         self.arm = match (self.spin, self.arm) {
             (Spin::Probing, _) => Arm::SecondMiss,
@@ -1391,6 +1428,10 @@ impl Rpu {
             RpuState::Reconfiguring { .. } => 0,
             _ => through.saturating_sub(self.inner.now),
         };
+        let (native, stalled) = self.native_owed(through);
+        self.sw_cycles += native;
+        self.stall -= stalled;
+        self.stalled_cycles += stalled;
         let mut stepped = 0;
         if let (Spin::Parked { base }, Engine::Riscv(cpu)) = (self.spin, &self.engine) {
             self.spin = Spin::Off;
@@ -1436,6 +1477,12 @@ impl Rpu {
     /// [`Rpu::settle_through`] brings the accelerator forward in one skip.
     /// An accelerator that keeps the default horizon of 0 has its lane
     /// ticked every cycle.
+    ///
+    /// A native lane sleeps through its charged stall tail, and past it
+    /// while its [`Firmware::horizon`] says it waits on nothing the fabric
+    /// has yet given it: its receive queue, its interrupt lines and the host
+    /// reach it only through a wake, and it has no send queued and no
+    /// watchdog acknowledgement to consume.
     pub(crate) fn quiet_horizon(&self) -> u64 {
         let wd = if self.inner.timer_deadline != 0 {
             self.inner.timer_deadline
@@ -1449,33 +1496,47 @@ impl Rpu {
         if matches!(self.state, RpuState::Reconfiguring { .. }) {
             return wd;
         }
+        // Checked first: a native lane's stall tail beside a matcher holding
+        // a result would otherwise work out its own horizon for nothing.
+        let inner = &self.inner;
+        let accel = match inner.accel.as_deref().map(Accelerator::horizon) {
+            None => u64::MAX,
+            Some(0) => return 0,
+            Some(h) => inner.now.saturating_add(h).saturating_add(1),
+        };
         // A stall tail mutates the cycle counters every tick, a queued
         // committed send keeps stage 6 busy, and a host-side `TIMER_CMP`
-        // write leaves an acknowledgement the next tick consumes.
-        let core = if self.hung {
-            wd
-        } else if self.stall != 0 || !self.inner.tx_queue.is_empty() || self.inner.timer_ack {
-            return 0;
-        } else {
-            match &self.engine {
-                Engine::Empty => wd,
-                Engine::Native(_) => return 0, // native `tick` hooks are arbitrary
-                Engine::Riscv(cpu) if cpu.is_parked() => wd,
-                Engine::Riscv(_) if matches!(self.spin, Spin::Parked { .. }) => wd,
-                Engine::Riscv(_) => return 0,
+        // write leaves an acknowledgement the next tick consumes. A native
+        // lane's counters catch up in closed form; an RV32 tail is a cycle
+        // or two, not worth a sleep.
+        let core = match &self.engine {
+            _ if self.hung => wd,
+            Engine::Native(fw) => {
+                let waiting = inner.rx_queue.is_empty()
+                    && inner.tx_queue.is_empty()
+                    && !inner.timer_ack
+                    && inner.native_irqs == 0;
+                let idle = if waiting { fw.horizon() } else { 0 };
+                if self.stall == 0 && idle == 0 {
+                    return 0;
+                }
+                let tail = inner.now.saturating_add(self.stall).saturating_add(1);
+                wd.min(tail.saturating_add(idle))
             }
+            _ if self.stall != 0 || !inner.tx_queue.is_empty() || inner.timer_ack => return 0,
+            Engine::Empty => wd,
+            Engine::Riscv(cpu) if cpu.is_parked() => wd,
+            Engine::Riscv(_) if matches!(self.spin, Spin::Parked { .. }) => wd,
+            Engine::Riscv(_) => return 0,
         };
-        match self.inner.accel.as_deref().map(Accelerator::horizon) {
-            None => core,
-            Some(0) => 0,
-            Some(h) => core.min(self.inner.now.saturating_add(h).saturating_add(1)),
-        }
+        core.min(accel)
     }
 
     /// Advances one clock cycle: core, then accelerator. Returns `true`
     /// when the core did nothing this cycle (mid-reconfiguration, hung,
-    /// halted, parked in `wfi`, or no engine) or has just proven that it
-    /// spins in a poll loop — the cheap gate that tells the caller
+    /// halted, parked in `wfi`, or no engine), is native firmware left in a
+    /// stall tail or waiting, or has just proven that it spins in a poll
+    /// loop — the cheap gate that tells the caller
     /// [`Rpu::quiet_horizon`] is worth consulting; a busy core never pays
     /// for the horizon computation. A core parked in a poll loop is settled
     /// before it ticks again: `Lanes` settles every lane it wakes.
@@ -1517,7 +1578,9 @@ impl Rpu {
 
         // Core.
         let mut inert = false;
-        if self.stall > 0 {
+        if let Engine::Native(_) = self.engine {
+            inert = self.native_cycle();
+        } else if self.stall > 0 {
             self.stall -= 1;
             self.sw_cycles += 1;
             self.stalled_cycles += 1;
@@ -1561,29 +1624,8 @@ impl Rpu {
                         cpu.clear_irq(crate::types::irq::TIMER);
                     }
                 }
-                Engine::Native(fw) => {
-                    let mut io = RpuIo {
-                        inner: &mut self.inner,
-                        stall: &mut self.stall,
-                    };
-                    // Deliver pending unmasked interrupts first.
-                    let pending = io.inner.native_irqs;
-                    if pending != 0 {
-                        io.inner.native_irqs = 0;
-                        for line in 0..32 {
-                            if pending & (1 << line) != 0 {
-                                fw.interrupt(line, &mut io);
-                            }
-                        }
-                    }
-                    fw.tick(&mut io);
-                    self.sw_cycles += 1;
-                    // Native interrupts are delivered eagerly above; the ack
-                    // flag must still be consumed so it cannot leak into a
-                    // later RV32 reload.
-                    self.inner.timer_ack = false;
-                }
-                Engine::Empty => inert = true,
+                // Native firmware ran in `native_cycle` above.
+                Engine::Native(_) | Engine::Empty => inert = true,
             }
         }
         // Accelerator streams from its exclusive packet-memory port.
@@ -1591,6 +1633,44 @@ impl Rpu {
             accel.tick(&self.inner.pmem);
         }
         inert
+    }
+
+    /// The core half of one cycle of native firmware: a cycle of its stall
+    /// tail, or its interrupts and its tick. Returns `true` when the tick
+    /// left the lane sleepable — a stall tail, or firmware with a horizon —
+    /// so [`Rpu::quiet_horizon`] is worth consulting. Out of line: an RV32
+    /// core's tick should not carry it.
+    #[inline(never)]
+    fn native_cycle(&mut self) -> bool {
+        let Engine::Native(fw) = &mut self.engine else {
+            return true;
+        };
+        if self.stall > 0 {
+            self.stall -= 1;
+            self.sw_cycles += 1;
+            self.stalled_cycles += 1;
+            return true;
+        }
+        let mut io = RpuIo {
+            inner: &mut self.inner,
+            stall: &mut self.stall,
+        };
+        // Deliver pending unmasked interrupts first.
+        let pending = io.inner.native_irqs;
+        if pending != 0 {
+            io.inner.native_irqs = 0;
+            for line in 0..32 {
+                if pending & (1 << line) != 0 {
+                    fw.interrupt(line, &mut io);
+                }
+            }
+        }
+        fw.tick(&mut io);
+        self.sw_cycles += 1;
+        // Native interrupts are delivered eagerly above; the ack flag must
+        // still be consumed so it cannot leak into a later RV32 reload.
+        self.inner.timer_ack = false;
+        self.stall != 0 || fw.horizon() != 0
     }
 
     /// The spin probe, run after a cycle in which an RV32 core missed a poll

@@ -2,12 +2,13 @@
 //! (DESIGN.md, "The simulator's own counters").
 //!
 //! Three layers of elision decide where host time goes: whole quiet ticks,
-//! lanes asleep in `wfi`, and cores parked in a proven poll loop. The
-//! counters here say what each layer did, and the optional stage profile
-//! says what the ticks that did run cost. None of it describes the device:
-//! an elided run and its `wake_all` oracle differ here by design, so these
-//! numbers stay out of [`Diagnostics`](crate::Diagnostics), the trace and
-//! the ledger, which the differentials compare.
+//! lanes asleep (in `wfi`, or native firmware waiting or in a charged
+//! stall), and cores parked in a proven poll loop. The counters here say
+//! what each layer did, and the optional stage profile says what the ticks
+//! that did run cost. None of it describes the device: an elided run and
+//! its `wake_all` oracle differ here by design, so these numbers stay out
+//! of [`Diagnostics`](crate::Diagnostics), the trace and the ledger, which
+//! the differentials compare.
 //!
 //! Every counter is kept on a branch the simulator already takes; the
 //! instruction counts are derived from `minstret` and the closed-form
@@ -132,10 +133,16 @@ impl SimStats {
         self.cycles - self.quiet_ticks - self.jumped_cycles
     }
 
-    /// Lane-cycles asleep other than in a poll loop: in `wfi`, halted, hung
-    /// or mid-reconfiguration, or in a quiet tick.
+    /// Lane-cycles asleep other than in a poll loop: in `wfi`, native
+    /// firmware waiting for a frame or a match or in a charged stall tail,
+    /// halted, hung or mid-reconfiguration, or in a quiet tick.
     pub(crate) fn asleep_lane_cycles(&self) -> u64 {
         self.lane_cycles - self.stepped_lane_cycles - self.parked_lane_cycles
+    }
+
+    /// The share of lane-cycles asleep other than in a poll loop.
+    pub fn asleep_share(&self) -> f64 {
+        ratio(self.asleep_lane_cycles(), self.lane_cycles)
     }
 
     /// The share of cycles that ran no stage: quiet ticks and jumps.

@@ -20,8 +20,11 @@
 //! firewall injection (host virtual interface + accelerators, which sleep
 //! with their lanes while idle: duty-cycled, and parked in the poll loop
 //! behind a live shell), the RV32 Pigasus box whose lanes must never park,
-//! and chaos runs (faults, supervisor-driven eviction/PR/reload against
-//! lanes that may be asleep when the host reaches in).
+//! the native Pigasus box whose lanes sleep through their charged stall
+//! tails and their matchers' scans (with every host op and fault landing on
+//! them asleep), and chaos runs (faults, supervisor-driven
+//! eviction/PR/reload against lanes that may be asleep when the host
+//! reaches in).
 
 use rosebud::apps::firewall::{
     build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen, FIREWALL_ASM,
@@ -33,7 +36,7 @@ use rosebud::core::ports::{replay, Device, EventLog};
 use rosebud::core::{
     FaultKind, FaultPlan, Harness, HostOp, HostReply, Rosebud, Supervisor, TraceConfig,
 };
-use rosebud::net::{FixedSizeGen, ImixGen, Packet};
+use rosebud::net::{FixedSizeGen, ImixGen, Packet, TrafficGen};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -304,9 +307,10 @@ fn duty_cycled_firewall_matches_unelided_oracle() {
 
 #[test]
 fn assembled_pigasus_box_matches_unelided_oracle_and_never_parks() {
-    // The RV32 Pigasus loop reads its matcher on every turn, and the
-    // matcher keeps the default horizon: its lanes are the ones that must
-    // tick every cycle, under attack traffic and idle alike.
+    // The RV32 Pigasus loop reads its matcher through `IO_EXT` on every
+    // turn, an access the spin probe cannot prove pure: its lanes never
+    // park, under attack traffic and idle alike, though the matcher beside
+    // them has a horizon (the native box's lanes sleep with it).
     use rosebud::accel::{PigasusMatcher, RuleSet};
     use rosebud::apps::pigasus_asm::PIGASUS_HW_ASM;
     use rosebud::apps::rules::{attack_trace, synthetic_rules};
@@ -340,6 +344,185 @@ fn assembled_pigasus_box_matches_unelided_oracle_and_never_parks() {
         assert_eq!(stats.parked_share(), 0.0, "{stats}");
         assert_eq!(stats.quiet_share(), 0.0, "{stats}");
         snapshot(h)
+    });
+}
+
+/// The trace (hashed), the ledger and the rendered diagnostics as they
+/// stand mid-run: a read of a sleeping lane's counters must come out as the
+/// ticked lane's, not only once the run has ended and every lane settled.
+fn checkpoint(sys: &Rosebud) -> String {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let mut trace = DefaultHasher::new();
+    sys.tracer()
+        .expect("tracing enabled")
+        .compact_text()
+        .hash(&mut trace);
+    format!(
+        "@{} trace {:x} {:?}\n{}",
+        sys.now(),
+        trace.finish(),
+        sys.ledger(),
+        sys.diagnostics().render()
+    )
+}
+
+/// The §7.1 attack mix over `size`-byte frames of 64 flows.
+fn attack_mix(rules: &[rosebud::accel::Rule], size: usize, seed: u64) -> Box<dyn TrafficGen> {
+    use rosebud::net::{AttackMixGen, FlowTrafficGen};
+    let payloads = rules.iter().map(|r| r.pattern.clone()).collect();
+    let base = FlowTrafficGen::new(64, size, 0.01, seed);
+    Box::new(AttackMixGen::new(base, 0.05, payloads, seed + 1))
+}
+
+#[test]
+fn native_pigasus_box_matches_unelided_oracle() {
+    // The native firmware sleeps through its charged stall tails and while
+    // it waits for a frame or a match, its matcher skipped in closed form
+    // while it streams with no result visible yet. Light load leaves the
+    // lanes asleep most cycles; saturating load with 1500-B frames and four
+    // engines a matcher runs each matcher behind its firmware, so its job
+    // FIFO fills and kicks wait. Trace, ledger and diagnostics are compared
+    // every 5000 cycles.
+    use rosebud::apps::pigasus::{build_pigasus_system_with, ReorderMode};
+    use rosebud::apps::rules::synthetic_rules;
+
+    let rules = synthetic_rules(24, 5);
+    for mode in [ReorderMode::Hardware, ReorderMode::Software] {
+        for (size, gbps, engines, cycles) in [(800, 5.0, 16, 40_000), (1500, 200.0, 4, 15_000)] {
+            differential(&format!("pigasus {mode:?} {gbps} Gbps"), |side| {
+                let sys = build_pigasus_system_with(mode, rules.clone(), 8, engines).unwrap();
+                let mut h = Harness::new(traced(sys), attack_mix(&rules, size, 7), gbps);
+                h.begin_window();
+                let mut checkpoints = String::new();
+                for cycle in 1..=cycles {
+                    tick(&mut h, side);
+                    if cycle % 5_000 == 0 {
+                        checkpoints += &checkpoint(&h.sys);
+                    }
+                }
+                if side != Side::Oracle {
+                    let stats = h.sys.sim_stats();
+                    assert!(stats.asleep_share() > 0.0, "no native lane slept: {stats}");
+                }
+                let mut seen = snapshot(h);
+                seen.diagnostics += &checkpoints;
+                seen
+            });
+        }
+    }
+}
+
+/// The native Pigasus firmware with two more ways to be woken: it lets the
+/// evict and poke lines through, and — every `pet` cycles when `pet` is not
+/// 0 — its own watchdog, which it re-arms on every fire. Each interrupt
+/// charges a few cycles and leaves the wake count and the line in STATUS.
+struct Sentry {
+    fw: rosebud::apps::pigasus::PigasusFirmware,
+    pet: u32,
+    wakes: u32,
+}
+
+impl rosebud::core::Firmware for Sentry {
+    fn boot(&mut self, io: &mut rosebud::core::RpuIo<'_>) {
+        io.set_masks(1 << rosebud::core::irq::EVICT | 1 << rosebud::core::irq::POKE);
+        io.arm_watchdog(self.pet);
+    }
+    fn tick(&mut self, io: &mut rosebud::core::RpuIo<'_>) {
+        self.fw.tick(io);
+    }
+    fn interrupt(&mut self, line: u8, io: &mut rosebud::core::RpuIo<'_>) {
+        self.wakes += 1;
+        io.set_status(self.wakes << 8 | u32::from(line));
+        io.charge(9);
+        if line == rosebud::core::irq::TIMER {
+            io.arm_watchdog(self.pet);
+        }
+    }
+    fn is_idle(&self) -> bool {
+        self.fw.is_idle()
+    }
+    fn horizon(&self) -> u64 {
+        self.fw.horizon()
+    }
+}
+
+#[test]
+fn host_ops_and_faults_against_sleeping_native_lanes_match_unelided_oracle() {
+    // Every door into a native lane, landing while it sleeps between
+    // frames: a poke and an evict interrupt, a host watchdog arm, a hang
+    // and a crash, a PR reload of a working lane and of the hung one. Lanes
+    // 0–3 also run their own watchdog, so a sleeping lane must wake on the
+    // cycle it fires.
+    use rosebud::accel::{PigasusMatcher, RuleSet};
+    use rosebud::apps::pigasus::{PigasusFirmware, ReorderMode};
+    use rosebud::apps::rules::synthetic_rules;
+    use rosebud::core::memmap::{io, IO_BASE, PMEM_BASE};
+    use rosebud::core::{MemRegion, RosebudConfig, RoundRobinLb, RpuProgram};
+
+    let rules = synthetic_rules(24, 9);
+    differential("native-sleepers", |side| {
+        let mut cfg = RosebudConfig::with_rpus(8);
+        cfg.slots_per_rpu = 32;
+        cfg.pr_cycles = 2_000;
+        let compiled = RuleSet::compile(rules.clone());
+        let sys = Rosebud::builder(cfg)
+            .load_balancer(Box::new(RoundRobinLb::new()))
+            .accelerator(move |_| Box::new(PigasusMatcher::new(compiled.clone(), 16)))
+            .firmware(|r| {
+                RpuProgram::Native(Box::new(Sentry {
+                    fw: PigasusFirmware::new(ReorderMode::Hardware, 32),
+                    pet: if r < 4 { 700 + 111 * r as u32 } else { 0 },
+                    wakes: 0,
+                }))
+            })
+            .build()
+            .unwrap();
+        let mut h = Harness::new(traced(sys), attack_mix(&rules, 600, 3), 4.0);
+        h.begin_window();
+        let mut checkpoints = String::new();
+        for cycle in 0..40_000u64 {
+            let op = match cycle {
+                5_000 => Some(HostOp::Poke { rpu: 5 }),
+                8_000 => Some(HostOp::Evict { rpu: 6 }),
+                11_000 => Some(HostOp::WriteMem {
+                    rpu: 7,
+                    region: MemRegion::Pmem,
+                    offset: (IO_BASE - PMEM_BASE + io::TIMER_CMP) as usize,
+                    bytes: vec![200],
+                }),
+                14_000 => Some(HostOp::Fault(FaultKind::FirmwareHang { rpu: 1 })),
+                17_000 => Some(HostOp::Fault(FaultKind::FirmwareCrash { rpu: 4 })),
+                20_000 => Some(HostOp::Reload {
+                    rpu: 2,
+                    gated: false,
+                }),
+                26_000 => Some(HostOp::ForceReload { rpu: 1 }),
+                _ => None,
+            };
+            if let Some(op) = op {
+                h.sys.apply(op).unwrap();
+            }
+            tick(&mut h, side);
+            if cycle % 4_000 == 3_999 {
+                checkpoints += &checkpoint(&h.sys);
+            }
+        }
+        if side != Side::Oracle {
+            let stats = h.sys.sim_stats();
+            assert!(stats.asleep_share() > 0.5, "lanes must sleep: {stats}");
+        }
+        let status: Vec<u32> = (0..8).map(|r| h.sys.rpu_status(r)).collect();
+        assert_eq!(
+            status,
+            [0x3901, 0xf01, 0x1301, 0x2601, 0, 0x105, 0x104, 0x101],
+            "wake count << 8 | last line: own watchdogs on 0-3 (1 and 2 \
+             counted afresh since their reloads), nothing on the crashed 4, \
+             a poke on 5, an evict on 6, the host's watchdog arm on 7"
+        );
+        let mut seen = snapshot(h);
+        seen.diagnostics += &checkpoints;
+        seen.measurement += &format!(" status {status:x?}");
+        seen
     });
 }
 
