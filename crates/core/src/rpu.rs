@@ -1275,6 +1275,9 @@ impl Rpu {
 
     /// Fault injection: crash the firmware as if it trapped on an illegal
     /// instruction — the region halts and the halt flag goes host-visible.
+    /// The core is never stepped again (a native firmware is never ticked)
+    /// until a reload or a reconfiguration; its accelerator finishes what it
+    /// holds, and the frames in its queues stay there until a purge.
     pub(crate) fn force_crash(&mut self) {
         if matches!(self.state, RpuState::Running | RpuState::Draining) {
             self.crashed = true;
@@ -1325,7 +1328,7 @@ impl Rpu {
     /// engine owes nothing.
     fn native_owed(&self, through: Cycle) -> (u64, u64) {
         match self.engine {
-            Engine::Native(_) if !self.hung => {
+            Engine::Native(_) if !self.hung && !self.crashed => {
                 let slept = through.saturating_sub(self.inner.now);
                 (slept, slept.min(self.stall))
             }
@@ -1510,7 +1513,7 @@ impl Rpu {
         // lane's counters catch up in closed form; an RV32 tail is a cycle
         // or two, not worth a sleep.
         let core = match &self.engine {
-            _ if self.hung => wd,
+            _ if self.hung || self.crashed => wd,
             Engine::Native(fw) => {
                 let waiting = inner.rx_queue.is_empty()
                     && inner.tx_queue.is_empty()
@@ -1566,10 +1569,11 @@ impl Rpu {
             // inert.
             return true;
         }
-        if self.hung {
-            // Wedged firmware: the core spins, the accelerator finishes what
-            // it was already doing, nothing else happens. The armed watchdog
-            // (checked above) is the escape hatch.
+        if self.hung || self.crashed {
+            // Wedged or crashed firmware: the core is not stepped, the
+            // accelerator finishes what it was already doing, nothing else
+            // happens. The armed watchdog (checked above) is the escape
+            // hatch.
             if let Some(accel) = &mut self.inner.accel {
                 accel.tick(&self.inner.pmem);
             }
@@ -1695,6 +1699,7 @@ impl Rpu {
         // proved does not park.
         let repeatable = matches!(self.state, RpuState::Running | RpuState::Draining)
             && !self.hung
+            && !self.crashed
             && !cpu.is_waiting();
         let can_sleep = self.profile.is_none();
         let accel_idle = || self.inner.accel.as_deref().is_none_or(|a| a.horizon() > 0);

@@ -252,6 +252,85 @@ fn a_supervised_spinning_forwarder_raises_no_false_alarm() {
 // was holding, run the whole-box PR reload, and re-admit it after probation —
 // with the fleet-wide conservation ledger balanced throughout.
 
+/// What the host sees of RPU `r`, all frozen while its core is stopped:
+/// `(firmware cycles, instructions retired, frames sent, descriptors
+/// popped)`. Frames sent come off the host's status table; a descriptor
+/// popped is one received that no longer waits in the receive queue.
+fn stopped_view(sys: &Rosebud, r: usize) -> (u64, u64, u64, u64) {
+    let diag = sys.diagnostics();
+    let table = diag.render();
+    let row = table
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("RPU {r}: rx ")))
+        .expect("status row");
+    let mut words = row.split_whitespace();
+    let rx: u64 = words.next().unwrap().parse().unwrap();
+    let tx: u64 = words.nth(1).unwrap().parse().unwrap();
+    let inner = format!("{:?}", sys.rpus()[r].inner());
+    let queued: u64 = inner
+        .split("rx_queue: ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap()
+        .parse()
+        .unwrap();
+    let perf = diag.perf[r];
+    (perf.sw_cycles, perf.instret, tx, rx - queued)
+}
+
+/// A crashed core stops: from `FirmwareCrash` on, RPU 1 retires nothing,
+/// sends nothing and pops nothing — RV32 firmware (the forwarder) and
+/// native firmware beside a busy accelerator (the Pigasus IDS) alike. The LB
+/// keeps handing it frames until something disables it, and every frame the
+/// region holds stays in the ledger's `in_flight` until a purge destroys it.
+#[test]
+fn a_crashed_core_retires_sends_and_pops_nothing() {
+    use rosebud::apps::forwarder::build_forwarding_system;
+    use rosebud::apps::pigasus::{build_pigasus_system_with, ReorderMode};
+    use rosebud::apps::rules::synthetic_rules;
+    const CRASH_AT: u64 = 10_000;
+    let boxes = [
+        ("rv32 forwarder", build_forwarding_system(4).unwrap()),
+        (
+            "native pigasus",
+            build_pigasus_system_with(ReorderMode::Hardware, synthetic_rules(64, 1), 4, 16)
+                .unwrap(),
+        ),
+    ];
+    for (name, sys) in boxes {
+        let plan = FaultPlan::new().at(CRASH_AT, FaultKind::FirmwareCrash { rpu: 1 });
+        let mut h = Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 20.0).faults(plan);
+        h.run(CRASH_AT + 1);
+        assert!(
+            h.sys.rpus()[1].is_halted(),
+            "{name}: the crash did not land"
+        );
+        let at_crash = stopped_view(&h.sys, 1);
+        assert!(
+            at_crash.2 > 0,
+            "{name}: RPU 1 forwarded nothing before the crash"
+        );
+        for _ in 0..20 {
+            h.run(1_000);
+            assert_eq!(
+                stopped_view(&h.sys, 1),
+                at_crash,
+                "{name}: cycle {}",
+                h.sys.now()
+            );
+        }
+        let held = h.sys.ledger_in_flight();
+        let before = h.sys.ledger().purged;
+        let Ok(HostReply::Purged(purged)) = h.sys.apply(HostOp::ForceReload { rpu: 1 }) else {
+            panic!("{name}: the purge was refused");
+        };
+        assert!(purged > 0, "{name}: RPU 1 held no frames at the purge");
+        assert_eq!(h.sys.ledger().purged, before + purged, "{name}");
+        assert_eq!(h.sys.ledger_in_flight(), held - purged, "{name}");
+        h.sys.assert_conservation();
+    }
+}
+
 const BOXES: usize = 4;
 const KILLED: usize = 2;
 const FLEET_LOAD_GBPS: f64 = 60.0;
@@ -647,7 +726,7 @@ fn a_supervised_box_replays_without_its_supervisor() {
         let gen = Box::new(FixedSizeGen::new(64, 2));
         let mut h = Harness::new(sys, gen, 205.0).faults(plan);
         let mut sup = Supervisor::new(&h.sys);
-        for _ in 0..170_000 {
+        for _ in 0..180_000 {
             h.tick();
             if supervised {
                 sup.poll(&mut h.sys);
@@ -663,8 +742,8 @@ fn a_supervised_box_replays_without_its_supervisor() {
         sup.render(&chaos_plan()),
         "recovery: RPU 3 hung — detected @50177 cycle(s) (177 after fault), down 30208 cycles, \
          16 purged, forced eviction, 4 host retries\n\
-         recovery: RPU 6 halted — detected @140289 cycle(s) (289 after fault), down 26112 cycles, \
-         0 purged\n"
+         recovery: RPU 6 halted — detected @140289 cycle(s) (289 after fault), down 30208 cycles, \
+         16 purged, forced eviction\n"
     );
     let ladder = sup
         .steps()

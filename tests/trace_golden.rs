@@ -287,10 +287,11 @@ fn chaos_trace_differs_across_seeds() {
     );
 }
 
-/// The RPU ladder under `examples/chaos`'s plan: a forced recovery (the
-/// hang), a graceful one (the crash) and the host-link backoff (the PCIe
-/// outage) — every step the ladder noted, every recovery record timed
-/// against the plan, the retry count.
+/// The RPU ladder under `examples/chaos`'s plan: two forced recoveries —
+/// the hang, and the crash, whose stopped core keeps the frames it holds,
+/// so its drain times out into a forced eviction too — and the host-link
+/// backoff (the PCIe outage): every step the ladder noted, every recovery
+/// record timed against the plan, the retry count.
 fn rpu_ladder_text(out: &mut String) {
     use std::fmt::Write as _;
     let plan = FaultPlan::new()
@@ -363,8 +364,9 @@ fn ladders_text() -> String {
     let crash = vec![FaultKind::BoxCrash { device: 2 }.into()];
     fleet_drill(&mut out, "4-box crash drill, box 2", 70_000, crash);
     // A flap and a brownout, and under a host-link outage an RPU crash in
-    // box 3, so the RPU ladders the rack drives are pinned too. (A crash
-    // drains; a hang would wait out the drain deadline.)
+    // box 3, so the RPU ladders the rack drives are pinned too. (A crashed
+    // core, like a hung one, never drains: the ladder waits out the drain
+    // deadline and purges.)
     let havoc = vec![
         FaultKind::FrontLinkFlap {
             device: 0,
