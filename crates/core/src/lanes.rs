@@ -264,8 +264,7 @@ impl Lanes {
                 self.bcast_queued.insert(r);
             }
             if inert {
-                let horizon = rpu.quiet_horizon();
-                if horizon > now {
+                if let Some(horizon) = rpu.fall_asleep(now) {
                     self.awake.remove(r);
                     self.quiet[r] = horizon;
                     self.next_wake = self.next_wake.min(horizon);

@@ -17,7 +17,6 @@
 //! study, whose C firmware the paper characterizes in cycles per packet,
 //! Fig. 9).
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -925,8 +924,8 @@ impl RpuIo<'_> {
 }
 
 /// The last cycle a box ran its core stage, one value shared by every RPU
-/// of the box: a core parked in a poll loop is not ticked, so its reads
-/// work out where it would be from this.
+/// of the box: a sleeping lane's reads work out where its core would be
+/// from this.
 pub(crate) type CoreClock = Arc<AtomicU64>;
 
 /// The longest poll-loop period, in cycles, the spin probe records.
@@ -949,12 +948,9 @@ enum Spin {
     Missed,
     /// A poll missed; the next instruction boundary opens a probe.
     Armed,
-    /// Recording one iteration of the loop from `phases[0]`.
+    /// Recording one iteration of the loop from `phases[0]`, or — after an
+    /// inert tick — holding a proven one for the lane to fall asleep on.
     Probing,
-    /// `phases` is a proven fixed point: from cycle `base` on, the core
-    /// repeats it until something from outside settles the lane. The core
-    /// and the counters stay as they were at `base`.
-    Parked { base: Cycle },
 }
 
 /// What opens the spin probe's next recording.
@@ -973,6 +969,53 @@ enum Arm {
     Settle,
 }
 
+/// Why a lane's core is not stepped, from cycle `from` on (DESIGN.md, "The
+/// tick, and core-tick elision"). A lane falls asleep in one place,
+/// [`Rpu::fall_asleep`], and wakes in one, [`Rpu::settle_through`]. A fault
+/// outlives every wake until a new engine replaces the core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sleep {
+    from: Cycle,
+    kind: Kind,
+}
+
+/// One row each of DESIGN.md's table. What a kind needs besides `from`
+/// stays where the sleep leaves it: a loop's period in `phases`, a native
+/// stall tail in `stall`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// An RV32 core in `wfi` with nothing pending, or halted, or no engine.
+    Wfi,
+    /// An RV32 core in the loop `phases` records, one period past `phases[0]`.
+    Parked,
+    /// Native firmware in a charged stall tail, then waiting.
+    Native,
+    /// An injected wedge.
+    Hung,
+    /// An injected crash.
+    Crashed,
+    /// Mid-PR: the region is inert, its accelerator included.
+    Reconfiguring,
+}
+
+/// What ticking a sleeping lane every cycle would have added to its
+/// counters ([`Rpu::owed`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Owed {
+    /// Firmware cycles, and the stall cycles among them.
+    sw: u64,
+    stalled: u64,
+    /// `mcycle`, `minstret` (native: ticks that were not stalls), waits.
+    cycles: u64,
+    instret: u64,
+    waits: u64,
+    /// Cycles parked in a poll loop, and the instructions they credit.
+    parked: u64,
+    credited: u64,
+    /// For a poll loop: the recorded phase the cycles end on.
+    phase: Option<usize>,
+}
+
 /// One RPU: memories + core + accelerator + partial-reconfiguration state.
 pub struct Rpu {
     inner: RpuInner,
@@ -987,11 +1030,8 @@ pub struct Rpu {
     /// profile). `BTreeMap` for deterministic iteration order.
     profile: Option<std::collections::BTreeMap<u32, u64>>,
     pub(crate) boot_image: Option<Image>,
-    /// Injected-fault wedge: the core spins without retiring useful work
-    /// (§3.4 — the hang class the watchdog exists to catch).
-    hung: bool,
-    /// Injected-fault trap: treated as halted regardless of engine kind.
-    crashed: bool,
+    /// Why the core is not stepped: `None` while it is.
+    sleep: Option<Sleep>,
     /// Host-visible count of watchdog expirations (detection signal).
     watchdog_fires: u64,
     spin: Spin,
@@ -1041,8 +1081,7 @@ impl Rpu {
             stalled_cycles: 0,
             profile: None,
             boot_image: None,
-            hung: false,
-            crashed: false,
+            sleep: None,
             watchdog_fires: 0,
             spin: Spin::Off,
             arm: Arm::Miss,
@@ -1109,17 +1148,12 @@ impl Rpu {
         if self.phases.capacity() == 0 {
             self.phases.reserve_exact(MAX_SPIN_PHASES);
         }
-        self.retire_engine();
-        self.spin = Spin::Off;
         let mut cpu = Box::new(Cpu::new(image.base()));
         cpu.raise_irq(31); // reserved line kept clear; ensures mip plumbed
         cpu.clear_irq(31);
+        self.replace_engine(Engine::Riscv(cpu), RpuState::Running);
         // A stale watchdog acknowledgement must not carry into a fresh boot.
         self.inner.timer_ack = false;
-        self.engine = Engine::Riscv(cpu);
-        self.hung = false;
-        self.crashed = false;
-        self.state = RpuState::Running;
     }
 
     /// Installs native firmware and runs its boot hook.
@@ -1129,12 +1163,17 @@ impl Rpu {
             stall: &mut self.stall,
         };
         firmware.boot(&mut io);
-        self.retire_engine();
-        self.engine = Engine::Native(firmware);
-        self.spin = Spin::Off;
-        self.hung = false;
-        self.crashed = false;
-        self.state = RpuState::Running;
+        self.replace_engine(Engine::Native(firmware), RpuState::Running);
+    }
+
+    /// Wakes the lane for good (a fault goes with the old core) and counts
+    /// what the old engine retired before `engine` replaces it.
+    fn replace_engine(&mut self, engine: Engine, state: RpuState) {
+        self.settle_through(self.ticked_through(), None);
+        if let Engine::Riscv(cpu) = &self.engine {
+            self.counts.retired += cpu.instret();
+        }
+        (self.engine, self.state) = (engine, state);
     }
 
     /// Raises interrupt `line`, subject to the firmware's mask register.
@@ -1171,17 +1210,12 @@ impl Rpu {
     }
 
     /// Enters the reconfiguring state until cycle `until`; the region is
-    /// inert and the old engine is discarded.
+    /// inert and the old engine is discarded. The PR bitstream wipes the
+    /// region: an injected fault goes with it, and the fresh region starts
+    /// with a clean watchdog history.
     pub(crate) fn begin_reconfigure(&mut self, until: u64) {
-        self.state = RpuState::Reconfiguring { until };
-        self.retire_engine();
-        self.engine = Engine::Empty;
-        self.spin = Spin::Off;
+        self.replace_engine(Engine::Empty, RpuState::Reconfiguring { until });
         self.stall = 0;
-        // The PR bitstream wipes the region: injected wedges go with it,
-        // and the fresh region starts with a clean watchdog history.
-        self.hung = false;
-        self.crashed = false;
         self.watchdog_fires = 0;
         for slot in &mut self.inner.slot_state {
             slot.parked = Vec::new();
@@ -1193,29 +1227,23 @@ impl Rpu {
 
     /// Total firmware cycles consumed (for cycles-per-packet accounting).
     pub fn sw_cycles(&self) -> u64 {
-        // Every cycle of a poll loop is a firmware cycle, and so is every
-        // cycle a native lane sleeps.
-        let (slept, _) = self.native_owed(self.ticked_through());
-        self.sw_cycles + self.parked_at().map_or(0, |(n, _, _)| n) + slept
+        self.sw_cycles + self.owed(self.ticked_through()).sw
     }
 
     /// Snapshot of the host-visible hardware performance counters (§4.3).
     pub(crate) fn perf(&self) -> PerfCounters {
         let c = self.inner.counters();
-        let (instret, stall_cycles, mem_wait_cycles) = match (&self.engine, self.now_core()) {
-            (_, Some((cpu, stalled))) => (cpu.instret(), stalled, cpu.mem_wait_cycles()),
-            (Engine::Native(_), None) => {
-                let (slept, stalled) = self.native_owed(self.ticked_through());
-                let stalled = self.stalled_cycles + stalled;
-                (self.sw_cycles + slept - stalled, stalled, 0)
-            }
-            _ => (0, self.stalled_cycles, 0),
+        let owed = self.owed(self.ticked_through());
+        let (instret, mem_waits) = match &self.engine {
+            Engine::Riscv(cpu) => (cpu.instret(), cpu.mem_wait_cycles()),
+            Engine::Native(_) => (self.sw_cycles - self.stalled_cycles, 0),
+            Engine::Empty => (0, 0),
         };
         PerfCounters {
             sw_cycles: self.sw_cycles(),
-            instret,
-            stall_cycles,
-            mem_wait_cycles,
+            instret: instret + owed.instret,
+            stall_cycles: self.stalled_cycles + owed.stalled,
+            mem_wait_cycles: mem_waits + owed.waits,
             backpressure_stalls: c.stall_cycles,
             rx_frames: c.rx_frames,
             tx_frames: c.tx_frames,
@@ -1241,13 +1269,8 @@ impl Rpu {
 
     /// Whether the core halted on `ebreak` or a fault.
     pub fn is_halted(&self) -> bool {
-        if self.crashed {
-            return true;
-        }
-        match &self.engine {
-            Engine::Riscv(cpu) => cpu.is_halted(),
-            _ => false,
-        }
+        self.fault() == Some(Kind::Crashed)
+            || matches!(&self.engine, Engine::Riscv(cpu) if cpu.is_halted())
     }
 
     /// Whether an injected hang has wedged the firmware. This is a
@@ -1255,7 +1278,14 @@ impl Rpu {
     /// use it — it *infers* hangs from the watchdog counter and frozen
     /// progress, which is the point of the exercise.
     pub fn is_hung(&self) -> bool {
-        self.hung
+        self.fault() == Some(Kind::Hung)
+    }
+
+    /// The injected fault that stops the core, whether or not it sleeps.
+    fn fault(&self) -> Option<Kind> {
+        self.sleep
+            .map(|sleep| sleep.kind)
+            .filter(|kind| matches!(kind, Kind::Hung | Kind::Crashed))
     }
 
     /// Count of watchdog expirations since boot — part of the host-visible
@@ -1269,18 +1299,17 @@ impl Rpu {
     /// a descriptor, or re-arms its watchdog.
     pub(crate) fn force_hang(&mut self) {
         if matches!(self.state, RpuState::Running | RpuState::Draining) {
-            self.hung = true;
+            self.settle_through(self.ticked_through(), Some(Kind::Hung));
         }
     }
 
     /// Fault injection: crash the firmware as if it trapped on an illegal
     /// instruction — the region halts and the halt flag goes host-visible.
-    /// The core is never stepped again (a native firmware is never ticked)
-    /// until a reload or a reconfiguration; its accelerator finishes what it
-    /// holds, and the frames in its queues stay there until a purge.
+    /// As a hang does, the core then stops until a reload or a PR: its
+    /// accelerator finishes what it holds, its frames wait for a purge.
     pub(crate) fn force_crash(&mut self) {
         if matches!(self.state, RpuState::Running | RpuState::Draining) {
-            self.crashed = true;
+            self.settle_through(self.ticked_through(), Some(Kind::Crashed));
             self.state = RpuState::Stopped;
         }
     }
@@ -1297,76 +1326,77 @@ impl Rpu {
     }
 
     /// The RV32 core as it stands, when this RPU runs assembled firmware
-    /// (host debugger register inspection, §3.4).
+    /// (host debugger register inspection, §3.4). Parked in a poll loop, it
+    /// is the recorded phase the elapsed cycles land on, its counters where
+    /// the closed form puts them.
     pub fn cpu(&self) -> Option<Cpu> {
-        self.now_core().map(|(cpu, _)| cpu.into_owned())
+        let Engine::Riscv(cpu) = &self.engine else {
+            return None;
+        };
+        let owed = self.owed(self.ticked_through());
+        let mut now = match owed.phase {
+            Some(phase) => self.phases[phase].cpu.clone(),
+            None => (**cpu).clone(),
+        };
+        now.credit(
+            cpu.cycles() + owed.cycles - now.cycles(),
+            cpu.instret() + owed.instret - now.instret(),
+            cpu.mem_wait_cycles() + owed.waits - now.mem_wait_cycles(),
+        );
+        Some(now)
     }
 
     /// The last cycle this core counts as ticked through: its own last
-    /// tick, or — parked in a poll loop — the last cycle its box ran the
-    /// core stage.
+    /// tick, or — asleep — the last cycle its box ran the core stage.
     fn ticked_through(&self) -> Cycle {
         self.clock.load(Ordering::Relaxed).max(self.inner.now)
     }
 
-    /// For a core parked in a poll loop: `(n, periods, phase)` — the cycles
-    /// it has not been ticked since it parked, how many whole periods a core
-    /// ticked through them is past `phases[phase]`, and that phase.
-    fn parked_at(&self) -> Option<(u64, u64, usize)> {
-        let Spin::Parked { base } = self.spin else {
-            return None;
+    /// The one closed-form reader: what ticking the core every cycle from
+    /// its [`Sleep`]'s `from` through `through` would have added to its
+    /// counters (DESIGN.md's table). Only a native sleep and a poll loop
+    /// owe anything.
+    fn owed(&self, through: Cycle) -> Owed {
+        let Some(Sleep { from, kind }) = self.sleep else {
+            return Owed::default();
         };
-        let n = (self.ticked_through() + 1).saturating_sub(base);
-        let p = self.phases.len() as u64;
-        Some((n, n / p + 1, (n % p) as usize))
-    }
-
-    /// For a native lane: the cycles after its last tick, through
-    /// `through`, that it slept, and how many of them a charged stall tail
-    /// took — what ticking it through them would add to `sw_cycles` and
-    /// `stalled_cycles`. A hung lane's tick counts nothing, and any other
-    /// engine owes nothing.
-    fn native_owed(&self, through: Cycle) -> (u64, u64) {
-        match self.engine {
-            Engine::Native(_) if !self.hung && !self.crashed => {
-                let slept = through.saturating_sub(self.inner.now);
-                (slept, slept.min(self.stall))
+        let n = (through + 1).saturating_sub(from);
+        match (kind, &self.engine) {
+            (Kind::Native, _) => {
+                let stalled = n.min(self.stall);
+                Owed {
+                    sw: n,
+                    stalled,
+                    instret: n - stalled,
+                    ..Owed::default()
+                }
             }
-            _ => (0, 0),
+            (Kind::Parked, Engine::Riscv(cpu)) => {
+                let period = self.phases.len() as u64;
+                let (laps, phase) = (n / period, (n % period) as usize);
+                // The stored core stands one period past `phases[0]`: it owes
+                // the way from there to `phases[phase]`, and `laps` periods.
+                let counts = |cpu: &Cpu, stalled| {
+                    [cpu.cycles(), cpu.instret(), cpu.mem_wait_cycles(), stalled]
+                };
+                let [first, at] =
+                    [&self.phases[0], &self.phases[phase]].map(|p| counts(&p.cpu, p.stalled));
+                let stored = counts(cpu, self.stalled_cycles);
+                let [cycles, instret, waits, stalled] =
+                    std::array::from_fn(|i| at[i] - first[i] + laps * (stored[i] - first[i]));
+                Owed {
+                    sw: n,
+                    stalled,
+                    cycles,
+                    instret,
+                    waits,
+                    parked: n,
+                    credited: instret,
+                    phase: Some(phase),
+                }
+            }
+            _ => Owed::default(),
         }
-    }
-
-    /// What one period of the parked loop adds to `(mcycle, minstret,
-    /// memory waits, stall cycles)`: `cpu` stands one period past
-    /// `phases[0]`.
-    fn period(&self, cpu: &Cpu) -> (u64, u64, u64, u64) {
-        let first = &self.phases[0];
-        (
-            cpu.cycles() - first.cpu.cycles(),
-            cpu.instret() - first.cpu.instret(),
-            cpu.mem_wait_cycles() - first.cpu.mem_wait_cycles(),
-            self.stalled_cycles - first.stalled,
-        )
-    }
-
-    /// The RV32 core and the stall counter as a core ticked every cycle
-    /// would have them now: the stored ones, or — parked in a poll loop —
-    /// the recorded phase the elapsed cycles land on, plus the whole periods
-    /// in closed form. Reads take `&self`, so they cannot settle.
-    fn now_core(&self) -> Option<(Cow<'_, Cpu>, u64)> {
-        let Engine::Riscv(cpu) = &self.engine else {
-            return None;
-        };
-        Some(match self.parked_at() {
-            None => (Cow::Borrowed(&**cpu), self.stalled_cycles),
-            Some((_, periods, phase)) => {
-                let (cycles, instret, waits, stalled) = self.period(cpu);
-                let at = &self.phases[phase];
-                let mut now = at.cpu.clone();
-                now.credit(periods * cycles, periods * instret, periods * waits);
-                (Cow::Owned(now), at.stalled + periods * stalled)
-            }
-        })
     }
 
     /// This lane's share of the box's [`SimStats`]: the spin probe's
@@ -1374,17 +1404,14 @@ impl Rpu {
     /// now included, in closed form — and the instructions stepped, which
     /// are the rest of `minstret`.
     pub(crate) fn sim_stats(&self) -> SimStats {
-        let c = self.counts;
-        let (mut parked, mut credited, mut retired) = (c.parked, c.credited, c.retired);
-        if let Some((now, _)) = self.now_core() {
-            retired += now.instret();
-            if let (Some((n, ..)), Engine::Riscv(cpu)) = (self.parked_at(), &self.engine) {
-                parked += n;
-                credited += now.instret() - cpu.instret();
-            }
-        }
+        let (c, owed) = (self.counts, self.owed(self.ticked_through()));
+        let credited = c.credited + owed.credited;
+        let retired = match &self.engine {
+            Engine::Riscv(cpu) => c.retired + cpu.instret() + owed.instret,
+            _ => c.retired,
+        };
         SimStats {
-            parked_lane_cycles: parked,
+            parked_lane_cycles: c.parked + owed.parked,
             stepped_instrs: retired - credited,
             credited_instrs: credited,
             probes_started: c.started,
@@ -1395,64 +1422,46 @@ impl Rpu {
         }
     }
 
-    /// Folds what the outgoing engine did into the counts, before a load
-    /// or a reconfiguration replaces it.
-    fn retire_engine(&mut self) {
-        let s = self.sim_stats();
-        self.counts.parked = s.parked_lane_cycles;
-        self.counts.credited = s.credited_instrs;
-        self.counts.retired = s.stepped_instrs + s.credited_instrs;
-    }
-
-    /// Brings a core parked in a poll loop to where ticking it every cycle
-    /// would have it, drops any probe in progress, and sets the RPU's clock
-    /// to the last cycle its box ticked (a host `TIMER_CMP` write arms the
-    /// watchdog from it). `Lanes` calls it before anything from outside
-    /// reaches the lane, while the bus still answers what the loop read.
+    /// Wakes the lane through the last cycle its box ticked (a host
+    /// `TIMER_CMP` write arms the watchdog from there). `Lanes` calls it
+    /// before anything from outside reaches the lane, while the bus still
+    /// answers what a parked loop read. A fault stays.
     pub(crate) fn settle(&mut self) {
-        self.settle_through(self.ticked_through());
+        self.settle_through(self.ticked_through(), self.fault());
     }
 
-    /// [`Rpu::settle`] up to and including cycle `through`: the whole
-    /// periods in closed form, the rest stepped. The one place a lane's
-    /// accelerator catches up on the cycles it was not ticked — whole poll
-    /// periods, `wfi`, hung, a native firmware's wait or stall tail, a
-    /// whole-box jump — with one [`Accelerator::skip`]: a lane sleeps only
-    /// below its accelerator's horizon ([`Rpu::quiet_horizon`]). A native
-    /// lane's counters catch up here too, in closed form.
-    fn settle_through(&mut self, through: Cycle) {
-        self.arm = match (self.spin, self.arm) {
-            (Spin::Probing, _) => Arm::SecondMiss,
-            (Spin::Parked { .. }, _) | (_, Arm::Settle) => Arm::Miss,
-            (_, arm) => arm,
+    /// The one exit from a [`Sleep`], through cycle `through`, which fault
+    /// injection and a new engine take too: the counters take what
+    /// [`Rpu::owed`] says (a poll loop's part-period is stepped), the
+    /// accelerator catches up in one [`Accelerator::skip`] (none mid-PR),
+    /// any probe is dropped, and the lane wakes as `then`, `None` or a fault.
+    fn settle_through(&mut self, through: Cycle, then: Option<Kind>) {
+        let kind = self.sleep.map(|sleep| sleep.kind);
+        self.arm = match (kind, self.spin, self.arm) {
+            (Some(Kind::Parked), ..) | (.., Arm::Settle) => Arm::Miss,
+            (_, Spin::Probing, _) => Arm::SecondMiss,
+            (.., arm) => arm,
         };
-        // Mid-PR the region is inert, its accelerator included.
-        let slept = match self.state {
-            RpuState::Reconfiguring { .. } => 0,
-            _ => through.saturating_sub(self.inner.now),
+        let slept = through.saturating_sub(self.inner.now);
+        let stepped = match kind {
+            Some(Kind::Parked) => slept % self.phases.len() as u64,
+            _ => 0,
         };
-        let (native, stalled) = self.native_owed(through);
-        self.sw_cycles += native;
-        self.stall -= stalled;
-        self.stalled_cycles += stalled;
-        let mut stepped = 0;
-        if let (Spin::Parked { base }, Engine::Riscv(cpu)) = (self.spin, &self.engine) {
-            self.spin = Spin::Off;
-            let (n, p) = ((through + 1).saturating_sub(base), self.phases.len() as u64);
-            let (cycles, instret, waits, stalled) = self.period(cpu);
-            let periods = n / p;
-            if let Engine::Riscv(cpu) = &mut self.engine {
-                cpu.credit(periods * cycles, periods * instret, periods * waits);
+        let owed = self.owed(through - stepped);
+        self.sw_cycles += owed.sw;
+        self.stalled_cycles += owed.stalled;
+        self.counts.parked += owed.parked + stepped;
+        self.counts.credited += owed.credited;
+        match (kind, &mut self.engine) {
+            (Some(Kind::Native), _) => self.stall -= owed.stalled,
+            (Some(Kind::Parked), Engine::Riscv(cpu)) => {
+                cpu.credit(owed.cycles, owed.instret, owed.waits);
+                self.counts.settled += 1;
             }
-            self.counts.settled += 1;
-            self.counts.parked += n;
-            self.counts.credited += periods * instret;
-            self.sw_cycles += periods * p;
-            self.stalled_cycles += periods * stalled;
-            stepped = n % p;
+            _ => {}
         }
         if let Some(accel) = &mut self.inner.accel {
-            if slept > stepped {
+            if slept > stepped && kind != Some(Kind::Reconfiguring) {
                 accel.skip(slept - stepped);
             }
         }
@@ -1462,97 +1471,83 @@ impl Rpu {
         // What the loop read is about to change: its misses are stale.
         (self.spin, self.inner.missed, self.inner.impure) = (Spin::Off, false, false);
         self.inner.now = through;
+        self.sleep = then.map(|kind| Sleep {
+            from: through + 1,
+            kind,
+        });
     }
 
-    /// The first cycle at which a [`Rpu::tick`] could change any state,
-    /// assuming no external event (raised interrupt, ingress delivery, host
-    /// access, fault injection) arrives first — or `0` when the RPU must
-    /// tick every cycle. [`crate::Rosebud::tick`] uses this to elide the
-    /// core ticks of provably inert lanes; every external event re-wakes
-    /// the lane, so a conservative `0` is always safe while a too-large
-    /// horizon is a determinism bug the elision differential exists to
-    /// catch.
-    ///
-    /// The armed watchdog caps every horizon: its expiry is the one
-    /// self-generated event an otherwise-inert RPU can produce. So does the
-    /// accelerator's own [`Accelerator::horizon`], from its last tick, when
-    /// it ticks at all: below both, the lane's tick is the core's, and
-    /// [`Rpu::settle_through`] brings the accelerator forward in one skip.
-    /// An accelerator that keeps the default horizon of 0 has its lane
-    /// ticked every cycle.
-    ///
-    /// A native lane sleeps through its charged stall tail, and past it
-    /// while its [`Firmware::horizon`] says it waits on nothing the fabric
-    /// has yet given it: its receive queue, its interrupt lines and the host
-    /// reach it only through a wake, and it has no send queued and no
-    /// watchdog acknowledgement to consume.
-    pub(crate) fn quiet_horizon(&self) -> u64 {
-        let wd = if self.inner.timer_deadline != 0 {
-            self.inner.timer_deadline
-        } else {
-            u64::MAX
-        };
-        // Inert-by-state region: `tick` early-returns before touching the
-        // core or the accelerator (the `now >= until` case also returns —
-        // the host completes the boot via `finish_reconfigure`, which wakes
-        // the lane).
-        if matches!(self.state, RpuState::Reconfiguring { .. }) {
-            return wd;
-        }
-        // Checked first: a native lane's stall tail beside a matcher holding
-        // a result would otherwise work out its own horizon for nothing.
+    /// The one entry into a [`Sleep`], from `Lanes::run_cores` after a tick
+    /// at `now` that reported the lane inert: returns the horizon when it
+    /// lies past `now`, the lane asleep from `now + 1`.
+    pub(crate) fn fall_asleep(&mut self, now: Cycle) -> Option<Cycle> {
+        let (kind, horizon) = self.quiet_horizon().filter(|&(_, at)| at > now)?;
+        self.sleep = Some(Sleep {
+            from: now + 1,
+            kind,
+        });
+        Some(horizon)
+    }
+
+    /// What a lane whose tick just reported it inert may sleep as, and the
+    /// first cycle a tick could change any state if nothing from outside
+    /// wakes it first — one arm per row of DESIGN.md's table; `None`, which
+    /// ticks it on, is always safe, while a horizon too far is a bug
+    /// the elision differentials catch. Every kind is capped by the armed
+    /// watchdog and, outside a PR, by its accelerator's horizon.
+    fn quiet_horizon(&self) -> Option<(Kind, Cycle)> {
         let inner = &self.inner;
+        let wd = match inner.timer_deadline {
+            0 => Cycle::MAX,
+            deadline => deadline,
+        };
+        if let RpuState::Reconfiguring { .. } = self.state {
+            return Some((Kind::Reconfiguring, wd));
+        }
         let accel = match inner.accel.as_deref().map(Accelerator::horizon) {
-            None => u64::MAX,
-            Some(0) => return 0,
+            None => Cycle::MAX,
+            Some(0) => return None,
             Some(h) => inner.now.saturating_add(h).saturating_add(1),
         };
-        // A stall tail mutates the cycle counters every tick, a queued
-        // committed send keeps stage 6 busy, and a host-side `TIMER_CMP`
-        // write leaves an acknowledgement the next tick consumes. A native
-        // lane's counters catch up in closed form; an RV32 tail is a cycle
-        // or two, not worth a sleep.
-        let core = match &self.engine {
-            _ if self.hung || self.crashed => wd,
-            Engine::Native(fw) => {
-                let waiting = inner.rx_queue.is_empty()
-                    && inner.tx_queue.is_empty()
-                    && !inner.timer_ack
-                    && inner.native_irqs == 0;
+        // A queued send keeps stage 6 busy, and a host `TIMER_CMP` write
+        // leaves an acknowledgement the next tick consumes.
+        let queued = !inner.tx_queue.is_empty() || inner.timer_ack;
+        let (kind, core) = match (self.sleep, &self.engine) {
+            (Some(fault), _) => (fault.kind, wd),
+            (None, Engine::Native(fw)) => {
+                let waiting = !queued && inner.rx_queue.is_empty() && inner.native_irqs == 0;
                 let idle = if waiting { fw.horizon() } else { 0 };
                 if self.stall == 0 && idle == 0 {
-                    return 0;
+                    return None;
                 }
                 let tail = inner.now.saturating_add(self.stall).saturating_add(1);
-                wd.min(tail.saturating_add(idle))
+                (Kind::Native, wd.min(tail.saturating_add(idle)))
             }
-            _ if self.stall != 0 || !inner.tx_queue.is_empty() || inner.timer_ack => return 0,
-            Engine::Empty => wd,
-            Engine::Riscv(cpu) if cpu.is_parked() => wd,
-            Engine::Riscv(_) if matches!(self.spin, Spin::Parked { .. }) => wd,
-            Engine::Riscv(_) => return 0,
+            // An RV32 stall tail is a cycle or two, not worth a sleep.
+            _ if self.stall != 0 || queued => return None,
+            (None, Engine::Riscv(cpu)) if cpu.is_parked() => (Kind::Wfi, wd),
+            (None, Engine::Riscv(_)) if self.spin == Spin::Probing => (Kind::Parked, wd),
+            (None, Engine::Riscv(_)) => return None,
+            (None, Engine::Empty) => (Kind::Wfi, wd),
         };
-        core.min(accel)
+        Some((kind, core.min(accel)))
     }
 
-    /// Advances one clock cycle: core, then accelerator. Returns `true`
-    /// when the core did nothing this cycle (mid-reconfiguration, hung,
-    /// halted, parked in `wfi`, or no engine), is native firmware left in a
-    /// stall tail or waiting, or has just proven that it spins in a poll
-    /// loop — the cheap gate that tells the caller
-    /// [`Rpu::quiet_horizon`] is worth consulting; a busy core never pays
-    /// for the horizon computation. A core parked in a poll loop is settled
-    /// before it ticks again: `Lanes` settles every lane it wakes.
+    /// Advances one clock cycle of a lane that is not asleep: core, then
+    /// accelerator. Returns `true` when the tick left the lane inert — any
+    /// [`Kind`] but a poll loop, or a poll loop the spin probe has just
+    /// proven — the cheap gate before [`Rpu::fall_asleep`], so a busy core
+    /// never pays for a horizon.
     #[inline(always)]
     pub(crate) fn tick(&mut self, now: u64) -> bool {
         let inert = self.cycle(now);
         if self.spin != Spin::Off || self.inner.missed && self.arm != Arm::Settle {
-            return inert | self.watch(now);
+            return inert | self.watch();
         }
         inert
     }
 
-    /// One clock cycle of a core that is not parked in a poll loop.
+    /// One clock cycle of a core that is not asleep.
     #[inline(always)]
     fn cycle(&mut self, now: Cycle) -> bool {
         self.inner.now = now;
@@ -1569,7 +1564,7 @@ impl Rpu {
             // inert.
             return true;
         }
-        if self.hung || self.crashed {
+        if self.fault().is_some() {
             // Wedged or crashed firmware: the core is not stepped, the
             // accelerator finishes what it was already doing, nothing else
             // happens. The armed watchdog (checked above) is the escape
@@ -1642,7 +1637,7 @@ impl Rpu {
     /// The core half of one cycle of native firmware: a cycle of its stall
     /// tail, or its interrupts and its tick. Returns `true` when the tick
     /// left the lane sleepable — a stall tail, or firmware with a horizon —
-    /// so [`Rpu::quiet_horizon`] is worth consulting. Out of line: an RV32
+    /// so [`Rpu::fall_asleep`] is worth consulting. Out of line: an RV32
     /// core's tick should not carry it.
     #[inline(never)]
     fn native_cycle(&mut self) -> bool {
@@ -1682,10 +1677,10 @@ impl Rpu {
     /// miss it records one cycle per phase until the core is back at that
     /// boundary's state — a proven fixed point, if every access in between
     /// was pure and no register ever left its value. Returns `true` when
-    /// this cycle parked the core. Out of line: a core that never misses a
+    /// this cycle proved the loop, leaving the probe open on its record. Out of line: a core that never misses a
     /// poll should not carry it in its tick.
     #[inline(never)]
-    fn watch(&mut self, now: Cycle) -> bool {
+    fn watch(&mut self) -> bool {
         let missed = std::mem::take(&mut self.inner.missed);
         let impure = std::mem::take(&mut self.inner.impure);
         let Engine::Riscv(cpu) = &self.engine else {
@@ -1698,8 +1693,7 @@ impl Rpu {
         // probe waits for the next miss rather than start, and a loop it
         // proved does not park.
         let repeatable = matches!(self.state, RpuState::Running | RpuState::Draining)
-            && !self.hung
-            && !self.crashed
+            && self.sleep.is_none()
             && !cpu.is_waiting();
         let can_sleep = self.profile.is_none();
         let accel_idle = || self.inner.accel.as_deref().is_none_or(|a| a.horizon() > 0);
@@ -1727,11 +1721,12 @@ impl Rpu {
             }
             Spin::Probing if !impure && boundary && cpu.same_state(&self.phases[0].cpu) => {
                 if accel_idle() {
-                    Spin::Parked { base: now + 1 }
-                } else {
-                    self.counts.refused += 1;
-                    Spin::Off
+                    // A proven fixed point: the probe holds it for the lane
+                    // to fall asleep on.
+                    return true;
                 }
+                self.counts.refused += 1;
+                Spin::Off
             }
             Spin::Probing
                 if impure
@@ -1750,9 +1745,8 @@ impl Rpu {
                 self.phases.push(at);
                 Spin::Probing
             }
-            Spin::Parked { .. } => unreachable!("a parked core settles before it ticks"),
         };
-        matches!(self.spin, Spin::Parked { .. })
+        false
     }
 }
 
@@ -1764,16 +1758,6 @@ mod tests {
 
     fn cfg() -> RosebudConfig {
         RosebudConfig::with_rpus(4)
-    }
-
-    /// Ticks a bare RPU the way a test that ticks it by hand every cycle
-    /// must: a core parked in a poll loop catches up through the cycle
-    /// before, as `Lanes` settles a lane before it ticks it again.
-    fn hand_tick(rpu: &mut Rpu, now: u64) -> bool {
-        if matches!(rpu.spin, Spin::Parked { .. }) {
-            rpu.settle_through(now.saturating_sub(1));
-        }
-        rpu.tick(now)
     }
 
     fn meta(id: u64) -> SlotMeta {
@@ -1829,7 +1813,7 @@ mod tests {
         rpu.inner_mut().dma_deliver(0, arrived, meta(1));
         assert_eq!(rpu.inner().parked_buffers(), 1);
         for now in 0..100 {
-            hand_tick(&mut rpu, now);
+            rpu.tick(now);
         }
         let (desc, bytes, m) = rpu.inner_mut().take_tx().expect("packet forwarded");
         assert_eq!(desc.port, 1, "port flipped 0 -> 1");
@@ -1851,7 +1835,7 @@ mod tests {
         rpu.load_riscv(&assemble(&forwarder_asm()).unwrap());
         // Warm up.
         for now in 0..200 {
-            hand_tick(&mut rpu, now);
+            rpu.tick(now);
         }
         // Keep the RPU saturated and measure packets over a window.
         let frame = vec![0u8; 64];
@@ -1866,7 +1850,7 @@ mod tests {
                     rpu.inner_mut().dma_deliver(slot, frame.clone(), meta(0));
                 }
             }
-            hand_tick(&mut rpu, now);
+            rpu.tick(now);
             while rpu.inner_mut().take_tx().is_some() {
                 sent += 1;
             }
@@ -2358,12 +2342,21 @@ mod tests {
     mod horizon {
         use super::*;
         use proptest::prelude::*;
+        use rosebud_accel::{RegRead, ResourceUsage};
+        use std::collections::BTreeSet;
 
         /// Everything a tick could change that anything outside the RPU can
         /// observe: counters, the core (pc, registers, CSRs), lifecycle state,
-        /// the watchdog, and both descriptor queues.
+        /// the fault flags, the watchdog, and both descriptor queues.
         fn observable(rpu: &Rpu) -> String {
-            format!("{:?} {:?} {}", rpu.perf(), rpu.cpu(), fabric(rpu))
+            format!(
+                "{:?} {:?} halted={} hung={} {}",
+                rpu.perf(),
+                rpu.cpu(),
+                rpu.is_halted(),
+                rpu.is_hung(),
+                fabric(rpu)
+            )
         }
 
         /// What the fabric sees of an RPU besides its counters: lifecycle
@@ -2382,11 +2375,13 @@ mod tests {
 
         /// Firmware shapes that reach every sleep condition: a busy-poll
         /// loop, parked behind a timer alarm with a multi-cycle stall tail
-        /// on the way in, halted on `ebreak`, and a busy-poll loop with a
+        /// on the way in, halted on `ebreak`, a busy-poll loop with a
         /// packet-memory stall in its period under a watchdog that expires
-        /// mid-spin (raising an unmasked-but-disabled line).
-        fn firmware(kind: usize) -> String {
-            match kind {
+        /// mid-spin (raising an unmasked-but-disabled line), and two native
+        /// firmwares: one that waits through its horizon, one that charges
+        /// a stall tail on every poll.
+        fn boot(rpu: &mut Rpu, kind: usize) {
+            let asm = match kind {
                 0 => forwarder_asm(),
                 1 => "
                     .equ IO, 0x02000000
@@ -2403,7 +2398,7 @@ mod tests {
                     "
                 .to_string(),
                 2 => "li a0, 7\nmul a0, a0, a0\nebreak".to_string(),
-                _ => "
+                3 => "
                     .equ IO, 0x02000000
                         li t0, IO
                         li t1, 0x01000000
@@ -2421,6 +2416,90 @@ mod tests {
                         j poll
                     "
                 .to_string(),
+                4 => return rpu.load_native(Box::new(Waiter)),
+                _ => return rpu.load_native(Box::new(Staller)),
+            };
+            rpu.load_riscv(&assemble(&asm).unwrap());
+        }
+
+        /// Native firmware that waits for a frame and says so through its
+        /// horizon: it forwards each one after a charged stall, and notes
+        /// each interrupt in its status register under a watchdog it never
+        /// pets.
+        struct Waiter;
+
+        impl Firmware for Waiter {
+            fn boot(&mut self, io: &mut RpuIo<'_>) {
+                io.arm_watchdog(150);
+            }
+            fn tick(&mut self, io: &mut RpuIo<'_>) {
+                if let Some(desc) = io.rx_pop() {
+                    io.charge(6);
+                    io.send(Desc {
+                        port: desc.port ^ 1,
+                        ..desc
+                    });
+                }
+            }
+            fn interrupt(&mut self, line: u8, io: &mut RpuIo<'_>) {
+                io.set_status(u32::from(line));
+            }
+            fn horizon(&self) -> u64 {
+                u64::MAX
+            }
+        }
+
+        /// Native firmware with no horizon that charges a stall tail on
+        /// every poll, a longer one for each frame it forwards.
+        struct Staller;
+
+        impl Firmware for Staller {
+            fn tick(&mut self, io: &mut RpuIo<'_>) {
+                match io.rx_pop() {
+                    Some(desc) => {
+                        io.charge(11);
+                        io.send(desc);
+                    }
+                    None => io.charge(4),
+                }
+            }
+        }
+
+        /// Ticks between two of [`Pulse`]'s pulses.
+        const PULSE: u64 = 37;
+
+        /// An accelerator with a finite horizon: it counts the cycles it is
+        /// brought through, in a counter the test reads, and every
+        /// [`PULSE`]-th tick is one `skip` must not stand in for.
+        struct Pulse(Arc<AtomicU64>);
+
+        impl Accelerator for Pulse {
+            fn name(&self) -> &str {
+                "pulse"
+            }
+            fn read_reg(&mut self, _offset: u32) -> RegRead {
+                RegRead::fast(0)
+            }
+            fn write_reg(&mut self, _offset: u32, _value: u32) {}
+            fn tick(&mut self, _pmem: &[u8]) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            fn is_busy(&self) -> bool {
+                false
+            }
+            fn load_table(&mut self, _offset: u32, _data: &[u8]) {}
+            fn reset(&mut self) {
+                self.0.store(0, Ordering::Relaxed);
+            }
+            fn resources(&self) -> ResourceUsage {
+                ResourceUsage::default()
+            }
+            fn horizon(&self) -> u64 {
+                PULSE - 1 - self.0.load(Ordering::Relaxed) % PULSE
+            }
+            fn skip(&mut self, k: u64) {
+                assert!(k <= self.horizon(), "skipped {k} ticks past a pulse");
+                self.0.fetch_add(k, Ordering::Relaxed);
             }
         }
 
@@ -2441,26 +2520,37 @@ mod tests {
                         .unwrap();
                 }
                 4 => rpu.force_hang(),
+                5 => rpu.force_crash(),
                 _ => rpu.begin_reconfigure(now + u64::from(arg)),
             }
         }
 
         /// Core-tick elision skips `tick(now)` while `now` is below the
-        /// horizon. Two RPUs running firmware `kind` take the same events
-        /// (`(gap, what, arg)`, see [`apply`]); one is ticked every cycle,
-        /// the other the way `Lanes` ticks it — not at all below its
-        /// horizon, settled before every event and when the horizon comes
-        /// due, reading the box's core clock. Below the horizon the ticked
-        /// one must change nothing the fabric sees, and every cycle the two
-        /// must read alike: counters in closed form, the core's pc,
-        /// registers and CSRs from the recorded phase.
-        fn twins(kind: usize, events: Vec<(u64, u8, u32)>) -> Result<(), TestCaseError> {
-            let image = assemble(&firmware(kind)).unwrap();
+        /// horizon. Two RPUs running firmware `kind`, with a [`Pulse`]
+        /// beside each when `pulse`, take the same events (`(gap, what,
+        /// arg)`, see [`apply`]); one is ticked every cycle, the other the
+        /// way `Lanes` ticks it — not at all below its horizon, settled
+        /// before every event and when the horizon comes due, reading the
+        /// box's core clock. Below the horizon the ticked one must change
+        /// nothing the fabric sees, and every cycle the two must read
+        /// alike: counters in closed form, the core's pc, registers and
+        /// CSRs from the recorded phase, the accelerator whenever it ticks.
+        /// Returns the kinds of sleep the elided one fell into.
+        fn twins(
+            kind: usize,
+            pulse: bool,
+            events: Vec<(u64, u8, u32)>,
+        ) -> Result<BTreeSet<String>, TestCaseError> {
             let clock = CoreClock::default();
             let mut ticked = Rpu::new(0, &cfg());
             let mut elided = Rpu::new(0, &cfg()).on_clock(clock.clone());
-            ticked.load_riscv(&image);
-            elided.load_riscv(&image);
+            let counts = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+            for (rpu, count) in [&mut ticked, &mut elided].into_iter().zip(&counts) {
+                if pulse {
+                    rpu.set_accelerator(Box::new(Pulse(count.clone())));
+                }
+                boot(rpu, kind);
+            }
             let mut at = 0u64;
             let mut schedule: Vec<(u64, u8, u32)> = events
                 .into_iter()
@@ -2473,6 +2563,7 @@ mod tests {
             // `Some((horizon, what the fabric saw when it fell asleep))`.
             let mut asleep: Option<(u64, String)> = None;
             let mut slept = 0u32;
+            let mut kinds = BTreeSet::new();
             for now in 0..at + 300 {
                 while schedule.last().is_some_and(|e| e.0 == now) {
                     let (_, what, arg) = schedule.pop().unwrap();
@@ -2486,29 +2577,33 @@ mod tests {
                     asleep = None;
                 }
                 clock.store(now, Ordering::Relaxed);
-                hand_tick(&mut ticked, now);
-                match &asleep {
-                    Some((_, seen)) => {
+                ticked.tick(now);
+                let fell = match asleep {
+                    Some(_) => None,
+                    None if elided.tick(now) => elided.fall_asleep(now),
+                    None => None,
+                };
+                // Stage 6 collects committed sends, a sleeping lane's too.
+                while ticked.inner_mut().take_tx().is_some() {}
+                while elided.inner_mut().take_tx().is_some() {}
+                match (&asleep, fell) {
+                    (Some((_, seen)), _) => {
                         slept += 1;
                         prop_assert_eq!(&fabric(&ticked), seen, "cycle {}", now);
                     }
-                    None => {
-                        let inert = elided.tick(now);
-                        let horizon = elided.quiet_horizon();
-                        if inert && horizon > now {
-                            asleep = Some((horizon, fabric(&elided)));
-                        }
+                    (None, Some(horizon)) => {
+                        kinds.insert(format!("{:?}", elided.sleep.unwrap().kind));
+                        asleep = Some((horizon, fabric(&elided)));
+                    }
+                    (None, None) => {
+                        let [ticked, elided] = counts.each_ref().map(|c| c.load(Ordering::Relaxed));
+                        prop_assert_eq!(elided, ticked, "accelerator at cycle {}", now);
                     }
                 }
                 prop_assert_eq!(observable(&elided), observable(&ticked), "cycle {}", now);
-                // Stage 6 collects committed sends.
-                while ticked.inner_mut().take_tx().is_some() {}
-                if asleep.is_none() {
-                    while elided.inner_mut().take_tx().is_some() {}
-                }
             }
             prop_assert!(slept > 0, "firmware {} never slept", kind);
-            Ok(())
+            Ok(kinds)
         }
 
         proptest! {
@@ -2516,11 +2611,38 @@ mod tests {
 
             #[test]
             fn a_core_below_its_quiet_horizon_reads_like_one_ticked_every_cycle(
-                kind in 0usize..4,
-                events in proptest::collection::vec((1u64..60, 0u8..6, 1u32..200), 0..24),
+                kind in 0usize..6,
+                pulse in any::<bool>(),
+                events in proptest::collection::vec((1u64..60, 0u8..7, 1u32..200), 0..24),
             ) {
-                twins(kind, events)?;
+                twins(kind, pulse, events)?;
             }
+        }
+
+        /// Every kind of sleep is twinned: each firmware shape, beside a
+        /// [`Pulse`] and without, and a forwarder that hangs, crashes or
+        /// starts a PR.
+        #[test]
+        fn every_kind_of_sleep_reads_like_a_core_ticked_every_cycle() {
+            let mut kinds = BTreeSet::new();
+            for pulse in [false, true] {
+                for kind in 0..6 {
+                    kinds.extend(twins(kind, pulse, vec![(120, 2, 1), (90, 1, 0)]).unwrap());
+                }
+                for fault in [4, 5, 6] {
+                    kinds.extend(twins(0, pulse, vec![(50, 2, 1), (40, fault, 40)]).unwrap());
+                    kinds.extend(twins(5, pulse, vec![(50, 2, 1), (40, fault, 40)]).unwrap());
+                }
+            }
+            let all = [
+                "Crashed",
+                "Hung",
+                "Native",
+                "Parked",
+                "Reconfiguring",
+                "Wfi",
+            ];
+            assert_eq!(kinds, BTreeSet::from(all.map(String::from)));
         }
 
         /// A watchdog fire raises a line under a core being probed: it ends
@@ -2529,7 +2651,7 @@ mod tests {
         #[test]
         fn a_watchdog_fire_mid_probe_ends_it_and_rearms() {
             let arm_watchdog_for_8_cycles = (8, 3, 8);
-            twins(3, vec![arm_watchdog_for_8_cycles]).unwrap();
+            twins(3, false, vec![arm_watchdog_for_8_cycles]).unwrap();
         }
     }
 }

@@ -486,6 +486,66 @@ fn a_core_is_ticked_only_by_its_box() {
     );
 }
 
+/// Where `Rpu`'s sleep record may be written: construction, the one entry
+/// and the one exit.
+const SLEEP_WRITERS: [&str; 3] = ["fall_asleep", "new", "settle_through"];
+
+/// A lane's sleep is written in one place each way: outside the unit tests,
+/// `Rpu`'s `sleep` field is assigned only where the RPU is built
+/// (`Rpu::new`), where the lane falls asleep (`Rpu::fall_asleep`, after an
+/// inert tick in `Lanes::run_cores`) and where it wakes
+/// (`Rpu::settle_through`, which a fault and a new engine go through too).
+/// A fourth writer would be a door in or out that `Rpu::owed` and the
+/// elision differentials know nothing of (DESIGN.md, "The tick, and
+/// core-tick elision").
+#[test]
+fn a_lanes_sleep_is_written_in_one_place() {
+    let home = "crates/core/src/rpu.rs";
+    let (_, text) = sources("crates/core/src")
+        .into_iter()
+        .find(|(rel, _)| rel == home)
+        .expect("rpu.rs");
+    assert!(
+        text.contains("    sleep: Option<Sleep>,"),
+        "{home} no longer declares `Rpu::sleep`"
+    );
+    let code = text.split("\n#[cfg(test)]\nmod tests").next().unwrap();
+    let mut within = "";
+    let mut writes = Vec::new();
+    for (lineno, line) in code.lines().enumerate() {
+        let line = line.split("//").next().unwrap_or("");
+        if let Some(at) = line.find("fn ") {
+            within = line[at + 3..].split(['(', '<']).next().unwrap_or("");
+        }
+        let trimmed = line.trim_start();
+        let init = trimmed.starts_with("sleep:") && !trimmed.contains("Option<");
+        let assigned = line.match_indices(".sleep").any(|(at, _)| {
+            let rest = line[at + ".sleep".len()..].trim_start();
+            (rest.starts_with('=') && !rest.starts_with("=="))
+                || [
+                    ".take(",
+                    ".replace(",
+                    ".insert(",
+                    ".get_or_insert",
+                    ".as_mut(",
+                ]
+                .iter()
+                .any(|m| rest.starts_with(m))
+        });
+        if init || assigned || line.contains("&mut self.sleep") {
+            writes.push((within.to_string(), lineno + 1));
+        }
+    }
+    let mut sites: Vec<&str> = writes.iter().map(|(within, _)| within.as_str()).collect();
+    sites.sort_unstable();
+    sites.dedup();
+    assert_eq!(
+        sites, SLEEP_WRITERS,
+        "`Rpu::sleep` written at {writes:?}: a lane falls asleep in `fall_asleep` and wakes \
+         in `settle_through` alone"
+    );
+}
+
 /// The RV32IM base mnemonics (and the `subi` that `Instr` can express).
 const BASE_MNEMONICS: &[&str] = &[
     "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu", "lb", "lh", "lw",
